@@ -1,13 +1,15 @@
 """Curvature quantities of a Finsler metric at one admissible state.
 
 Everything here is a pure function of (metric, volume form, x, y),
-packaged behind a GeometryState that memoizes per-state results.  The
-heavy lifting (deep mixed partials of the spray) happens in the series
-engine; this module exposes the named tensors with explicit variance
-bookkeeping, plus a generic horizontal covariant derivative for
-jet-evaluable fields, which serves as the independent route in
+read from the one engine Frame a GeometryState builds on first use.
+The heavy lifting (deep mixed partials of the spray) happens in the
+series engine; this module exposes the named tensors with explicit
+variance bookkeeping, plus a generic horizontal covariant derivative
+for jet-evaluable fields, which serves as the independent route in
 cross-checks.
 """
+
+from functools import cached_property
 
 import numpy as np
 
@@ -20,29 +22,18 @@ _ROUTE_TOL = 1e-6
 
 
 class GeometryState:
-    """A metric, a volume form, and one admissible tangent vector.
-
-    The cache maps quantity names to evaluated results; all of them
-    belong to exactly this (x, y) and this volume form.
-    """
+    """A metric, a volume form, and one admissible tangent vector."""
 
     def __init__(self, metric, volume, x, y):
         self.metric = metric
         self.volume = volume
         self.x = tuple(float(v) for v in x)
         self.y = tuple(float(v) for v in y)
-        self.cache = {}
 
-    @property
+    @cached_property
     def frame(self):
-        if "frame" not in self.cache:
-            self.cache["frame"] = Frame(self.metric, self.volume, self.x, self.y)
-        return self.cache["frame"]
-
-    def _memo(self, key, build):
-        if key not in self.cache:
-            self.cache[key] = build()
-        return self.cache[key]
+        """The engine Frame of this state, built once on first use."""
+        return Frame(self.metric, self.volume, self.x, self.y)
 
     @property
     def state_tuple(self):
@@ -59,52 +50,37 @@ def _tensor(state, components, variance):
 
 def spray(state):
     """Spray coefficients G^i (degree 2 in y)."""
-    return state._memo(
-        "spray", lambda: _tensor(state, state.frame.G, ("upper",))
-    )
+    return _tensor(state, state.frame.G, ("upper",))
 
 
 def connections(state):
     """Nonlinear connection N^i_j and Berwald connection Gamma^i_jk."""
-
-    def build():
-        f = state.frame
-        return (
-            _tensor(state, f.N, ("upper", "lower")),
-            _tensor(state, f.Gamma, ("upper", "lower", "lower")),
-        )
-
-    return state._memo("connections", build)
+    f = state.frame
+    return (
+        _tensor(state, f.N, ("upper", "lower")),
+        _tensor(state, f.Gamma, ("upper", "lower", "lower")),
+    )
 
 
 def riemann(state):
     """Riemann curvature R^i_k built from the spray."""
-    return state._memo(
-        "riemann", lambda: _tensor(state, state.frame.R, ("upper", "lower"))
-    )
+    return _tensor(state, state.frame.R, ("upper", "lower"))
 
 
 def riemann_full(state):
     """(R^i_kl, R_j^i_kl): the antisymmetrized curvature and its fiber
     derivative, with R_j^i_kl y^j = R^i_kl."""
-
-    def build():
-        f = state.frame
-        return (
-            _tensor(state, f.R_kl, ("upper", "lower", "lower")),
-            _tensor(state, f.R_full, ("lower", "upper", "lower", "lower")),
-        )
-
-    return state._memo("riemann_full", build)
+    f = state.frame
+    return (
+        _tensor(state, f.R_kl, ("upper", "lower", "lower")),
+        _tensor(state, f.R_full, ("lower", "upper", "lower", "lower")),
+    )
 
 
 def berwald_curvature(state):
     """Berwald curvature B_j^i_kl (third fiber derivative of the spray)."""
-    return state._memo(
-        "berwald",
-        lambda: _tensor(
-            state, state.frame.B, ("lower", "upper", "lower", "lower")
-        ),
+    return _tensor(
+        state, state.frame.B, ("lower", "upper", "lower", "lower")
     )
 
 
@@ -115,28 +91,24 @@ def mean_berwald(state):
     half-Hessian of the S-curvature; a disagreement means the state is
     numerically unusable, which is reported as a regularity failure.
     """
-
-    def build():
-        f = state.frame
-        gap = np.abs(f.E - f.E_from_trace).max()
-        if gap > _ROUTE_TOL * max(1.0, np.abs(f.E).max()):
-            raise RegularityError(
-                "mean Berwald routes disagree by %.3e at x=%s y=%s"
-                % (gap, state.x, state.y)
-            )
-        return _tensor(state, f.E_from_trace, ("lower", "lower"))
-
-    return state._memo("mean_berwald", build)
+    f = state.frame
+    gap = np.abs(f.E - f.E_from_trace).max()
+    if gap > _ROUTE_TOL * max(1.0, np.abs(f.E).max()):
+        raise RegularityError(
+            "mean Berwald routes disagree by %.3e at x=%s y=%s"
+            % (gap, state.x, state.y)
+        )
+    return _tensor(state, f.E_from_trace, ("lower", "lower"))
 
 
 def s_curvature(state):
     """S-curvature: spray divergence minus the logarithmic volume drift."""
-    return state._memo("s_curvature", lambda: float(state.frame.S))
+    return float(state.frame.S)
 
 
 def distortion(state):
     """Distortion ln(sqrt(det g)/sigma) at the state."""
-    return state._memo("distortion", lambda: float(state.frame.tau))
+    return float(state.frame.tau)
 
 
 def distortion_flow_derivative(state):
@@ -144,16 +116,13 @@ def distortion_flow_derivative(state):
 
     Equals the S-curvature; kept as a separate route for cross-checks.
     """
-    return state._memo("distortion_flow", lambda: float(state.frame.tau_hor0))
+    return float(state.frame.tau_hor0)
 
 
 def douglas_tensor(state):
     """Douglas tensor: Berwald curvature minus its spray-divergence part."""
-    return state._memo(
-        "douglas",
-        lambda: _tensor(
-            state, state.frame.D, ("lower", "upper", "lower", "lower")
-        ),
+    return _tensor(
+        state, state.frame.D, ("lower", "upper", "lower", "lower")
     )
 
 
@@ -163,44 +132,34 @@ def douglas_from_mean_berwald(state):
     D_j^i_kl = B_j^i_kl - (2/(n+1)) { E_jk d^i_l + E_jl d^i_k
                + E_kl d^i_j + E_jk.l y^i }
     """
-
-    def build():
-        f = state.frame
-        n = f.n
-        eye = np.eye(n)
-        y = np.array(f.y)
-        corr = (
-            np.einsum("jk,il->jikl", f.E_from_trace, eye)
-            + np.einsum("jl,ik->jikl", f.E_from_trace, eye)
-            + np.einsum("kl,ij->jikl", f.E_from_trace, eye)
-            + np.einsum("jkl,i->jikl", f.E_y, y)
-        )
-        comp = f.B - (2.0 / (n + 1.0)) * corr
-        return _tensor(state, comp, ("lower", "upper", "lower", "lower"))
-
-    return state._memo("douglas_expanded", build)
+    f = state.frame
+    n = f.n
+    eye = np.eye(n)
+    y = np.array(f.y)
+    corr = (
+        np.einsum("jk,il->jikl", f.E_from_trace, eye)
+        + np.einsum("jl,ik->jikl", f.E_from_trace, eye)
+        + np.einsum("kl,ij->jikl", f.E_from_trace, eye)
+        + np.einsum("jkl,i->jikl", f.E_y, y)
+    )
+    comp = f.B - (2.0 / (n + 1.0)) * corr
+    return _tensor(state, comp, ("lower", "upper", "lower", "lower"))
 
 
 def dbar_tensor(state):
     """Commutator of horizontal Douglas derivatives, D_j^i_{kl|m} -
     D_j^i_{km|l}, antisymmetric in its last two slots."""
-    return state._memo(
-        "dbar",
-        lambda: _tensor(
-            state,
-            state.frame.Dbar,
-            ("lower", "upper", "lower", "lower", "lower"),
-        ),
+    return _tensor(
+        state,
+        state.frame.Dbar,
+        ("lower", "upper", "lower", "lower", "lower"),
     )
 
 
 def gdw_vector(state):
     """Flow derivative of the Douglas tensor, P_j^i_kl = D_j^i_{kl|m} y^m."""
-    return state._memo(
-        "gdw_vector",
-        lambda: _tensor(
-            state, state.frame.D_h0, ("lower", "upper", "lower", "lower")
-        ),
+    return _tensor(
+        state, state.frame.D_h0, ("lower", "upper", "lower", "lower")
     )
 
 
@@ -210,19 +169,11 @@ def gdw_residual(state):
     The metric is generalized Douglas-Weyl iff the first part vanishes;
     T is the proportionality factor P = T y, meaningful only then.
     """
-
-    def build():
-        f = state.frame
-        return (
-            _tensor(
-                state,
-                f.gdw_residual,
-                ("lower", "upper", "lower", "lower"),
-            ),
-            np.array(f.gdw_factor),
-        )
-
-    return state._memo("gdw_residual", build)
+    f = state.frame
+    return (
+        _tensor(state, f.gdw_residual, ("lower", "upper", "lower", "lower")),
+        np.array(f.gdw_factor),
+    )
 
 
 def residual_scale(state):

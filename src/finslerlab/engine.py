@@ -3,11 +3,13 @@
 A Frame evaluates F^2 once at a state as a Series in the coordinate
 shifts, walks the whole derivative tree inside the ring (spray, Berwald
 connection, Riemann and Berwald curvatures, S-curvature, Douglas tensor,
-projective spray and its curvature), extracts every component the
-classifier and the identity checks consume as plain numpy arrays, and
-then drops the ring objects.  The nested dual towers in jets compute
-the same partials one seeding at a time; tests hold the two routes
-against each other.
+projective spray and its curvature) and extracts every component the
+classifier and the identity checks consume as plain numpy arrays.  Of
+the ring objects it keeps only the spray, which the projective-change
+routes (modified_spray, lemma21_residual) extend by P y; it is the only
+code that evaluates F^2 -> g -> G.  The nested dual towers in jets
+compute the same partials one seeding at a time; tests hold the two
+routes against each other.
 
 Index layout mirrors the written order of the symbols: B[j,i,k,l] holds
 B_j^i_{kl}, horizontal derivatives append the new lower slot last
@@ -20,8 +22,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, RegularityError
-from .scalars import ring_det, ring_inv, value_of
-from .series import SeriesRing, embed_series
+from .scalars import ln, ring_det, ring_inv, value_of
+from .series import Series, SeriesRing, embed_series
 
 # Orientation of the Ricci identity used for the Berwald-curvature
 # commutator: B_j^i_{kl|m} - B_j^i_{km|l} = RICCI_LM_SIGN * d_k R_j^i_{lm}
@@ -211,16 +213,42 @@ def _cube_extract(W, tab):
     return val, xd, yd
 
 
-def log_sigma_series(volume, metric, ring, xs, x):
-    """ln sigma as a ring element (or a float for constant densities)."""
-    if volume is None or volume.kind == "constant":
-        sig = 1.0 if volume is None else value_of(volume.sigma(list(x)))
-        return math.log(sig)
+def log_sigma_series(volume, ring, xs, x):
+    """ln sigma as a ring element, or a float when sigma does not vary.
+
+    The quadrature density runs its thousands of directions through the
+    x-only ring and is embedded afterwards.
+    """
+    if volume is None:
+        return 0.0
     if volume.kind == "bh_quadrature":
         reduced = SeriesRing.get(ring.n, cap_x=ring.cap_x, cap_y=0)
-        rxs = [reduced.variable_x(i, float(x[i])) for i in range(ring.n)]
-        return embed_series(volume.sigma(rxs), ring).ln()
-    return volume.sigma(xs).ln()
+        rxs = [reduced.variable_x(i, x[i]) for i in range(ring.n)]
+        sig = volume.sigma(rxs)
+        if isinstance(sig, Series):
+            sig = embed_series(sig, ring)
+    else:
+        sig = volume.sigma(xs)
+    return ln(sig)
+
+
+def _spray_arrays(G, xs, ys, tab):
+    """(G, N, Gamma, R, R_y, R_yy, R_y3) of one spray, as arrays.
+
+    Values of the spray and its first two fiber partials, then the
+    Riemann curvature R^i_k with its first three fiber partials.
+    """
+    n = len(G)
+    R = riemann_series(G, xs, ys)
+    return (
+        np.array([G[i].c[0] for i in range(n)]),
+        np.array([_y1(G[i], tab) for i in range(n)]),
+        np.array([_y2(G[i], tab) for i in range(n)]),
+        np.array([[R[i][k].c[0] for k in range(n)] for i in range(n)]),
+        np.array([[_y1(R[i][k], tab) for k in range(n)] for i in range(n)]),
+        np.array([[_y2(R[i][k], tab) for k in range(n)] for i in range(n)]),
+        np.array([[_y3(R[i][k], tab) for k in range(n)] for i in range(n)]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -268,24 +296,22 @@ class Frame:
         )
 
         G = spray_series(fsq, ginv_ring, xs, ys)
-        self.G = np.array([G[i].c[0] for i in range(n)])
-        self.N = np.array([_y1(G[i], tab) for i in range(n)])
-        self.Gamma = np.array([_y2(G[i], tab) for i in range(n)])
+        self.ring_spray = (xs, ys, G)
+        (self.G, self.N, self.Gamma, self.R, self.R_y, self.R_yy,
+         self.R_y3) = _spray_arrays(G, xs, ys, tab)
 
         div = divergence_series(G)
         try:
-            lnsig = log_sigma_series(volume, metric, ring, xs, self.x)
+            lnsig = log_sigma_series(volume, ring, xs, self.x)
         except DomainError as exc:
             raise RegularityError(str(exc), x=self.x, y=self.y) from exc
-        if isinstance(lnsig, float):
-            S = div
-            tau = ring_det(g_ring).ln() * 0.5 - lnsig
-        else:
+        S = div
+        if not isinstance(lnsig, float):
             acc = lnsig.dx(0) * ys[0]
             for m in range(1, n):
                 acc = acc + lnsig.dx(m) * ys[m]
             S = div - acc
-            tau = ring_det(g_ring).ln() * 0.5 - lnsig
+        tau = ring_det(g_ring).ln() * 0.5 - lnsig
         self.S = S.c[0]
         self.S_x = _x1(S, tab)
         self.S_y = _y1(S, tab)
@@ -296,24 +322,9 @@ class Frame:
         self.tau_x = _x1(tau, tab)
         self.tau_y = _y1(tau, tab)
 
-        R = riemann_series(G, xs, ys)
-        self.R = np.array([[R[i][k].c[0] for k in range(n)] for i in range(n)])
-        self.R_y = np.array([[_y1(R[i][k], tab) for k in range(n)] for i in range(n)])
-        self.R_yy = np.array([[_y2(R[i][k], tab) for k in range(n)] for i in range(n)])
-        self.R_y3 = np.array([[_y3(R[i][k], tab) for k in range(n)] for i in range(n)])
-
         Gt = [G[i] - S * ys[i] * (1.0 / (n + 1)) for i in range(n)]
-        Rt = riemann_series(Gt, xs, ys)
-        self.Rt = np.array([[Rt[i][k].c[0] for k in range(n)] for i in range(n)])
-        self.Rt_y = np.array(
-            [[_y1(Rt[i][k], tab) for k in range(n)] for i in range(n)]
-        )
-        self.Rt_yy = np.array(
-            [[_y2(Rt[i][k], tab) for k in range(n)] for i in range(n)]
-        )
-        self.Rt_y3 = np.array(
-            [[_y3(Rt[i][k], tab) for k in range(n)] for i in range(n)]
-        )
+        (self.Gt, self.Nt, self.Gammat, self.Rt, self.Rt_y, self.Rt_yy,
+         self.Rt_y3) = _spray_arrays(Gt, xs, ys, tab)
 
         self.B, self.B_x, self.B_y = _cube_extract(G, tab)
         U = douglas_core_series(G, div, ys)
@@ -321,9 +332,6 @@ class Frame:
         divt = divergence_series(Gt)
         Ut = douglas_core_series(Gt, divt, ys)
         self.PB, self.PB_x, self.PB_y = _cube_extract(Ut, tab)
-        self.Gt = np.array([Gt[i].c[0] for i in range(n)])
-        self.Nt = np.array([_y1(Gt[i], tab) for i in range(n)])
-        self.Gammat = np.array([_y2(Gt[i], tab) for i in range(n)])
 
     # -- assembled quantities -------------------------------------------
 
@@ -502,53 +510,41 @@ class Frame:
         return ric + (n - 1) * (self.s_hor0 / (n + 1) + s_norm * s_norm)
 
 
-def douglas_values_from_spray(spray, ys, tab=None):
-    """Douglas tensor components of an arbitrary spray given as Series."""
-    ring = spray[0].ring
-    tab = tab or _tables(ring)
-    div = divergence_series(spray)
-    U = douglas_core_series(spray, div, ys)
-    val, _, _ = _cube_extract(U, tab)
+def douglas_values_from_spray(spray, ys):
+    """Douglas tensor components of a spray given as Series."""
+    U = douglas_core_series(spray, divergence_series(spray), ys)
+    val, _, _ = _cube_extract(U, _tables(ys[0].ring))
     return val
 
 
-def modified_spray(metric, x, y, p_func):
-    """Base data and the spray G + P y for a projective factor P.
+def modified_spray(frame, p_func):
+    """The spray G + P y of a projective factor P, and P, as Series.
 
-    Returns (ring, xs, ys, G, Ghat, P) with everything still in the ring.
+    G is the spray the Frame kept; P = p_func(xs, ys) on its ring state.
     """
-    n = metric.dimension
-    ring = SeriesRing.get(n, cap_x=2, cap_y=8)
-    xs, ys = ring.state([float(v) for v in x], [float(v) for v in y])
-    fsq = fsq_series(metric, xs, ys)
-    _, ginv_ring = metric_series(fsq)
-    G = spray_series(fsq, ginv_ring, xs, ys)
+    xs, ys, G = frame.ring_spray
     P = p_func(xs, ys)
     if not hasattr(P, "ring"):
-        P = ring.constant(value_of(P))
-    Ghat = [G[i] + P * ys[i] for i in range(n)]
-    return ring, xs, ys, G, Ghat, P
+        P = ys[0].ring.constant(value_of(P))
+    return [G[i] + P * ys[i] for i in range(frame.n)], P
 
 
-def lemma21_residual(metric, x, y, p_func):
+def lemma21_residual(frame, p_func):
     """Residual of the projective-change law for the Riemann curvature.
 
     With Ghat = G + P y, the curvatures satisfy
     Rhat^i_k = R^i_k + Xi delta^i_k + tau_k y^i where Xi = P^2 - P_{|0}
     and tau_k = 3(P_{|k} - P P_{.k}) + Xi_{.k}; P-derivatives use the
-    base connection.
+    base connection.  R, N and G come from the Frame; only Rhat is new.
     """
-    n = metric.dimension
-    ring, xs, ys, G, Ghat, P = modified_spray(metric, x, y, p_func)
-    tab = _tables(ring)
+    n = frame.n
+    xs, ys, G = frame.ring_spray
+    Ghat, P = modified_spray(frame, p_func)
+    tab = _tables(ys[0].ring)
 
-    R = riemann_series(G, xs, ys)
     Rhat = riemann_series(Ghat, xs, ys)
-    R_val = np.array([[R[i][k].c[0] for k in range(n)] for i in range(n)])
     Rhat_val = np.array([[Rhat[i][k].c[0] for k in range(n)] for i in range(n)])
 
-    N = np.array([_y1(G[i], tab) for i in range(n)])
-    G_val = np.array([G[i].c[0] for i in range(n)])
     P_val = P.c[0]
     P_x = _x1(P, tab)
     P_y = _y1(P, tab)
@@ -562,8 +558,8 @@ def lemma21_residual(metric, x, y, p_func):
     Xi_val = Xi.c[0]
     Xi_y = _y1(Xi, tab)
 
-    P_h = P_x - N.T @ P_y  # P_{|k} = d_k P - N^r_k dot d_r P
+    P_h = P_x - frame.N.T @ P_y  # P_{|k} = d_k P - N^r_k dot d_r P
     tau_k = 3.0 * (P_h - P_val * P_y) + Xi_y
-    yv = np.array([float(v) for v in y])
-    predicted = R_val + Xi_val * np.eye(n) + np.outer(yv, tau_k)
+    yv = np.array(frame.y)
+    predicted = frame.R + Xi_val * np.eye(n) + np.outer(yv, tau_k)
     return Rhat_val - predicted

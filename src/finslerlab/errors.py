@@ -20,17 +20,6 @@ class TowerBudgetError(FinslerError):
     tower cap allows."""
 
 
-class SingularMatrixError(FinslerError):
-    """Linear solve met a value-part matrix with no usable pivot."""
-
-    def __init__(self, pivot_magnitude: float):
-        self.pivot_magnitude = float(pivot_magnitude)
-        super().__init__(
-            "singular value-part matrix (best pivot magnitude %.3e)"
-            % self.pivot_magnitude
-        )
-
-
 class RegularityError(FinslerError):
     """The metric is not regular at a state: the fundamental tensor is
     not positive definite, or F is not positive on an admissible ray."""

@@ -6,7 +6,7 @@ first-order tangent per nesting level, so k nested levels yield exact
 k-th mixed partials (rounding error only, no truncation).
 
 Design rules, enforced here:
-  * control flow (pivoting, comparisons, abs) reads level-0 values only,
+  * control flow (comparisons, abs) reads level-0 values only,
     so the differentiated program is the same program the floats ran;
   * mixing jets of different levels in one operation is a bug and raises
     TypeError; plain numbers are coerced as constants;
@@ -19,7 +19,7 @@ import math
 import numbers
 from functools import lru_cache
 
-from .errors import DomainError, SingularMatrixError, TowerBudgetError
+from .errors import DomainError, TowerBudgetError
 from .scalars import value_of
 
 MAX_LEVELS = 8
@@ -340,36 +340,3 @@ def mixed_partial(f, x, y, wrt):
             return 0.0
         out = out.tangent
     return value_of(out)
-
-
-def solve_linear(A, b):
-    """Solve A x = b over jets by Gaussian elimination.
-
-    Pivot choice looks at level-0 magnitudes only, so the solution's
-    tangents are the derivatives of the smooth map (A, b) -> x along
-    whatever directions the entries carry.
-    """
-    n = len(A)
-    M = [list(A[i]) + [b[i]] for i in range(n)]
-    for col in range(n):
-        best_row, best_mag = col, -1.0
-        for r in range(col, n):
-            mag = abs(value_of(M[r][col]))
-            if mag > best_mag:
-                best_row, best_mag = r, mag
-        if best_mag < 1e-120:
-            raise SingularMatrixError(best_mag)
-        if best_row != col:
-            M[col], M[best_row] = M[best_row], M[col]
-        pivot = M[col][col]
-        for r in range(col + 1, n):
-            factor = M[r][col] / pivot
-            for k in range(col + 1, n + 1):
-                M[r][k] = M[r][k] - factor * M[col][k]
-    xs = [None] * n
-    for i in reversed(range(n)):
-        acc = M[i][n]
-        for k in range(i + 1, n):
-            acc = acc - M[i][k] * xs[k]
-        xs[i] = acc / M[i][i]
-    return xs

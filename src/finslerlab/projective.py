@@ -163,9 +163,7 @@ def identity_residual(
         return TensorValue(frame.constflag_residual(value), (_UP, _LOW), state)
     if kind_key == "lemma21":
         func = _projective_factor(p, state, parameters)
-        residual = engine.lemma21_residual(
-            state.metric, state.x, state.y, func
-        )
+        residual = engine.lemma21_residual(frame, func)
         return TensorValue(residual, (_UP, _LOW), state)
     raise ConfigError(
         "unknown identity kind %r; expected one of: %s"
@@ -178,9 +176,7 @@ def douglas_invariance_gap(
 ) -> float:
     """Max deviation of the Douglas tensor under the change G -> G + P y."""
     func = _projective_factor(p, state, parameters)
-    _, _, ys, G, Ghat, _ = engine.modified_spray(
-        state.metric, state.x, state.y, func
-    )
-    base = engine.douglas_values_from_spray(G, ys)
-    modified = engine.douglas_values_from_spray(Ghat, ys)
-    return float(np.abs(modified - base).max())
+    frame = state.frame
+    Ghat, _ = engine.modified_spray(frame, func)
+    modified = engine.douglas_values_from_spray(Ghat, frame.ring_spray[1])
+    return float(np.abs(modified - frame.D).max())

@@ -78,41 +78,29 @@ def _ipow(v, k):
 
 
 def ring_det(a):
-    """Determinant of a small square matrix of ring scalars (n <= 4).
+    """Determinant of a square matrix of ring scalars (a list of rows).
 
-    Cofactor expansion: branch-free, so it differentiates cleanly in
-    any ring.  Matrix is a list of rows.
+    Laplace expansion along the first row: branch-free, so it
+    differentiates cleanly in any ring.  The empty matrix has
+    determinant 1, the cofactor of a 1x1 inverse.
     """
     n = len(a)
-    if n == 1:
-        return a[0][0]
-    if n == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    if n == 3:
-        return (
-            a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
-        )
-    if n == 4:
-        total = None
-        for j in range(4):
-            minor = [[a[r][c] for c in range(4) if c != j] for r in range(1, 4)]
-            term = a[0][j] * ring_det(minor)
-            if j % 2:
-                term = -term
-            total = term if total is None else total + term
-        return total
-    raise ValueError("ring_det supports n <= 4, got %d" % n)
+    if n == 0:
+        return 1.0
+    total = None
+    for j in range(n):
+        minor = [[row[c] for c in range(n) if c != j] for row in a[1:]]
+        term = a[0][j] * ring_det(minor)
+        if j % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total
 
 
 def ring_inv(a):
-    """Inverse of a small square matrix of ring scalars via adjugate/det."""
+    """Inverse of a square matrix of ring scalars: adjugate times 1/det."""
     n = len(a)
-    det = ring_det(a)
-    if n == 1:
-        one = det / det
-        return [[one / det]]
+    inv_det = 1.0 / ring_det(a)
     out = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -124,5 +112,5 @@ def ring_inv(a):
             cof = ring_det(minor)
             if (i + j) % 2:
                 cof = -cof
-            out[j][i] = cof / det
+            out[j][i] = cof * inv_det
     return out

@@ -17,7 +17,7 @@ from finslerlab.classify import (
 from finslerlab.errors import ConfigError, SamplingError
 from finslerlab.metrics import construct_metric
 from finslerlab.scalars import value_of
-from finslerlab.volume import dsl_volume
+from finslerlab.volume import bh_quadrature_volume, dsl_volume
 
 
 def test_plan_defaults():
@@ -185,3 +185,13 @@ def test_tolerance_bound_formula():
     # with absurd tolerances everything collapses to "holds"
     for name in PREDICATES:
         assert report.verdict(name) == "holds", name
+
+
+def test_x_independent_quadrature_density_classifies():
+    # F does not depend on x, so the quadrature density is a float
+    entry = get_example("minkowski_quartic")
+    volume = bh_quadrature_volume(entry.metric)
+    report = classify_metric(entry.metric, volume, SamplePlan(count=3))
+    assert report.errored_states == 0
+    for name, expected in entry.expected_verdicts.items():
+        assert report.verdict(name) == ("holds" if expected else "fails"), name

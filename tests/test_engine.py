@@ -27,6 +27,7 @@ from finslerlab.volume import (
     bh_quadrature_volume,
     bh_randers_volume,
     constant_volume,
+    dsl_volume,
 )
 
 STATE = ((0.11, -0.07, 0.13), (0.6, -0.3, 0.74))
@@ -190,12 +191,11 @@ def test_modification_curvature_relation_linear_factor():
     def p_func(xs, ys):
         return (0.1 + 0.3 * xs[1]) * ys[0] + 0.05 * ys[2]
 
-    res = lemma21_residual(generic_randers(), *STATE, p_func=p_func)
+    frame = Frame(generic_randers(), constant_volume(1.0), *STATE)
+    res = lemma21_residual(frame, p_func=p_func)
     assert np.abs(res).max() <= 1e-12
 
-    res0 = lemma21_residual(
-        generic_randers(), *STATE, p_func=lambda xs, ys: 0.0
-    )
+    res0 = lemma21_residual(frame, p_func=lambda xs, ys: 0.0)
     assert np.abs(res0).max() == 0.0
 
 
@@ -218,3 +218,12 @@ def test_closed_and_quadrature_volumes_give_same_s():
     f_closed = Frame(entry.metric, entry.volume, x, y)
     f_quad = Frame(entry.metric, bh_quadrature_volume(entry.metric), x, y)
     assert f_quad.S == pytest.approx(f_closed.S, abs=1e-8)
+
+
+def test_constant_dsl_density_matches_constant_volume():
+    metric = get_example("randers_osaka").metric
+    x, y = (0.1, 0.2, 0.0), (0.55, -0.4, 0.65)
+    f_dsl = Frame(metric, dsl_volume("2", 3), x, y)
+    f_const = Frame(metric, constant_volume(2.0), x, y)
+    assert f_dsl.S == f_const.S
+    assert f_dsl.tau == f_const.tau

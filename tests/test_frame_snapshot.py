@@ -1,0 +1,107 @@
+"""Every Frame output on the catalog states against a committed snapshot.
+
+The snapshot holds, for 3 sampled states of every catalog entry, each
+ndarray and float the Frame constructor sets, the residuals that
+classify_metric and identity_residual read, and the two projective-change
+checks (lemma21 and the Douglas invariance gap, with P = 0.3*y1).  A
+refactor of the ring pipeline must reproduce all of it to 1e-12
+relative.
+
+Regenerate (only from a commit whose outputs are the reference):
+
+    PYTHONPATH=src python tests/test_frame_snapshot.py tests/data/frame_snapshot.npz
+"""
+
+import os
+import sys
+
+import numpy as np
+
+from finslerlab import catalog, classify, curvature, projective
+
+SNAPSHOT = os.path.join(
+    os.path.dirname(__file__), "data", "frame_snapshot.npz"
+)
+STATES_PER_ENTRY = 3
+P_FACTOR = "0.3*y1"
+REL = 1e-12
+
+IDENTITIES = ("thm31", "master", "thm33", "pricci", "constflag")
+RESIDUALS = ("C", "B", "E", "D", "Dbar", "gdw_residual", "R_full_dot",
+             "Rt_full_dot", "scale")
+
+
+def state_outputs(entry, x, y):
+    """Name -> array of everything the snapshot records at one state."""
+    state = curvature.GeometryState(entry.metric, entry.volume, x, y)
+    frame = state.frame
+    out = {
+        name: np.asarray(value, dtype=float)
+        for name, value in vars(frame).items()
+        if isinstance(value, (np.ndarray, float))
+    }
+    for name in RESIDUALS:
+        out["res." + name] = np.asarray(getattr(frame, name), dtype=float)
+    lam = frame.constflag_lambda_fit()
+    out["res.lambda_fit"] = np.asarray(lam)
+    out["res.constflag"] = frame.constflag_residual(lam)
+    for kind in IDENTITIES:
+        out["id." + kind] = projective.identity_residual(kind, state).components
+    out["id.lemma21"] = projective.identity_residual(
+        "lemma21", state, p=P_FACTOR
+    ).components
+    out["douglas_invariance_gap"] = np.asarray(
+        projective.douglas_invariance_gap(state, P_FACTOR)
+    )
+    return out
+
+
+def write_snapshot(path):
+    plan = classify.SamplePlan(count=STATES_PER_ENTRY)
+    arrays = {}
+    for name in catalog.list_examples():
+        entry = catalog.get_example(name)
+        states = classify.sample_states(entry.metric, plan).states
+        for k, (x, y) in enumerate(states):
+            key = "%s/%d" % (name, k)
+            arrays[key + "/x"] = np.array(x)
+            arrays[key + "/y"] = np.array(y)
+            for field, value in state_outputs(entry, x, y).items():
+                arrays["%s/%s" % (key, field)] = value
+    np.savez_compressed(path, **arrays)
+
+
+def _load():
+    grouped = {}
+    with np.load(SNAPSHOT) as data:
+        for full, value in data.items():
+            key, field = full.rsplit("/", 1)
+            grouped.setdefault(key, {})[field] = value
+    return grouped
+
+
+def pytest_generate_tests(metafunc):
+    reference = _load()
+    metafunc.parametrize(
+        "key, ref", sorted(reference.items()), ids=sorted(reference)
+    )
+
+
+def test_frame_matches_snapshot(key, ref):
+    ref = dict(ref)
+    x, y = tuple(ref.pop("x")), tuple(ref.pop("y"))
+    got = state_outputs(catalog.get_example(key.split("/")[0]), x, y)
+    assert set(ref) <= set(got)
+    bad = []
+    for field, want in sorted(ref.items()):
+        have = got[field]
+        assert have.shape == want.shape, field
+        bound = REL * max(1.0, float(np.abs(want).max(initial=0.0)))
+        gap = float(np.abs(have - want).max(initial=0.0))
+        if not gap <= bound:
+            bad.append("%s: %.3e > %.3e" % (field, gap, bound))
+    assert not bad, "; ".join(bad)
+
+
+if __name__ == "__main__":
+    write_snapshot(sys.argv[1])

@@ -1,20 +1,21 @@
-"""Jet tower: arithmetic exactness, seeding, mixed partials, linear solve."""
+"""Jet tower: arithmetic exactness, seeding, mixed partials, ring inverse."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finslerlab.errors import DomainError, SingularMatrixError, TowerBudgetError
+from finslerlab.errors import DomainError, TowerBudgetError
 from finslerlab.jets import (
     MAX_LEVELS,
     JetScalar,
     lift,
     mixed_partial,
     seed_direction,
-    solve_linear,
 )
+from finslerlab.scalars import ring_det, ring_inv
 from support import fd_partial
 
 
@@ -253,61 +254,33 @@ def test_mixed_level_arithmetic_rejected():
         a + b
 
 
-# -- solve_linear ---------------------------------------------------------
+# -- ring_det / ring_inv -------------------------------------------------
 
 
-def test_solve_identity():
-    one, zero = lift(1.0, 1), lift(0.0, 1)
-    (b0,) = seed_direction([5.0], 0, 0)
-    b = [b0, lift(2.0, 1)]
-    xs = solve_linear([[one, zero], [zero, one]], b)
-    assert flatten(xs[0]) == flatten(b[0])
-    assert flatten(xs[1]) == flatten(b[1])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_ring_det_and_inv_match_numpy(n):
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, n)) + n * np.eye(n)
+    rows = a.tolist()
+    assert ring_det(rows) == pytest.approx(np.linalg.det(a), rel=1e-12)
+    assert np.abs(np.array(ring_inv(rows)) - np.linalg.inv(a)).max() <= 1e-12
 
 
-def test_solve_diagonal():
-    A = [[lift(2.0, 1), lift(0.0, 1)], [lift(0.0, 1), lift(4.0, 1)]]
-    xs = solve_linear(A, [lift(2.0, 1), lift(4.0, 1)])
-    assert flatten(xs[0]) == [1.0, 0.0]
-    assert flatten(xs[1]) == [1.0, 0.0]
-
-
-def test_solve_derivative_matches_fd():
-    # A(t) x(t) = b(t) with seeded t; compare dx/dt against FD
+def test_ring_inv_tangent_matches_fd():
+    # d/dt of A(t)^-1 through jets against a central difference
     def build(t):
-        a = [
+        return [
             [4.0 + t, 1.0, 0.5],
             [1.0, 3.0 - 0.5 * t, 0.2 * t],
-            [0.5, 0.2 * t, 5.0],
+            [0.5, 0.2 * t, 5.0 + t * t],
         ]
-        b = [1.0 + t * t, 2.0, -1.0 + t]
-        return a, b
-
-    def solve_float(t):
-        a, b = build(t)
-        return solve_linear(a, b)
 
     t0 = 0.3
     (tj,) = seed_direction([t0], 0, 0)
-    a, b = build(tj)
-    xs = solve_linear(a, b)
+    inv = ring_inv(build(tj))
     h = 1e-6
-    lo, hi = solve_float(t0 - h), solve_float(t0 + h)
+    lo, hi = ring_inv(build(t0 - h)), ring_inv(build(t0 + h))
     for i in range(3):
-        fd = (hi[i] - lo[i]) / (2.0 * h)
-        assert xs[i].tangent.primal == pytest.approx(fd, abs=1e-8)
-
-
-def test_solve_pivots_on_value_parts():
-    # leading entry zero forces a row swap decided by values alone
-    A = [[lift(0.0, 1), lift(1.0, 1)], [lift(2.0, 1), lift(1.0, 1)]]
-    xs = solve_linear(A, [lift(3.0, 1), lift(4.0, 1)])
-    assert xs[0].value() == pytest.approx(0.5)
-    assert xs[1].value() == pytest.approx(3.0)
-
-
-def test_solve_singular_reports_pivot():
-    A = [[lift(1.0, 1), lift(2.0, 1)], [lift(2.0, 1), lift(4.0, 1)]]
-    with pytest.raises(SingularMatrixError) as err:
-        solve_linear(A, [lift(1.0, 1), lift(1.0, 1)])
-    assert err.value.pivot_magnitude < 1e-120
+        for j in range(3):
+            fd = (hi[i][j] - lo[i][j]) / (2.0 * h)
+            assert inv[i][j].tangent.primal == pytest.approx(fd, abs=1e-8)
