@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .curvature import GeometryState
-from .errors import ConfigError, SamplingError
+from .errors import ConfigError, FinslerError, SamplingError
 from .metrics import fundamental_tensor, is_admissible
 from .scalars import value_of
 
@@ -193,7 +193,7 @@ def sample_states(metric, plan=None):
             ys = [v / scale for v in ys]
         try:
             g = fundamental_tensor(metric, (xs, ys))
-        except Exception:
+        except FinslerError:
             reasons["regularity"] += 1
             continue
         if float(np.linalg.eigvalsh(g.components).min()) <= 0.0:
@@ -233,7 +233,7 @@ def classify_metric(metric, volume, plan=None, tolerances=None):
             lam = frame.constflag_lambda_fit()
             lam_res = float(np.abs(frame.constflag_residual(lam)).max())
             rows.append((state, frame.scale, res, lam, lam_res))
-        except Exception:
+        except FinslerError:
             errored += 1
 
     predicates = {}

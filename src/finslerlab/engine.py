@@ -125,14 +125,15 @@ def fsq_series(metric, xs, ys):
 
 
 def metric_series(fsq):
-    """g_ij and its ring inverse from the F^2 series."""
+    """g_ij, its ring determinant and its ring inverse from the F^2 series."""
     n = fsq.ring.n
     g = [[None] * n for _ in range(n)]
     for i in range(n):
         di = fsq.dy(i)
         for j in range(i, n):
             g[i][j] = g[j][i] = di.dy(j) * 0.5
-    return g, ring_inv(g)
+    det = ring_det(g)
+    return g, det, ring_inv(g, det)
 
 
 def spray_series(fsq, ginv, xs, ys):
@@ -277,7 +278,7 @@ class Frame:
             raise RegularityError("F^2 <= 0", x=self.x, y=self.y)
         self.F = math.sqrt(self.F2)
 
-        g_ring, ginv_ring = metric_series(fsq)
+        g_ring, det_ring, ginv_ring = metric_series(fsq)
         self.g = np.array([[g_ring[i][j].c[0] for j in range(n)] for i in range(n)])
         eigs = np.linalg.eigvalsh(self.g)
         if eigs[0] <= 0.0:
@@ -311,7 +312,7 @@ class Frame:
             for m in range(1, n):
                 acc = acc + lnsig.dx(m) * ys[m]
             S = div - acc
-        tau = ring_det(g_ring).ln() * 0.5 - lnsig
+        tau = det_ring.ln() * 0.5 - lnsig
         self.S = S.c[0]
         self.S_x = _x1(S, tab)
         self.S_y = _y1(S, tab)

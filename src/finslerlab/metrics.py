@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import expr as dsl
-from .errors import ConfigError, RegularityError
+from .errors import ConfigError, FinslerError, RegularityError
 from .jets import mixed_partial
 from .scalars import powr, sqrt, value_of
 
@@ -358,7 +358,7 @@ def is_admissible(metric, x, y):
         return False
     try:
         return value_of(metric.F(xs, ys)) > 0.0
-    except Exception:
+    except FinslerError:
         return False
 
 

@@ -97,10 +97,13 @@ def ring_det(a):
     return total
 
 
-def ring_inv(a):
-    """Inverse of a square matrix of ring scalars: adjugate times 1/det."""
+def ring_inv(a, det):
+    """Inverse of a square matrix of ring scalars: adjugate times 1/det.
+
+    The caller passes det = ring_det(a), which it usually needs as well.
+    """
     n = len(a)
-    inv_det = 1.0 / ring_det(a)
+    inv_det = 1.0 / det
     out = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):

@@ -18,6 +18,19 @@ trusted slots.
 Coefficient layout and multiplication tables live in a SeriesRing,
 cached per (dimension, caps); products are a gather-multiply plus a
 bincount over a precomputed index table restricted to the output budget.
+
+A Series in an x-only ring (cap_y = 0) may carry a leading batch axis:
+c of shape (K, size) holds K independent series, one per lane, entered
+through SeriesRing.constant with an array of values.  The quadrature
+volume runs all its sphere directions through the ring this way, in one
+pass instead of one Python evaluation per direction.  Every lane is
+bit-identical to the unbatched evaluation: products offset the bincount
+bins per lane, so each lane sums in the 1-D order, and value parts of
+ln/exp use the math module lane by lane (numpy's vectorised exp and log
+differ from it in the last bit on some inputs).  The full ring is never
+batched: there a product is bound by its memory-bound gather, and a
+batched (2, 8) product at n=3 measured 0.93 ms per lane against 0.27 ms
+unbatched.
 """
 
 import itertools
@@ -150,8 +163,12 @@ class SeriesRing:
     # -- constructors ---------------------------------------------------
 
     def constant(self, value):
-        c = np.zeros(self.size)
-        c[0] = float(value)
+        """A constant series, or a batch of them when value is an array."""
+        value = np.asarray(value, dtype=np.float64)
+        if value.ndim and self.cap_y:
+            raise ValueError("only x-only rings (cap_y=0) take a batch axis")
+        c = np.zeros(value.shape + (self.size,))
+        c[..., 0] = value
         return Series(self, c, self.cap_x, self.cap_y)
 
     def variable_x(self, slot, value):
@@ -175,6 +192,19 @@ class SeriesRing:
         return xs, ys
 
 
+def _lanes(f, v):
+    """A math-module function of a value part, lane by lane if batched."""
+    return np.array([f(t) for t in v.ravel().tolist()]).reshape(v.shape)
+
+
+def _first_bad(bad, v):
+    """Description of the first offending value part, lane-aware."""
+    if v.ndim == 0:
+        return "%r" % float(v)
+    k = int(np.argmax(bad))
+    return "%r (lane %d)" % (float(v[k]), k)
+
+
 @lru_cache(maxsize=None)
 def _newton_steps(total_order):
     steps = 0
@@ -195,7 +225,9 @@ class Series:
         self.by = by
 
     def value(self):
-        return float(self.c[0])
+        """Value part: a float, or one float per lane of a batch."""
+        v = self.c[..., 0]
+        return float(v) if v.ndim == 0 else v
 
     def _masked_to(self, bx, by):
         if bx == self.bx and by == self.by:
@@ -212,7 +244,7 @@ class Series:
             )
         if isinstance(other, numbers.Real):
             c = self.c.copy()
-            c[0] += float(other)
+            c[..., 0] += float(other)
             return Series(self.ring, c, self.bx, self.by)
         return NotImplemented
 
@@ -226,14 +258,14 @@ class Series:
             )
         if isinstance(other, numbers.Real):
             c = self.c.copy()
-            c[0] -= float(other)
+            c[..., 0] -= float(other)
             return Series(self.ring, c, self.bx, self.by)
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, numbers.Real):
             c = -self.c
-            c[0] += float(other)
+            c[..., 0] += float(other)
             return Series(self.ring, c, self.bx, self.by)
         return NotImplemented
 
@@ -244,9 +276,17 @@ class Series:
         if isinstance(other, Series):
             bx, by = min(self.bx, other.bx), min(self.by, other.by)
             iout, ia, ib = self.ring.mul_table(bx, by)
-            c = np.bincount(
-                iout, weights=self.c[ia] * other.c[ib], minlength=self.ring.size
-            )
+            size = self.ring.size
+            w = self.c.take(ia, axis=-1) * other.c.take(ib, axis=-1)
+            if w.ndim == 1:
+                c = np.bincount(iout, weights=w, minlength=size)
+            else:
+                # lane k sums into bins size*k.., in the 1-D order
+                lanes = w.shape[0]
+                bins = iout + size * np.arange(lanes)[:, None]
+                c = np.bincount(
+                    bins.ravel(), weights=w.ravel(), minlength=lanes * size
+                ).reshape(lanes, size)
             return Series(self.ring, c, bx, by)
         if isinstance(other, numbers.Real):
             return Series(self.ring, self.c * float(other), self.bx, self.by)
@@ -275,8 +315,8 @@ class Series:
         return NotImplemented
 
     def reciprocal(self, bx, by):
-        b0 = float(self.c[0])
-        if b0 == 0.0:
+        b0 = self.c[..., 0]
+        if np.any(b0 == 0.0):
             raise DomainError("reciprocal of zero value part")
         b = Series(self.ring, self._masked_to(bx, by), bx, by)
         z = self.ring.constant(1.0 / b0)
@@ -286,37 +326,43 @@ class Series:
         return z
 
     def sqrt(self):
-        b0 = float(self.c[0])
-        if b0 <= 0.0:
-            raise DomainError("sqrt of non-positive value part %r" % b0)
-        w = Series(self.ring, self.ring.constant(1.0 / math.sqrt(b0))._masked_to(self.bx, self.by), self.bx, self.by)
+        b0 = self.c[..., 0]
+        bad = b0 <= 0.0
+        if np.any(bad):
+            raise DomainError(
+                "sqrt of non-positive value part %s" % _first_bad(bad, b0)
+            )
+        w = Series(self.ring, self.ring.constant(1.0 / np.sqrt(b0))._masked_to(self.bx, self.by), self.bx, self.by)
         for _ in range(_newton_steps(self.bx + self.by)):
             w = w * (3.0 - self * (w * w)) * 0.5
         return self * w
 
     def exp(self):
         # exp(a0 + u) = e^a0 * sum u^k/k!; u is nilpotent at the caps
-        a0 = float(self.c[0])
+        a0 = self.c[..., 0]
         u = Series(self.ring, self.c.copy(), self.bx, self.by)
-        u.c[0] = 0.0
+        u.c[..., 0] = 0.0
         s = self.ring.constant(1.0)
         for k in range(self.bx + self.by, 0, -1):
             s = 1.0 + (u * (1.0 / k)) * s
-        out = s * math.exp(a0)
+        out = Series(self.ring, s.c * _lanes(math.exp, a0)[..., None], s.bx, s.by)
         return Series(self.ring, out._masked_to(self.bx, self.by), self.bx, self.by)
 
     def ln(self):
         # ln(a0(1 + v)) = ln a0 + v - v^2/2 + v^3/3 - ...
-        a0 = float(self.c[0])
-        if a0 <= 0.0:
-            raise DomainError("ln of non-positive value part %r" % a0)
-        v = Series(self.ring, self.c / a0, self.bx, self.by)
-        v.c[0] = 0.0
+        a0 = self.c[..., 0]
+        bad = a0 <= 0.0
+        if np.any(bad):
+            raise DomainError(
+                "ln of non-positive value part %s" % _first_bad(bad, a0)
+            )
+        v = Series(self.ring, self.c / a0[..., None], self.bx, self.by)
+        v.c[..., 0] = 0.0
         t = self.ring.constant(0.0)
         for k in range(self.bx + self.by, 0, -1):
             t = ((-1.0) ** (k + 1)) / k + v * t
         out = v * t
-        out.c[0] = math.log(a0)
+        out.c[..., 0] = _lanes(math.log, a0)
         return out
 
     def powr(self, q):
@@ -338,9 +384,12 @@ class Series:
                 base = base * base
                 k >>= 1
             return out
-        if float(self.c[0]) <= 0.0:
+        a0 = self.c[..., 0]
+        bad = a0 <= 0.0
+        if np.any(bad):
             raise DomainError(
-                "fractional power of non-positive value part %r" % float(self.c[0])
+                "fractional power of non-positive value part %s"
+                % _first_bad(bad, a0)
             )
         return (self.ln() * q).exp()
 
@@ -352,8 +401,8 @@ class Series:
                 "x-derivative budget exhausted (bx=%d)" % self.bx
             )
         dst, src, fac = self.ring._dx_tables[slot]
-        c = np.zeros(self.ring.size)
-        c[dst] = self.c[src] * fac
+        c = np.zeros(self.c.shape)
+        c[..., dst] = self.c.take(src, axis=-1) * fac
         return Series(self.ring, c * self.ring.mask(self.bx - 1, self.by), self.bx - 1, self.by)
 
     def dy(self, slot):
@@ -362,8 +411,8 @@ class Series:
                 "y-derivative budget exhausted (by=%d)" % self.by
             )
         dst, src, fac = self.ring._dy_tables[slot]
-        c = np.zeros(self.ring.size)
-        c[dst] = self.c[src] * fac
+        c = np.zeros(self.c.shape)
+        c[..., dst] = self.c.take(src, axis=-1) * fac
         return Series(self.ring, c * self.ring.mask(self.bx, self.by - 1), self.bx, self.by - 1)
 
     def partial_value(self, xe, ye):

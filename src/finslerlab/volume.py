@@ -1,9 +1,12 @@
 """Volume forms dV = sigma(x) dx for the S-curvature.
 
 Four kinds: constant density, Busemann-Hausdorff by spherical
-quadrature, the Randers closed form, and a user DSL density.  All
-sigmas are scalar-ring-generic in x so the S-curvature pipeline can
-differentiate through them.
+quadrature, the Randers closed form, and a user DSL density.  The
+closed-form and DSL sigmas are scalar-ring-generic in x so the
+S-curvature pipeline can differentiate through them.  The quadrature
+takes x as floats or as series of an x-only ring: all its directions
+enter F as one batch of constants (see the series module), so F is
+evaluated once per x, not once per direction.
 
 Quadrature grid: the azimuthal directions are periodic and get uniform
 trapezoid nodes (spectrally accurate there); the polar direction is not
@@ -15,6 +18,7 @@ n=2) then lands the closed-form comparison well inside 1e-6.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -24,6 +28,7 @@ import numpy as np
 from . import expr as dsl
 from .errors import ConfigError, DomainError
 from .scalars import powr, ring_det, ring_inv, sqrt, value_of
+from .series import Series, SeriesRing
 
 
 @dataclass(frozen=True)
@@ -69,8 +74,9 @@ def bh_sigma_quadrature(metric, x, nodes=None):
     """Busemann-Hausdorff density at x by spherical quadrature.
 
     sigma(x) = Vol(B^n) / ((1/n) * integral over S^{n-1} of F(x, d)^-n).
-    Ring-generic in x; errors on conic metrics, whose F is undefined on
-    part of the sphere.
+    x is a list of floats (returns a float) or of x-only Series (returns
+    a Series of that ring).  Errors on conic metrics, whose F is
+    undefined on part of the sphere.
     """
     n = metric.dimension
     if metric.family == "alpha_beta_power":
@@ -78,17 +84,28 @@ def bh_sigma_quadrature(metric, x, nodes=None):
             "Busemann-Hausdorff quadrature needs F on the whole sphere; "
             "%r is conic - supply a density instead" % metric.name
         )
+    lifted = all(isinstance(v, numbers.Real) for v in x)
+    if lifted:
+        ring = SeriesRing.get(n, 0, 0)
+        x = [ring.constant(v) for v in x]
+    elif all(isinstance(v, Series) and v.ring.cap_y == 0 for v in x):
+        ring = x[0].ring
+    else:
+        raise TypeError(
+            "quadrature density takes x as floats or as x-only Series "
+            "(cap_y=0), got %s" % sorted({type(v).__name__ for v in x})
+        )
     dirs, weights = nodes or sphere_nodes(n)
-    total = None
-    for d, w in zip(dirs, weights):
-        F = metric.F(x, [float(c) for c in d])
-        if value_of(F) <= 0.0:
-            raise DomainError(
-                "F <= 0 at quadrature direction %s" % (tuple(d),)
-            )
-        term = powr(F, -float(n)) * float(w)
-        total = term if total is None else total + term
-    return (float(n) * unit_ball_volume(n)) / total
+    F = metric.F(x, [ring.constant(dirs[:, i]) for i in range(n)])
+    bad = np.flatnonzero(value_of(F) <= 0.0)
+    if bad.size:
+        raise DomainError(
+            "F <= 0 at quadrature direction %s" % (tuple(dirs[bad[0]]),)
+        )
+    terms = powr(F, -float(n))
+    total = Series(ring, weights @ terms.c, terms.bx, terms.by)
+    sigma = (float(n) * unit_ball_volume(n)) / total
+    return sigma.value() if lifted else sigma
 
 
 def bh_randers_closed(metric, x):
@@ -104,7 +121,8 @@ def bh_randers_closed(metric, x):
     n = metric.dimension
     a = metric.a_fn(x)
     b = metric.b_fn(x)
-    ainv = ring_inv(a)
+    det = ring_det(a)
+    ainv = ring_inv(a, det)
     bnorm2 = None
     for i in range(n):
         for j in range(n):
@@ -114,7 +132,7 @@ def bh_randers_closed(metric, x):
         raise DomainError(
             "Randers one-form norm^2 %.6f >= 1 at x" % value_of(bnorm2)
         )
-    return powr(1.0 - bnorm2, (n + 1) / 2.0) * sqrt(ring_det(a))
+    return powr(1.0 - bnorm2, (n + 1) / 2.0) * sqrt(det)
 
 
 def constant_volume(value=1.0):

@@ -17,7 +17,7 @@ from finslerlab.classify import (
 from finslerlab.errors import ConfigError, SamplingError
 from finslerlab.metrics import construct_metric
 from finslerlab.scalars import value_of
-from finslerlab.volume import bh_quadrature_volume, dsl_volume
+from finslerlab.volume import VolumeForm, bh_quadrature_volume, dsl_volume
 
 
 def test_plan_defaults():
@@ -161,6 +161,18 @@ def test_errored_state_yields_indeterminate():
     assert report.errored_states > 0
     for name in PREDICATES:
         assert report.verdict(name) == "indeterminate", name
+
+
+def test_bug_in_volume_is_not_indeterminate():
+    # only package errors make a state "errored"; a programming error
+    # in the volume surfaces instead of becoming an indeterminate verdict
+    def sigma(x):
+        raise TypeError("broken density")
+
+    e = get_example("euclidean")
+    broken = VolumeForm(kind="dsl", label="broken", sigma=sigma)
+    with pytest.raises(TypeError, match="broken density"):
+        classify_metric(e.metric, broken, SamplePlan(count=2, seed=2))
 
 
 def test_report_serializes_to_json():

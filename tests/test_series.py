@@ -194,3 +194,72 @@ def test_scalar_coercion_forms():
     assert (s / 4.0).value() == 0.5
     assert (s**2.0).value() == 4.0
     assert (-s).value() == -2.0
+
+
+# -- batch axis (x-only rings) -----------------------------------------
+
+LANES = np.linspace(-0.9, 2.2, 41)
+
+BATCH_OPS = {
+    "mul": lambda xs, d: (1.0 + d * xs[0]) * (0.5 + d * xs[1] * xs[2] + d),
+    "broadcast": lambda xs, d: (2.0 + d * xs[0]) * (xs[1] - 0.3 * xs[2] + 1.0),
+    "reciprocal": lambda xs, d: (2.0 + d * xs[0] - 0.2 * xs[2]).reciprocal(2, 0),
+    "sqrt": lambda xs, d: (2.0 + d * xs[0] * xs[1] + 0.1 * d).sqrt(),
+    "powr-3": lambda xs, d: (1.5 + d * xs[2] + 0.2 * xs[0]).powr(-3.0),
+    "ln": lambda xs, d: (2.0 + d * xs[0] + 0.4 * xs[1] * xs[1]).ln(),
+    "exp": lambda xs, d: (d + 0.5 * xs[0] - d * xs[2] * xs[1]).exp(),
+    "dx": lambda xs, d: ((1.0 + d * xs[0]) * (xs[1] + d * xs[0] * xs[2])).dx(0),
+}
+
+
+@pytest.mark.parametrize("op", sorted(BATCH_OPS))
+def test_batched_lanes_equal_unbatched(op):
+    ring = SeriesRing.get(3, cap_x=2, cap_y=0)
+    xs = [ring.variable_x(i, X3[i]) for i in range(3)]
+    build = BATCH_OPS[op]
+    batched = build(xs, ring.constant(LANES))
+    assert batched.c.shape == (len(LANES), ring.size)
+    for k, d in enumerate(LANES):
+        lane = build(xs, ring.constant(d))
+        assert (batched.bx, batched.by) == (lane.bx, lane.by)
+        assert np.all(batched.c[k] == lane.c), (op, k)
+        assert batched.value()[k] == lane.value()
+
+
+def test_batched_value_parts_match_float_ring():
+    # ln and exp take their value parts from the math module, as the
+    # float ring does, lane by lane (the Newton sqrt rounds differently)
+    ring = SeriesRing.get(3, cap_x=2, cap_y=0)
+    values = LANES + 1.5
+    for f in (scalars.ln, scalars.exp, lambda v: scalars.powr(v, 0.25)):
+        got = scalars.value_of(f(ring.constant(values)))
+        assert got.tolist() == [f(float(v)) for v in values]
+
+
+def test_batched_domain_error_names_first_bad_lane():
+    ring = SeriesRing.get(3, cap_x=2, cap_y=0)
+    with pytest.raises(DomainError, match=r"-3\.0 \(lane 2\)"):
+        ring.constant([1.0, 2.0, -3.0, -1.0]).sqrt()
+
+
+def test_batched_quadrature_names_first_bad_direction():
+    from finslerlab.metrics import alpha_beta_metric
+    from finslerlab.volume import bh_sigma_quadrature, sphere_nodes
+
+    # |b| = 1.2 > 1: F = |d| + 1.2 d_1 is negative on a cap of directions
+    metric = alpha_beta_metric(
+        "bad_randers3",
+        3,
+        lambda x: [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        lambda x: [1.2, 0.0, 0.0],
+    )
+    dirs, _ = sphere_nodes(3)
+    first = int(np.flatnonzero(np.linalg.norm(dirs, axis=1) + 1.2 * dirs[:, 0] <= 0.0)[0])
+    with pytest.raises(DomainError) as err:
+        bh_sigma_quadrature(metric, [0.0, 0.0, 0.0])
+    assert str(tuple(dirs[first])) in str(err.value)
+
+
+def test_full_ring_takes_no_batch_axis():
+    with pytest.raises(ValueError):
+        SeriesRing.get(2).constant([1.0, 2.0])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from finslerlab.errors import ConfigError, DomainError
-from finslerlab.jets import mixed_partial, seed_direction
+from finslerlab.jets import seed_direction
 from finslerlab.metrics import alpha_beta_metric, construct_metric, riemannian_metric
 from finslerlab.series import SeriesRing
 from finslerlab.volume import (
@@ -153,16 +153,55 @@ def test_dsl_volume_rejects_y_dependence():
         dsl_volume("1 + y1^2", 3)
 
 
-def test_quadrature_sigma_is_jet_differentiable():
-    metric = osaka_like()
-    base = [0.1, 0.15, 0.05]
+def varying_randers():
+    # a Randers metric whose BH density varies with x (osaka's is 1)
+    def a_fn(x):
+        return [
+            [1.0 + 0.3 * x[0] * x[0], 0.1 * x[1], 0.0],
+            [0.1 * x[1], 1.0 + 0.2 * x[2], 0.0],
+            [0.0, 0.0, 1.0 + 0.1 * x[0]],
+        ]
 
-    def sigma_of(x, y):
-        return bh_sigma_quadrature(metric, x)
+    def b_fn(x):
+        return [0.2 + 0.1 * x[1], 0.1 * x[0], 0.15 * x[2]]
 
-    got = mixed_partial(sigma_of, base, [0.0] * 3, [("x", 0)])
-    want = fd_partial(sigma_of, base, [0.0] * 3, [("x", 0)])
-    assert got == pytest.approx(want, rel=1e-7)
+    return alpha_beta_metric("varying_randers", 3, a_fn, b_fn)
+
+
+QUAD_BASE = [0.1, 0.15, 0.05]
+
+
+def _xonly_state(x):
+    ring = SeriesRing.get(3, cap_x=2, cap_y=0)
+    return [ring.variable_x(i, x[i]) for i in range(3)]
+
+
+def test_quadrature_sigma_x_partial_matches_fd():
+    for metric in (osaka_like(), varying_randers()):
+        sigma = bh_sigma_quadrature(metric, _xonly_state(QUAD_BASE))
+        got = sigma.partial_value((1, 0, 0), (0, 0, 0))
+        want = fd_partial(
+            lambda x, y: bh_sigma_quadrature(metric, x),
+            QUAD_BASE, [0.0] * 3, [("x", 0)],
+        )
+        assert got == pytest.approx(want, rel=1e-7), metric.name
+
+
+def test_quadrature_sigma_series_matches_randers_closed_form():
+    # every coefficient: value, all first and second x-partials
+    for metric in (osaka_like(), varying_randers()):
+        x = _xonly_state(QUAD_BASE)
+        quad = bh_sigma_quadrature(metric, x)
+        closed = bh_randers_closed(metric, x)
+        assert (quad.bx, quad.by) == (closed.bx, closed.by) == (2, 0)
+        scale = np.abs(closed.c).max()
+        assert np.abs(quad.c - closed.c).max() <= 1e-6 * scale, metric.name
+
+
+def test_quadrature_rejects_jet_x():
+    x = seed_direction(QUAD_BASE, 0, 0)
+    with pytest.raises(TypeError, match="x-only Series"):
+        bh_sigma_quadrature(osaka_like(), x)
 
 
 def test_randers_closed_density_is_ring_generic():
