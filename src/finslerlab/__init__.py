@@ -1,8 +1,10 @@
 """finslerlab: numerical Finsler geometry at desk scale.
 
 Sprays, curvature tensors, projective invariants, and metric
-classification for user-defined Finsler metrics, differentiated exactly
-by forward-mode jet towers.
+classification for user-defined Finsler metrics.  The curvature pipeline
+runs in a truncated Taylor series ring, exact to rounding; forward-mode
+jet towers serve the sampler's fundamental-tensor check and the
+reference routes the tests hold the ring against.
 """
 
 __version__ = "0.1.0"

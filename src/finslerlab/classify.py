@@ -192,11 +192,8 @@ def sample_states(metric, plan=None):
             scale = value_of(metric.F(xs, ys))
             ys = [v / scale for v in ys]
         try:
-            g = fundamental_tensor(metric, (xs, ys))
+            fundamental_tensor(metric, (xs, ys))
         except FinslerError:
-            reasons["regularity"] += 1
-            continue
-        if float(np.linalg.eigvalsh(g.components).min()) <= 0.0:
             reasons["regularity"] += 1
             continue
         states.append((tuple(xs), tuple(ys)))

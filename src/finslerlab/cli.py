@@ -4,7 +4,8 @@ Reports go to standard output as JSON (default) or aligned text.  Every
 report embeds the fully resolved run configuration, so a report is
 reproducible from its own header.  Exit codes: 0 when the outcome
 matches expectations (catalog verdicts for classify, tolerance pass for
-verify), 1 on a mismatch or failed identity, 2 on any error.
+verify), 1 on a mismatch, an errored state or a failed identity, 2 on any
+error.
 """
 
 import argparse
@@ -301,8 +302,14 @@ def run_classify(args, stream=None):
     payload["predicates"] = report.as_dict()["predicates"]
     payload["rejections"] = report.rejections
     payload["hierarchy_violations"] = list(report.hierarchy_violations)
+    payload["errored_states"] = report.errored_states
 
     mismatches = []
+    if report.errored_states:
+        mismatches.append(
+            "%d of %d states errored, verdicts indeterminate"
+            % (report.errored_states, report.plan.count)
+        )
     if entry is not None:
         for pred, expected in entry.expected_verdicts.items():
             want = "holds" if expected else "fails"

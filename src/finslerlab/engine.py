@@ -34,85 +34,6 @@ from .series import Series, SeriesRing, embed_series
 # does not vanish (it comes out as the (m,l) ordering).
 RICCI_LM_SIGN = -1.0
 
-_TABLES = {}
-
-
-class _Tables:
-    """Coefficient-index and multiplicity arrays for value extraction."""
-
-    def __init__(self, ring):
-        n = ring.n
-        zero = (0,) * n
-
-        def unit(i):
-            return tuple(1 if j == i else 0 for j in range(n))
-
-        def bump(e, i):
-            return tuple(v + (1 if j == i else 0) for j, v in enumerate(e))
-
-        self.ix1 = np.array([ring.index_of(unit(m), zero) for m in range(n)])
-        self.iy1 = np.array([ring.index_of(zero, unit(r)) for r in range(n)])
-        iy2 = np.empty((n, n), dtype=np.int64)
-        fy2 = np.empty((n, n))
-        iy3 = np.empty((n, n, n), dtype=np.int64)
-        fy3 = np.empty((n, n, n))
-        ixy2 = np.empty((n, n, n), dtype=np.int64)
-        for a in range(n):
-            for b in range(n):
-                e2 = bump(unit(a), b)
-                iy2[a, b] = ring.index_of(zero, e2)
-                fy2[a, b] = ring.factor_of(zero, e2)
-                for m in range(n):
-                    ixy2[m, a, b] = ring.index_of(unit(m), e2)
-                for c in range(n):
-                    e3 = bump(e2, c)
-                    iy3[a, b, c] = ring.index_of(zero, e3)
-                    fy3[a, b, c] = ring.factor_of(zero, e3)
-        self.iy2, self.fy2 = iy2, fy2
-        self.iy3, self.fy3 = iy3, fy3
-        self.ixy2, self.fxy2 = ixy2, fy2
-
-
-def _tables(ring):
-    tab = _TABLES.get(ring)
-    if tab is None:
-        tab = _TABLES[ring] = _Tables(ring)
-    return tab
-
-
-def _need(series, bx, by):
-    if series.bx < bx or series.by < by:
-        raise RegularityError(
-            "series budget (%d, %d) cannot supply a (%d, %d) partial"
-            % (series.bx, series.by, bx, by)
-        )
-
-
-def _x1(s, tab):
-    _need(s, 1, 0)
-    return s.c[tab.ix1]
-
-
-def _y1(s, tab):
-    _need(s, 0, 1)
-    return s.c[tab.iy1]
-
-
-def _y2(s, tab):
-    _need(s, 0, 2)
-    return s.c[tab.iy2] * tab.fy2
-
-
-def _y3(s, tab):
-    _need(s, 0, 3)
-    return s.c[tab.iy3] * tab.fy3
-
-
-def _x1y2(s, tab):
-    _need(s, 1, 2)
-    return s.c[tab.ixy2] * tab.fxy2
-
-
 # ---------------------------------------------------------------------------
 # ring pipeline
 
@@ -191,27 +112,19 @@ def douglas_core_series(G, div, ys):
     return [G[i] - div * ys[i] * (1.0 / (n + 1)) for i in range(n)]
 
 
-def _cube_extract(W, tab):
+def _cube_extract(W):
     """Value, x-gradient, y-gradient of the third fiber derivative of W^i.
 
     Returns arrays indexed [j,i,k,l], [j,i,k,l,m], [j,i,k,l,r].
     """
-    n = len(W)
-    val = np.empty((n, n, n, n))
-    xd = np.empty((n, n, n, n, n))
-    yd = np.empty((n, n, n, n, n))
-    for i in range(n):
-        _need(W[i], 1, 4)
-        d1 = [W[i].dy(j) for j in range(n)]
-        for j in range(n):
-            d2 = [d1[j].dy(k) for k in range(n)]
-            for k in range(n):
-                for l in range(n):
-                    s = d2[k].dy(l)
-                    val[j, i, k, l] = s.c[0]
-                    xd[j, i, k, l, :] = _x1(s, tab)
-                    yd[j, i, k, l, :] = _y1(s, tab)
-    return val, xd, yd
+    val = np.array([w.partials(0, 3) for w in W])  # [i,j,k,l]
+    xd = np.array([w.partials(1, 3) for w in W])  # [i,m,j,k,l]
+    yd = np.array([w.partials(0, 4) for w in W])  # [i,j,k,l,r]
+    return (
+        np.transpose(val, (1, 0, 2, 3)),
+        np.transpose(xd, (2, 0, 3, 4, 1)),
+        np.transpose(yd, (1, 0, 2, 3, 4)),
+    )
 
 
 def log_sigma_series(volume, ring, xs, x):
@@ -233,7 +146,7 @@ def log_sigma_series(volume, ring, xs, x):
     return ln(sig)
 
 
-def _spray_arrays(G, xs, ys, tab):
+def _spray_arrays(G, xs, ys):
     """(G, N, Gamma, R, R_y, R_yy, R_y3) of one spray, as arrays.
 
     Values of the spray and its first two fiber partials, then the
@@ -243,12 +156,12 @@ def _spray_arrays(G, xs, ys, tab):
     R = riemann_series(G, xs, ys)
     return (
         np.array([G[i].c[0] for i in range(n)]),
-        np.array([_y1(G[i], tab) for i in range(n)]),
-        np.array([_y2(G[i], tab) for i in range(n)]),
+        np.array([G[i].partials(0, 1) for i in range(n)]),
+        np.array([G[i].partials(0, 2) for i in range(n)]),
         np.array([[R[i][k].c[0] for k in range(n)] for i in range(n)]),
-        np.array([[_y1(R[i][k], tab) for k in range(n)] for i in range(n)]),
-        np.array([[_y2(R[i][k], tab) for k in range(n)] for i in range(n)]),
-        np.array([[_y3(R[i][k], tab) for k in range(n)] for i in range(n)]),
+        np.array([[R[i][k].partials(0, 1) for k in range(n)] for i in range(n)]),
+        np.array([[R[i][k].partials(0, 2) for k in range(n)] for i in range(n)]),
+        np.array([[R[i][k].partials(0, 3) for k in range(n)] for i in range(n)]),
     )
 
 
@@ -266,7 +179,6 @@ class Frame:
         self.y = tuple(float(v) for v in y)
         self.volume_kind = volume.kind if volume is not None else "constant"
         ring = SeriesRing.get(n, cap_x=2, cap_y=8)
-        tab = _tables(ring)
         xs, ys = ring.state(self.x, self.y)
 
         try:
@@ -293,13 +205,13 @@ class Frame:
         )
         self.y_low = self.g @ np.array(self.y)
         self.C = 0.5 * np.array(
-            [[_y1(g_ring[i][j], tab) for j in range(n)] for i in range(n)]
+            [[g_ring[i][j].partials(0, 1) for j in range(n)] for i in range(n)]
         )
 
         G = spray_series(fsq, ginv_ring, xs, ys)
         self.ring_spray = (xs, ys, G)
         (self.G, self.N, self.Gamma, self.R, self.R_y, self.R_yy,
-         self.R_y3) = _spray_arrays(G, xs, ys, tab)
+         self.R_y3) = _spray_arrays(G, xs, ys)
 
         div = divergence_series(G)
         try:
@@ -314,25 +226,25 @@ class Frame:
             S = div - acc
         tau = det_ring.ln() * 0.5 - lnsig
         self.S = S.c[0]
-        self.S_x = _x1(S, tab)
-        self.S_y = _y1(S, tab)
-        self.S_yy = _y2(S, tab)
-        self.S_yyy = _y3(S, tab)
-        self.S_xyy = np.transpose(_x1y2(S, tab), (1, 2, 0))
+        self.S_x = S.partials(1, 0)
+        self.S_y = S.partials(0, 1)
+        self.S_yy = S.partials(0, 2)
+        self.S_yyy = S.partials(0, 3)
+        self.S_xyy = np.transpose(S.partials(1, 2), (1, 2, 0))
         self.tau = tau.c[0]
-        self.tau_x = _x1(tau, tab)
-        self.tau_y = _y1(tau, tab)
+        self.tau_x = tau.partials(1, 0)
+        self.tau_y = tau.partials(0, 1)
 
         Gt = [G[i] - S * ys[i] * (1.0 / (n + 1)) for i in range(n)]
         (self.Gt, self.Nt, self.Gammat, self.Rt, self.Rt_y, self.Rt_yy,
-         self.Rt_y3) = _spray_arrays(Gt, xs, ys, tab)
+         self.Rt_y3) = _spray_arrays(Gt, xs, ys)
 
-        self.B, self.B_x, self.B_y = _cube_extract(G, tab)
+        self.B, self.B_x, self.B_y = _cube_extract(G)
         U = douglas_core_series(G, div, ys)
-        self.D, self.D_x, self.D_y = _cube_extract(U, tab)
+        self.D, self.D_x, self.D_y = _cube_extract(U)
         divt = divergence_series(Gt)
         Ut = douglas_core_series(Gt, divt, ys)
-        self.PB, self.PB_x, self.PB_y = _cube_extract(Ut, tab)
+        self.PB, self.PB_x, self.PB_y = _cube_extract(Ut)
 
     # -- assembled quantities -------------------------------------------
 
@@ -479,10 +391,6 @@ class Frame:
         return float(np.sum(self.R * M)) / denom
 
     @cached_property
-    def gdw_contraction(self):
-        return self.D_h0
-
-    @cached_property
     def gdw_factor(self):
         yv = np.array(self.y)
         return np.einsum("jrkl,r->jkl", self.D_h0, yv) / float(yv @ yv)
@@ -514,7 +422,7 @@ class Frame:
 def douglas_values_from_spray(spray, ys):
     """Douglas tensor components of a spray given as Series."""
     U = douglas_core_series(spray, divergence_series(spray), ys)
-    val, _, _ = _cube_extract(U, _tables(ys[0].ring))
+    val, _, _ = _cube_extract(U)
     return val
 
 
@@ -541,14 +449,13 @@ def lemma21_residual(frame, p_func):
     n = frame.n
     xs, ys, G = frame.ring_spray
     Ghat, P = modified_spray(frame, p_func)
-    tab = _tables(ys[0].ring)
 
     Rhat = riemann_series(Ghat, xs, ys)
     Rhat_val = np.array([[Rhat[i][k].c[0] for k in range(n)] for i in range(n)])
 
     P_val = P.c[0]
-    P_x = _x1(P, tab)
-    P_y = _y1(P, tab)
+    P_x = P.partials(1, 0)
+    P_y = P.partials(0, 1)
 
     hor0 = P.dx(0) * ys[0]
     for m in range(1, n):
@@ -557,7 +464,7 @@ def lemma21_residual(frame, p_func):
         hor0 = hor0 - P.dy(r) * (G[r] * 2.0)
     Xi = P * P - hor0
     Xi_val = Xi.c[0]
-    Xi_y = _y1(Xi, tab)
+    Xi_y = Xi.partials(0, 1)
 
     P_h = P_x - frame.N.T @ P_y  # P_{|k} = d_k P - N^r_k dot d_r P
     tau_k = 3.0 * (P_h - P_val * P_y) + Xi_y

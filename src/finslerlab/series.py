@@ -6,7 +6,9 @@ cap_y).  Retained coefficients are exact up to rounding, exactly like
 the jet towers; truncation only removes orders nobody asked for.  One
 evaluation of a metric through this ring therefore yields every mixed
 partial the curvature pipeline needs, where the towers would need one
-re-evaluation per seeding.
+re-evaluation per seeding.  Series.partials(nx, ny) reads all of them of
+one order at once: each is a single coefficient times its factorial
+weight, gathered through a table the ring caches per order.
 
 Each Series carries a budget (bx, by): how many x- and y-derivatives of
 it are still trustworthy.  Conservative rule: combining series takes the
@@ -26,11 +28,11 @@ volume runs all its sphere directions through the ring this way, in one
 pass instead of one Python evaluation per direction.  Every lane is
 bit-identical to the unbatched evaluation: products offset the bincount
 bins per lane, so each lane sums in the 1-D order, and value parts of
-ln/exp use the math module lane by lane (numpy's vectorised exp and log
-differ from it in the last bit on some inputs).  The full ring is never
-batched: there a product is bound by its memory-bound gather, and a
-batched (2, 8) product at n=3 measured 0.93 ms per lane against 0.27 ms
-unbatched.
+sqrt/ln/exp use the math module lane by lane (numpy's vectorised exp and
+log differ from it in the last bit on some inputs).  The full ring is
+never batched: there a product is bound by its memory-bound gather, and
+a batched (2, 8) product at n=3 measured 0.93 ms per lane against
+0.27 ms unbatched.
 """
 
 import itertools
@@ -92,6 +94,7 @@ class SeriesRing:
 
         self._full_triples = self._build_triples()
         self._mul_cache = {}
+        self._partial_cache = {}
         self._mask_cache = {}
         self._dx_tables = [self._derivative_table("x", k) for k in range(n)]
         self._dy_tables = [self._derivative_table("y", k) for k in range(n)]
@@ -151,14 +154,31 @@ class SeriesRing:
             self._mask_cache[key] = m
         return m
 
+    def partial_table(self, nx, ny):
+        """Index and factorial-weight arrays of the (nx, ny)-th partials.
+
+        Both have shape (n,)*(nx+ny), indexed by nx x-slots then ny
+        y-slots; the partial at those slots is c[idx] * fac.
+        """
+        key = (nx, ny)
+        table = self._partial_cache.get(key)
+        if table is None:
+            shape = (self.n,) * (nx + ny)
+            idx = np.empty(shape, dtype=np.int64)
+            fac = np.empty(shape)
+            for slots in itertools.product(range(self.n), repeat=nx + ny):
+                xe, ye = [0] * self.n, [0] * self.n
+                for s in slots[:nx]:
+                    xe[s] += 1
+                for s in slots[nx:]:
+                    ye[s] += 1
+                idx[slots] = self.index_of(xe, ye)
+                fac[slots] = math.prod(math.factorial(d) for d in xe + ye)
+            table = self._partial_cache[key] = (idx, fac)
+        return table
+
     def index_of(self, xe, ye):
         return self._index[(tuple(xe), tuple(ye))]
-
-    def factor_of(self, xe, ye):
-        out = 1.0
-        for d in tuple(xe) + tuple(ye):
-            out *= math.factorial(d)
-        return out
 
     # -- constructors ---------------------------------------------------
 
@@ -335,7 +355,9 @@ class Series:
         w = Series(self.ring, self.ring.constant(1.0 / np.sqrt(b0))._masked_to(self.bx, self.by), self.bx, self.by)
         for _ in range(_newton_steps(self.bx + self.by)):
             w = w * (3.0 - self * (w * w)) * 0.5
-        return self * w
+        out = self * w
+        out.c[..., 0] = _lanes(math.sqrt, b0)
+        return out
 
     def exp(self):
         # exp(a0 + u) = e^a0 * sum u^k/k!; u is nilpotent at the caps
@@ -415,15 +437,19 @@ class Series:
         c[..., dst] = self.c.take(src, axis=-1) * fac
         return Series(self.ring, c * self.ring.mask(self.bx, self.by - 1), self.bx, self.by - 1)
 
-    def partial_value(self, xe, ye):
-        """Float value of the mixed partial with exponent (xe, ye)."""
-        if sum(xe) > self.bx or sum(ye) > self.by:
+    def partials(self, nx, ny):
+        """Every partial with nx x- and ny y-derivatives, at the base point.
+
+        Indexed [m_1..m_nx, r_1..r_ny] (after any batch axis):
+        d^(nx+ny) f / dx^m_1..dx^m_nx dy^r_1..dy^r_ny.
+        """
+        if nx > self.bx or ny > self.by:
             raise TowerBudgetError(
-                "partial (%s, %s) beyond budget (%d, %d)"
-                % (tuple(xe), tuple(ye), self.bx, self.by)
+                "(%d, %d) partials beyond budget (%d, %d)"
+                % (nx, ny, self.bx, self.by)
             )
-        idx = self.ring.index_of(xe, ye)
-        return float(self.c[idx]) * self.ring.factor_of(xe, ye)
+        idx, fac = self.ring.partial_table(nx, ny)
+        return self.c.take(idx, axis=-1) * fac
 
     def __repr__(self):
         return "Series(n=%d, value=%r, budget=(%d, %d))" % (

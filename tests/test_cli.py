@@ -175,6 +175,28 @@ def test_missing_file_exits_two(capsys):
     assert "error" in err
 
 
+def test_errored_states_exit_one(tmp_path, capsys):
+    # sigma = x1 is negative on half the chart: those states error, every
+    # verdict is indeterminate, and that is not an expected outcome
+    definition = {
+        "name": "flat2",
+        "dimension": 2,
+        "family": "riemannian",
+        "expressions": {"a": [["1", "0"], ["0", "1"]]},
+    }
+    path = tmp_path / "flat2.json"
+    path.write_text(json.dumps(definition))
+    code, out, _ = run(
+        capsys, "classify", "--file", str(path), "--volume-form", "dsl",
+        "--param", "sigma=x1", "--samples", "4",
+    )
+    assert code == 1
+    blob = json.loads(out)
+    assert blob["errored_states"] > 0
+    assert all(p["verdict"] == "indeterminate" for p in blob["predicates"])
+    assert any("errored" in m for m in blob["mismatches"])
+
+
 def test_param_overrides_reach_catalog(capsys):
     code, out, _ = run(
         capsys, "classify", "--metric", "randers_baoshen",

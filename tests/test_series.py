@@ -5,6 +5,8 @@ their partials to rounding accuracy on every composition the geometry
 pipeline uses (rational, sqrt, exp, ln, fractional powers).
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,11 +16,11 @@ from finslerlab.jets import mixed_partial
 from finslerlab.series import Series, SeriesRing
 
 
-def wrt_to_exponents(n, wrt):
-    xe, ye = [0] * n, [0] * n
-    for kind, idx in wrt:
-        (xe if kind == "x" else ye)[idx] += 1
-    return tuple(xe), tuple(ye)
+def partial_of(series, wrt):
+    """The mixed partial named by wrt, read through Series.partials."""
+    xslots = [idx for kind, idx in wrt if kind == "x"]
+    yslots = [idx for kind, idx in wrt if kind == "y"]
+    return series.partials(len(xslots), len(yslots))[tuple(xslots + yslots)]
 
 
 def smooth3(x, y):
@@ -65,7 +67,7 @@ def test_partials_match_jets(f, wrt):
     ring = SeriesRing.get(3)
     xs, ys = ring.state(X3, Y3)
     series = f(xs, ys)
-    got = series.partial_value(*wrt_to_exponents(3, wrt))
+    got = partial_of(series, wrt)
     if len(wrt) <= 6:
         want = mixed_partial(f, X3, Y3, wrt)
     else:
@@ -77,9 +79,9 @@ def test_polynomial_partials_exact():
     ring = SeriesRing.get(2, cap_x=2, cap_y=8)
     xs, ys = ring.state([2.0, 0.0], [3.0, 1.0])
     series = 3.0 * xs[0] * xs[0] * ys[0] * ys[0] * ys[0]
-    assert series.partial_value((1, 0), (2, 0)) == 216.0
-    assert series.partial_value((2, 0), (3, 0)) == 36.0
-    assert series.partial_value((0, 0), (0, 0)) == 3.0 * 4.0 * 27.0
+    assert series.partials(1, 2)[0, 0, 0] == 216.0
+    assert series.partials(2, 3)[0, 0, 0, 0, 0] == 36.0
+    assert series.partials(0, 0) == 3.0 * 4.0 * 27.0
 
 
 def test_value_parts():
@@ -110,12 +112,30 @@ def test_budgets_decrease_and_exhaust():
         yd.dy(1)
 
 
-def test_partial_value_respects_budget():
+def test_partials_respect_budget():
     ring = SeriesRing.get(2)
     xs, ys = ring.state([0.1, 0.2], [1.0, 2.0])
     p = (xs[0] * ys[0] * ys[1]).dx(0).dx(1)  # bx exhausted
+    assert p.partials(0, ring.cap_y).shape == (2,) * ring.cap_y
     with pytest.raises(TowerBudgetError):
-        p.partial_value((1, 0), (0, 0))
+        p.partials(1, 0)
+    q = p.dy(0)  # by = cap_y - 1
+    with pytest.raises(TowerBudgetError):
+        q.partials(0, ring.cap_y)
+
+
+@pytest.mark.parametrize("nx, ny", [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4),
+                                    (1, 0), (1, 1), (1, 2), (1, 3)])
+def test_partials_table_matches_jets(nx, ny):
+    # every slot tuple of the order, on a transcendental F at n=3
+    ring = SeriesRing.get(3)
+    xs, ys = ring.state(X3, Y3)
+    got = transcend3(xs, ys).partials(nx, ny)
+    assert got.shape == (3,) * (nx + ny)
+    for slots in itertools.product(range(3), repeat=nx + ny):
+        wrt = [("x", m) for m in slots[:nx]] + [("y", r) for r in slots[nx:]]
+        want = mixed_partial(transcend3, X3, Y3, wrt)
+        assert got[slots] == pytest.approx(want, rel=1e-11, abs=1e-11), slots
 
 
 def test_hard_truncation_beyond_budget():
@@ -135,7 +155,7 @@ def test_division_matches_jets():
     series = f(xs, ys)
     for wrt in ([("y", 0)], [("y", 1), ("y", 1)], [("x", 0), ("y", 1), ("y", 0)]):
         want = mixed_partial(f, [0.4, 0.0], [0.7, 1.2], wrt)
-        got = series.partial_value(*wrt_to_exponents(2, wrt))
+        got = partial_of(series, wrt)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
 
 
@@ -166,7 +186,7 @@ def test_integer_power_through_zero_value():
     ring = SeriesRing.get(2)
     xs, ys = ring.state([0.0, 0.0], [0.0, 1.0])
     p = ys[0].powr(3.0)  # value 0, fine for integer exponents
-    assert p.partial_value((0, 0), (3, 0)) == 6.0
+    assert p.partials(0, 3)[0, 0, 0] == 6.0
 
 
 def test_expr_tree_evaluates_over_series():
@@ -178,7 +198,7 @@ def test_expr_tree_evaluates_over_series():
     series = evaluate(tree, xs, ys)
     f = lambda x, y: evaluate(tree, x, y)
     want = mixed_partial(f, [0.2, 0.0], [3.0, 4.0], [("x", 0), ("y", 0)])
-    got = series.partial_value((1, 0), (1, 0))
+    got = series.partials(1, 1)[0, 0]
     assert got == pytest.approx(want, rel=1e-13)
     assert series.value() == pytest.approx(5.0 + 0.3, rel=1e-15)
 
@@ -227,11 +247,12 @@ def test_batched_lanes_equal_unbatched(op):
 
 
 def test_batched_value_parts_match_float_ring():
-    # ln and exp take their value parts from the math module, as the
-    # float ring does, lane by lane (the Newton sqrt rounds differently)
+    # sqrt, ln and exp take their value parts from the math module, as
+    # the float ring does, lane by lane
     ring = SeriesRing.get(3, cap_x=2, cap_y=0)
     values = LANES + 1.5
-    for f in (scalars.ln, scalars.exp, lambda v: scalars.powr(v, 0.25)):
+    for f in (scalars.sqrt, scalars.ln, scalars.exp,
+              lambda v: scalars.powr(v, 0.25)):
         got = scalars.value_of(f(ring.constant(values)))
         assert got.tolist() == [f(float(v)) for v in values]
 
