@@ -5,6 +5,19 @@ batch of admissible states.  Every "holds" verdict is a statement about
 the sample; a single above-tolerance state refutes a predicate, which
 matches how the underlying definitions quantify (they are for-all
 statements over the slit tangent bundle).
+
+A state only counts if its residuals can resolve the tolerance.  The
+rounding floor of a relative residual grows with the condition number
+kappa of the fundamental tensor g (the fourth y-derivative of the spray
+carries up to five factors of g^-1, then one horizontal derivative
+follows): C eps kappa^p with (C, p) = ROUNDING_FLOOR, fitted as the
+upper envelope of the residuals of a Berwald metric (mkropina_yang),
+where every nonzero one is rounding.  The sampler rejects a draw whose
+predicted floor exceeds Tolerances.rel and tallies it as
+"ill_conditioned"; at the default rel = 1e-6 that is kappa > 18.4.
+Draws near the strong-convexity edge of a conic metric are the ones it
+removes; the Randers, Riemannian and quartic catalog entries sit at
+kappa <= 4 and lose none.
 """
 
 import math
@@ -34,6 +47,12 @@ PREDICATES = (
 )
 
 Y_MODES = ("unit_sphere", "unit_F")
+
+# (C, p) of the rounding floor C eps kappa(g)^p of a relative residual.
+# C is the upper envelope (114.1, rounded up) of the Berwald-implied
+# residuals of mkropina_yang at sample seeds 0-39 that reach 1e-8, 1 % of
+# the default rel; smaller ones do not follow kappa^6 (4e-9 at kappa 5).
+ROUNDING_FLOOR = (115.0, 6)
 
 # spread of the per-state least-squares flag curvature that still counts
 # as "constant across the sample"
@@ -93,6 +112,23 @@ class PredicateResult:
 
 
 @dataclass(frozen=True)
+class ErroredState:
+    """A sampled state whose Frame raised, with the exception it raised."""
+
+    error: str  # exception class name
+    message: str
+    state: Tuple[tuple, tuple]
+
+    def as_dict(self):
+        return {
+            "error": self.error,
+            "message": self.message,
+            "x": list(self.state[0]),
+            "y": list(self.state[1]),
+        }
+
+
+@dataclass(frozen=True)
 class ClassificationReport:
     metric_name: str
     volume_label: str
@@ -100,9 +136,14 @@ class ClassificationReport:
     tolerances: Tolerances
     predicates: Dict[str, PredicateResult]
     rejections: int
-    errored_states: int
+    rejection_reasons: Dict[str, int]  # reason -> rejected draws
+    errors: Tuple[ErroredState, ...]
     hierarchy_violations: Tuple[str, ...]
     version: str = __version__
+
+    @property
+    def errored_states(self):
+        return len(self.errors)
 
     def verdict(self, name):
         return self.predicates[name].verdict
@@ -139,21 +180,33 @@ class ClassificationReport:
             },
             "predicates": preds,
             "rejections": self.rejections,
+            "rejection_reasons": dict(sorted(self.rejection_reasons.items())),
             "errored_states": self.errored_states,
+            "errors": [e.as_dict() for e in self.errors],
             "hierarchy_violations": list(self.hierarchy_violations),
             "version": self.version,
         }
 
 
-def sample_states(metric, plan=None):
+def rounding_floor(g):
+    """Predicted rounding floor of a relative residual at a state with
+    fundamental tensor g: C eps kappa(g)^p, (C, p) = ROUNDING_FLOOR."""
+    c, p = ROUNDING_FLOOR
+    return c * np.finfo(float).eps * np.linalg.cond(g) ** p
+
+
+def sample_states(metric, plan=None, tolerances=None):
     """Deterministic batch of admissible (x, y) states for a metric.
 
     x is drawn uniformly from the ball of radius plan.x_radius, y from
     the unit sphere (rescaled to F(x,y)=1 under y_mode="unit_F").
     Draws failing the chart, the cone, positivity, or strong convexity
-    are rejected and redrawn; the rejection tally is part of the batch.
+    are rejected and redrawn, and so are draws whose rounding_floor
+    exceeds tolerances.rel ("ill_conditioned"); the rejection tally is
+    part of the batch.
     """
     plan = plan or SamplePlan()
+    tol = tolerances or Tolerances()
     n = metric.dimension
     rng = np.random.default_rng(plan.seed)
     states = []
@@ -192,9 +245,12 @@ def sample_states(metric, plan=None):
             scale = value_of(metric.F(xs, ys))
             ys = [v / scale for v in ys]
         try:
-            fundamental_tensor(metric, (xs, ys))
+            g = fundamental_tensor(metric, (xs, ys)).components
         except FinslerError:
             reasons["regularity"] += 1
+            continue
+        if rounding_floor(g) > tol.rel:
+            reasons["ill_conditioned"] += 1
             continue
         states.append((tuple(xs), tuple(ys)))
     return SampleBatch(tuple(states), attempts - len(states), dict(reasons))
@@ -218,10 +274,10 @@ def classify_metric(metric, volume, plan=None, tolerances=None):
     """Evaluate all classification predicates on a sampled batch."""
     plan = plan or SamplePlan()
     tol = tolerances or Tolerances()
-    batch = sample_states(metric, plan)
+    batch = sample_states(metric, plan, tol)
 
     rows = []  # (state, scale, residual dict, lambda_fit, lambda_residual)
-    errored = 0
+    errors = []
     for state in batch.states:
         try:
             gs = GeometryState(metric, volume, state[0], state[1])
@@ -230,12 +286,12 @@ def classify_metric(metric, volume, plan=None, tolerances=None):
             lam = frame.constflag_lambda_fit()
             lam_res = float(np.abs(frame.constflag_residual(lam)).max())
             rows.append((state, frame.scale, res, lam, lam_res))
-        except FinslerError:
-            errored += 1
+        except FinslerError as exc:
+            errors.append(ErroredState(type(exc).__name__, str(exc), state))
 
     predicates = {}
     for name in PREDICATES:
-        if errored or not rows:
+        if errors or not rows:
             predicates[name] = PredicateResult(
                 name, "indeterminate", math.nan, math.nan, None
             )
@@ -270,7 +326,8 @@ def classify_metric(metric, volume, plan=None, tolerances=None):
         tol,
         predicates,
         batch.rejections,
-        errored,
+        batch.rejection_reasons,
+        tuple(errors),
         tuple(violations),
     )
 

@@ -248,6 +248,13 @@ def _emit_text(payload, stream):
             row["kind"], row["verdict"],
             row["max_residual"], row["scale"],
         ))
+    reasons = payload.get("rejection_reasons")
+    if reasons:
+        write("rejected draws: %s\n" % ", ".join(
+            "%s %d" % item for item in sorted(reasons.items())
+        ))
+    for err in payload.get("errors", []):
+        write("errored state: %s: %s\n" % (err["error"], err["message"]))
     extra = payload.get("hierarchy_violations")
     if extra:
         write("hierarchy violations: %s\n" % "; ".join(extra))
@@ -299,10 +306,10 @@ def run_classify(args, stream=None):
     report = classify_metric(metric, volume, _plan(args), _tolerances(args))
 
     payload = _base_payload(args, params, metric.name, volume.label)
-    payload["predicates"] = report.as_dict()["predicates"]
-    payload["rejections"] = report.rejections
-    payload["hierarchy_violations"] = list(report.hierarchy_violations)
-    payload["errored_states"] = report.errored_states
+    summary = report.as_dict()
+    for key in ("predicates", "rejections", "rejection_reasons",
+                "hierarchy_violations", "errored_states", "errors"):
+        payload[key] = summary[key]
 
     mismatches = []
     if report.errored_states:
@@ -340,7 +347,7 @@ def run_verify(args, stream=None):
         kwargs["p"] = str(p_source) if p_source is not None else None
         kwargs["parameters"] = leftover or None
 
-    batch = sample_states(metric, plan)
+    batch = sample_states(metric, plan, tol)
     worst = None
     rows = []
     for x, y in batch.states:

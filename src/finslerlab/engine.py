@@ -7,7 +7,10 @@ projective spray and its curvature) and extracts every component the
 classifier and the identity checks consume as plain numpy arrays.  Of
 the ring objects it keeps only the spray, which the projective-change
 routes (modified_spray, lemma21_residual) extend by P y; it is the only
-code that evaluates F^2 -> g -> G.  The nested dual towers in jets
+code that evaluates F^2 -> g -> G.  Work that depends on x alone (the
+coefficient fields of F, the volume density and ln sigma) runs in the
+x-only ring and enters the (2, 8) ring by one embedding, so the full
+budget is spent only where y enters.  The nested dual towers in jets
 compute the same partials one seeding at a time; tests hold the two
 routes against each other.
 
@@ -23,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, RegularityError
 from .scalars import ln, ring_det, ring_inv, value_of
-from .series import Series, SeriesRing, embed_series
+from .series import SeriesRing, x_only
 
 # Orientation of the Ricci identity used for the Berwald-curvature
 # commutator: B_j^i_{kl|m} - B_j^i_{km|l} = RICCI_LM_SIGN * d_k R_j^i_{lm}
@@ -127,23 +130,16 @@ def _cube_extract(W):
     )
 
 
-def log_sigma_series(volume, ring, xs, x):
+def log_sigma_series(volume, xs):
     """ln sigma as a ring element, or a float when sigma does not vary.
 
-    The quadrature density runs its thousands of directions through the
-    x-only ring and is embedded afterwards.
+    sigma depends on x alone, so every volume takes one path: sigma and
+    its logarithm run in the x-only ring (series.x_only) and the result
+    is embedded into the ring of xs.  A float sigma stays a float.
     """
     if volume is None:
         return 0.0
-    if volume.kind == "bh_quadrature":
-        reduced = SeriesRing.get(ring.n, cap_x=ring.cap_x, cap_y=0)
-        rxs = [reduced.variable_x(i, x[i]) for i in range(ring.n)]
-        sig = volume.sigma(rxs)
-        if isinstance(sig, Series):
-            sig = embed_series(sig, ring)
-    else:
-        sig = volume.sigma(xs)
-    return ln(sig)
+    return x_only(lambda x: ln(volume.sigma(x)), xs)
 
 
 def _spray_arrays(G, xs, ys):
@@ -215,7 +211,7 @@ class Frame:
 
         div = divergence_series(G)
         try:
-            lnsig = log_sigma_series(volume, ring, xs, self.x)
+            lnsig = log_sigma_series(volume, xs)
         except DomainError as exc:
             raise RegularityError(str(exc), x=self.x, y=self.y) from exc
         S = div

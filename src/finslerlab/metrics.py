@@ -1,11 +1,16 @@
 """Finsler metric abstraction, built-in families, pointwise tensors.
 
 A MetricSpec wraps a scalar-ring-generic evaluator for F(x, y) together
-with its chart and cone domains.  The pointwise operations here
-(fundamental tensor, its inverse, Cartan torsion) differentiate F^2
-through jet towers; the deeper curvature pipeline lives in the engine
-module and re-derives these quantities independently, which the tests
-exploit as a cross-check.
+with its chart and cone domains.  The (alpha, beta) and Riemannian
+families, which every catalog metric with x-dependent coefficients and
+every DSL (a, b) metric is built through, take their coefficient fields
+a(x), b(x) through
+series.x_only: they depend on x alone, so in a curvature Frame they run
+in the x-only ring and enter the full ring by one embedding.  The
+pointwise operations here (fundamental tensor, its inverse, Cartan
+torsion) differentiate F^2 through jet towers; the deeper curvature
+pipeline lives in the engine module and re-derives these quantities
+independently, which the tests exploit as a cross-check.
 """
 
 from dataclasses import dataclass, field
@@ -17,6 +22,7 @@ from . import expr as dsl
 from .errors import ConfigError, FinslerError, RegularityError
 from .jets import mixed_partial
 from .scalars import powr, sqrt, value_of
+from .series import x_only
 
 
 @dataclass(frozen=True)
@@ -162,8 +168,8 @@ def alpha_beta_metric(
     if power_m is None:
 
         def F(x, y):
-            a = a_fn(x)
-            b = b_fn(x)
+            a = x_only(a_fn, x)
+            b = x_only(b_fn, x)
             return sqrt(_alpha_sq(a, y)) + _beta(b, y)
 
         cone = cone_domain or _everywhere
@@ -174,8 +180,8 @@ def alpha_beta_metric(
             raise ConfigError("power exponent m must avoid 0 and 1")
 
         def F(x, y):
-            a = a_fn(x)
-            b = b_fn(x)
+            a = x_only(a_fn, x)
+            b = x_only(b_fn, x)
             return powr(_alpha_sq(a, y), m / 2.0) * powr(_beta(b, y), 1.0 - m)
 
         def beta_positive(x, y):
@@ -202,7 +208,7 @@ def riemannian_metric(name, dimension, a_fn, chart_domain=None, parameters=None)
     parameters = dict(parameters or {})
 
     def F(x, y):
-        return sqrt(_alpha_sq(a_fn(x), y))
+        return sqrt(_alpha_sq(x_only(a_fn, x), y))
 
     return MetricSpec(
         name=name,

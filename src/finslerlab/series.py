@@ -21,6 +21,12 @@ Coefficient layout and multiplication tables live in a SeriesRing,
 cached per (dimension, caps); products are a gather-multiply plus a
 bincount over a precomputed index table restricted to the output budget.
 
+Work that depends on x alone never needs the y-variables: x_only runs
+such a function (the coefficient fields of a metric, a volume density
+and its logarithm) in the x-only ring SeriesRing.get(n, cap_x, 0), at
+10 coefficients for n=3 instead of the full (2, 8) ring's 1650, and
+embed_series carries the result into the full ring once.
+
 A Series in an x-only ring (cap_y = 0) may carry a leading batch axis:
 c of shape (K, size) holds K independent series, one per lane, entered
 through SeriesRing.constant with an array of values.  The quadrature
@@ -96,6 +102,7 @@ class SeriesRing:
         self._mul_cache = {}
         self._partial_cache = {}
         self._mask_cache = {}
+        self._embed_cache = {}
         self._dx_tables = [self._derivative_table("x", k) for k in range(n)]
         self._dy_tables = [self._derivative_table("y", k) for k in range(n)]
 
@@ -179,6 +186,16 @@ class SeriesRing:
 
     def index_of(self, xe, ye):
         return self._index[(tuple(xe), tuple(ye))]
+
+    def positions_of(self, sub):
+        """Positions in this ring of the monomials of a smaller ring."""
+        pos = self._embed_cache.get(sub)
+        if pos is None:
+            pos = np.array(
+                [self.index_of(xe, ye) for xe, ye in sub.exponents], dtype=np.int64
+            )
+            self._embed_cache[sub] = pos
+        return pos
 
     # -- constructors ---------------------------------------------------
 
@@ -465,16 +482,46 @@ def embed_series(src, dst_ring):
 
     Every monomial of the source must exist in the destination; the
     result keeps the source x-budget and gains the destination's full
-    y-budget when the source carries no y-dependence at all (the
-    quadrature-density case), otherwise the source y-budget.
+    y-budget when the source carries no y-dependence at all, otherwise
+    the source y-budget.  This is how x-only work re-enters the full
+    ring: a quantity of x alone (a coefficient field, a volume density
+    and its logarithm) is computed in the x-only ring and embedded once.
     """
     if src.ring.n != dst_ring.n:
         raise ValueError("ring dimension mismatch")
     if src.ring.cap_x > dst_ring.cap_x or src.ring.cap_y > dst_ring.cap_y:
         raise ValueError("destination ring too small to embed into")
     c = np.zeros(dst_ring.size)
-    for k, (xe, ye) in enumerate(src.ring.exponents):
-        if src.c[k] != 0.0:
-            c[dst_ring.index_of(xe, ye)] = src.c[k]
+    c[dst_ring.positions_of(src.ring)] = src.c
     by = dst_ring.cap_y if src.ring.cap_y == 0 else src.by
     return Series(dst_ring, c, src.bx, by)
+
+
+def x_only(fn, x):
+    """fn(x) for a function fn of x alone, evaluated in the x-only ring.
+
+    When x is a vector of full-ring Series (cap_y > 0) that carry no
+    y-dependence, each coordinate is restricted to its x-only
+    coefficients (so an affine x = A xs + c keeps its shape), fn runs in
+    SeriesRing.get(n, cap_x, 0), and every Series leaf of its result,
+    nested lists allowed, is embedded back into the full ring; float
+    leaves pass through.  Floats, jets, x-only Series and an x that
+    depends on y go to fn unchanged.
+    """
+    if not all(isinstance(v, Series) and v.ring.cap_y for v in x):
+        return fn(x)
+    ring = x[0].ring
+    if any(v.c[ring.ydeg > 0].any() for v in x):
+        return fn(x)
+    reduced = SeriesRing.get(ring.n, ring.cap_x, 0)
+    pos = ring.positions_of(reduced)
+    out = fn([Series(reduced, v.c[pos], v.bx, 0) for v in x])
+
+    def lift(leaf):
+        if isinstance(leaf, (list, tuple)):
+            return type(leaf)(lift(v) for v in leaf)
+        if isinstance(leaf, Series):
+            return embed_series(leaf, ring)
+        return leaf
+
+    return lift(out)

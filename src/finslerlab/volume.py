@@ -3,8 +3,10 @@
 Four kinds: constant density, Busemann-Hausdorff by spherical
 quadrature, the Randers closed form, and a user DSL density.  The
 closed-form and DSL sigmas are scalar-ring-generic in x so the
-S-curvature pipeline can differentiate through them.  The quadrature
-takes x as floats or as series of an x-only ring: all its directions
+S-curvature pipeline can differentiate through them.  A density
+depends on x alone, so the engine evaluates every kind, and its
+logarithm, in the x-only ring and embeds the result into the full ring
+once (engine.log_sigma_series).  The quadrature takes x as floats or as series of an x-only ring: all its directions
 enter F as one batch of constants (see the series module), so F is
 evaluated once per x, not once per direction.
 

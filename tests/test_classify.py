@@ -5,17 +5,21 @@ import json
 import numpy as np
 import pytest
 
+from finslerlab import errors
 from finslerlab.catalog import get_example, list_examples
 from finslerlab.classify import (
     PREDICATES,
     ClassificationReport,
     SamplePlan,
     Tolerances,
+    _frame_residuals,
     classify_metric,
+    rounding_floor,
     sample_states,
 )
+from finslerlab.curvature import GeometryState
 from finslerlab.errors import ConfigError, SamplingError
-from finslerlab.metrics import construct_metric
+from finslerlab.metrics import construct_metric, fundamental_tensor
 from finslerlab.scalars import value_of
 from finslerlab.volume import VolumeForm, bh_quadrature_volume, dsl_volume
 
@@ -161,6 +165,16 @@ def test_errored_state_yields_indeterminate():
     assert report.errored_states > 0
     for name in PREDICATES:
         assert report.verdict(name) == "indeterminate", name
+    # each errored state is on record with its cause
+    states = sample_states(e.metric, SamplePlan(count=5, seed=2)).states
+    assert report.errors
+    for err in report.errors:
+        assert issubclass(getattr(errors, err.error), errors.FinslerError)
+        assert "ln" in err.message
+        assert err.state in states
+    blob = json.loads(json.dumps(report.as_dict()))
+    assert blob["errored_states"] == len(blob["errors"])
+    assert blob["errors"][0] == report.errors[0].as_dict()
 
 
 def test_bug_in_volume_is_not_indeterminate():
@@ -184,6 +198,8 @@ def test_report_serializes_to_json():
     assert len(blob["predicates"]) == len(PREDICATES)
     assert blob["plan"]["count"] == 4
     assert blob["version"] == report.version
+    assert blob["rejection_reasons"] == report.rejection_reasons
+    assert blob["errors"] == []
     for entry in blob["predicates"]:
         assert {"name", "verdict", "max_residual", "scale"} <= set(entry)
 
@@ -207,3 +223,59 @@ def test_x_independent_quadrature_density_classifies():
     assert report.errored_states == 0
     for name, expected in entry.expected_verdicts.items():
         assert report.verdict(name) == ("holds" if expected else "fails"), name
+
+
+# -- the rounding floor ------------------------------------------------------
+
+BERWALD_IMPLIED = [
+    name for name, holds in get_example("mkropina_yang").expected_verdicts.items()
+    if holds
+]
+
+
+def test_rounding_floor_bounds_berwald_residuals():
+    # mkropina_yang is Berwald, so every residual of a predicate Berwald
+    # implies is rounding.  Seeds 40-42 were not used to fit C; an
+    # infinite rel keeps the ill-conditioned draws the sampler rejects.
+    # Residuals under 1e-8 sit on a kappa-free floor the law leaves out.
+    e = get_example("mkropina_yang")
+    kappas = []
+    for seed in (40, 41, 42):
+        plan = SamplePlan(count=20, seed=seed)
+        for x, y in sample_states(e.metric, plan, Tolerances(rel=np.inf)).states:
+            g = fundamental_tensor(e.metric, (x, y)).components
+            kappas.append(np.linalg.cond(g))
+            frame = GeometryState(e.metric, e.volume, x, y).frame
+            res = _frame_residuals(frame)
+            for name in BERWALD_IMPLIED:
+                rel = res[name] / frame.scale
+                assert rel <= max(rounding_floor(g), 1e-8), (name, x, y)
+    assert max(kappas) > 40.0  # the law is tried where it bites
+
+
+def test_sampler_rejects_ill_conditioned_draws():
+    tol = Tolerances()
+    e = get_example("mkropina_yang")
+    batch = sample_states(e.metric, SamplePlan(count=20, seed=3), tol)
+    assert batch.rejection_reasons["ill_conditioned"] > 0
+    for x, y in batch.states:
+        g = fundamental_tensor(e.metric, (x, y)).components
+        assert rounding_floor(g) <= tol.rel
+    for name in ("randers_osaka", "randers_baoshen", "randers_humo"):
+        e = get_example(name)
+        batch = sample_states(e.metric, SamplePlan(count=20, seed=3), tol)
+        assert "ill_conditioned" not in batch.rejection_reasons, name
+
+
+@pytest.mark.parametrize("seed", [3, 99])
+def test_mkropina_verdicts_at_ill_conditioned_seeds(seed):
+    # without the floor these sample seeds drew states where rounding
+    # alone exceeds the tolerance, and Berwald-implied predicates failed
+    e = get_example("mkropina_yang")
+    report = classify_metric(e.metric, e.volume, SamplePlan(count=20, seed=seed))
+    assert report.errored_states == 0
+    for name, expected in e.expected_verdicts.items():
+        assert report.verdict(name) == ("holds" if expected else "fails"), name
+    assert report.hierarchy_violations == ()
+    assert report.rejection_reasons["ill_conditioned"] > 0
+    assert sum(report.rejection_reasons.values()) == report.rejections

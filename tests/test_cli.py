@@ -34,6 +34,19 @@ def test_classify_euclidean_two_dimensional(capsys):
     assert blob["mismatches"] == []
 
 
+def test_classify_reports_ill_conditioned_rejections(capsys):
+    args = ("classify", "--metric", "mkropina_yang", "--seed", "3")
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    reasons = json.loads(out)["rejection_reasons"]
+    assert reasons["ill_conditioned"] > 0
+    # --tol-rel moves the limit: a residual may now sit far above eps
+    code, out, _ = run(capsys, *args, "--tol-rel", "1")
+    assert "ill_conditioned" not in json.loads(out)["rejection_reasons"]
+    code, out, _ = run(capsys, *args, "--output", "text")
+    assert "ill_conditioned %d" % reasons["ill_conditioned"] in out
+
+
 def test_classify_osaka_matches_expectations(capsys):
     code, out, _ = run(
         capsys, "classify", "--metric", "randers_osaka",
@@ -192,7 +205,10 @@ def test_errored_states_exit_one(tmp_path, capsys):
     )
     assert code == 1
     blob = json.loads(out)
-    assert blob["errored_states"] > 0
+    assert blob["errored_states"] == len(blob["errors"]) > 0
+    for err in blob["errors"]:
+        assert set(err) == {"error", "message", "x", "y"}
+        assert err["x"][0] <= 0.0  # sigma = x1 fails where x1 <= 0
     assert all(p["verdict"] == "indeterminate" for p in blob["predicates"])
     assert any("errored" in m for m in blob["mismatches"])
 

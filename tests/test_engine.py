@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from finslerlab.catalog import get_example
+from finslerlab.classify import SamplePlan, sample_states
 from finslerlab.engine import (
     RICCI_LM_SIGN,
     Frame,
@@ -227,3 +228,31 @@ def test_constant_dsl_density_matches_constant_volume():
     f_const = Frame(metric, constant_volume(2.0), x, y)
     assert f_dsl.S == f_const.S
     assert f_dsl.tau == f_const.tau
+
+
+@pytest.mark.parametrize(
+    "name, most",
+    [("randers_osaka", 34), ("mkropina_yang", 65), ("riemannian_sphere", 26)],
+)
+def test_full_budget_products_per_frame(monkeypatch, name, most):
+    # a(x), b(x) and ln sigma run in the x-only ring; only the work where
+    # y enters multiplies at the full (2, 8) budget (osaka made 334 such
+    # products, mkropina 182 and the sphere 118 before)
+    from finslerlab.series import Series
+
+    counted = []
+    plain = Series.__mul__
+
+    def mul(a, b):
+        out = plain(a, b)
+        full = (a.ring.cap_x, a.ring.cap_y)
+        if isinstance(b, Series) and a.ring.cap_y and (out.bx, out.by) == full:
+            counted.append(1)
+        return out
+
+    entry = get_example(name)
+    x, y = sample_states(entry.metric, SamplePlan(count=1, seed=1)).states[0]
+    monkeypatch.setattr(Series, "__mul__", mul)
+    monkeypatch.setattr(Series, "__rmul__", mul)
+    Frame(entry.metric, entry.volume, x, y)
+    assert 0 < len(counted) <= most

@@ -284,3 +284,99 @@ def test_batched_quadrature_names_first_bad_direction():
 def test_full_ring_takes_no_batch_axis():
     with pytest.raises(ValueError):
         SeriesRing.get(2).constant([1.0, 2.0])
+
+
+# -- x_only: work of x alone in the x-only ring -----------------------------
+
+
+def _x_fields():
+    from finslerlab.catalog import get_example
+    from finslerlab.volume import bh_randers_closed
+
+    fields = {}
+    for name in ("randers_osaka", "randers_baoshen", "mkropina_yang"):
+        metric = get_example(name).metric
+        fields[name + ".a"] = metric.a_fn
+        fields[name + ".b"] = metric.b_fn
+    fields["riemannian_sphere.a"] = get_example("riemannian_sphere").metric.a_fn
+    osaka = get_example("randers_osaka").metric
+    fields["bh_randers_closed"] = lambda x: bh_randers_closed(osaka, x)
+    return fields
+
+
+def _leaves(value):
+    if isinstance(value, (list, tuple)):
+        return [leaf for v in value for leaf in _leaves(v)]
+    return [value]
+
+
+def _close(got, want):
+    scale = max(1.0, float(np.abs(want.c).max()))
+    return (got.bx, got.by) == (want.bx, want.by) and (
+        np.abs(got.c - want.c).max() <= 1e-14 * scale
+    )
+
+
+@pytest.mark.parametrize("name", sorted(_x_fields()))
+def test_x_only_matches_full_ring(name):
+    from finslerlab.series import x_only
+
+    fn = _x_fields()[name]
+    ring = SeriesRing.get(3)
+    xs, _ = ring.state((0.12, -0.2, 0.07), (0.3, 0.5, -0.8))
+    hoisted, full = _leaves(x_only(fn, xs)), _leaves(fn(xs))
+    assert len(hoisted) == len(full)
+    assert any(isinstance(f, Series) for f in full)
+    for h, f in zip(hoisted, full):
+        if isinstance(f, Series):
+            assert h.ring is ring and _close(h, f), name
+        else:
+            assert h == f, name
+
+
+def test_x_only_passes_other_inputs_through():
+    from finslerlab.jets import seed_direction
+    from finslerlab.series import x_only
+
+    seen = []
+
+    def fn(x):
+        seen.append(x)
+        return "out"
+
+    point = (0.1, 0.2, 0.3)
+    small = SeriesRing.get(3, cap_x=2, cap_y=0)
+    xs, ys = SeriesRing.get(3).state(point, (1.0, 0.0, 0.0))
+    inputs = (
+        list(point),
+        seed_direction(list(point), 0, 0),
+        [small.variable_x(i, v) for i, v in enumerate(point)],
+        [xs[0] + ys[0], xs[1], xs[2]],  # moves with y
+    )
+    for x in inputs:
+        seen.clear()
+        assert x_only(fn, x) == "out"
+        assert len(seen) == 1 and seen[0] is x
+
+
+def test_x_only_keeps_affine_coordinates(monkeypatch):
+    # a restriction, not fresh variables at c[0]: F at x = A xs + c.
+    # F's order-8 y-coefficients amplify last-bit differences in a(x) to
+    # about 1e-13 of the largest coefficient, at plain xs as well
+    from finslerlab import metrics
+    from finslerlab.catalog import get_example
+
+    ring = SeriesRing.get(3)
+    xs, ys = ring.state((0.05, -0.1, 0.08), (0.6, 0.3, -0.5))
+    A = np.array([[0.9, 0.2, 0.0], [-0.1, 1.1, 0.3], [0.0, 0.4, 0.8]])
+    x = [
+        sum((xs[j] * float(A[i, j]) for j in range(3)), 0.02 * (i + 1))
+        for i in range(3)
+    ]
+    names = ("randers_osaka", "mkropina_yang", "riemannian_sphere")
+    hoisted = [get_example(n).metric.F(x, ys) for n in names]
+    monkeypatch.setattr(metrics, "x_only", lambda fn, x: fn(x))
+    for name, got in zip(names, hoisted):
+        want = get_example(name).metric.F(x, ys)
+        scale = max(1.0, float(np.abs(want.c).max()))
+        assert np.abs(got.c - want.c).max() <= 1e-12 * scale, name
