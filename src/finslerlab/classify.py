@@ -10,14 +10,19 @@ A state only counts if its residuals can resolve the tolerance.  The
 rounding floor of a relative residual grows with the condition number
 kappa of the fundamental tensor g (the fourth y-derivative of the spray
 carries up to five factors of g^-1, then one horizontal derivative
-follows): C eps kappa^p with (C, p) = ROUNDING_FLOOR, fitted as the
-upper envelope of the residuals of a Berwald metric (mkropina_yang),
-where every nonzero one is rounding.  The sampler rejects a draw whose
-predicted floor exceeds Tolerances.rel and tallies it as
-"ill_conditioned"; at the default rel = 1e-6 that is kappa > 18.4.
-Draws near the strong-convexity edge of a conic metric are the ones it
-removes; the Randers, Riemannian and quartic catalog entries sit at
-kappa <= 4 and lose none.
+follows).  kappa is taken relative to the metric's Riemannian part a(x)
+(relative_condition): it follows the degeneracy of g at the edge of
+strong convexity, is unchanged by linear changes of coordinates, and is
+1 for every Riemannian metric, however anisotropic its a(x).  The
+predicted floor is eps max(C kappa^p) over the terms (C, p) of
+ROUNDING_FLOOR, fitted as the upper envelope of the residuals of a
+Berwald metric (mkropina_yang), where every nonzero one is rounding.  The
+sampler rejects a draw whose predicted floor exceeds Tolerances.rel and
+tallies it as "ill_conditioned"; at the default rel = 1e-6 that is
+kappa > 18.4.  Draws near the strong-convexity edge of a conic metric are
+the ones it removes; the Randers and Riemannian catalog entries sit at
+kappa <= 3.5 and lose none.  A metric given by a DSL F alone has no a(x)
+and is not screened.
 """
 
 import math
@@ -48,11 +53,13 @@ PREDICATES = (
 
 Y_MODES = ("unit_sphere", "unit_F")
 
-# (C, p) of the rounding floor C eps kappa(g)^p of a relative residual.
-# C is the upper envelope (114.1, rounded up) of the Berwald-implied
-# residuals of mkropina_yang at sample seeds 0-39 that reach 1e-8, 1 % of
-# the default rel; smaller ones do not follow kappa^6 (4e-9 at kappa 5).
-ROUNDING_FLOOR = (115.0, 6)
+# Terms (C, p) of the rounding floor eps max(C kappa^p) of a relative
+# residual at relative condition number kappa.  Fitted as upper envelopes
+# of the Berwald-implied residuals of mkropina_yang at sample seeds 0-39:
+# C = 115 is 114.1 over the residuals that reach 1e-8 (1 % of the default
+# rel), rounded up; the kappa^4 term (2.69e4, rounded up) covers the
+# smaller ones, which the kappa^6 term underestimates (4e-9 at kappa 5).
+ROUNDING_FLOOR = ((115.0, 6), (2.7e4, 4))
 
 # spread of the per-state least-squares flag curvature that still counts
 # as "constant across the sample"
@@ -188,11 +195,28 @@ class ClassificationReport:
         }
 
 
-def rounding_floor(g):
-    """Predicted rounding floor of a relative residual at a state with
-    fundamental tensor g: C eps kappa(g)^p, (C, p) = ROUNDING_FLOOR."""
-    c, p = ROUNDING_FLOOR
-    return c * np.finfo(float).eps * np.linalg.cond(g) ** p
+def relative_condition(metric, x, g):
+    """Condition number of g relative to the metric's Riemannian part
+    a(x), or None when the metric has none.
+
+    cond(L^-1 a L^-T) with g = L L^T: the ratio of the extreme eigenvalues
+    of a^-1 g.  Both are (0, 2) tensors, so it does not depend on the
+    linear coordinates, and it is 1 when g = a.
+    """
+    if metric.a_fn is None:
+        return None
+    a = np.array(
+        [[value_of(v) for v in row] for row in metric.a_fn(x)], dtype=float
+    )
+    li = np.linalg.inv(np.linalg.cholesky(g))
+    return float(np.linalg.cond(li @ a @ li.T))
+
+
+def rounding_floor(kappa):
+    """Predicted rounding floor of a relative residual at relative
+    condition number kappa: eps max(C kappa^p) over ROUNDING_FLOOR."""
+    eps = np.finfo(float).eps
+    return max(c * eps * kappa**p for c, p in ROUNDING_FLOOR)
 
 
 def sample_states(metric, plan=None, tolerances=None):
@@ -201,9 +225,9 @@ def sample_states(metric, plan=None, tolerances=None):
     x is drawn uniformly from the ball of radius plan.x_radius, y from
     the unit sphere (rescaled to F(x,y)=1 under y_mode="unit_F").
     Draws failing the chart, the cone, positivity, or strong convexity
-    are rejected and redrawn, and so are draws whose rounding_floor
-    exceeds tolerances.rel ("ill_conditioned"); the rejection tally is
-    part of the batch.
+    are rejected and redrawn, and so are draws whose rounding_floor at
+    the relative_condition of g exceeds tolerances.rel
+    ("ill_conditioned"); the rejection tally is part of the batch.
     """
     plan = plan or SamplePlan()
     tol = tolerances or Tolerances()
@@ -249,7 +273,8 @@ def sample_states(metric, plan=None, tolerances=None):
         except FinslerError:
             reasons["regularity"] += 1
             continue
-        if rounding_floor(g) > tol.rel:
+        kappa = relative_condition(metric, xs, g)
+        if kappa is not None and rounding_floor(kappa) > tol.rel:
             reasons["ill_conditioned"] += 1
             continue
         states.append((tuple(xs), tuple(ys)))

@@ -168,8 +168,7 @@ def alpha_beta_metric(
     if power_m is None:
 
         def F(x, y):
-            a = x_only(a_fn, x)
-            b = x_only(b_fn, x)
+            a, b = x_only(lambda x: (a_fn(x), b_fn(x)), x)
             return sqrt(_alpha_sq(a, y)) + _beta(b, y)
 
         cone = cone_domain or _everywhere
@@ -180,8 +179,7 @@ def alpha_beta_metric(
             raise ConfigError("power exponent m must avoid 0 and 1")
 
         def F(x, y):
-            a = x_only(a_fn, x)
-            b = x_only(b_fn, x)
+            a, b = x_only(lambda x: (a_fn(x), b_fn(x)), x)
             return powr(_alpha_sq(a, y), m / 2.0) * powr(_beta(b, y), 1.0 - m)
 
         def beta_positive(x, y):

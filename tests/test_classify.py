@@ -14,6 +14,7 @@ from finslerlab.classify import (
     Tolerances,
     _frame_residuals,
     classify_metric,
+    relative_condition,
     rounding_floor,
     sample_states,
 )
@@ -235,22 +236,22 @@ BERWALD_IMPLIED = [
 
 def test_rounding_floor_bounds_berwald_residuals():
     # mkropina_yang is Berwald, so every residual of a predicate Berwald
-    # implies is rounding.  Seeds 40-42 were not used to fit C; an
+    # implies is rounding.  Seeds 40-42 were not used to fit the floor; an
     # infinite rel keeps the ill-conditioned draws the sampler rejects.
-    # Residuals under 1e-8 sit on a kappa-free floor the law leaves out.
     e = get_example("mkropina_yang")
     kappas = []
     for seed in (40, 41, 42):
         plan = SamplePlan(count=20, seed=seed)
         for x, y in sample_states(e.metric, plan, Tolerances(rel=np.inf)).states:
             g = fundamental_tensor(e.metric, (x, y)).components
-            kappas.append(np.linalg.cond(g))
+            kappa = relative_condition(e.metric, x, g)
+            kappas.append(kappa)
             frame = GeometryState(e.metric, e.volume, x, y).frame
             res = _frame_residuals(frame)
             for name in BERWALD_IMPLIED:
                 rel = res[name] / frame.scale
-                assert rel <= max(rounding_floor(g), 1e-8), (name, x, y)
-    assert max(kappas) > 40.0  # the law is tried where it bites
+                assert rel <= rounding_floor(kappa), (name, x, y)
+    assert min(kappas) < 3.0 and max(kappas) > 40.0  # both terms are tried
 
 
 def test_sampler_rejects_ill_conditioned_draws():
@@ -260,11 +261,43 @@ def test_sampler_rejects_ill_conditioned_draws():
     assert batch.rejection_reasons["ill_conditioned"] > 0
     for x, y in batch.states:
         g = fundamental_tensor(e.metric, (x, y)).components
-        assert rounding_floor(g) <= tol.rel
+        assert rounding_floor(relative_condition(e.metric, x, g)) <= tol.rel
     for name in ("randers_osaka", "randers_baoshen", "randers_humo"):
         e = get_example(name)
         batch = sample_states(e.metric, SamplePlan(count=20, seed=3), tol)
         assert "ill_conditioned" not in batch.rejection_reasons, name
+
+
+def test_relative_condition_ignores_linear_coordinates():
+    # g of a Riemannian metric is its a(x), however anisotropic; a Randers
+    # metric keeps its kappa when x2 and y2 are stretched by 5
+    flat = construct_metric("riemannian", 2, a=[["1", "0"], ["0", "25"]])
+    x, y = [0.1, -0.2], [0.6, 0.8]
+    g = fundamental_tensor(flat, (x, y)).components
+    assert np.linalg.cond(g) == pytest.approx(25.0)
+    assert relative_condition(flat, x, g) == pytest.approx(1.0, abs=1e-12)
+    b = ["0.3", "0.2 * x1"]
+    plain = construct_metric("randers", 2, a=[["1", "0"], ["0", "1"]], b=b)
+    stretched = construct_metric(
+        "randers", 2, a=[["1", "0"], ["0", "25"]], b=["0.3", "x1"]
+    )
+    kappas = []
+    for metric, ys in ((plain, y), (stretched, [y[0], y[1] / 5.0])):
+        g = fundamental_tensor(metric, (x, ys)).components
+        kappas.append(relative_condition(metric, x, g))
+    assert kappas[0] > 1.5
+    assert kappas[1] == pytest.approx(kappas[0], rel=1e-10)
+
+
+def test_floor_resolves_a_tight_tolerance():
+    # at rel = 1e-9 the kappa^4 term sets the limit (kappa about 3.6):
+    # the kept mkropina states still resolve every Berwald-implied verdict
+    tol = Tolerances(rel=1e-9, absolute=1e-15)
+    e = get_example("mkropina_yang")
+    report = classify_metric(e.metric, e.volume, SamplePlan(count=10), tol)
+    assert report.rejection_reasons["ill_conditioned"] > 0
+    for name in BERWALD_IMPLIED:
+        assert report.verdict(name) == "holds", name
 
 
 @pytest.mark.parametrize("seed", [3, 99])

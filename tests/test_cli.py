@@ -47,6 +47,30 @@ def test_classify_reports_ill_conditioned_rejections(capsys):
     assert "ill_conditioned %d" % reasons["ill_conditioned"] in out
 
 
+def test_anisotropic_definition_file_is_not_ill_conditioned(tmp_path, capsys):
+    # cond(g) = 25 on every draw of this flat metric; kappa relative to
+    # its a(x) is 1, so neither classify nor verify rejects a draw
+    definition = {
+        "name": "flat25",
+        "dimension": 2,
+        "family": "riemannian",
+        "expressions": {"a": [["1", "0"], ["0", "25"]]},
+    }
+    path = tmp_path / "flat25.json"
+    path.write_text(json.dumps(definition))
+    code, out, _ = run(capsys, "classify", "--file", str(path), "--samples", "4")
+    assert code == 0
+    blob = json.loads(out)
+    assert "ill_conditioned" not in blob["rejection_reasons"]
+    verdicts = {p["name"]: p["verdict"] for p in blob["predicates"]}
+    assert verdicts["riemannian"] == verdicts["berwald"] == "holds"
+    code, _, _ = run(
+        capsys, "verify", "--identity", "master", "--file", str(path),
+        "--samples", "2",
+    )
+    assert code == 0
+
+
 def test_classify_osaka_matches_expectations(capsys):
     code, out, _ = run(
         capsys, "classify", "--metric", "randers_osaka",
