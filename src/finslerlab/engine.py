@@ -24,8 +24,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, RegularityError
-from .scalars import ln, ring_det, ring_inv, value_of
+from .errors import DomainError, EvalError, RegularityError
+from .scalars import ln, ring_inv, value_of
+from .scalars import ring_det  # noqa: F401  (perfbench/spans.py wraps this name)
 from .series import SeriesRing, x_only
 
 # Orientation of the Ricci identity used for the Berwald-curvature
@@ -39,6 +40,18 @@ RICCI_LM_SIGN = -1.0
 
 # ---------------------------------------------------------------------------
 # ring pipeline
+
+
+def _domain_failure(exc):
+    """True for a domain failure, also one a DSL expression re-raised.
+
+    expr.evaluate turns a failing ln/sqrt/pow/division into EvalError
+    with the DomainError (or ZeroDivisionError) as its cause; an unbound
+    parameter is an EvalError with no such cause.
+    """
+    if isinstance(exc, EvalError):
+        exc = exc.__cause__
+    return isinstance(exc, (DomainError, ZeroDivisionError))
 
 
 def fsq_series(metric, xs, ys):
@@ -56,8 +69,8 @@ def metric_series(fsq):
         di = fsq.dy(i)
         for j in range(i, n):
             g[i][j] = g[j][i] = di.dy(j) * 0.5
-    det = ring_det(g)
-    return g, det, ring_inv(g, det)
+    det, ginv = ring_inv(g)
+    return g, det, ginv
 
 
 def spray_series(fsq, ginv, xs, ys):
@@ -179,7 +192,9 @@ class Frame:
 
         try:
             fsq = fsq_series(metric, xs, ys)
-        except (DomainError, ZeroDivisionError) as exc:
+        except (DomainError, ZeroDivisionError, EvalError) as exc:
+            if not _domain_failure(exc):
+                raise
             raise RegularityError(str(exc), x=self.x, y=self.y) from exc
         self.F2 = fsq.value()
         if self.F2 <= 0.0:
@@ -212,7 +227,9 @@ class Frame:
         div = divergence_series(G)
         try:
             lnsig = log_sigma_series(volume, xs)
-        except DomainError as exc:
+        except (DomainError, ZeroDivisionError, EvalError) as exc:
+            if not _domain_failure(exc):
+                raise
             raise RegularityError(str(exc), x=self.x, y=self.y) from exc
         S = div
         if not isinstance(lnsig, float):

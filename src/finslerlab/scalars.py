@@ -97,14 +97,15 @@ def ring_det(a):
     return total
 
 
-def ring_inv(a, det):
-    """Inverse of a square matrix of ring scalars: adjugate times 1/det.
+def ring_inv(a):
+    """Determinant and inverse of a square matrix of ring scalars.
 
-    The caller passes det = ring_det(a), which it usually needs as well.
+    Returns (det, inverse): the inverse is the adjugate times 1/det, and
+    det is the first row of a against the first cofactor row, which
+    adds the terms ring_det(a) adds, in the same order.
     """
     n = len(a)
-    inv_det = 1.0 / det
-    out = [[None] * n for _ in range(n)]
+    cof = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             minor = [
@@ -112,8 +113,12 @@ def ring_inv(a, det):
                 for r in range(n)
                 if r != i
             ]
-            cof = ring_det(minor)
+            cof[i][j] = ring_det(minor)
             if (i + j) % 2:
-                cof = -cof
-            out[j][i] = cof * inv_det
-    return out
+                cof[i][j] = -cof[i][j]
+    det = None
+    for j in range(n):
+        term = a[0][j] * cof[0][j]
+        det = term if det is None else det + term
+    inv_det = 1.0 / det
+    return det, [[cof[i][j] * inv_det for i in range(n)] for j in range(n)]

@@ -20,6 +20,34 @@ trusted slots.
 Coefficient layout and multiplication tables live in a SeriesRing,
 cached per (dimension, caps); products are a gather-multiply plus a
 bincount over a precomputed index table restricted to the output budget.
+The table is sorted by first factor, then by second factor, and bincount
+adds each output coefficient's terms in table order.
+
+Two shortcuts skip work that cannot reach a kept coefficient, and both
+leave every result bit-identical to the plain product:
+
+- Sparse-factor rows.  When a factor has few nonzeros (a y variable has
+  2 of the 1650 coefficients of the (2, 8) ring at n=3, an embedded
+  a(x) or b(x) at most 10), the product gathers only the table rows of
+  those nonzeros, in table order (rows of the second factor come
+  through a cached permutation and are sorted back).  The skipped terms
+  are products with an exact zero, so each one is +-0; bincount starts
+  every sum at +0, adding a +-0 term never changes it, and the kept
+  terms are added in the same order.  A non-finite coefficient in the
+  other factor would turn a skipped term into NaN, so such a product
+  gathers the whole table; so does a batch.
+- Per-step Horner budgets.  ln and exp run a Horner recurrence whose
+  step k enters the result multiplied by a power of a series with zero
+  value part: v^k for ln, u^(k-1) for exp.  With top = bx + by, step k
+  therefore matters only through total degree r = top - k (ln) or
+  top - k + 1 (exp), and runs its product at budget (min(bx, r),
+  min(by, r)), which holds every monomial of that degree.  Each
+  coefficient that reaches the result is summed from the same triples
+  in the same order as at the full budget: its output monomial lies in
+  the smaller budget, so the smaller table lists all of its triples,
+  and every factor coefficient it reads was itself computed at a
+  degree its step kept.  Coefficients a step left out, or computed
+  past its degree, meet only the exact zero value part of v or u.
 
 Work that depends on x alone never needs the y-variables: x_only runs
 such a function (the coefficient fields of a metric, a volume density
@@ -49,6 +77,12 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, TowerBudgetError
+
+# A product gathers only the table rows of its sparser factor's nonzero
+# coefficients when its table holds at least ROW_SKIP_MIN_TRIPLES triples
+# and that factor has at most size // ROW_SKIP_DENSITY nonzeros.
+ROW_SKIP_MIN_TRIPLES = 16384
+ROW_SKIP_DENSITY = 16
 
 
 class SeriesRing:
@@ -100,6 +134,7 @@ class SeriesRing:
 
         self._full_triples = self._build_triples()
         self._mul_cache = {}
+        self._row_cache = {}
         self._partial_cache = {}
         self._mask_cache = {}
         self._embed_cache = {}
@@ -152,6 +187,27 @@ class SeriesRing:
             table = (iout[keep], ia[keep], ib[keep])
             self._mul_cache[key] = table
         return table
+
+    def row_index(self, bx, by):
+        """Row starts of the (bx, by) table, by first and by second factor.
+
+        Returns (starts_a, perm_b, starts_b): the triples with first
+        factor i sit at positions starts_a[i]:starts_a[i + 1]; those with
+        second factor j at perm_b[starts_b[j]:starts_b[j + 1]], ascending.
+        """
+        key = (bx, by)
+        index = self._row_cache.get(key)
+        if index is None:
+            _, ia, ib = self.mul_table(bx, by)
+            bounds = np.arange(self.size + 1)
+            perm_b = np.argsort(ib, kind="stable")
+            index = (
+                np.searchsorted(ia, bounds),
+                perm_b,
+                np.searchsorted(ib[perm_b], bounds),
+            )
+            self._row_cache[key] = index
+        return index
 
     def mask(self, bx, by):
         key = (bx, by)
@@ -242,6 +298,39 @@ def _first_bad(bad, v):
     return "%r (lane %d)" % (float(v[k]), k)
 
 
+def _rows(starts, rows):
+    """Table positions of the given rows, in order, from their row starts."""
+    lo = starts[rows]
+    counts = starts[rows + 1] - lo
+    return np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(
+        counts.sum()
+    )
+
+
+def _skipped_rows(a, b, bx, by):
+    """Table positions of the triples whose sparser factor is nonzero.
+
+    None when the product should gather the whole table: two dense
+    factors, a batch, or a non-finite coefficient in the other factor
+    (whose products with the skipped zeros would be NaN).  Only tables
+    of at least ROW_SKIP_MIN_TRIPLES triples are worth the check.
+    """
+    ring = a.ring
+    if a.c.ndim > 1 or b.c.ndim > 1:
+        return None
+    na, nb = np.count_nonzero(a.c), np.count_nonzero(b.c)
+    if min(na, nb) > ring.size // ROW_SKIP_DENSITY:
+        return None
+    sparse, dense = (a, b) if na <= nb else (b, a)
+    if not np.isfinite(dense.c).all():
+        return None
+    starts_a, perm_b, starts_b = ring.row_index(bx, by)
+    rows = np.flatnonzero(sparse.c)
+    if sparse is a:
+        return _rows(starts_a, rows)
+    return np.sort(perm_b[_rows(starts_b, rows)])
+
+
 @lru_cache(maxsize=None)
 def _newton_steps(total_order):
     steps = 0
@@ -270,6 +359,15 @@ class Series:
         if bx == self.bx and by == self.by:
             return self.c
         return self.c * self.ring.mask(bx, by)
+
+    def _at_degree(self, r, bx, by):
+        """Self masked to the budget (min(bx, r), min(by, r)).
+
+        That budget holds every monomial of (bx, by) up to total degree
+        r, which is all a Horner step of ln or exp must get right.
+        """
+        rx, ry = min(bx, r), min(by, r)
+        return Series(self.ring, self._masked_to(rx, ry), rx, ry)
 
     # -- ring operations ------------------------------------------------
 
@@ -314,9 +412,18 @@ class Series:
             bx, by = min(self.bx, other.bx), min(self.by, other.by)
             iout, ia, ib = self.ring.mul_table(bx, by)
             size = self.ring.size
+            if len(iout) >= ROW_SKIP_MIN_TRIPLES:
+                pos = _skipped_rows(self, other, bx, by)
+                if pos is not None:
+                    iout, ia, ib = iout[pos], ia[pos], ib[pos]
             w = self.c.take(ia, axis=-1) * other.c.take(ib, axis=-1)
             if w.ndim == 1:
-                c = np.bincount(iout, weights=w, minlength=size)
+                # bincount of an empty selection would give int64 zeros
+                c = (
+                    np.bincount(iout, weights=w, minlength=size)
+                    if len(w)
+                    else np.zeros(size)
+                )
             else:
                 # lane k sums into bins size*k.., in the 1-D order
                 lanes = w.shape[0]
@@ -378,14 +485,20 @@ class Series:
 
     def exp(self):
         # exp(a0 + u) = e^a0 * sum u^k/k!; u is nilpotent at the caps
+        # s_k = 1 + (u / k) s_(k+1) enters the result times u^(k-1), so
+        # step k runs at total degree top - k + 1 (see the module notes)
         a0 = self.c[..., 0]
         u = Series(self.ring, self.c.copy(), self.bx, self.by)
         u.c[..., 0] = 0.0
+        top = self.bx + self.by
         s = self.ring.constant(1.0)
-        for k in range(self.bx + self.by, 0, -1):
-            s = 1.0 + (u * (1.0 / k)) * s
-        out = Series(self.ring, s.c * _lanes(math.exp, a0)[..., None], s.bx, s.by)
-        return Series(self.ring, out._masked_to(self.bx, self.by), self.bx, self.by)
+        for k in range(top, 0, -1):
+            r = top - k + 1
+            uk = u._at_degree(r, self.bx, self.by) * (1.0 / k)
+            s = 1.0 + uk * s._at_degree(r, self.bx, self.by)
+        return Series(
+            self.ring, s.c * _lanes(math.exp, a0)[..., None], self.bx, self.by
+        )
 
     def ln(self):
         # ln(a0(1 + v)) = ln a0 + v - v^2/2 + v^3/3 - ...
@@ -395,12 +508,17 @@ class Series:
             raise DomainError(
                 "ln of non-positive value part %s" % _first_bad(bad, a0)
             )
+        # t_k = (-1)^(k+1)/k + v t_(k+1) enters the result times v^k, so
+        # step k runs at total degree top - k (see the module notes)
         v = Series(self.ring, self.c / a0[..., None], self.bx, self.by)
         v.c[..., 0] = 0.0
+        top = self.bx + self.by
         t = self.ring.constant(0.0)
-        for k in range(self.bx + self.by, 0, -1):
-            t = ((-1.0) ** (k + 1)) / k + v * t
-        out = v * t
+        for k in range(top, 0, -1):
+            r = top - k
+            vk = v._at_degree(r, self.bx, self.by)
+            t = ((-1.0) ** (k + 1)) / k + vk * t._at_degree(r, self.bx, self.by)
+        out = v * Series(self.ring, t.c, self.bx, self.by)
         out.c[..., 0] = _lanes(math.log, a0)
         return out
 
@@ -410,19 +528,24 @@ class Series:
             k = int(q)
             if k < 0:
                 return self.powr(-q).reciprocal(self.bx, self.by)
-            out = Series(
-                self.ring,
-                self.ring.constant(1.0)._masked_to(self.bx, self.by),
-                self.bx,
-                self.by,
-            )
+            if k == 0:
+                return Series(
+                    self.ring,
+                    self.ring.constant(1.0)._masked_to(self.bx, self.by),
+                    self.bx,
+                    self.by,
+                )
+            # binary powering that starts from the base, not from 1 * base,
+            # and stops before a squaring whose result is never used
+            out = None
             base = self
-            while k:
+            while True:
                 if k & 1:
-                    out = out * base
-                base = base * base
+                    out = base if out is None else out * base
                 k >>= 1
-            return out
+                if not k:
+                    return out
+                base = base * base
         a0 = self.c[..., 0]
         bad = a0 <= 0.0
         if np.any(bad):

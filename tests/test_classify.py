@@ -173,6 +173,12 @@ def test_errored_state_yields_indeterminate():
         assert issubclass(getattr(errors, err.error), errors.FinslerError)
         assert "ln" in err.message
         assert err.state in states
+    # ln(x1) <= 0 and x1 <= 0 (ln failing inside the DSL) are one cause:
+    # both report a RegularityError that names the state
+    assert len(report.errors) == 5
+    for err in report.errors:
+        assert err.error == "RegularityError"
+        assert "at x=" in err.message
     blob = json.loads(json.dumps(report.as_dict()))
     assert blob["errored_states"] == len(blob["errors"])
     assert blob["errors"][0] == report.errors[0].as_dict()

@@ -230,14 +230,40 @@ def test_constant_dsl_density_matches_constant_volume():
     assert f_dsl.tau == f_const.tau
 
 
+def test_dsl_domain_failure_is_regularity_error():
+    # a DSL F whose own ln fails names the state, as every other domain
+    # failure does (test_classify covers a DSL density); an unbound
+    # parameter stays an EvalError
+    from finslerlab import expr
+    from finslerlab.errors import EvalError
+    from finslerlab.metrics import construct_metric
+    from finslerlab.volume import VolumeForm
+
+    dsl_f = construct_metric("dsl", 2, F="sqrt(y1^2 + y2^2) * exp(ln(x1))")
+    with pytest.raises(RegularityError, match="at offset .* at x="):
+        Frame(dsl_f, None, (-0.5, 0.1), (1.0, 0.0))
+    euclid = get_example("euclidean").metric
+    tree = expr.parse("k * x1 + 2", 3, frozenset({"k"}))
+    unbound = VolumeForm(
+        kind="dsl",
+        label="unbound",
+        sigma=lambda x: expr.evaluate(tree, x, [0.0] * 3, {}),
+    )
+    with pytest.raises(EvalError, match="unbound parameter"):
+        Frame(euclid, unbound, (0.1, 0.0, 0.0), (1.0, 0.0, 0.0))
+
+
 @pytest.mark.parametrize(
     "name, most",
-    [("randers_osaka", 34), ("mkropina_yang", 65), ("riemannian_sphere", 26)],
+    [("randers_osaka", 34), ("mkropina_yang", 35), ("riemannian_sphere", 26),
+     ("minkowski_quartic", 15)],
 )
 def test_full_budget_products_per_frame(monkeypatch, name, most):
     # a(x), b(x) and ln sigma run in the x-only ring; only the work where
     # y enters multiplies at the full (2, 8) budget (osaka made 334 such
-    # products, mkropina 182 and the sphere 118 before)
+    # products, mkropina 182 and the sphere 118 before), and ln/exp run
+    # each Horner step at the degree it needs (mkropina made 65, the
+    # quartic 42 before)
     from finslerlab.series import Series
 
     counted = []

@@ -6,14 +6,15 @@ pipeline uses (rational, sqrt, exp, ln, fractional powers).
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from finslerlab import scalars
+from finslerlab import scalars, series as series_module
 from finslerlab.errors import DomainError, TowerBudgetError
 from finslerlab.jets import mixed_partial
-from finslerlab.series import Series, SeriesRing
+from finslerlab.series import Series, SeriesRing, embed_series
 
 
 def partial_of(series, wrt):
@@ -380,3 +381,163 @@ def test_x_only_keeps_affine_coordinates(monkeypatch):
         want = get_example(name).metric.F(x, ys)
         scale = max(1.0, float(np.abs(want.c).max()))
         assert np.abs(got.c - want.c).max() <= 1e-12 * scale, name
+
+
+# -- work skipped in products: bit-identical to the plain algorithms ----------
+
+
+def _dense_product(a, b):
+    """a * b gathered over the whole table, as every product once was."""
+    bx, by = min(a.bx, b.bx), min(a.by, b.by)
+    iout, ia, ib = a.ring.mul_table(bx, by)
+    w = a.c.take(ia, axis=-1) * b.c.take(ib, axis=-1)
+    return Series(a.ring, np.bincount(iout, weights=w, minlength=a.ring.size), bx, by)
+
+
+def _full_ring_fields():
+    ring = SeriesRing.get(3)
+    xs, ys = ring.state(X3, Y3)
+    f = smooth3(xs, ys)
+    small = SeriesRing.get(3, cap_x=2, cap_y=0)
+    xv = [small.variable_x(i, X3[i]) for i in range(3)]
+    w = 1.0 + 0.3 * xv[0] * xv[0] + 0.1 * xv[0] * xv[1] - 0.2 * xv[2]
+    return ring, ys, f, embed_series(w, ring)
+
+
+def _with_inf(series):
+    c = series.c.copy()
+    c[7] = np.inf
+    return Series(series.ring, c, series.bx, series.by)
+
+
+# name -> (first factor, second factor, whether rows are skipped)
+SKIP_CASES = {
+    "y-variable x dense": lambda ring, ys, f, w: (ys[1], f, True),
+    "embedded x-only x dense": lambda ring, ys, f, w: (w, f, True),
+    "dense x sparse": lambda ring, ys, f, w: (f, ys[2], True),
+    "g budget, dense x sparse": lambda ring, ys, f, w: (f.dy(0).dy(1), w, True),
+    "empty selection": lambda ring, ys, f, w: (
+        Series(ring, np.zeros(ring.size), 2, 8), f, True),
+    "inf in the dense factor": lambda ring, ys, f, w: (ys[1], _with_inf(f), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SKIP_CASES))
+def test_skipped_rows_equal_dense_product(case):
+    ring, ys, f, w = _full_ring_fields()
+    a, b, skips = SKIP_CASES[case](ring, ys, f, w)
+    bx, by = min(a.bx, b.bx), min(a.by, b.by)
+    assert (series_module._skipped_rows(a, b, bx, by) is not None) == skips
+    with np.errstate(invalid="ignore"):  # inf * 0 in the last case
+        got, want = a * b, _dense_product(a, b)
+    assert got.c.dtype == np.float64
+    assert (got.bx, got.by) == (want.bx, want.by)
+    assert np.array_equal(got.c, want.c, equal_nan=True), case
+    if case == "inf in the dense factor":
+        assert np.isnan(want.c).any()
+
+
+def test_row_index_lists_every_triple_once():
+    ring = SeriesRing.get(3)
+    iout, ia, ib = ring.mul_table(2, 6)
+    starts_a, perm_b, starts_b = ring.row_index(2, 6)
+    everything = np.arange(ring.size)
+    assert np.array_equal(series_module._rows(starts_a, everything), np.arange(len(ia)))
+    assert np.array_equal(ia[series_module._rows(starts_a, everything)], np.sort(ia))
+    by_b = perm_b[series_module._rows(starts_b, everything)]
+    assert np.array_equal(np.sort(by_b), np.arange(len(ib)))
+    assert np.all(np.diff(ib[by_b]) >= 0)
+
+
+# Test-local copies of the elementary functions as they ran before the
+# per-step budgets: every Horner step and every power at the full budget.
+
+
+def _lane_map(fn, v):
+    return np.array([fn(t) for t in np.ravel(v).tolist()]).reshape(np.shape(v))
+
+
+def _full_budget_exp(s):
+    ring = s.ring
+    u = Series(ring, s.c.copy(), s.bx, s.by)
+    u.c[..., 0] = 0.0
+    acc = ring.constant(1.0)
+    for k in range(s.bx + s.by, 0, -1):
+        acc = 1.0 + (u * (1.0 / k)) * acc
+    out = Series(ring, acc.c * _lane_map(math.exp, s.c[..., 0])[..., None], acc.bx, acc.by)
+    return Series(ring, out._masked_to(s.bx, s.by), s.bx, s.by)
+
+
+def _full_budget_ln(s):
+    ring = s.ring
+    a0 = s.c[..., 0]
+    v = Series(ring, s.c / a0[..., None], s.bx, s.by)
+    v.c[..., 0] = 0.0
+    t = ring.constant(0.0)
+    for k in range(s.bx + s.by, 0, -1):
+        t = ((-1.0) ** (k + 1)) / k + v * t
+    out = v * t
+    out.c[..., 0] = _lane_map(math.log, a0)
+    return out
+
+
+def _full_budget_powr(s, q):
+    if q != int(q):
+        return _full_budget_exp(_full_budget_ln(s) * q)
+    k = int(q)
+    if k < 0:
+        return _full_budget_powr(s, -q).reciprocal(s.bx, s.by)
+    out = Series(s.ring, s.ring.constant(1.0)._masked_to(s.bx, s.by), s.bx, s.by)
+    base = s
+    while k:
+        if k & 1:
+            out = out * base
+        base = base * base
+        k >>= 1
+    return out
+
+
+def _elementary_input(name):
+    if name == "batched x-only":
+        ring = SeriesRing.get(3, cap_x=2, cap_y=0)
+        xv = [ring.variable_x(i, X3[i]) for i in range(3)]
+        return ring.constant(LANES + 2.0) + 0.4 * xv[0] - 0.3 * xv[1] * xv[2]
+    ring = SeriesRing.get(3)
+    xs, ys = ring.state(X3, Y3)
+    f = smooth3(xs, ys)
+    return f if name == "(2, 8)" else f.dy(0).dy(0) * 0.5  # g_00, budget (2, 6)
+
+
+ELEMENTARY = {
+    "ln": (lambda s: s.ln(), _full_budget_ln),
+    "exp": (lambda s: s.exp(), _full_budget_exp),
+}
+for _q in (0.0, 1.0, 3.0, 4.0, -3.0, 0.25):
+    ELEMENTARY["powr %g" % _q] = (
+        lambda s, q=_q: s.powr(q),
+        lambda s, q=_q: _full_budget_powr(s, q),
+    )
+
+
+@pytest.mark.parametrize("name", ["(2, 8)", "(2, 6)", "batched x-only"])
+@pytest.mark.parametrize("op", sorted(ELEMENTARY))
+def test_elementary_functions_equal_full_budget_algorithms(monkeypatch, name, op):
+    s = _elementary_input(name)
+    fast, full = ELEMENTARY[op]
+    got = fast(s)
+    # the reference gathers whole tables as well
+    monkeypatch.setattr(series_module, "ROW_SKIP_MIN_TRIPLES", math.inf)
+    want = full(s)
+    assert (got.bx, got.by) == (want.bx, want.by) == (s.bx, s.by)
+    assert np.array_equal(got.c, want.c), (name, op)
+
+
+def test_ring_inv_det_equals_ring_det_on_series():
+    ring = SeriesRing.get(3)
+    xs, ys = ring.state(X3, Y3)
+    f = smooth3(xs, ys)
+    g = [[f.dy(i).dy(j) * 0.5 for j in range(3)] for i in range(3)]
+    det, _ = scalars.ring_inv(g)
+    want = scalars.ring_det(g)
+    assert (det.bx, det.by) == (want.bx, want.by)
+    assert np.array_equal(det.c, want.c)
