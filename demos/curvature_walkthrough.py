@@ -2,8 +2,8 @@
 
 The metric lives on the unit ball, has vanishing flag curvature and
 vanishing S-curvature, yet is not of Douglas type; every quantity
-printed below is exact to rounding (jet-tower differentiation, no
-finite differences anywhere).
+printed below is exact to rounding (truncated Taylor series
+differentiation, no finite differences anywhere).
 """
 
 import numpy as np

@@ -1,10 +1,10 @@
 """finslerlab: numerical Finsler geometry at desk scale.
 
 Sprays, curvature tensors, projective invariants, and metric
-classification for user-defined Finsler metrics.  The curvature pipeline
-runs in a truncated Taylor series ring, exact to rounding; forward-mode
-jet towers serve the sampler's fundamental-tensor check and the
-reference routes the tests hold the ring against.
+classification for user-defined Finsler metrics.  Every derivative is
+read from one truncated Taylor series ring, exact to rounding: the
+curvature pipeline, the sampler's fundamental-tensor check and the
+point tensors all evaluate the metric once per state in it.
 """
 
 __version__ = "0.1.0"

@@ -5,8 +5,8 @@ read from the one engine Frame a GeometryState builds on first use.
 The heavy lifting (deep mixed partials of the spray) happens in the
 series engine; this module exposes the named tensors with explicit
 variance bookkeeping, plus a generic horizontal covariant derivative
-for jet-evaluable fields, which serves as the independent route in
-cross-checks.
+of any ring-generic field, which evaluates the field once in the (1, 1)
+series ring and serves as the independent route in cross-checks.
 """
 
 from functools import cached_property
@@ -15,8 +15,8 @@ import numpy as np
 
 from .engine import Frame
 from .errors import RegularityError
-from .jets import JetScalar, seed_direction
 from .metrics import TensorValue
+from .series import Series, SeriesRing
 
 _ROUTE_TOL = 1e-6
 
@@ -182,43 +182,16 @@ def residual_scale(state):
 
 
 # ---------------------------------------------------------------------------
-# generic horizontal covariant derivative (jet route)
-
-
-def _val(v):
-    return v.value() if isinstance(v, JetScalar) else float(v)
-
-
-def _tan(v):
-    if isinstance(v, JetScalar):
-        t = v.tangent
-        return t.value() if isinstance(t, JetScalar) else float(t)
-    return 0.0
-
-
-def _eval_grid(field, xs, ys, shape):
-    out_val = np.empty(shape if shape else (1,))
-    out_tan = np.empty_like(out_val)
-    res = field(xs, ys)
-    if not shape:
-        out_val[0] = _val(res)
-        out_tan[0] = _tan(res)
-        return out_val.reshape(()), out_tan.reshape(())
-    arr = np.empty(shape, dtype=object)
-    arr[...] = np.asarray(res, dtype=object)
-    for idx in np.ndindex(*shape):
-        v = arr[idx]
-        out_val[idx] = _val(v)
-        out_tan[idx] = _tan(v)
-    return out_val, out_tan
+# generic horizontal covariant derivative
 
 
 def horizontal_derivative(field, state, variance=()):
-    """Horizontal covariant derivative of a jet-evaluable field.
+    """Horizontal covariant derivative of a ring-generic field.
 
-    field(x, y) must accept coordinates from the jet ring and return
+    field(x, y) must accept coordinates from the series ring and return
     components shaped like its variance signature (a bare scalar for
-    variance=()).  The result appends one lower slot:
+    variance=()).  It is evaluated once, in SeriesRing.get(n, 1, 1).
+    The result appends one lower slot:
 
         T_{|m} = dT/dx^m - N^r_m dT/dy^r
                  + Gamma^i_rm T(r in upper slot i)
@@ -226,38 +199,33 @@ def horizontal_derivative(field, state, variance=()):
     """
     f = state.frame
     n = f.n
-    x, y = list(state.x), list(state.y)
-    probe = field(x, y)
-    shape = np.asarray(probe, dtype=float).shape
+    xs, ys = SeriesRing.get(n, 1, 1).state(state.x, state.y)
+    comps = np.asarray(field(xs, ys), dtype=object)
+    shape = comps.shape
     if len(shape) != len(variance):
         raise ValueError(
             "variance %r does not match field rank %d" % (variance, len(shape))
         )
-    base = np.asarray(probe, dtype=float)
+    base = np.empty(shape)
+    dx = np.zeros(shape + (n,))
+    dy = np.zeros(shape + (n,))
+    for idx in np.ndindex(*shape):
+        v = comps[idx]
+        if isinstance(v, Series):
+            base[idx] = v.value()
+            dx[idx] = v.partials(1, 0)
+            dy[idx] = v.partials(0, 1)
+        else:  # a component that is constant on the state's neighbourhood
+            base[idx] = float(v)
 
-    dx = []
-    dy = []
-    for m in range(n):
-        xs = seed_direction(x, m, 0)
-        ys = seed_direction(y, None, 0)
-        dx.append(_eval_grid(field, xs, ys, shape)[1])
-        xs2 = seed_direction(x, None, 0)
-        ys2 = seed_direction(y, m, 0)
-        dy.append(_eval_grid(field, xs2, ys2, shape)[1])
-
-    out = np.empty(shape + (n,))
-    for m in range(n):
-        term = np.array(dx[m])
-        for r in range(n):
-            term = term - f.N[r, m] * dy[r]
-        for slot, kind in enumerate(variance):
-            moved = np.moveaxis(base, slot, 0)
-            if kind == "upper":
-                corr = np.einsum("ir,r...->i...", f.Gamma[:, :, m], moved)
-            else:
-                corr = -np.einsum("ri,r...->i...", f.Gamma[:, :, m], moved)
-            term = term + np.moveaxis(corr, 0, slot)
-        out[..., m] = term
+    out = dx - np.einsum("...r,rm->...m", dy, f.N)
+    for slot, kind in enumerate(variance):
+        moved = np.moveaxis(base, slot, 0)
+        if kind == "upper":
+            corr = np.einsum("irm,r...->i...m", f.Gamma, moved)
+        else:
+            corr = -np.einsum("rim,r...->i...m", f.Gamma, moved)
+        out = out + np.moveaxis(corr, 0, slot)
     return TensorValue(
         components=out,
         variance=tuple(variance) + ("lower",),

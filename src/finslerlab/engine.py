@@ -10,9 +10,9 @@ routes (modified_spray, lemma21_residual) extend by P y; it is the only
 code that evaluates F^2 -> g -> G.  Work that depends on x alone (the
 coefficient fields of F, the volume density and ln sigma) runs in the
 x-only ring and enters the (2, 8) ring by one embedding, so the full
-budget is spent only where y enters.  The nested dual towers in jets
-compute the same partials one seeding at a time; tests hold the two
-routes against each other.
+budget is spent only where y enters.  The point tensors of the metrics
+module read g and C from small rings of the same series module; the
+test suite holds both against an independent jet-tower oracle.
 
 Index layout mirrors the written order of the symbols: B[j,i,k,l] holds
 B_j^i_{kl}, horizontal derivatives append the new lower slot last

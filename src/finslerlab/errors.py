@@ -16,8 +16,8 @@ class DomainError(FinslerError, ValueError):
 
 
 class TowerBudgetError(FinslerError):
-    """A computation asked for more nested derivative levels than the
-    tower cap allows."""
+    """A computation asked for more derivatives than a series carries:
+    Series.partials, dx or dy beyond the series' (bx, by) budget."""
 
 
 class RegularityError(FinslerError):

@@ -16,8 +16,8 @@ two numbers, folded at parse time); general expr^expr has ambiguous
 branch cuts and is rejected.  Unary minus binds tighter than "*" but
 looser than "^", so -x1^2 means -(x1^2).
 
-Evaluation is scalar-ring-generic: the same tree runs over floats, jet
-towers, or truncated series, with identical control flow.
+Evaluation is scalar-ring-generic: the same tree runs over floats or
+truncated series, with identical control flow.
 """
 
 import re
@@ -231,7 +231,7 @@ def _position_of(node):
 def evaluate(expr, x, y, parameters=None):
     """Evaluate a parsed tree at vectors x, y over any scalar ring.
 
-    The ring is whatever the entries of x and y are (floats, jets,
+    The ring is whatever the entries of x and y are (floats or
     series); literals and parameter values are plain floats coerced by
     the ring's arithmetic.  Domain failures (ln/sqrt/division) surface
     as EvalError carrying the source position of the failing node.

@@ -8,9 +8,10 @@ a(x), b(x) through
 series.x_only: they depend on x alone, so in a curvature Frame they run
 in the x-only ring and enter the full ring by one embedding.  The
 pointwise operations here (fundamental tensor, its inverse, Cartan
-torsion) differentiate F^2 through jet towers; the deeper curvature
-pipeline lives in the engine module and re-derives these quantities
-independently, which the tests exploit as a cross-check.
+torsion) read the y-partials of F^2 from one evaluation in a small
+series ring, SeriesRing.get(n, 0, k) with x kept as floats; the
+curvature pipeline in the engine module reads the same partials from
+its (2, 8) ring.
 """
 
 from dataclasses import dataclass, field
@@ -20,9 +21,8 @@ import numpy as np
 
 from . import expr as dsl
 from .errors import ConfigError, FinslerError, RegularityError
-from .jets import mixed_partial
 from .scalars import powr, sqrt, value_of
-from .series import x_only
+from .series import Series, SeriesRing, x_only
 
 
 @dataclass(frozen=True)
@@ -366,17 +366,26 @@ def is_admissible(metric, x, y):
         return False
 
 
+def _fsq_partials(metric, state, order):
+    """Every order-th y-partial of F^2 at a state, indexed [r_1..r_order].
+
+    One evaluation in the series ring SeriesRing.get(n, 0, order), with
+    x kept as floats.
+    """
+    x, y = state
+    n = metric.dimension
+    ring = SeriesRing.get(n, 0, order)
+    ys = [ring.variable_y(i, v) for i, v in enumerate(y)]
+    fsq = f_squared(metric)([float(v) for v in x], ys)
+    if not isinstance(fsq, Series):  # F^2 does not depend on y
+        return np.zeros((n,) * order)
+    return fsq.partials(0, order)
+
+
 def fundamental_tensor(metric, state):
     """g_ij = half the y-Hessian of F^2 (lower-lower), checked definite."""
     x, y = state
-    n = metric.dimension
-    f2 = f_squared(metric)
-    g = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            g[i, j] = g[j, i] = 0.5 * mixed_partial(
-                f2, x, y, [("y", i), ("y", j)]
-            )
+    g = 0.5 * _fsq_partials(metric, state, 2)
     if np.linalg.eigvalsh(g)[0] <= 0.0:
         raise RegularityError(
             "fundamental tensor is not positive definite", x=x, y=y
@@ -394,17 +403,7 @@ def inverse_fundamental(metric, state):
 def cartan_torsion(metric, state):
     """C_ijk = quarter of the third y-derivative of F^2 (lower^3)."""
     x, y = state
-    n = metric.dimension
-    f2 = f_squared(metric)
-    C = np.empty((n, n, n))
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                v = 0.25 * mixed_partial(
-                    f2, x, y, [("y", i), ("y", j), ("y", k)]
-                )
-                for p in ((i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)):
-                    C[p] = v
+    C = 0.25 * _fsq_partials(metric, state, 3)
     return TensorValue(C, ("lower", "lower", "lower"), (tuple(x), tuple(y)))
 
 

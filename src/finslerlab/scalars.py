@@ -1,9 +1,9 @@
 """Ring-generic scalar helpers.
 
-Geometry code is written against an abstract scalar ring: plain floats,
-jet towers (jets module) or truncated series (series module).  The free
-functions here dispatch on the argument type so the same source text
-evaluates in every ring with identical control flow.
+Geometry code is written against an abstract scalar ring: plain floats
+or truncated series (series module), or any other type with the same
+methods.  The free functions here dispatch on the argument type so the
+same source text evaluates in every ring with identical control flow.
 """
 
 import math
@@ -13,7 +13,7 @@ from .errors import DomainError
 
 
 def value_of(v):
-    """Level-0 float value of a ring scalar."""
+    """Float value part of a ring scalar."""
     if isinstance(v, numbers.Real):
         return float(v)
     return v.value()
@@ -48,8 +48,8 @@ def powr(v, q):
 
     Integer exponents use binary powering (valid for any sign of v);
     everything else goes through exp(q*ln v) and needs v > 0.  The float
-    branch mirrors the jet/series branch operation-for-operation so
-    value parts stay bit-identical across rings.
+    branch mirrors the series branch operation-for-operation so value
+    parts stay bit-identical across rings.
     """
     q = float(q)
     if not isinstance(v, numbers.Real):

@@ -2,11 +2,13 @@
 
 A Series represents f(x + xi, y + eta) expanded in the shift variables
 xi_1..xi_n (total degree <= cap_x) and eta_1..eta_n (total degree <=
-cap_y).  Retained coefficients are exact up to rounding, exactly like
-the jet towers; truncation only removes orders nobody asked for.  One
-evaluation of a metric through this ring therefore yields every mixed
-partial the curvature pipeline needs, where the towers would need one
-re-evaluation per seeding.  Series.partials(nx, ny) reads all of them of
+cap_y).  Retained coefficients are exact up to rounding; truncation
+only removes orders nobody asked for.  One evaluation of a metric
+through this ring therefore yields every mixed partial up to the caps,
+where nested forward mode would need one re-evaluation per seeding.
+It is the package's only differentiation engine: the curvature Frame
+uses the (2, 8) ring, the point tensors the (0, 2) and (0, 3) rings,
+and the generic horizontal derivative the (1, 1) ring.  Series.partials(nx, ny) reads all of them of
 one order at once: each is a single coefficient times its factorial
 weight, gathered through a table the ring caches per order.
 
@@ -628,8 +630,8 @@ def x_only(fn, x):
     coefficients (so an affine x = A xs + c keeps its shape), fn runs in
     SeriesRing.get(n, cap_x, 0), and every Series leaf of its result,
     nested lists allowed, is embedded back into the full ring; float
-    leaves pass through.  Floats, jets, x-only Series and an x that
-    depends on y go to fn unchanged.
+    leaves pass through.  Floats, x-only Series, any other ring's
+    scalars and an x that depends on y go to fn unchanged.
     """
     if not all(isinstance(v, Series) and v.ring.cap_y for v in x):
         return fn(x)

@@ -19,8 +19,8 @@ import math
 import numbers
 from functools import lru_cache
 
-from .errors import DomainError, TowerBudgetError
-from .scalars import value_of
+from finslerlab.errors import DomainError, TowerBudgetError
+from finslerlab.scalars import value_of
 
 MAX_LEVELS = 8
 

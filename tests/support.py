@@ -1,12 +1,34 @@
 """Shared numerical oracles for the test suite.
 
-Finite differences are the independent check on the jet tower.  Naive
+The jet towers (jet_oracle) are the independent check on the series
+ring, and finite differences the independent check on the towers.  Naive
 central differences with a tiny step drown high-order partials in
 rounding noise (step 1e-4 at order 4 leaves ~1e-1 absolute noise in
 float64), so the oracle uses balanced steps plus Richardson
 extrapolation: truncation O(h^6) with two extrapolation levels while the
 smallest step stays large enough to keep rounding in check.
 """
+
+import itertools
+
+import numpy as np
+
+from finslerlab.metrics import f_squared
+
+from jet_oracle import mixed_partial
+
+
+def oracle_fsq_partials(metric, x, y, order):
+    """Every order-th y-partial of F^2, one jet-oracle mixed_partial per
+    sorted slot tuple, copied to its permutations."""
+    n = metric.dimension
+    f2 = f_squared(metric)
+    out = np.empty((n,) * order)
+    for slots in itertools.combinations_with_replacement(range(n), order):
+        v = mixed_partial(f2, x, y, [("y", r) for r in slots])
+        for p in itertools.permutations(slots):
+            out[p] = v
+    return out
 
 
 def nested_central(f, x, y, wrt, h):

@@ -23,10 +23,10 @@ from finslerlab.curvature import (
     douglas_from_mean_berwald,
     douglas_tensor,
 )
-from finslerlab.jets import mixed_partial
 from finslerlab.metrics import f_squared
 from finslerlab.volume import bh_randers_closed, bh_sigma_quadrature
 
+from jet_oracle import mixed_partial
 from support import fd_partial, rel_error
 
 PLAN = SamplePlan()  # 20 states, seed 20250405, radius 0.4, unit_F

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from finslerlab import classify as classify_module
 from finslerlab import errors
 from finslerlab.catalog import get_example, list_examples
 from finslerlab.classify import (
@@ -20,9 +21,16 @@ from finslerlab.classify import (
 )
 from finslerlab.curvature import GeometryState
 from finslerlab.errors import ConfigError, SamplingError
-from finslerlab.metrics import construct_metric, fundamental_tensor
+from finslerlab.metrics import (
+    TensorValue,
+    cartan_torsion,
+    construct_metric,
+    fundamental_tensor,
+)
 from finslerlab.scalars import value_of
 from finslerlab.volume import VolumeForm, bh_quadrature_volume, dsl_volume
+
+from support import oracle_fsq_partials
 
 
 def test_plan_defaults():
@@ -318,3 +326,43 @@ def test_mkropina_verdicts_at_ill_conditioned_seeds(seed):
     assert report.hierarchy_violations == ()
     assert report.rejection_reasons["ill_conditioned"] > 0
     assert sum(report.rejection_reasons.values()) == report.rejections
+
+
+def _oracle_fundamental_tensor(metric, state):
+    """The sampler's g check, with g from the jet oracle."""
+    x, y = state
+    g = 0.5 * oracle_fsq_partials(metric, x, y, 2)
+    if np.linalg.eigvalsh(g)[0] <= 0.0:
+        raise errors.RegularityError(
+            "fundamental tensor is not positive definite", x=x, y=y
+        )
+    return TensorValue(g, ("lower", "lower"), (tuple(x), tuple(y)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sampler_gate_matches_jet_oracle(monkeypatch, seed):
+    # the ring g keeps and rejects exactly the draws the oracle's g does,
+    # with the same tallies per reason
+    plan = SamplePlan(seed=seed)
+    names = list_examples()
+    ring = {name: sample_states(get_example(name).metric, plan) for name in names}
+    monkeypatch.setattr(
+        classify_module, "fundamental_tensor", _oracle_fundamental_tensor
+    )
+    for name in names:
+        assert sample_states(get_example(name).metric, plan) == ring[name], name
+
+
+def test_point_tensors_match_jet_oracle():
+    for name in list_examples():
+        metric = get_example(name).metric
+        for x, y in sample_states(metric, SamplePlan(count=3, seed=0)).states:
+            pairs = (
+                (fundamental_tensor(metric, (x, y)).components,
+                 0.5 * oracle_fsq_partials(metric, x, y, 2)),
+                (cartan_torsion(metric, (x, y)).components,
+                 0.25 * oracle_fsq_partials(metric, x, y, 3)),
+            )
+            for got, want in pairs:
+                scale = max(1.0, np.abs(want).max())
+                assert np.abs(got - want).max() <= 1e-13 * scale, (name, x, y)

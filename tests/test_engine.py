@@ -5,11 +5,17 @@ are known in closed form (K=0, K=1, B=0, ...), so a machine-precision
 residual on each is a strong whole-pipeline check.
 """
 
+import ast
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import finslerlab
 from finslerlab.catalog import get_example
 from finslerlab.classify import SamplePlan, sample_states
 from finslerlab.engine import (
@@ -18,18 +24,15 @@ from finslerlab.engine import (
     lemma21_residual,
 )
 from finslerlab.errors import RegularityError
-from finslerlab.metrics import (
-    alpha_beta_metric,
-    cartan_torsion,
-    construct_metric,
-    fundamental_tensor,
-)
+from finslerlab.metrics import alpha_beta_metric, construct_metric
 from finslerlab.volume import (
     bh_quadrature_volume,
     bh_randers_volume,
     constant_volume,
     dsl_volume,
 )
+
+from support import oracle_fsq_partials
 
 STATE = ((0.11, -0.07, 0.13), (0.6, -0.3, 0.74))
 
@@ -207,10 +210,46 @@ def test_engine_matches_jet_oracle():
          ((0.2, -0.1, 0.3), (0.6, -0.5, 0.4))),
     ):
         f = Frame(metric, constant_volume(1.0), *state)
-        g_jet = fundamental_tensor(metric, state).components
-        c_jet = cartan_torsion(metric, state).components
+        g_jet = 0.5 * oracle_fsq_partials(metric, *state, 2)
+        c_jet = 0.25 * oracle_fsq_partials(metric, *state, 3)
         assert np.abs(f.g - g_jet).max() <= 1e-12
         assert np.abs(f.C - c_jet).max() <= 1e-12
+
+
+def _names_jets(module):
+    return module is not None and any(
+        part in ("jets", "jet_oracle") for part in module.split(".")
+    )
+
+
+def test_src_has_one_differentiation_engine():
+    # the jet towers are the suite's oracle only: no package module
+    # defines them or imports them, and classifying loads none of them
+    src = pathlib.Path(finslerlab.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                assert node.name != "JetScalar", path.name
+            elif isinstance(node, ast.Import):
+                assert not any(_names_jets(a.name) for a in node.names), path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert not _names_jets(node.module), path.name
+                assert not any(_names_jets(a.name) for a in node.names), path.name
+    probe = (
+        "import sys, finslerlab\n"
+        "from finslerlab.catalog import get_example\n"
+        "e = get_example('euclidean')\n"
+        "finslerlab.classify_metric(e.metric, e.volume, finslerlab.SamplePlan(count=2))\n"
+        "print([m for m in sys.modules if 'jet' in m.rsplit('.', 1)[-1]])\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=str(src.parent)),
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_closed_and_quadrature_volumes_give_same_s():

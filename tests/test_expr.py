@@ -16,7 +16,8 @@ from finslerlab.expr import (
     parse,
     pretty,
 )
-from finslerlab.jets import mixed_partial
+
+from jet_oracle import mixed_partial
 
 
 def test_sum_of_squares():
@@ -178,7 +179,7 @@ def test_float_and_jet_values_bit_identical(a, b):
     plain = evaluate(tree, [a], [b])
     f = lambda x, y: evaluate(tree, x, y)
     # evaluate through a level-2 tower and compare value parts
-    from finslerlab.jets import seed_direction
+    from jet_oracle import seed_direction
 
     xj = seed_direction([a], 0, 0)
     yj = seed_direction([b], None, 0)

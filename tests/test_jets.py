@@ -1,4 +1,5 @@
-"""Jet tower: arithmetic exactness, seeding, mixed partials, ring inverse."""
+"""Jet towers of the test oracle: arithmetic exactness, seeding, mixed
+partials, ring inverse."""
 
 import math
 
@@ -8,14 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finslerlab.errors import DomainError, TowerBudgetError
-from finslerlab.jets import (
+from finslerlab.scalars import ring_det, ring_inv
+
+from jet_oracle import (
     MAX_LEVELS,
     JetScalar,
     lift,
     mixed_partial,
     seed_direction,
 )
-from finslerlab.scalars import ring_det, ring_inv
 from support import fd_partial
 
 

@@ -1,0 +1,104 @@
+"""Identities that hold for every Finsler metric, over random metrics.
+
+Each drawn metric is a 3-D Randers metric with x-dependent a(x) and
+b(x); each drawn state must be regular, with a relative condition
+number kappa <= 10 (classify.relative_condition), so that rounding stays
+far below the bounds.  The identities do not depend on how the
+derivatives are computed:
+
+    g_ij y^i y^j = F^2,  C_ijk totally symmetric,  C_ijk y^k = 0,
+    F_{|m} = 0 (the horizontal derivative of F vanishes).
+"""
+
+import itertools
+
+import numpy as np
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from finslerlab.classify import relative_condition
+from finslerlab.curvature import GeometryState, horizontal_derivative
+from finslerlab.errors import RegularityError
+from finslerlab.metrics import (
+    alpha_beta_metric,
+    cartan_torsion,
+    fundamental_tensor,
+    randers_b_norm_sq,
+)
+from finslerlab.scalars import value_of
+from finslerlab.volume import constant_volume
+
+N = 3
+KAPPA_MAX = 10.0
+
+coefficient = st.floats(-0.5, 0.5, allow_nan=False, allow_infinity=False)
+
+
+def coefficients(count):
+    return st.lists(coefficient, min_size=count, max_size=count)
+
+
+def random_randers(lower, slopes, b0, b_slopes):
+    """F = alpha + beta with a(x) = L L^T + (s . x) S and b(x) = b0 + B x.
+
+    L is lower triangular with unit diagonal, S a fixed symmetric matrix
+    scaled by the slopes s, and B a 3x3 matrix of slopes.
+    """
+    L = np.eye(N)
+    L[np.tril_indices(N, -1)] = lower
+    base = (L @ L.T).tolist()
+    bend = [[0.4, 0.1, 0.0], [0.1, -0.3, 0.2], [0.0, 0.2, 0.5]]
+    B = np.reshape(b_slopes, (N, N)).tolist()
+
+    def a_fn(x):
+        t = slopes[0] * x[0] + slopes[1] * x[1] + slopes[2] * x[2]
+        return [[base[i][j] + bend[i][j] * t for j in range(N)] for i in range(N)]
+
+    def b_fn(x):
+        return [
+            b0[i] + B[i][0] * x[0] + B[i][1] * x[1] + B[i][2] * x[2]
+            for i in range(N)
+        ]
+
+    return alpha_beta_metric("random_randers", N, a_fn, b_fn)
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(
+    lower=coefficients(3),
+    slopes=coefficients(3),
+    b0=coefficients(3),
+    b_slopes=coefficients(9),
+    x=st.lists(st.floats(-0.3, 0.3), min_size=N, max_size=N),
+    y=st.lists(st.floats(-1.0, 1.0), min_size=N, max_size=N),
+)
+def test_randers_identities(lower, slopes, b0, b_slopes, x, y):
+    assume(np.linalg.norm(y) > 0.1)
+    metric = random_randers(lower, slopes, b0, b_slopes)
+    assume(randers_b_norm_sq(metric, x) < 1.0)
+    F = value_of(metric.F(x, y))
+    assume(F > 0.0)
+    try:
+        g = fundamental_tensor(metric, (x, y)).components
+    except RegularityError:
+        assume(False)
+    kappa = relative_condition(metric, x, g)
+    assume(kappa <= KAPPA_MAX)
+
+    yv = np.array(y)
+    assert abs(yv @ g @ yv - F * F) <= 1e-12 * F * F
+
+    C = cartan_torsion(metric, (x, y)).components
+    scale = max(1.0, np.abs(g).max())
+    for p in itertools.permutations(range(3)):
+        assert np.abs(C - C.transpose(p)).max() <= 1e-14 * scale
+    assert np.abs(C @ yv).max() <= 1e-12 * scale
+
+    state = GeometryState(metric, constant_volume(1.0), x, y)
+    Fh = horizontal_derivative(metric.F, state).components
+    assert np.abs(Fh).max() <= 1e-10 * F

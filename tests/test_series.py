@@ -1,4 +1,5 @@
-"""Truncated series ring, cross-checked against the jet towers.
+"""Truncated series ring, cross-checked against the jet towers of the
+test oracle (jet_oracle).
 
 The towers are the reference semantics; the series ring must reproduce
 their partials to rounding accuracy on every composition the geometry
@@ -13,8 +14,9 @@ import pytest
 
 from finslerlab import scalars, series as series_module
 from finslerlab.errors import DomainError, TowerBudgetError
-from finslerlab.jets import mixed_partial
 from finslerlab.series import Series, SeriesRing, embed_series
+
+from jet_oracle import mixed_partial
 
 
 def partial_of(series, wrt):
@@ -336,7 +338,7 @@ def test_x_only_matches_full_ring(name):
 
 
 def test_x_only_passes_other_inputs_through():
-    from finslerlab.jets import seed_direction
+    from jet_oracle import seed_direction
     from finslerlab.series import x_only
 
     seen = []

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from finslerlab.errors import ConfigError, DomainError
-from finslerlab.jets import seed_direction
 from finslerlab.metrics import alpha_beta_metric, construct_metric, riemannian_metric
 from finslerlab.series import SeriesRing
 from finslerlab.volume import (
@@ -18,6 +17,7 @@ from finslerlab.volume import (
     unit_ball_volume,
 )
 
+from jet_oracle import seed_direction
 from support import fd_partial
 
 
