@@ -13,7 +13,7 @@ import math
 
 from .classify import PREDICATES
 from .errors import CatalogError, ConfigError
-from .metrics import alpha_beta_metric, construct_metric
+from .metrics import alpha_beta_metric, check_dimension, construct_metric
 from .volume import (
     bh_randers_volume,
     constant_volume,
@@ -58,10 +58,7 @@ def _resolve(name, defaults, overrides):
 
 
 def _dim(params):
-    n = params["n"]
-    if n != int(n) or int(n) < 2:
-        raise ConfigError("dimension must be an integer >= 2, got %r" % (n,))
-    return int(n)
+    return check_dimension(params["n"])
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,21 @@ budget is spent only where y enters.  The point tensors of the metrics
 module read g and C from small rings of the same series module; the
 test suite holds both against an independent jet-tower oracle.
 
+Each stage runs at the budget its readers need (bx x-orders, by
+y-orders).  Series operations are budget-invariant (series module
+notes), so this cuts work and leaves every array bit-identical:
+
+- F^2 at the full (2, 8);
+- g at (2, 6), two y-derivatives of F^2, for g and C;
+- g^-1 and det g at (1, 6): the spray and tau read them only through
+  one x-derivative of F^2 (ring_inv runs on g truncated to that);
+- the spray G, and the projective spray, at (1, 6) and (1, 5);
+- Riemann at (0, 3): the Frame reads R^i_k and its fiber partials up to
+  order 3, and never an x-derivative (lemma21_residual reads only the
+  value, at (0, 0));
+- the Berwald and Douglas cubes read the (0, 3), (1, 3) and (0, 4)
+  partials of the sprays and Douglas cores, and need no product.
+
 Index layout mirrors the written order of the symbols: B[j,i,k,l] holds
 B_j^i_{kl}, horizontal derivatives append the new lower slot last
 (D_h[j,i,k,l,m] is D_j^i_{kl|m}), curvature pairs are R[i,k].
@@ -57,19 +72,27 @@ def _domain_failure(exc):
 def fsq_series(metric, xs, ys):
     F = metric.F(xs, ys)
     if value_of(F) <= 0.0:
-        raise RegularityError("F <= 0", x=None, y=None)
+        raise DomainError("F <= 0")
     return F * F
 
 
 def metric_series(fsq):
-    """g_ij, its ring determinant and its ring inverse from the F^2 series."""
+    """g_ij, its ring determinant and its ring inverse from the F^2 series.
+
+    g keeps the budget (bx, by - 2) of two y-derivatives of F^2.  The
+    determinant and the inverse are read only by the spray and tau,
+    through one x-derivative of F^2, so ring_inv runs on g truncated to
+    (bx - 1, by - 2).
+    """
     n = fsq.ring.n
     g = [[None] * n for _ in range(n)]
     for i in range(n):
         di = fsq.dy(i)
         for j in range(i, n):
             g[i][j] = g[j][i] = di.dy(j) * 0.5
-    det, ginv = ring_inv(g)
+    det, ginv = ring_inv(
+        [[gij.truncated(fsq.bx - 1, fsq.by - 2) for gij in row] for row in g]
+    )
     return g, det, ginv
 
 
@@ -92,24 +115,31 @@ def spray_series(fsq, ginv, xs, ys):
     return G
 
 
-def riemann_series(G, xs, ys):
-    """R^i_k of a spray, as ring elements.
+def riemann_series(G, xs, ys, by):
+    """R^i_k of a spray, as ring elements of budget at most (0, by).
 
     R^i_k = 2 dG^i/dx^k - y^m d2G^i/dx^m dy^k + 2 G^m d2G^i/dy^m dy^k
             - dG^i/dy^m dG^m/dy^k.
+
+    by is the highest y-order any reader takes; no reader takes an
+    x-derivative of R.  One factor of each product is truncated to
+    (0, by), so every product runs at that budget and gives the
+    coefficients there exactly as a larger budget would.
     """
     n = len(G)
     Gdx = [[G[i].dx(m) for m in range(n)] for i in range(n)]
     Gdy = [[G[i].dy(m) for m in range(n)] for i in range(n)]
+    y_low = [v.truncated(0, by) for v in ys]
+    G2_low = [(g * 2.0).truncated(0, by) for g in G]
+    Gdy_low = [[d.truncated(0, by) for d in row] for row in Gdy]
     R = [[None] * n for _ in range(n)]
     for i in range(n):
-        dyk = [Gdy[i][m] for m in range(n)]
         for k in range(n):
             acc = Gdx[i][k] * 2.0
             for m in range(n):
-                acc = acc - Gdx[i][m].dy(k) * ys[m]
-                acc = acc + dyk[m].dy(k) * (G[m] * 2.0)
-                acc = acc - dyk[m] * Gdy[m][k]
+                acc = acc - Gdx[i][m].dy(k) * y_low[m]
+                acc = acc + Gdy[i][m].dy(k) * G2_low[m]
+                acc = acc - Gdy[i][m] * Gdy_low[m][k]
             R[i][k] = acc
     return R
 
@@ -162,7 +192,7 @@ def _spray_arrays(G, xs, ys):
     Riemann curvature R^i_k with its first three fiber partials.
     """
     n = len(G)
-    R = riemann_series(G, xs, ys)
+    R = riemann_series(G, xs, ys, 3)
     return (
         np.array([G[i].c[0] for i in range(n)]),
         np.array([G[i].partials(0, 1) for i in range(n)]),
@@ -463,7 +493,7 @@ def lemma21_residual(frame, p_func):
     xs, ys, G = frame.ring_spray
     Ghat, P = modified_spray(frame, p_func)
 
-    Rhat = riemann_series(Ghat, xs, ys)
+    Rhat = riemann_series(Ghat, xs, ys, 0)
     Rhat_val = np.array([[Rhat[i][k].c[0] for k in range(n)] for i in range(n)])
 
     P_val = P.c[0]

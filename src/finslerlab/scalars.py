@@ -77,24 +77,41 @@ def _ipow(v, k):
     return out
 
 
-def ring_det(a):
-    """Determinant of a square matrix of ring scalars (a list of rows).
+def _laplace(a):
+    """det(rows, cols) of the square submatrices of a, each computed once.
 
-    Laplace expansion along the first row: branch-free, so it
-    differentiates cleanly in any ring.  The empty matrix has
-    determinant 1, the cofactor of a 1x1 inverse.
+    rows and cols are ascending index tuples of equal length.  Every
+    determinant expands along its first row, with alternating signs, as
+    a plain recursive Laplace expansion would: branch-free, so it
+    differentiates cleanly in any ring.  The memo shares the minors that
+    the cofactors of one matrix have in common (at n=4, 18 distinct 2x2
+    minors instead of 48).  The empty minor is 1, the cofactor of a 1x1
+    inverse.
     """
-    n = len(a)
-    if n == 0:
-        return 1.0
-    total = None
-    for j in range(n):
-        minor = [[row[c] for c in range(n) if c != j] for row in a[1:]]
-        term = a[0][j] * ring_det(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
+    memo = {}
+
+    def det(rows, cols):
+        if not rows:
+            return 1.0
+        key = (rows, cols)
+        if key not in memo:
+            total = None
+            for k, c in enumerate(cols):
+                term = a[rows[0]][c] * det(rows[1:], cols[:k] + cols[k + 1:])
+                if k % 2:
+                    term = -term
+                total = term if total is None else total + term
+            memo[key] = total
+        return memo[key]
+
+    return det
+
+
+def ring_det(a):
+    """Determinant of a square matrix of ring scalars (a list of rows),
+    by Laplace expansion along the first row."""
+    full = tuple(range(len(a)))
+    return _laplace(a)(full, full)
 
 
 def ring_inv(a):
@@ -105,15 +122,12 @@ def ring_inv(a):
     adds the terms ring_det(a) adds, in the same order.
     """
     n = len(a)
+    det_of = _laplace(a)
+    full = tuple(range(n))
     cof = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            minor = [
-                [a[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            cof[i][j] = ring_det(minor)
+            cof[i][j] = det_of(full[:i] + full[i + 1:], full[:j] + full[j + 1:])
             if (i + j) % 2:
                 cof[i][j] = -cof[i][j]
     det = None

@@ -51,6 +51,19 @@ leave every result bit-identical to the plain product:
   degree its step kept.  Coefficients a step left out, or computed
   past its degree, meet only the exact zero value part of v or u.
 
+Every operation is budget-invariant: run at a smaller budget, it gives
+exactly (bit for bit) the full-budget result's coefficients inside that
+budget.  A product coefficient reads only factor coefficients of lower
+or equal degree, and a smaller budget's table lists the same triples in
+the same order; ln and exp pick their Horner step budgets by degree.
+Newton's method (reciprocal, sqrt) would break it if the step count
+followed the budget: a reciprocal at (1, 6) needs 3 steps for its total
+degree 7, but a fourth step still moves the low coefficients by
+rounding, so the full (2, 8) result would differ from it in the last
+bits.  Both therefore run _newton_steps(cap_x + cap_y) steps at every
+budget.  This lets a stage run at the budget its readers need
+(Series.truncated) and still reproduce the full-budget arrays.
+
 Work that depends on x alone never needs the y-variables: x_only runs
 such a function (the coefficient fields of a metric, a volume density
 and its logarithm) in the x-only ring SeriesRing.get(n, cap_x, 0), at
@@ -362,14 +375,25 @@ class Series:
             return self.c
         return self.c * self.ring.mask(bx, by)
 
+    def truncated(self, bx, by):
+        """Self with every coefficient beyond (bx, by) zeroed, at that budget.
+
+        The budget is taken as given.  Below the series' own budget this
+        is plain truncation; above it, the caller vouches for the
+        coefficients up to (bx, by), as the Horner steps of ln and exp
+        do for the degrees they reach the result through.
+        """
+        if bx == self.bx and by == self.by:
+            return self
+        return Series(self.ring, self._masked_to(bx, by), bx, by)
+
     def _at_degree(self, r, bx, by):
-        """Self masked to the budget (min(bx, r), min(by, r)).
+        """Self truncated to the budget (min(bx, r), min(by, r)).
 
         That budget holds every monomial of (bx, by) up to total degree
         r, which is all a Horner step of ln or exp must get right.
         """
-        rx, ry = min(bx, r), min(by, r)
-        return Series(self.ring, self._masked_to(rx, ry), rx, ry)
+        return self.truncated(min(bx, r), min(by, r))
 
     # -- ring operations ------------------------------------------------
 
@@ -464,10 +488,9 @@ class Series:
         b0 = self.c[..., 0]
         if np.any(b0 == 0.0):
             raise DomainError("reciprocal of zero value part")
-        b = Series(self.ring, self._masked_to(bx, by), bx, by)
-        z = self.ring.constant(1.0 / b0)
-        z = Series(self.ring, z._masked_to(bx, by), bx, by)
-        for _ in range(_newton_steps(bx + by)):
+        b = self.truncated(bx, by)
+        z = self.ring.constant(1.0 / b0).truncated(bx, by)
+        for _ in range(_newton_steps(self.ring.cap_x + self.ring.cap_y)):
             z = z * (2.0 - b * z)
         return z
 
@@ -478,8 +501,8 @@ class Series:
             raise DomainError(
                 "sqrt of non-positive value part %s" % _first_bad(bad, b0)
             )
-        w = Series(self.ring, self.ring.constant(1.0 / np.sqrt(b0))._masked_to(self.bx, self.by), self.bx, self.by)
-        for _ in range(_newton_steps(self.bx + self.by)):
+        w = self.ring.constant(1.0 / np.sqrt(b0)).truncated(self.bx, self.by)
+        for _ in range(_newton_steps(self.ring.cap_x + self.ring.cap_y)):
             w = w * (3.0 - self * (w * w)) * 0.5
         out = self * w
         out.c[..., 0] = _lanes(math.sqrt, b0)
@@ -531,12 +554,7 @@ class Series:
             if k < 0:
                 return self.powr(-q).reciprocal(self.bx, self.by)
             if k == 0:
-                return Series(
-                    self.ring,
-                    self.ring.constant(1.0)._masked_to(self.bx, self.by),
-                    self.bx,
-                    self.by,
-                )
+                return self.ring.constant(1.0).truncated(self.bx, self.by)
             # binary powering that starts from the base, not from 1 * base,
             # and stops before a squaring whose result is never used
             out = None

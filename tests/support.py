@@ -10,12 +10,45 @@ smallest step stays large enough to keep rounding in check.
 """
 
 import itertools
+import json
+import os
+import types
 
 import numpy as np
 
+from finslerlab import cli, volume
 from finslerlab.metrics import f_squared
 
 from jet_oracle import mixed_partial
+
+N4_DEFINITION = os.path.join(os.path.dirname(__file__), "data", "randers_n4.json")
+
+
+def randers_n4():
+    """The 4-D Randers definition of data/randers_n4.json, with its
+    closed-form Busemann-Hausdorff volume, as an entry-like record."""
+    with open(N4_DEFINITION, encoding="utf-8") as handle:
+        metric = cli.load_metric_definition(json.load(handle))
+    return types.SimpleNamespace(
+        metric=metric, volume=volume.bh_randers_volume(metric)
+    )
+
+
+def record_rings(monkeypatch, n_max):
+    """Dimensions of every SeriesRing built from now on.  A ring above
+    n_max fails at once, before its tables are built."""
+    from finslerlab.series import SeriesRing
+
+    built = []
+    plain = SeriesRing.__init__
+
+    def init(ring, n, cap_x, cap_y):
+        built.append(n)
+        assert n <= n_max, "a %d-dimensional ring was built" % n
+        plain(ring, n, cap_x, cap_y)
+
+    monkeypatch.setattr(SeriesRing, "__init__", init)
+    return built
 
 
 def oracle_fsq_partials(metric, x, y, order):

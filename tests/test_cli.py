@@ -34,6 +34,19 @@ def test_classify_euclidean_two_dimensional(capsys):
     assert blob["mismatches"] == []
 
 
+def test_dimension_six_is_a_config_error(capsys, monkeypatch):
+    from support import record_rings
+
+    built = record_rings(monkeypatch, 5)
+    code, out, err = run(
+        capsys, "classify", "--metric", "euclidean", "--dim", "6",
+        "--samples", "2",
+    )
+    assert code == 2
+    assert "dimension must be an integer from 2 to 5" in err
+    assert out == "" and built == []
+
+
 def test_classify_reports_ill_conditioned_rejections(capsys):
     args = ("classify", "--metric", "mkropina_yang", "--seed", "3")
     code, out, _ = run(capsys, *args)

@@ -32,7 +32,7 @@ from finslerlab.volume import (
     dsl_volume,
 )
 
-from support import oracle_fsq_partials
+from support import oracle_fsq_partials, randers_n4
 
 STATE = ((0.11, -0.07, 0.13), (0.6, -0.3, 0.74))
 
@@ -292,25 +292,80 @@ def test_dsl_domain_failure_is_regularity_error():
         Frame(euclid, unbound, (0.1, 0.0, 0.0), (1.0, 0.0, 0.0))
 
 
-def _full_budget_products(monkeypatch, name):
+def test_nonpositive_f_names_the_state():
+    from finslerlab.curvature import GeometryState
+    from finslerlab.metrics import construct_metric
+
+    state = GeometryState(
+        construct_metric("dsl", 2, F="y1"), None, (0.1, 0.2), (-1.0, 0.5)
+    )
+    with pytest.raises(RegularityError, match="F <= 0 at x=") as caught:
+        state.frame
+    assert caught.value.x == (0.1, 0.2)
+    assert caught.value.y == (-1.0, 0.5)
+
+
+def _frame_products(monkeypatch, entry):
+    """(stages, budget, ring caps) of every ring product of one Frame.
+
+    The Frame runs at the first state of SamplePlan(count=1, seed=1);
+    stages are the enclosing metric_series, ring_inv and riemann_series
+    calls.
+    """
+    from finslerlab import engine
     from finslerlab.series import Series
 
-    counted = []
+    stack, counted = [], []
     plain = Series.__mul__
 
     def mul(a, b):
         out = plain(a, b)
-        full = (a.ring.cap_x, a.ring.cap_y)
-        if isinstance(b, Series) and a.ring.cap_y and (out.bx, out.by) == full:
-            counted.append(1)
+        if isinstance(b, Series):
+            caps = (a.ring.cap_x, a.ring.cap_y)
+            counted.append((tuple(stack), (out.bx, out.by), caps))
         return out
 
-    entry = get_example(name)
+    def staged(name, fn):
+        def run(*args):
+            stack.append(name)
+            try:
+                return fn(*args)
+            finally:
+                stack.pop()
+
+        return run
+
     x, y = sample_states(entry.metric, SamplePlan(count=1, seed=1)).states[0]
+    for name in ("metric_series", "ring_inv", "riemann_series"):
+        monkeypatch.setattr(engine, name, staged(name, getattr(engine, name)))
     monkeypatch.setattr(Series, "__mul__", mul)
     monkeypatch.setattr(Series, "__rmul__", mul)
     Frame(entry.metric, entry.volume, x, y)
-    return len(counted)
+    return counted
+
+
+@pytest.mark.parametrize("name, inv_products", [("randers_osaka", 38), ("randers_n4", 112)])
+def test_stage_budgets(monkeypatch, name, inv_products):
+    # g^-1 and det feed only the spray and tau, through one x-derivative
+    # of F^2, and every reader of R takes it at x-degree 0 and y-order
+    # <= 3, so each stage runs its products at that budget; ring_inv
+    # computes each minor once (112 products for a 4x4 matrix, not 172)
+    entry = randers_n4() if name == "randers_n4" else get_example(name)
+    counted = _frame_products(monkeypatch, entry)
+
+    def budgets(stage):
+        return {budget for stages, budget, _ in counted if stage in stages}
+
+    assert budgets("metric_series") == {(1, 6)}
+    assert budgets("riemann_series") == {(0, 3)}
+    in_inv = [1 for stages, _, _ in counted if "ring_inv" in stages]
+    in_metric = [1 for stages, _, _ in counted if "metric_series" in stages]
+    assert len(in_inv) == len(in_metric) == inv_products
+
+
+def _full_budget_products(monkeypatch, name):
+    counted = _frame_products(monkeypatch, get_example(name))
+    return sum(1 for _, budget, caps in counted if caps[1] and budget == caps)
 
 
 @pytest.mark.parametrize(

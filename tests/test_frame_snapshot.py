@@ -1,6 +1,8 @@
 """Every Frame output on the catalog states against a committed snapshot.
 
-The snapshot holds, for 3 sampled states of every catalog entry, each
+The snapshot holds, for 3 sampled states of every catalog entry and 2 of
+the 4-D Randers definition in data/randers_n4.json (the benchmark's
+frame-n4 metric, with its closed-form Busemann-Hausdorff volume), each
 ndarray and float the Frame constructor sets, the residuals that
 classify_metric and identity_residual read, and the two projective-change
 checks (lemma21 and the Douglas invariance gap, with P = 0.3*y1).  A
@@ -19,10 +21,14 @@ import numpy as np
 
 from finslerlab import catalog, classify, curvature, projective
 
+from support import randers_n4
+
 SNAPSHOT = os.path.join(
     os.path.dirname(__file__), "data", "frame_snapshot.npz"
 )
 STATES_PER_ENTRY = 3
+N4_NAME = "randers_n4"
+N4_STATES = 2
 P_FACTOR = "0.3*y1"
 REL = 1e-12
 
@@ -56,11 +62,17 @@ def state_outputs(entry, x, y):
     return out
 
 
+def entry_of(name):
+    """A catalog entry, or the n=4 definition as an entry-like record."""
+    return randers_n4() if name == N4_NAME else catalog.get_example(name)
+
+
 def write_snapshot(path):
-    plan = classify.SamplePlan(count=STATES_PER_ENTRY)
     arrays = {}
-    for name in catalog.list_examples():
-        entry = catalog.get_example(name)
+    counts = [(name, STATES_PER_ENTRY) for name in catalog.list_examples()]
+    for name, count in counts + [(N4_NAME, N4_STATES)]:
+        entry = entry_of(name)
+        plan = classify.SamplePlan(count=count)
         states = classify.sample_states(entry.metric, plan).states
         for k, (x, y) in enumerate(states):
             key = "%s/%d" % (name, k)
@@ -90,7 +102,7 @@ def pytest_generate_tests(metafunc):
 def test_frame_matches_snapshot(key, ref):
     ref = dict(ref)
     x, y = tuple(ref.pop("x")), tuple(ref.pop("y"))
-    got = state_outputs(catalog.get_example(key.split("/")[0]), x, y)
+    got = state_outputs(entry_of(key.split("/")[0]), x, y)
     assert set(ref) <= set(got)
     bad = []
     for field, want in sorted(ref.items()):

@@ -15,7 +15,7 @@ from finslerlab.metrics import (
     is_admissible,
     randers_b_norm_sq,
 )
-from support import fd_partial
+from support import fd_partial, record_rings
 
 IDENTITY2 = [["1", "0"], ["0", "1"]]
 
@@ -180,3 +180,23 @@ def test_dsl_family_runs_all_rings():
     assert m.F([0.0, 0.0], [3.0, 4.0]) == pytest.approx(5.75)
     g = fundamental_tensor(m, ([0.0, 0.0], [3.0, 4.0]))
     assert g.components.shape == (2, 2)
+
+
+def test_dimension_above_five_rejected_before_any_ring(monkeypatch):
+    # the (2, 8) ring takes 22 s and 300 MB at n=5; at n=6 it would hold
+    # 84 084 coefficients, so n=6 fails before any ring is built
+    from finslerlab.catalog import get_example
+    from finslerlab.cli import load_metric_definition
+
+    built = record_rings(monkeypatch, 5)
+    for family, extra in (("euclidean", {}), ("dsl", {"F": "y1^2 + y6^2"})):
+        with pytest.raises(ConfigError, match="dimension"):
+            construct_metric(family, 6, **extra)
+    with pytest.raises(ConfigError, match="dimension"):
+        get_example("riemannian_sphere", n=6)
+    with pytest.raises(ConfigError, match="dimension"):
+        load_metric_definition(
+            {"name": "six", "dimension": 6, "family": "euclidean"}
+        )
+    assert 6 not in built
+    assert construct_metric("euclidean", 5).dimension == 5

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finslerlab import scalars, series as series_module
 from finslerlab.errors import DomainError, TowerBudgetError
@@ -543,3 +545,61 @@ def test_ring_inv_det_equals_ring_det_on_series():
     want = scalars.ring_det(g)
     assert (det.bx, det.by) == (want.bx, want.by)
     assert np.array_equal(det.c, want.c)
+
+
+# Budget invariance: an operation run at a smaller budget gives exactly
+# the full-budget result's coefficients inside that budget.
+
+INVARIANCE_BUDGETS = [(1, 6), (2, 5), (0, 3), (1, 1)]
+INVARIANCE_OPS = {
+    "*": lambda a, b, bx, by: a * b,
+    "reciprocal": lambda a, b, bx, by: a.reciprocal(bx, by),
+    "sqrt": lambda a, b, bx, by: a.sqrt(),
+    "ln": lambda a, b, bx, by: a.ln(),
+    "exp": lambda a, b, bx, by: a.exp(),
+    "powr 1.5": lambda a, b, bx, by: a.powr(1.5),
+    "powr 3": lambda a, b, bx, by: a.powr(3),
+}
+
+
+def _random_series(ring, rng, density):
+    """Coefficients shrinking with total degree, value part in [1, 2]."""
+    degree = ring.xdeg + ring.ydeg
+    c = rng.uniform(-1.0, 1.0, ring.size) * 0.6 ** degree
+    c *= rng.uniform(size=ring.size) < density
+    c[0] = rng.uniform(1.0, 2.0)
+    return Series(ring, c, ring.cap_x, ring.cap_y)
+
+
+def _masked(s, bx, by):
+    # test-local truncation: mask every coefficient beyond (bx, by)
+    return Series(s.ring, s.c * s.ring.mask(bx, by), bx, by)
+
+
+@pytest.mark.parametrize("name", sorted(INVARIANCE_OPS))
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), density=st.sampled_from([1.0, 0.04]))
+def test_operations_are_budget_invariant(name, seed, density):
+    # density 0.04 makes the second factor sparse enough for row skipping
+    ring = SeriesRing.get(3)
+    rng = np.random.default_rng(seed)
+    a = _random_series(ring, rng, 1.0)
+    b = _random_series(ring, rng, density)
+    op = INVARIANCE_OPS[name]
+    full = op(a, b, ring.cap_x, ring.cap_y)
+    for bx, by in INVARIANCE_BUDGETS:
+        got = op(_masked(a, bx, by), _masked(b, bx, by), bx, by)
+        assert (got.bx, got.by) == (bx, by)
+        assert np.array_equal(got.c, full.c * ring.mask(bx, by)), (bx, by)
+
+
+def test_truncated_zeroes_beyond_the_budget():
+    ring = SeriesRing.get(3)
+    xs, ys = ring.state(X3, Y3)
+    f = smooth3(xs, ys)
+    assert f.truncated(f.bx, f.by) is f
+    low = f.truncated(1, 6)
+    assert (low.bx, low.by) == (1, 6)
+    keep = (ring.xdeg <= 1) & (ring.ydeg <= 6)
+    assert np.array_equal(low.c[keep], f.c[keep])
+    assert not low.c[~keep].any() and f.c[~keep].any()
