@@ -15,19 +15,19 @@ module read g and C from small rings of the same series module; the
 test suite holds both against an independent jet-tower oracle.
 
 Each stage runs at the budget its readers need (bx x-orders, by
-y-orders).  Series operations are budget-invariant (series module
-notes), so this cuts work and leaves every array bit-identical:
+y-orders), in the stage ring of that budget, with its vectors and
+matrices as component axes of one Series (series module notes).  Series
+operations are budget-invariant, so every array stays bit-identical:
 
-- F^2 at the full (2, 8);
-- g at (2, 6), two y-derivatives of F^2, for g and C;
-- g^-1 and det g at (1, 6): the spray and tau read them only through
-  one x-derivative of F^2 (ring_inv runs on g truncated to that);
-- the spray G, and the projective spray, at (1, 6) and (1, 5);
-- Riemann at (0, 3): the Frame reads R^i_k and its fiber partials up to
-  order 3, and never an x-derivative (lemma21_residual reads only the
-  value, at (0, 0));
-- the Berwald and Douglas cubes read the (0, 3), (1, 3) and (0, 4)
-  partials of the sprays and Douglas cores, and need no product.
+- F^2, g at (2, 6) for g and C, the projective spray, S and the cubes'
+  (0, 3), (1, 3) and (0, 4) partials in the (2, 8) ring;
+- g^-1, det g and ln det in the (1, 6) ring: the spray and tau read
+  them only through one x-derivative of F^2;
+- the spray's y-derivatives in the (1, 7) ring, its contraction with
+  g^-1 in the (1, 6) ring;
+- Riemann's derivatives in the (1, 5) and (0, 4) rings, its products in
+  the (0, 3) ring over the lanes (i, k): the Frame reads R^i_k and its
+  fiber partials up to order 3 (lemma21_residual: the value, (0, 0)).
 
 Index layout mirrors the written order of the symbols: B[j,i,k,l] holds
 B_j^i_{kl}, horizontal derivatives append the new lower slot last
@@ -42,7 +42,7 @@ import numpy as np
 from .errors import DomainError, EvalError, RegularityError
 from .scalars import ln, ring_inv, value_of
 from .scalars import ring_det  # noqa: F401  (perfbench/spans.py wraps this name)
-from .series import SeriesRing, x_only
+from .series import Series, SeriesRing, embed, restrict, x_only
 
 # Orientation of the Ricci identity used for the Berwald-curvature
 # commutator: B_j^i_{kl|m} - B_j^i_{km|l} = RICCI_LM_SIGN * d_k R_j^i_{lm}
@@ -80,9 +80,8 @@ def metric_series(fsq):
     """g_ij, its ring determinant and its ring inverse from the F^2 series.
 
     g keeps the budget (bx, by - 2) of two y-derivatives of F^2.  The
-    determinant and the inverse are read only by the spray and tau,
-    through one x-derivative of F^2, so ring_inv runs on g truncated to
-    (bx - 1, by - 2).
+    spray and tau read det and g^-1 only through one x-derivative of
+    F^2, so ring_inv runs on g in the (bx - 1, by - 2) stage ring.
     """
     n = fsq.ring.n
     g = [[None] * n for _ in range(n)]
@@ -90,58 +89,62 @@ def metric_series(fsq):
         di = fsq.dy(i)
         for j in range(i, n):
             g[i][j] = g[j][i] = di.dy(j) * 0.5
-    det, ginv = ring_inv(
-        [[gij.truncated(fsq.bx - 1, fsq.by - 2) for gij in row] for row in g]
-    )
-    return g, det, ginv
+    stage = fsq.ring.stage(fsq.bx - 1, fsq.by - 2)
+    det, ginv = ring_inv([[restrict(gij, stage) for gij in row] for row in g])
+    return g, det, restrict(ginv, stage)
 
 
 def spray_series(fsq, ginv, xs, ys):
-    """G^i = 1/4 g^{il} { d2 F^2/dx^k dy^l y^k - dF^2/dx^l }."""
+    """G^i = 1/4 g^{il} { d2 F^2/dx^k dy^l y^k - dF^2/dx^l }, with the
+    braces and the contraction over the lanes l, then i, in the stage
+    ring of g^-1 (a Series with axes [i, l])."""
     n = fsq.ring.n
-    dxP = [fsq.dx(k) for k in range(n)]
-    A = []
-    for l in range(n):
-        acc = dxP[0].dy(l) * ys[0]
-        for k in range(1, n):
-            acc = acc + dxP[k].dy(l) * ys[k]
-        A.append(acc - dxP[l])
-    G = []
-    for i in range(n):
-        acc = ginv[i][0] * A[0]
-        for l in range(1, n):
-            acc = acc + ginv[i][l] * A[l]
-        G.append(acc * 0.25)
-    return G
+    stage = ginv.ring
+    dxP = restrict(
+        [fsq.dx(k) for k in range(n)], fsq.ring.stage(stage.cap_x, stage.cap_y + 1)
+    )  # [k]
+    D = restrict([dxP.dy(l) for l in range(n)], stage)  # [l, k]
+    y = restrict(ys, stage)  # [k]
+    A = D.part(np.s_[:, 0]) * y.part(0)  # lanes l
+    for k in range(1, n):
+        A = A + D.part(np.s_[:, k]) * y.part(k)
+    A = A - restrict(dxP, stage)
+    acc = ginv.part(np.s_[:, 0]) * A.part(0)  # lanes i
+    for l in range(1, n):
+        acc = acc + ginv.part(np.s_[:, l]) * A.part(l)
+    G = acc * 0.25
+    return [embed(G.part(i), fsq.ring) for i in range(n)]
 
 
 def riemann_series(G, xs, ys, by):
-    """R^i_k of a spray, as ring elements of budget at most (0, by).
+    """R^i_k of a spray, one Series with component axes [i, k].
 
     R^i_k = 2 dG^i/dx^k - y^m d2G^i/dx^m dy^k + 2 G^m d2G^i/dy^m dy^k
             - dG^i/dy^m dG^m/dy^k.
 
-    by is the highest y-order any reader takes; no reader takes an
-    x-derivative of R.  One factor of each product is truncated to
-    (0, by), so every product runs at that budget and gives the
-    coefficients there exactly as a larger budget would.
+    by is the highest y-order any reader takes; none takes an
+    x-derivative.  Every product runs in the (0, by) stage ring over the
+    n^2 lanes (i, k), and each lane adds its terms for m = 0..n-1 in the
+    order of the written sum.
     """
     n = len(G)
-    Gdx = [[G[i].dx(m) for m in range(n)] for i in range(n)]
-    Gdy = [[G[i].dy(m) for m in range(n)] for i in range(n)]
-    y_low = [v.truncated(0, by) for v in ys]
-    G2_low = [(g * 2.0).truncated(0, by) for g in G]
-    Gdy_low = [[d.truncated(0, by) for d in row] for row in Gdy]
-    R = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            acc = Gdx[i][k] * 2.0
-            for m in range(n):
-                acc = acc - Gdx[i][m].dy(k) * y_low[m]
-                acc = acc + Gdy[i][m].dy(k) * G2_low[m]
-                acc = acc - Gdy[i][m] * Gdy_low[m][k]
-            R[i][k] = acc
-    return R
+    ring = ys[0].ring
+    top, mid, low = ring.stage(1, by + 2), ring.stage(0, by + 1), ring.stage(0, by)
+    G1 = restrict(G, top)  # [i]
+    Gdx = restrict([G1.dx(m) for m in range(n)], mid)  # [m, i]
+    Gdy = restrict([G1.dy(m) for m in range(n)], mid)  # [m, i]
+    Gdxy = restrict([Gdx.dy(k) for k in range(n)], low)  # [k, m, i]
+    Gdyy = restrict([Gdy.dy(k) for k in range(n)], low)  # [k, m, i]
+    Gdy_low = restrict(Gdy, low)  # [m, i]
+    y_low = restrict(ys, low)  # [m]
+    G2_low = restrict(G1, low) * 2.0  # [m]
+    acc = restrict(Gdx, low) * 2.0  # lanes [k, i]
+    for m in range(n):
+        acc = acc - Gdxy.part(np.s_[:, m]) * y_low.part(m)
+        acc = acc + Gdyy.part(np.s_[:, m]) * G2_low.part(m)
+        # dG^i/dy^m along i times dG^m/dy^k along k
+        acc = acc - Gdy_low.part(np.s_[m, None]) * Gdy_low.part(np.s_[:, m, None])
+    return Series(low, acc.c.swapaxes(0, 1), acc.bx, acc.by)
 
 
 def divergence_series(G):
@@ -176,9 +179,8 @@ def _cube_extract(W):
 def log_sigma_series(volume, xs):
     """ln sigma as a ring element, or a float when sigma does not vary.
 
-    sigma depends on x alone, so every volume takes one path: sigma and
-    its logarithm run in the x-only ring (series.x_only) and the result
-    is embedded into the ring of xs.  A float sigma stays a float.
+    sigma depends on x alone, so it and its logarithm run in the x-only
+    ring (series.x_only), and the result is embedded into the ring of xs.
     """
     if volume is None:
         return 0.0
@@ -188,20 +190,12 @@ def log_sigma_series(volume, xs):
 def _spray_arrays(G, xs, ys):
     """(G, N, Gamma, R, R_y, R_yy, R_y3) of one spray, as arrays.
 
-    Values of the spray and its first two fiber partials, then the
-    Riemann curvature R^i_k with its first three fiber partials.
+    The spray and its first two fiber partials, then the Riemann
+    curvature R^i_k and its first three (the 0th partial is the value).
     """
-    n = len(G)
     R = riemann_series(G, xs, ys, 3)
-    return (
-        np.array([G[i].c[0] for i in range(n)]),
-        np.array([G[i].partials(0, 1) for i in range(n)]),
-        np.array([G[i].partials(0, 2) for i in range(n)]),
-        np.array([[R[i][k].c[0] for k in range(n)] for i in range(n)]),
-        np.array([[R[i][k].partials(0, 1) for k in range(n)] for i in range(n)]),
-        np.array([[R[i][k].partials(0, 2) for k in range(n)] for i in range(n)]),
-        np.array([[R[i][k].partials(0, 3) for k in range(n)] for i in range(n)]),
-    )
+    spray = [np.array([g.partials(0, k) for g in G]) for k in range(3)]
+    return (*spray, *(R.partials(0, k) for k in range(4)))
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +235,7 @@ class Frame:
                 x=self.x,
                 y=self.y,
             )
-        self.ginv = np.array(
-            [[ginv_ring[i][j].c[0] for j in range(n)] for i in range(n)]
-        )
+        self.ginv = ginv_ring.c[..., 0]
         self.y_low = self.g @ np.array(self.y)
         self.C = 0.5 * np.array(
             [[g_ring[i][j].partials(0, 1) for j in range(n)] for i in range(n)]
@@ -267,7 +259,7 @@ class Frame:
             for m in range(1, n):
                 acc = acc + lnsig.dx(m) * ys[m]
             S = div - acc
-        tau = det_ring.ln() * 0.5 - lnsig
+        tau = embed(det_ring.ln() * 0.5, ring) - lnsig
         self.S = S.c[0]
         self.S_x = S.partials(1, 0)
         self.S_y = S.partials(0, 1)
@@ -493,8 +485,7 @@ def lemma21_residual(frame, p_func):
     xs, ys, G = frame.ring_spray
     Ghat, P = modified_spray(frame, p_func)
 
-    Rhat = riemann_series(Ghat, xs, ys, 0)
-    Rhat_val = np.array([[Rhat[i][k].c[0] for k in range(n)] for i in range(n)])
+    Rhat_val = riemann_series(Ghat, xs, ys, 0).c[..., 0]
 
     P_val = P.c[0]
     P_x = P.partials(1, 0)

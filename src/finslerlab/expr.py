@@ -300,14 +300,6 @@ def pretty(node):
     return _pp(node, 0)
 
 
-def _node_bp(node):
-    if isinstance(node, Binary):
-        return _POW_BP if node.op == "pow" else _BINARY_OPS_BP[node.op]
-    if isinstance(node, Unary) and node.op == "neg":
-        return _NEG_BP
-    return 100
-
-
 _BINARY_OPS_BP = {"add": 10, "sub": 10, "mul": 20, "div": 20}
 _OP_TEXT = {"add": " + ", "sub": " - ", "mul": "*", "div": "/"}
 

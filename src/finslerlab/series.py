@@ -7,10 +7,11 @@ only removes orders nobody asked for.  One evaluation of a metric
 through this ring therefore yields every mixed partial up to the caps,
 where nested forward mode would need one re-evaluation per seeding.
 It is the package's only differentiation engine: the curvature Frame
-uses the (2, 8) ring, the point tensors the (0, 2) and (0, 3) rings,
-and the generic horizontal derivative the (1, 1) ring.  Series.partials(nx, ny) reads all of them of
-one order at once: each is a single coefficient times its factorial
-weight, gathered through a table the ring caches per order.
+uses the (2, 8) ring and its stage rings, the point tensors the (0, 2)
+and (0, 3) rings, and the generic horizontal derivative the (1, 1)
+ring.  Series.partials(nx, ny) reads all of them of one order at once:
+each is a single coefficient times its factorial weight, gathered
+through a table the ring caches per order.
 
 Each Series carries a budget (bx, by): how many x- and y-derivatives of
 it are still trustworthy.  Conservative rule: combining series takes the
@@ -32,12 +33,12 @@ leave every result bit-identical to the plain product:
   2 of the 1650 coefficients of the (2, 8) ring at n=3, an embedded
   a(x) or b(x) at most 10), the product gathers only the table rows of
   those nonzeros, in table order (rows of the second factor come
-  through a cached permutation and are sorted back).  The skipped terms
-  are products with an exact zero, so each one is +-0; bincount starts
-  every sum at +0, adding a +-0 term never changes it, and the kept
-  terms are added in the same order.  A non-finite coefficient in the
-  other factor would turn a skipped term into NaN, so such a product
-  gathers the whole table; so does a batch.
+  through a cached permutation and are sorted back), for every lane of
+  the other factor.  The skipped terms are products with an exact zero,
+  so each one is +-0; bincount starts every sum at +0, adding a +-0 term
+  never changes it, and the kept terms are added in the same order.  A
+  non-finite coefficient in the other factor would turn a skipped term
+  into NaN, so such a product gathers the whole table.
 - Per-step Horner budgets.  ln and exp run a Horner recurrence whose
   step k enters the result multiplied by a power of a series with zero
   value part: v^k for ln, u^(k-1) for exp.  With top = bx + by, step k
@@ -53,42 +54,42 @@ leave every result bit-identical to the plain product:
 
 Every operation is budget-invariant: run at a smaller budget, it gives
 exactly (bit for bit) the full-budget result's coefficients inside that
-budget.  A product coefficient reads only factor coefficients of lower
-or equal degree, and a smaller budget's table lists the same triples in
-the same order; ln and exp pick their Horner step budgets by degree.
+budget, because a product coefficient reads only factor coefficients of
+lower or equal degree, through the same triples in the same order.
 Newton's method (reciprocal, sqrt) would break it if the step count
-followed the budget: a reciprocal at (1, 6) needs 3 steps for its total
-degree 7, but a fourth step still moves the low coefficients by
-rounding, so the full (2, 8) result would differ from it in the last
-bits.  Both therefore run _newton_steps(cap_x + cap_y) steps at every
-budget.  This lets a stage run at the budget its readers need
-(Series.truncated) and still reproduce the full-budget arrays.
+followed the budget (a fourth step still moves a 3-step (1, 6)
+reciprocal in the last bits), so it runs the ring's newton_steps, the
+count for its root's total degree cap_x + cap_y, at every budget.
 
-Work that depends on x alone never needs the y-variables: x_only runs
-such a function (the coefficient fields of a metric, a volume density
-and its logarithm) in the x-only ring SeriesRing.get(n, cap_x, 0), at
-10 coefficients for n=3 instead of the full (2, 8) ring's 1650, and
-embed_series carries the result into the full ring once.
+So each stage can run in the ring of the budget its readers need:
+ring.stage(bx, by) is the (bx, by) ring under ring's root, with the
+root's Newton step count.  Its monomials are the root's within its
+caps, in the root's order, so its product table is the root's, mapped
+(8 ms to set up the (1, 6) ring at n=4, against 43 ms from scratch).
+restrict copies series into a smaller ring, and embed carries a result
+back.  x_only runs work of x alone (coefficient fields, volume
+densities) in the x-only ring SeriesRing.get(n, cap_x, 0), a ring of
+its own with its own Newton step count.
 
-A Series in an x-only ring (cap_y = 0) may carry a leading batch axis:
-c of shape (K, size) holds K independent series, one per lane, entered
-through SeriesRing.constant with an array of values.  The quadrature
-volume runs all its sphere directions through the ring this way, in one
-pass instead of one Python evaluation per direction.  Every lane is
-bit-identical to the unbatched evaluation: products offset the bincount
-bins per lane, so each lane sums in the 1-D order, and value parts of
-sqrt/ln/exp use the math module lane by lane (numpy's vectorised exp and
-log differ from it in the last bit on some inputs).  The full ring is
-never batched: there a product is bound by its memory-bound gather, and
-a batched (2, 8) product at n=3 measured 0.93 ms per lane against
-0.27 ms unbatched.
+A Series in an x-only or a stage ring may carry leading component axes:
+c of shape (K1, .., size) holds one series per lane, stacked by
+restrict or entered through SeriesRing.constant with an array.  The
+quadrature volume runs all its sphere directions through the x-only
+ring in one pass, and Riemann its 3 n^3 products per call as 3 n
+products over the n^2 lanes (i, k).  Every lane is bit-identical to the
+unbatched evaluation: products offset the bincount bins per lane, so
+each lane sums in the 1-D order, and value parts of sqrt/ln/exp use the
+math module lane by lane (numpy's vectorised exp and log differ from it
+in the last bit on some inputs).  In a small ring the lanes share one
+pass over the table (a (1, 6) product at n=4: 107 us per lane in a
+batch of 4, 167 us alone); a ring of its own with y-variables, such as
+the (2, 8) ring, is never batched (n=3: 0.93 ms per lane, against 0.27
+ms unbatched).
 """
 
 import itertools
 import math
 import numbers
-from functools import lru_cache
-
 import numpy as np
 
 from .errors import DomainError, TowerBudgetError
@@ -114,58 +115,79 @@ class SeriesRing:
             cls._instances[key] = ring
         return ring
 
-    def __init__(self, n, cap_x, cap_y):
+    def stage(self, bx, by):
+        """The (bx, by) stage ring under this ring's root (module notes)."""
+        stages = self.root._stages
+        if (bx, by) not in stages:
+            stages[(bx, by)] = SeriesRing(self.n, bx, by, self.root)
+        return stages[(bx, by)]
+
+    def __init__(self, n, cap_x, cap_y, root=None):
         self.n = n
         self.cap_x = cap_x
         self.cap_y = cap_y
-        exps = []
-        for xe in itertools.product(range(cap_x + 1), repeat=n):
-            if sum(xe) > cap_x:
-                continue
-            for ye in itertools.product(range(cap_y + 1), repeat=n):
-                if sum(ye) > cap_y:
-                    continue
-                exps.append((xe, ye))
+        self.root = root or self
+        self._stages = {}
+        self._mul_cache = {}
+        self._row_cache = {}
+        self._partial_cache = {}
+        self._mask_cache = {}
+        self._embed_cache = {}
+        if root is None:
+            # k steps are correct through total degree 2^k - 1
+            self.newton_steps = (cap_x + cap_y).bit_length()
+            exps = [
+                (xe, ye)
+                for xe in itertools.product(range(cap_x + 1), repeat=n)
+                if sum(xe) <= cap_x
+                for ye in itertools.product(range(cap_y + 1), repeat=n)
+                if sum(ye) <= cap_y
+            ]
+        else:
+            # the root's monomials within the caps, in the root's order
+            self.newton_steps = root.newton_steps
+            pos = root._embed_cache[self] = np.flatnonzero(root.mask(cap_x, cap_y))
+            exps = [root.exponents[p] for p in pos.tolist()]
         self.exponents = exps
         self.size = len(exps)
         self._index = {e: i for i, e in enumerate(exps)}
         self.xdeg = np.array([sum(xe) for xe, _ in exps], dtype=np.int64)
         self.ydeg = np.array([sum(ye) for _, ye in exps], dtype=np.int64)
+        if root is None:
+            self._full_triples = self._build_triples()
+        else:
+            # the root's table, mapped: _build_triples's, entry for entry
+            inverse = np.full(root.size, -1, dtype=np.int64)
+            inverse[pos] = np.arange(self.size)
+            self._full_triples = tuple(
+                inverse[t] for t in root.mul_table(cap_x, cap_y)
+            )
+        self._dx_tables = [self._derivative_table("x", k) for k in range(n)]
+        self._dy_tables = [self._derivative_table("y", k) for k in range(n)]
 
+    def _build_triples(self):
         # mixed-radix keys: digit-wise exponent sums never carry, so the
         # key of a product monomial is the sum of the factor keys
-        rx, ry = 2 * cap_x + 1, 2 * cap_y + 1
+        rx, ry = 2 * self.cap_x + 1, 2 * self.cap_y + 1
         keys = np.zeros(self.size, dtype=np.int64)
-        for i, (xe, ye) in enumerate(exps):
+        for i, (xe, ye) in enumerate(self.exponents):
             k = 0
             for d in xe:
                 k = k * rx + d
             for d in ye:
                 k = k * ry + d
             keys[i] = k
-        self._keys = keys
-        self._key_order = np.argsort(keys)
-        self._sorted_keys = keys[self._key_order]
-
-        self._full_triples = self._build_triples()
-        self._mul_cache = {}
-        self._row_cache = {}
-        self._partial_cache = {}
-        self._mask_cache = {}
-        self._embed_cache = {}
-        self._dx_tables = [self._derivative_table("x", k) for k in range(n)]
-        self._dy_tables = [self._derivative_table("y", k) for k in range(n)]
-
-    def _build_triples(self):
+        key_order = np.argsort(keys)
+        sorted_keys = keys[key_order]
         iout_parts, ia_parts, ib_parts = [], [], []
         chunk = max(1, (1 << 22) // max(self.size, 1))
         for start in range(0, self.size, chunk):
             rows = np.arange(start, min(start + chunk, self.size))
-            sums = self._keys[rows, None] + self._keys[None, :]
-            pos = np.searchsorted(self._sorted_keys, sums)
+            sums = keys[rows, None] + keys[None, :]
+            pos = np.searchsorted(sorted_keys, sums)
             pos[pos == self.size] = 0
-            found = self._key_order[pos]
-            ok = self._keys[found] == sums
+            found = key_order[pos]
+            ok = keys[found] == sums
             ra, cb = np.nonzero(ok)
             iout_parts.append(found[ra, cb])
             ia_parts.append(rows[ra])
@@ -273,8 +295,8 @@ class SeriesRing:
     def constant(self, value):
         """A constant series, or a batch of them when value is an array."""
         value = np.asarray(value, dtype=np.float64)
-        if value.ndim and self.cap_y:
-            raise ValueError("only x-only rings (cap_y=0) take a batch axis")
+        if value.ndim and self.cap_y and self.root is self:
+            raise ValueError("only x-only and stage rings take a batch axis")
         c = np.zeros(value.shape + (self.size,))
         c[..., 0] = value
         return Series(self, c, self.cap_x, self.cap_y)
@@ -326,14 +348,16 @@ def _skipped_rows(a, b, bx, by):
     """Table positions of the triples whose sparser factor is nonzero.
 
     None when the product should gather the whole table: two dense
-    factors, a batch, or a non-finite coefficient in the other factor
-    (whose products with the skipped zeros would be NaN).  Only tables
-    of at least ROW_SKIP_MIN_TRIPLES triples are worth the check.
+    factors, a batched sparse factor, or a non-finite coefficient in the
+    other factor (whose products with the skipped zeros would be NaN).
+    The other factor may carry a batch: every lane skips the same zeros.
+    Only tables of at least ROW_SKIP_MIN_TRIPLES triples are worth the
+    check.
     """
     ring = a.ring
-    if a.c.ndim > 1 or b.c.ndim > 1:
-        return None
-    na, nb = np.count_nonzero(a.c), np.count_nonzero(b.c)
+    na, nb = (
+        np.count_nonzero(s.c) if s.c.ndim == 1 else math.inf for s in (a, b)
+    )
     if min(na, nb) > ring.size // ROW_SKIP_DENSITY:
         return None
     sparse, dense = (a, b) if na <= nb else (b, a)
@@ -344,16 +368,6 @@ def _skipped_rows(a, b, bx, by):
     if sparse is a:
         return _rows(starts_a, rows)
     return np.sort(perm_b[_rows(starts_b, rows)])
-
-
-@lru_cache(maxsize=None)
-def _newton_steps(total_order):
-    steps = 0
-    reach = 0  # correct through this total degree
-    while reach < total_order:
-        reach = 2 * reach + 1
-        steps += 1
-    return steps
 
 
 class Series:
@@ -369,6 +383,10 @@ class Series:
         """Value part: a float, or one float per lane of a batch."""
         v = self.c[..., 0]
         return float(v) if v.ndim == 0 else v
+
+    def part(self, index):
+        """The components at a numpy index of the leading (batch) axes."""
+        return Series(self.ring, self.c[index], self.bx, self.by)
 
     def _masked_to(self, bx, by):
         if bx == self.bx and by == self.by:
@@ -388,11 +406,8 @@ class Series:
         return Series(self.ring, self._masked_to(bx, by), bx, by)
 
     def _at_degree(self, r, bx, by):
-        """Self truncated to the budget (min(bx, r), min(by, r)).
-
-        That budget holds every monomial of (bx, by) up to total degree
-        r, which is all a Horner step of ln or exp must get right.
-        """
+        """Self truncated to (min(bx, r), min(by, r)): every monomial of
+        (bx, by) up to total degree r, all a Horner step must get right."""
         return self.truncated(min(bx, r), min(by, r))
 
     # -- ring operations ------------------------------------------------
@@ -451,12 +466,14 @@ class Series:
                     else np.zeros(size)
                 )
             else:
-                # lane k sums into bins size*k.., in the 1-D order
-                lanes = w.shape[0]
-                bins = iout + size * np.arange(lanes)[:, None]
+                # lane k sums into bins size*k.., in the 1-D order; the
+                # factors' component axes broadcast against each other
+                lanes = w.shape[:-1]
+                count = math.prod(lanes)
+                bins = iout + size * np.arange(count).reshape(lanes + (1,))
                 c = np.bincount(
-                    bins.ravel(), weights=w.ravel(), minlength=lanes * size
-                ).reshape(lanes, size)
+                    bins.ravel(), weights=w.ravel(), minlength=count * size
+                ).reshape(lanes + (size,))
             return Series(self.ring, c, bx, by)
         if isinstance(other, numbers.Real):
             return Series(self.ring, self.c * float(other), self.bx, self.by)
@@ -490,7 +507,7 @@ class Series:
             raise DomainError("reciprocal of zero value part")
         b = self.truncated(bx, by)
         z = self.ring.constant(1.0 / b0).truncated(bx, by)
-        for _ in range(_newton_steps(self.ring.cap_x + self.ring.cap_y)):
+        for _ in range(self.ring.newton_steps):
             z = z * (2.0 - b * z)
         return z
 
@@ -502,7 +519,7 @@ class Series:
                 "sqrt of non-positive value part %s" % _first_bad(bad, b0)
             )
         w = self.ring.constant(1.0 / np.sqrt(b0)).truncated(self.bx, self.by)
-        for _ in range(_newton_steps(self.ring.cap_x + self.ring.cap_y)):
+        for _ in range(self.ring.newton_steps):
             w = w * (3.0 - self * (w * w)) * 0.5
         out = self * w
         out.c[..., 0] = _lanes(math.sqrt, b0)
@@ -579,23 +596,19 @@ class Series:
 
     def dx(self, slot):
         if self.bx < 1:
-            raise TowerBudgetError(
-                "x-derivative budget exhausted (bx=%d)" % self.bx
-            )
-        dst, src, fac = self.ring._dx_tables[slot]
-        c = np.zeros(self.c.shape)
-        c[..., dst] = self.c.take(src, axis=-1) * fac
-        return Series(self.ring, c * self.ring.mask(self.bx - 1, self.by), self.bx - 1, self.by)
+            raise TowerBudgetError("x-derivative budget exhausted (bx=0)")
+        return self._derivative(self.ring._dx_tables[slot], self.bx - 1, self.by)
 
     def dy(self, slot):
         if self.by < 1:
-            raise TowerBudgetError(
-                "y-derivative budget exhausted (by=%d)" % self.by
-            )
-        dst, src, fac = self.ring._dy_tables[slot]
+            raise TowerBudgetError("y-derivative budget exhausted (by=0)")
+        return self._derivative(self.ring._dy_tables[slot], self.bx, self.by - 1)
+
+    def _derivative(self, table, bx, by):
+        dst, src, fac = table
         c = np.zeros(self.c.shape)
         c[..., dst] = self.c.take(src, axis=-1) * fac
-        return Series(self.ring, c * self.ring.mask(self.bx, self.by - 1), self.bx, self.by - 1)
+        return Series(self.ring, c * self.ring.mask(bx, by), bx, by)
 
     def partials(self, nx, ny):
         """Every partial with nx x- and ny y-derivatives, at the base point.
@@ -620,36 +633,50 @@ class Series:
         )
 
 
-def embed_series(src, dst_ring):
+def restrict(parts, ring):
+    """A series, or a nested list of them, in a smaller ring.
+
+    Coefficients inside the ring are copied as they are, at the smallest
+    of the parts' budgets and the ring's caps.  A list becomes a leading
+    component axis: a matrix a[i][j] is read as c[i, j, :].
+    """
+    if isinstance(parts, Series):
+        pos = parts.ring.positions_of(ring)
+        return Series(
+            ring,
+            parts.c[..., pos],
+            min(parts.bx, ring.cap_x),
+            min(parts.by, ring.cap_y),
+        )
+    parts = [restrict(p, ring) for p in parts]
+    bx, by = min(p.bx for p in parts), min(p.by for p in parts)
+    c = np.stack([p.truncated(bx, by).c for p in parts])
+    return Series(ring, c, bx, by)
+
+
+def embed(src, ring):
     """Re-express a series in a larger ring of the same dimension.
 
-    Every monomial of the source must exist in the destination; the
-    result keeps the source x-budget and gains the destination's full
-    y-budget when the source carries no y-dependence at all, otherwise
-    the source y-budget.  This is how x-only work re-enters the full
-    ring: a quantity of x alone (a coefficient field, a volume density
-    and its logarithm) is computed in the x-only ring and embedded once.
+    The result keeps the source x-budget and gains the destination's
+    full y-budget when the source ring has no y at all (an x-only
+    quantity), otherwise the source y-budget.
     """
-    if src.ring.n != dst_ring.n:
-        raise ValueError("ring dimension mismatch")
-    if src.ring.cap_x > dst_ring.cap_x or src.ring.cap_y > dst_ring.cap_y:
-        raise ValueError("destination ring too small to embed into")
-    c = np.zeros(dst_ring.size)
-    c[dst_ring.positions_of(src.ring)] = src.c
-    by = dst_ring.cap_y if src.ring.cap_y == 0 else src.by
-    return Series(dst_ring, c, src.bx, by)
+    c = np.zeros(src.c.shape[:-1] + (ring.size,))
+    c[..., ring.positions_of(src.ring)] = src.c
+    by = ring.cap_y if src.ring.cap_y == 0 else src.by
+    return Series(ring, c, src.bx, by)
 
 
 def x_only(fn, x):
     """fn(x) for a function fn of x alone, evaluated in the x-only ring.
 
     When x is a vector of full-ring Series (cap_y > 0) that carry no
-    y-dependence, each coordinate is restricted to its x-only
-    coefficients (so an affine x = A xs + c keeps its shape), fn runs in
-    SeriesRing.get(n, cap_x, 0), and every Series leaf of its result,
-    nested lists allowed, is embedded back into the full ring; float
-    leaves pass through.  Floats, x-only Series, any other ring's
-    scalars and an x that depends on y go to fn unchanged.
+    y-dependence, each coordinate is restricted to the x-only ring
+    SeriesRing.get(n, cap_x, 0) (so an affine x = A xs + c keeps its
+    shape), fn runs there, and every Series leaf of its result, nested
+    lists allowed, is embedded back into the full ring; float leaves
+    pass through.  Floats, x-only Series, any other ring's scalars and
+    an x that depends on y go to fn unchanged.
     """
     if not all(isinstance(v, Series) and v.ring.cap_y for v in x):
         return fn(x)
@@ -657,14 +684,13 @@ def x_only(fn, x):
     if any(v.c[ring.ydeg > 0].any() for v in x):
         return fn(x)
     reduced = SeriesRing.get(ring.n, ring.cap_x, 0)
-    pos = ring.positions_of(reduced)
-    out = fn([Series(reduced, v.c[pos], v.bx, 0) for v in x])
+    out = fn([restrict(v, reduced) for v in x])
 
     def lift(leaf):
         if isinstance(leaf, (list, tuple)):
             return type(leaf)(lift(v) for v in leaf)
         if isinstance(leaf, Series):
-            return embed_series(leaf, ring)
+            return embed(leaf, ring)
         return leaf
 
     return lift(out)

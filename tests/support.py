@@ -42,10 +42,10 @@ def record_rings(monkeypatch, n_max):
     built = []
     plain = SeriesRing.__init__
 
-    def init(ring, n, cap_x, cap_y):
+    def init(ring, n, cap_x, cap_y, *root):
         built.append(n)
         assert n <= n_max, "a %d-dimensional ring was built" % n
-        plain(ring, n, cap_x, cap_y)
+        plain(ring, n, cap_x, cap_y, *root)
 
     monkeypatch.setattr(SeriesRing, "__init__", init)
     return built

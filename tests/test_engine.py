@@ -306,11 +306,12 @@ def test_nonpositive_f_names_the_state():
 
 
 def _frame_products(monkeypatch, entry):
-    """(stages, budget, ring caps) of every ring product of one Frame.
+    """(stages, budget, ring caps, lanes) of every ring product of one Frame.
 
     The Frame runs at the first state of SamplePlan(count=1, seed=1);
     stages are the enclosing metric_series, ring_inv and riemann_series
-    calls.
+    calls.  lanes is the number of products a batched product stands
+    for (1 when unbatched).
     """
     from finslerlab import engine
     from finslerlab.series import Series
@@ -322,7 +323,8 @@ def _frame_products(monkeypatch, entry):
         out = plain(a, b)
         if isinstance(b, Series):
             caps = (a.ring.cap_x, a.ring.cap_y)
-            counted.append((tuple(stack), (out.bx, out.by), caps))
+            lanes = out.c.size // out.ring.size
+            counted.append((tuple(stack), (out.bx, out.by), caps, lanes))
         return out
 
     def staged(name, fn):
@@ -348,24 +350,40 @@ def _frame_products(monkeypatch, entry):
 def test_stage_budgets(monkeypatch, name, inv_products):
     # g^-1 and det feed only the spray and tau, through one x-derivative
     # of F^2, and every reader of R takes it at x-degree 0 and y-order
-    # <= 3, so each stage runs its products at that budget; ring_inv
-    # computes each minor once (112 products for a 4x4 matrix, not 172)
+    # <= 3, so each stage runs its products at that budget, in the stage
+    # ring of that budget; ring_inv computes each minor once (112
+    # products for a 4x4 matrix, not 172)
     entry = randers_n4() if name == "randers_n4" else get_example(name)
     counted = _frame_products(monkeypatch, entry)
 
     def budgets(stage):
-        return {budget for stages, budget, _ in counted if stage in stages}
+        return {budget for stages, budget, _, _ in counted if stage in stages}
 
-    assert budgets("metric_series") == {(1, 6)}
-    assert budgets("riemann_series") == {(0, 3)}
-    in_inv = [1 for stages, _, _ in counted if "ring_inv" in stages]
-    in_metric = [1 for stages, _, _ in counted if "metric_series" in stages]
-    assert len(in_inv) == len(in_metric) == inv_products
+    def rings(stage):
+        return {caps for stages, _, caps, _ in counted if stage in stages}
+
+    assert budgets("metric_series") == rings("metric_series") == {(1, 6)}
+    assert budgets("riemann_series") == rings("riemann_series") == {(0, 3)}
+    in_inv = sum(lanes for stages, _, _, lanes in counted if "ring_inv" in stages)
+    in_metric = sum(
+        lanes for stages, _, _, lanes in counted if "metric_series" in stages
+    )
+    assert in_inv == in_metric == inv_products
+    # two calls, 3 n^3 products each, as 3 n batched products of n^2 lanes
+    n = entry.metric.dimension
+    in_riemann = [
+        lanes for stages, _, _, lanes in counted if "riemann_series" in stages
+    ]
+    assert in_riemann == [n * n] * (6 * n)
 
 
 def _full_budget_products(monkeypatch, name):
+    # only the Frame's (2, 8) ring: a stage ring's products all run at
+    # its caps, and none of them is a full-budget product
     counted = _frame_products(monkeypatch, get_example(name))
-    return sum(1 for _, budget, caps in counted if caps[1] and budget == caps)
+    return sum(
+        lanes for _, budget, caps, lanes in counted if budget == caps == (2, 8)
+    )
 
 
 @pytest.mark.parametrize(
@@ -386,3 +404,67 @@ def test_ln_exp_horner_steps_skip_full_budget(monkeypatch, name, most):
     # ln/exp run each Horner step at the degree it needs, so fewer products
     # reach the full budget (mkropina made 65, the quartic 42 before)
     assert 0 < _full_budget_products(monkeypatch, name) <= most
+
+
+def _full_ring_riemann(G, ys, by):
+    """R^i_k of a spray as n x n Series of the ring of G: the written
+    formula component by component, each product at (0, by)."""
+    n = len(G)
+    Gdx = [[G[i].dx(m) for m in range(n)] for i in range(n)]
+    Gdy = [[G[i].dy(m) for m in range(n)] for i in range(n)]
+    y_low = [v.truncated(0, by) for v in ys]
+    G2_low = [(g * 2.0).truncated(0, by) for g in G]
+    Gdy_low = [[d.truncated(0, by) for d in row] for row in Gdy]
+    R = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for k in range(n):
+            acc = Gdx[i][k] * 2.0
+            for m in range(n):
+                acc = acc - Gdx[i][m].dy(k) * y_low[m]
+                acc = acc + Gdy[i][m].dy(k) * G2_low[m]
+                acc = acc - Gdy[i][m] * Gdy_low[m][k]
+            R[i][k] = acc
+    return R
+
+
+def _riemann_arrays(R, by):
+    """The value and fiber partials up to order by, each indexed [i, k, ...]."""
+    return [
+        np.array([[r.partials(0, order) for r in row] for row in R])
+        for order in range(by + 1)
+    ]
+
+
+@pytest.mark.parametrize("name", ["randers_osaka", "mkropina_yang", "randers_n4"])
+def test_stage_riemann_equals_full_ring_formula(monkeypatch, name):
+    # every riemann_series call of a Frame (the spray's and the projective
+    # spray's, by = 3) and of lemma21_residual (by = 0) gives exactly the
+    # component-wise full-ring formula's R, R_y, R_yy and R_y3
+    from finslerlab import engine
+
+    entry = randers_n4() if name == "randers_n4" else get_example(name)
+    x, y = sample_states(entry.metric, SamplePlan(count=1, seed=1)).states[0]
+    calls = []
+    plain = engine.riemann_series
+
+    def recorded(G, xs, ys, by):
+        out = plain(G, xs, ys, by)
+        calls.append((G, ys, by, out))
+        return out
+
+    monkeypatch.setattr(engine, "riemann_series", recorded)
+    frame = Frame(entry.metric, entry.volume, x, y)
+    p_func = lambda xs, ys: (0.1 + 0.3 * xs[1]) * ys[0] + 0.05 * ys[-1]  # noqa: E731
+    lemma21_residual(frame, p_func)
+    assert [by for _, _, by, _ in calls] == [3, 3, 0]
+    for G, ys, by, out in calls:
+        n = len(G)
+        assert out.c.shape[:2] == (n, n)
+        want = _riemann_arrays(_full_ring_riemann(G, ys, by), by)
+        got = [out.partials(0, order) for order in range(by + 1)]
+        for order, (g, w) in enumerate(zip(got, want)):
+            assert np.array_equal(g, w), (name, by, order)
+    _, ys, G = frame.ring_spray
+    spray_R = _riemann_arrays(_full_ring_riemann(G, ys, 3), 3)
+    for field, want in zip(("R", "R_y", "R_yy", "R_y3"), spray_R):
+        assert np.array_equal(getattr(frame, field), want), field

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from finslerlab import scalars, series as series_module
 from finslerlab.errors import DomainError, TowerBudgetError
-from finslerlab.series import Series, SeriesRing, embed_series
+from finslerlab.series import Series, SeriesRing, embed, restrict
 
 from jet_oracle import mixed_partial
 
@@ -387,6 +387,123 @@ def test_x_only_keeps_affine_coordinates(monkeypatch):
         assert np.abs(got.c - want.c).max() <= 1e-12 * scale, name
 
 
+# -- stage rings: a stage runs in the ring of the budget its readers need -----
+
+STAGE_BUDGETS = [(1, 6), (1, 5), (0, 4), (0, 3), (2, 0)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("budget", STAGE_BUDGETS, ids=str)
+def test_stage_tables_are_the_roots_mapped(n, budget):
+    # the stage ring's product table is the root's, restricted and mapped
+    # through the inverse of positions_of, and equals the table a ring of
+    # those caps builds for itself; so do its monomials and derivative
+    # tables
+    root = SeriesRing.get(n)
+    stage = root.stage(*budget)
+    own = SeriesRing(n, *budget)
+    pos = root.positions_of(stage)
+    assert np.all(np.diff(pos) > 0)
+    assert stage.exponents == own.exponents
+    assert np.array_equal(pos, root.positions_of(own))
+    inverse = np.full(root.size, -1)
+    inverse[pos] = np.arange(stage.size)
+    mapped = [inverse[t] for t in root.mul_table(*budget)]
+    for table in (stage.mul_table(*budget), own.mul_table(*budget)):
+        assert all(np.array_equal(a, b) for a, b in zip(table, mapped))
+    for got, want in zip(
+        stage._dx_tables + stage._dy_tables, own._dx_tables + own._dy_tables
+    ):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_stage_rings_are_shared_under_the_root():
+    root = SeriesRing.get(3)
+    assert root.stage(1, 6) is root.stage(1, 6)
+    assert root.stage(1, 6).stage(0, 3) is root.stage(0, 3)
+    assert root.stage(0, 3).root is root
+    assert SeriesRing.get(3, 1, 6) is not root.stage(1, 6)
+
+
+@pytest.mark.parametrize("budget", [(1, 6), (0, 3), (2, 0)], ids=str)
+def test_restrict_then_embed_keeps_every_in_budget_coefficient(budget):
+    ring = SeriesRing.get(3)
+    xs, ys = ring.state(X3, Y3)
+    f = smooth3(xs, ys)
+    stage = ring.stage(*budget)
+    small = restrict(f, stage)
+    assert (small.bx, small.by) == budget
+    back = embed(small, ring)
+    keep = (ring.xdeg <= budget[0]) & (ring.ydeg <= budget[1])
+    assert np.array_equal(back.c[keep], f.c[keep])
+    assert not back.c[~keep].any()
+    # a nested list becomes leading component axes, truncated to the
+    # smallest budget among its parts
+    g = f.dy(0).dy(1) * 0.5  # (2, 6)
+    wide = ring.stage(1, 7)
+    both = restrict([[f, g], [g, ys[2]]], wide)
+    assert both.c.shape == (2, 2, wide.size)
+    assert (both.bx, both.by) == (1, 6)
+    assert np.array_equal(embed(both.part((0, 1)), ring).c, g.truncated(1, 6).c)
+    assert np.array_equal(both.part((0, 0)).c, restrict(f.truncated(1, 6), wide).c)
+
+
+def _stage_factors(stage, rng, lanes):
+    c = rng.uniform(-1.0, 1.0, lanes + (stage.size,)) * 0.6 ** (stage.xdeg + stage.ydeg)
+    return Series(stage, c, stage.cap_x, stage.cap_y)
+
+
+def test_batched_stage_product_equals_each_lane():
+    # component axes broadcast: lanes (k, i) from a [1, i] and a [k, 1]
+    # factor, and from a [k, i] factor times an unbatched one
+    stage = SeriesRing.get(3).stage(0, 3)
+    rng = np.random.default_rng(5)
+    a = _stage_factors(stage, rng, (1, 3))
+    b = _stage_factors(stage, rng, (3, 1))
+    u = _stage_factors(stage, rng, ())
+    got = a * b
+    assert got.c.shape == (3, 3, stage.size)
+    for k in range(3):
+        for i in range(3):
+            lane = a.part((0, i)) * b.part((k, 0))
+            assert np.array_equal(got.c[k, i], lane.c)
+            assert np.array_equal((got * u).c[k, i], (lane * u).c)
+
+
+def test_batched_dense_times_sparse_skips_rows_in_every_lane():
+    # a y variable against a batch: the rows of its two nonzeros are
+    # gathered once for all lanes, and every lane equals its own product
+    ring = SeriesRing.get(3)
+    stage = ring.stage(1, 6)
+    xs, ys = ring.state(X3, Y3)
+    f = smooth3(xs, ys)
+    batch = restrict([f, f.dy(0), f.dx(1) * 3.0], stage)
+    y = restrict(ys[1], stage)
+    assert series_module._skipped_rows(batch, y, 1, 6) is not None
+    assert series_module._skipped_rows(y, batch, 1, 6) is not None
+    for got in (batch * y, y * batch):
+        for k in range(3):
+            assert np.array_equal(got.c[k], _dense_product(batch.part(k), y).c)
+
+
+def test_stage_reciprocal_runs_the_roots_newton_steps():
+    # a (1, 6) ring of its own would stop after 3 Newton steps, which
+    # differs from the (2, 8) result in the last bits; the stage ring
+    # runs the root's 4 and reproduces the full ring's reciprocal
+    ring = SeriesRing.get(3)
+    xs, ys = ring.state(X3, Y3)
+    g = smooth3(xs, ys).dy(0).dy(0) * 0.5
+    full = g.reciprocal(1, 6)
+    stage = ring.stage(1, 6)
+    got = restrict(g, stage).reciprocal(1, 6)
+    assert stage.newton_steps == ring.newton_steps == 4
+    assert np.array_equal(got.c, restrict(full, stage).c)
+    assert np.array_equal(embed(got, ring).c, full.c)
+    own = SeriesRing.get(3, 1, 6)
+    assert own.newton_steps == 3
+    assert not np.array_equal(restrict(g, own).reciprocal(1, 6).c, got.c)
+
+
 # -- work skipped in products: bit-identical to the plain algorithms ----------
 
 
@@ -405,7 +522,7 @@ def _full_ring_fields():
     small = SeriesRing.get(3, cap_x=2, cap_y=0)
     xv = [small.variable_x(i, X3[i]) for i in range(3)]
     w = 1.0 + 0.3 * xv[0] * xv[0] + 0.1 * xv[0] * xv[1] - 0.2 * xv[2]
-    return ring, ys, f, embed_series(w, ring)
+    return ring, ys, f, embed(w, ring)
 
 
 def _with_inf(series):
