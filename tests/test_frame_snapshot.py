@@ -12,14 +12,24 @@ relative.
 Regenerate (only from a commit whose outputs are the reference):
 
     PYTHONPATH=src python tests/test_frame_snapshot.py tests/data/frame_snapshot.npz
+
+A wider reference adds plan seeds (each seed samples its own states)
+and states of randers_osaka with the quadrature volume; --compare then
+lists every array the current code does not reproduce bit for bit
+(np.array_equal) at the reference's states, and exits 1 if there is one:
+
+    PYTHONPATH=src python tests/test_frame_snapshot.py REF.npz --seeds 1 2 --quadrature 2
+    PYTHONPATH=src python tests/test_frame_snapshot.py --compare REF.npz
 """
 
+import argparse
 import os
 import sys
+import types
 
 import numpy as np
 
-from finslerlab import catalog, classify, curvature, projective
+from finslerlab import catalog, classify, curvature, projective, volume
 
 from support import randers_n4
 
@@ -29,6 +39,7 @@ SNAPSHOT = os.path.join(
 STATES_PER_ENTRY = 3
 N4_NAME = "randers_n4"
 N4_STATES = 2
+QUADRATURE_NAME = "randers_osaka+bh_quadrature"
 P_FACTOR = "0.3*y1"
 REL = 1e-12
 
@@ -63,17 +74,32 @@ def state_outputs(entry, x, y):
 
 
 def entry_of(name):
-    """A catalog entry, or the n=4 definition as an entry-like record."""
-    return randers_n4() if name == N4_NAME else catalog.get_example(name)
+    """A catalog entry, the n=4 definition as an entry-like record, or
+    randers_osaka with the Busemann-Hausdorff quadrature volume."""
+    if name == N4_NAME:
+        return randers_n4()
+    if name == QUADRATURE_NAME:
+        metric = catalog.get_example("randers_osaka").metric
+        return types.SimpleNamespace(
+            metric=metric, volume=volume.bh_quadrature_volume(metric)
+        )
+    return catalog.get_example(name)
 
 
-def write_snapshot(path):
+def write_snapshot(path, seeds=(classify.SamplePlan.seed,), quadrature=0):
+    """The outputs at count states per entry and plan seed, keyed name/k
+    with k counting across seeds."""
     arrays = {}
     counts = [(name, STATES_PER_ENTRY) for name in catalog.list_examples()]
-    for name, count in counts + [(N4_NAME, N4_STATES)]:
+    counts.append((N4_NAME, N4_STATES))
+    if quadrature:
+        counts.append((QUADRATURE_NAME, quadrature))
+    for name, count in counts:
         entry = entry_of(name)
-        plan = classify.SamplePlan(count=count)
-        states = classify.sample_states(entry.metric, plan).states
+        states = []
+        for seed in seeds:
+            plan = classify.SamplePlan(count=count, seed=seed)
+            states += classify.sample_states(entry.metric, plan).states
         for k, (x, y) in enumerate(states):
             key = "%s/%d" % (name, k)
             arrays[key + "/x"] = np.array(x)
@@ -83,9 +109,23 @@ def write_snapshot(path):
     np.savez_compressed(path, **arrays)
 
 
-def _load():
+def compare_exactly(path):
+    """Names of the arrays of a reference file that the current code does
+    not reproduce bit for bit, and the number of arrays compared."""
+    differ, compared = [], 0
+    for key, ref in sorted(_load(path).items()):
+        x, y = tuple(ref.pop("x")), tuple(ref.pop("y"))
+        got = state_outputs(entry_of(key.split("/")[0]), x, y)
+        for field, want in sorted(ref.items()):
+            compared += 1
+            if field not in got or not np.array_equal(got[field], want):
+                differ.append("%s/%s" % (key, field))
+    return differ, compared
+
+
+def _load(path=SNAPSHOT):
     grouped = {}
-    with np.load(SNAPSHOT) as data:
+    with np.load(path) as data:
         for full, value in data.items():
             key, field = full.rsplit("/", 1)
             grouped.setdefault(key, {})[field] = value
@@ -115,5 +155,27 @@ def test_frame_matches_snapshot(key, ref):
     assert not bad, "; ".join(bad)
 
 
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("path", nargs="?", help="snapshot file to write")
+    parser.add_argument("--seeds", type=int, nargs="+",
+                        default=[classify.SamplePlan.seed])
+    parser.add_argument("--quadrature", type=int, default=0,
+                        help="randers_osaka states with the quadrature volume")
+    parser.add_argument("--compare", metavar="REF",
+                        help="list the arrays not bit-identical to REF")
+    args = parser.parse_args(argv)
+    if args.compare:
+        differ, compared = compare_exactly(args.compare)
+        for name in differ:
+            print(name)
+        print("%d of %d arrays differ" % (len(differ), compared))
+        return 1 if differ else 0
+    if not args.path:
+        parser.error("give a snapshot path to write, or --compare REF")
+    write_snapshot(args.path, args.seeds, args.quadrature)
+    return 0
+
+
 if __name__ == "__main__":
-    write_snapshot(sys.argv[1])
+    sys.exit(main())
