@@ -11,6 +11,7 @@ error.
 import argparse
 import datetime
 import json
+import math
 import sys
 
 import numpy as np
@@ -19,13 +20,14 @@ from . import __version__
 from .catalog import get_example, list_examples
 from .classify import (
     PREDICATES,
+    ErroredState,
     SamplePlan,
     Tolerances,
     classify_metric,
     sample_states,
 )
 from .curvature import GeometryState, residual_scale
-from .errors import ConfigError, FinslerError
+from .errors import ConfigError, FinslerError, ParseError
 from .metrics import construct_metric
 from .projective import IDENTITY_KINDS, identity_residual
 from .volume import (
@@ -348,30 +350,45 @@ def run_verify(args, stream=None):
         kwargs["parameters"] = leftover or None
 
     batch = sample_states(metric, plan, tol)
-    worst = None
-    rows = []
+    rows, errors = [], []
     for x, y in batch.states:
-        state = GeometryState(metric, volume, x, y)
-        residual = identity_residual(args.identity, state, **kwargs)
-        value = float(np.abs(residual.components).max())
-        scale = residual_scale(state)
-        rows.append((value, scale, (x, y)))
-        if worst is None or value / tol.bound(scale) > worst[0] / tol.bound(worst[1]):
-            worst = (value, scale, (x, y))
-    ok = all(value <= tol.bound(scale) for value, scale, _ in rows)
+        try:
+            state = GeometryState(metric, volume, x, y)
+            residual = identity_residual(args.identity, state, **kwargs)
+            value = float(np.abs(residual.components).max())
+            rows.append((value, residual_scale(state), (x, y)))
+        except (ConfigError, ParseError):
+            raise  # the run's configuration, not this state: exit 2
+        except FinslerError as exc:
+            errors.append(ErroredState(type(exc).__name__, str(exc), (x, y)))
+    if errors:
+        verdict, max_residual, scale, worst_state = (
+            "indeterminate", math.nan, math.nan, None
+        )
+    else:
+        worst = max(rows, key=lambda row: row[0] / tol.bound(row[1]))
+        ok = all(value <= tol.bound(scale) for value, scale, _ in rows)
+        verdict = "pass" if ok else "fail"
+        max_residual = max(value for value, _, _ in rows)
+        scale = worst[1]
+        worst_state = [list(worst[2][0]), list(worst[2][1])]
 
     payload = _base_payload(args, dict(params, **kwargs), metric.name,
                             volume.label)
     payload["identities"] = [{
         "kind": args.identity,
-        "verdict": "pass" if ok else "fail",
-        "max_residual": max(value for value, _, _ in rows),
-        "scale": worst[1],
-        "worst_state": [list(worst[2][0]), list(worst[2][1])],
+        "verdict": verdict,
+        "max_residual": max_residual,
+        "scale": scale,
+        "worst_state": worst_state,
         "states": len(rows),
     }]
+    payload["rejections"] = batch.rejections
+    payload["rejection_reasons"] = dict(sorted(batch.rejection_reasons.items()))
+    payload["errored_states"] = len(errors)
+    payload["errors"] = [err.as_dict() for err in errors]
     _emit(payload, args, stream)
-    return 0 if ok else 1
+    return 0 if verdict == "pass" else 1
 
 
 def main(argv=None):

@@ -14,17 +14,21 @@ budget is spent only where y enters.  The point tensors of the metrics
 module read g and C from small rings of the same series module; the
 test suite holds both against an independent jet-tower oracle.
 
-Each stage runs at the budget its readers need (bx x-orders, by
-y-orders), in the stage ring of that budget, with its vectors and
-matrices as component axes of one Series (series module notes).  Series
-operations are budget-invariant, so every array stays bit-identical:
+Each stage runs in the stage ring of the budget its readers need (bx
+x-orders, by y-orders), with its vectors and matrices as component axes
+of one Series (series module notes).  A Series's budget is its ring, so
+a stage downstream of the spray lands in its ring by the operations
+themselves, and Series operations are budget-invariant, so every array
+stays bit-identical:
 
-- F^2, g at (2, 6) for g and C, the projective spray, S and the cubes'
-  (0, 3), (1, 3) and (0, 4) partials in the (2, 8) ring;
+- F^2 in the (2, 8) ring, g in the (2, 6) ring for g and C;
 - g^-1, det g and ln det in the (1, 6) ring: the spray and tau read
   them only through one x-derivative of F^2;
-- the spray's y-derivatives in the (1, 7) ring, its contraction with
-  g^-1 in the (1, 6) ring;
+- the spray's y-derivatives in the (1, 7) ring, the spray itself, its
+  contraction with g^-1 and tau in the (1, 6) ring;
+- the divergence, S, the projective spray and the Douglas core in the
+  (1, 5) ring, the projective Douglas core in the (1, 4) ring: the
+  cubes read their (0, 3), (1, 3) and (0, 4) partials;
 - Riemann's derivatives in the (1, 5) and (0, 4) rings, its products in
   the (0, 3) ring over the lanes (i, k): the Frame reads R^i_k and its
   fiber partials up to order 3 (lemma21_residual: the value, (0, 0)).
@@ -42,7 +46,7 @@ import numpy as np
 from .errors import DomainError, EvalError, RegularityError
 from .scalars import ln, ring_inv, value_of
 from .scalars import ring_det  # noqa: F401  (perfbench/spans.py wraps this name)
-from .series import Series, SeriesRing, embed, restrict, x_only
+from .series import Series, SeriesRing, restrict, x_only
 
 # Orientation of the Ricci identity used for the Berwald-curvature
 # commutator: B_j^i_{kl|m} - B_j^i_{km|l} = RICCI_LM_SIGN * d_k R_j^i_{lm}
@@ -113,7 +117,7 @@ def spray_series(fsq, ginv, xs, ys):
     for l in range(1, n):
         acc = acc + ginv.part(np.s_[:, l]) * A.part(l)
     G = acc * 0.25
-    return [embed(G.part(i), fsq.ring) for i in range(n)]
+    return [G.part(i) for i in range(n)]
 
 
 def riemann_series(G, xs, ys, by):
@@ -144,7 +148,7 @@ def riemann_series(G, xs, ys, by):
         acc = acc + Gdyy.part(np.s_[:, m]) * G2_low.part(m)
         # dG^i/dy^m along i times dG^m/dy^k along k
         acc = acc - Gdy_low.part(np.s_[m, None]) * Gdy_low.part(np.s_[:, m, None])
-    return Series(low, acc.c.swapaxes(0, 1), acc.bx, acc.by)
+    return Series(acc.ring, acc.c.swapaxes(0, 1))
 
 
 def divergence_series(G):
@@ -259,7 +263,7 @@ class Frame:
             for m in range(1, n):
                 acc = acc + lnsig.dx(m) * ys[m]
             S = div - acc
-        tau = embed(det_ring.ln() * 0.5, ring) - lnsig
+        tau = det_ring.ln() * 0.5 - lnsig
         self.S = S.c[0]
         self.S_x = S.partials(1, 0)
         self.S_y = S.partials(0, 1)

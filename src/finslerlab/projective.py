@@ -69,9 +69,9 @@ def projective_ricci(state: GeometryState) -> ProjectiveRicci:
 
 def pr_riemann(state: GeometryState):
     """Projective Riemann curvature: PR^i_k and PR_j^i_{kl}."""
-    frame = state.frame
-    pr_ik = TensorValue(frame.Rt.copy(), (_UP, _LOW), state)
-    pr_full = TensorValue(frame.Rt_full.copy(), (_LOW, _UP, _LOW, _LOW), state)
+    frame, at = state.frame, state.state_tuple
+    pr_ik = TensorValue(frame.Rt.copy(), (_UP, _LOW), at)
+    pr_full = TensorValue(frame.Rt_full.copy(), (_LOW, _UP, _LOW, _LOW), at)
     return pr_ik, pr_full
 
 
@@ -79,7 +79,7 @@ def pr_quadratic_residual(state: GeometryState) -> TensorValue:
     """y-derivative of PR_j^i_{kl}; zero iff the metric is PR-quadratic."""
     frame = state.frame
     return TensorValue(
-        frame.Rt_full_dot.copy(), (_LOW, _UP, _LOW, _LOW, _LOW), state
+        frame.Rt_full_dot.copy(), (_LOW, _UP, _LOW, _LOW, _LOW), state.state_tuple
     )
 
 
@@ -143,28 +143,28 @@ def identity_residual(
                   1-homogeneous factor P (pass p=...).
     """
     kind_key = str(kind).lower()
-    frame = state.frame
+    frame, at = state.frame, state.state_tuple
     if kind_key == "thm31":
         return TensorValue(
-            frame.thm31_residual, (_LOW, _UP, _LOW, _LOW), state
+            frame.thm31_residual, (_LOW, _UP, _LOW, _LOW), at
         )
     if kind_key == "master":
         return TensorValue(
-            frame.master_residual, (_LOW, _UP, _LOW, _LOW, _LOW), state
+            frame.master_residual, (_LOW, _UP, _LOW, _LOW, _LOW), at
         )
     if kind_key == "thm33":
-        return TensorValue(frame.thm33_residual, (_LOW, _LOW, _LOW), state)
+        return TensorValue(frame.thm33_residual, (_LOW, _LOW, _LOW), at)
     if kind_key == "pricci":
         return TensorValue(
-            frame.pricci_residual, (_LOW, _UP, _LOW, _LOW, _LOW), state
+            frame.pricci_residual, (_LOW, _UP, _LOW, _LOW, _LOW), at
         )
     if kind_key == "constflag":
         value = frame.constflag_lambda_fit() if lam is None else float(lam)
-        return TensorValue(frame.constflag_residual(value), (_UP, _LOW), state)
+        return TensorValue(frame.constflag_residual(value), (_UP, _LOW), at)
     if kind_key == "lemma21":
         func = _projective_factor(p, state, parameters)
         residual = engine.lemma21_residual(frame, func)
-        return TensorValue(residual, (_UP, _LOW), state)
+        return TensorValue(residual, (_UP, _LOW), at)
     raise ConfigError(
         "unknown identity kind %r; expected one of: %s"
         % (kind, ", ".join(IDENTITY_KINDS))

@@ -13,18 +13,18 @@ ring.  Series.partials(nx, ny) reads all of them of one order at once:
 each is a single coefficient times its factorial weight, gathered
 through a table the ring caches per order.
 
-Each Series carries a budget (bx, by): how many x- and y-derivatives of
-it are still trustworthy.  Conservative rule: combining series takes the
-slot-wise minimum, taking a derivative decrements.  The invariant backing
-it is hard truncation: every coefficient beyond the budget is stored as
-exactly zero, so products never leak stale high-order terms back into
-trusted slots.
+A Series's budget (bx, by), how many x- and y-derivatives of it are
+still trustworthy, is the caps of its ring.  Combining series takes the
+slot-wise minimum: both operands are restricted to the stage ring
+(below) of the smaller caps, where the result lives; a derivative lands
+in the stage ring one order below.  A coefficient past a budget is
+never stored, so no stale high-order term can leak into trusted slots.
 
 Coefficient layout and multiplication tables live in a SeriesRing,
 cached per (dimension, caps); products are a gather-multiply plus a
-bincount over a precomputed index table restricted to the output budget.
-The table is sorted by first factor, then by second factor, and bincount
-adds each output coefficient's terms in table order.
+bincount over the ring's one index table of triples.  The table is
+sorted by first factor, then by second factor, and bincount adds each
+output coefficient's terms in table order.
 
 Two shortcuts skip work that cannot reach a kept coefficient, and both
 leave every result bit-identical to the plain product:
@@ -43,33 +43,36 @@ leave every result bit-identical to the plain product:
   step k enters the result multiplied by a power of a series with zero
   value part: v^k for ln, u^(k-1) for exp.  With top = bx + by, step k
   therefore matters only through total degree r = top - k (ln) or
-  top - k + 1 (exp), and runs its product at budget (min(bx, r),
-  min(by, r)), which holds every monomial of that degree.  Each
+  top - k + 1 (exp), and runs its product in the stage ring (min(bx, r),
+  min(by, r)), which holds every monomial of that degree: truncated
+  restricts the operand going down and zero-fills it going up.  Each
   coefficient that reaches the result is summed from the same triples
-  in the same order as at the full budget: its output monomial lies in
-  the smaller budget, so the smaller table lists all of its triples,
-  and every factor coefficient it reads was itself computed at a
-  degree its step kept.  Coefficients a step left out, or computed
-  past its degree, meet only the exact zero value part of v or u.
+  in the same order as at the full caps: its output monomial lies in
+  the smaller ring, so the smaller table lists all of its triples, and
+  every factor coefficient it reads was itself computed at a degree its
+  step kept.  Coefficients a step left out, or computed past its degree,
+  meet only the exact zero value part of v or u.
 
-Every operation is budget-invariant: run at a smaller budget, it gives
-exactly (bit for bit) the full-budget result's coefficients inside that
-budget, because a product coefficient reads only factor coefficients of
-lower or equal degree, through the same triples in the same order.
-Newton's method (reciprocal, sqrt) would break it if the step count
-followed the budget (a fourth step still moves a 3-step (1, 6)
-reciprocal in the last bits), so it runs the ring's newton_steps, the
-count for its root's total degree cap_x + cap_y, at every budget.
+Every operation is budget-invariant: run in a stage ring, it gives
+exactly (bit for bit) the root's result restricted to that ring,
+because a product coefficient reads only factor coefficients of lower
+or equal degree, through the same triples in the same order.  Newton's
+method (reciprocal, sqrt) would break it if the step count followed the
+caps (a fourth step still moves a 3-step (1, 6) reciprocal in the last
+bits), so it runs the ring's newton_steps, the count for its root's
+total degree cap_x + cap_y, in every stage ring.
 
-So each stage can run in the ring of the budget its readers need:
-ring.stage(bx, by) is the (bx, by) ring under ring's root, with the
-root's Newton step count.  Its monomials are the root's within its
-caps, in the root's order, so its product table is the root's, mapped
-(8 ms to set up the (1, 6) ring at n=4, against 43 ms from scratch).
-restrict copies series into a smaller ring, and embed carries a result
-back.  x_only runs work of x alone (coefficient fields, volume
-densities) in the x-only ring SeriesRing.get(n, cap_x, 0), a ring of
-its own with its own Newton step count.
+So each stage runs in the ring of the budget its readers need:
+ring.stage(bx, by) is the (bx, by) ring under ring's root (the root
+itself at the root's caps), with the root's Newton step count.  Its
+monomials are the root's within its caps, in the root's order, so its
+product table is the root's, mapped on its first product (8 ms to set
+up the (1, 6) ring at n=4, against 43 ms from scratch); its derivative
+tables are built per slot on first use.  restrict copies series into a
+smaller ring, and embed zero-fills them into a larger one.  x_only runs
+work of x alone (coefficient fields, volume densities) in the x-only
+ring SeriesRing.get(n, cap_x, 0), a ring of its own with its own Newton
+step count.
 
 A Series in an x-only or a stage ring may carry leading component axes:
 c of shape (K1, .., size) holds one series per lane, stacked by
@@ -116,7 +119,8 @@ class SeriesRing:
         return ring
 
     def stage(self, bx, by):
-        """The (bx, by) stage ring under this ring's root (module notes)."""
+        """The (bx, by) stage ring under this ring's root (module notes);
+        the root itself at its own caps."""
         stages = self.root._stages
         if (bx, by) not in stages:
             stages[(bx, by)] = SeriesRing(self.n, bx, by, self.root)
@@ -127,11 +131,11 @@ class SeriesRing:
         self.cap_x = cap_x
         self.cap_y = cap_y
         self.root = root or self
-        self._stages = {}
-        self._mul_cache = {}
-        self._row_cache = {}
+        self._stages = {(cap_x, cap_y): self}
+        self._triples = None
+        self._row_index = None
+        self._derivative_cache = {}
         self._partial_cache = {}
-        self._mask_cache = {}
         self._embed_cache = {}
         if root is None:
             # k steps are correct through total degree 2^k - 1
@@ -146,7 +150,8 @@ class SeriesRing:
         else:
             # the root's monomials within the caps, in the root's order
             self.newton_steps = root.newton_steps
-            pos = root._embed_cache[self] = np.flatnonzero(root.mask(cap_x, cap_y))
+            keep = (root.xdeg <= cap_x) & (root.ydeg <= cap_y)
+            pos = root._embed_cache[self] = np.flatnonzero(keep)
             exps = [root.exponents[p] for p in pos.tolist()]
         self.exponents = exps
         self.size = len(exps)
@@ -154,16 +159,21 @@ class SeriesRing:
         self.xdeg = np.array([sum(xe) for xe, _ in exps], dtype=np.int64)
         self.ydeg = np.array([sum(ye) for _, ye in exps], dtype=np.int64)
         if root is None:
-            self._full_triples = self._build_triples()
-        else:
-            # the root's table, mapped: _build_triples's, entry for entry
+            self._triples = self._build_triples()
+
+    @property
+    def triples(self):
+        """The product table (iout, ia, ib), sorted by first factor, then
+        by second.  A stage ring maps the root's on its first product:
+        the root's triples within its caps, entry for entry."""
+        if self._triples is None:
+            root = self.root
             inverse = np.full(root.size, -1, dtype=np.int64)
-            inverse[pos] = np.arange(self.size)
-            self._full_triples = tuple(
-                inverse[t] for t in root.mul_table(cap_x, cap_y)
+            inverse[root.positions_of(self)] = np.arange(self.size)
+            self._triples = tuple(
+                inverse[t] for t in root.mul_table(self.cap_x, self.cap_y)
             )
-        self._dx_tables = [self._derivative_table("x", k) for k in range(n)]
-        self._dy_tables = [self._derivative_table("y", k) for k in range(n)]
+        return self._triples
 
     def _build_triples(self):
         # mixed-radix keys: digit-wise exponent sums never carry, so the
@@ -198,61 +208,51 @@ class SeriesRing:
             np.concatenate(ib_parts).astype(np.int64),
         )
 
-    def _derivative_table(self, kind, k):
-        src, dst, fac = [], [], []
-        for i, (xe, ye) in enumerate(self.exponents):
-            e = xe if kind == "x" else ye
-            if e[k] == 0:
-                continue
-            shrunk = tuple(d - 1 if j == k else d for j, d in enumerate(e))
-            tgt = (shrunk, ye) if kind == "x" else (xe, shrunk)
-            src.append(i)
-            dst.append(self._index[tgt])
-            fac.append(float(e[k]))
-        return (
-            np.array(dst, dtype=np.int64),
-            np.array(src, dtype=np.int64),
-            np.array(fac, dtype=np.float64),
-        )
-
     def mul_table(self, bx, by):
-        key = (bx, by)
-        table = self._mul_cache.get(key)
-        if table is None:
-            iout, ia, ib = self._full_triples
-            keep = (self.xdeg[iout] <= bx) & (self.ydeg[iout] <= by)
-            table = (iout[keep], ia[keep], ib[keep])
-            self._mul_cache[key] = table
-        return table
+        """The triples whose output lies within (bx, by), in table order."""
+        iout, ia, ib = self.triples
+        if (bx, by) == (self.cap_x, self.cap_y):
+            return iout, ia, ib
+        keep = (self.xdeg[iout] <= bx) & (self.ydeg[iout] <= by)
+        return iout[keep], ia[keep], ib[keep]
 
-    def row_index(self, bx, by):
-        """Row starts of the (bx, by) table, by first and by second factor.
+    def row_index(self):
+        """Row starts of the product table, by first and by second factor.
 
         Returns (starts_a, perm_b, starts_b): the triples with first
         factor i sit at positions starts_a[i]:starts_a[i + 1]; those with
         second factor j at perm_b[starts_b[j]:starts_b[j + 1]], ascending.
         """
-        key = (bx, by)
-        index = self._row_cache.get(key)
-        if index is None:
-            _, ia, ib = self.mul_table(bx, by)
+        if self._row_index is None:
+            _, ia, ib = self.triples
             bounds = np.arange(self.size + 1)
             perm_b = np.argsort(ib, kind="stable")
-            index = (
+            self._row_index = (
                 np.searchsorted(ia, bounds),
                 perm_b,
                 np.searchsorted(ib[perm_b], bounds),
             )
-            self._row_cache[key] = index
-        return index
+        return self._row_index
 
-    def mask(self, bx, by):
-        key = (bx, by)
-        m = self._mask_cache.get(key)
-        if m is None:
-            m = ((self.xdeg <= bx) & (self.ydeg <= by)).astype(np.float64)
-            self._mask_cache[key] = m
-        return m
+    def derivative_table(self, kind, slot):
+        """(ring, src, fac) of d/dx^slot (kind "x") or d/dy^slot: the
+        stage ring one order below, and for each of its monomials the
+        position here of the monomial it comes from and that monomial's
+        exponent in the slot."""
+        key = (kind, slot)
+        table = self._derivative_cache.get(key)
+        if table is None:
+            x = kind == "x"
+            ring = self.stage(self.cap_x - x, self.cap_y - (not x))
+            src, fac = [], []
+            for xe, ye in ring.exponents:
+                e = list(xe if x else ye)
+                e[slot] += 1
+                src.append(self._index[(tuple(e), ye) if x else (xe, tuple(e))])
+                fac.append(float(e[slot]))
+            table = (ring, np.array(src, dtype=np.int64), np.array(fac))
+            self._derivative_cache[key] = table
+        return table
 
     def partial_table(self, nx, ny):
         """Index and factorial-weight arrays of the (nx, ny)-th partials.
@@ -299,21 +299,21 @@ class SeriesRing:
             raise ValueError("only x-only and stage rings take a batch axis")
         c = np.zeros(value.shape + (self.size,))
         c[..., 0] = value
-        return Series(self, c, self.cap_x, self.cap_y)
+        return Series(self, c)
 
     def variable_x(self, slot, value):
         c = np.zeros(self.size)
         c[0] = float(value)
         e = tuple(1 if j == slot else 0 for j in range(self.n))
         c[self._index[(e, (0,) * self.n)]] = 1.0
-        return Series(self, c, self.cap_x, self.cap_y)
+        return Series(self, c)
 
     def variable_y(self, slot, value):
         c = np.zeros(self.size)
         c[0] = float(value)
         e = tuple(1 if j == slot else 0 for j in range(self.n))
         c[self._index[((0,) * self.n, e)]] = 1.0
-        return Series(self, c, self.cap_x, self.cap_y)
+        return Series(self, c)
 
     def state(self, x, y):
         """Series vectors for the coordinates of a state."""
@@ -344,40 +344,48 @@ def _rows(starts, rows):
     )
 
 
-def _skipped_rows(a, b, bx, by):
+def _skipped_rows(ring, a, b):
     """Table positions of the triples whose sparser factor is nonzero.
 
-    None when the product should gather the whole table: two dense
-    factors, a batched sparse factor, or a non-finite coefficient in the
-    other factor (whose products with the skipped zeros would be NaN).
-    The other factor may carry a batch: every lane skips the same zeros.
-    Only tables of at least ROW_SKIP_MIN_TRIPLES triples are worth the
-    check.
+    a and b are the factors' coefficient arrays in ring.  None when the
+    product should gather the whole table: two dense factors, a batched
+    sparse factor, or a non-finite coefficient in the other factor
+    (whose products with the skipped zeros would be NaN).  The other
+    factor may carry a batch: every lane skips the same zeros.  Only
+    tables of at least ROW_SKIP_MIN_TRIPLES triples are worth the check.
     """
-    ring = a.ring
-    na, nb = (
-        np.count_nonzero(s.c) if s.c.ndim == 1 else math.inf for s in (a, b)
-    )
+    na, nb = (np.count_nonzero(c) if c.ndim == 1 else math.inf for c in (a, b))
     if min(na, nb) > ring.size // ROW_SKIP_DENSITY:
         return None
     sparse, dense = (a, b) if na <= nb else (b, a)
-    if not np.isfinite(dense.c).all():
+    if not np.isfinite(dense).all():
         return None
-    starts_a, perm_b, starts_b = ring.row_index(bx, by)
-    rows = np.flatnonzero(sparse.c)
+    starts_a, perm_b, starts_b = ring.row_index()
+    rows = np.flatnonzero(sparse)
     if sparse is a:
         return _rows(starts_a, rows)
     return np.sort(perm_b[_rows(starts_b, rows)])
 
 
-class Series:
-    __slots__ = ("ring", "c", "bx", "by")
+def _meet(a, b):
+    """a and b in the ring of their common budget: the stage ring of the
+    slot-wise smaller caps, under their root."""
+    if a.ring is b.ring:
+        return a, b
+    ring = a.ring.stage(min(a.bx, b.bx), min(a.by, b.by))
+    return restrict(a, ring), restrict(b, ring)
 
-    def __init__(self, ring, c, bx, by):
+
+class Series:
+    __slots__ = ("ring", "c")
+
+    def __init__(self, ring, c):
         self.ring = ring
         self.c = c
-        self.bx = bx
-        self.by = by
+
+    # the budget, trusted x- and y-derivative orders, is the ring's caps
+    bx = property(lambda self: self.ring.cap_x)
+    by = property(lambda self: self.ring.cap_y)
 
     def value(self):
         """Value part: a float, or one float per lane of a batch."""
@@ -386,24 +394,15 @@ class Series:
 
     def part(self, index):
         """The components at a numpy index of the leading (batch) axes."""
-        return Series(self.ring, self.c[index], self.bx, self.by)
-
-    def _masked_to(self, bx, by):
-        if bx == self.bx and by == self.by:
-            return self.c
-        return self.c * self.ring.mask(bx, by)
+        return Series(self.ring, self.c[index])
 
     def truncated(self, bx, by):
-        """Self with every coefficient beyond (bx, by) zeroed, at that budget.
-
-        The budget is taken as given.  Below the series' own budget this
-        is plain truncation; above it, the caller vouches for the
-        coefficients up to (bx, by), as the Horner steps of ln and exp
-        do for the degrees they reach the result through.
-        """
-        if bx == self.bx and by == self.by:
-            return self
-        return Series(self.ring, self._masked_to(bx, by), bx, by)
+        """Self in the (bx, by) stage ring: restricted below its budget,
+        zero-filled above it, where the caller vouches for the
+        coefficients, as the Horner steps of ln and exp do for the
+        degrees they reach the result through."""
+        low = restrict(self, self.ring.stage(min(bx, self.bx), min(by, self.by)))
+        return embed(low, self.ring.stage(bx, by))
 
     def _at_degree(self, r, bx, by):
         """Self truncated to (min(bx, r), min(by, r)): every monomial of
@@ -414,50 +413,47 @@ class Series:
 
     def __add__(self, other):
         if isinstance(other, Series):
-            bx, by = min(self.bx, other.bx), min(self.by, other.by)
-            return Series(
-                self.ring, self._masked_to(bx, by) + other._masked_to(bx, by), bx, by
-            )
+            a, b = _meet(self, other)
+            return Series(a.ring, a.c + b.c)
         if isinstance(other, numbers.Real):
             c = self.c.copy()
             c[..., 0] += float(other)
-            return Series(self.ring, c, self.bx, self.by)
+            return Series(self.ring, c)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Series):
-            bx, by = min(self.bx, other.bx), min(self.by, other.by)
-            return Series(
-                self.ring, self._masked_to(bx, by) - other._masked_to(bx, by), bx, by
-            )
+            a, b = _meet(self, other)
+            return Series(a.ring, a.c - b.c)
         if isinstance(other, numbers.Real):
             c = self.c.copy()
             c[..., 0] -= float(other)
-            return Series(self.ring, c, self.bx, self.by)
+            return Series(self.ring, c)
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, numbers.Real):
             c = -self.c
             c[..., 0] += float(other)
-            return Series(self.ring, c, self.bx, self.by)
+            return Series(self.ring, c)
         return NotImplemented
 
     def __neg__(self):
-        return Series(self.ring, -self.c, self.bx, self.by)
+        return Series(self.ring, -self.c)
 
     def __mul__(self, other):
         if isinstance(other, Series):
-            bx, by = min(self.bx, other.bx), min(self.by, other.by)
-            iout, ia, ib = self.ring.mul_table(bx, by)
-            size = self.ring.size
+            a, b = _meet(self, other)
+            ring = a.ring
+            iout, ia, ib = ring.triples
+            size = ring.size
             if len(iout) >= ROW_SKIP_MIN_TRIPLES:
-                pos = _skipped_rows(self, other, bx, by)
+                pos = _skipped_rows(ring, a.c, b.c)
                 if pos is not None:
                     iout, ia, ib = iout[pos], ia[pos], ib[pos]
-            w = self.c.take(ia, axis=-1) * other.c.take(ib, axis=-1)
+            w = a.c.take(ia, axis=-1) * b.c.take(ib, axis=-1)
             if w.ndim == 1:
                 # bincount of an empty selection would give int64 zeros
                 c = (
@@ -474,26 +470,27 @@ class Series:
                 c = np.bincount(
                     bins.ravel(), weights=w.ravel(), minlength=count * size
                 ).reshape(lanes + (size,))
-            return Series(self.ring, c, bx, by)
+            return Series(ring, c)
         if isinstance(other, numbers.Real):
-            return Series(self.ring, self.c * float(other), self.bx, self.by)
+            return Series(self.ring, self.c * float(other))
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Series):
-            return self * other.reciprocal(min(self.bx, other.bx), min(self.by, other.by))
+            a, b = _meet(self, other)
+            return a * b.reciprocal()
         if isinstance(other, numbers.Real):
             d = float(other)
             if d == 0.0:
                 raise DomainError("division by zero constant")
-            return Series(self.ring, self.c / d, self.bx, self.by)
+            return Series(self.ring, self.c / d)
         return NotImplemented
 
     def __rtruediv__(self, other):
         if isinstance(other, numbers.Real):
-            return float(other) * self.reciprocal(self.bx, self.by)
+            return float(other) * self.reciprocal()
         return NotImplemented
 
     def __pow__(self, q):
@@ -501,14 +498,13 @@ class Series:
             return self.powr(float(q))
         return NotImplemented
 
-    def reciprocal(self, bx, by):
+    def reciprocal(self):
         b0 = self.c[..., 0]
         if np.any(b0 == 0.0):
             raise DomainError("reciprocal of zero value part")
-        b = self.truncated(bx, by)
-        z = self.ring.constant(1.0 / b0).truncated(bx, by)
+        z = self.ring.constant(1.0 / b0)
         for _ in range(self.ring.newton_steps):
-            z = z * (2.0 - b * z)
+            z = z * (2.0 - self * z)
         return z
 
     def sqrt(self):
@@ -518,7 +514,7 @@ class Series:
             raise DomainError(
                 "sqrt of non-positive value part %s" % _first_bad(bad, b0)
             )
-        w = self.ring.constant(1.0 / np.sqrt(b0)).truncated(self.bx, self.by)
+        w = self.ring.constant(1.0 / np.sqrt(b0))
         for _ in range(self.ring.newton_steps):
             w = w * (3.0 - self * (w * w)) * 0.5
         out = self * w
@@ -530,7 +526,7 @@ class Series:
         # s_k = 1 + (u / k) s_(k+1) enters the result times u^(k-1), so
         # step k runs at total degree top - k + 1 (see the module notes)
         a0 = self.c[..., 0]
-        u = Series(self.ring, self.c.copy(), self.bx, self.by)
+        u = Series(self.ring, self.c.copy())
         u.c[..., 0] = 0.0
         top = self.bx + self.by
         s = self.ring.constant(1.0)
@@ -538,9 +534,7 @@ class Series:
             r = top - k + 1
             uk = u._at_degree(r, self.bx, self.by) * (1.0 / k)
             s = 1.0 + uk * s._at_degree(r, self.bx, self.by)
-        return Series(
-            self.ring, s.c * _lanes(math.exp, a0)[..., None], self.bx, self.by
-        )
+        return Series(self.ring, s.c * _lanes(math.exp, a0)[..., None])
 
     def ln(self):
         # ln(a0(1 + v)) = ln a0 + v - v^2/2 + v^3/3 - ...
@@ -552,7 +546,7 @@ class Series:
             )
         # t_k = (-1)^(k+1)/k + v t_(k+1) enters the result times v^k, so
         # step k runs at total degree top - k (see the module notes)
-        v = Series(self.ring, self.c / a0[..., None], self.bx, self.by)
+        v = Series(self.ring, self.c / a0[..., None])
         v.c[..., 0] = 0.0
         top = self.bx + self.by
         t = self.ring.constant(0.0)
@@ -560,7 +554,7 @@ class Series:
             r = top - k
             vk = v._at_degree(r, self.bx, self.by)
             t = ((-1.0) ** (k + 1)) / k + vk * t._at_degree(r, self.bx, self.by)
-        out = v * Series(self.ring, t.c, self.bx, self.by)
+        out = v * t.truncated(self.bx, self.by)
         out.c[..., 0] = _lanes(math.log, a0)
         return out
 
@@ -569,9 +563,9 @@ class Series:
         if q == int(q):
             k = int(q)
             if k < 0:
-                return self.powr(-q).reciprocal(self.bx, self.by)
+                return self.powr(-q).reciprocal()
             if k == 0:
-                return self.ring.constant(1.0).truncated(self.bx, self.by)
+                return self.ring.constant(1.0)
             # binary powering that starts from the base, not from 1 * base,
             # and stops before a squaring whose result is never used
             out = None
@@ -597,18 +591,16 @@ class Series:
     def dx(self, slot):
         if self.bx < 1:
             raise TowerBudgetError("x-derivative budget exhausted (bx=0)")
-        return self._derivative(self.ring._dx_tables[slot], self.bx - 1, self.by)
+        return self._derivative("x", slot)
 
     def dy(self, slot):
         if self.by < 1:
             raise TowerBudgetError("y-derivative budget exhausted (by=0)")
-        return self._derivative(self.ring._dy_tables[slot], self.bx, self.by - 1)
+        return self._derivative("y", slot)
 
-    def _derivative(self, table, bx, by):
-        dst, src, fac = table
-        c = np.zeros(self.c.shape)
-        c[..., dst] = self.c.take(src, axis=-1) * fac
-        return Series(self.ring, c * self.ring.mask(bx, by), bx, by)
+    def _derivative(self, kind, slot):
+        ring, src, fac = self.ring.derivative_table(kind, slot)
+        return Series(ring, self.c.take(src, axis=-1) * fac)
 
     def partials(self, nx, ny):
         """Every partial with nx x- and ny y-derivatives, at the base point.
@@ -634,37 +626,35 @@ class Series:
 
 
 def restrict(parts, ring):
-    """A series, or a nested list of them, in a smaller ring.
+    """A series, or a nested list of them, restricted to a smaller ring.
 
-    Coefficients inside the ring are copied as they are, at the smallest
-    of the parts' budgets and the ring's caps.  A list becomes a leading
-    component axis: a matrix a[i][j] is read as c[i, j, :].
+    The result lives in the stage ring, under ring's root, of the
+    smallest of ring's caps and the parts' budgets; coefficients are
+    copied as they are.  A list becomes a leading component axis: a
+    matrix a[i][j] is read as c[i, j, :].
     """
     if isinstance(parts, Series):
-        pos = parts.ring.positions_of(ring)
-        return Series(
-            ring,
-            parts.c[..., pos],
-            min(parts.bx, ring.cap_x),
-            min(parts.by, ring.cap_y),
-        )
+        ring = ring.stage(min(parts.bx, ring.cap_x), min(parts.by, ring.cap_y))
+        if parts.ring is ring:
+            return parts
+        return Series(ring, parts.c[..., parts.ring.positions_of(ring)])
     parts = [restrict(p, ring) for p in parts]
-    bx, by = min(p.bx for p in parts), min(p.by for p in parts)
-    c = np.stack([p.truncated(bx, by).c for p in parts])
-    return Series(ring, c, bx, by)
+    ring = ring.stage(min(p.bx for p in parts), min(p.by for p in parts))
+    return Series(ring, np.stack([restrict(p, ring).c for p in parts]))
 
 
 def embed(src, ring):
-    """Re-express a series in a larger ring of the same dimension.
+    """A series in a larger ring of the same dimension, zero-filled.
 
-    The result keeps the source x-budget and gains the destination's
-    full y-budget when the source ring has no y at all (an x-only
-    quantity), otherwise the source y-budget.
+    The caller vouches for the coefficients the source ring lacks: an
+    x-only quantity has no y-dependence, and a Horner step only reads
+    degrees its result reaches.
     """
+    if src.ring is ring:
+        return src
     c = np.zeros(src.c.shape[:-1] + (ring.size,))
     c[..., ring.positions_of(src.ring)] = src.c
-    by = ring.cap_y if src.ring.cap_y == 0 else src.by
-    return Series(ring, c, src.bx, by)
+    return Series(ring, c)
 
 
 def x_only(fn, x):
@@ -674,9 +664,10 @@ def x_only(fn, x):
     y-dependence, each coordinate is restricted to the x-only ring
     SeriesRing.get(n, cap_x, 0) (so an affine x = A xs + c keeps its
     shape), fn runs there, and every Series leaf of its result, nested
-    lists allowed, is embedded back into the full ring; float leaves
-    pass through.  Floats, x-only Series, any other ring's scalars and
-    an x that depends on y go to fn unchanged.
+    lists allowed, is embedded back into the stage ring of the full
+    ring at the leaf's x-budget and the full y-cap; float leaves pass
+    through.  Floats, x-only Series, any other ring's scalars and an x
+    that depends on y go to fn unchanged.
     """
     if not all(isinstance(v, Series) and v.ring.cap_y for v in x):
         return fn(x)
@@ -690,7 +681,7 @@ def x_only(fn, x):
         if isinstance(leaf, (list, tuple)):
             return type(leaf)(lift(v) for v in leaf)
         if isinstance(leaf, Series):
-            return embed(leaf, ring)
+            return embed(leaf, ring.stage(leaf.bx, ring.cap_y))
         return leaf
 
     return lift(out)

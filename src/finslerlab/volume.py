@@ -106,7 +106,7 @@ def bh_sigma_quadrature(metric, x, nodes=None):
             "F <= 0 at quadrature direction %s" % (tuple(dirs[bad[0]]),)
         )
     terms = powr(F, -float(n))
-    total = Series(ring, weights @ terms.c, terms.bx, terms.by)
+    total = Series(terms.ring, weights @ terms.c)
     sigma = (float(n) * unit_ball_volume(n)) / total
     return sigma.value() if lifted else sigma
 

@@ -122,6 +122,7 @@ def test_verify_master_on_humo(capsys):
     assert row["kind"] == "master"
     assert row["verdict"] == "pass"
     assert row["max_residual"] <= 1e-6 * row["scale"] + 1e-9
+    assert blob["errored_states"] == 0 and blob["errors"] == []
 
 
 def test_verify_constflag_with_lambda(capsys):
@@ -297,3 +298,26 @@ def test_text_output_renders(capsys):
     )
     assert code == 0
     assert "predicate" in out and "berwald" in out
+
+
+def test_verify_reports_errored_states_as_classify_does(capsys):
+    # ln sigma fails at every sampled state: each is listed with class,
+    # message and (x, y), the verdict is indeterminate and the exit code 1
+    args = ("--metric", "euclidean", "--volume-form", "dsl",
+            "--param", "sigma=ln(x1)", "--samples", "5", "--seed", "2")
+    code, out, _ = run(capsys, "verify", "--identity", "thm33", *args)
+    assert code == 1
+    blob = json.loads(out)
+    row = blob["identities"][0]
+    assert row["verdict"] == "indeterminate" and row["worst_state"] is None
+    assert blob["errored_states"] == len(blob["errors"]) == 5
+    for err in blob["errors"]:
+        assert err["error"] == "RegularityError" and "at x=" in err["message"]
+        assert len(err["x"]) == len(err["y"]) == 3
+    assert blob["rejections"] == 0 and blob["rejection_reasons"] == {}
+    code, out, _ = run(capsys, "classify", *args)
+    assert code == 1
+    assert json.loads(out)["errors"] == blob["errors"]
+    code, out, _ = run(capsys, "verify", "--identity", "thm33", *args,
+                       "--output", "text")
+    assert "thm33: indeterminate" in out and out.count("errored state:") == 5

@@ -225,3 +225,15 @@ def test_projective_factor_accepts_parameters():
         "lemma21", st, p="c*y1", parameters={"c": 0.5}
     )
     assert np.isfinite(res.components).all()
+
+
+@pytest.mark.parametrize("kind", IDENTITY_KINDS)
+def test_tensor_values_carry_the_state_tuple(kind):
+    # TensorValue.state is the (x, y) tuple, as every curvature accessor
+    # stores it, not the GeometryState
+    st = entry_state("randers_osaka")
+    kwargs = {"p": "0.3*y1"} if kind == "lemma21" else {}
+    values = [identity_residual(kind, st, **kwargs)]
+    values += [*pr_riemann(st), pr_quadratic_residual(st)]
+    for value in values:
+        assert value.state == st.state_tuple == (X3, Y3)

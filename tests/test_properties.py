@@ -7,7 +7,11 @@ far below the bounds.  The identities do not depend on how the
 derivatives are computed:
 
     g_ij y^i y^j = F^2,  C_ijk totally symmetric,  C_ijk y^k = 0,
-    F_{|m} = 0 (the horizontal derivative of F vanishes).
+    F_{|m} = 0 (the horizontal derivative of F vanishes);
+
+and coordinate covariance: under x = A x' + c, y = A y', the spray,
+R^i_k and the Douglas tensor of F'(x', y') = F(A x' + c, A y') are
+those of F carried by A, and S with a constant density is unchanged.
 """
 
 import itertools
@@ -30,6 +34,8 @@ from finslerlab.volume import constant_volume
 
 N = 3
 KAPPA_MAX = 10.0
+# the covariance gaps measured at most 3e-13 of max(1, |tensor|), on D
+COVARIANCE_REL = 1e-10
 
 coefficient = st.floats(-0.5, 0.5, allow_nan=False, allow_infinity=False)
 
@@ -102,3 +108,82 @@ def test_randers_identities(lower, slopes, b0, b_slopes, x, y):
     state = GeometryState(metric, constant_volume(1.0), x, y)
     Fh = horizontal_derivative(metric.F, state).components
     assert np.abs(Fh).max() <= 1e-10 * F
+
+
+def pulled_back(metric, A, c):
+    """F'(x, y) = F(A x + c, A y) as a Randers metric of its own, with
+    a'(x) = A^T a(A x + c) A and b'(x) = A^T b(A x + c)."""
+    A = np.asarray(A, dtype=float).tolist()
+
+    def moved(x):
+        return [sum((x[j] * A[i][j] for j in range(N)), c[i]) for i in range(N)]
+
+    def a_fn(x):
+        a = metric.a_fn(moved(x))
+        return [
+            [
+                sum(
+                    a[i][j] * (A[i][k] * A[j][m])
+                    for i in range(N)
+                    for j in range(N)
+                )
+                for m in range(N)
+            ]
+            for k in range(N)
+        ]
+
+    def b_fn(x):
+        b = metric.b_fn(moved(x))
+        return [sum(b[i] * A[i][k] for i in range(N)) for k in range(N)]
+
+    return alpha_beta_metric("pulled_back", N, a_fn, b_fn)
+
+
+@settings(
+    max_examples=12,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(
+    lower=coefficients(3),
+    slopes=coefficients(3),
+    b0=coefficients(3),
+    b_slopes=coefficients(9),
+    mix=coefficients(9),
+    c=st.lists(st.floats(-0.1, 0.1), min_size=N, max_size=N),
+    x=st.lists(st.floats(-0.2, 0.2), min_size=N, max_size=N),
+    y=st.lists(st.floats(-1.0, 1.0), min_size=N, max_size=N),
+)
+def test_tensors_transform_under_affine_coordinates(
+    lower, slopes, b0, b_slopes, mix, c, x, y
+):
+    # F'(x', y') = F(A x' + c, A y') with A = I + 0.4 M, |M_ij| <= 0.5,
+    # so cond(A) <= 4: the spray, R^i_k and the Douglas tensor of F' are
+    # those of F at (A x' + c, A y'), carried by A as tensors; S with a
+    # constant density is a scalar
+    assume(np.linalg.norm(y) > 0.1)
+    A = np.eye(N) + 0.4 * np.reshape(mix, (N, N))
+    Ainv = np.linalg.inv(A)
+    metric = random_randers(lower, slopes, b0, b_slopes)
+    xm, ym = A @ x + c, A @ y
+    assume(randers_b_norm_sq(metric, xm) < 1.0)
+    assume(value_of(metric.F(xm, ym)) > 0.0)
+    try:
+        g = fundamental_tensor(metric, (xm, ym)).components
+    except RegularityError:
+        assume(False)
+    assume(relative_condition(metric, xm, g) <= KAPPA_MAX)
+
+    volume = constant_volume(1.0)
+    old = GeometryState(metric, volume, xm, ym).frame
+    new = GeometryState(pulled_back(metric, A, c), volume, x, y).frame
+    pairs = {
+        "G": (new.G, Ainv @ old.G),
+        "R": (new.R, Ainv @ old.R @ A),
+        "D": (new.D, np.einsum("im,pmqr,pj,qk,rl->jikl", Ainv, old.D, A, A, A)),
+        "S": (new.S, old.S),
+    }
+    for name, (got, want) in pairs.items():
+        bound = COVARIANCE_REL * max(1.0, float(np.abs(want).max()))
+        assert float(np.abs(got - want).max()) <= bound, name

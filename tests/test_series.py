@@ -144,13 +144,20 @@ def test_partials_table_matches_jets(nx, ny):
 
 
 def test_hard_truncation_beyond_budget():
+    # a result lives in the stage ring of the common budget, so no
+    # coefficient beyond that budget is stored
     ring = SeriesRing.get(2)
     xs, ys = ring.state([0.3, 0.1], [1.0, 0.5])
     a = (1.0 + xs[0] + ys[0]).powr(5)  # full budget
     b = a.dy(0).dy(0)  # by = cap_y - 2
-    mixed = a + b
-    beyond = (ring.ydeg > mixed.by) | (ring.xdeg > mixed.bx)
-    assert np.all(mixed.c[beyond] == 0.0)
+    common = ring.stage(2, ring.cap_y - 2)
+    assert a.ring is ring and b.ring is common
+    for mixed in (a + b, b - a, a * b, b / a):
+        assert mixed.ring is common and (mixed.bx, mixed.by) == (2, ring.cap_y - 2)
+        assert mixed.c.shape == (common.size,)
+    c = a.dx(1) * b  # (1, cap_y) against (2, cap_y - 2)
+    assert c.ring is ring.stage(1, ring.cap_y - 2)
+    assert not ((c.ring.xdeg > 1) | (c.ring.ydeg > ring.cap_y - 2)).any()
 
 
 def test_division_matches_jets():
@@ -228,7 +235,7 @@ LANES = np.linspace(-0.9, 2.2, 41)
 BATCH_OPS = {
     "mul": lambda xs, d: (1.0 + d * xs[0]) * (0.5 + d * xs[1] * xs[2] + d),
     "broadcast": lambda xs, d: (2.0 + d * xs[0]) * (xs[1] - 0.3 * xs[2] + 1.0),
-    "reciprocal": lambda xs, d: (2.0 + d * xs[0] - 0.2 * xs[2]).reciprocal(2, 0),
+    "reciprocal": lambda xs, d: (2.0 + d * xs[0] - 0.2 * xs[2]).reciprocal(),
     "sqrt": lambda xs, d: (2.0 + d * xs[0] * xs[1] + 0.1 * d).sqrt(),
     "powr-3": lambda xs, d: (1.5 + d * xs[2] + 0.2 * xs[0]).powr(-3.0),
     "ln": lambda xs, d: (2.0 + d * xs[0] + 0.4 * xs[1] * xs[1]).ln(),
@@ -243,10 +250,10 @@ def test_batched_lanes_equal_unbatched(op):
     xs = [ring.variable_x(i, X3[i]) for i in range(3)]
     build = BATCH_OPS[op]
     batched = build(xs, ring.constant(LANES))
-    assert batched.c.shape == (len(LANES), ring.size)
+    assert batched.c.shape == (len(LANES), batched.ring.size)
     for k, d in enumerate(LANES):
         lane = build(xs, ring.constant(d))
-        assert (batched.bx, batched.by) == (lane.bx, lane.by)
+        assert batched.ring is lane.ring
         assert np.all(batched.c[k] == lane.c), (op, k)
         assert batched.value()[k] == lane.value()
 
@@ -409,11 +416,14 @@ def test_stage_tables_are_the_roots_mapped(n, budget):
     inverse = np.full(root.size, -1)
     inverse[pos] = np.arange(stage.size)
     mapped = [inverse[t] for t in root.mul_table(*budget)]
-    for table in (stage.mul_table(*budget), own.mul_table(*budget)):
+    for table in (stage.triples, own.triples):
         assert all(np.array_equal(a, b) for a, b in zip(table, mapped))
-    for got, want in zip(
-        stage._dx_tables + stage._dy_tables, own._dx_tables + own._dy_tables
-    ):
+    kinds = [kind for kind, cap in zip("xy", budget) if cap]
+    for kind, slot in itertools.product(kinds, range(n)):
+        (low, *got), (own_low, *want) = (
+            r.derivative_table(kind, slot) for r in (stage, own)
+        )
+        assert low.root is root and low.exponents == own_low.exponents
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
@@ -422,7 +432,25 @@ def test_stage_rings_are_shared_under_the_root():
     assert root.stage(1, 6) is root.stage(1, 6)
     assert root.stage(1, 6).stage(0, 3) is root.stage(0, 3)
     assert root.stage(0, 3).root is root
+    assert root.stage(2, 8) is root.stage(1, 6).stage(2, 8) is root
     assert SeriesRing.get(3, 1, 6) is not root.stage(1, 6)
+
+
+def test_budget_is_the_ring():
+    # a Series stores its ring and coefficients; a derivative writes into
+    # the stage ring one order below; a stage ring maps its product table
+    # on its first product, not when it is built
+    assert Series.__slots__ == ("ring", "c")
+    root = SeriesRing(2, 2, 8)
+    xs, ys = root.state([0.1, 0.2], [1.0, 2.0])
+    f = xs[0] * ys[1] * ys[1]
+    assert f.dx(0).ring is root.stage(1, 8)
+    assert f.dy(1).dy(0).ring is root.stage(2, 6)
+    assert f.dy(1).partials(0, 1)[1] == 2.0 * 0.1
+    stage = root.stage(1, 6)
+    assert stage._triples is None
+    restrict(f, stage) * restrict(ys[0], stage)
+    assert stage._triples is not None
 
 
 @pytest.mark.parametrize("budget", [(1, 6), (0, 3), (2, 0)], ids=str)
@@ -432,25 +460,29 @@ def test_restrict_then_embed_keeps_every_in_budget_coefficient(budget):
     f = smooth3(xs, ys)
     stage = ring.stage(*budget)
     small = restrict(f, stage)
-    assert (small.bx, small.by) == budget
+    assert small.ring is stage and (small.bx, small.by) == budget
     back = embed(small, ring)
+    assert back.ring is ring
     keep = (ring.xdeg <= budget[0]) & (ring.ydeg <= budget[1])
     assert np.array_equal(back.c[keep], f.c[keep])
     assert not back.c[~keep].any()
-    # a nested list becomes leading component axes, truncated to the
-    # smallest budget among its parts
+    assert np.array_equal(restrict(back, stage).c, small.c)
+    # a nested list becomes leading component axes, in the ring of the
+    # smallest budget among its parts and the target's caps
     g = f.dy(0).dy(1) * 0.5  # (2, 6)
     wide = ring.stage(1, 7)
     both = restrict([[f, g], [g, ys[2]]], wide)
-    assert both.c.shape == (2, 2, wide.size)
-    assert (both.bx, both.by) == (1, 6)
-    assert np.array_equal(embed(both.part((0, 1)), ring).c, g.truncated(1, 6).c)
-    assert np.array_equal(both.part((0, 0)).c, restrict(f.truncated(1, 6), wide).c)
+    common = ring.stage(1, 6)
+    assert both.ring is common and both.c.shape == (2, 2, common.size)
+    assert np.array_equal(both.part((0, 1)).c, restrict(g, wide).c)
+    assert np.array_equal(both.part((0, 0)).c, restrict(f, common).c)
+    y2 = embed(both.part((1, 1)), ring)
+    assert np.array_equal(y2.c, ys[2].truncated(1, 6).truncated(2, 8).c)
 
 
 def _stage_factors(stage, rng, lanes):
     c = rng.uniform(-1.0, 1.0, lanes + (stage.size,)) * 0.6 ** (stage.xdeg + stage.ydeg)
-    return Series(stage, c, stage.cap_x, stage.cap_y)
+    return Series(stage, c)
 
 
 def test_batched_stage_product_equals_each_lane():
@@ -479,8 +511,9 @@ def test_batched_dense_times_sparse_skips_rows_in_every_lane():
     f = smooth3(xs, ys)
     batch = restrict([f, f.dy(0), f.dx(1) * 3.0], stage)
     y = restrict(ys[1], stage)
-    assert series_module._skipped_rows(batch, y, 1, 6) is not None
-    assert series_module._skipped_rows(y, batch, 1, 6) is not None
+    assert batch.ring is y.ring is stage
+    assert series_module._skipped_rows(stage, batch.c, y.c) is not None
+    assert series_module._skipped_rows(stage, y.c, batch.c) is not None
     for got in (batch * y, y * batch):
         for k in range(3):
             assert np.array_equal(got.c[k], _dense_product(batch.part(k), y).c)
@@ -492,27 +525,27 @@ def test_stage_reciprocal_runs_the_roots_newton_steps():
     # runs the root's 4 and reproduces the full ring's reciprocal
     ring = SeriesRing.get(3)
     xs, ys = ring.state(X3, Y3)
-    g = smooth3(xs, ys).dy(0).dy(0) * 0.5
-    full = g.reciprocal(1, 6)
+    g = smooth3(xs, ys).dy(0).dy(0) * 0.5  # (2, 6)
+    full = g.reciprocal()
     stage = ring.stage(1, 6)
-    got = restrict(g, stage).reciprocal(1, 6)
+    got = restrict(g, stage).reciprocal()
+    assert got.ring is stage
     assert stage.newton_steps == ring.newton_steps == 4
     assert np.array_equal(got.c, restrict(full, stage).c)
-    assert np.array_equal(embed(got, ring).c, full.c)
     own = SeriesRing.get(3, 1, 6)
     assert own.newton_steps == 3
-    assert not np.array_equal(restrict(g, own).reciprocal(1, 6).c, got.c)
+    assert not np.array_equal(restrict(g, own).reciprocal().c, got.c)
 
 
 # -- work skipped in products: bit-identical to the plain algorithms ----------
 
 
 def _dense_product(a, b):
-    """a * b gathered over the whole table, as every product once was."""
-    bx, by = min(a.bx, b.bx), min(a.by, b.by)
-    iout, ia, ib = a.ring.mul_table(bx, by)
+    """a * b gathered over the whole table of their common ring."""
+    a, b = series_module._meet(a, b)
+    iout, ia, ib = a.ring.triples
     w = a.c.take(ia, axis=-1) * b.c.take(ib, axis=-1)
-    return Series(a.ring, np.bincount(iout, weights=w, minlength=a.ring.size), bx, by)
+    return Series(a.ring, np.bincount(iout, weights=w, minlength=a.ring.size))
 
 
 def _full_ring_fields():
@@ -528,7 +561,7 @@ def _full_ring_fields():
 def _with_inf(series):
     c = series.c.copy()
     c[7] = np.inf
-    return Series(series.ring, c, series.bx, series.by)
+    return Series(series.ring, c)
 
 
 # name -> (first factor, second factor, whether rows are skipped)
@@ -538,7 +571,7 @@ SKIP_CASES = {
     "dense x sparse": lambda ring, ys, f, w: (f, ys[2], True),
     "g budget, dense x sparse": lambda ring, ys, f, w: (f.dy(0).dy(1), w, True),
     "empty selection": lambda ring, ys, f, w: (
-        Series(ring, np.zeros(ring.size), 2, 8), f, True),
+        Series(ring, np.zeros(ring.size)), f, True),
     "inf in the dense factor": lambda ring, ys, f, w: (ys[1], _with_inf(f), False),
 }
 
@@ -547,21 +580,21 @@ SKIP_CASES = {
 def test_skipped_rows_equal_dense_product(case):
     ring, ys, f, w = _full_ring_fields()
     a, b, skips = SKIP_CASES[case](ring, ys, f, w)
-    bx, by = min(a.bx, b.bx), min(a.by, b.by)
-    assert (series_module._skipped_rows(a, b, bx, by) is not None) == skips
+    ma, mb = series_module._meet(a, b)
+    assert (series_module._skipped_rows(ma.ring, ma.c, mb.c) is not None) == skips
     with np.errstate(invalid="ignore"):  # inf * 0 in the last case
         got, want = a * b, _dense_product(a, b)
     assert got.c.dtype == np.float64
-    assert (got.bx, got.by) == (want.bx, want.by)
+    assert got.ring is want.ring
     assert np.array_equal(got.c, want.c, equal_nan=True), case
     if case == "inf in the dense factor":
         assert np.isnan(want.c).any()
 
 
 def test_row_index_lists_every_triple_once():
-    ring = SeriesRing.get(3)
-    iout, ia, ib = ring.mul_table(2, 6)
-    starts_a, perm_b, starts_b = ring.row_index(2, 6)
+    ring = SeriesRing.get(3).stage(2, 6)
+    iout, ia, ib = ring.triples
+    starts_a, perm_b, starts_b = ring.row_index()
     everything = np.arange(ring.size)
     assert np.array_equal(series_module._rows(starts_a, everything), np.arange(len(ia)))
     assert np.array_equal(ia[series_module._rows(starts_a, everything)], np.sort(ia))
@@ -571,7 +604,8 @@ def test_row_index_lists_every_triple_once():
 
 
 # Test-local copies of the elementary functions as they ran before the
-# per-step budgets: every Horner step and every power at the full budget.
+# per-step budgets: every Horner step and every power at the full caps of
+# the argument's ring.
 
 
 def _lane_map(fn, v):
@@ -580,19 +614,18 @@ def _lane_map(fn, v):
 
 def _full_budget_exp(s):
     ring = s.ring
-    u = Series(ring, s.c.copy(), s.bx, s.by)
+    u = Series(ring, s.c.copy())
     u.c[..., 0] = 0.0
     acc = ring.constant(1.0)
     for k in range(s.bx + s.by, 0, -1):
         acc = 1.0 + (u * (1.0 / k)) * acc
-    out = Series(ring, acc.c * _lane_map(math.exp, s.c[..., 0])[..., None], acc.bx, acc.by)
-    return Series(ring, out._masked_to(s.bx, s.by), s.bx, s.by)
+    return Series(ring, acc.c * _lane_map(math.exp, s.c[..., 0])[..., None])
 
 
 def _full_budget_ln(s):
     ring = s.ring
     a0 = s.c[..., 0]
-    v = Series(ring, s.c / a0[..., None], s.bx, s.by)
+    v = Series(ring, s.c / a0[..., None])
     v.c[..., 0] = 0.0
     t = ring.constant(0.0)
     for k in range(s.bx + s.by, 0, -1):
@@ -607,8 +640,8 @@ def _full_budget_powr(s, q):
         return _full_budget_exp(_full_budget_ln(s) * q)
     k = int(q)
     if k < 0:
-        return _full_budget_powr(s, -q).reciprocal(s.bx, s.by)
-    out = Series(s.ring, s.ring.constant(1.0)._masked_to(s.bx, s.by), s.bx, s.by)
+        return _full_budget_powr(s, -q).reciprocal()
+    out = s.ring.constant(1.0)
     base = s
     while k:
         if k & 1:
@@ -649,7 +682,7 @@ def test_elementary_functions_equal_full_budget_algorithms(monkeypatch, name, op
     # the reference gathers whole tables as well
     monkeypatch.setattr(series_module, "ROW_SKIP_MIN_TRIPLES", math.inf)
     want = full(s)
-    assert (got.bx, got.by) == (want.bx, want.by) == (s.bx, s.by)
+    assert got.ring is want.ring is s.ring
     assert np.array_equal(got.c, want.c), (name, op)
 
 
@@ -660,22 +693,22 @@ def test_ring_inv_det_equals_ring_det_on_series():
     g = [[f.dy(i).dy(j) * 0.5 for j in range(3)] for i in range(3)]
     det, _ = scalars.ring_inv(g)
     want = scalars.ring_det(g)
-    assert (det.bx, det.by) == (want.bx, want.by)
+    assert det.ring is want.ring is ring.stage(2, 6)
     assert np.array_equal(det.c, want.c)
 
 
-# Budget invariance: an operation run at a smaller budget gives exactly
-# the full-budget result's coefficients inside that budget.
+# Budget invariance: an operation run in a stage ring gives exactly the
+# root's result, restricted to that ring.
 
 INVARIANCE_BUDGETS = [(1, 6), (2, 5), (0, 3), (1, 1)]
 INVARIANCE_OPS = {
-    "*": lambda a, b, bx, by: a * b,
-    "reciprocal": lambda a, b, bx, by: a.reciprocal(bx, by),
-    "sqrt": lambda a, b, bx, by: a.sqrt(),
-    "ln": lambda a, b, bx, by: a.ln(),
-    "exp": lambda a, b, bx, by: a.exp(),
-    "powr 1.5": lambda a, b, bx, by: a.powr(1.5),
-    "powr 3": lambda a, b, bx, by: a.powr(3),
+    "*": lambda a, b: a * b,
+    "reciprocal": lambda a, b: a.reciprocal(),
+    "sqrt": lambda a, b: a.sqrt(),
+    "ln": lambda a, b: a.ln(),
+    "exp": lambda a, b: a.exp(),
+    "powr 1.5": lambda a, b: a.powr(1.5),
+    "powr 3": lambda a, b: a.powr(3),
 }
 
 
@@ -685,12 +718,7 @@ def _random_series(ring, rng, density):
     c = rng.uniform(-1.0, 1.0, ring.size) * 0.6 ** degree
     c *= rng.uniform(size=ring.size) < density
     c[0] = rng.uniform(1.0, 2.0)
-    return Series(ring, c, ring.cap_x, ring.cap_y)
-
-
-def _masked(s, bx, by):
-    # test-local truncation: mask every coefficient beyond (bx, by)
-    return Series(s.ring, s.c * s.ring.mask(bx, by), bx, by)
+    return Series(ring, c)
 
 
 @pytest.mark.parametrize("name", sorted(INVARIANCE_OPS))
@@ -703,20 +731,31 @@ def test_operations_are_budget_invariant(name, seed, density):
     a = _random_series(ring, rng, 1.0)
     b = _random_series(ring, rng, density)
     op = INVARIANCE_OPS[name]
-    full = op(a, b, ring.cap_x, ring.cap_y)
-    for bx, by in INVARIANCE_BUDGETS:
-        got = op(_masked(a, bx, by), _masked(b, bx, by), bx, by)
-        assert (got.bx, got.by) == (bx, by)
-        assert np.array_equal(got.c, full.c * ring.mask(bx, by)), (bx, by)
+    full = op(a, b)
+    for budget in INVARIANCE_BUDGETS:
+        stage = ring.stage(*budget)
+        got = op(restrict(a, stage), restrict(b, stage))
+        assert got.ring is stage
+        assert np.array_equal(got.c, restrict(full, stage).c), budget
 
 
 def test_truncated_zeroes_beyond_the_budget():
+    # down: restrict to the stage ring; up: zero-filling embed
     ring = SeriesRing.get(3)
     xs, ys = ring.state(X3, Y3)
     f = smooth3(xs, ys)
     assert f.truncated(f.bx, f.by) is f
     low = f.truncated(1, 6)
-    assert (low.bx, low.by) == (1, 6)
+    assert low.ring is ring.stage(1, 6)
+    assert np.array_equal(low.c, restrict(f, low.ring).c)
+    up = low.truncated(2, 8)
+    assert up.ring is ring
     keep = (ring.xdeg <= 1) & (ring.ydeg <= 6)
-    assert np.array_equal(low.c[keep], f.c[keep])
-    assert not low.c[~keep].any() and f.c[~keep].any()
+    assert np.array_equal(up.c[keep], f.c[keep])
+    assert not up.c[~keep].any() and f.c[~keep].any()
+    # down in x and up in y at once
+    mixed = f.dy(0).truncated(1, 8)
+    assert mixed.ring is ring.stage(1, 8)
+    common = ring.stage(1, 7)
+    assert np.array_equal(restrict(mixed, common).c, restrict(f.dy(0), common).c)
+    assert not mixed.c[mixed.ring.ydeg == 8].any()
