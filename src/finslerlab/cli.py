@@ -361,34 +361,29 @@ def run_verify(args, stream=None):
             raise  # the run's configuration, not this state: exit 2
         except FinslerError as exc:
             errors.append(ErroredState(type(exc).__name__, str(exc), (x, y)))
-    if errors:
-        verdict, max_residual, scale, worst_state = (
-            "indeterminate", math.nan, math.nan, None
-        )
-    else:
-        worst = max(rows, key=lambda row: row[0] / tol.bound(row[1]))
+    row = {"kind": args.identity, "verdict": "indeterminate", "states": len(rows),
+           "max_residual": math.nan, "scale": math.nan, "worst_state": None}
+    if not errors:
+        worst = max(rows, key=lambda r: r[0] / tol.bound(r[1]))
         ok = all(value <= tol.bound(scale) for value, scale, _ in rows)
-        verdict = "pass" if ok else "fail"
-        max_residual = max(value for value, _, _ in rows)
-        scale = worst[1]
-        worst_state = [list(worst[2][0]), list(worst[2][1])]
+        row.update(
+            verdict="pass" if ok else "fail",
+            max_residual=max(value for value, _, _ in rows),
+            scale=worst[1],
+            worst_state=[list(worst[2][0]), list(worst[2][1])],
+        )
 
     payload = _base_payload(args, dict(params, **kwargs), metric.name,
                             volume.label)
-    payload["identities"] = [{
-        "kind": args.identity,
-        "verdict": verdict,
-        "max_residual": max_residual,
-        "scale": scale,
-        "worst_state": worst_state,
-        "states": len(rows),
-    }]
-    payload["rejections"] = batch.rejections
-    payload["rejection_reasons"] = dict(sorted(batch.rejection_reasons.items()))
-    payload["errored_states"] = len(errors)
-    payload["errors"] = [err.as_dict() for err in errors]
+    payload["identities"] = [row]
+    payload.update(
+        rejections=batch.rejections,
+        rejection_reasons=dict(sorted(batch.rejection_reasons.items())),
+        errored_states=len(errors),
+        errors=[err.as_dict() for err in errors],
+    )
     _emit(payload, args, stream)
-    return 0 if verdict == "pass" else 1
+    return 0 if row["verdict"] == "pass" else 1
 
 
 def main(argv=None):

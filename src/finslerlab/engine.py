@@ -16,10 +16,9 @@ test suite holds both against an independent jet-tower oracle.
 
 Each stage runs in the stage ring of the budget its readers need (bx
 x-orders, by y-orders), with its vectors and matrices as component axes
-of one Series (series module notes).  A Series's budget is its ring, so
-a stage downstream of the spray lands in its ring by the operations
-themselves, and Series operations are budget-invariant, so every array
-stays bit-identical:
+of one Series.  A Series's budget is its ring, and Series operations are
+budget-invariant (series module notes), so every array stays
+bit-identical:
 
 - F^2 in the (2, 8) ring, g in the (2, 6) ring for g and C;
 - g^-1, det g and ln det in the (1, 6) ring: the spray and tau read

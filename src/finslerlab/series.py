@@ -235,10 +235,8 @@ class SeriesRing:
         return self._row_index
 
     def derivative_table(self, kind, slot):
-        """(ring, src, fac) of d/dx^slot (kind "x") or d/dy^slot: the
-        stage ring one order below, and for each of its monomials the
-        position here of the monomial it comes from and that monomial's
-        exponent in the slot."""
+        """(ring, src, fac) of d/dx^slot (kind "x") or d/dy^slot: the stage
+        ring one order below, and per monomial there its source here."""
         key = (kind, slot)
         table = self._derivative_cache.get(key)
         if table is None:
@@ -398,16 +396,10 @@ class Series:
 
     def truncated(self, bx, by):
         """Self in the (bx, by) stage ring: restricted below its budget,
-        zero-filled above it, where the caller vouches for the
-        coefficients, as the Horner steps of ln and exp do for the
-        degrees they reach the result through."""
+        zero-filled above it, where the caller (a Horner step of ln or
+        exp) vouches for the coefficients."""
         low = restrict(self, self.ring.stage(min(bx, self.bx), min(by, self.by)))
         return embed(low, self.ring.stage(bx, by))
-
-    def _at_degree(self, r, bx, by):
-        """Self truncated to (min(bx, r), min(by, r)): every monomial of
-        (bx, by) up to total degree r, all a Horner step must get right."""
-        return self.truncated(min(bx, r), min(by, r))
 
     # -- ring operations ------------------------------------------------
 
@@ -531,9 +523,8 @@ class Series:
         top = self.bx + self.by
         s = self.ring.constant(1.0)
         for k in range(top, 0, -1):
-            r = top - k + 1
-            uk = u._at_degree(r, self.bx, self.by) * (1.0 / k)
-            s = 1.0 + uk * s._at_degree(r, self.bx, self.by)
+            low = min(self.bx, top - k + 1), min(self.by, top - k + 1)
+            s = 1.0 + u.truncated(*low) * (1.0 / k) * s.truncated(*low)
         return Series(self.ring, s.c * _lanes(math.exp, a0)[..., None])
 
     def ln(self):
@@ -551,9 +542,8 @@ class Series:
         top = self.bx + self.by
         t = self.ring.constant(0.0)
         for k in range(top, 0, -1):
-            r = top - k
-            vk = v._at_degree(r, self.bx, self.by)
-            t = ((-1.0) ** (k + 1)) / k + vk * t._at_degree(r, self.bx, self.by)
+            low = min(self.bx, top - k), min(self.by, top - k)
+            t = ((-1.0) ** (k + 1)) / k + v.truncated(*low) * t.truncated(*low)
         out = v * t.truncated(self.bx, self.by)
         out.c[..., 0] = _lanes(math.log, a0)
         return out
