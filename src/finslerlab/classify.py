@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .curvature import GeometryState
-from .errors import ConfigError, FinslerError, SamplingError
+from .errors import ConfigError, FinslerError, ParseError, SamplingError
 from .metrics import fundamental_tensor, is_admissible
 from .scalars import value_of
 
@@ -295,24 +295,47 @@ def _frame_residuals(frame):
     }
 
 
+def measure_states(metric, volume, states, measure):
+    """(rows, errors) of measure(GeometryState) over a batch of states.
+
+    Each row is (state, *measure(...)).  A state whose evaluation raises
+    a FinslerError becomes an ErroredState; a ConfigError or ParseError
+    is the run's configuration, not the state's, and propagates.
+    """
+    rows, errors = [], []
+    for state in states:
+        try:
+            rows.append((state, *measure(GeometryState(metric, volume, *state))))
+        except (ConfigError, ParseError):
+            raise
+        except FinslerError as exc:
+            errors.append(ErroredState(type(exc).__name__, str(exc), state))
+    return rows, errors
+
+
+def verdict(rows, tol):
+    """(holds, max value, worst row) over rows (state, scale, value): it
+    holds when every value is within tol.bound(scale)."""
+    worst = max(rows, key=lambda r: r[2] / tol.bound(r[1]))
+    holds = all(value <= tol.bound(scale) for _, scale, value in rows)
+    return holds, max(value for _, _, value in rows), worst
+
+
+def _measure(state):
+    """(scale, residual per predicate, least-squares flag curvature)."""
+    frame = state.frame
+    res = _frame_residuals(frame)
+    lam = frame.constflag_lambda_fit()
+    res["constant_flag"] = float(np.abs(frame.constflag_residual(lam)).max())
+    return frame.scale, res, lam
+
+
 def classify_metric(metric, volume, plan=None, tolerances=None):
     """Evaluate all classification predicates on a sampled batch."""
     plan = plan or SamplePlan()
     tol = tolerances or Tolerances()
     batch = sample_states(metric, plan, tol)
-
-    rows = []  # (state, scale, residual dict, lambda_fit, lambda_residual)
-    errors = []
-    for state in batch.states:
-        try:
-            gs = GeometryState(metric, volume, state[0], state[1])
-            frame = gs.frame
-            res = _frame_residuals(frame)
-            lam = frame.constflag_lambda_fit()
-            lam_res = float(np.abs(frame.constflag_residual(lam)).max())
-            rows.append((state, frame.scale, res, lam, lam_res))
-        except FinslerError as exc:
-            errors.append(ErroredState(type(exc).__name__, str(exc), state))
+    rows, errors = measure_states(metric, volume, batch.states, _measure)
 
     predicates = {}
     for name in PREDICATES:
@@ -321,17 +344,20 @@ def classify_metric(metric, volume, plan=None, tolerances=None):
                 name, "indeterminate", math.nan, math.nan, None
             )
             continue
+        holds, top, worst = verdict(
+            [(state, scale, res[name]) for state, scale, res, _ in rows], tol
+        )
+        details = {}
         if name == "constant_flag":
-            predicates[name] = _constant_flag_result(rows, tol)
-            continue
-        worst = max(rows, key=lambda r: r[2][name] / tol.bound(r[1]))
-        ok = all(r[2][name] <= tol.bound(r[1]) for r in rows)
+            lams = [lam for _, _, _, lam in rows]
+            spread = max(lams) - min(lams)
+            holds = holds and spread <= LAMBDA_CONSTANCY_TOL
+            details = {
+                "lambda_hat": float(np.mean(lams)),
+                "lambda_spread": float(spread),
+            }
         predicates[name] = PredicateResult(
-            name,
-            "holds" if ok else "fails",
-            max(r[2][name] for r in rows),
-            worst[1],
-            worst[0],
+            name, "holds" if holds else "fails", top, worst[1], worst[0], details
         )
 
     violations = []
@@ -356,21 +382,3 @@ def classify_metric(metric, volume, plan=None, tolerances=None):
         tuple(violations),
     )
 
-
-def _constant_flag_result(rows, tol):
-    lams = [r[3] for r in rows]
-    spread = max(lams) - min(lams)
-    residual_ok = all(r[4] <= tol.bound(r[1]) for r in rows)
-    ok = residual_ok and spread <= LAMBDA_CONSTANCY_TOL
-    worst = max(rows, key=lambda r: r[4] / tol.bound(r[1]))
-    return PredicateResult(
-        "constant_flag",
-        "holds" if ok else "fails",
-        max(r[4] for r in rows),
-        worst[1],
-        worst[0],
-        details={
-            "lambda_hat": float(np.mean(lams)),
-            "lambda_spread": float(spread),
-        },
-    )

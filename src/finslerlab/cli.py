@@ -19,17 +19,17 @@ import numpy as np
 from . import __version__
 from .catalog import get_example, list_examples
 from .classify import (
-    PREDICATES,
-    ErroredState,
     SamplePlan,
     Tolerances,
     classify_metric,
+    measure_states,
     sample_states,
+    verdict,
 )
-from .curvature import GeometryState, residual_scale
-from .errors import ConfigError, FinslerError, ParseError
+from .curvature import residual_scale
+from .errors import ConfigError, FinslerError
 from .metrics import construct_metric
-from .projective import IDENTITY_KINDS, identity_residual
+from .projective import IDENTITY_KINDS, identity_residual, projective_factor
 from .volume import (
     bh_quadrature_volume,
     bh_randers_volume,
@@ -342,39 +342,34 @@ def run_verify(args, stream=None):
     plan = _plan(args)
     tol = _tolerances(args)
 
-    kwargs = {}
+    kwargs, echo = {}, dict(params)
     if args.identity == "constflag" and lam is not None:
-        kwargs["lam"] = float(lam)
+        kwargs["lam"] = echo["lam"] = float(lam)
     if args.identity == "lemma21":
-        kwargs["p"] = str(p_source) if p_source is not None else None
-        kwargs["parameters"] = leftover or None
+        echo["p"] = str(p_source) if p_source is not None else None
+        echo["parameters"] = leftover or None
+        # a missing or malformed P fails here, before any sampling
+        kwargs["p"] = projective_factor(echo["p"], metric.dimension,
+                                        echo["parameters"])
+
+    def measure(state):
+        residual = identity_residual(args.identity, state, **kwargs)
+        return residual_scale(state), float(np.abs(residual.components).max())
 
     batch = sample_states(metric, plan, tol)
-    rows, errors = [], []
-    for x, y in batch.states:
-        try:
-            state = GeometryState(metric, volume, x, y)
-            residual = identity_residual(args.identity, state, **kwargs)
-            value = float(np.abs(residual.components).max())
-            rows.append((value, residual_scale(state), (x, y)))
-        except (ConfigError, ParseError):
-            raise  # the run's configuration, not this state: exit 2
-        except FinslerError as exc:
-            errors.append(ErroredState(type(exc).__name__, str(exc), (x, y)))
+    rows, errors = measure_states(metric, volume, batch.states, measure)
     row = {"kind": args.identity, "verdict": "indeterminate", "states": len(rows),
            "max_residual": math.nan, "scale": math.nan, "worst_state": None}
     if not errors:
-        worst = max(rows, key=lambda r: r[0] / tol.bound(r[1]))
-        ok = all(value <= tol.bound(scale) for value, scale, _ in rows)
+        ok, top, (worst, scale, _) = verdict(rows, tol)
         row.update(
             verdict="pass" if ok else "fail",
-            max_residual=max(value for value, _, _ in rows),
-            scale=worst[1],
-            worst_state=[list(worst[2][0]), list(worst[2][1])],
+            max_residual=top,
+            scale=scale,
+            worst_state=[list(worst[0]), list(worst[1])],
         )
 
-    payload = _base_payload(args, dict(params, **kwargs), metric.name,
-                            volume.label)
+    payload = _base_payload(args, echo, metric.name, volume.label)
     payload["identities"] = [row]
     payload.update(
         rejections=batch.rejections,

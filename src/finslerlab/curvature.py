@@ -5,15 +5,17 @@ read from the one engine Frame a GeometryState builds on first use.
 The heavy lifting (deep mixed partials of the spray) happens in the
 series engine; this module exposes the named tensors with explicit
 variance bookkeeping, plus a generic horizontal covariant derivative
-of any ring-generic field, which evaluates the field once in the (1, 1)
-series ring and serves as the independent route in cross-checks.
+of any ring-generic field.  That one takes the field's partials
+independently of the Frame, from one evaluation in the (1, 1) series
+ring, and shares with the Frame only the connection N, Gamma and the
+routine that adds its terms (engine.horizontal).
 """
 
 from functools import cached_property
 
 import numpy as np
 
-from .engine import Frame
+from .engine import Frame, horizontal
 from .errors import RegularityError
 from .metrics import TensorValue
 from .series import Series, SeriesRing
@@ -190,12 +192,10 @@ def horizontal_derivative(field, state, variance=()):
 
     field(x, y) must accept coordinates from the series ring and return
     components shaped like its variance signature (a bare scalar for
-    variance=()).  It is evaluated once, in SeriesRing.get(n, 1, 1).
-    The result appends one lower slot:
-
-        T_{|m} = dT/dx^m - N^r_m dT/dy^r
-                 + Gamma^i_rm T(r in upper slot i)
-                 - Gamma^r_jm T(r in lower slot j)
+    variance=()).  Its value and partials come from one evaluation in
+    SeriesRing.get(n, 1, 1), independent of the Frame; the connection
+    terms (formula at engine.horizontal) are shared with the Frame's own
+    horizontal derivatives.  The result appends one lower slot.
     """
     f = state.frame
     n = f.n
@@ -218,16 +218,8 @@ def horizontal_derivative(field, state, variance=()):
         else:  # a component that is constant on the state's neighbourhood
             base[idx] = float(v)
 
-    out = dx - np.einsum("...r,rm->...m", dy, f.N)
-    for slot, kind in enumerate(variance):
-        moved = np.moveaxis(base, slot, 0)
-        if kind == "upper":
-            corr = np.einsum("irm,r...->i...m", f.Gamma, moved)
-        else:
-            corr = -np.einsum("rim,r...->i...m", f.Gamma, moved)
-        out = out + np.moveaxis(corr, 0, slot)
     return TensorValue(
-        components=out,
+        components=horizontal(base, dx, dy, f.N, f.Gamma, variance),
         variance=tuple(variance) + ("lower",),
         state=state.state_tuple,
     )

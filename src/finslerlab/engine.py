@@ -34,7 +34,9 @@ bit-identical:
 
 Index layout mirrors the written order of the symbols: B[j,i,k,l] holds
 B_j^i_{kl}, horizontal derivatives append the new lower slot last
-(D_h[j,i,k,l,m] is D_j^i_{kl|m}), curvature pairs are R[i,k].
+(D_h[j,i,k,l,m] is D_j^i_{kl|m}), curvature pairs are R[i,k].  One
+routine, horizontal, adds the connection terms of every horizontal
+derivative: the Frame's, lemma21_residual's and horizontal_derivative's.
 """
 
 import math
@@ -50,26 +52,34 @@ from .series import Series, SeriesRing, restrict, x_only
 # Orientation of the Ricci identity used for the Berwald-curvature
 # commutator: B_j^i_{kl|m} - B_j^i_{km|l} = RICCI_LM_SIGN * d_k R_j^i_{lm}
 # where d_k is the fiber derivative of the full Riemann tensor indexed
-# [j,i,k,l,m] by _full_riemann_fiber_derivative below.  The literature
+# [j,i,k,l,m] as Frame.R_full_dot below.  The literature
 # writes the right side with both (l,m) and (m,l) orderings; this sign is
 # pinned numerically in the test suite on metrics where the commutator
 # does not vanish (it comes out as the (m,l) ordering).
 RICCI_LM_SIGN = -1.0
 
+# variance of the cubes B, D and PB: B_j^i_{kl}
+_CUBE = ("lower", "upper", "lower", "lower")
+
 # ---------------------------------------------------------------------------
 # ring pipeline
 
 
-def _domain_failure(exc):
-    """True for a domain failure, also one a DSL expression re-raised.
+def _at_state(x, y, fn, *args):
+    """fn(*args), with a domain failure raised as a RegularityError at the
+    state (x, y), also one a DSL expression re-raised.
 
     expr.evaluate turns a failing ln/sqrt/pow/division into EvalError
     with the DomainError (or ZeroDivisionError) as its cause; an unbound
-    parameter is an EvalError with no such cause.
+    parameter is an EvalError with no such cause and passes through.
     """
-    if isinstance(exc, EvalError):
-        exc = exc.__cause__
-    return isinstance(exc, (DomainError, ZeroDivisionError))
+    try:
+        return fn(*args)
+    except (DomainError, ZeroDivisionError, EvalError) as exc:
+        cause = exc.__cause__ if isinstance(exc, EvalError) else exc
+        if not isinstance(cause, (DomainError, ZeroDivisionError)):
+            raise
+        raise RegularityError(str(exc), x=x, y=y) from exc
 
 
 def fsq_series(metric, xs, ys):
@@ -190,6 +200,38 @@ def log_sigma_series(volume, xs):
     return x_only(lambda x: ln(volume.sigma(x)), xs)
 
 
+def horizontal(T, Tx, Ty, N, Gamma, variance):
+    """Horizontal covariant derivative T_{|m} of a tensor, as an array.
+
+    T holds the components at the state, Tx and Ty its x- and
+    y-gradients (one more slot, last), N and Gamma the connection, and
+    variance names each slot of T "upper" or "lower":
+
+        T_{|m} = dT/dx^m - N^r_m dT/dy^r
+                 + Gamma^i_rm T(r in upper slot i)
+                 - Gamma^r_jm T(r in lower slot j)
+
+    The terms are added in the order written: upper slots, then lower
+    ones, each in slot order.
+    """
+    idx = "abcdefghijkl"[: T.ndim]
+    out = Tx - np.einsum("%sr,rm->%sm" % (idx, idx), Ty, N)
+    for slot in sorted(range(T.ndim), key=lambda s: variance[s] != "upper"):
+        i, moved = idx[slot], idx.replace(idx[slot], "r")
+        if variance[slot] == "upper":
+            out += np.einsum("%srm,%s->%sm" % (i, moved, idx), Gamma, T)
+        else:
+            out -= np.einsum("r%sm,%s->%sm" % (i, moved, idx), Gamma, T)
+    return out
+
+
+def _fiber_pair(A, axes):
+    """(A - A with its last two slots swapped) / 3 of A transposed to axes:
+    R^i_{kl}, R_j^i_{kl} and d_k R_j^i_{lm} from fiber partials of R^i_k."""
+    A = np.transpose(A, axes)
+    return (A - np.swapaxes(A, -1, -2)) / 3.0
+
+
 def _spray_arrays(G, xs, ys):
     """(G, N, Gamma, R, R_y, R_yy, R_y3) of one spray, as arrays.
 
@@ -213,16 +255,10 @@ class Frame:
         self.n = n
         self.x = tuple(float(v) for v in x)
         self.y = tuple(float(v) for v in y)
-        self.volume_kind = volume.kind if volume is not None else "constant"
         ring = SeriesRing.get(n, cap_x=2, cap_y=8)
         xs, ys = ring.state(self.x, self.y)
 
-        try:
-            fsq = fsq_series(metric, xs, ys)
-        except (DomainError, ZeroDivisionError, EvalError) as exc:
-            if not _domain_failure(exc):
-                raise
-            raise RegularityError(str(exc), x=self.x, y=self.y) from exc
+        fsq = _at_state(self.x, self.y, fsq_series, metric, xs, ys)
         self.F2 = fsq.value()
         if self.F2 <= 0.0:
             raise RegularityError("F^2 <= 0", x=self.x, y=self.y)
@@ -250,12 +286,7 @@ class Frame:
          self.R_y3) = _spray_arrays(G, xs, ys)
 
         div = divergence_series(G)
-        try:
-            lnsig = log_sigma_series(volume, xs)
-        except (DomainError, ZeroDivisionError, EvalError) as exc:
-            if not _domain_failure(exc):
-                raise
-            raise RegularityError(str(exc), x=self.x, y=self.y) from exc
+        lnsig = _at_state(self.x, self.y, log_sigma_series, volume, xs)
         S = div
         if not isinstance(lnsig, float):
             acc = lnsig.dx(0) * ys[0]
@@ -302,25 +333,17 @@ class Frame:
     def E_y(self):
         return 0.5 * self.S_yyy
 
-    def _horiz4(self, T, Tx, Ty, N, Gamma):
-        out = Tx - np.einsum("jiklr,rm->jiklm", Ty, N)
-        out += np.einsum("irm,jrkl->jiklm", Gamma, T)
-        out -= np.einsum("rjm,rikl->jiklm", Gamma, T)
-        out -= np.einsum("rkm,jirl->jiklm", Gamma, T)
-        out -= np.einsum("rlm,jikr->jiklm", Gamma, T)
-        return out
-
     @cached_property
     def D_h(self):
-        return self._horiz4(self.D, self.D_x, self.D_y, self.N, self.Gamma)
+        return horizontal(self.D, self.D_x, self.D_y, self.N, self.Gamma, _CUBE)
 
     @cached_property
     def B_h(self):
-        return self._horiz4(self.B, self.B_x, self.B_y, self.N, self.Gamma)
+        return horizontal(self.B, self.B_x, self.B_y, self.N, self.Gamma, _CUBE)
 
     @cached_property
     def PB_h(self):
-        return self._horiz4(self.PB, self.PB_x, self.PB_y, self.Nt, self.Gammat)
+        return horizontal(self.PB, self.PB_x, self.PB_y, self.Nt, self.Gammat, _CUBE)
 
     @cached_property
     def Dbar(self):
@@ -332,42 +355,34 @@ class Frame:
 
     @cached_property
     def S_yy_h(self):
-        out = self.S_xyy - np.einsum("jkr,rm->jkm", self.S_yyy, self.N)
-        out -= np.einsum("rjm,rk->jkm", self.Gamma, self.S_yy)
-        out -= np.einsum("rkm,jr->jkm", self.Gamma, self.S_yy)
-        return out
-
-    @staticmethod
-    def _full_riemann_fiber_derivative(Ry3):
-        """d_k R_j^i_{lm} as [j,i,k,l,m] from third fiber partials of R^i_k."""
-        A = np.transpose(Ry3, (3, 0, 4, 1, 2))
-        return (A - np.transpose(A, (0, 1, 2, 4, 3))) / 3.0
-
-    @cached_property
-    def R_full_dot(self):
-        return self._full_riemann_fiber_derivative(self.R_y3)
-
-    @cached_property
-    def Rt_full_dot(self):
-        return self._full_riemann_fiber_derivative(self.Rt_y3)
+        return horizontal(
+            self.S_yy, self.S_xyy, self.S_yyy, self.N, self.Gamma, ("lower", "lower")
+        )
 
     @cached_property
     def R_kl(self):
-        return (self.R_y - np.transpose(self.R_y, (0, 2, 1))) / 3.0
+        return _fiber_pair(self.R_y, (0, 1, 2))
 
     @cached_property
     def R_full(self):
-        A = np.transpose(self.R_yy, (3, 0, 1, 2))
-        return (A - np.transpose(A, (0, 1, 3, 2))) / 3.0
+        return _fiber_pair(self.R_yy, (3, 0, 1, 2))
+
+    @cached_property
+    def R_full_dot(self):
+        """d_k R_j^i_{lm} as [j,i,k,l,m] from third fiber partials of R^i_k."""
+        return _fiber_pair(self.R_y3, (3, 0, 4, 1, 2))
 
     @cached_property
     def Rt_kl(self):
-        return (self.Rt_y - np.transpose(self.Rt_y, (0, 2, 1))) / 3.0
+        return _fiber_pair(self.Rt_y, (0, 1, 2))
 
     @cached_property
     def Rt_full(self):
-        A = np.transpose(self.Rt_yy, (3, 0, 1, 2))
-        return (A - np.transpose(A, (0, 1, 3, 2))) / 3.0
+        return _fiber_pair(self.Rt_yy, (3, 0, 1, 2))
+
+    @cached_property
+    def Rt_full_dot(self):
+        return _fiber_pair(self.Rt_y3, (3, 0, 4, 1, 2))
 
     # -- identity residuals ---------------------------------------------
 
@@ -503,7 +518,7 @@ def lemma21_residual(frame, p_func):
     Xi_val = Xi.c[0]
     Xi_y = Xi.partials(0, 1)
 
-    P_h = P_x - frame.N.T @ P_y  # P_{|k} = d_k P - N^r_k dot d_r P
+    P_h = horizontal(P_val, P_x, P_y, frame.N, frame.Gamma, ())
     tau_k = 3.0 * (P_h - P_val * P_y) + Xi_y
     yv = np.array(frame.y)
     predicted = frame.R + Xi_val * np.eye(n) + np.outer(yv, tau_k)

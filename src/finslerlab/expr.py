@@ -23,7 +23,7 @@ truncated series, with identical control flow.
 import re
 from dataclasses import dataclass, field
 
-from .errors import DomainError, EvalError, ParseError
+from .errors import ConfigError, DomainError, EvalError, ParseError
 from .scalars import exp as _exp
 from .scalars import ln as _ln
 from .scalars import powr as _powr
@@ -129,6 +129,15 @@ def parse(source, dimension, parameter_names=()):
         raise ParseError(
             "unexpected %r" % text, pos, expected=("operator", "end of input")
         )
+    return tree
+
+
+def parse_x_field(source, dimension, parameter_names, what):
+    """parse() of a field of x alone, such as a metric coefficient or a
+    volume density; a ConfigError naming `what` if it depends on y."""
+    tree = parse(source, dimension, parameter_names)
+    if any(kind == "y" for kind, _ in variables_used(tree)):
+        raise ConfigError("%s may not depend on y" % what)
     return tree
 
 

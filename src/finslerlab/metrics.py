@@ -91,29 +91,21 @@ def _everywhere(x, y):
 def _parse_matrix(a, n, parameter_names):
     if len(a) != n or any(len(row) != n for row in a):
         raise ConfigError("coefficient matrix must be %d x %d" % (n, n))
-    trees = [
-        [dsl.parse(a[i][j], n, parameter_names) for j in range(n)]
+    return [
+        [
+            dsl.parse_x_field(
+                a[i][j], n, parameter_names, "coefficient a_%d%d" % (i + 1, j + 1)
+            )
+            for j in range(n)
+        ]
         for i in range(n)
     ]
-    for i in range(n):
-        for j in range(n):
-            for kind, _ in dsl.variables_used(trees[i][j]):
-                if kind == "y":
-                    raise ConfigError(
-                        "coefficient a_%d%d may not depend on y" % (i + 1, j + 1)
-                    )
-    return trees
 
 
 def _parse_vector(b, n, parameter_names):
     if len(b) != n:
         raise ConfigError("coefficient vector must have length %d" % n)
-    trees = [dsl.parse(b[i], n, parameter_names) for i in range(n)]
-    for tree in trees:
-        for kind, _ in dsl.variables_used(tree):
-            if kind == "y":
-                raise ConfigError("coefficient b_i may not depend on y")
-    return trees
+    return [dsl.parse_x_field(v, n, parameter_names, "coefficient b_i") for v in b]
 
 
 def _matrix_fn(trees, parameters):
@@ -264,19 +256,8 @@ def construct_metric(
     label = name or family
 
     if family == "euclidean":
-
-        def F_euclid(x, y):
-            return sqrt(_alpha_sq([[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)], y))
-
-        return MetricSpec(
-            name=label,
-            dimension=n,
-            F=F_euclid,
-            chart_domain=chart,
-            cone_domain=_everywhere,
-            parameters=parameters,
-            family="riemannian",
-            a_fn=lambda x: [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)],
+        return riemannian_metric(
+            label, n, lambda x: np.eye(n).tolist(), chart, parameters
         )
 
     if family == "riemannian":

@@ -86,26 +86,32 @@ def pr_quadratic_residual(state: GeometryState) -> TensorValue:
 ProjectiveFactor = Union[str, Callable]
 
 
-def _projective_factor(
-    p: Optional[ProjectiveFactor], state: GeometryState, parameters
-):
+def projective_factor(p: Optional[ProjectiveFactor], dimension, parameters=None):
+    """The projective factor P as a callable P(x, y).
+
+    p is a callable, used as it is, or a DSL expression in x1..xn,
+    y1..yn and the parameters, parsed here once.  A missing p is a
+    ConfigError.
+    """
     if p is None:
         raise ConfigError(
             "lemma21 needs a projective factor "
             "(DSL expression in x1..xn, y1..yn, or a callable)"
         )
     if callable(p):
-        func = p
-    else:
-        tree = parse(
-            str(p),
-            state.metric.dimension,
-            parameter_names=tuple(parameters or ()),
-        )
+        return p
+    tree = parse(str(p), dimension, parameter_names=tuple(parameters or ()))
 
-        def func(xs, ys, _tree=tree, _params=dict(parameters or {})):
-            return evaluate(_tree, xs, ys, _params)
+    def func(xs, ys, _params=dict(parameters or {})):
+        return evaluate(tree, xs, ys, _params)
 
+    return func
+
+
+def _homogeneous_factor(p, state: GeometryState, parameters):
+    """projective_factor(p, ...), checked 1-homogeneous in y at the state
+    before anything builds the state's Frame."""
+    func = projective_factor(p, state.metric.dimension, parameters)
     x = [float(v) for v in state.x]
     y = [float(v) for v in state.y]
     base = float(np.asarray(func(x, y), dtype=float))
@@ -143,6 +149,10 @@ def identity_residual(
                   1-homogeneous factor P (pass p=...).
     """
     kind_key = str(kind).lower()
+    if kind_key == "lemma21":
+        func = _homogeneous_factor(p, state, parameters)
+        residual = engine.lemma21_residual(state.frame, func)
+        return TensorValue(residual, (_UP, _LOW), state.state_tuple)
     frame, at = state.frame, state.state_tuple
     if kind_key == "thm31":
         return TensorValue(
@@ -161,10 +171,6 @@ def identity_residual(
     if kind_key == "constflag":
         value = frame.constflag_lambda_fit() if lam is None else float(lam)
         return TensorValue(frame.constflag_residual(value), (_UP, _LOW), at)
-    if kind_key == "lemma21":
-        func = _projective_factor(p, state, parameters)
-        residual = engine.lemma21_residual(frame, func)
-        return TensorValue(residual, (_UP, _LOW), at)
     raise ConfigError(
         "unknown identity kind %r; expected one of: %s"
         % (kind, ", ".join(IDENTITY_KINDS))
@@ -175,7 +181,7 @@ def douglas_invariance_gap(
     state: GeometryState, p: ProjectiveFactor, parameters=None
 ) -> float:
     """Max deviation of the Douglas tensor under the change G -> G + P y."""
-    func = _projective_factor(p, state, parameters)
+    func = _homogeneous_factor(p, state, parameters)
     frame = state.frame
     Ghat, _ = engine.modified_spray(frame, func)
     modified = engine.douglas_values_from_spray(Ghat, frame.ring_spray[1])

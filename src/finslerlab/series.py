@@ -325,12 +325,14 @@ def _lanes(f, v):
     return np.array([f(t) for t in v.ravel().tolist()]).reshape(v.shape)
 
 
-def _first_bad(bad, v):
-    """Description of the first offending value part, lane-aware."""
-    if v.ndim == 0:
-        return "%r" % float(v)
-    k = int(np.argmax(bad))
-    return "%r (lane %d)" % (float(v[k]), k)
+def _positive(v, what):
+    """DomainError "<what> of non-positive value part ..." naming the first
+    offending value part (and its lane, if batched), unless all of v > 0."""
+    bad = v <= 0.0
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        where = "%r" % float(v) if v.ndim == 0 else "%r (lane %d)" % (float(v[k]), k)
+        raise DomainError("%s of non-positive value part %s" % (what, where))
 
 
 def _rows(starts, rows):
@@ -501,11 +503,7 @@ class Series:
 
     def sqrt(self):
         b0 = self.c[..., 0]
-        bad = b0 <= 0.0
-        if np.any(bad):
-            raise DomainError(
-                "sqrt of non-positive value part %s" % _first_bad(bad, b0)
-            )
+        _positive(b0, "sqrt")
         w = self.ring.constant(1.0 / np.sqrt(b0))
         for _ in range(self.ring.newton_steps):
             w = w * (3.0 - self * (w * w)) * 0.5
@@ -530,11 +528,7 @@ class Series:
     def ln(self):
         # ln(a0(1 + v)) = ln a0 + v - v^2/2 + v^3/3 - ...
         a0 = self.c[..., 0]
-        bad = a0 <= 0.0
-        if np.any(bad):
-            raise DomainError(
-                "ln of non-positive value part %s" % _first_bad(bad, a0)
-            )
+        _positive(a0, "ln")
         # t_k = (-1)^(k+1)/k + v t_(k+1) enters the result times v^k, so
         # step k runs at total degree top - k (see the module notes)
         v = Series(self.ring, self.c / a0[..., None])
@@ -567,13 +561,7 @@ class Series:
                 if not k:
                     return out
                 base = base * base
-        a0 = self.c[..., 0]
-        bad = a0 <= 0.0
-        if np.any(bad):
-            raise DomainError(
-                "fractional power of non-positive value part %s"
-                % _first_bad(bad, a0)
-            )
+        _positive(self.c[..., 0], "fractional power")
         return (self.ln() * q).exp()
 
     # -- derivatives and extraction -------------------------------------

@@ -23,7 +23,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class VolumeForm:
     kind: str  # constant | bh_quadrature | bh_randers_closed | dsl
     label: str
     sigma: Callable  # x_vec (any ring) -> positive scalar
-    quadrature_nodes: Optional[tuple] = None  # (directions, weights)
 
 
 @lru_cache(maxsize=None)
@@ -116,11 +115,7 @@ def bh_randers_closed(metric, x):
 
     sigma = (1 - |b|_alpha^2)^((n+1)/2) * sqrt(det a); ring-generic.
     """
-    if metric.family != "randers":
-        raise ConfigError(
-            "closed-form BH density applies to Randers metrics only, got %r"
-            % metric.family
-        )
+    _require_randers(metric)
     n = metric.dimension
     a = metric.a_fn(x)
     b = metric.b_fn(x)
@@ -146,10 +141,9 @@ def constant_volume(value=1.0):
 
 def dsl_volume(source, dimension, parameters=None):
     parameters = dict(parameters or {})
-    tree = dsl.parse(source, dimension, frozenset(parameters))
-    for kind, _ in dsl.variables_used(tree):
-        if kind == "y":
-            raise ConfigError("volume density may not depend on y")
+    tree = dsl.parse_x_field(
+        source, dimension, frozenset(parameters), "volume density"
+    )
 
     def sigma(x):
         return dsl.evaluate(tree, x, [0.0] * dimension, parameters)
@@ -157,7 +151,19 @@ def dsl_volume(source, dimension, parameters=None):
     return VolumeForm(kind="dsl", label="dsl:%s" % source, sigma=sigma)
 
 
+def _require_randers(metric):
+    if metric.family != "randers":
+        raise ConfigError(
+            "closed-form BH density applies to Randers metrics only, got %r"
+            % metric.family
+        )
+
+
 def bh_randers_volume(metric):
+    """The closed-form BH volume form; a ConfigError up front unless the
+    metric is Randers."""
+    _require_randers(metric)
+
     def sigma(x):
         return bh_randers_closed(metric, x)
 
@@ -176,9 +182,4 @@ def bh_quadrature_volume(metric):
     def sigma(x):
         return bh_sigma_quadrature(metric, x, nodes=nodes)
 
-    return VolumeForm(
-        kind="bh_quadrature",
-        label="bh-quadrature",
-        sigma=sigma,
-        quadrature_nodes=nodes,
-    )
+    return VolumeForm(kind="bh_quadrature", label="bh-quadrature", sigma=sigma)

@@ -204,6 +204,18 @@ def test_bug_in_volume_is_not_indeterminate():
         classify_metric(e.metric, broken, SamplePlan(count=2, seed=2))
 
 
+def test_config_error_in_volume_is_not_an_errored_state():
+    # a ConfigError is the run's configuration, not one state's: it
+    # propagates from classify_metric as it does from verify
+    def sigma(x):
+        raise ConfigError("unusable density")
+
+    e = get_example("euclidean")
+    broken = VolumeForm(kind="dsl", label="broken", sigma=sigma)
+    with pytest.raises(ConfigError, match="unusable density"):
+        classify_metric(e.metric, broken, SamplePlan(count=2, seed=2))
+
+
 def test_report_serializes_to_json():
     e = get_example("riemannian_sphere")
     report = classify_metric(e.metric, e.volume, SamplePlan(count=4))

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from finslerlab import classify, cli
 from finslerlab.cli import load_metric_definition, main
 from finslerlab.errors import ConfigError
 
@@ -151,6 +152,40 @@ def test_verify_lemma21_rejects_bad_factor(capsys):
     )
     assert code == 2
     assert "1-homogeneous" in err
+
+
+def refuse_sampling(monkeypatch):
+    def sample_states(*args, **kwargs):
+        raise AssertionError("sampled states for a run that cannot work")
+
+    monkeypatch.setattr(cli, "sample_states", sample_states)
+    monkeypatch.setattr(classify, "sample_states", sample_states)
+
+
+def test_bh_randers_on_non_randers_metric_fails_before_sampling(
+    capsys, monkeypatch
+):
+    refuse_sampling(monkeypatch)
+    for argv in (
+        ("classify", "--metric", "mkropina_yang"),
+        ("verify", "--identity", "thm33", "--metric", "riemannian_sphere"),
+    ):
+        code, out, err = run(
+            capsys, *argv, "--volume-form", "bh-randers", "--samples", "3"
+        )
+        assert code == 2 and out == ""
+        assert "applies to Randers metrics only" in err
+
+
+def test_verify_lemma21_factor_fails_before_sampling(capsys, monkeypatch):
+    refuse_sampling(monkeypatch)
+    argv = ("verify", "--identity", "lemma21", "--metric", "euclidean",
+            "--samples", "3")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "lemma21 needs a projective factor" in err
+    code, out, err = run(capsys, *argv, "--param", "P=y1^")
+    assert code == 2 and out == "" and err.startswith("error: ")
 
 
 def test_report_is_reproducible_except_timestamp(capsys):

@@ -24,6 +24,7 @@ from finslerlab.curvature import (
     spray,
 )
 from finslerlab.metrics import construct_metric
+from finslerlab.scalars import ring_inv
 from finslerlab.volume import bh_quadrature_volume, constant_volume
 
 X3, Y3 = (0.12, -0.2, 0.15), (0.6, -0.35, 0.72)
@@ -225,6 +226,38 @@ def test_horizontal_derivative_of_fiber_coordinate_vanishes():
         lambda xs, ys: list(ys), st, variance=("upper",)
     )
     assert np.abs(yh.components).max() <= 1e-10
+
+
+def rank_two_fields(metric):
+    """a_ij, a^ij and y^i a_jk y^k with their variances: parallel for the
+    Levi-Civita connection of a, so they vanish on a Riemannian metric."""
+    n = metric.dimension
+
+    def mixed(xs, ys):
+        a = metric.a_fn(xs)
+        low = [sum(a[j][k] * ys[k] for k in range(n)) for j in range(n)]
+        return [[ys[i] * low[j] for j in range(n)] for i in range(n)]
+
+    return (
+        (lambda xs, ys: metric.a_fn(xs), ("lower", "lower")),
+        (lambda xs, ys: ring_inv(metric.a_fn(xs))[1], ("upper", "upper")),
+        (mixed, ("upper", "lower")),
+    )
+
+
+def test_horizontal_derivative_of_rank_two_fields():
+    for name in ("riemannian_conformal", "riemannian_sphere"):
+        st = entry_state(name)
+        for field, variance in rank_two_fields(st.metric):
+            h = horizontal_derivative(field, st, variance)
+            assert h.variance == variance + ("lower",)
+            assert np.abs(h.components).max() <= 1e-12, (name, variance)
+    # negative control: a Randers metric's Berwald connection is not the
+    # Levi-Civita connection of its a
+    st = entry_state("randers_osaka")
+    for field, variance in rank_two_fields(st.metric):
+        h = horizontal_derivative(field, st, variance)
+        assert np.abs(h.components).max() > 0.1, variance
 
 
 def test_horizontal_derivative_variance_mismatch():

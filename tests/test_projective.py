@@ -186,6 +186,10 @@ def test_identity_lemma21_rejects_inhomogeneous_factor():
     st = entry_state("euclidean")
     with pytest.raises(ConfigError):
         identity_residual("lemma21", st, p="y1^2")
+    with pytest.raises(ConfigError):
+        douglas_invariance_gap(st, "y1^2")
+    # the factor is checked at the state before its Frame is built
+    assert "frame" not in vars(st)
 
 
 def test_identity_lemma21_requires_factor():
