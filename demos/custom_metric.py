@@ -7,6 +7,7 @@ Minkowski norm perturbed by position and watch it stop being Berwald.
 """
 
 import json
+import os
 import tempfile
 
 from finslerlab import SamplePlan, classify_metric, construct_metric
@@ -48,12 +49,13 @@ print("unperturbed quartic: berwald %s, riemannian %s" % (
 ))
 
 # same document, driven through the CLI
-with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-    json.dump(definition, fh)
-    path = fh.name
-print()
-print("CLI on the same definition file:")
-code = cli_main([
-    "classify", "--file", path, "--samples", "6", "--output", "text",
-])
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "bent_quartic.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(definition, fh)
+    print()
+    print("CLI on the same definition file:")
+    code = cli_main([
+        "classify", "--file", path, "--samples", "6", "--output", "text",
+    ])
 print("exit status:", code)

@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .curvature import GeometryState
 from .errors import ConfigError, FinslerError, ParseError, SamplingError
-from .metrics import fundamental_tensor, is_admissible
+from .metrics import fundamental_tensor
 from .scalars import value_of
 
 PREDICATES = (
@@ -50,8 +50,6 @@ PREDICATES = (
     "s_flat",
     "constant_flag",
 )
-
-Y_MODES = ("unit_sphere", "unit_F")
 
 # Terms (C, p) of the rounding floor eps max(C kappa^p) of a relative
 # residual at relative condition number kappa.  Fitted as upper envelopes
@@ -79,23 +77,27 @@ class SamplePlan:
     count: int = 20
     seed: int = 20250405
     x_radius: float = 0.4
-    y_mode: str = "unit_F"
 
     def __post_init__(self):
         if self.count < 1:
             raise ConfigError("sample count must be positive")
         if not (self.x_radius > 0.0):
             raise ConfigError("x_radius must be positive")
-        if self.y_mode not in Y_MODES:
-            raise ConfigError(
-                "y_mode must be one of %s" % (Y_MODES,)
-            )
 
 
 @dataclass(frozen=True)
 class Tolerances:
     rel: float = 1e-6
     absolute: float = 1e-9
+
+    def __post_init__(self):
+        # the negated tests also reject NaN; rel may be infinite
+        if not self.rel > 0.0:
+            raise ConfigError("tolerance rel must be positive, got %r" % self.rel)
+        if not self.absolute >= 0.0:
+            raise ConfigError(
+                "tolerance abs must be non-negative, got %r" % self.absolute
+            )
 
     def bound(self, scale):
         return self.absolute + self.rel * scale
@@ -179,7 +181,6 @@ class ClassificationReport:
                 "count": self.plan.count,
                 "seed": self.plan.seed,
                 "x_radius": self.plan.x_radius,
-                "y_mode": self.plan.y_mode,
             },
             "tolerances": {
                 "rel": self.tolerances.rel,
@@ -223,7 +224,7 @@ def sample_states(metric, plan=None, tolerances=None):
     """Deterministic batch of admissible (x, y) states for a metric.
 
     x is drawn uniformly from the ball of radius plan.x_radius, y from
-    the unit sphere (rescaled to F(x,y)=1 under y_mode="unit_F").
+    the unit sphere, then rescaled to F(x,y)=1.
     Draws failing the chart, the cone, positivity, or strong convexity
     are rejected and redrawn, and so are draws whose rounding_floor at
     the relative_condition of g exceeds tolerances.rel
@@ -262,12 +263,14 @@ def sample_states(metric, plan=None, tolerances=None):
         if not metric.cone_domain(xs, ys):
             reasons["cone_domain"] += 1
             continue
-        if not is_admissible(metric, xs, ys):
+        try:
+            scale = value_of(metric.F(xs, ys))
+        except FinslerError:
+            scale = math.nan
+        if not scale > 0.0:
             reasons["positivity"] += 1
             continue
-        if plan.y_mode == "unit_F":
-            scale = value_of(metric.F(xs, ys))
-            ys = [v / scale for v in ys]
+        ys = [v / scale for v in ys]
         try:
             g = fundamental_tensor(metric, (xs, ys)).components
         except FinslerError:

@@ -3,19 +3,22 @@
 Everything here is a pure function of (metric, volume form, x, y),
 read from the one engine Frame a GeometryState builds on first use.
 The heavy lifting (deep mixed partials of the spray) happens in the
-series engine; this module exposes the named tensors with explicit
-variance bookkeeping, plus a generic horizontal covariant derivative
-of any ring-generic field.  That one takes the field's partials
-independently of the Frame, from one evaluation in the (1, 1) series
-ring, and shares with the Frame only the connection N, Gamma and the
-routine that adds its terms (engine.horizontal).
+series engine.  Each accessor returns one Frame output through
+tensor(state, name): a copy of the Frame's array, so a caller that
+changes it changes nothing the Frame serves next, with the variance
+that engine.VARIANCE records for that output.  The module also has a
+generic horizontal covariant derivative of any ring-generic field.
+That one takes the field's partials independently of the Frame, from
+one evaluation in the (1, 1) series ring, and shares with the Frame
+only the connection N, Gamma and the routine that adds its terms
+(engine.horizontal).
 """
 
 from functools import cached_property
 
 import numpy as np
 
-from .engine import Frame, horizontal
+from .engine import VARIANCE, Frame, horizontal
 from .errors import RegularityError
 from .metrics import TensorValue
 from .series import Series, SeriesRing
@@ -42,48 +45,40 @@ class GeometryState:
         return (self.x, self.y)
 
 
-def _tensor(state, components, variance):
+def tensor(state, name):
+    """The Frame output `name` at the state: a copy of the array, with its
+    variance from engine.VARIANCE."""
     return TensorValue(
-        components=np.asarray(components, dtype=float),
-        variance=variance,
+        components=np.array(getattr(state.frame, name), dtype=float),
+        variance=VARIANCE[name],
         state=state.state_tuple,
     )
 
 
 def spray(state):
     """Spray coefficients G^i (degree 2 in y)."""
-    return _tensor(state, state.frame.G, ("upper",))
+    return tensor(state, "G")
 
 
 def connections(state):
     """Nonlinear connection N^i_j and Berwald connection Gamma^i_jk."""
-    f = state.frame
-    return (
-        _tensor(state, f.N, ("upper", "lower")),
-        _tensor(state, f.Gamma, ("upper", "lower", "lower")),
-    )
+    return tensor(state, "N"), tensor(state, "Gamma")
 
 
 def riemann(state):
     """Riemann curvature R^i_k built from the spray."""
-    return _tensor(state, state.frame.R, ("upper", "lower"))
+    return tensor(state, "R")
 
 
 def riemann_full(state):
     """(R^i_kl, R_j^i_kl): the antisymmetrized curvature and its fiber
     derivative, with R_j^i_kl y^j = R^i_kl."""
-    f = state.frame
-    return (
-        _tensor(state, f.R_kl, ("upper", "lower", "lower")),
-        _tensor(state, f.R_full, ("lower", "upper", "lower", "lower")),
-    )
+    return tensor(state, "R_kl"), tensor(state, "R_full")
 
 
 def berwald_curvature(state):
     """Berwald curvature B_j^i_kl (third fiber derivative of the spray)."""
-    return _tensor(
-        state, state.frame.B, ("lower", "upper", "lower", "lower")
-    )
+    return tensor(state, "B")
 
 
 def mean_berwald(state):
@@ -100,7 +95,7 @@ def mean_berwald(state):
             "mean Berwald routes disagree by %.3e at x=%s y=%s"
             % (gap, state.x, state.y)
         )
-    return _tensor(state, f.E_from_trace, ("lower", "lower"))
+    return tensor(state, "E_from_trace")
 
 
 def s_curvature(state):
@@ -123,9 +118,7 @@ def distortion_flow_derivative(state):
 
 def douglas_tensor(state):
     """Douglas tensor: Berwald curvature minus its spray-divergence part."""
-    return _tensor(
-        state, state.frame.D, ("lower", "upper", "lower", "lower")
-    )
+    return tensor(state, "D")
 
 
 def douglas_from_mean_berwald(state):
@@ -145,24 +138,18 @@ def douglas_from_mean_berwald(state):
         + np.einsum("jkl,i->jikl", f.E_y, y)
     )
     comp = f.B - (2.0 / (n + 1.0)) * corr
-    return _tensor(state, comp, ("lower", "upper", "lower", "lower"))
+    return TensorValue(comp, VARIANCE["D"], state.state_tuple)
 
 
 def dbar_tensor(state):
     """Commutator of horizontal Douglas derivatives, D_j^i_{kl|m} -
     D_j^i_{km|l}, antisymmetric in its last two slots."""
-    return _tensor(
-        state,
-        state.frame.Dbar,
-        ("lower", "upper", "lower", "lower", "lower"),
-    )
+    return tensor(state, "Dbar")
 
 
 def gdw_vector(state):
     """Flow derivative of the Douglas tensor, P_j^i_kl = D_j^i_{kl|m} y^m."""
-    return _tensor(
-        state, state.frame.D_h0, ("lower", "upper", "lower", "lower")
-    )
+    return tensor(state, "D_h0")
 
 
 def gdw_residual(state):
@@ -171,11 +158,7 @@ def gdw_residual(state):
     The metric is generalized Douglas-Weyl iff the first part vanishes;
     T is the proportionality factor P = T y, meaningful only then.
     """
-    f = state.frame
-    return (
-        _tensor(state, f.gdw_residual, ("lower", "upper", "lower", "lower")),
-        np.array(f.gdw_factor),
-    )
+    return tensor(state, "gdw_residual"), np.array(state.frame.gdw_factor)
 
 
 def residual_scale(state):

@@ -58,8 +58,25 @@ from .series import Series, SeriesRing, restrict, x_only
 # does not vanish (it comes out as the (m,l) ordering).
 RICCI_LM_SIGN = -1.0
 
-# variance of the cubes B, D and PB: B_j^i_{kl}
-_CUBE = ("lower", "upper", "lower", "lower")
+# Variance of each Frame output that a caller reads, keyed by attribute
+# name: one entry per slot, in the index layout above (B[j,i,k,l] holds
+# B_j^i_{kl}; a horizontal derivative's new slot is lower and last).
+VARIANCE = {
+    "G": ("upper",),
+    **dict.fromkeys(("N", "R", "Rt"), ("upper", "lower")),
+    **dict.fromkeys(("Gamma", "R_kl"), ("upper", "lower", "lower")),
+    **dict.fromkeys(("S_yy", "E_from_trace"), ("lower", "lower")),
+    "thm33_residual": ("lower", "lower", "lower"),
+    **dict.fromkeys(
+        ("B", "D", "PB", "R_full", "Rt_full", "D_h0", "gdw_residual",
+         "thm31_residual"),
+        ("lower", "upper", "lower", "lower"),
+    ),
+    **dict.fromkeys(
+        ("Dbar", "Rt_full_dot", "master_residual", "pricci_residual"),
+        ("lower", "upper", "lower", "lower", "lower"),
+    ),
+}
 
 # ---------------------------------------------------------------------------
 # ring pipeline
@@ -335,15 +352,21 @@ class Frame:
 
     @cached_property
     def D_h(self):
-        return horizontal(self.D, self.D_x, self.D_y, self.N, self.Gamma, _CUBE)
+        return horizontal(
+            self.D, self.D_x, self.D_y, self.N, self.Gamma, VARIANCE["D"]
+        )
 
     @cached_property
     def B_h(self):
-        return horizontal(self.B, self.B_x, self.B_y, self.N, self.Gamma, _CUBE)
+        return horizontal(
+            self.B, self.B_x, self.B_y, self.N, self.Gamma, VARIANCE["B"]
+        )
 
     @cached_property
     def PB_h(self):
-        return horizontal(self.PB, self.PB_x, self.PB_y, self.Nt, self.Gammat, _CUBE)
+        return horizontal(
+            self.PB, self.PB_x, self.PB_y, self.Nt, self.Gammat, VARIANCE["PB"]
+        )
 
     @cached_property
     def Dbar(self):
@@ -356,7 +379,7 @@ class Frame:
     @cached_property
     def S_yy_h(self):
         return horizontal(
-            self.S_yy, self.S_xyy, self.S_yyy, self.N, self.Gamma, ("lower", "lower")
+            self.S_yy, self.S_xyy, self.S_yyy, self.N, self.Gamma, VARIANCE["S_yy"]
         )
 
     @cached_property

@@ -56,7 +56,6 @@ class MetricSpec:
     # for (alpha, beta) families: ring-generic coefficient evaluators
     a_fn: Optional[Callable] = None  # x_vec -> n x n nested list
     b_fn: Optional[Callable] = None  # x_vec -> length-n list
-    power_m: Optional[float] = None  # alpha_beta_power exponent
 
 
 @dataclass(frozen=True)
@@ -165,7 +164,6 @@ def alpha_beta_metric(
     b_fn,
     power_m=None,
     chart_domain=None,
-    cone_domain=None,
     parameters=None,
 ):
     """MetricSpec from Riemannian-part and one-form evaluators.
@@ -182,7 +180,7 @@ def alpha_beta_metric(
             a, b = x_only(lambda x: (a_fn(x), b_fn(x)), x)
             return sqrt(_alpha_sq(a, y)) + _beta(b, y)
 
-        cone = cone_domain or _everywhere
+        cone = _everywhere
         family = "randers"
     else:
         m = float(power_m)
@@ -193,10 +191,9 @@ def alpha_beta_metric(
             a, b = x_only(lambda x: (a_fn(x), b_fn(x)), x)
             return powr(_alpha_sq(a, y), m / 2.0) * powr(_beta(b, y), 1.0 - m)
 
-        def beta_positive(x, y):
+        def cone(x, y):  # the half-cone beta > 0
             return value_of(_beta(b_fn(x), y)) > 0.0
 
-        cone = cone_domain or beta_positive
         family = "alpha_beta_power"
 
     return MetricSpec(
@@ -209,7 +206,6 @@ def alpha_beta_metric(
         family=family,
         a_fn=a_fn,
         b_fn=b_fn,
-        power_m=power_m,
     )
 
 
@@ -405,13 +401,13 @@ def cartan_torsion(metric, state):
     return TensorValue(C, ("lower", "lower", "lower"), (tuple(x), tuple(y)))
 
 
-def homogeneity_defect(metric, x, y, lambdas=(0.5, 2.0, 3.0)):
-    """max over lambda of |F(x, L y) - L F(x, y)| / (L F), floats."""
+def homogeneity_defect(metric, x, y):
+    """max over L in (0.5, 2, 3) of |F(x, L y) - L F(x, y)| / (L F), floats."""
     xs = [float(v) for v in x]
     ys = [float(v) for v in y]
     base = value_of(metric.F(xs, ys))
     worst = 0.0
-    for lam in lambdas:
+    for lam in (0.5, 2.0, 3.0):
         scaled = value_of(metric.F(xs, [lam * v for v in ys]))
         worst = max(worst, abs(scaled - lam * base) / abs(lam * base))
     return worst

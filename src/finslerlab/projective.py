@@ -5,6 +5,9 @@ Gt^i = G^i - S y^i / (n + 1).  Its Riemann curvature and Douglas
 tensor feed a family of identities (named below) that hold either for
 every metric or exactly on a classification boundary; each identity is
 exposed as a residual whose two sides come from separate pipelines.
+The tensors come from the state's Frame as curvature.tensor returns
+them (copies, with the variance of engine.VARIANCE); the residuals of
+constflag and lemma21 are R-shaped arrays computed per call.
 """
 
 from typing import Callable, NamedTuple, Optional, Union
@@ -12,14 +15,20 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from . import engine
-from .curvature import GeometryState
+from .curvature import GeometryState, tensor
 from .errors import ConfigError
 from .expr import evaluate, parse
 from .metrics import TensorValue
 
 IDENTITY_KINDS = ("thm31", "master", "thm33", "constflag", "pricci", "lemma21")
 
-_UP, _LOW = "upper", "lower"
+# the kinds that are one Frame residual, and its attribute name
+_FRAME_RESIDUALS = {
+    "thm31": "thm31_residual",
+    "master": "master_residual",
+    "thm33": "thm33_residual",
+    "pricci": "pricci_residual",
+}
 
 
 class ProjectiveState(NamedTuple):
@@ -69,18 +78,12 @@ def projective_ricci(state: GeometryState) -> ProjectiveRicci:
 
 def pr_riemann(state: GeometryState):
     """Projective Riemann curvature: PR^i_k and PR_j^i_{kl}."""
-    frame, at = state.frame, state.state_tuple
-    pr_ik = TensorValue(frame.Rt.copy(), (_UP, _LOW), at)
-    pr_full = TensorValue(frame.Rt_full.copy(), (_LOW, _UP, _LOW, _LOW), at)
-    return pr_ik, pr_full
+    return tensor(state, "Rt"), tensor(state, "Rt_full")
 
 
 def pr_quadratic_residual(state: GeometryState) -> TensorValue:
     """y-derivative of PR_j^i_{kl}; zero iff the metric is PR-quadratic."""
-    frame = state.frame
-    return TensorValue(
-        frame.Rt_full_dot.copy(), (_LOW, _UP, _LOW, _LOW, _LOW), state.state_tuple
-    )
+    return tensor(state, "Rt_full_dot")
 
 
 ProjectiveFactor = Union[str, Callable]
@@ -149,32 +152,21 @@ def identity_residual(
                   1-homogeneous factor P (pass p=...).
     """
     kind_key = str(kind).lower()
+    if kind_key not in IDENTITY_KINDS:
+        raise ConfigError(
+            "unknown identity kind %r; expected one of: %s"
+            % (kind, ", ".join(IDENTITY_KINDS))
+        )
+    if kind_key in _FRAME_RESIDUALS:
+        return tensor(state, _FRAME_RESIDUALS[kind_key])
     if kind_key == "lemma21":
         func = _homogeneous_factor(p, state, parameters)
         residual = engine.lemma21_residual(state.frame, func)
-        return TensorValue(residual, (_UP, _LOW), state.state_tuple)
-    frame, at = state.frame, state.state_tuple
-    if kind_key == "thm31":
-        return TensorValue(
-            frame.thm31_residual, (_LOW, _UP, _LOW, _LOW), at
-        )
-    if kind_key == "master":
-        return TensorValue(
-            frame.master_residual, (_LOW, _UP, _LOW, _LOW, _LOW), at
-        )
-    if kind_key == "thm33":
-        return TensorValue(frame.thm33_residual, (_LOW, _LOW, _LOW), at)
-    if kind_key == "pricci":
-        return TensorValue(
-            frame.pricci_residual, (_LOW, _UP, _LOW, _LOW, _LOW), at
-        )
-    if kind_key == "constflag":
+    else:  # constflag
+        frame = state.frame
         value = frame.constflag_lambda_fit() if lam is None else float(lam)
-        return TensorValue(frame.constflag_residual(value), (_UP, _LOW), at)
-    raise ConfigError(
-        "unknown identity kind %r; expected one of: %s"
-        % (kind, ", ".join(IDENTITY_KINDS))
-    )
+        residual = frame.constflag_residual(value)
+    return TensorValue(residual, engine.VARIANCE["R"], state.state_tuple)
 
 
 def douglas_invariance_gap(

@@ -72,7 +72,7 @@ def unit_ball_volume(n):
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
-def bh_sigma_quadrature(metric, x, nodes=None):
+def bh_sigma_quadrature(metric, x):
     """Busemann-Hausdorff density at x by spherical quadrature.
 
     sigma(x) = Vol(B^n) / ((1/n) * integral over S^{n-1} of F(x, d)^-n).
@@ -97,7 +97,7 @@ def bh_sigma_quadrature(metric, x, nodes=None):
             "quadrature density takes x as floats or as x-only Series "
             "(cap_y=0), got %s" % sorted({type(v).__name__ for v in x})
         )
-    dirs, weights = nodes or sphere_nodes(n)
+    dirs, weights = sphere_nodes(n)
     F = metric.F(x, [ring.constant(dirs[:, i]) for i in range(n)])
     bad = np.flatnonzero(value_of(F) <= 0.0)
     if bad.size:
@@ -177,9 +177,9 @@ def bh_quadrature_volume(metric):
             "conic metric %r has no all-directions BH density; "
             "use a constant or dsl volume form" % metric.name
         )
-    nodes = sphere_nodes(n)
+    sphere_nodes(n)  # a dimension with no grid fails here, before any state
 
     def sigma(x):
-        return bh_sigma_quadrature(metric, x, nodes=nodes)
+        return bh_sigma_quadrature(metric, x)
 
     return VolumeForm(kind="bh_quadrature", label="bh-quadrature", sigma=sigma)

@@ -38,12 +38,11 @@ def test_plan_defaults():
     assert plan.count == 20
     assert plan.seed == 20250405
     assert plan.x_radius == 0.4
-    assert plan.y_mode == "unit_F"
 
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"count": 0}, {"x_radius": -0.1}, {"y_mode": "unit_cube"}],
+    [{"count": 0}, {"x_radius": -0.1}],
 )
 def test_plan_validation(kwargs):
     with pytest.raises(ConfigError):
@@ -78,15 +77,6 @@ def test_unit_f_normalization():
         assert value_of(e.metric.F(list(x), list(y))) == pytest.approx(
             1.0, abs=1e-12
         )
-
-
-def test_unit_sphere_mode_keeps_euclidean_norm():
-    e = get_example("randers_humo")
-    batch = sample_states(
-        e.metric, SamplePlan(count=6, seed=11, y_mode="unit_sphere")
-    )
-    for x, y in batch.states:
-        assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_hopeless_chart_raises_sampling_error():

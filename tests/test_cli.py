@@ -188,6 +188,22 @@ def test_verify_lemma21_factor_fails_before_sampling(capsys, monkeypatch):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "flag, value, named",
+    [("--tol-rel", "-1", "tolerance rel"), ("--tol-rel", "0", "tolerance rel"),
+     ("--tol-rel", "nan", "tolerance rel"), ("--tol-abs", "-1", "tolerance abs"),
+     ("--tol-abs", "nan", "tolerance abs")],
+)
+def test_bad_tolerance_fails_before_sampling(capsys, monkeypatch, flag, value,
+                                             named):
+    refuse_sampling(monkeypatch)
+    for argv in (("classify", "--metric", "euclidean"),
+                 ("verify", "--identity", "master", "--metric", "euclidean")):
+        code, out, err = run(capsys, *argv, flag, value, "--samples", "3")
+        assert code == 2 and out == ""
+        assert named in err
+
+
 def test_report_is_reproducible_except_timestamp(capsys):
     argv = (
         "classify", "--metric", "riemannian_sphere", "--samples", "4",

@@ -22,8 +22,11 @@ from finslerlab.curvature import (
     riemann_full,
     s_curvature,
     spray,
+    tensor,
 )
+from finslerlab.engine import VARIANCE
 from finslerlab.metrics import construct_metric
+from finslerlab.projective import identity_residual
 from finslerlab.scalars import ring_inv
 from finslerlab.volume import bh_quadrature_volume, constant_volume
 
@@ -33,6 +36,31 @@ X3, Y3 = (0.12, -0.2, 0.15), (0.6, -0.35, 0.72)
 def entry_state(name, x=X3, y=Y3, **overrides):
     entry = get_example(name, **overrides)
     return GeometryState(entry.metric, entry.volume, x, y)
+
+
+def test_variance_table_matches_frame_ranks():
+    st = entry_state("randers_osaka")
+    for name, variance in VARIANCE.items():
+        assert getattr(st.frame, name).ndim == len(variance), name
+        assert tensor(st, name).variance == variance
+
+
+@pytest.mark.parametrize(
+    "accessor",
+    [riemann, douglas_tensor, lambda st: identity_residual("master", st)],
+    ids=["riemann", "douglas_tensor", "master"],
+)
+def test_accessors_return_copies(accessor):
+    st, fresh = entry_state("randers_osaka"), entry_state("randers_osaka")
+    before = accessor(st).components.copy()
+    assert np.abs(before).max() > 0.0
+    accessor(st).components[...] = 0.0
+    assert np.array_equal(accessor(st).components, before)
+    # the GDW and Dbar properties read the Frame's own D
+    for derived in (gdw_vector, dbar_tensor):
+        assert np.array_equal(
+            derived(st).components, derived(fresh).components
+        )
 
 
 def test_euclidean_curvatures_vanish():

@@ -32,3 +32,5 @@ def test_demo_runs(path, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert EXPECTED[path.name] in done.stdout
+    # a definition file a demo writes goes away with its temp directory
+    assert not list(tmp_path.rglob("*.json"))

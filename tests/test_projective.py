@@ -202,6 +202,7 @@ def test_identity_unknown_kind():
     st = entry_state("euclidean")
     with pytest.raises(ConfigError):
         identity_residual("thm99", st)
+    assert "frame" not in vars(st)  # rejected before any work
     assert set(IDENTITY_KINDS) == {
         "thm31", "master", "thm33", "constflag", "pricci", "lemma21"
     }
