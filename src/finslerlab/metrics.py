@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import expr as dsl
-from .errors import ConfigError, FinslerError, RegularityError
+from .errors import ConfigError, RegularityError
 from .scalars import powr, sqrt, value_of
 from .series import Series, SeriesRing, x_only
 
@@ -344,20 +344,6 @@ def f_squared(metric):
         return F * F
 
     return f2
-
-
-def is_admissible(metric, x, y):
-    """Cheap float-level admissibility: chart, cone, and F > 0."""
-    xs = [float(v) for v in x]
-    ys = [float(v) for v in y]
-    if not metric.chart_domain(xs):
-        return False
-    if not metric.cone_domain(xs, ys):
-        return False
-    try:
-        return value_of(metric.F(xs, ys)) > 0.0
-    except FinslerError:
-        return False
 
 
 def _fsq_partials(metric, state, order):

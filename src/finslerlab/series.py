@@ -24,7 +24,24 @@ Coefficient layout and multiplication tables live in a SeriesRing,
 cached per (dimension, caps); products are a gather-multiply plus a
 bincount over the ring's one index table of triples.  The table is
 sorted by first factor, then by second factor, and bincount adds each
-output coefficient's terms in table order.
+output coefficient's terms in table order.  A pair of monomials has a
+product within the caps exactly when their x-degrees and their
+y-degrees add up within the caps, so the table is built per (xdeg,
+ydeg) class of first factors, with every second factor that fits
+beside the class; one sort puts the pairs in table order, and a
+monomial's mixed-radix exponent key (digit sums never carry) finds each
+output by searchsorted.  At n=4 that examines the 579 150 kept pairs,
+not all 55 million, and peaks at under twice the table's bytes.
+
+Each ring owns one product workspace: two float64 buffers as long as
+its table, grown when a batch needs more.  Every product in the ring
+gathers its factors into them and multiplies in place; bincount
+allocates the result, so no result aliases a buffer.  Without them a
+(2, 8) product at n=4 allocates three 4.6 MB temporaries, past glibc's
+mmap threshold, so each would go back to the OS and be faulted in again
+(about 7000 minor faults per frame-n4 state, against none with the
+workspace).  So one ring's products are not re-entrant; the library
+runs no threads.
 
 Two shortcuts skip work that cannot reach a kept coefficient, and both
 leave every result bit-identical to the plain product:
@@ -137,27 +154,37 @@ class SeriesRing:
         self._derivative_cache = {}
         self._partial_cache = {}
         self._embed_cache = {}
+        self._work = (np.empty(0), np.empty(0))
+        self._lane_bins = {}
         if root is None:
             # k steps are correct through total degree 2^k - 1
             self.newton_steps = (cap_x + cap_y).bit_length()
-            exps = [
-                (xe, ye)
-                for xe in itertools.product(range(cap_x + 1), repeat=n)
-                if sum(xe) <= cap_x
-                for ye in itertools.product(range(cap_y + 1), repeat=n)
-                if sum(ye) <= cap_y
-            ]
+            xes, yes = (
+                [e for e in itertools.product(range(cap + 1), repeat=n) if sum(e) <= cap]
+                for cap in (cap_x, cap_y)
+            )
+            exps = [(xe, ye) for xe in xes for ye in yes]
+            powers = np.array([xe + ye for xe, ye in exps], dtype=np.int64)
+            # mixed-radix keys: digit-wise exponent sums never carry, so the
+            # key of a product monomial is the sum of the factor keys; the
+            # exponents are listed in lexicographic order, so keys ascend
+            radix = [2 * cap_x + 1] * n + [2 * cap_y + 1] * n
+            self._place = np.append(np.cumprod(radix[:0:-1])[::-1], 1)
+            keys = powers @ self._place
         else:
             # the root's monomials within the caps, in the root's order
             self.newton_steps = root.newton_steps
             keep = (root.xdeg <= cap_x) & (root.ydeg <= cap_y)
             pos = root._embed_cache[self] = np.flatnonzero(keep)
             exps = [root.exponents[p] for p in pos.tolist()]
+            powers, keys = root._powers[pos], root.keys[pos]
         self.exponents = exps
         self.size = len(exps)
         self._index = {e: i for i, e in enumerate(exps)}
-        self.xdeg = np.array([sum(xe) for xe, _ in exps], dtype=np.int64)
-        self.ydeg = np.array([sum(ye) for _, ye in exps], dtype=np.int64)
+        self._powers = powers
+        self.keys = keys
+        self.xdeg = powers[:, :n].sum(axis=1)
+        self.ydeg = powers[:, n:].sum(axis=1)
         if root is None:
             self._triples = self._build_triples()
 
@@ -176,37 +203,41 @@ class SeriesRing:
         return self._triples
 
     def _build_triples(self):
-        # mixed-radix keys: digit-wise exponent sums never carry, so the
-        # key of a product monomial is the sum of the factor keys
-        rx, ry = 2 * self.cap_x + 1, 2 * self.cap_y + 1
-        keys = np.zeros(self.size, dtype=np.int64)
-        for i, (xe, ye) in enumerate(self.exponents):
-            k = 0
-            for d in xe:
-                k = k * rx + d
-            for d in ye:
-                k = k * ry + d
-            keys[i] = k
-        key_order = np.argsort(keys)
-        sorted_keys = keys[key_order]
-        iout_parts, ia_parts, ib_parts = [], [], []
-        chunk = max(1, (1 << 22) // max(self.size, 1))
-        for start in range(0, self.size, chunk):
-            rows = np.arange(start, min(start + chunk, self.size))
-            sums = keys[rows, None] + keys[None, :]
-            pos = np.searchsorted(sorted_keys, sums)
-            pos[pos == self.size] = 0
-            found = key_order[pos]
-            ok = keys[found] == sums
-            ra, cb = np.nonzero(ok)
-            iout_parts.append(found[ra, cb])
-            ia_parts.append(rows[ra])
-            ib_parts.append(cb)
-        return (
-            np.concatenate(iout_parts).astype(np.int64),
-            np.concatenate(ia_parts).astype(np.int64),
-            np.concatenate(ib_parts).astype(np.int64),
-        )
+        # a pair is a product within the caps exactly when its degrees add
+        # up within them: pair each (xdeg, ydeg) class of first factors
+        # with every second factor that fits beside the class
+        ia, ib = [], []
+        for dx in range(self.cap_x + 1):
+            for dy in range(self.cap_y + 1):
+                rows = np.flatnonzero((self.xdeg == dx) & (self.ydeg == dy))
+                cols = np.flatnonzero(
+                    (self.xdeg <= self.cap_x - dx) & (self.ydeg <= self.cap_y - dy)
+                )
+                ia.append(np.repeat(rows, len(cols)))
+                ib.append(np.tile(cols, len(rows)))
+        ia, ib = np.concatenate(ia), np.concatenate(ib)
+        order = np.argsort(ia * self.size + ib)
+        ia, ib = ia[order], ib[order]
+        return np.searchsorted(self.keys, self.keys[ia] + self.keys[ib]), ia, ib
+
+    def workspace(self, length):
+        """Two float64 buffers of the given length, for a product's gathers
+        (module notes): views of the ring's own, which every product in
+        the ring reuses and a batch grows."""
+        if len(self._work[0]) < length:
+            grown = max(length, len(self.triples[0]))
+            self._work = (np.empty(grown), np.empty(grown))
+        return self._work[0][:length], self._work[1][:length]
+
+    def lane_bins(self, count):
+        """Bincount bins of a full-table product over count lanes: lane k
+        sums into bins size*k.., in table order."""
+        bins = self._lane_bins.get(count)
+        if bins is None:
+            iout = self.triples[0]
+            bins = (iout + self.size * np.arange(count)[:, None]).ravel()
+            self._lane_bins[count] = bins
+        return bins
 
     def mul_table(self, bx, by):
         """The triples whose output lies within (bx, by), in table order."""
@@ -242,14 +273,12 @@ class SeriesRing:
         if table is None:
             x = kind == "x"
             ring = self.stage(self.cap_x - x, self.cap_y - (not x))
-            src, fac = [], []
-            for xe, ye in ring.exponents:
-                e = list(xe if x else ye)
-                e[slot] += 1
-                src.append(self._index[(tuple(e), ye) if x else (xe, tuple(e))])
-                fac.append(float(e[slot]))
-            table = (ring, np.array(src, dtype=np.int64), np.array(fac))
-            self._derivative_cache[key] = table
+            # each monomial there comes from the one here with the slot's
+            # exponent one higher: its key plus the slot's place value
+            digit = slot if x else self.n + slot
+            src = np.searchsorted(self.keys, ring.keys + self.root._place[digit])
+            fac = (ring._powers[:, digit] + 1).astype(np.float64)
+            table = self._derivative_cache[key] = (ring, src, fac)
         return table
 
     def partial_table(self, nx, ny):
@@ -367,6 +396,13 @@ def _skipped_rows(ring, a, b):
     return np.sort(perm_b[_rows(starts_b, rows)])
 
 
+def _gather(c, idx, buffer):
+    """c.take(idx, axis=-1), written into the front of buffer."""
+    shape = c.shape[:-1] + (len(idx),)
+    out = buffer[: math.prod(shape)].reshape(shape)
+    return c.take(idx, axis=-1, out=out, mode="clip")
+
+
 def _meet(a, b):
     """a and b in the ring of their common budget: the stage ring of the
     slot-wise smaller caps, under their root."""
@@ -447,24 +483,36 @@ class Series:
                 pos = _skipped_rows(ring, a.c, b.c)
                 if pos is not None:
                     iout, ia, ib = iout[pos], ia[pos], ib[pos]
-            w = a.c.take(ia, axis=-1) * b.c.take(ib, axis=-1)
-            if w.ndim == 1:
+            m = len(iout)
+            if a.c.ndim == 1 and b.c.ndim == 1:
+                wa, wb = ring.workspace(m)
+                # take with out= copies through a buffer unless mode is not
+                # "raise"; the table's indices are valid, so "clip" is exact
+                a.c.take(ia, out=wa, mode="clip")
+                b.c.take(ib, out=wb, mode="clip")
+                wa *= wb
                 # bincount of an empty selection would give int64 zeros
-                c = (
-                    np.bincount(iout, weights=w, minlength=size)
-                    if len(w)
-                    else np.zeros(size)
-                )
+                c = np.bincount(iout, weights=wa, minlength=size) if m else np.zeros(size)
+                return Series(ring, c)
+            # lane k sums into bins size*k.., in the 1-D order; the
+            # factors' component axes broadcast against each other
+            lanes = np.broadcast_shapes(a.c.shape[:-1], b.c.shape[:-1])
+            count = math.prod(lanes)
+            if m == len(ring.triples[0]):
+                bins = ring.lane_bins(count)
             else:
-                # lane k sums into bins size*k.., in the 1-D order; the
-                # factors' component axes broadcast against each other
-                lanes = w.shape[:-1]
-                count = math.prod(lanes)
-                bins = iout + size * np.arange(count).reshape(lanes + (1,))
-                c = np.bincount(
-                    bins.ravel(), weights=w.ravel(), minlength=count * size
-                ).reshape(lanes + (size,))
-            return Series(ring, c)
+                bins = (iout + size * np.arange(count)[:, None]).ravel()
+            wa, wb = ring.workspace(count * m)
+            ga, gb = _gather(a.c, ia, wa), _gather(b.c, ib, wb)
+            # the product overwrites the gather that has every lane
+            full = [g for g in (ga, gb) if g.shape[:-1] == lanes]
+            w = np.multiply(ga, gb, out=full[0] if full else None)
+            c = (
+                np.bincount(bins, weights=w.ravel(), minlength=count * size)
+                if m
+                else np.zeros(count * size)
+            )
+            return Series(ring, c.reshape(lanes + (size,)))
         if isinstance(other, numbers.Real):
             return Series(self.ring, self.c * float(other))
         return NotImplemented

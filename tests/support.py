@@ -7,6 +7,9 @@ rounding noise (step 1e-4 at order 4 leaves ~1e-1 absolute noise in
 float64), so the oracle uses balanced steps plus Richardson
 extrapolation: truncation O(h^6) with two extrapolation levels while the
 smallest step stays large enough to keep rounding in check.
+
+The product table of a SeriesRing has its own oracle here: the direct
+build that tests every pair of monomials.
 """
 
 import itertools
@@ -17,7 +20,9 @@ import types
 import numpy as np
 
 from finslerlab import cli, volume
+from finslerlab.errors import FinslerError
 from finslerlab.metrics import f_squared
+from finslerlab.scalars import value_of
 
 from jet_oracle import mixed_partial
 
@@ -104,3 +109,52 @@ def fd_partial(f, x, y, wrt, h0=None, levels=2):
 def rel_error(got, want, floor=1.0):
     """|got - want| over a denominator that never collapses below floor."""
     return abs(got - want) / max(abs(want), floor)
+
+
+def is_admissible(metric, x, y):
+    """Cheap float-level admissibility: chart, cone, and F > 0."""
+    xs = [float(v) for v in x]
+    ys = [float(v) for v in y]
+    if not metric.chart_domain(xs):
+        return False
+    if not metric.cone_domain(xs, ys):
+        return False
+    try:
+        return value_of(metric.F(xs, ys)) > 0.0
+    except FinslerError:
+        return False
+
+
+def all_pairs_triples(ring):
+    """The product table (iout, ia, ib) of a ring, found by testing every
+    pair of monomials: a pair is kept when the sum of its mixed-radix
+    exponent keys is the key of a monomial of the ring."""
+    rx, ry = 2 * ring.cap_x + 1, 2 * ring.cap_y + 1
+    keys = np.zeros(ring.size, dtype=np.int64)
+    for i, (xe, ye) in enumerate(ring.exponents):
+        k = 0
+        for d in xe:
+            k = k * rx + d
+        for d in ye:
+            k = k * ry + d
+        keys[i] = k
+    key_order = np.argsort(keys)
+    sorted_keys = keys[key_order]
+    iout_parts, ia_parts, ib_parts = [], [], []
+    chunk = max(1, (1 << 22) // max(ring.size, 1))
+    for start in range(0, ring.size, chunk):
+        rows = np.arange(start, min(start + chunk, ring.size))
+        sums = keys[rows, None] + keys[None, :]
+        pos = np.searchsorted(sorted_keys, sums)
+        pos[pos == ring.size] = 0
+        found = key_order[pos]
+        ok = keys[found] == sums
+        ra, cb = np.nonzero(ok)
+        iout_parts.append(found[ra, cb])
+        ia_parts.append(rows[ra])
+        ib_parts.append(cb)
+    return (
+        np.concatenate(iout_parts).astype(np.int64),
+        np.concatenate(ia_parts).astype(np.int64),
+        np.concatenate(ib_parts).astype(np.int64),
+    )

@@ -5,7 +5,8 @@ import pytest
 
 from finslerlab.catalog import get_example, list_examples
 from finslerlab.errors import CatalogError, ConfigError
-from finslerlab.metrics import is_admissible, randers_b_norm_sq
+from finslerlab.metrics import randers_b_norm_sq
+from support import is_admissible
 
 
 def test_listing_is_stable_and_complete():

@@ -12,10 +12,9 @@ from finslerlab.metrics import (
     fundamental_tensor,
     homogeneity_defect,
     inverse_fundamental,
-    is_admissible,
     randers_b_norm_sq,
 )
-from support import fd_partial, record_rings
+from support import fd_partial, is_admissible, record_rings
 
 IDENTITY2 = [["1", "0"], ["0", "1"]]
 

@@ -8,6 +8,7 @@ pipeline uses (rational, sqrt, exp, ln, fractional powers).
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from finslerlab.errors import DomainError, TowerBudgetError
 from finslerlab.series import Series, SeriesRing, embed, restrict
 
 from jet_oracle import mixed_partial
+from support import all_pairs_triples
 
 
 def partial_of(series, wrt):
@@ -759,3 +761,80 @@ def test_truncated_zeroes_beyond_the_budget():
     common = ring.stage(1, 7)
     assert np.array_equal(restrict(mixed, common).c, restrict(f.dy(0), common).c)
     assert not mixed.c[mixed.ring.ydeg == 8].any()
+
+
+# -- the product table and the product workspace -----------------------------
+
+TABLE_CAPS = [(1, 2, 8), (2, 2, 8), (3, 2, 8), (3, 1, 1), (3, 0, 3), (3, 2, 0), (2, 0, 0)]
+
+
+@pytest.mark.parametrize("n, cap_x, cap_y", TABLE_CAPS, ids=str)
+def test_table_equals_the_all_pairs_build(n, cap_x, cap_y):
+    # the degree-class build keeps exactly the pairs the all-pairs search
+    # finds, in the same order: by first factor, then by second
+    ring = SeriesRing(n, cap_x, cap_y)
+    for got, want in zip(ring.triples, all_pairs_triples(ring)):
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
+def test_table_build_peak_memory_is_a_few_tables():
+    # the all-pairs build peaked at 11.7 times the table's bytes at n=4
+    tracemalloc.start()
+    try:
+        ring = SeriesRing(4, 2, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table_bytes = sum(t.nbytes for t in ring.triples)
+    assert len(ring.triples[0]) == 579150
+    assert peak <= 4 * table_bytes, peak / table_bytes
+
+
+def test_products_never_alias_the_workspace():
+    ring, ys, f, w = _full_ring_fields()
+    stage = ring.stage(1, 6)
+    batch = restrict([f, f.dy(0)], stage)
+    for got in (f * f, ys[1] * f, batch * restrict(f, stage), batch * batch):
+        for buffer in got.ring._work:
+            assert not np.shares_memory(got.c, buffer)
+
+
+def test_workspace_reuse_keeps_products_exact():
+    # a row-skip product uses a prefix of the buffers, a full product all
+    # of them, and a shorter one after it leaves stale values past its end
+    ring, ys, f, w = _full_ring_fields()
+    for a, b in ((ys[1], f), (f, f), (w, f), (f, ys[2])):
+        got = a * b
+        assert got.ring is ring
+        assert np.array_equal(got.c, _dense_product(a, b).c)
+    assert len(ring._work[0]) == len(ring.triples[0])
+
+
+@pytest.mark.parametrize("lanes", [(), (3,)], ids=str)
+def test_product_over_an_empty_selection_is_float_zeros(lanes):
+    stage = SeriesRing.get(3).stage(2, 6)
+    assert len(stage.triples[0]) >= series_module.ROW_SKIP_MIN_TRIPLES
+    zero = Series(stage, np.zeros(stage.size))
+    dense = _stage_factors(stage, np.random.default_rng(2), lanes)
+    for got in (zero * dense, dense * zero):
+        assert got.c.dtype == np.float64
+        assert got.c.shape == lanes + (stage.size,)
+        assert not got.c.any()
+
+
+def test_batched_product_grows_the_workspace():
+    stage = SeriesRing(3, 2, 8).stage(1, 5)  # a fresh workspace
+    rng = np.random.default_rng(9)
+    u = _stage_factors(stage, rng, ())
+    u * u
+    table = len(stage.triples[0])
+    assert len(stage._work[0]) == table
+    for count in (2, 5, 3):
+        batch = _stage_factors(stage, rng, (count,))
+        got = batch * u
+        assert len(stage._work[0]) >= count * table
+        for k in range(count):
+            lane = batch.part(k)
+            assert np.array_equal(got.c[k], (lane * u).c)
+            assert np.array_equal(got.c[k], _dense_product(lane, u).c)
