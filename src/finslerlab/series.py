@@ -34,13 +34,13 @@ output by searchsorted.  At n=4 that examines the 579 150 kept pairs,
 not all 55 million, and peaks at under twice the table's bytes.
 
 Each ring owns one product workspace: two float64 buffers as long as
-its table, grown when a batch needs more.  Every product in the ring
-gathers its factors into them and multiplies in place; bincount
-allocates the result, so no result aliases a buffer.  Without them a
-(2, 8) product at n=4 allocates three 4.6 MB temporaries, past glibc's
-mmap threshold, so each would go back to the OS and be faulted in again
-(about 7000 minor faults per frame-n4 state, against none with the
-workspace).  So one ring's products are not re-entrant; the library
+its table, grown when a batch needs more.  Every product and every sqrt
+level in the ring gathers its factors into them and multiplies in
+place; bincount allocates the result, so no result aliases a buffer.
+Without them a (2, 8) product at n=4 allocates three 4.6 MB
+temporaries, past glibc's mmap threshold, so each would go back to the
+OS and be faulted in again (about 7000 minor faults per frame-n4 state,
+against none with the workspace).  So one ring's products are not re-entrant; the library
 runs no threads.
 
 Two shortcuts skip work that cannot reach a kept coefficient, and both
@@ -70,14 +70,28 @@ leave every result bit-identical to the plain product:
   step kept.  Coefficients a step left out, or computed past its degree,
   meet only the exact zero value part of v or u.
 
+sqrt runs no ring product.  It takes the graded recurrence over total
+degree (Griewank & Walther, Evaluating Derivatives, ch. 13): w_0 =
+sqrt(u_0) from the math module, then for d = 1..cap_x + cap_y the
+degree-d coefficients w_d = (u_d - 2 sum_(a<b) w_a w_b - sum w_a^2) /
+(2 w_0), over the pairs a < b, and the squares, of monomials of positive
+degree whose product has degree d.  Each level reads only lower degrees.
+The ring's level table (levels) lists those pairs per level, built on
+first use by degree class as the product table is, in table order, with
+indices of the smallest unsigned type that holds the ring's (uint16
+through the (2, 8) ring at n=5).  At n=4 it holds 282 325 pairs in 1.7
+MB, an eighth of the product table's bytes, and one sqrt gathers them
+once where Newton ran 13 products over the whole table.
+
 Every operation is budget-invariant: run in a stage ring, it gives
 exactly (bit for bit) the root's result restricted to that ring,
 because a product coefficient reads only factor coefficients of lower
-or equal degree, through the same triples in the same order.  Newton's
-method (reciprocal, sqrt) would break it if the step count followed the
-caps (a fourth step still moves a 3-step (1, 6) reciprocal in the last
-bits), so it runs the ring's newton_steps, the count for its root's
-total degree cap_x + cap_y, in every stage ring.
+or equal degree, through the same triples in the same order, and a sqrt
+level reads the same pairs in the same order.  Newton's method
+(reciprocal) would break it if the step count followed the caps (a
+fourth step still moves a 3-step (1, 6) reciprocal in the last bits),
+so it runs the ring's newton_steps, the count for its root's total
+degree cap_x + cap_y, in every stage ring.
 
 So each stage runs in the ring of the budget its readers need:
 ring.stage(bx, by) is the (bx, by) ring under ring's root (the root
@@ -97,14 +111,14 @@ restrict or entered through SeriesRing.constant with an array.  The
 quadrature volume runs all its sphere directions through the x-only
 ring in one pass, and Riemann its 3 n^3 products per call as 3 n
 products over the n^2 lanes (i, k).  Every lane is bit-identical to the
-unbatched evaluation: products offset the bincount bins per lane, so
-each lane sums in the 1-D order, and value parts of sqrt/ln/exp use the
-math module lane by lane (numpy's vectorised exp and log differ from it
-in the last bit on some inputs).  In a small ring the lanes share one
-pass over the table (a (1, 6) product at n=4: 107 us per lane in a
-batch of 4, 167 us alone); a ring of its own with y-variables, such as
-the (2, 8) ring, is never batched (n=3: 0.93 ms per lane, against 0.27
-ms unbatched).
+unbatched evaluation: products and sqrt levels offset the bincount
+bins per lane, so each lane sums in the 1-D order, and value parts of
+sqrt/ln/exp use the math module lane by lane (numpy's vectorised exp
+and log differ from it in the last bit on some inputs).  In a small
+ring the lanes share one pass over the table (a (1, 6) product at n=4:
+107 us per lane in a batch of 4, 167 us alone); a ring of its own with
+y-variables, such as the (2, 8) ring, is never batched (n=3: 0.93 ms
+per lane, against 0.27 ms unbatched).
 """
 
 import itertools
@@ -156,6 +170,7 @@ class SeriesRing:
         self._embed_cache = {}
         self._work = (np.empty(0), np.empty(0))
         self._lane_bins = {}
+        self._levels = None
         if root is None:
             # k steps are correct through total degree 2^k - 1
             self.newton_steps = (cap_x + cap_y).bit_length()
@@ -234,10 +249,56 @@ class SeriesRing:
         sums into bins size*k.., in table order."""
         bins = self._lane_bins.get(count)
         if bins is None:
-            iout = self.triples[0]
-            bins = (iout + self.size * np.arange(count)[:, None]).ravel()
+            bins = _lane_bins(self.triples[0], self.size, count)
             self._lane_bins[count] = bins
         return bins
+
+    def levels(self):
+        """The level table of the graded sqrt (module notes), built on first
+        use: per total degree d = 1..cap_x + cap_y, a tuple (rows, iout,
+        ia, ib, sq_out, sq_src).  rows are the monomials of degree d; the
+        pairs a < b of positive degrees whose product is the monomial
+        rows[iout] are (ia, ib), in table order; the square of sq_src is
+        rows[sq_out].  Every array has the smallest unsigned type that
+        holds the ring's indices."""
+        if self._levels is None:
+            self._levels = [
+                self._build_level(d) for d in range(1, self.cap_x + self.cap_y + 1)
+            ]
+        return self._levels
+
+    def _build_level(self, d):
+        # as _build_triples: each (xdeg, ydeg) class of the factor of lower
+        # degree, with every factor of the remaining degree that fits beside
+        # it; a pair of equal degrees comes once each way, so keep a <= b.
+        # The pairs take the small index type from the start, which keeps
+        # the build's peak within a few times the level's bytes
+        small = np.min_scalar_type(self.size)
+        deg = self.xdeg + self.ydeg
+        ia, ib = [np.empty(0, dtype=small)], [np.empty(0, dtype=small)]
+        for dx in range(self.cap_x + 1):
+            for dy in range(max(1 - dx, 0), min(self.cap_y, d // 2 - dx) + 1):
+                a = np.flatnonzero((self.xdeg == dx) & (self.ydeg == dy))
+                b = np.flatnonzero(
+                    (self.xdeg <= self.cap_x - dx)
+                    & (self.ydeg <= self.cap_y - dy)
+                    & (deg == d - dx - dy)
+                )
+                a, b = a.astype(small), b.astype(small)
+                a, b = np.repeat(a, len(b)), np.tile(b, len(a))
+                if 2 * (dx + dy) == d:
+                    a, b = a[a <= b], b[a <= b]
+                ia.append(np.minimum(a, b))
+                ib.append(np.maximum(a, b))
+        ia, ib = np.concatenate(ia), np.concatenate(ib)
+        order = np.lexsort((ib, ia))
+        ia, ib = ia[order], ib[order]
+        rows = np.flatnonzero(deg == d)
+        key = self.keys[ia]
+        key += self.keys[ib]
+        out = np.searchsorted(self.keys[rows], key).astype(small)
+        sq = ia == ib
+        return rows.astype(small), out[~sq], ia[~sq], ib[~sq], out[sq], ia[sq]
 
     def mul_table(self, bx, by):
         """The triples whose output lies within (bx, by), in table order."""
@@ -396,6 +457,28 @@ def _skipped_rows(ring, a, b):
     return np.sort(perm_b[_rows(starts_b, rows)])
 
 
+def _lane_bins(iout, size, count):
+    """Bincount bins over count lanes: lane k sums into bins size*k.."""
+    return (iout + size * np.arange(count)[:, None]).ravel()
+
+
+def _bincount(bins, w, size):
+    """Sums of the terms w (lanes, then terms) into size bins per lane.
+
+    bins are one lane's, or every lane's from _lane_bins; each lane sums
+    its terms in their order, as an unbatched sum would.  No terms give
+    float zeros (bincount of an empty selection gives int64 zeros).
+    """
+    lanes = w.shape[:-1]
+    count = math.prod(lanes)
+    if not w.size:
+        return np.zeros(lanes + (size,))
+    if len(bins) < w.size:
+        bins = _lane_bins(bins, size, count)
+    c = np.bincount(bins, weights=w.ravel(), minlength=count * size)
+    return c.reshape(lanes + (size,))
+
+
 def _gather(c, idx, buffer):
     """c.take(idx, axis=-1), written into the front of buffer."""
     shape = c.shape[:-1] + (len(idx),)
@@ -498,21 +581,13 @@ class Series:
             # factors' component axes broadcast against each other
             lanes = np.broadcast_shapes(a.c.shape[:-1], b.c.shape[:-1])
             count = math.prod(lanes)
-            if m == len(ring.triples[0]):
-                bins = ring.lane_bins(count)
-            else:
-                bins = (iout + size * np.arange(count)[:, None]).ravel()
+            bins = ring.lane_bins(count) if m == len(ring.triples[0]) else iout
             wa, wb = ring.workspace(count * m)
             ga, gb = _gather(a.c, ia, wa), _gather(b.c, ib, wb)
             # the product overwrites the gather that has every lane
             full = [g for g in (ga, gb) if g.shape[:-1] == lanes]
             w = np.multiply(ga, gb, out=full[0] if full else None)
-            c = (
-                np.bincount(bins, weights=w.ravel(), minlength=count * size)
-                if m
-                else np.zeros(count * size)
-            )
-            return Series(ring, c.reshape(lanes + (size,)))
+            return Series(ring, _bincount(bins, w, size))
         if isinstance(other, numbers.Real):
             return Series(self.ring, self.c * float(other))
         return NotImplemented
@@ -550,14 +625,22 @@ class Series:
         return z
 
     def sqrt(self):
-        b0 = self.c[..., 0]
-        _positive(b0, "sqrt")
-        w = self.ring.constant(1.0 / np.sqrt(b0))
-        for _ in range(self.ring.newton_steps):
-            w = w * (3.0 - self * (w * w)) * 0.5
-        out = self * w
-        out.c[..., 0] = _lanes(math.sqrt, b0)
-        return out
+        # w_d = (u_d - 2 sum_(a<b) w_a w_b - sum w_a^2) / (2 w_0), the pairs
+        # and squares of degree-d monomials from the level table
+        u = self.c
+        _positive(u[..., 0], "sqrt")
+        w = np.zeros_like(u)
+        w[..., 0] = _lanes(math.sqrt, u[..., 0])
+        twice = 2.0 * w[..., :1]
+        for rows, iout, ia, ib, sq_out, sq_src in self.ring.levels():
+            wa, wb = self.ring.workspace(w[..., 0].size * len(ia))
+            ga = _gather(w, ia, wa)
+            ga *= _gather(w, ib, wb)
+            s = _bincount(iout, ga, len(rows))
+            s *= 2.0
+            s[..., sq_out] += np.square(w[..., sq_src])
+            w[..., rows] = (u[..., rows] - s) / twice
+        return Series(self.ring, w)
 
     def exp(self):
         # exp(a0 + u) = e^a0 * sum u^k/k!; u is nilpotent at the caps

@@ -398,6 +398,18 @@ def test_full_budget_products_per_frame(monkeypatch, name, most):
 
 
 @pytest.mark.parametrize(
+    "name, most",
+    [("randers_osaka", 21), ("riemannian_sphere", 13), ("randers_baoshen", 22),
+     ("euclidean", 10), ("mkropina_yang", 35)],
+)
+def test_graded_sqrt_runs_no_full_budget_products(monkeypatch, name, most):
+    # sqrt reads its level table instead of Newton's 13 (2, 8) products
+    # (osaka made 34, the sphere 26, baoshen 35 and euclidean 23); no sqrt
+    # runs for mkropina, whose powr goes through ln and exp
+    assert 0 < _full_budget_products(monkeypatch, name) <= most
+
+
+@pytest.mark.parametrize(
     "name, most", [("mkropina_yang", 35), ("minkowski_quartic", 15)]
 )
 def test_ln_exp_horner_steps_skip_full_budget(monkeypatch, name, most):

@@ -16,13 +16,16 @@ Regenerate (only from a commit whose outputs are the reference):
 A wider reference adds plan seeds (each seed samples its own states)
 and states of randers_osaka with the quadrature volume; --compare then
 lists every array the current code does not reproduce bit for bit
-(np.array_equal) at the reference's states, and exits 1 if there is one:
+(np.array_equal) at the reference's states, with its scaled shift
+max|diff| / max(1, max|ref|), then per entry the number of arrays that
+differ and the largest shift, and exits 1 if an array differs:
 
     PYTHONPATH=src python tests/test_frame_snapshot.py REF.npz --seeds 1 2 --quadrature 2
     PYTHONPATH=src python tests/test_frame_snapshot.py --compare REF.npz
 """
 
 import argparse
+import math
 import os
 import sys
 import types
@@ -110,17 +113,29 @@ def write_snapshot(path, seeds=(classify.SamplePlan.seed,), quadrature=0):
 
 
 def compare_exactly(path):
-    """Names of the arrays of a reference file that the current code does
-    not reproduce bit for bit, and the number of arrays compared."""
-    differ, compared = [], 0
+    """The arrays of a reference file that the current code does not
+    reproduce bit for bit, as (name, scaled shift), and per entry the
+    number of arrays compared."""
+    differ, compared = [], {}
     for key, ref in sorted(_load(path).items()):
         x, y = tuple(ref.pop("x")), tuple(ref.pop("y"))
-        got = state_outputs(entry_of(key.split("/")[0]), x, y)
+        entry = key.split("/")[0]
+        got = state_outputs(entry_of(entry), x, y)
         for field, want in sorted(ref.items()):
-            compared += 1
-            if field not in got or not np.array_equal(got[field], want):
-                differ.append("%s/%s" % (key, field))
+            compared[entry] = compared.get(entry, 0) + 1
+            have = got.get(field)
+            if have is None or not np.array_equal(have, want):
+                differ.append(("%s/%s" % (key, field), _shift(have, want)))
     return differ, compared
+
+
+def _shift(have, want):
+    """max|have - want| / max(1, max|want|); inf for a missing or
+    reshaped array."""
+    if have is None or have.shape != want.shape:
+        return math.inf
+    gap = float(np.abs(have - want).max(initial=0.0))
+    return gap / max(1.0, float(np.abs(want).max(initial=0.0)))
 
 
 def _load(path=SNAPSHOT):
@@ -167,9 +182,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.compare:
         differ, compared = compare_exactly(args.compare)
-        for name in differ:
-            print(name)
-        print("%d of %d arrays differ" % (len(differ), compared))
+        for name, shift in differ:
+            print("%s %.3g" % (name, shift))
+        for entry, count in compared.items():
+            shifts = [shift for name, shift in differ if name.split("/")[0] == entry]
+            print("%s: %d of %d arrays differ, largest shift %.3g"
+                  % (entry, len(shifts), count, max(shifts, default=0.0)))
+        print("%d of %d arrays differ" % (len(differ), sum(compared.values())))
         return 1 if differ else 0
     if not args.path:
         parser.error("give a snapshot path to write, or --compare REF")

@@ -838,3 +838,70 @@ def test_batched_product_grows_the_workspace():
             lane = batch.part(k)
             assert np.array_equal(got.c[k], (lane * u).c)
             assert np.array_equal(got.c[k], _dense_product(lane, u).c)
+
+
+# -- the graded sqrt and its level table -------------------------------------
+
+SQRT_RINGS = [(2, 2, 8, None), (3, 2, 8, None), (4, 2, 8, None), (3, 8, 0, 16)]
+
+
+@pytest.mark.parametrize("n, cap_x, cap_y, lanes", SQRT_RINGS, ids=str)
+def test_sqrt_of_a_square_recovers_the_polynomial(n, cap_x, cap_y, lanes):
+    # Newton's 4 steps left up to 7.2e-13 (n=4) and 2.7e-14 (n=2) here
+    ring = SeriesRing.get(n, cap_x, cap_y)
+    rng = np.random.default_rng(0)
+    c = rng.uniform(-1.0, 1.0, (lanes or 1, ring.size))
+    c[:, 0] = np.linspace(1.5, 2.0, lanes) if lanes else 2.0
+    p = Series(ring, c if lanes else c[0])
+    root = (p * p).sqrt()
+    assert root.ring is ring
+    gap = np.abs(root.c - p.c).max(axis=-1) / np.abs(p.c).max(axis=-1)
+    assert np.all(gap <= 1e-14), gap.max()
+
+
+LEVEL_CAPS = [(2, 2, 8), (3, 2, 8), (3, 1, 6), (3, 2, 0), (4, 0, 2)]
+
+
+@pytest.mark.parametrize("stage", [False, True], ids=["own ring", "stage ring"])
+@pytest.mark.parametrize("n, cap_x, cap_y", LEVEL_CAPS, ids=str)
+def test_levels_are_the_tables_positive_degree_pairs(n, cap_x, cap_y, stage):
+    # level d lists the triples of the product table whose output has
+    # total degree d and whose factors a <= b both have positive degree,
+    # in table order: the pairs a < b apart, the squares a = b apart
+    if stage:
+        ring = SeriesRing.get(n).stage(cap_x, cap_y)
+    else:
+        ring = SeriesRing(n, cap_x, cap_y)
+    iout, ia, ib = ring.triples
+    deg = ring.xdeg + ring.ydeg
+    levels = ring.levels()
+    assert len(levels) == cap_x + cap_y
+    for d, (rows, out, a, b, sq_out, sq_src) in enumerate(levels, 1):
+        for t in (rows, out, a, b, sq_out, sq_src):
+            assert t.dtype == np.min_scalar_type(ring.size)
+        assert np.array_equal(rows, np.flatnonzero(deg == d))
+        keep = (deg[iout] == d) & (deg[ia] > 0) & (deg[ib] > 0)
+        pairs, squares = keep & (ia < ib), keep & (ia == ib)
+        assert np.array_equal(rows[out], iout[pairs])
+        assert np.array_equal(a, ia[pairs]) and np.array_equal(b, ib[pairs])
+        assert np.array_equal(rows[sq_out], iout[squares])
+        assert np.array_equal(sq_src, ia[squares])
+
+
+def test_level_tables_are_small_beside_the_product_table():
+    ring = SeriesRing.get(4)
+    level_bytes = sum(t.nbytes for level in ring.levels() for t in level)
+    assert level_bytes <= 0.15 * sum(t.nbytes for t in ring.triples)
+
+
+def test_batched_stage_sqrt_lanes_equal_unbatched():
+    # the x-only ring's batches are in test_batched_lanes_equal_unbatched
+    ring = SeriesRing.get(3)
+    xs, ys = ring.state(X3, Y3)
+    f = smooth3(xs, ys)
+    g = [f.dy(i).dy(i) * 0.5 for i in range(3)]
+    batch = restrict(g + [f.truncated(1, 6)], ring.stage(1, 6))
+    got = batch.sqrt()
+    assert got.ring is batch.ring
+    for k in range(len(batch.c)):
+        assert np.array_equal(got.c[k], batch.part(k).sqrt().c), k
