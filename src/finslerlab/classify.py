@@ -293,7 +293,7 @@ def _frame_residuals(frame):
         "dbar": float(np.abs(frame.Dbar).max()),
         "gdw": float(np.abs(frame.gdw_residual).max()),
         "r_quadratic": float(np.abs(frame.R_full_dot).max()),
-        "pr_quadratic": float(np.abs(frame.Rt_full_dot).max()),
+        "pr_quadratic": float(np.abs(frame.projective.R_full_dot).max()),
         "s_flat": abs(frame.S),
     }
 

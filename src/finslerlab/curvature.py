@@ -15,6 +15,7 @@ only the connection N, Gamma and the routine that adds its terms
 """
 
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -46,11 +47,12 @@ class GeometryState:
 
 
 def tensor(state, name):
-    """The Frame output `name` at the state: a copy of the array, with its
-    variance from engine.VARIANCE."""
+    """The Frame output `name` at the state: a copy of the array, with the
+    variance engine.VARIANCE records for its last name ("projective.R" is
+    R of the projective spray)."""
     return TensorValue(
-        components=np.array(getattr(state.frame, name), dtype=float),
-        variance=VARIANCE[name],
+        components=np.array(attrgetter(name)(state.frame), dtype=float),
+        variance=VARIANCE[name.rsplit(".", 1)[-1]],
         state=state.state_tuple,
     )
 

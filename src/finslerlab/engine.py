@@ -1,18 +1,25 @@
 """One-pass curvature pipeline over the truncated series ring.
 
 A Frame evaluates F^2 once at a state as a Series in the coordinate
-shifts, walks the whole derivative tree inside the ring (spray, Berwald
-connection, Riemann and Berwald curvatures, S-curvature, Douglas tensor,
-projective spray and its curvature) and extracts every component the
-classifier and the identity checks consume as plain numpy arrays.  Of
-the ring objects it keeps only the spray, which the projective-change
-routes (modified_spray, lemma21_residual) extend by P y; it is the only
-code that evaluates F^2 -> g -> G.  Work that depends on x alone (the
-coefficient fields of F, the volume density and ln sigma) runs in the
-x-only ring and enters the (2, 8) ring by one embedding, so the full
-budget is spent only where y enters.  The point tensors of the metrics
-module read g and C from small rings of the same series module; the
-test suite holds both against an independent jet-tower oracle.
+shifts and walks the whole derivative tree inside the ring.  Its
+constructor runs the metric stage eagerly: F^2, g, C, g^-1, det g, the
+spray G, S and tau, with every check that can raise (F <= 0, g not
+positive definite, the domain of ln sigma).  Everything that depends on
+a spray alone is a Spray: N and Gamma, the Riemann curvature and its
+fiber partials, the divergence, the Berwald and Douglas tensors and
+their horizontal derivatives.  Each Spray stage is a cached_property,
+pure ring arithmetic that runs on its first read, so S and tau cost no
+Riemann and no cube.  One Spray pipeline serves three sprays: the Frame
+is the Spray of G, frame.projective the Spray of the projective spray
+Gt = G - S y/(n+1), and the projective-change routes (lemma21_residual,
+projective.douglas_invariance_gap) take G + P y from modified_spray.
+The Frame is the only code that evaluates F^2 -> g -> G.  Work that
+depends on x alone (the coefficient fields of F, the volume density and
+ln sigma) runs in the x-only ring and enters the (2, 8) ring by one
+embedding, so the full budget is spent only where y enters.  The point
+tensors of the metrics module read g and C from small rings of the same
+series module; the test suite holds both against an independent
+jet-tower oracle.
 
 Each stage runs in the stage ring of the budget its readers need (bx
 x-orders, by y-orders), with its vectors and matrices as component axes
@@ -29,14 +36,14 @@ bit-identical:
   (1, 5) ring, the projective Douglas core in the (1, 4) ring: the
   cubes read their (0, 3), (1, 3) and (0, 4) partials;
 - Riemann's derivatives in the (1, 5) and (0, 4) rings, its products in
-  the (0, 3) ring over the lanes (i, k): the Frame reads R^i_k and its
+  the (0, 3) ring over the lanes (i, k): a Spray reads R^i_k and its
   fiber partials up to order 3 (lemma21_residual: the value, (0, 0)).
 
 Index layout mirrors the written order of the symbols: B[j,i,k,l] holds
 B_j^i_{kl}, horizontal derivatives append the new lower slot last
 (D_h[j,i,k,l,m] is D_j^i_{kl|m}), curvature pairs are R[i,k].  One
 routine, horizontal, adds the connection terms of every horizontal
-derivative: the Frame's, lemma21_residual's and horizontal_derivative's.
+derivative: the Spray's, lemma21_residual's and horizontal_derivative's.
 """
 
 import math
@@ -58,22 +65,22 @@ from .series import Series, SeriesRing, restrict, x_only
 # does not vanish (it comes out as the (m,l) ordering).
 RICCI_LM_SIGN = -1.0
 
-# Variance of each Frame output that a caller reads, keyed by attribute
-# name: one entry per slot, in the index layout above (B[j,i,k,l] holds
-# B_j^i_{kl}; a horizontal derivative's new slot is lower and last).
+# Variance of each Frame or Spray output that a caller reads, keyed by
+# attribute name (projective.R has R's): one entry per slot, in the index
+# layout above (B[j,i,k,l] holds B_j^i_{kl}; a horizontal derivative's
+# new slot is lower and last).
 VARIANCE = {
     "G": ("upper",),
-    **dict.fromkeys(("N", "R", "Rt"), ("upper", "lower")),
+    **dict.fromkeys(("N", "R"), ("upper", "lower")),
     **dict.fromkeys(("Gamma", "R_kl"), ("upper", "lower", "lower")),
     **dict.fromkeys(("S_yy", "E_from_trace"), ("lower", "lower")),
     "thm33_residual": ("lower", "lower", "lower"),
     **dict.fromkeys(
-        ("B", "D", "PB", "R_full", "Rt_full", "D_h0", "gdw_residual",
-         "thm31_residual"),
+        ("B", "D", "R_full", "D_h0", "gdw_residual", "thm31_residual"),
         ("lower", "upper", "lower", "lower"),
     ),
     **dict.fromkeys(
-        ("Dbar", "Rt_full_dot", "master_residual", "pricci_residual"),
+        ("Dbar", "R_full_dot", "master_residual", "pricci_residual"),
         ("lower", "upper", "lower", "lower", "lower"),
     ),
 }
@@ -249,27 +256,99 @@ def _fiber_pair(A, axes):
     return (A - np.swapaxes(A, -1, -2)) / 3.0
 
 
-def _spray_arrays(G, xs, ys):
-    """(G, N, Gamma, R, R_y, R_yy, R_y3) of one spray, as arrays.
-
-    The spray and its first two fiber partials, then the Riemann
-    curvature R^i_k and its first three (the 0th partial is the value).
-    """
-    R = riemann_series(G, xs, ys, 3)
-    spray = [np.array([g.partials(0, k) for g in G]) for k in range(3)]
-    return (*spray, *(R.partials(0, k) for k in range(4)))
+def _item(stage, k):
+    """A read-only attribute: item k of the cached stage named stage."""
+    return property(lambda self: getattr(self, stage)[k])
 
 
 # ---------------------------------------------------------------------------
-# Frame
+# Spray and Frame
 
 
-class Frame:
-    """Every curvature quantity of one (metric, volume, x, y), as arrays."""
+class Spray:
+    """Every output that depends on a spray alone, as arrays.
+
+    G is the spray G^i as Series on the ring state (xs, ys).  Each stage
+    is a cached_property that runs on its first read and is pure ring
+    arithmetic, so no read can raise:
+
+    - G, N and Gamma: the spray and its first two fiber partials;
+    - R^i_k and its fiber partials R_y, R_yy, R_y3 from one
+      riemann_series call at y-order 3, and R_kl, R_full, R_full_dot;
+    - the divergence (a Series), the Berwald cube B (the y-cube of G)
+      and the Douglas cube D (the y-cube of G - div y/(n+1)), each with
+      its x- and y-gradients, and their horizontal derivatives B_h, D_h.
+    """
+
+    def __init__(self, G, xs, ys):
+        self.n = len(G)
+        self.series, self.xs, self.ys = G, xs, ys
+
+    @cached_property
+    def _jet(self):
+        return [np.array([g.partials(0, k) for g in self.series]) for k in range(3)]
+
+    G, N, Gamma = (_item("_jet", k) for k in range(3))
+
+    @cached_property
+    def _riemann(self):
+        R = riemann_series(self.series, self.xs, self.ys, 3)
+        return [R.partials(0, k) for k in range(4)]
+
+    R, R_y, R_yy, R_y3 = (_item("_riemann", k) for k in range(4))
+
+    @cached_property
+    def R_kl(self):
+        return _fiber_pair(self.R_y, (0, 1, 2))
+
+    @cached_property
+    def R_full(self):
+        return _fiber_pair(self.R_yy, (3, 0, 1, 2))
+
+    @cached_property
+    def R_full_dot(self):
+        """d_k R_j^i_{lm} as [j,i,k,l,m] from third fiber partials of R^i_k."""
+        return _fiber_pair(self.R_y3, (3, 0, 4, 1, 2))
+
+    @cached_property
+    def div(self):
+        return divergence_series(self.series)
+
+    @cached_property
+    def _berwald(self):
+        return _cube_extract(self.series)
+
+    B, B_x, B_y = (_item("_berwald", k) for k in range(3))
+
+    @cached_property
+    def _douglas(self):
+        return _cube_extract(douglas_core_series(self.series, self.div, self.ys))
+
+    D, D_x, D_y = (_item("_douglas", k) for k in range(3))
+
+    @cached_property
+    def B_h(self):
+        return horizontal(
+            self.B, self.B_x, self.B_y, self.N, self.Gamma, VARIANCE["B"]
+        )
+
+    @cached_property
+    def D_h(self):
+        return horizontal(
+            self.D, self.D_x, self.D_y, self.N, self.Gamma, VARIANCE["D"]
+        )
+
+
+class Frame(Spray):
+    """Every curvature quantity of one (metric, volume, x, y), as arrays.
+
+    The constructor runs the metric stage (F^2, g, C, g^-1, det g, the
+    spray, S and tau) and every check that can raise.  The Frame is the
+    Spray of G; projective is the Spray of Gt = G - S y/(n+1).
+    """
 
     def __init__(self, metric, volume, x, y):
         n = metric.dimension
-        self.n = n
         self.x = tuple(float(v) for v in x)
         self.y = tuple(float(v) for v in y)
         ring = SeriesRing.get(n, cap_x=2, cap_y=8)
@@ -297,19 +376,14 @@ class Frame:
             [[g_ring[i][j].partials(0, 1) for j in range(n)] for i in range(n)]
         )
 
-        G = spray_series(fsq, ginv_ring, xs, ys)
-        self.ring_spray = (xs, ys, G)
-        (self.G, self.N, self.Gamma, self.R, self.R_y, self.R_yy,
-         self.R_y3) = _spray_arrays(G, xs, ys)
-
-        div = divergence_series(G)
+        super().__init__(spray_series(fsq, ginv_ring, xs, ys), xs, ys)
         lnsig = _at_state(self.x, self.y, log_sigma_series, volume, xs)
-        S = div
+        S = self.div
         if not isinstance(lnsig, float):
             acc = lnsig.dx(0) * ys[0]
             for m in range(1, n):
                 acc = acc + lnsig.dx(m) * ys[m]
-            S = div - acc
+            S = S - acc
         tau = det_ring.ln() * 0.5 - lnsig
         self.S = S.c[0]
         self.S_x = S.partials(1, 0)
@@ -321,16 +395,10 @@ class Frame:
         self.tau_x = tau.partials(1, 0)
         self.tau_y = tau.partials(0, 1)
 
-        Gt = [G[i] - S * ys[i] * (1.0 / (n + 1)) for i in range(n)]
-        (self.Gt, self.Nt, self.Gammat, self.Rt, self.Rt_y, self.Rt_yy,
-         self.Rt_y3) = _spray_arrays(Gt, xs, ys)
-
-        self.B, self.B_x, self.B_y = _cube_extract(G)
-        U = douglas_core_series(G, div, ys)
-        self.D, self.D_x, self.D_y = _cube_extract(U)
-        divt = divergence_series(Gt)
-        Ut = douglas_core_series(Gt, divt, ys)
-        self.PB, self.PB_x, self.PB_y = _cube_extract(Ut)
+        G = self.series
+        self.projective = Spray(
+            [G[i] - S * ys[i] * (1.0 / (n + 1)) for i in range(n)], xs, ys
+        )
 
     # -- assembled quantities -------------------------------------------
 
@@ -351,22 +419,8 @@ class Frame:
         return 0.5 * self.S_yyy
 
     @cached_property
-    def D_h(self):
-        return horizontal(
-            self.D, self.D_x, self.D_y, self.N, self.Gamma, VARIANCE["D"]
-        )
-
-    @cached_property
-    def B_h(self):
-        return horizontal(
-            self.B, self.B_x, self.B_y, self.N, self.Gamma, VARIANCE["B"]
-        )
-
-    @cached_property
     def PB_h(self):
-        return horizontal(
-            self.PB, self.PB_x, self.PB_y, self.Nt, self.Gammat, VARIANCE["PB"]
-        )
+        return self.projective.D_h
 
     @cached_property
     def Dbar(self):
@@ -382,31 +436,6 @@ class Frame:
             self.S_yy, self.S_xyy, self.S_yyy, self.N, self.Gamma, VARIANCE["S_yy"]
         )
 
-    @cached_property
-    def R_kl(self):
-        return _fiber_pair(self.R_y, (0, 1, 2))
-
-    @cached_property
-    def R_full(self):
-        return _fiber_pair(self.R_yy, (3, 0, 1, 2))
-
-    @cached_property
-    def R_full_dot(self):
-        """d_k R_j^i_{lm} as [j,i,k,l,m] from third fiber partials of R^i_k."""
-        return _fiber_pair(self.R_y3, (3, 0, 4, 1, 2))
-
-    @cached_property
-    def Rt_kl(self):
-        return _fiber_pair(self.Rt_y, (0, 1, 2))
-
-    @cached_property
-    def Rt_full(self):
-        return _fiber_pair(self.Rt_yy, (3, 0, 1, 2))
-
-    @cached_property
-    def Rt_full_dot(self):
-        return _fiber_pair(self.Rt_y3, (3, 0, 4, 1, 2))
-
     # -- identity residuals ---------------------------------------------
 
     @cached_property
@@ -419,7 +448,7 @@ class Frame:
 
     @cached_property
     def master_lhs(self):
-        return RICCI_LM_SIGN * self.Rt_full_dot
+        return RICCI_LM_SIGN * self.projective.R_full_dot
 
     @cached_property
     def master_rhs(self):
@@ -486,7 +515,7 @@ class Frame:
         return float(yv @ self.tau_x - 2.0 * self.G @ self.tau_y)
 
     def projective_ricci_direct(self):
-        return float(np.trace(self.Rt))
+        return float(np.trace(self.projective.R))
 
     def projective_ricci_assembled(self):
         n = self.n
@@ -495,19 +524,12 @@ class Frame:
         return ric + (n - 1) * (self.s_hor0 / (n + 1) + s_norm * s_norm)
 
 
-def douglas_values_from_spray(spray, ys):
-    """Douglas tensor components of a spray given as Series."""
-    U = douglas_core_series(spray, divergence_series(spray), ys)
-    val, _, _ = _cube_extract(U)
-    return val
-
-
 def modified_spray(frame, p_func):
     """The spray G + P y of a projective factor P, and P, as Series.
 
-    G is the spray the Frame kept; P = p_func(xs, ys) on its ring state.
+    G is the Frame's spray; P = p_func(xs, ys) on its ring state.
     """
-    xs, ys, G = frame.ring_spray
+    xs, ys, G = frame.xs, frame.ys, frame.series
     P = p_func(xs, ys)
     if not hasattr(P, "ring"):
         P = ys[0].ring.constant(value_of(P))
@@ -523,7 +545,7 @@ def lemma21_residual(frame, p_func):
     base connection.  R, N and G come from the Frame; only Rhat is new.
     """
     n = frame.n
-    xs, ys, G = frame.ring_spray
+    xs, ys, G = frame.xs, frame.ys, frame.series
     Ghat, P = modified_spray(frame, p_func)
 
     Rhat_val = riemann_series(Ghat, xs, ys, 0).c[..., 0]

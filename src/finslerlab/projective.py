@@ -50,7 +50,7 @@ def projective_spray(state: GeometryState) -> ProjectiveState:
     and the S-curvature before being handed back.
     """
     frame = state.frame
-    tilde = np.array(frame.Gt, dtype=float)
+    tilde = np.array(frame.projective.G, dtype=float)
     assembled = frame.G - frame.S * np.asarray(state.y, dtype=float) / (
         frame.n + 1
     )
@@ -78,12 +78,12 @@ def projective_ricci(state: GeometryState) -> ProjectiveRicci:
 
 def pr_riemann(state: GeometryState):
     """Projective Riemann curvature: PR^i_k and PR_j^i_{kl}."""
-    return tensor(state, "Rt"), tensor(state, "Rt_full")
+    return tensor(state, "projective.R"), tensor(state, "projective.R_full")
 
 
 def pr_quadratic_residual(state: GeometryState) -> TensorValue:
     """y-derivative of PR_j^i_{kl}; zero iff the metric is PR-quadratic."""
-    return tensor(state, "Rt_full_dot")
+    return tensor(state, "projective.R_full_dot")
 
 
 ProjectiveFactor = Union[str, Callable]
@@ -176,5 +176,5 @@ def douglas_invariance_gap(
     func = _homogeneous_factor(p, state, parameters)
     frame = state.frame
     Ghat, _ = engine.modified_spray(frame, func)
-    modified = engine.douglas_values_from_spray(Ghat, frame.ring_spray[1])
+    modified = engine.Spray(Ghat, frame.xs, frame.ys).D
     return float(np.abs(modified - frame.D).max())

@@ -186,7 +186,7 @@ def test_06_pr_quadratic_equivalence():
         _, states = catalog_states(name)
         for s in states:
             f = s.frame
-            direct = np.abs(f.Rt_full_dot).max() <= _bound(f)
+            direct = np.abs(f.projective.R_full_dot).max() <= _bound(f)
             via_douglas = np.abs(f.thm31_residual).max() <= _bound(f)
             checked += 1
             if direct != via_douglas:

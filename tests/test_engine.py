@@ -158,14 +158,60 @@ def test_projective_ricci_two_routes_agree():
     assert direct == pytest.approx(assembled, abs=1e-11 * max(1.0, abs(direct)))
 
 
-def test_euler_contractions():
+@pytest.mark.parametrize("spray", ["frame", "projective"])
+def test_euler_contractions(spray):
+    # Euler homogeneity of the spray G and of the projective spray
+    # G - S y/(n+1), which share one Spray pipeline
     f = Frame(generic_randers(), constant_volume(1.0), *STATE)
-    y = np.array(f.y)
+    if spray == "projective":
+        f = f.projective
+    y = np.array(STATE[1])
     assert np.abs(f.N @ y - 2.0 * f.G).max() <= 1e-13
+    assert np.abs(f.R @ y).max() <= 1e-13
     assert np.abs(np.einsum("ijk,k->ij", f.Gamma, y) - f.N).max() <= 1e-13
     assert np.abs(np.einsum("jikl,l->jik", f.B, y)).max() <= 1e-13
     assert np.abs(np.einsum("jmkm->jk", f.D)).max() <= 1e-13
     assert np.abs(np.einsum("jikl,j->ikl", f.D, y)).max() <= 1e-13
+
+
+def test_spray_stages_run_on_first_read(monkeypatch):
+    # a Frame builds the metric stage only: S runs no Riemann, riemann
+    # runs the spray's once at y-order 3, and the projective spray's
+    # Riemann runs only for a projective output, master or pricci
+    from finslerlab import curvature, engine, projective
+
+    calls = []
+    plain = engine.riemann_series
+
+    def recorded(G, xs, ys, by):
+        calls.append((id(G), by))
+        return plain(G, xs, ys, by)
+
+    monkeypatch.setattr(engine, "riemann_series", recorded)
+    entry = get_example("randers_osaka")
+
+    def state():
+        x, y = (0.1, 0.2, 0.0), (0.55, -0.4, 0.65)
+        return curvature.GeometryState(entry.metric, entry.volume, x, y)
+
+    st = state()
+    st.frame
+    curvature.s_curvature(st)
+    curvature.distortion(st)
+    assert calls == []
+    curvature.riemann(st)
+    curvature.douglas_tensor(st)
+    curvature.dbar_tensor(st)
+    curvature.gdw_residual(st)
+    curvature.residual_scale(st)
+    assert calls == [(id(st.frame.series), 3)]
+    projective.pr_riemann(st)
+    assert calls[1:] == [(id(st.frame.projective.series), 3)]
+    for kind in ("master", "pricci"):
+        calls.clear()
+        st = state()
+        projective.identity_residual(kind, st)
+        assert calls == [(id(st.frame.projective.series), 3)], kind
 
 
 def test_homogeneity_degrees_under_y_scaling():
@@ -308,9 +354,10 @@ def test_nonpositive_f_names_the_state():
 def _frame_products(monkeypatch, entry):
     """(stages, budget, ring caps, lanes) of every ring product of one Frame.
 
-    The Frame runs at the first state of SamplePlan(count=1, seed=1);
-    stages are the enclosing metric_series, ring_inv and riemann_series
-    calls.  lanes is the number of products a batched product stands
+    The Frame runs at the first state of SamplePlan(count=1, seed=1), and
+    its lazy stages run by reading R, the projective spray's R and the
+    Berwald and Douglas cubes; stages are the enclosing metric_series,
+    ring_inv and riemann_series calls.  lanes is the number of products a batched product stands
     for (1 when unbatched).
     """
     from finslerlab import engine
@@ -342,7 +389,8 @@ def _frame_products(monkeypatch, entry):
         monkeypatch.setattr(engine, name, staged(name, getattr(engine, name)))
     monkeypatch.setattr(Series, "__mul__", mul)
     monkeypatch.setattr(Series, "__rmul__", mul)
-    Frame(entry.metric, entry.volume, x, y)
+    frame = Frame(entry.metric, entry.volume, x, y)
+    frame.R, frame.projective.R, frame.B, frame.D
     return counted
 
 
@@ -466,6 +514,7 @@ def test_stage_riemann_equals_full_ring_formula(monkeypatch, name):
 
     monkeypatch.setattr(engine, "riemann_series", recorded)
     frame = Frame(entry.metric, entry.volume, x, y)
+    frame.R, frame.projective.R
     p_func = lambda xs, ys: (0.1 + 0.3 * xs[1]) * ys[0] + 0.05 * ys[-1]  # noqa: E731
     lemma21_residual(frame, p_func)
     assert [by for _, _, by, _ in calls] == [3, 3, 0]
@@ -476,7 +525,7 @@ def test_stage_riemann_equals_full_ring_formula(monkeypatch, name):
         got = [out.partials(0, order) for order in range(by + 1)]
         for order, (g, w) in enumerate(zip(got, want)):
             assert np.array_equal(g, w), (name, by, order)
-    _, ys, G = frame.ring_spray
+    ys, G = frame.ys, frame.series
     spray_R = _riemann_arrays(_full_ring_riemann(G, ys, 3), 3)
     for field, want in zip(("R", "R_y", "R_yy", "R_y3"), spray_R):
         assert np.array_equal(getattr(frame, field), want), field

@@ -5,9 +5,10 @@ import pytest
 
 from finslerlab import engine
 from finslerlab.catalog import get_example, list_examples
+from finslerlab.classify import SamplePlan, classify_metric, sample_states
 from finslerlab.curvature import GeometryState, residual_scale
 from finslerlab.errors import ConfigError
-from finslerlab.metrics import construct_metric
+from finslerlab.metrics import alpha_beta_metric, construct_metric
 from finslerlab.scalars import sqrt
 from finslerlab.projective import (
     IDENTITY_KINDS,
@@ -18,7 +19,7 @@ from finslerlab.projective import (
     projective_ricci,
     projective_spray,
 )
-from finslerlab.volume import constant_volume, dsl_volume
+from finslerlab.volume import bh_randers_volume, constant_volume, dsl_volume
 
 X3, Y3 = (0.12, -0.2, 0.15), (0.6, -0.35, 0.72)
 
@@ -83,7 +84,7 @@ def test_pr_riemann_shapes_and_contraction():
     assert pr_full.components.shape == (3, 3, 3, 3)
     contracted = np.einsum("jikl,j->ikl", pr_full.components, st.y)
     # contracting the j-slot with y recovers the kl-antisymmetrization
-    rt_kl = st.frame.Rt_kl
+    rt_kl = st.frame.projective.R_kl
     assert np.abs(contracted - rt_kl).max() <= 1e-10
 
 
@@ -222,6 +223,35 @@ def test_douglas_tensor_projective_invariance_scaled_norm():
 
     gap = douglas_invariance_gap(st, scaled_f)
     assert gap <= 1e-7 * residual_scale(st)
+
+
+@pytest.mark.parametrize(
+    "name", ["randers_osaka", "randers_humo", "randers_baoshen"]
+)
+def test_closed_form_change_keeps_douglas_and_gdw(name):
+    # F + df with f = 0.05 (x1 x2 + x1 x3 + x3^2/2) has the geodesics of F
+    # as point sets, so its Douglas tensor is D(F) at every (x, y), and
+    # the Douglas and GDW verdicts, both projective invariants, stay
+    metric = get_example(name).metric
+
+    def b_fn(x):
+        grad = (x[1] + x[2], x[0], x[0] + x[2])
+        return [b + 0.05 * d for b, d in zip(metric.b_fn(x), grad)]
+
+    changed = alpha_beta_metric(
+        name + "+df", 3, metric.a_fn, b_fn, chart_domain=metric.chart_domain
+    )
+    for x, y in sample_states(metric, SamplePlan(count=10, seed=0)).states:
+        D = engine.Frame(metric, None, x, y).D
+        D_df = engine.Frame(changed, None, x, y).D
+        assert np.abs(D_df - D).max() <= 1e-12 * max(1.0, np.abs(D).max())
+    plan = SamplePlan(count=20, seed=0)
+    before, after = (
+        classify_metric(m, bh_randers_volume(m), plan).predicates
+        for m in (metric, changed)
+    )
+    for pred in ("douglas", "gdw"):
+        assert before[pred].verdict == after[pred].verdict, pred
 
 
 def test_projective_factor_accepts_parameters():
