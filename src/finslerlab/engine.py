@@ -1,25 +1,22 @@
 """One-pass curvature pipeline over the truncated series ring.
 
 A Frame evaluates F^2 once at a state as a Series in the coordinate
-shifts and walks the whole derivative tree inside the ring.  Its
-constructor runs the metric stage eagerly: F^2, g, C, g^-1, det g, the
-spray G, S and tau, with every check that can raise (F <= 0, g not
-positive definite, the domain of ln sigma).  Everything that depends on
-a spray alone is a Spray: N and Gamma, the Riemann curvature and its
-fiber partials, the divergence, the Berwald and Douglas tensors and
-their horizontal derivatives.  Each Spray stage is a cached_property,
-pure ring arithmetic that runs on its first read, so S and tau cost no
-Riemann and no cube.  One Spray pipeline serves three sprays: the Frame
-is the Spray of G, frame.projective the Spray of the projective spray
-Gt = G - S y/(n+1), and the projective-change routes (lemma21_residual,
-projective.douglas_invariance_gap) take G + P y from modified_spray.
-The Frame is the only code that evaluates F^2 -> g -> G.  Work that
-depends on x alone (the coefficient fields of F, the volume density and
-ln sigma) runs in the x-only ring and enters the (2, 8) ring by one
-embedding, so the full budget is spent only where y enters.  The point
-tensors of the metrics module read g and C from small rings of the same
-series module; the test suite holds both against an independent
-jet-tower oracle.
+shifts, walks the derivative tree inside the ring, and is the only code
+that evaluates F^2 -> g -> G.  Its constructor runs the metric stage (F^2,
+g, C, g^-1, det g, the spray G, S and tau) and every check that can
+raise: F <= 0, g not positive definite, the domain of ln sigma.  A Spray
+holds what depends on a spray alone (N, Gamma, the Riemann curvature and
+its fiber partials, the divergence, the Berwald and Douglas tensors and
+their horizontal derivatives), each stage a cached_property of pure ring
+arithmetic that runs on its first read, so S and tau cost no Riemann and
+no cube.  The Frame is the Spray of G, frame.projective that of the
+projective spray Gt = G - S y/(n+1), and the projective-change routes
+(lemma21_residual, projective.douglas_invariance_gap) build G + P y with
+modified_spray.  Work that depends on x alone (the coefficient fields of
+F, the volume density and ln sigma) runs in the x-only ring and enters
+the (2, 8) ring by one embedding.  The point tensors of the metrics
+module read g and C from small rings of the same series module; the test
+suite holds both against an independent jet-tower oracle.
 
 Each stage runs in the stage ring of the budget its readers need (bx
 x-orders, by y-orders), with its vectors and matrices as component axes
@@ -33,8 +30,9 @@ bit-identical:
 - the spray's y-derivatives in the (1, 7) ring, the spray itself, its
   contraction with g^-1 and tau in the (1, 6) ring;
 - the divergence, S, the projective spray and the Douglas core in the
-  (1, 5) ring, the projective Douglas core in the (1, 4) ring: the
-  cubes read their (0, 3), (1, 3) and (0, 4) partials;
+  (1, 5) ring: the cubes read their (0, 3), (1, 3) and (0, 4) partials.
+  Douglas is a projective invariant, so the projective spray's Douglas
+  tensor is D, and no projective Douglas core is extracted;
 - Riemann's derivatives in the (1, 5) and (0, 4) rings, its products in
   the (0, 3) ring over the lanes (i, k): a Spray reads R^i_k and its
   fiber partials up to order 3 (lemma21_residual: the value, (0, 0)).
@@ -184,20 +182,6 @@ def riemann_series(G, xs, ys, by):
     return Series(acc.ring, acc.c.swapaxes(0, 1))
 
 
-def divergence_series(G):
-    n = len(G)
-    acc = G[0].dy(0)
-    for m in range(1, n):
-        acc = acc + G[m].dy(m)
-    return acc
-
-
-def douglas_core_series(G, div, ys):
-    """U^i = G^i - div(G) y^i / (n+1); the Douglas tensor is its y-cube."""
-    n = len(G)
-    return [G[i] - div * ys[i] * (1.0 / (n + 1)) for i in range(n)]
-
-
 def _cube_extract(W):
     """Value, x-gradient, y-gradient of the third fiber derivative of W^i.
 
@@ -266,19 +250,10 @@ def _item(stage, k):
 
 
 class Spray:
-    """Every output that depends on a spray alone, as arrays.
-
-    G is the spray G^i as Series on the ring state (xs, ys).  Each stage
-    is a cached_property that runs on its first read and is pure ring
-    arithmetic, so no read can raise:
-
-    - G, N and Gamma: the spray and its first two fiber partials;
-    - R^i_k and its fiber partials R_y, R_yy, R_y3 from one
-      riemann_series call at y-order 3, and R_kl, R_full, R_full_dot;
-    - the divergence (a Series), the Berwald cube B (the y-cube of G)
-      and the Douglas cube D (the y-cube of G - div y/(n+1)), each with
-      its x- and y-gradients, and their horizontal derivatives B_h, D_h.
-    """
+    """Every output of the spray G^i (Series on the ring state xs, ys),
+    each stage run on its first read: B is the y-cube of G, D that of
+    the Douglas core G - div(G) y/(n+1), each with its x- and
+    y-gradients."""
 
     def __init__(self, G, xs, ys):
         self.n = len(G)
@@ -312,7 +287,8 @@ class Spray:
 
     @cached_property
     def div(self):
-        return divergence_series(self.series)
+        G = self.series
+        return sum((G[m].dy(m) for m in range(1, self.n)), G[0].dy(0))
 
     @cached_property
     def _berwald(self):
@@ -322,30 +298,25 @@ class Spray:
 
     @cached_property
     def _douglas(self):
-        return _cube_extract(douglas_core_series(self.series, self.div, self.ys))
+        c = 1.0 / (self.n + 1)
+        core = [g - self.div * y * c for g, y in zip(self.series, self.ys)]
+        return _cube_extract(core)
 
     D, D_x, D_y = (_item("_douglas", k) for k in range(3))
 
     @cached_property
     def B_h(self):
-        return horizontal(
-            self.B, self.B_x, self.B_y, self.N, self.Gamma, VARIANCE["B"]
-        )
+        return horizontal(self.B, self.B_x, self.B_y, self.N, self.Gamma, VARIANCE["B"])
 
     @cached_property
     def D_h(self):
-        return horizontal(
-            self.D, self.D_x, self.D_y, self.N, self.Gamma, VARIANCE["D"]
-        )
+        return horizontal(self.D, self.D_x, self.D_y, self.N, self.Gamma, VARIANCE["D"])
 
 
 class Frame(Spray):
-    """Every curvature quantity of one (metric, volume, x, y), as arrays.
-
-    The constructor runs the metric stage (F^2, g, C, g^-1, det g, the
-    spray, S and tau) and every check that can raise.  The Frame is the
-    Spray of G; projective is the Spray of Gt = G - S y/(n+1).
-    """
+    """Every curvature quantity of one (metric, volume, x, y), as arrays:
+    the metric stage, and the Spray of G; projective is the Spray of the
+    projective spray Gt = G - S y/(n+1)."""
 
     def __init__(self, metric, volume, x, y):
         n = metric.dimension
@@ -395,9 +366,8 @@ class Frame(Spray):
         self.tau_x = tau.partials(1, 0)
         self.tau_y = tau.partials(0, 1)
 
-        G = self.series
         self.projective = Spray(
-            [G[i] - S * ys[i] * (1.0 / (n + 1)) for i in range(n)], xs, ys
+            [g - S * y * (1.0 / (n + 1)) for g, y in zip(self.series, ys)], xs, ys
         )
 
     # -- assembled quantities -------------------------------------------
@@ -417,10 +387,6 @@ class Frame(Spray):
     @cached_property
     def E_y(self):
         return 0.5 * self.S_yyy
-
-    @cached_property
-    def PB_h(self):
-        return self.projective.D_h
 
     @cached_property
     def Dbar(self):
@@ -469,8 +435,11 @@ class Frame(Spray):
 
     @cached_property
     def pricci_residual(self):
-        commutator = self.PB_h - np.transpose(self.PB_h, (0, 1, 2, 4, 3))
-        return commutator - self.master_lhs
+        # D is also the projective spray's Douglas tensor (a projective
+        # invariant): differentiate it along the projective connection
+        p = self.projective
+        D_h = horizontal(self.D, self.D_x, self.D_y, p.N, p.Gamma, VARIANCE["D"])
+        return D_h - np.transpose(D_h, (0, 1, 2, 4, 3)) - self.master_lhs
 
     @cached_property
     def thm31_residual(self):

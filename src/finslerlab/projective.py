@@ -1,10 +1,12 @@
 """Projective spray, projective curvature, and identity residuals.
 
 Given a spray G and a volume form, the projective spray is
-Gt^i = G^i - S y^i / (n + 1).  Its Riemann curvature and Douglas
-tensor feed a family of identities (named below) that hold either for
-every metric or exactly on a classification boundary; each identity is
-exposed as a residual whose two sides come from separate pipelines.
+Gt^i = G^i - S y^i / (n + 1), the engine.Spray frame.projective.  Its
+Riemann curvature and its Douglas tensor, which is D itself (Douglas is
+a projective invariant), feed a family of identities (named below) that
+hold either for every metric or exactly on a classification boundary;
+each identity is exposed as a residual whose two sides come from
+separate pipelines.
 The tensors come from the state's Frame as curvature.tensor returns
 them (copies, with the variance of engine.VARIANCE); the residuals of
 constflag and lemma21 are R-shaped arrays computed per call.
@@ -77,7 +79,8 @@ def projective_ricci(state: GeometryState) -> ProjectiveRicci:
 
 
 def pr_riemann(state: GeometryState):
-    """Projective Riemann curvature: PR^i_k and PR_j^i_{kl}."""
+    """Projective Riemann curvature: PR^i_k and PR_j^i_{kl}, the Riemann
+    curvature of the projective spray."""
     return tensor(state, "projective.R"), tensor(state, "projective.R_full")
 
 
@@ -147,7 +150,9 @@ def identity_residual(
       constflag-- R^i_k - lam (F^2 delta - y y_flat); lam=None fits the
                   least-squares value at the state.
       pricci   -- Ricci-type commutator of the projective Douglas tensor
-                  against the same fiber derivative; every metric.
+                  (D, differentiated along the projective spray's
+                  connection) against the same fiber derivative; every
+                  metric.
       lemma21  -- curvature transformation under G -> G + P y for a
                   1-homogeneous factor P (pass p=...).
     """

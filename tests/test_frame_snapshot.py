@@ -6,9 +6,9 @@ frame-n4 metric, with its closed-form Busemann-Hausdorff volume), the
 Frame arrays that OUTPUTS names (the metric stage, the stages of the
 spray and of the projective spray, and the residuals that
 classify_metric reads), the identity residuals, and the two
-projective-change checks (lemma21 and the Douglas invariance gap, with P = 0.3*y1).  A
-refactor of the ring pipeline must reproduce all of it to 1e-12
-relative.
+projective-change checks (lemma21 and the Douglas invariance gap, with
+P = 0.3*y1).  A refactor of the ring pipeline must reproduce all of it
+to 1e-12 relative.
 
 Regenerate (only from a commit whose outputs are the reference):
 
@@ -65,9 +65,6 @@ OUTPUTS = {
     "Rt_y": "projective.R_y",
     "Rt_yy": "projective.R_yy",
     "Rt_y3": "projective.R_y3",
-    "PB": "projective.D",
-    "PB_x": "projective.D_x",
-    "PB_y": "projective.D_y",
     **{"res." + name: name for name in (
         "C", "B", "E", "D", "Dbar", "gdw_residual", "R_full_dot", "scale")},
     "res.Rt_full_dot": "projective.R_full_dot",
