@@ -34,8 +34,8 @@ output by searchsorted.  At n=4 that examines the 579 150 kept pairs,
 not all 55 million, and peaks at under twice the table's bytes.
 
 Each ring owns one product workspace: two float64 buffers as long as
-its table, grown when a batch needs more.  Every product and every sqrt
-level in the ring gathers its factors into them and multiplies in
+its table, grown when a batch needs more.  Every product and every
+graded level in the ring gathers its factors into them and multiplies in
 place; bincount allocates the result, so no result aliases a buffer.
 Without them a (2, 8) product at n=4 allocates three 4.6 MB
 temporaries, past glibc's mmap threshold, so each would go back to the
@@ -43,67 +43,60 @@ OS and be faulted in again (about 7000 minor faults per frame-n4 state,
 against none with the workspace).  So one ring's products are not re-entrant; the library
 runs no threads.
 
-Two shortcuts skip work that cannot reach a kept coefficient, and both
-leave every result bit-identical to the plain product:
+One shortcut skips work that cannot reach a kept coefficient, and leaves
+every result bit-identical to the plain product: sparse-factor rows.
+When a factor has few nonzeros (a y variable has 2 of the 1650
+coefficients of the (2, 8) ring at n=3, an embedded a(x) or b(x) at
+most 10), the product gathers only the table rows of those nonzeros, in
+table order (rows of the second factor come through a cached
+permutation and are sorted back), for every lane of the other factor.
+The skipped terms are products with an exact zero, so each one is +-0;
+bincount starts every sum at +0, adding a +-0 term never changes it,
+and the kept terms are added in the same order.  A non-finite
+coefficient in the other factor would turn a skipped term into NaN, so
+such a product gathers the whole table.
 
-- Sparse-factor rows.  When a factor has few nonzeros (a y variable has
-  2 of the 1650 coefficients of the (2, 8) ring at n=3, an embedded
-  a(x) or b(x) at most 10), the product gathers only the table rows of
-  those nonzeros, in table order (rows of the second factor come
-  through a cached permutation and are sorted back), for every lane of
-  the other factor.  The skipped terms are products with an exact zero,
-  so each one is +-0; bincount starts every sum at +0, adding a +-0 term
-  never changes it, and the kept terms are added in the same order.  A
-  non-finite coefficient in the other factor would turn a skipped term
-  into NaN, so such a product gathers the whole table.
-- Per-step Horner budgets.  ln and exp run a Horner recurrence whose
-  step k enters the result multiplied by a power of a series with zero
-  value part: v^k for ln, u^(k-1) for exp.  With top = bx + by, step k
-  therefore matters only through total degree r = top - k (ln) or
-  top - k + 1 (exp), and runs its product in the stage ring (min(bx, r),
-  min(by, r)), which holds every monomial of that degree: truncated
-  restricts the operand going down and zero-fills it going up.  Each
-  coefficient that reaches the result is summed from the same triples
-  in the same order as at the full caps: its output monomial lies in
-  the smaller ring, so the smaller table lists all of its triples, and
-  every factor coefficient it reads was itself computed at a degree its
-  step kept.  Coefficients a step left out, or computed past its degree,
-  meet only the exact zero value part of v or u.
+sqrt, reciprocal, ln and exp run no ring product.  Each is a graded
+recurrence over total degree (Griewank & Walther, Evaluating
+Derivatives, ch. 13): the value part first, then for d = 1..cap_x +
+cap_y the degree-d coefficients from lower degrees, through one pair
+sum P(p, q)_d = sum_(a<b) (p_a q_b + p_b q_a) + sum p_a q_a over the
+pairs a < b, and the squares, of monomials of positive degree whose
+product has degree d.  With E the degree operator ((E u)_m = deg(m) u_m):
 
-sqrt runs no ring product.  It takes the graded recurrence over total
-degree (Griewank & Walther, Evaluating Derivatives, ch. 13): w_0 =
-sqrt(u_0) from the math module, then for d = 1..cap_x + cap_y the
-degree-d coefficients w_d = (u_d - 2 sum_(a<b) w_a w_b - sum w_a^2) /
-(2 w_0), over the pairs a < b, and the squares, of monomials of positive
-degree whose product has degree d.  Each level reads only lower degrees.
-The ring's level table (levels) lists those pairs per level, built on
-first use by degree class as the product table is, in table order, with
-indices of the smallest unsigned type that holds the ring's (uint16
-through the (2, 8) ring at n=5).  At n=4 it holds 282 325 pairs in 1.7
-MB, an eighth of the product table's bytes, and one sqrt gathers them
-once where Newton ran 13 products over the whole table.
+- sqrt: w_0 = sqrt(u_0), w_d = (u_d - P(w, w)_d) / (2 w_0);
+- reciprocal: q_0 = 1 / u_0, q_d = -(u_d q_0 + P(u, q)_d) / u_0;
+- ln: l_0 = ln u_0, (E l)_d = (d u_d - P(E l, u)_d) / u_0 and
+  l_d = (E l)_d / d, from u E l = E u;
+- exp: e_0 = exp(u_0), e_d = ((E u)_d e_0 + P(E u, e)_d) / d, from
+  E e = e E u.
+
+P(w, w) gathers once and doubles, which is exact, and a level without
+pairs (degree 1 has none) gathers nothing.  The ring's level table
+(levels) lists the pairs per level, built on first use by degree class
+as the product table is, in table order, with indices of the smallest
+unsigned type that holds the ring's (uint16 through the (2, 8) ring at
+n=5).  At n=4 it holds 282 325 pairs in 1.7 MB, an eighth of the
+product table's bytes, and one sqrt gathers them once where Newton ran
+13 products over the whole table.
 
 Every operation is budget-invariant: run in a stage ring, it gives
 exactly (bit for bit) the root's result restricted to that ring,
 because a product coefficient reads only factor coefficients of lower
-or equal degree, through the same triples in the same order, and a sqrt
-level reads the same pairs in the same order.  Newton's method
-(reciprocal) would break it if the step count followed the caps (a
-fourth step still moves a 3-step (1, 6) reciprocal in the last bits),
-so it runs the ring's newton_steps, the count for its root's total
-degree cap_x + cap_y, in every stage ring.
+or equal degree, through the same triples in the same order, and a
+level of a graded recurrence reads only lower degrees, through the same
+pairs in the same order.
 
 So each stage runs in the ring of the budget its readers need:
 ring.stage(bx, by) is the (bx, by) ring under ring's root (the root
-itself at the root's caps), with the root's Newton step count.  Its
-monomials are the root's within its caps, in the root's order, so its
-product table is the root's, mapped on its first product (8 ms to set
-up the (1, 6) ring at n=4, against 43 ms from scratch); its derivative
-tables are built per slot on first use.  restrict copies series into a
+itself at the root's caps).  Its monomials are the root's within its
+caps, in the root's order, so its product table is the root's, mapped
+on its first product (8 ms to set up the (1, 6) ring at n=4, against 43
+ms from scratch); its derivative tables are built per slot on first
+use.  restrict copies series into a
 smaller ring, and embed zero-fills them into a larger one.  x_only runs
 work of x alone (coefficient fields, volume densities) in the x-only
-ring SeriesRing.get(n, cap_x, 0), a ring of its own with its own Newton
-step count.
+ring SeriesRing.get(n, cap_x, 0), a ring of its own.
 
 A Series in an x-only or a stage ring may carry leading component axes:
 c of shape (K1, .., size) holds one series per lane, stacked by
@@ -111,7 +104,7 @@ restrict or entered through SeriesRing.constant with an array.  The
 quadrature volume runs all its sphere directions through the x-only
 ring in one pass, and Riemann its 3 n^3 products per call as 3 n
 products over the n^2 lanes (i, k).  Every lane is bit-identical to the
-unbatched evaluation: products and sqrt levels offset the bincount
+unbatched evaluation: products and graded levels offset the bincount
 bins per lane, so each lane sums in the 1-D order, and value parts of
 sqrt/ln/exp use the math module lane by lane (numpy's vectorised exp
 and log differ from it in the last bit on some inputs).  In a small
@@ -172,8 +165,6 @@ class SeriesRing:
         self._lane_bins = {}
         self._levels = None
         if root is None:
-            # k steps are correct through total degree 2^k - 1
-            self.newton_steps = (cap_x + cap_y).bit_length()
             xes, yes = (
                 [e for e in itertools.product(range(cap + 1), repeat=n) if sum(e) <= cap]
                 for cap in (cap_x, cap_y)
@@ -188,7 +179,6 @@ class SeriesRing:
             keys = powers @ self._place
         else:
             # the root's monomials within the caps, in the root's order
-            self.newton_steps = root.newton_steps
             keep = (root.xdeg <= cap_x) & (root.ydeg <= cap_y)
             pos = root._embed_cache[self] = np.flatnonzero(keep)
             exps = [root.exponents[p] for p in pos.tolist()]
@@ -254,10 +244,10 @@ class SeriesRing:
         return bins
 
     def levels(self):
-        """The level table of the graded sqrt (module notes), built on first
-        use: per total degree d = 1..cap_x + cap_y, a tuple (rows, iout,
-        ia, ib, sq_out, sq_src).  rows are the monomials of degree d; the
-        pairs a < b of positive degrees whose product is the monomial
+        """The level table of the graded recurrences (module notes), built
+        on first use: per total degree d = 1..cap_x + cap_y, a tuple (rows,
+        iout, ia, ib, sq_out, sq_src).  rows are the monomials of degree d;
+        the pairs a < b of positive degrees whose product is the monomial
         rows[iout] are (ia, ib), in table order; the square of sq_src is
         rows[sq_out].  Every array has the smallest unsigned type that
         holds the ring's indices."""
@@ -486,6 +476,30 @@ def _gather(c, idx, buffer):
     return c.take(idx, axis=-1, out=out, mode="clip")
 
 
+def _pair_sum(ring, level, p, q):
+    """Per monomial of one level of ring.levels(), in the order of its
+    rows: the sum over the level's pairs a < b of p_a q_b + p_b q_a, plus
+    p_a q_a over its squares.  p and q have the same lane axes."""
+    rows, iout, ia, ib, sq_out, sq_src = level
+    m = p[..., 0].size * len(ia)
+    if not m:
+        s = np.zeros(p.shape[:-1] + (len(rows),))
+    else:
+        wa, wb = ring.workspace(m if p is q else 2 * m)
+        t = _gather(p, ia, wa)
+        t *= _gather(q, ib, wb)
+        if p is not q:
+            t2 = _gather(p, ib, wa[m:])
+            t2 *= _gather(q, ia, wb[m:])
+            t += t2
+        s = _bincount(iout, t, len(rows))
+        if p is q:
+            s *= 2.0  # p_a p_b + p_b p_a = 2 p_a p_b exactly
+    if len(sq_out):
+        s[..., sq_out] += p[..., sq_src] * q[..., sq_src]
+    return s
+
+
 def _meet(a, b):
     """a and b in the ring of their common budget: the stage ring of the
     slot-wise smaller caps, under their root."""
@@ -514,13 +528,6 @@ class Series:
     def part(self, index):
         """The components at a numpy index of the leading (batch) axes."""
         return Series(self.ring, self.c[index])
-
-    def truncated(self, bx, by):
-        """Self in the (bx, by) stage ring: restricted below its budget,
-        zero-filled above it, where the caller (a Horner step of ln or
-        exp) vouches for the coefficients."""
-        low = restrict(self, self.ring.stage(min(bx, self.bx), min(by, self.by)))
-        return embed(low, self.ring.stage(bx, by))
 
     # -- ring operations ------------------------------------------------
 
@@ -616,62 +623,54 @@ class Series:
         return NotImplemented
 
     def reciprocal(self):
-        b0 = self.c[..., 0]
-        if np.any(b0 == 0.0):
+        # graded (module notes), as are sqrt, exp and ln: level d of the
+        # level table fills the degree-d coefficients from lower degrees
+        u = self.c
+        u0 = u[..., :1]
+        if np.any(u0 == 0.0):
             raise DomainError("reciprocal of zero value part")
-        z = self.ring.constant(1.0 / b0)
-        for _ in range(self.ring.newton_steps):
-            z = z * (2.0 - self * z)
-        return z
+        q = np.zeros_like(u)
+        q[..., :1] = 1.0 / u0
+        for level in self.ring.levels():
+            rows = level[0]
+            s = _pair_sum(self.ring, level, u, q)
+            q[..., rows] = -(u[..., rows] * q[..., :1] + s) / u0
+        return Series(self.ring, q)
 
     def sqrt(self):
-        # w_d = (u_d - 2 sum_(a<b) w_a w_b - sum w_a^2) / (2 w_0), the pairs
-        # and squares of degree-d monomials from the level table
         u = self.c
         _positive(u[..., 0], "sqrt")
         w = np.zeros_like(u)
         w[..., 0] = _lanes(math.sqrt, u[..., 0])
         twice = 2.0 * w[..., :1]
-        for rows, iout, ia, ib, sq_out, sq_src in self.ring.levels():
-            wa, wb = self.ring.workspace(w[..., 0].size * len(ia))
-            ga = _gather(w, ia, wa)
-            ga *= _gather(w, ib, wb)
-            s = _bincount(iout, ga, len(rows))
-            s *= 2.0
-            s[..., sq_out] += np.square(w[..., sq_src])
-            w[..., rows] = (u[..., rows] - s) / twice
+        for level in self.ring.levels():
+            rows = level[0]
+            w[..., rows] = (u[..., rows] - _pair_sum(self.ring, level, w, w)) / twice
         return Series(self.ring, w)
 
     def exp(self):
-        # exp(a0 + u) = e^a0 * sum u^k/k!; u is nilpotent at the caps
-        # s_k = 1 + (u / k) s_(k+1) enters the result times u^(k-1), so
-        # step k runs at total degree top - k + 1 (see the module notes)
-        a0 = self.c[..., 0]
-        u = Series(self.ring, self.c.copy())
-        u.c[..., 0] = 0.0
-        top = self.bx + self.by
-        s = self.ring.constant(1.0)
-        for k in range(top, 0, -1):
-            low = min(self.bx, top - k + 1), min(self.by, top - k + 1)
-            s = 1.0 + u.truncated(*low) * (1.0 / k) * s.truncated(*low)
-        return Series(self.ring, s.c * _lanes(math.exp, a0)[..., None])
+        u = self.c
+        eu = u * (self.ring.xdeg + self.ring.ydeg)
+        e = np.zeros_like(u)
+        e[..., 0] = _lanes(math.exp, u[..., 0])
+        for d, level in enumerate(self.ring.levels(), 1):
+            rows = level[0]
+            s = _pair_sum(self.ring, level, eu, e)
+            e[..., rows] = (eu[..., rows] * e[..., :1] + s) / d
+        return Series(self.ring, e)
 
     def ln(self):
-        # ln(a0(1 + v)) = ln a0 + v - v^2/2 + v^3/3 - ...
-        a0 = self.c[..., 0]
-        _positive(a0, "ln")
-        # t_k = (-1)^(k+1)/k + v t_(k+1) enters the result times v^k, so
-        # step k runs at total degree top - k (see the module notes)
-        v = Series(self.ring, self.c / a0[..., None])
-        v.c[..., 0] = 0.0
-        top = self.bx + self.by
-        t = self.ring.constant(0.0)
-        for k in range(top, 0, -1):
-            low = min(self.bx, top - k), min(self.by, top - k)
-            t = ((-1.0) ** (k + 1)) / k + v.truncated(*low) * t.truncated(*low)
-        out = v * t.truncated(self.bx, self.by)
-        out.c[..., 0] = _lanes(math.log, a0)
-        return out
+        u = self.c
+        u0 = u[..., :1]
+        _positive(u0[..., 0], "ln")
+        el = np.zeros_like(u)  # E ln u
+        out = np.zeros_like(u)
+        out[..., 0] = _lanes(math.log, u[..., 0])
+        for d, level in enumerate(self.ring.levels(), 1):
+            rows = level[0]
+            el[..., rows] = (d * u[..., rows] - _pair_sum(self.ring, level, el, u)) / u0
+            out[..., rows] = el[..., rows] / d
+        return Series(self.ring, out)
 
     def powr(self, q):
         q = float(q)
@@ -756,8 +755,7 @@ def embed(src, ring):
     """A series in a larger ring of the same dimension, zero-filled.
 
     The caller vouches for the coefficients the source ring lacks: an
-    x-only quantity has no y-dependence, and a Horner step only reads
-    degrees its result reaches.
+    x-only quantity has no y-dependence.
     """
     if src.ring is ring:
         return src

@@ -25,6 +25,7 @@ from finslerlab.engine import (
 )
 from finslerlab.errors import RegularityError
 from finslerlab.metrics import alpha_beta_metric, construct_metric
+from finslerlab.series import Series, restrict
 from finslerlab.volume import (
     bh_quadrature_volume,
     bh_randers_volume,
@@ -361,7 +362,6 @@ def _frame_products(monkeypatch, entry):
     a batched product stands for (1 when unbatched).
     """
     from finslerlab import engine
-    from finslerlab.series import Series
 
     stack, counted = [], []
     plain = Series.__mul__
@@ -394,13 +394,14 @@ def _frame_products(monkeypatch, entry):
     return counted
 
 
-@pytest.mark.parametrize("name, inv_products", [("randers_osaka", 38), ("randers_n4", 112)])
+@pytest.mark.parametrize("name, inv_products", [("randers_osaka", 30), ("randers_n4", 104)])
 def test_stage_budgets(monkeypatch, name, inv_products):
     # g^-1 and det feed only the spray and tau, through one x-derivative
     # of F^2, and every reader of R takes it at x-degree 0 and y-order
     # <= 3, so each stage runs its products at that budget, in the stage
-    # ring of that budget; ring_inv computes each minor once (112
-    # products for a 4x4 matrix, not 172)
+    # ring of that budget; ring_inv computes each minor once, and its
+    # 1/det runs no product (104 products for a 4x4 matrix; Newton's 4
+    # steps of 2 products made 112)
     entry = randers_n4() if name == "randers_n4" else get_example(name)
     counted = _frame_products(monkeypatch, entry)
 
@@ -457,13 +458,40 @@ def test_graded_sqrt_runs_no_full_budget_products(monkeypatch, name, most):
     assert 0 < _full_budget_products(monkeypatch, name) <= most
 
 
-@pytest.mark.parametrize(
-    "name, most", [("mkropina_yang", 35), ("minkowski_quartic", 15)]
-)
-def test_ln_exp_horner_steps_skip_full_budget(monkeypatch, name, most):
-    # ln/exp run each Horner step at the degree it needs, so fewer products
-    # reach the full budget (mkropina made 65, the quartic 42 before)
-    assert 0 < _full_budget_products(monkeypatch, name) <= most
+@pytest.mark.parametrize("name", ["mkropina_yang", "minkowski_quartic"])
+def test_graded_operations_run_no_products(monkeypatch, name):
+    # reciprocal, ln and exp read the level table, as sqrt does, where
+    # Newton and the Horner loops ran ring products
+    entry = get_example(name)
+    x, y = sample_states(entry.metric, SamplePlan(count=1, seed=1)).states[0]
+    inside, calls, products = [], [], []
+
+    def graded(op, fn):
+        def run(self):
+            calls.append(op)
+            inside.append(op)
+            try:
+                return fn(self)
+            finally:
+                inside.pop()
+
+        return run
+
+    plain = Series.__mul__
+
+    def mul(a, b):
+        if inside:
+            products.append(tuple(inside))
+        return plain(a, b)
+
+    for op in ("reciprocal", "ln", "exp"):
+        monkeypatch.setattr(Series, op, graded(op, Series.__dict__[op]))
+    monkeypatch.setattr(Series, "__mul__", mul)
+    monkeypatch.setattr(Series, "__rmul__", mul)
+    frame = Frame(entry.metric, entry.volume, x, y)
+    frame.R, frame.projective.R, frame.B, frame.D
+    assert {"reciprocal", "ln", "exp"} <= set(calls)
+    assert products == []
 
 
 def _full_ring_riemann(G, ys, by):
@@ -472,9 +500,10 @@ def _full_ring_riemann(G, ys, by):
     n = len(G)
     Gdx = [[G[i].dx(m) for m in range(n)] for i in range(n)]
     Gdy = [[G[i].dy(m) for m in range(n)] for i in range(n)]
-    y_low = [v.truncated(0, by) for v in ys]
-    G2_low = [(g * 2.0).truncated(0, by) for g in G]
-    Gdy_low = [[d.truncated(0, by) for d in row] for row in Gdy]
+    low = G[0].ring.stage(0, by)
+    y_low = [restrict(v, low) for v in ys]
+    G2_low = [restrict(g * 2.0, low) for g in G]
+    Gdy_low = [[restrict(d, low) for d in row] for row in Gdy]
     R = [[None] * n for _ in range(n)]
     for i in range(n):
         for k in range(n):

@@ -479,7 +479,7 @@ def test_restrict_then_embed_keeps_every_in_budget_coefficient(budget):
     assert np.array_equal(both.part((0, 1)).c, restrict(g, wide).c)
     assert np.array_equal(both.part((0, 0)).c, restrict(f, common).c)
     y2 = embed(both.part((1, 1)), ring)
-    assert np.array_equal(y2.c, ys[2].truncated(1, 6).truncated(2, 8).c)
+    assert np.array_equal(y2.c, embed(restrict(ys[2], ring.stage(1, 6)), ring).c)
 
 
 def _stage_factors(stage, rng, lanes):
@@ -521,22 +521,31 @@ def test_batched_dense_times_sparse_skips_rows_in_every_lane():
             assert np.array_equal(got.c[k], _dense_product(batch.part(k), y).c)
 
 
-def test_stage_reciprocal_runs_the_roots_newton_steps():
-    # a (1, 6) ring of its own would stop after 3 Newton steps, which
-    # differs from the (2, 8) result in the last bits; the stage ring
-    # runs the root's 4 and reproduces the full ring's reciprocal
+GRADED = {
+    "reciprocal": lambda s: s.reciprocal(),
+    "sqrt": lambda s: s.sqrt(),
+    "ln": lambda s: s.ln(),
+    "exp": lambda s: s.exp(),
+    "powr 0.25": lambda s: s.powr(0.25),
+}
+
+
+def test_graded_operations_are_budget_invariant_by_construction():
+    # each level of a graded recurrence reads only lower degrees, so a
+    # (1, 6) ring of its own and the root's (1, 6) stage ring give the
+    # same bits (Newton's reciprocal ran 3 steps in the first and the
+    # root's 4 in the second, and the two differed in the last bits)
     ring = SeriesRing.get(3)
     xs, ys = ring.state(X3, Y3)
     g = smooth3(xs, ys).dy(0).dy(0) * 0.5  # (2, 6)
-    full = g.reciprocal()
     stage = ring.stage(1, 6)
-    got = restrict(g, stage).reciprocal()
-    assert got.ring is stage
-    assert stage.newton_steps == ring.newton_steps == 4
-    assert np.array_equal(got.c, restrict(full, stage).c)
     own = SeriesRing.get(3, 1, 6)
-    assert own.newton_steps == 3
-    assert not np.array_equal(restrict(g, own).reciprocal().c, got.c)
+    assert own.exponents == stage.exponents
+    for name, op in GRADED.items():
+        got = op(restrict(g, stage))
+        alone = op(restrict(g, own))
+        assert got.ring is stage and alone.ring is own
+        assert np.array_equal(alone.c, got.c), name
 
 
 # -- work skipped in products: bit-identical to the plain algorithms ----------
@@ -605,13 +614,34 @@ def test_row_index_lists_every_triple_once():
     assert np.all(np.diff(ib[by_b]) >= 0)
 
 
-# Test-local copies of the elementary functions as they ran before the
-# per-step budgets: every Horner step and every power at the full caps of
-# the argument's ring.
+# Test-local reference routes for the graded recurrences: Newton's
+# reciprocal, and the Horner ln and exp with every step and every power
+# at the full caps of the argument's ring; and the graded sqrt as it ran
+# before the shared pair sum, which the doubling must reproduce exactly.
 
 
 def _lane_map(fn, v):
     return np.array([fn(t) for t in np.ravel(v).tolist()]).reshape(np.shape(v))
+
+
+def _newton_reciprocal(s):
+    # k steps are correct through total degree 2^k - 1
+    z = s.ring.constant(1.0 / s.c[..., 0])
+    for _ in range((s.bx + s.by).bit_length()):
+        z = z * (2.0 - s * z)
+    return z
+
+
+def _pairs_once_sqrt(s):
+    u = s.c
+    w = np.zeros_like(u)
+    w[..., 0] = _lane_map(math.sqrt, u[..., 0])
+    for rows, iout, ia, ib, sq_out, sq_src in s.ring.levels():
+        pairs = series_module._bincount(iout, w[..., ia] * w[..., ib], len(rows))
+        pairs *= 2.0
+        pairs[..., sq_out] += np.square(w[..., sq_src])
+        w[..., rows] = (u[..., rows] - pairs) / (2.0 * w[..., :1])
+    return Series(s.ring, w)
 
 
 def _full_budget_exp(s):
@@ -665,6 +695,8 @@ def _elementary_input(name):
 
 
 ELEMENTARY = {
+    "reciprocal": (lambda s: s.reciprocal(), _newton_reciprocal),
+    "sqrt": (lambda s: s.sqrt(), _pairs_once_sqrt),
     "ln": (lambda s: s.ln(), _full_budget_ln),
     "exp": (lambda s: s.exp(), _full_budget_exp),
 }
@@ -673,6 +705,9 @@ for _q in (0.0, 1.0, 3.0, 4.0, -3.0, 0.25):
         lambda s, q=_q: s.powr(q),
         lambda s, q=_q: _full_budget_powr(s, q),
     )
+# the same bits: the graded sqrt, and integer powers, which are products
+# alone (a negative power's reciprocal is the graded one on both sides)
+EXACT = {"sqrt", "powr 0", "powr 1", "powr 3", "powr 4", "powr -3"}
 
 
 @pytest.mark.parametrize("name", ["(2, 8)", "(2, 6)", "batched x-only"])
@@ -685,7 +720,18 @@ def test_elementary_functions_equal_full_budget_algorithms(monkeypatch, name, op
     monkeypatch.setattr(series_module, "ROW_SKIP_MIN_TRIPLES", math.inf)
     want = full(s)
     assert got.ring is want.ring is s.ring
-    assert np.array_equal(got.c, want.c), (name, op)
+    if op in EXACT:
+        assert np.array_equal(got.c, want.c), (name, op)
+        return
+    # the graded recurrences round differently from Newton and Horner:
+    # measured at most 9.3e-14 of the scale for the reciprocal at (2, 8),
+    # where Newton is the less accurate (below), and 1.7e-14 otherwise
+    scale = np.maximum(1.0, np.abs(want.c).max(axis=-1, keepdims=True))
+    assert np.all(np.abs(got.c - want.c) <= 1e-13 * scale), (name, op)
+    if op == "reciprocal":
+        # and more accurately: Newton's s z - 1 reaches 9.5e-12 at (2, 8)
+        one = s * got - 1.0
+        assert np.abs(one.c).max() <= 1e-13, name
 
 
 def test_ring_inv_det_equals_ring_det_on_series():
@@ -741,26 +787,19 @@ def test_operations_are_budget_invariant(name, seed, density):
         assert np.array_equal(got.c, restrict(full, stage).c), budget
 
 
-def test_truncated_zeroes_beyond_the_budget():
-    # down: restrict to the stage ring; up: zero-filling embed
+def test_restrict_and_embed_at_the_ring_edges():
+    # the series itself in its own ring; down in x and up in y at once is
+    # a restrict, then a zero-filling embed
     ring = SeriesRing.get(3)
     xs, ys = ring.state(X3, Y3)
     f = smooth3(xs, ys)
-    assert f.truncated(f.bx, f.by) is f
-    low = f.truncated(1, 6)
-    assert low.ring is ring.stage(1, 6)
-    assert np.array_equal(low.c, restrict(f, low.ring).c)
-    up = low.truncated(2, 8)
-    assert up.ring is ring
-    keep = (ring.xdeg <= 1) & (ring.ydeg <= 6)
-    assert np.array_equal(up.c[keep], f.c[keep])
-    assert not up.c[~keep].any() and f.c[~keep].any()
-    # down in x and up in y at once
-    mixed = f.dy(0).truncated(1, 8)
-    assert mixed.ring is ring.stage(1, 8)
+    assert restrict(f, ring) is f and embed(f, ring) is f
+    wide = ring.stage(1, 8)
+    mixed = embed(restrict(f.dy(0), wide), wide)
+    assert mixed.ring is wide
     common = ring.stage(1, 7)
     assert np.array_equal(restrict(mixed, common).c, restrict(f.dy(0), common).c)
-    assert not mixed.c[mixed.ring.ydeg == 8].any()
+    assert not mixed.c[wide.ydeg == 8].any()
 
 
 # -- the product table and the product workspace -----------------------------
@@ -900,7 +939,7 @@ def test_batched_stage_sqrt_lanes_equal_unbatched():
     xs, ys = ring.state(X3, Y3)
     f = smooth3(xs, ys)
     g = [f.dy(i).dy(i) * 0.5 for i in range(3)]
-    batch = restrict(g + [f.truncated(1, 6)], ring.stage(1, 6))
+    batch = restrict(g + [f], ring.stage(1, 6))
     got = batch.sqrt()
     assert got.ring is batch.ring
     for k in range(len(batch.c)):
