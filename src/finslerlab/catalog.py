@@ -159,16 +159,16 @@ def _osaka(overrides):
     def a_fn(x):
         w = 1.0 - x[0] * x[0] - x[1] * x[1]
         q = [-x[1], x[0], 0.0]
-        w2 = w * w
+        inv = 1.0 / (w * w)
         return [
-            [(w * (1.0 if i == j else 0.0) + q[i] * q[j]) / w2
+            [(w * (1.0 if i == j else 0.0) + q[i] * q[j]) * inv
              for j in range(3)]
             for i in range(3)
         ]
 
     def b_fn(x):
-        w = 1.0 - x[0] * x[0] - x[1] * x[1]
-        return [-x[1] / w, x[0] / w, 0.0]
+        inv = 1.0 / (1.0 - x[0] * x[0] - x[1] * x[1])
+        return [-x[1] * inv, x[0] * inv, 0.0]
 
     def chart(x):
         return x[0] * x[0] + x[1] * x[1] + x[2] * x[2] < 1.0
@@ -218,17 +218,17 @@ def _humo(overrides):
     def a_fn(x):
         v = v_of(x)
         s = 1.0 - (v[0] * v[0] + v[1] * v[1])
-        s2 = s * s
+        inv = 1.0 / (s * s)
         return [
-            [(s * (1.0 if i == j else 0.0) + v[i] * v[j]) / s2
+            [(s * (1.0 if i == j else 0.0) + v[i] * v[j]) * inv
              for j in range(3)]
             for i in range(3)
         ]
 
     def b_fn(x):
         v = v_of(x)
-        s = 1.0 - (v[0] * v[0] + v[1] * v[1])
-        return [-v[0] / s, -v[1] / s, 0.0]
+        inv = 1.0 / (1.0 - (v[0] * v[0] + v[1] * v[1]))
+        return [-v[0] * inv, -v[1] * inv, 0.0]
 
     def chart(x):
         return q * q * (x[0] * x[0] + x[1] * x[1]) < 1.0
@@ -307,11 +307,11 @@ def _baoshen(overrides):
     def a_fn(x):
         m1, m2, m3 = rows(x)
         w = 1.0 + x[0] * x[0] + x[1] * x[1] + x[2] * x[2]
-        w2 = w * w
+        inv = 1.0 / (w * w)
         s2 = scale * scale
         return [
             [
-                s2 * (lam * m1[i] * m1[j] + m2[i] * m2[j] + m3[i] * m3[j]) / w2
+                s2 * (lam * m1[i] * m1[j] + m2[i] * m2[j] + m3[i] * m3[j]) * inv
                 for j in range(3)
             ]
             for i in range(3)
@@ -319,8 +319,8 @@ def _baoshen(overrides):
 
     def b_fn(x):
         m1, _, _ = rows(x)
-        w = 1.0 + x[0] * x[0] + x[1] * x[1] + x[2] * x[2]
-        return [sign * scale * root * m1[i] / w for i in range(3)]
+        inv = 1.0 / (1.0 + x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
+        return [sign * scale * root * m1[i] * inv for i in range(3)]
 
     metric = alpha_beta_metric("randers_baoshen", 3, a_fn, b_fn)
     verdicts = {

@@ -119,6 +119,10 @@ def _parse_params(pairs):
 
 def load_metric_definition(data):
     """MetricSpec from a parsed definition document."""
+    if not isinstance(data, dict):
+        raise ConfigError(
+            "a definition is a JSON object, got %s" % type(data).__name__
+        )
     unknown = set(data) - set(DEFINITION_FIELDS)
     if unknown:
         raise ConfigError(
@@ -148,7 +152,11 @@ def load_metric_definition(data):
 
 def load_metric_file(path):
     with open(path, "r", encoding="utf-8") as handle:
-        return load_metric_definition(json.load(handle))
+        try:
+            data = json.load(handle)
+        except ValueError as exc:
+            raise ConfigError("%s is not valid JSON: %s" % (path, exc)) from exc
+    return load_metric_definition(data)
 
 
 def _resolve_metric(args, params):
@@ -344,6 +352,8 @@ def run_verify(args, stream=None):
 
     kwargs, echo = {}, dict(params)
     if args.identity == "constflag" and lam is not None:
+        if isinstance(lam, str) or not math.isfinite(lam):
+            raise ConfigError("lambda must be a finite number, got %r" % lam)
         kwargs["lam"] = echo["lam"] = float(lam)
     if args.identity == "lemma21":
         echo["p"] = str(p_source) if p_source is not None else None

@@ -26,7 +26,9 @@ bit-identical:
 
 - F^2 in the (2, 8) ring, g in the (2, 6) ring for g and C;
 - g^-1, det g and ln det in the (1, 6) ring: the spray and tau read
-  them only through one x-derivative of F^2;
+  them only through one x-derivative of F^2.  g^-1 and det g come from
+  one elimination without pivoting (scalars.ring_inv), which runs after
+  the check that g is positive definite;
 - the spray's y-derivatives in the (1, 7) ring, the spray itself, its
   contraction with g^-1 and tau in the (1, 6) ring;
 - the divergence, S, the projective spray and the Douglas core in the
@@ -114,9 +116,11 @@ def fsq_series(metric, xs, ys):
 def metric_series(fsq):
     """g_ij, its ring determinant and its ring inverse from the F^2 series.
 
-    g keeps the budget (bx, by - 2) of two y-derivatives of F^2.  The
-    spray and tau read det and g^-1 only through one x-derivative of
-    F^2, so ring_inv runs on g in the (bx - 1, by - 2) stage ring.
+    g keeps the budget (bx, by - 2) of two y-derivatives of F^2.  Its
+    value must be positive definite (a DomainError otherwise), which
+    ring_inv's elimination without pivoting needs.  The spray and tau
+    read det and g^-1 only through one x-derivative of F^2, so ring_inv
+    runs on g in the (bx - 1, by - 2) stage ring.
     """
     n = fsq.ring.n
     g = [[None] * n for _ in range(n)]
@@ -124,6 +128,11 @@ def metric_series(fsq):
         di = fsq.dy(i)
         for j in range(i, n):
             g[i][j] = g[j][i] = di.dy(j) * 0.5
+    low = np.linalg.eigvalsh([[gij.c[0] for gij in row] for row in g])[0]
+    if low <= 0.0:
+        raise DomainError(
+            "fundamental tensor not positive definite (min eigenvalue %.3e)" % low
+        )
     stage = fsq.ring.stage(fsq.bx - 1, fsq.by - 2)
     det, ginv = ring_inv([[restrict(gij, stage) for gij in row] for row in g])
     return g, det, restrict(ginv, stage)
@@ -331,16 +340,8 @@ class Frame(Spray):
             raise RegularityError("F^2 <= 0", x=self.x, y=self.y)
         self.F = math.sqrt(self.F2)
 
-        g_ring, det_ring, ginv_ring = metric_series(fsq)
+        g_ring, det_ring, ginv_ring = _at_state(self.x, self.y, metric_series, fsq)
         self.g = np.array([[g_ring[i][j].c[0] for j in range(n)] for i in range(n)])
-        eigs = np.linalg.eigvalsh(self.g)
-        if eigs[0] <= 0.0:
-            raise RegularityError(
-                "fundamental tensor not positive definite (min eigenvalue %.3e)"
-                % eigs[0],
-                x=self.x,
-                y=self.y,
-            )
         self.ginv = ginv_ring.c[..., 0]
         self.y_low = self.g @ np.array(self.y)
         self.C = 0.5 * np.array(

@@ -36,12 +36,16 @@ def check_dimension(n):
 
     Callers run it before any series ring is built.
     """
-    if n != int(n) or not 2 <= int(n) <= MAX_DIMENSION:
+    try:
+        whole = int(n)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != n or not 2 <= whole <= MAX_DIMENSION:
         raise ConfigError(
             "dimension must be an integer from 2 to %d, got %r"
             % (MAX_DIMENSION, n)
         )
-    return int(n)
+    return whole
 
 
 @dataclass(frozen=True)
@@ -247,7 +251,7 @@ def construct_metric(
     """
     parameters = dict(parameters or {})
     names = frozenset(parameters)
-    n = check_dimension(int(dimension))
+    n = check_dimension(dimension)
     chart = _ball_predicate(chart_radius)
     label = name or family
 

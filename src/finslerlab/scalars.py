@@ -77,62 +77,37 @@ def _ipow(v, k):
     return out
 
 
-def _laplace(a):
-    """det(rows, cols) of the square submatrices of a, each computed once.
-
-    rows and cols are ascending index tuples of equal length.  Every
-    determinant expands along its first row, with alternating signs, as
-    a plain recursive Laplace expansion would: branch-free, so it
-    differentiates cleanly in any ring.  The memo shares the minors that
-    the cofactors of one matrix have in common (at n=4, 18 distinct 2x2
-    minors instead of 48).  The empty minor is 1, the cofactor of a 1x1
-    inverse.
-    """
-    memo = {}
-
-    def det(rows, cols):
-        if not rows:
-            return 1.0
-        key = (rows, cols)
-        if key not in memo:
-            total = None
-            for k, c in enumerate(cols):
-                term = a[rows[0]][c] * det(rows[1:], cols[:k] + cols[k + 1:])
-                if k % 2:
-                    term = -term
-                total = term if total is None else total + term
-            memo[key] = total
-        return memo[key]
-
-    return det
-
-
 def ring_det(a):
-    """Determinant of a square matrix of ring scalars (a list of rows),
-    by Laplace expansion along the first row."""
-    full = tuple(range(len(a)))
-    return _laplace(a)(full, full)
+    """Determinant of a square matrix of ring scalars (a list of rows):
+    the product of ring_inv's pivots."""
+    return ring_inv(a)[0]
 
 
 def ring_inv(a):
     """Determinant and inverse of a square matrix of ring scalars.
 
-    Returns (det, inverse): the inverse is the adjugate times 1/det, and
-    det is the first row of a against the first cofactor row, which
-    adds the terms ring_det(a) adds, in the same order.
+    Gauss-Jordan elimination without pivoting, on a copy of the rows:
+    step k scales row k by 1/pivot and clears column k from every other
+    row, and det is the product of the pivots.  It reads only 1/pivot,
+    * and -, with no branch on values, so it runs and differentiates in
+    every ring.  Precondition: every leading principal minor is nonzero
+    (the pivots are their ratios), as in any positive-definite matrix;
+    a zero pivot fails in the ring's reciprocal.
     """
     n = len(a)
-    det_of = _laplace(a)
-    full = tuple(range(n))
-    cof = [[None] * n for _ in range(n)]
-    for i in range(n):
+    m = [list(row) for row in a]
+    det = 1.0
+    for k in range(n):
+        pivot = m[k][k]
+        det = det * pivot
+        inv = 1.0 / pivot
+        top = m[k]
         for j in range(n):
-            cof[i][j] = det_of(full[:i] + full[i + 1:], full[:j] + full[j + 1:])
-            if (i + j) % 2:
-                cof[i][j] = -cof[i][j]
-    det = None
-    for j in range(n):
-        term = a[0][j] * cof[0][j]
-        det = term if det is None else det + term
-    inv_det = 1.0 / det
-    return det, [[cof[i][j] * inv_det for i in range(n)] for j in range(n)]
+            top[j] = inv if j == k else top[j] * inv
+        for i in range(n):
+            if i == k:
+                continue
+            row, f = m[i], m[i][k]
+            for j in range(n):
+                row[j] = -f * inv if j == k else row[j] - f * top[j]
+    return det, m

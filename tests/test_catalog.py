@@ -6,6 +6,7 @@ import pytest
 from finslerlab.catalog import get_example, list_examples
 from finslerlab.errors import CatalogError, ConfigError
 from finslerlab.metrics import randers_b_norm_sq
+from finslerlab.series import Series, SeriesRing
 from support import is_admissible
 
 
@@ -99,3 +100,26 @@ def test_recommended_volumes_evaluate():
         entry = get_example(name)
         sigma = entry.volume.sigma([0.05, -0.1, 0.2][: entry.metric.dimension])
         assert np.isfinite(float(sigma)) and float(sigma) > 0.0
+
+
+@pytest.mark.parametrize(
+    "name", ["randers_osaka", "randers_humo", "randers_baoshen"]
+)
+def test_coefficient_fields_take_one_reciprocal_each(monkeypatch, name):
+    # every entry of a(x) shares one denominator and so does every entry
+    # of b(x): each field takes its reciprocal once and multiplies by it
+    metric = get_example(name).metric
+    ring = SeriesRing.get(3, 2, 0)
+    x = [ring.variable_x(i, v) for i, v in enumerate((0.1, -0.2, 0.15))]
+    calls = []
+    plain = Series.reciprocal
+
+    def reciprocal(self):
+        calls.append(self)
+        return plain(self)
+
+    monkeypatch.setattr(Series, "reciprocal", reciprocal)
+    for field in (metric.a_fn, metric.b_fn):
+        calls.clear()
+        field(x)
+        assert len(calls) == 1, field

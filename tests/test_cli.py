@@ -216,6 +216,39 @@ def test_report_is_reproducible_except_timestamp(capsys):
     assert json.dumps(b1, sort_keys=True) == json.dumps(b2, sort_keys=True)
 
 
+@pytest.mark.parametrize("value", ["abc", "inf", "nan"])
+def test_verify_constflag_rejects_a_bad_lambda(capsys, monkeypatch, value):
+    refuse_sampling(monkeypatch)
+    code, out, err = run(
+        capsys, "verify", "--identity", "constflag",
+        "--metric", "riemannian_sphere", "--param", "lambda=" + value,
+        "--samples", "3",
+    )
+    assert code == 2
+    assert "lambda must be a finite number" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"dimension": 2,', "not valid JSON"),
+        ('[{"dimension": 2, "family": "euclidean"}]', "a JSON object, got list"),
+        ('{"dimension": "abc", "family": "euclidean"}', "got 'abc'"),
+        ('{"dimension": 2.5, "family": "euclidean"}', "got 2.5"),
+    ],
+    ids=["invalid-json", "not-an-object", "dimension-abc", "dimension-2.5"],
+)
+def test_bad_definition_file_is_a_config_error(
+    tmp_path, capsys, monkeypatch, text, message
+):
+    refuse_sampling(monkeypatch)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "classify", "--file", str(path), "--samples", "3")
+    assert code == 2
+    assert message in err and out == ""
+
+
 def test_definition_file_classifies(tmp_path, capsys):
     definition = {
         "name": "stretched",

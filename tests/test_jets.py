@@ -266,7 +266,6 @@ def test_ring_det_and_inv_match_numpy(n):
     rows = a.tolist()
     assert ring_det(rows) == pytest.approx(np.linalg.det(a), rel=1e-12)
     assert np.abs(np.array(ring_inv(rows)[1]) - np.linalg.inv(a)).max() <= 1e-12
-    # det from the first cofactor row adds ring_det's terms in its order
     assert ring_inv(rows)[0] == ring_det(rows)
 
 

@@ -15,12 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finslerlab import scalars, series as series_module
+from finslerlab import catalog, classify, engine, scalars, series as series_module
 from finslerlab.errors import DomainError, TowerBudgetError
 from finslerlab.series import Series, SeriesRing, embed, restrict
 
 from jet_oracle import mixed_partial
-from support import all_pairs_triples
+from support import all_pairs_triples, randers_n4
 
 
 def partial_of(series, wrt):
@@ -743,6 +743,58 @@ def test_ring_inv_det_equals_ring_det_on_series():
     want = scalars.ring_det(g)
     assert det.ring is want.ring is ring.stage(2, 6)
     assert np.array_equal(det.c, want.c)
+
+
+def _long_double_inverse(b):
+    """Inverse of a Series b with axes [i, j], in np.longdouble, by the
+    graded recurrence Q_d = -B_0^-1 sum_{0<j<=d} B_j Q_{d-j} over the
+    ring's product table; B_0^-1 is a float64 inverse refined by Newton
+    steps in long double."""
+    ring = b.ring
+    c = b.c.astype(np.longdouble)
+    n = c.shape[0]
+    b0 = c[..., 0]
+    q0 = np.linalg.inv(b0.astype(float)).astype(np.longdouble)
+    for _ in range(3):
+        q0 = q0 @ (2 * np.eye(n, dtype=np.longdouble) - b0 @ q0)
+    iout, ia, ib = ring.triples
+    deg = ring.xdeg + ring.ydeg
+    q = np.zeros_like(c)
+    q[..., 0] = q0
+    for d in range(1, int(deg.max()) + 1):
+        sel = (deg[iout] == d) & (deg[ia] > 0)
+        acc = np.zeros((ring.size, n, n), dtype=np.longdouble)
+        terms = np.einsum("ijt,jkt->tik", c[..., ia[sel]], q[..., ib[sel]])
+        np.add.at(acc, iout[sel], terms)
+        rows = np.flatnonzero(deg == d)
+        q[..., rows] = -np.einsum("ij,tjk->ikt", q0, acc[rows])
+    return q
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 1e-18,
+    reason="np.longdouble is no wider than float64 on this platform",
+)
+@pytest.mark.parametrize("name", catalog.list_examples() + ["randers_n4"])
+def test_ring_inv_error_against_long_double(name):
+    # g^-1 in the (1, 6) stage ring, as the Frame computes it, at 5
+    # states of plan seed 3.  Measured max|Q - ref| / max|ref|: at most
+    # 1.6e-15 (randers_baoshen), so the bound leaves 2x headroom
+    entry = randers_n4() if name == "randers_n4" else catalog.get_example(name)
+    n = entry.metric.dimension
+    ring = SeriesRing.get(n, 2, 8)
+    stage = ring.stage(1, 6)
+    plan = classify.SamplePlan(count=5, seed=3)
+    for x, y in classify.sample_states(entry.metric, plan).states:
+        fsq = engine.fsq_series(entry.metric, *ring.state(x, y))
+        g = [
+            [restrict(fsq.dy(i).dy(j) * 0.5, stage) for j in range(n)]
+            for i in range(n)
+        ]
+        got = restrict(scalars.ring_inv(g)[1], stage).c
+        want = _long_double_inverse(restrict(g, stage))
+        err = float(np.abs(got - want).max() / np.abs(want).max())
+        assert err <= 3.2e-15, (name, x, y, err)
 
 
 # Budget invariance: an operation run in a stage ring gives exactly the
