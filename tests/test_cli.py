@@ -228,6 +228,14 @@ def test_verify_constflag_rejects_a_bad_lambda(capsys, monkeypatch, value):
     assert "lambda must be a finite number" in err and out == ""
 
 
+def test_catalog_dimension_that_is_not_a_number_is_a_config_error(capsys):
+    code, out, err = run(
+        capsys, "classify", "--metric", "euclidean", "--param", "n=abc",
+    )
+    assert code == 2
+    assert "dimension must be an integer" in err and out == ""
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
