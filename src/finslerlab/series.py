@@ -43,9 +43,9 @@ OS and be faulted in again (about 7000 minor faults per frame-n4 state,
 against none with the workspace).  So one ring's products are not re-entrant; the library
 runs no threads.
 
-One shortcut skips work that cannot reach a kept coefficient, and leaves
-every result bit-identical to the plain product: sparse-factor rows.
-When a factor has few nonzeros (a y variable has 2 of the 1650
+Two shortcuts skip work that cannot reach a kept coefficient, and leave
+every result bit-identical to the plain product.  Sparse-factor rows:
+when a factor has few nonzeros (a y variable has 2 of the 1650
 coefficients of the (2, 8) ring at n=3, an embedded a(x) or b(x) at
 most 10), the product gathers only the table rows of those nonzeros, in
 table order (rows of the second factor come through a cached
@@ -55,6 +55,19 @@ bincount starts every sum at +0, adding a +-0 term never changes it,
 and the kept terms are added in the same order.  A non-finite
 coefficient in the other factor would turn a skipped term into NaN, so
 such a product gathers the whole table.
+
+Sparse pairs: when both factors are 1-D and have at most size //
+ROW_SKIP_DENSITY pairs of nonzeros (an embedded a_ij(x) times a y
+variable: 6 pairs, where its rows hold over 7000 triples at n=4), the
+product skips the table and pairs the nonzeros directly.  It drops the
+pairs whose x- or y-degrees add up past the caps, keeps the rest in
+table order (first factor, then second), finds each output by
+searchsorted of the summed keys, as the table build does, and sums
+with one bincount.  The skipped terms are again +-0, so the result is
+bit-identical, and an all-zero factor costs no gather at all.  A
+non-finite coefficient in either factor falls back to the rows or the
+whole table.  Both shortcuts run only in tables of at least
+ROW_SKIP_MIN_TRIPLES triples.
 
 sqrt, reciprocal, ln and exp run no ring product.  Each is a graded
 recurrence over total degree (Griewank & Walther, Evaluating
@@ -123,7 +136,9 @@ from .errors import DomainError, TowerBudgetError
 
 # A product gathers only the table rows of its sparser factor's nonzero
 # coefficients when its table holds at least ROW_SKIP_MIN_TRIPLES triples
-# and that factor has at most size // ROW_SKIP_DENSITY nonzeros.
+# and that factor has at most size // ROW_SKIP_DENSITY nonzeros; it
+# multiplies the pairs of nonzeros alone when two 1-D factors have at most
+# that many pairs of them.
 ROW_SKIP_MIN_TRIPLES = 16384
 ROW_SKIP_DENSITY = 16
 
@@ -447,6 +462,35 @@ def _skipped_rows(ring, a, b):
     return np.sort(perm_b[_rows(starts_b, rows)])
 
 
+def _sparse_pairs(ring, a, b):
+    """The triples (iout, ia, ib) of the product table whose factors are
+    both nonzero, in table order, found from the pairs of nonzeros.
+
+    a and b are the factors' coefficient arrays in ring.  None when the
+    product should gather rows or the whole table: a batched factor, more
+    than size // ROW_SKIP_DENSITY pairs of nonzeros, or a non-finite
+    coefficient (whose products with the skipped zeros would be NaN).
+    """
+    if a.ndim != 1 or b.ndim != 1:
+        return None
+    # a boolean mask counts and lists nonzeros several times faster than
+    # the float array itself; NaN and inf count as nonzero
+    nza, nzb = a != 0.0, b != 0.0
+    na, nb = np.count_nonzero(nza), np.count_nonzero(nzb)
+    if na * nb > ring.size // ROW_SKIP_DENSITY:
+        return None
+    ra, rb = nza.nonzero()[0], nzb.nonzero()[0]
+    if not (np.isfinite(a[ra]).all() and np.isfinite(b[rb]).all()):
+        return None
+    # first factor, then second: the table's order
+    ia, ib = np.repeat(ra, nb), np.tile(rb, na)
+    fits = (ring.xdeg[ia] + ring.xdeg[ib] <= ring.cap_x) & (
+        ring.ydeg[ia] + ring.ydeg[ib] <= ring.cap_y
+    )
+    ia, ib = ia[fits], ib[fits]
+    return np.searchsorted(ring.keys, ring.keys[ia] + ring.keys[ib]), ia, ib
+
+
 def _lane_bins(iout, size, count):
     """Bincount bins over count lanes: lane k sums into bins size*k.."""
     return (iout + size * np.arange(count)[:, None]).ravel()
@@ -570,9 +614,13 @@ class Series:
             iout, ia, ib = ring.triples
             size = ring.size
             if len(iout) >= ROW_SKIP_MIN_TRIPLES:
-                pos = _skipped_rows(ring, a.c, b.c)
-                if pos is not None:
-                    iout, ia, ib = iout[pos], ia[pos], ib[pos]
+                pairs = _sparse_pairs(ring, a.c, b.c)
+                if pairs is not None:
+                    iout, ia, ib = pairs
+                else:
+                    pos = _skipped_rows(ring, a.c, b.c)
+                    if pos is not None:
+                        iout, ia, ib = iout[pos], ia[pos], ib[pos]
             m = len(iout)
             if a.c.ndim == 1 and b.c.ndim == 1:
                 wa, wb = ring.workspace(m)

@@ -602,6 +602,59 @@ def test_skipped_rows_equal_dense_product(case):
         assert np.isnan(want.c).any()
 
 
+def _sparse_factor(ring, rng, count):
+    c = np.zeros(ring.size)
+    c[rng.choice(ring.size, count, replace=False)] = rng.uniform(-1.0, 1.0, count)
+    return Series(ring, c)
+
+
+def _same_bits(got, want):
+    """Equal values (NaN where NaN) and equal sign bits, so -0.0 != +0.0."""
+    return np.array_equal(got, want, equal_nan=True) and np.array_equal(
+        np.signbit(got), np.signbit(want)
+    )
+
+
+@pytest.mark.parametrize("n, budget", [(3, (2, 8)), (4, (2, 8)), (4, (1, 6))])
+def test_sparse_pairs_equal_dense_product(n, budget):
+    # both factors with at most 8 nonzeros anywhere in the ring: the
+    # product multiplies the pairs of nonzeros alone
+    ring = SeriesRing.get(n).stage(*budget)
+    assert len(ring.triples[0]) >= series_module.ROW_SKIP_MIN_TRIPLES
+    rng = np.random.default_rng(n + budget[1])
+    for _ in range(25):
+        a, b = (_sparse_factor(ring, rng, rng.integers(0, 9)) for _ in "ab")
+        assert series_module._sparse_pairs(ring, a.c, b.c) is not None
+        assert _same_bits((a * b).c, _dense_product(a, b).c)
+
+
+def test_sparse_pairs_with_zero_signed_and_non_finite_factors():
+    ring, ys, f, w = _full_ring_fields()
+    rng = np.random.default_rng(5)
+    zero = Series(ring, np.zeros(ring.size))
+    sparse = _sparse_factor(ring, rng, 6)
+    signed = _sparse_factor(ring, rng, 6)
+    signed.c[[0, 3, 40]] = -0.0
+    tiny = Series(ring, np.where(sparse.c, -1e-200, 0.0))  # products underflow to -0
+    cases = [
+        (zero, sparse, True), (sparse, zero, True), (zero, f, True),
+        (signed, sparse, True), (sparse, signed, True), (tiny, tiny, True),
+        (signed, ys[1], True), (w, ys[2], True),
+    ]
+    for bad in (np.nan, np.inf):
+        broken = Series(ring, sparse.c.copy())
+        broken.c[np.flatnonzero(sparse.c)[2]] = bad
+        cases += [(broken, sparse, False), (ys[0], broken, False)]
+    for a, b, paired in cases:
+        assert (series_module._sparse_pairs(ring, a.c, b.c) is not None) == paired
+        with np.errstate(invalid="ignore"):  # inf * 0 in the non-finite cases
+            got, want = a * b, _dense_product(a, b)
+        assert _same_bits(got.c, want.c)
+        if not paired:
+            assert np.isnan(want.c).any()
+    assert not (zero * f).c.any()
+
+
 def test_row_index_lists_every_triple_once():
     ring = SeriesRing.get(3).stage(2, 6)
     iout, ia, ib = ring.triples
