@@ -24,7 +24,10 @@ of one Series.  A Series's budget is its ring, and Series operations are
 budget-invariant (series module notes), so every array stays
 bit-identical:
 
-- F^2 in the (2, 8) ring, g in the (2, 6) ring for g and C;
+- F^2 in the (2, 8) ring, from the metric's one F^2 evaluator
+  (MetricSpec.F2: alpha^2 + beta (2 alpha + beta) for Randers, alpha^2
+  for Riemannian metrics, F * F for a metric given by F alone), and g in
+  the (2, 6) ring for g and C;
 - g^-1, det g and ln det in the (1, 6) ring: the spray and tau read
   them only through one x-derivative of F^2.  g^-1 and det g come from
   one elimination without pivoting (scalars.ring_inv), which runs after
@@ -107,10 +110,9 @@ def _at_state(x, y, fn, *args):
 
 
 def fsq_series(metric, xs, ys):
-    F = metric.F(xs, ys)
-    if value_of(F) <= 0.0:
-        raise DomainError("F <= 0")
-    return F * F
+    """F^2 from the metric's one evaluator (MetricSpec.F2), which raises
+    DomainError("F <= 0") before any product when F is not positive."""
+    return metric.F2(xs, ys)
 
 
 def metric_series(fsq):

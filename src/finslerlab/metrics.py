@@ -12,6 +12,22 @@ torsion) read the y-partials of F^2 from one evaluation in a small
 series ring, SeriesRing.get(n, 0, k) with x kept as floats; the
 curvature pipeline in the engine module reads the same partials from
 its (2, 8) ring.
+
+Both read F^2 from one evaluator, MetricSpec.F2 (f_squared returns it).
+Each family assembles F^2 from its own parts, so the square of a sqrt
+and the dense product F * F are never formed:
+
+- Randers: alpha^2 + beta (2 alpha + beta), where alpha^2 is already a
+  sum and beta has few nonzero coefficients (series module notes);
+- Riemannian: alpha^2 itself, with no sqrt;
+- alpha_beta_power: (alpha^2)^m beta^(2 - 2m), one fractional power
+  fewer than F itself at m = 1/2;
+- a metric given by F alone (every DSL F metric): F * F.
+
+Every evaluator raises DomainError("F <= 0") before its products when F
+is not positive at the state (for a power metric: alpha^2 or beta is
+not positive), which a curvature Frame reports as a RegularityError at
+the state.
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import expr as dsl
-from .errors import ConfigError, RegularityError
+from .errors import ConfigError, DomainError, RegularityError
 from .scalars import powr, sqrt, value_of
 from .series import Series, SeriesRing, x_only
 
@@ -60,6 +76,13 @@ class MetricSpec:
     # for (alpha, beta) families: ring-generic coefficient evaluators
     a_fn: Optional[Callable] = None  # x_vec -> n x n nested list
     b_fn: Optional[Callable] = None  # x_vec -> length-n list
+    # (x_vec, y_vec) -> F^2, any ring: the one F^2 evaluator (module
+    # notes); None gives F * F
+    F2: Optional[Callable] = None
+
+    def __post_init__(self):
+        if self.F2 is None:
+            object.__setattr__(self, "F2", _squared(self.F))
 
 
 @dataclass(frozen=True)
@@ -74,6 +97,23 @@ class TensorValue:
                 "variance length %d does not match rank %d"
                 % (len(self.variance), self.components.ndim)
             )
+
+
+def _positive_F(value):
+    """DomainError("F <= 0") unless F's value part is positive."""
+    if value <= 0.0:
+        raise DomainError("F <= 0")
+
+
+def _squared(F):
+    """F^2 of a metric given by F alone: F * F, once F > 0."""
+
+    def F2(x, y):
+        f = F(x, y)
+        _positive_F(value_of(f))
+        return f * f
+
+    return F2
 
 
 def _ball_predicate(radius):
@@ -178,11 +218,21 @@ def alpha_beta_metric(
     parameters = dict(parameters or {})
     chart = chart_domain or (lambda x: True)
 
+    def parts(x, y):
+        a, b = x_only(lambda x: (a_fn(x), b_fn(x)), x)
+        return _alpha_sq(a, y), _beta(b, y)
+
     if power_m is None:
 
         def F(x, y):
-            a, b = x_only(lambda x: (a_fn(x), b_fn(x)), x)
-            return sqrt(_alpha_sq(a, y)) + _beta(b, y)
+            alpha_sq, beta = parts(x, y)
+            return sqrt(alpha_sq) + beta
+
+        def F2(x, y):
+            alpha_sq, beta = parts(x, y)
+            alpha = sqrt(alpha_sq)
+            _positive_F(value_of(alpha) + value_of(beta))
+            return alpha_sq + beta * (2.0 * alpha + beta)
 
         cone = _everywhere
         family = "randers"
@@ -192,8 +242,14 @@ def alpha_beta_metric(
             raise ConfigError("power exponent m must avoid 0 and 1")
 
         def F(x, y):
-            a, b = x_only(lambda x: (a_fn(x), b_fn(x)), x)
-            return powr(_alpha_sq(a, y), m / 2.0) * powr(_beta(b, y), 1.0 - m)
+            alpha_sq, beta = parts(x, y)
+            return powr(alpha_sq, m / 2.0) * powr(beta, 1.0 - m)
+
+        def F2(x, y):
+            alpha_sq, beta = parts(x, y)
+            # F is real and positive on the half-cone beta > 0, alpha^2 > 0
+            _positive_F(min(value_of(alpha_sq), value_of(beta)))
+            return powr(alpha_sq, m) * powr(beta, 2.0 - 2.0 * m)
 
         def cone(x, y):  # the half-cone beta > 0
             return value_of(_beta(b_fn(x), y)) > 0.0
@@ -210,6 +266,7 @@ def alpha_beta_metric(
         family=family,
         a_fn=a_fn,
         b_fn=b_fn,
+        F2=F2,
     )
 
 
@@ -218,6 +275,11 @@ def riemannian_metric(name, dimension, a_fn, chart_domain=None, parameters=None)
 
     def F(x, y):
         return sqrt(_alpha_sq(x_only(a_fn, x), y))
+
+    def F2(x, y):
+        alpha_sq = _alpha_sq(x_only(a_fn, x), y)
+        _positive_F(value_of(alpha_sq))  # F = sqrt(alpha^2)
+        return alpha_sq
 
     return MetricSpec(
         name=name,
@@ -228,6 +290,7 @@ def riemannian_metric(name, dimension, a_fn, chart_domain=None, parameters=None)
         parameters=parameters,
         family="riemannian",
         a_fn=a_fn,
+        F2=F2,
     )
 
 
@@ -341,13 +404,9 @@ def randers_b_norm_sq(metric, x):
 
 
 def f_squared(metric):
-    """Ring-generic F^2 evaluator for differentiation."""
-
-    def f2(x, y):
-        F = metric.F(x, y)
-        return F * F
-
-    return f2
+    """Ring-generic F^2 evaluator for differentiation: the metric's own,
+    MetricSpec.F2."""
+    return metric.F2
 
 
 def _fsq_partials(metric, state, order):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import finslerlab
-from finslerlab.catalog import get_example
+from finslerlab.catalog import get_example, list_examples
 from finslerlab.classify import SamplePlan, sample_states
 from finslerlab.engine import (
     RICCI_LM_SIGN,
@@ -24,8 +24,8 @@ from finslerlab.engine import (
     lemma21_residual,
 )
 from finslerlab.errors import RegularityError
-from finslerlab.metrics import alpha_beta_metric, construct_metric
-from finslerlab.series import Series, restrict
+from finslerlab.metrics import alpha_beta_metric, construct_metric, f_squared
+from finslerlab.series import Series, SeriesRing, restrict
 from finslerlab.volume import (
     bh_quadrature_volume,
     bh_randers_volume,
@@ -350,6 +350,51 @@ def test_nonpositive_f_names_the_state():
         state.frame
     assert caught.value.x == (0.1, 0.2)
     assert caught.value.y == (-1.0, 0.5)
+
+
+def test_f2_evaluator_names_nonpositive_f_as_before():
+    # Randers: alpha + beta < 0 where |b| > 1; a metric given by F alone:
+    # F = y1 at y1 < 0.  Each fails before any F^2 product, with the
+    # message F * F gave
+    from finslerlab.curvature import GeometryState
+
+    strong = alpha_beta_metric(
+        "strong", 2, lambda x: [[1.0, 0.0], [0.0, 1.0]], lambda x: [2.0 * x[0], 0.0]
+    )
+    for metric, x, y in (
+        (strong, (0.9, 0.0), (-1.0, 0.0)),
+        (construct_metric("dsl", 2, F="y1"), (0.1, 0.2), (-1.0, 0.5)),
+    ):
+        with pytest.raises(RegularityError) as caught:
+            GeometryState(metric, None, x, y).frame
+        assert str(caught.value) == "F <= 0 at x=%s, y=%s" % (x, y)
+
+
+@pytest.mark.parametrize("name", list_examples() + ["randers_n4"])
+def test_f2_evaluator_matches_f_times_f(name):
+    # each family assembles F^2 from its parts (metrics module notes): at
+    # these states at most 1.9e-14 of scale from F * F (mkropina_yang).  A
+    # Riemannian alpha^2 has no coefficient past y-degree 2, while F * F
+    # squares a sqrt and keeps its rounding (2.8e-13 of scale on the
+    # sphere; 1.8e-13 off a long-double run, against 7e-16 for alpha^2).
+    # A metric given by F alone squares F, bit for bit
+    from finslerlab import engine
+
+    metric = (randers_n4() if name == "randers_n4" else get_example(name)).metric
+    assert f_squared(metric) is metric.F2
+    ring = SeriesRing.get(metric.dimension)
+    for x, y in sample_states(metric, SamplePlan(seed=1)).states:
+        xs, ys = ring.state(x, y)
+        F = metric.F(xs, ys)
+        got, want = engine.fsq_series(metric, xs, ys).c, (F * F).c
+        if metric.family == "dsl":
+            assert np.array_equal(got, want)
+        bound = 1e-13
+        if metric.family == "riemannian":
+            assert not got[ring.ydeg > 2].any()
+            bound = 5e-13
+        scale = max(1.0, float(np.abs(want).max()))
+        assert np.abs(got - want).max() <= bound * scale, (x, y)
 
 
 def test_non_positive_definite_g_names_the_state():
