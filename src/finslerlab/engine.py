@@ -30,8 +30,8 @@ bit-identical:
   the (2, 6) ring for g and C;
 - g^-1, det g and ln det in the (1, 6) ring: the spray and tau read
   them only through one x-derivative of F^2.  g^-1 and det g come from
-  one elimination without pivoting (scalars.ring_inv), which runs after
-  the check that g is positive definite;
+  one symmetric sweep over the upper triangle of g (scalars.ring_inv),
+  which runs after the check that g is positive definite;
 - the spray's y-derivatives in the (1, 7) ring, the spray itself, its
   contraction with g^-1 and tau in the (1, 6) ring;
 - the divergence, S, the projective spray and the Douglas core in the
@@ -120,7 +120,7 @@ def metric_series(fsq):
 
     g keeps the budget (bx, by - 2) of two y-derivatives of F^2.  Its
     value must be positive definite (a DomainError otherwise), which
-    ring_inv's elimination without pivoting needs.  The spray and tau
+    gives ring_inv's symmetric sweep the nonzero leading minors it needs.  The spray and tau
     read det and g^-1 only through one x-derivative of F^2, so ring_inv
     runs on g in the (bx - 1, by - 2) stage ring.
     """

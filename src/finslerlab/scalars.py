@@ -84,30 +84,45 @@ def ring_det(a):
 
 
 def ring_inv(a):
-    """Determinant and inverse of a square matrix of ring scalars.
+    """Determinant and inverse of a symmetric matrix of ring scalars.
 
-    Gauss-Jordan elimination without pivoting, on a copy of the rows:
-    step k scales row k by 1/pivot and clears column k from every other
-    row, and det is the product of the pivots.  It reads only 1/pivot,
-    * and -, with no branch on values, so it runs and differentiates in
-    every ring.  Precondition: every leading principal minor is nonzero
-    (the pivots are their ratios), as in any positive-definite matrix;
-    a zero pivot fails in the ring's reciprocal.
+    The symmetric sweep operator (Goodnight, "A tutorial on the SWEEP
+    operator", 1979) on the upper triangle of a copy of the rows:
+    sweeping pivot k replaces the pivot p by -1/p, each other entry a_kj
+    of its row and column by a_kj / p, and each other entry a_ij by
+    a_ij - a_ik a_kj / p.  The matrix stays symmetric, so only entries
+    i <= j are updated, and after all n pivots it holds -a^-1; det is the
+    product of the pivots.  That is n(n-1)(n+2)/2 + n - 1 products (17 at
+    n=3, 39 at n=4), reading only 1/pivot, * and -, with no branch on
+    values, so it runs and differentiates in every ring.  Precondition:
+    a is symmetric (only its upper triangle is read) and every leading
+    principal minor is nonzero (the pivots are their ratios), as in any
+    positive-definite matrix; a zero pivot fails in the ring's
+    reciprocal.
     """
     n = len(a)
-    m = [list(row) for row in a]
+    m = [list(row) for row in a]  # m[i][j] with i <= j is the entry
     det = 1.0
     for k in range(n):
         pivot = m[k][k]
         det = det * pivot
         inv = 1.0 / pivot
-        top = m[k]
-        for j in range(n):
-            top[j] = inv if j == k else top[j] * inv
+        # entry (k, j) before the sweep, then scaled by 1/pivot
+        line = [m[min(j, k)][max(j, k)] for j in range(n)]
+        scaled = [None if j == k else line[j] * inv for j in range(n)]
         for i in range(n):
             if i == k:
                 continue
-            row, f = m[i], m[i][k]
-            for j in range(n):
-                row[j] = -f * inv if j == k else row[j] - f * top[j]
-    return det, m
+            row = m[i]
+            for j in range(i, n):
+                if j != k:
+                    row[j] = row[j] - line[i] * scaled[j]
+        for j in range(n):
+            if j != k:
+                m[min(j, k)][max(j, k)] = scaled[j]
+        m[k][k] = -inv
+    inverse = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            inverse[i][j] = inverse[j][i] = -m[i][j]
+    return det, inverse

@@ -453,14 +453,16 @@ def _frame_products(monkeypatch, entry):
     return counted
 
 
-@pytest.mark.parametrize("name, inv_products", [("randers_osaka", 26), ("randers_n4", 63)])
+@pytest.mark.parametrize("name, inv_products", [("randers_osaka", 17), ("randers_n4", 39)])
 def test_stage_budgets(monkeypatch, name, inv_products):
     # g^-1 and det feed only the spray and tau, through one x-derivative
     # of F^2, and every reader of R takes it at x-degree 0 and y-order
     # <= 3, so each stage runs its products at that budget, in the stage
-    # ring of that budget; ring_inv's elimination runs n^2 - 1 products
-    # per pivot and n - 1 for det, the product of the pivots, and each
-    # 1/pivot runs none (n^3 + n - 1: 26 at n=3, 63 at n=4)
+    # ring of that budget; ring_inv's symmetric sweep runs n - 1 products
+    # to scale the pivot's row and n(n-1)/2 to update the rest of the
+    # upper triangle per pivot, and n - 1 for det, the product of the
+    # pivots, while each 1/pivot runs none (n(n-1)(n+2)/2 + n - 1: 17 at
+    # n=3, 39 at n=4)
     entry = randers_n4() if name == "randers_n4" else get_example(name)
     counted = _frame_products(monkeypatch, entry)
 

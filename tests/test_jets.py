@@ -261,8 +261,10 @@ def test_mixed_level_arithmetic_rejected():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_ring_det_and_inv_match_numpy(n):
+    # the sweep's precondition: symmetric, with nonzero leading minors
     rng = np.random.default_rng(n)
-    a = rng.normal(size=(n, n)) + n * np.eye(n)
+    b = rng.normal(size=(n, n))
+    a = b @ b.T + n * np.eye(n)
     rows = a.tolist()
     assert ring_det(rows) == pytest.approx(np.linalg.det(a), rel=1e-12)
     assert np.abs(np.array(ring_inv(rows)[1]) - np.linalg.inv(a)).max() <= 1e-12
