@@ -340,34 +340,24 @@ def test_dsl_domain_failure_is_regularity_error():
 
 
 def test_nonpositive_f_names_the_state():
+    # a metric given by F alone (F = y1 at y1 < 0) and a Randers metric
+    # (alpha + beta < 0 where |b| > 1): each F^2 evaluator fails before
+    # its products, with the message F * F gave
     from finslerlab.curvature import GeometryState
     from finslerlab.metrics import construct_metric
-
-    state = GeometryState(
-        construct_metric("dsl", 2, F="y1"), None, (0.1, 0.2), (-1.0, 0.5)
-    )
-    with pytest.raises(RegularityError, match="F <= 0 at x=") as caught:
-        state.frame
-    assert caught.value.x == (0.1, 0.2)
-    assert caught.value.y == (-1.0, 0.5)
-
-
-def test_f2_evaluator_names_nonpositive_f_as_before():
-    # Randers: alpha + beta < 0 where |b| > 1; a metric given by F alone:
-    # F = y1 at y1 < 0.  Each fails before any F^2 product, with the
-    # message F * F gave
-    from finslerlab.curvature import GeometryState
 
     strong = alpha_beta_metric(
         "strong", 2, lambda x: [[1.0, 0.0], [0.0, 1.0]], lambda x: [2.0 * x[0], 0.0]
     )
     for metric, x, y in (
-        (strong, (0.9, 0.0), (-1.0, 0.0)),
         (construct_metric("dsl", 2, F="y1"), (0.1, 0.2), (-1.0, 0.5)),
+        (strong, (0.9, 0.0), (-1.0, 0.0)),
     ):
-        with pytest.raises(RegularityError) as caught:
+        with pytest.raises(RegularityError, match="F <= 0 at x=") as caught:
             GeometryState(metric, None, x, y).frame
         assert str(caught.value) == "F <= 0 at x=%s, y=%s" % (x, y)
+        assert caught.value.x == x
+        assert caught.value.y == y
 
 
 @pytest.mark.parametrize("name", list_examples() + ["randers_n4"])
@@ -399,7 +389,7 @@ def test_f2_evaluator_matches_f_times_f(name):
 
 def test_non_positive_definite_g_names_the_state():
     # g = [[0, 1], [1, 1]] here: its first leading minor is 0, so the
-    # check must come before the elimination that would divide by it
+    # check must come before the sweep that would divide by it
     from finslerlab.curvature import GeometryState
     from finslerlab.metrics import construct_metric
 
