@@ -358,7 +358,8 @@ class Frame(Spray):
             for m in range(1, n):
                 acc = acc + lnsig.dx(m) * ys[m]
             S = S - acc
-        tau = det_ring.ln() * 0.5 - lnsig
+        # tau is read at x-order 1 and y-order 1 only
+        tau = restrict(det_ring, det_ring.ring.stage(1, 1)).ln() * 0.5 - lnsig
         self.S = S.c[0]
         self.S_x = S.partials(1, 0)
         self.S_y = S.partials(0, 1)

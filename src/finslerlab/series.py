@@ -449,15 +449,18 @@ def _skipped_rows(ring, a, b):
     factor may carry a batch: every lane skips the same zeros.  Only
     tables of at least ROW_SKIP_MIN_TRIPLES triples are worth the check.
     """
-    na, nb = (np.count_nonzero(c) if c.ndim == 1 else math.inf for c in (a, b))
+    # counted and listed on a boolean mask, as in _sparse_pairs
+    nza, nzb = (c != 0.0 if c.ndim == 1 else None for c in (a, b))
+    na, nb = (math.inf if nz is None else np.count_nonzero(nz) for nz in (nza, nzb))
     if min(na, nb) > ring.size // ROW_SKIP_DENSITY:
         return None
-    sparse, dense = (a, b) if na <= nb else (b, a)
+    first = na <= nb
+    dense, nonzero = (b, nza) if first else (a, nzb)
     if not np.isfinite(dense).all():
         return None
     starts_a, perm_b, starts_b = ring.row_index()
-    rows = np.flatnonzero(sparse)
-    if sparse is a:
+    rows = nonzero.nonzero()[0]
+    if first:
         return _rows(starts_a, rows)
     return np.sort(perm_b[_rows(starts_b, rows)])
 
