@@ -3,7 +3,7 @@
 A Frame evaluates F^2 once at a state as a Series in the coordinate
 shifts, walks the derivative tree inside the ring, and is the only code
 that evaluates F^2 -> g -> G.  Its constructor runs the metric stage (F^2,
-g, C, g^-1, det g, the spray G, S and tau) and every check that can
+g, C, det g, the spray G, S and tau) and every check that can
 raise: F <= 0, g not positive definite, the domain of ln sigma.  A Spray
 holds what depends on a spray alone (N, Gamma, the Riemann curvature and
 its fiber partials, the divergence, the Berwald and Douglas tensors and
@@ -28,12 +28,16 @@ bit-identical:
   (MetricSpec.F2: alpha^2 + beta (2 alpha + beta) for Randers, alpha^2
   for Riemannian metrics, F * F for a metric given by F alone), and g in
   the (2, 6) ring for g and C;
-- g^-1, det g and ln det in the (1, 6) ring: the spray and tau read
-  them only through one x-derivative of F^2.  g^-1 and det g come from
-  one symmetric sweep over the upper triangle of g (scalars.ring_inv),
-  which runs after the check that g is positive definite;
-- the spray's y-derivatives in the (1, 7) ring, the spray itself, its
-  contraction with g^-1 and tau in the (1, 6) ring;
+- g in the (1, 6) ring for the spray and tau, which read it only
+  through one x-derivative of F^2;
+- the spray's y-derivatives in the (1, 7) ring, and its braces A and
+  the spray itself in the (1, 6) ring: one symmetric elimination over
+  the upper triangle of g (scalars.ring_solve) solves g G = A/4, with no
+  inverse of g in the ring, after the check that g is positive definite;
+- det g, the product of the elimination's pivots, and ln det in the
+  (1, 1) ring: tau is read at its value and first partials.  The
+  Frame's g^-1 is a float matrix, the sweep (scalars.ring_inv) on the
+  value of g;
 - the divergence, S, the projective spray and the Douglas core in the
   (1, 5) ring: the cubes read their (0, 3), (1, 3) and (0, 4) partials.
   Douglas is a projective invariant, so the projective spray's Douglas
@@ -55,7 +59,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, EvalError, RegularityError
-from .scalars import ln, ring_inv, value_of
+from .scalars import ln, ring_inv, ring_solve, value_of
 from .scalars import ring_det  # noqa: F401  (perfbench/spans.py wraps this name)
 from .series import Series, SeriesRing, restrict, x_only
 
@@ -116,13 +120,13 @@ def fsq_series(metric, xs, ys):
 
 
 def metric_series(fsq):
-    """g_ij, its ring determinant and its ring inverse from the F^2 series.
+    """g_ij from the F^2 series, and g in the stage ring the spray reads.
 
     g keeps the budget (bx, by - 2) of two y-derivatives of F^2.  Its
     value must be positive definite (a DomainError otherwise), which
-    gives ring_inv's symmetric sweep the nonzero leading minors it needs.  The spray and tau
-    read det and g^-1 only through one x-derivative of F^2, so ring_inv
-    runs on g in the (bx - 1, by - 2) stage ring.
+    gives the spray's elimination the nonzero pivots it needs.  The
+    spray and tau read g only through one x-derivative of F^2, so the
+    second matrix is g restricted to the (bx - 1, by - 2) stage ring.
     """
     n = fsq.ring.n
     g = [[None] * n for _ in range(n)]
@@ -136,16 +140,20 @@ def metric_series(fsq):
             "fundamental tensor not positive definite (min eigenvalue %.3e)" % low
         )
     stage = fsq.ring.stage(fsq.bx - 1, fsq.by - 2)
-    det, ginv = ring_inv([[restrict(gij, stage) for gij in row] for row in g])
-    return g, det, restrict(ginv, stage)
+    return g, [[restrict(gij, stage) for gij in row] for row in g]
 
 
-def spray_series(fsq, ginv, xs, ys):
-    """G^i = 1/4 g^{il} { d2 F^2/dx^k dy^l y^k - dF^2/dx^l }, with the
-    braces and the contraction over the lanes l, then i, in the stage
-    ring of g^-1 (a Series with axes [i, l])."""
+def spray_series(fsq, g, xs, ys):
+    """det g and the spray, from g in its stage ring (metric_series).
+
+    G^i solves g_il G^l = 1/4 { d2 F^2/dx^k dy^l y^k - dF^2/dx^l }: the
+    braces run over the lanes l in the stage ring of g, and one
+    elimination (scalars.ring_solve) solves for G there.  det g, the
+    product of its pivots, runs in the (1, 1) stage ring: tau reads only
+    its value and first partials.
+    """
     n = fsq.ring.n
-    stage = ginv.ring
+    stage = g[0][0].ring
     dxP = restrict(
         [fsq.dx(k) for k in range(n)], fsq.ring.stage(stage.cap_x, stage.cap_y + 1)
     )  # [k]
@@ -154,12 +162,10 @@ def spray_series(fsq, ginv, xs, ys):
     A = D.part(np.s_[:, 0]) * y.part(0)  # lanes l
     for k in range(1, n):
         A = A + D.part(np.s_[:, k]) * y.part(k)
-    A = A - restrict(dxP, stage)
-    acc = ginv.part(np.s_[:, 0]) * A.part(0)  # lanes i
-    for l in range(1, n):
-        acc = acc + ginv.part(np.s_[:, l]) * A.part(l)
-    G = acc * 0.25
-    return [G.part(i) for i in range(n)]
+    A = (A - restrict(dxP, stage)) * 0.25
+    pivots, G = ring_solve(g, [A.part(l) for l in range(n)])
+    low = stage.stage(1, 1)
+    return math.prod(restrict(p, low) for p in pivots), G
 
 
 def riemann_series(G, xs, ys, by):
@@ -342,15 +348,16 @@ class Frame(Spray):
             raise RegularityError("F^2 <= 0", x=self.x, y=self.y)
         self.F = math.sqrt(self.F2)
 
-        g_ring, det_ring, ginv_ring = _at_state(self.x, self.y, metric_series, fsq)
+        g_ring, g_low = _at_state(self.x, self.y, metric_series, fsq)
         self.g = np.array([[g_ring[i][j].c[0] for j in range(n)] for i in range(n)])
-        self.ginv = ginv_ring.c[..., 0]
+        self.ginv = np.array(ring_inv(self.g.tolist())[1])
         self.y_low = self.g @ np.array(self.y)
         self.C = 0.5 * np.array(
             [[g_ring[i][j].partials(0, 1) for j in range(n)] for i in range(n)]
         )
 
-        super().__init__(spray_series(fsq, ginv_ring, xs, ys), xs, ys)
+        det, G = spray_series(fsq, g_low, xs, ys)
+        super().__init__(G, xs, ys)
         lnsig = _at_state(self.x, self.y, log_sigma_series, volume, xs)
         S = self.div
         if not isinstance(lnsig, float):
@@ -358,8 +365,7 @@ class Frame(Spray):
             for m in range(1, n):
                 acc = acc + lnsig.dx(m) * ys[m]
             S = S - acc
-        # tau is read at x-order 1 and y-order 1 only
-        tau = restrict(det_ring, det_ring.ring.stage(1, 1)).ln() * 0.5 - lnsig
+        tau = det.ln() * 0.5 - lnsig
         self.S = S.c[0]
         self.S_x = S.partials(1, 0)
         self.S_y = S.partials(0, 1)

@@ -407,7 +407,7 @@ def _frame_products(monkeypatch, entry):
     The Frame runs at the first state of SamplePlan(count=1, seed=1), and
     its lazy stages run by reading R, the projective spray's R and the
     Berwald and Douglas cubes; stages are the enclosing metric_series,
-    ring_inv and riemann_series calls.  lanes is the number of products
+    spray_series, ring_solve and riemann_series calls.  lanes is the number of products
     a batched product stands for (1 when unbatched).
     """
     from finslerlab import engine
@@ -434,7 +434,7 @@ def _frame_products(monkeypatch, entry):
         return run
 
     x, y = sample_states(entry.metric, SamplePlan(count=1, seed=1)).states[0]
-    for name in ("metric_series", "ring_inv", "riemann_series"):
+    for name in ("metric_series", "spray_series", "ring_solve", "riemann_series"):
         monkeypatch.setattr(engine, name, staged(name, getattr(engine, name)))
     monkeypatch.setattr(Series, "__mul__", mul)
     monkeypatch.setattr(Series, "__rmul__", mul)
@@ -443,17 +443,23 @@ def _frame_products(monkeypatch, entry):
     return counted
 
 
-@pytest.mark.parametrize("name, inv_products", [("randers_osaka", 17), ("randers_n4", 39)])
-def test_stage_budgets(monkeypatch, name, inv_products):
-    # g^-1 and det feed only the spray and tau, through one x-derivative
-    # of F^2, and every reader of R takes it at x-degree 0 and y-order
-    # <= 3, so each stage runs its products at that budget, in the stage
-    # ring of that budget; ring_inv's symmetric sweep runs n - 1 products
-    # to scale the pivot's row and n(n-1)/2 to update the rest of the
-    # upper triangle per pivot, and n - 1 for det, the product of the
-    # pivots, while each 1/pivot runs none (n(n-1)(n+2)/2 + n - 1: 17 at
-    # n=3, 39 at n=4)
+@pytest.mark.parametrize(
+    "name, solve_products", [("randers_osaka", 16), ("randers_n4", 32)]
+)
+def test_stage_budgets(monkeypatch, name, solve_products):
+    # g feeds only the spray and tau, through one x-derivative of F^2,
+    # and every reader of R takes it at x-degree 0 and y-order <= 3, so
+    # each stage runs its products at that budget, in the stage ring of
+    # that budget.  metric_series runs no product.  The spray contracts
+    # its braces over n batched products of n lanes, and ring_solve's
+    # elimination runs n - 1 - k products to scale pivot k's row, one
+    # for b_k / p_k, and (n - k - 1)(n - k)/2 to update the rest of the
+    # upper triangle and n - k - 1 for the right-hand side after it;
+    # back substitution runs n(n-1)/2 (n(n-1)(n+1)/6 + 3n(n-1)/2 + n:
+    # 16 at n=3, 32 at n=4).  det, the product of its pivots, runs its
+    # n - 1 products in the (1, 1) ring, all that tau reads
     entry = randers_n4() if name == "randers_n4" else get_example(name)
+    n = entry.metric.dimension
     counted = _frame_products(monkeypatch, entry)
 
     def budgets(stage):
@@ -462,18 +468,18 @@ def test_stage_budgets(monkeypatch, name, inv_products):
     def rings(stage):
         return {caps for stages, _, caps, _ in counted if stage in stages}
 
-    assert budgets("metric_series") == rings("metric_series") == {(1, 6)}
+    def lanes(stage, caps):
+        return sum(k for stages, _, c, k in counted if stage in stages and c == caps)
+
+    assert budgets("metric_series") == set()
+    assert budgets("spray_series") == rings("spray_series") == {(1, 6), (1, 1)}
+    assert budgets("ring_solve") == rings("ring_solve") == {(1, 6)}
     assert budgets("riemann_series") == rings("riemann_series") == {(0, 3)}
-    in_inv = sum(lanes for stages, _, _, lanes in counted if "ring_inv" in stages)
-    in_metric = sum(
-        lanes for stages, _, _, lanes in counted if "metric_series" in stages
-    )
-    assert in_inv == in_metric == inv_products
+    assert lanes("ring_solve", (1, 6)) == solve_products
+    assert lanes("spray_series", (1, 6)) == solve_products + n * n
+    assert lanes("spray_series", (1, 1)) == n - 1
     # two calls, 3 n^3 products each, as 3 n batched products of n^2 lanes
-    n = entry.metric.dimension
-    in_riemann = [
-        lanes for stages, _, _, lanes in counted if "riemann_series" in stages
-    ]
+    in_riemann = [k for stages, _, _, k in counted if "riemann_series" in stages]
     assert in_riemann == [n * n] * (6 * n)
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finslerlab.errors import DomainError, TowerBudgetError
-from finslerlab.scalars import ring_det, ring_inv
+from finslerlab.scalars import ring_det, ring_inv, ring_solve
 
 from jet_oracle import (
     MAX_LEVELS,
@@ -256,7 +256,7 @@ def test_mixed_level_arithmetic_rejected():
         a + b
 
 
-# -- ring_det / ring_inv -------------------------------------------------
+# -- ring_det / ring_inv / ring_solve -------------------------------------
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -269,6 +269,19 @@ def test_ring_det_and_inv_match_numpy(n):
     assert ring_det(rows) == pytest.approx(np.linalg.det(a), rel=1e-12)
     assert np.abs(np.array(ring_inv(rows)[1]) - np.linalg.inv(a)).max() <= 1e-12
     assert ring_inv(rows)[0] == ring_det(rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_ring_solve_matches_numpy(n):
+    # the elimination's precondition is the sweep's
+    rng = np.random.default_rng(n)
+    b = rng.normal(size=(n, n))
+    a = b @ b.T + n * np.eye(n)
+    rhs = rng.normal(size=n)
+    pivots, x = ring_solve(a.tolist(), rhs.tolist())
+    assert math.prod(pivots) == pytest.approx(np.linalg.det(a), rel=1e-12)
+    assert np.abs(np.array(x) - np.linalg.solve(a, rhs)).max() <= 1e-12
+    assert math.prod(pivots) == ring_det(a.tolist())
 
 
 def test_ring_inv_tangent_matches_fd():

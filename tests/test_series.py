@@ -798,6 +798,24 @@ def test_ring_inv_det_equals_ring_det_on_series():
     assert np.array_equal(det.c, want.c)
 
 
+def test_ring_solve_det_equals_ring_inv_det_on_series():
+    # the elimination's pivots are the sweep's, product for product, and
+    # their product in a smaller ring is det restricted to it
+    ring = SeriesRing.get(3)
+    xs, ys = ring.state(X3, Y3)
+    f = smooth3(xs, ys)
+    g = [[f.dy(i).dy(j) * 0.5 for j in range(3)] for i in range(3)]
+    pivots, _ = scalars.ring_solve(g, [ys[0], ys[1], f])
+    det = math.prod(pivots)
+    want = scalars.ring_inv(g)[0]
+    assert det.ring is want.ring is ring.stage(2, 6)
+    assert np.array_equal(det.c, want.c)
+    low = ring.stage(1, 1)
+    det = math.prod(restrict(p, low) for p in pivots)
+    assert det.ring is low
+    assert np.array_equal(det.c, restrict(want, low).c)
+
+
 def _long_double_inverse(b):
     """Inverse of a Series b with axes [i, j], in np.longdouble, by the
     graded recurrence Q_d = -B_0^-1 sum_{0<j<=d} B_j Q_{d-j} over the
@@ -830,8 +848,10 @@ def _long_double_inverse(b):
 )
 @pytest.mark.parametrize("name", catalog.list_examples() + ["randers_n4"])
 def test_ring_inv_error_against_long_double(name):
-    # g^-1 in the (1, 6) stage ring, as the Frame computes it, at 5
-    # states of plan seed 3.  Measured max|Q - ref| / max|ref|: at most
+    # g^-1 of the (1, 6)-ring g that the Frame's spray solves with
+    # (test_ring_solve_error_against_long_double; ring_inv inverts the
+    # closed-form Randers volume's a(x) in the library), at 5 states of
+    # plan seed 3.  Measured max|Q - ref| / max|ref|: at most
     # 1.6e-15 (randers_baoshen), so the bound leaves 2x headroom
     entry = randers_n4() if name == "randers_n4" else catalog.get_example(name)
     n = entry.metric.dimension
@@ -848,6 +868,72 @@ def test_ring_inv_error_against_long_double(name):
         want = _long_double_inverse(restrict(g, stage))
         err = float(np.abs(got - want).max() / np.abs(want).max())
         assert err <= 3.2e-15, (name, x, y, err)
+
+
+def _long_double_contract(ring, q, b):
+    """sum_l q[i, l] b[l] over the ring's product table, for long-double
+    coefficient arrays q with axes [i, l] and b with axis [l]."""
+    iout, ia, ib = ring.triples
+    terms = np.einsum("ilt,lt->it", q[..., ia], b[:, ib])
+    out = np.zeros((len(q), ring.size), dtype=np.longdouble)
+    for i in range(len(q)):
+        np.add.at(out[i], iout, terms[i])
+    return out
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 1e-18,
+    reason="np.longdouble is no wider than float64 on this platform",
+)
+@pytest.mark.parametrize("name", catalog.list_examples() + ["randers_n4"])
+def test_ring_solve_error_against_long_double(monkeypatch, name):
+    # The spray G in the (1, 6) stage ring, solved from g G = A/4 as the
+    # Frame does, and by the route it replaced (ring_inv's g^-1
+    # contracted with A/4), against the long-double g^-1 contracted with
+    # the same A/4, at 5 states of plan seed 3.  Measured worst
+    # max|G - ref| / max|ref| over the states, solve (inverse):
+    # mkropina_yang 1.5e-10 (4.0e-10, the ill-conditioned g of its last
+    # two states), randers_osaka 1.9e-14 (1.8e-14), randers_baoshen
+    # 1.2e-14 (1.3e-14), randers_n4 2.1e-15 (1.7e-15), randers_humo
+    # 1.6e-15 (1.2e-15), at most 1.3e-16 elsewhere.  The bounds are twice
+    # the worst, mkropina's and the others', and the solve stays within
+    # twice the inverse's error
+    entry = randers_n4() if name == "randers_n4" else catalog.get_example(name)
+    n = entry.metric.dimension
+    ring = SeriesRing.get(n, 2, 8)
+    solve, calls = scalars.ring_solve, []
+
+    def spy(a, b):
+        calls.append((a, b))
+        return solve(a, b)
+
+    monkeypatch.setattr(engine, "ring_solve", spy)
+    worst = {"solve": 0.0, "inverse": 0.0}
+    plan = classify.SamplePlan(count=5, seed=3)
+    for x, y in classify.sample_states(entry.metric, plan).states:
+        xs, ys = ring.state(x, y)
+        fsq = engine.fsq_series(entry.metric, xs, ys)
+        _, G = engine.spray_series(fsq, engine.metric_series(fsq)[1], xs, ys)
+        ((g, b),) = calls
+        calls.clear()
+        stage = b[0].ring
+        rhs = restrict(b, stage)
+        ginv = restrict(scalars.ring_inv(g)[1], stage)
+        inverse = ginv.part(np.s_[:, 0]) * rhs.part(0)
+        for l in range(1, n):
+            inverse = inverse + ginv.part(np.s_[:, l]) * rhs.part(l)
+        want = _long_double_contract(
+            stage,
+            _long_double_inverse(restrict(g, stage)),
+            rhs.c.astype(np.longdouble),
+        )
+        scale = max(float(np.abs(want).max()), np.finfo(float).tiny)
+        for route, got in (("solve", restrict(G, stage)), ("inverse", inverse)):
+            err = float(np.abs(got.c - want).max()) / scale
+            worst[route] = max(worst[route], err)
+    bound = 3.0e-10 if name == "mkropina_yang" else 3.8e-14
+    assert worst["solve"] <= bound, (name, worst)
+    assert worst["solve"] <= 2.0 * worst["inverse"], (name, worst)
 
 
 # Budget invariance: an operation run in a stage ring gives exactly the
