@@ -407,8 +407,8 @@ def _frame_products(monkeypatch, entry):
     The Frame runs at the first state of SamplePlan(count=1, seed=1), and
     its lazy stages run by reading R, the projective spray's R and the
     Berwald and Douglas cubes; stages are the enclosing metric_series,
-    spray_series, ring_solve and riemann_series calls.  lanes is the number of products
-    a batched product stands for (1 when unbatched).
+    spray_series, ring_solve and riemann_series calls.  lanes is the
+    number of products a batched product stands for (1 when unbatched).
     """
     from finslerlab import engine
 
