@@ -30,7 +30,11 @@ def sqrt(v):
 
 def exp(v):
     if isinstance(v, numbers.Real):
-        return math.exp(float(v))
+        v = float(v)
+        try:
+            return math.exp(v)
+        except OverflowError:
+            raise DomainError("exp of value %r overflows" % v) from None
     return v.exp()
 
 
@@ -59,7 +63,10 @@ def powr(v, q):
         return _ipow(v, int(q))
     if v <= 0.0:
         raise DomainError("fractional power of non-positive value %r" % v)
-    return math.exp(q * math.log(v))
+    try:
+        return math.exp(q * math.log(v))
+    except OverflowError:
+        raise DomainError("fractional power of value %r overflows" % v) from None
 
 
 def _ipow(v, k):

@@ -43,9 +43,9 @@ OS and be faulted in again (about 7000 minor faults per frame-n4 state,
 against none with the workspace).  So one ring's products are not re-entrant; the library
 runs no threads.
 
-Two shortcuts skip work that cannot reach a kept coefficient, and leave
-every result bit-identical to the plain product.  Sparse-factor rows:
-when a factor has few nonzeros (a y variable has 2 of the 1650
+Three shortcuts skip work that cannot reach a kept coefficient, and
+leave every result bit-identical to the plain product.  Sparse-factor
+rows: when a factor has few nonzeros (a y variable has 2 of the 1650
 coefficients of the (2, 8) ring at n=3, an embedded a(x) or b(x) at
 most 10), the product gathers only the table rows of those nonzeros, in
 table order (rows of the second factor come through a cached
@@ -66,8 +66,19 @@ searchsorted of the summed keys, as the table build does, and sums
 with one bincount.  The skipped terms are again +-0, so the result is
 bit-identical, and an all-zero factor costs no gather at all.  A
 non-finite coefficient in either factor falls back to the rows or the
-whole table.  Both shortcuts run only in tables of at least
+whole table.  These two run only in tables of at least
 ROW_SKIP_MIN_TRIPLES triples.
+
+Lane constants: when one factor of a batched product is a batch of
+constants (no nonzero past the value part in any lane, as the
+quadrature's directions y_i), the product is the other factor times
+the value parts, with no table gather.  The skipped terms are again +-0,
+and the one kept term per output is the same product; the table's sum
+of that term and +-0 terms, started at +0, is the term itself except
+that -0 comes out +0, so the result gets += 0.0, which does the same.
+A non-finite coefficient in either factor falls back to the table.
+1-D products are left to the table: checking every one of them would
+cost a pass over the coefficients on hundreds of products per state.
 
 sqrt, reciprocal, ln and exp run no ring product.  Each is a graded
 recurrence over total degree (Griewank & Walther, Evaluating
@@ -103,11 +114,13 @@ pairs in the same order.
 So each stage runs in the ring of the budget its readers need:
 ring.stage(bx, by) is the (bx, by) ring under ring's root (the root
 itself at the root's caps).  Its monomials are the root's within its
-caps, in the root's order, so its product table is the root's, mapped
-on its first product (8 ms to set up the (1, 6) ring at n=4, against 43
-ms from scratch); its derivative tables are built per slot on first
-use.  restrict copies series into a
-smaller ring, and embed zero-fills them into a larger one.  x_only runs
+caps, in the root's order, and its keys are the root's, so the product
+table it builds on its first product is the root's within its caps,
+mapped entry for entry (2 ms for the (1, 6) ring at n=4 and 0.2 ms for
+the (1, 1) ring, where mapping the root's table took 4 and 3 ms); its
+derivative tables are built per slot on first use.  restrict copies
+series into a smaller ring, and embed zero-fills them into a larger
+one.  x_only runs
 work of x alone (coefficient fields, volume densities) in the x-only
 ring SeriesRing.get(n, cap_x, 0), a ring of its own.
 
@@ -118,9 +131,11 @@ quadrature volume runs all its sphere directions through the x-only
 ring in one pass, and Riemann its 3 n^3 products per call as 3 n
 products over the n^2 lanes (i, k).  Every lane is bit-identical to the
 unbatched evaluation: products and graded levels offset the bincount
-bins per lane, so each lane sums in the 1-D order, and value parts of
-sqrt/ln/exp use the math module lane by lane (numpy's vectorised exp
-and log differ from it in the last bit on some inputs).  In a small
+bins per lane, so each lane sums in the 1-D order; value parts of ln
+and exp use the math module lane by lane (numpy's vectorised exp and
+log differ from it in the last bit on some inputs), and those of sqrt
+np.sqrt, which rounds correctly, as math.sqrt does.  An exp whose value
+part overflows raises DomainError naming it and its lane.  In a small
 ring the lanes share one pass over the table (a (1, 6) product at n=4:
 107 us per lane in a batch of 4, 167 us alone); a ring of its own with
 y-variables, such as the (2, 8) ring, is never batched (n=3: 0.93 ms
@@ -211,15 +226,10 @@ class SeriesRing:
     @property
     def triples(self):
         """The product table (iout, ia, ib), sorted by first factor, then
-        by second.  A stage ring maps the root's on its first product:
-        the root's triples within its caps, entry for entry."""
+        by second.  A stage ring builds its own on its first product: the
+        root's triples within its caps, entry for entry."""
         if self._triples is None:
-            root = self.root
-            inverse = np.full(root.size, -1, dtype=np.int64)
-            inverse[root.positions_of(self)] = np.arange(self.size)
-            self._triples = tuple(
-                inverse[t] for t in root.mul_table(self.cap_x, self.cap_y)
-            )
+            self._triples = self._build_triples()
         return self._triples
 
     def _build_triples(self):
@@ -415,9 +425,24 @@ class SeriesRing:
         return xs, ys
 
 
-def _lanes(f, v):
-    """A math-module function of a value part, lane by lane if batched."""
-    return np.array([f(t) for t in v.ravel().tolist()]).reshape(v.shape)
+def _where(v, k):
+    """Value part k of v (flat index), with its lane if v is batched."""
+    t = float(v.ravel()[k])
+    return "%r" % t if v.ndim == 0 else "%r (lane %d)" % (t, k)
+
+
+def _lanes(f, v, what):
+    """A math-module function of a value part, lane by lane if batched.
+    DomainError "<what> of value part ... overflows" names the first value
+    part (and its lane) whose result overflows."""
+    out = []
+    for t in v.ravel().tolist():
+        try:
+            out.append(f(t))
+        except OverflowError:
+            where = _where(v, len(out))
+            raise DomainError("%s of value part %s overflows" % (what, where)) from None
+    return np.array(out).reshape(v.shape)
 
 
 def _positive(v, what):
@@ -425,9 +450,26 @@ def _positive(v, what):
     offending value part (and its lane, if batched), unless all of v > 0."""
     bad = v <= 0.0
     if np.any(bad):
-        k = int(np.argmax(bad))
-        where = "%r" % float(v) if v.ndim == 0 else "%r (lane %d)" % (float(v[k]), k)
+        where = _where(v, int(np.argmax(bad)))
         raise DomainError("%s of non-positive value part %s" % (what, where))
+
+
+def _constant_product(a, b):
+    """The product of the coefficient arrays a and b when one of them is a
+    batch of constants (no nonzero past the value part in any lane): the
+    other times the value parts, with -0 turned to +0 (module notes).
+    None when neither is, or when a coefficient of either is not finite
+    (whose products with the skipped zeros would be NaN)."""
+    for const, other in ((a, b), (b, a)):
+        # the first lane rules out most factors before a pass over all
+        if const.reshape(-1, const.shape[-1])[0, 1:].any() or const[..., 1:].any():
+            continue
+        if not (np.isfinite(const[..., 0]).all() and np.isfinite(other).all()):
+            return None
+        c = other * const[..., :1]
+        c += 0.0  # bincount starts every sum at +0, so -0 comes out +0
+        return c
+    return None
 
 
 def _rows(starts, rows):
@@ -614,6 +656,10 @@ class Series:
         if isinstance(other, Series):
             a, b = _meet(self, other)
             ring = a.ring
+            if a.c.ndim > 1 or b.c.ndim > 1:
+                c = _constant_product(a.c, b.c)
+                if c is not None:
+                    return Series(ring, c)
             iout, ia, ib = ring.triples
             size = ring.size
             if len(iout) >= ROW_SKIP_MIN_TRIPLES:
@@ -692,7 +738,7 @@ class Series:
         u = self.c
         _positive(u[..., 0], "sqrt")
         w = np.zeros_like(u)
-        w[..., 0] = _lanes(math.sqrt, u[..., 0])
+        w[..., 0] = np.sqrt(u[..., 0])  # correctly rounded, as math.sqrt
         twice = 2.0 * w[..., :1]
         for level in self.ring.levels():
             rows = level[0]
@@ -703,7 +749,7 @@ class Series:
         u = self.c
         eu = u * (self.ring.xdeg + self.ring.ydeg)
         e = np.zeros_like(u)
-        e[..., 0] = _lanes(math.exp, u[..., 0])
+        e[..., 0] = _lanes(math.exp, u[..., 0], "exp")
         for d, level in enumerate(self.ring.levels(), 1):
             rows = level[0]
             s = _pair_sum(self.ring, level, eu, e)
@@ -716,7 +762,7 @@ class Series:
         _positive(u0[..., 0], "ln")
         el = np.zeros_like(u)  # E ln u
         out = np.zeros_like(u)
-        out[..., 0] = _lanes(math.log, u[..., 0])
+        out[..., 0] = _lanes(math.log, u[..., 0], "ln")
         for d, level in enumerate(self.ring.levels(), 1):
             rows = level[0]
             el[..., rows] = (d * u[..., rows] - _pair_sum(self.ring, level, el, u)) / u0

@@ -6,9 +6,13 @@ closed-form and DSL sigmas are scalar-ring-generic in x so the
 S-curvature pipeline can differentiate through them.  A density
 depends on x alone, so the engine evaluates every kind, and its
 logarithm, in the x-only ring and embeds the result into the full ring
-once (engine.log_sigma_series).  The quadrature takes x as floats or as series of an x-only ring: all its directions
-enter F as one batch of constants (see the series module), so F is
-evaluated once per x, not once per direction.
+once (engine.log_sigma_series).  The quadrature takes x as floats or
+as series of an x-only ring: all its directions enter F as one batch of
+constants (see the series module), so F is evaluated once per x, not
+once per direction.  A product with a batch of constants scales the
+other factor rather than gathering the product table, so of the 22
+batched products in a Randers F^-3 at n=3 only F * F and F^2 * F
+gather it.
 
 Quadrature grid: the azimuthal directions are periodic and get uniform
 trapezoid nodes (spectrally accurate there); the polar direction is not

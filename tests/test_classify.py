@@ -182,6 +182,21 @@ def test_errored_state_yields_indeterminate():
     assert blob["errors"][0] == report.errors[0].as_dict()
 
 
+def test_overflowing_density_errors_at_the_state():
+    # exp(5000 x1) overflows where x1 > 0.142 and underflows to 0 where
+    # x1 < -0.149, so its ln fails: both are errored states that name
+    # the state, not an OverflowError out of classify
+    e = get_example("euclidean")
+    plan = SamplePlan(count=5, seed=2)
+    report = classify_metric(e.metric, dsl_volume("exp(5000*x1)", 3), plan)
+    assert report.errored_states > 0
+    messages = [err.message for err in report.errors]
+    assert any("exp of value part" in m and "overflows" in m for m in messages)
+    for err in report.errors:
+        assert err.error == "RegularityError"
+        assert "at x=" in err.message
+
+
 def test_bug_in_volume_is_not_indeterminate():
     # only package errors make a state "errored"; a programming error
     # in the volume surfaces instead of becoming an indeterminate verdict

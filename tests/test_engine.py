@@ -29,8 +29,10 @@ from finslerlab.series import Series, SeriesRing, restrict
 from finslerlab.volume import (
     bh_quadrature_volume,
     bh_randers_volume,
+    bh_sigma_quadrature,
     constant_volume,
     dsl_volume,
+    sphere_nodes,
 )
 
 from support import oracle_fsq_partials, randers_n4
@@ -549,6 +551,33 @@ def test_graded_operations_run_no_products(monkeypatch, name):
     frame.R, frame.projective.R, frame.B, frame.D
     assert {"reciprocal", "ln", "exp"} <= set(calls)
     assert products == []
+
+
+def test_quadrature_gathers_the_table_in_two_products(monkeypatch):
+    # the directions enter F as batches of constants, so a_ij(x) y_i y_j
+    # and b_i y_i scale instead of gathering the table; only F * F and
+    # F^2 * F in powr(F, -3) gather it, over every lane
+    metric = get_example("randers_osaka").metric
+    ring = SeriesRing.get(3, 2, 0)
+    xs = [ring.variable_x(i, v) for i, v in enumerate([0.1, -0.2, 0.15])]
+    batched, gathered = [], []
+    plain, bins = Series.__mul__, SeriesRing.lane_bins
+
+    def mul(a, b):
+        if isinstance(b, Series) and max(a.c.ndim, b.c.ndim) > 1:
+            batched.append(1)
+        return plain(a, b)
+
+    def lane_bins(self, count):
+        gathered.append(count)
+        return bins(self, count)
+
+    monkeypatch.setattr(Series, "__mul__", mul)
+    monkeypatch.setattr(Series, "__rmul__", mul)
+    monkeypatch.setattr(SeriesRing, "lane_bins", lane_bins)
+    bh_sigma_quadrature(metric, xs)
+    assert len(batched) == 22
+    assert gathered == [len(sphere_nodes(3)[1])] * 2
 
 
 def _full_ring_riemann(G, ys, by):

@@ -187,6 +187,20 @@ def test_sqrt_of_negative_value_raises():
         xs[0].sqrt()
 
 
+def test_exp_overflow_names_the_value_part():
+    # math.exp raises OverflowError past about 709.78; the rings raise a
+    # DomainError that names the value part (and its lane, if batched)
+    ring = SeriesRing.get(3, cap_x=2, cap_y=0)
+    with pytest.raises(DomainError, match=r"exp of value 800\.0 overflows"):
+        scalars.exp(800.0)
+    with pytest.raises(DomainError, match=r"fractional power of value 1e\+300"):
+        scalars.powr(1e300, 3.5)
+    with pytest.raises(DomainError, match=r"800\.0 \(lane 1\) overflows"):
+        ring.constant([1.0, 800.0, 900.0]).exp()
+    with pytest.raises(DomainError, match=r"exp of value part 800\.0 overflows"):
+        SeriesRing.get(2).constant(800.0).exp()
+
+
 def test_ln_exp_round_trip():
     ring = SeriesRing.get(2)
     xs, ys = ring.state([0.2, -0.1], [0.9, 0.4])
@@ -243,6 +257,7 @@ BATCH_OPS = {
     "ln": lambda xs, d: (2.0 + d * xs[0] + 0.4 * xs[1] * xs[1]).ln(),
     "exp": lambda xs, d: (d + 0.5 * xs[0] - d * xs[2] * xs[1]).exp(),
     "dx": lambda xs, d: ((1.0 + d * xs[0]) * (xs[1] + d * xs[0] * xs[2])).dx(0),
+    "lane constant": lambda xs, d: (d * d) * (xs[0] - 0.3 * xs[1] * xs[2]) * d,
 }
 
 
@@ -261,8 +276,10 @@ def test_batched_lanes_equal_unbatched(op):
 
 
 def test_batched_value_parts_match_float_ring():
-    # sqrt, ln and exp take their value parts from the math module, as
-    # the float ring does, lane by lane
+    # ln and exp take their value parts from the math module lane by
+    # lane, as the float ring does (numpy's differ in the last bit on some
+    # inputs); sqrt takes them from np.sqrt, which rounds correctly, as
+    # math.sqrt does
     ring = SeriesRing.get(3, cap_x=2, cap_y=0)
     values = LANES + 1.5
     for f in (scalars.sqrt, scalars.ln, scalars.exp,
@@ -275,6 +292,9 @@ def test_batched_domain_error_names_first_bad_lane():
     ring = SeriesRing.get(3, cap_x=2, cap_y=0)
     with pytest.raises(DomainError, match=r"-3\.0 \(lane 2\)"):
         ring.constant([1.0, 2.0, -3.0, -1.0]).sqrt()
+    # lanes of several component axes are counted in row-major order
+    with pytest.raises(DomainError, match=r"-3\.0 \(lane 2\)"):
+        ring.constant([[1.0, 2.0], [-3.0, -1.0]]).ln()
 
 
 def test_batched_quadrature_names_first_bad_direction():
@@ -653,6 +673,59 @@ def test_sparse_pairs_with_zero_signed_and_non_finite_factors():
         if not paired:
             assert np.isnan(want.c).any()
     assert not (zero * f).c.any()
+
+
+def _dense_lanes(a, b):
+    """a * b gathered over the whole table, lane by lane."""
+    a, b = series_module._meet(a, b)
+    ca, cb = np.broadcast_arrays(a.c, b.c)
+    c = np.empty(ca.shape)
+    for k in np.ndindex(ca.shape[:-1]):
+        c[k] = _dense_product(Series(a.ring, ca[k]), Series(a.ring, cb[k])).c
+    return Series(a.ring, c)
+
+
+@pytest.mark.parametrize("budget", [(2, 0), (1, 6)], ids=str)
+def test_constant_products_equal_dense_product(budget):
+    # a batch of constants times a series or a batch: the other factor
+    # times the value parts, +0 where the table's sums give +0, and the
+    # whole table once a coefficient is not finite
+    ring = SeriesRing.get(3).stage(*budget)
+    rng = np.random.default_rng(7)
+    dense = _stage_factors(ring, rng, ())
+    batch = _stage_factors(ring, rng, (4,))
+    batch.c[1, ::3] = -0.0
+    values = np.array([1.5, -0.0, 0.0, -2.0e-200])  # the last underflows
+    const = ring.constant(values)
+    tiny = Series(ring, np.where(dense.c > 0.0, 1e-200, -1e-200))
+    # (first factor, second factor, how the product runs): "scaled" by
+    # the value parts, or over the "table", where a non-finite coefficient
+    # of the series gives "nan" past its own slot
+    cases = [
+        (dense, const, "scaled"), (const, dense, "scaled"),
+        (batch, const, "scaled"), (const, batch, "scaled"),
+        (const, const, "scaled"), (tiny, const, "scaled"),
+        (const, ring.constant(-0.0), "scaled"),
+        (batch, ring.constant(0.0), "scaled"), (batch, dense, "table"),
+    ]
+    for bad in (np.nan, np.inf):
+        broken = Series(ring, batch.c.copy())
+        broken.c[2, 5] = bad
+        cases += [(broken, const, "nan"), (const, broken, "nan")]
+        lanes = ring.constant(np.where(values == 1.5, bad, values))
+        cases += [(lanes, dense, "table"), (batch, lanes, "table")]
+    for a, b, runs in cases:
+        with np.errstate(invalid="ignore"):  # inf * 0 in the non-finite cases
+            scaled = series_module._constant_product(a.c, b.c) is not None
+            got, want = a * b, _dense_lanes(a, b)
+        assert scaled == (runs == "scaled")
+        assert got.ring is want.ring
+        assert _same_bits(got.c, want.c)
+        if runs == "nan":
+            assert np.isnan(want.c).any()
+    # the table turns the -0 products of the constants 0.0 and -0.0 into +0
+    zeros = (batch * const).c[1:3]
+    assert not zeros.any() and not np.signbit(zeros).any()
 
 
 def test_row_index_lists_every_triple_once():
