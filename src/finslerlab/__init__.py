@@ -24,13 +24,15 @@ from .curvature import (
     douglas_tensor,
     mean_berwald,
     riemann,
+    riemann_full,
     s_curvature,
     spray,
 )
-from .metrics import construct_metric
+from .metrics import cartan_torsion, construct_metric
 from .projective import (
     identity_residual,
     pr_quadratic_residual,
+    pr_riemann,
     projective_ricci,
     projective_spray,
 )

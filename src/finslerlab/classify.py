@@ -26,6 +26,7 @@ and is not screened.
 """
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
@@ -79,10 +80,18 @@ class SamplePlan:
     x_radius: float = 0.4
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ConfigError("sample count must be positive")
-        if not (self.x_radius > 0.0):
-            raise ConfigError("x_radius must be positive")
+        for name, low in (("count", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < low):
+                raise ConfigError(
+                    "sample %s must be an integer >= %d, got %r" % (name, low, value)
+                )
+        # the negated test also rejects NaN
+        if not 0.0 < self.x_radius < math.inf:
+            raise ConfigError(
+                "x_radius must be positive and finite, got %r" % (self.x_radius,)
+            )
 
 
 @dataclass(frozen=True)

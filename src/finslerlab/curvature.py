@@ -110,48 +110,9 @@ def distortion(state):
     return float(state.frame.tau)
 
 
-def distortion_flow_derivative(state):
-    """tau_{|m} y^m: the distortion's derivative along the geodesic flow.
-
-    Equals the S-curvature; kept as a separate route for cross-checks.
-    """
-    return float(state.frame.tau_hor0)
-
-
 def douglas_tensor(state):
     """Douglas tensor: Berwald curvature minus its spray-divergence part."""
     return tensor(state, "D")
-
-
-def douglas_from_mean_berwald(state):
-    """Douglas tensor assembled from E (the expanded route).
-
-    D_j^i_kl = B_j^i_kl - (2/(n+1)) { E_jk d^i_l + E_jl d^i_k
-               + E_kl d^i_j + E_jk.l y^i }
-    """
-    f = state.frame
-    n = f.n
-    eye = np.eye(n)
-    y = np.array(f.y)
-    corr = (
-        np.einsum("jk,il->jikl", f.E_from_trace, eye)
-        + np.einsum("jl,ik->jikl", f.E_from_trace, eye)
-        + np.einsum("kl,ij->jikl", f.E_from_trace, eye)
-        + np.einsum("jkl,i->jikl", f.E_y, y)
-    )
-    comp = f.B - (2.0 / (n + 1.0)) * corr
-    return TensorValue(comp, VARIANCE["D"], state.state_tuple)
-
-
-def dbar_tensor(state):
-    """Commutator of horizontal Douglas derivatives, D_j^i_{kl|m} -
-    D_j^i_{km|l}, antisymmetric in its last two slots."""
-    return tensor(state, "Dbar")
-
-
-def gdw_vector(state):
-    """Flow derivative of the Douglas tensor, P_j^i_kl = D_j^i_{kl|m} y^m."""
-    return tensor(state, "D_h0")
 
 
 def gdw_residual(state):

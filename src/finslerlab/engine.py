@@ -63,13 +63,13 @@ from .scalars import ln, ring_inv, ring_solve, value_of
 from .scalars import ring_det  # noqa: F401  (perfbench/spans.py wraps this name)
 from .series import Series, SeriesRing, restrict, x_only
 
-# Orientation of the Ricci identity used for the Berwald-curvature
+# Orientation of the Ricci identity for the Berwald-curvature
 # commutator: B_j^i_{kl|m} - B_j^i_{km|l} = RICCI_LM_SIGN * d_k R_j^i_{lm}
 # where d_k is the fiber derivative of the full Riemann tensor indexed
-# [j,i,k,l,m] as Frame.R_full_dot below.  The literature
-# writes the right side with both (l,m) and (m,l) orderings; this sign is
-# pinned numerically in the test suite on metrics where the commutator
-# does not vanish (it comes out as the (m,l) ordering).
+# [j,i,k,l,m] as Spray.R_full_dot below; Frame.master_lhs reads it.  The
+# literature writes the right side with both (l,m) and (m,l) orderings;
+# this sign is pinned numerically in the test suite on metrics where the
+# commutator does not vanish (it comes out as the (m,l) ordering).
 RICCI_LM_SIGN = -1.0
 
 # Variance of each Frame or Spray output that a caller reads, keyed by
@@ -322,10 +322,6 @@ class Spray:
     D, D_x, D_y = (_item("_douglas", k) for k in range(3))
 
     @cached_property
-    def B_h(self):
-        return horizontal(self.B, self.B_x, self.B_y, self.N, self.Gamma, VARIANCE["B"])
-
-    @cached_property
     def D_h(self):
         return horizontal(self.D, self.D_x, self.D_y, self.N, self.Gamma, VARIANCE["D"])
 
@@ -395,10 +391,6 @@ class Frame(Spray):
         return 0.5 * np.einsum("jmkm->jk", self.B)
 
     @cached_property
-    def E_y(self):
-        return 0.5 * self.S_yyy
-
-    @cached_property
     def Dbar(self):
         return self.D_h - np.transpose(self.D_h, (0, 1, 2, 4, 3))
 
@@ -413,14 +405,6 @@ class Frame(Spray):
         )
 
     # -- identity residuals ---------------------------------------------
-
-    @cached_property
-    def ricci_commutator(self):
-        return self.B_h - np.transpose(self.B_h, (0, 1, 2, 4, 3))
-
-    @cached_property
-    def ricci_rhs(self):
-        return RICCI_LM_SIGN * self.R_full_dot
 
     @cached_property
     def master_lhs(self):
@@ -487,11 +471,6 @@ class Frame(Spray):
     def s_hor0(self):
         yv = np.array(self.y)
         return float(yv @ self.S_x - 2.0 * self.G @ self.S_y)
-
-    @cached_property
-    def tau_hor0(self):
-        yv = np.array(self.y)
-        return float(yv @ self.tau_x - 2.0 * self.G @ self.tau_y)
 
     def projective_ricci_direct(self):
         return float(np.trace(self.projective.R))

@@ -1,4 +1,4 @@
-"""Metric-definition expression language: parser, evaluator, printer.
+"""Metric-definition expression language: parser and evaluator.
 
 Grammar (precedence climbing):
 
@@ -302,37 +302,3 @@ def variables_used(node):
     if isinstance(node, Binary):
         return variables_used(node.left) | variables_used(node.right)
     return set()
-
-
-def pretty(node):
-    """Render a tree back to source; reparsing gives an equal tree."""
-    return _pp(node, 0)
-
-
-_BINARY_OPS_BP = {"add": 10, "sub": 10, "mul": 20, "div": 20}
-_OP_TEXT = {"add": " + ", "sub": " - ", "mul": "*", "div": "/"}
-
-
-def _pp(node, parent_bp):
-    if isinstance(node, Literal):
-        return repr(node.value) if node.value >= 0.0 else "(%r)" % node.value
-    if isinstance(node, Variable):
-        return "%s%d" % (node.kind, node.index)
-    if isinstance(node, Parameter):
-        return node.name
-    if isinstance(node, Unary):
-        if node.op == "neg":
-            text = "-" + _pp(node.child, _NEG_BP + 1)
-            return "(%s)" % text if _NEG_BP < parent_bp else text
-        return "%s(%s)" % (node.op, _pp(node.child, 0))
-    if node.op == "pow":
-        base = _pp(node.left, _POW_BP + 1)
-        q = node.right.value
-        exponent = repr(q) if q >= 0.0 else "(-%r)" % -q
-        text = "%s^%s" % (base, exponent)
-        return "(%s)" % text if _POW_BP < parent_bp else text
-    bp = _BINARY_OPS_BP[node.op]
-    left = _pp(node.left, bp)
-    right = _pp(node.right, bp + 1)
-    text = left + _OP_TEXT[node.op] + right
-    return "(%s)" % text if bp < parent_bp else text

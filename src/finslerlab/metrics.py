@@ -7,13 +7,12 @@ every DSL (a, b) metric is built through, take their coefficient fields
 a(x), b(x) through
 series.x_only: they depend on x alone, so in a curvature Frame they run
 in the x-only ring and enter the full ring by one embedding.  The
-pointwise operations here (fundamental tensor, its inverse, Cartan
-torsion) read the y-partials of F^2 from one evaluation in a small
-series ring, SeriesRing.get(n, 0, k) with x kept as floats; the
-curvature pipeline in the engine module reads the same partials from
-its (2, 8) ring.
+pointwise operations here (fundamental tensor, Cartan torsion) read the
+y-partials of F^2 from one evaluation in a small series ring,
+SeriesRing.get(n, 0, k) with x kept as floats; the curvature pipeline
+in the engine module reads the same partials from its (2, 8) ring.
 
-Both read F^2 from one evaluator, MetricSpec.F2 (f_squared returns it).
+Both read F^2 from one evaluator, MetricSpec.F2.
 Each family assembles F^2 from its own parts, so the square of a sqrt
 and the dense product F * F are never formed:
 
@@ -403,12 +402,6 @@ def randers_b_norm_sq(metric, x):
     return float(b @ np.linalg.solve(a, b))
 
 
-def f_squared(metric):
-    """Ring-generic F^2 evaluator for differentiation: the metric's own,
-    MetricSpec.F2."""
-    return metric.F2
-
-
 def _fsq_partials(metric, state, order):
     """Every order-th y-partial of F^2 at a state, indexed [r_1..r_order].
 
@@ -419,7 +412,7 @@ def _fsq_partials(metric, state, order):
     n = metric.dimension
     ring = SeriesRing.get(n, 0, order)
     ys = [ring.variable_y(i, v) for i, v in enumerate(y)]
-    fsq = f_squared(metric)([float(v) for v in x], ys)
+    fsq = metric.F2([float(v) for v in x], ys)
     if not isinstance(fsq, Series):  # F^2 does not depend on y
         return np.zeros((n,) * order)
     return fsq.partials(0, order)
@@ -436,27 +429,8 @@ def fundamental_tensor(metric, state):
     return TensorValue(g, ("lower", "lower"), (tuple(x), tuple(y)))
 
 
-def inverse_fundamental(metric, state):
-    """g^il with g^im g_mj = identity (upper-upper)."""
-    g = fundamental_tensor(metric, state)
-    inv = np.linalg.inv(g.components)
-    return TensorValue(inv, ("upper", "upper"), g.state)
-
-
 def cartan_torsion(metric, state):
     """C_ijk = quarter of the third y-derivative of F^2 (lower^3)."""
     x, y = state
     C = 0.25 * _fsq_partials(metric, state, 3)
     return TensorValue(C, ("lower", "lower", "lower"), (tuple(x), tuple(y)))
-
-
-def homogeneity_defect(metric, x, y):
-    """max over L in (0.5, 2, 3) of |F(x, L y) - L F(x, y)| / (L F), floats."""
-    xs = [float(v) for v in x]
-    ys = [float(v) for v in y]
-    base = value_of(metric.F(xs, ys))
-    worst = 0.0
-    for lam in (0.5, 2.0, 3.0):
-        scaled = value_of(metric.F(xs, [lam * v for v in ys]))
-        worst = max(worst, abs(scaled - lam * base) / abs(lam * base))
-    return worst

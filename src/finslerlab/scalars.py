@@ -51,16 +51,20 @@ def powr(v, q):
     """v**q for literal rational q.
 
     Integer exponents use binary powering (valid for any sign of v);
-    everything else goes through exp(q*ln v) and needs v > 0.  The float
-    branch mirrors the series branch operation-for-operation so value
-    parts stay bit-identical across rings.
+    everything else goes through exp(q*ln v) and needs v > 0.
     """
     q = float(q)
     if not isinstance(v, numbers.Real):
         return v.powr(q)
     v = float(v)
     if q == int(q):
-        return _ipow(v, int(q))
+        k = int(q)
+        if k == 0:
+            return 1.0
+        if k < 0 and v == 0.0:
+            raise DomainError("negative power of zero")
+        out = ipow(v, abs(k))
+        return 1.0 / out if k < 0 else out
     if v <= 0.0:
         raise DomainError("fractional power of non-positive value %r" % v)
     try:
@@ -69,19 +73,20 @@ def powr(v, q):
         raise DomainError("fractional power of value %r overflows" % v) from None
 
 
-def _ipow(v, k):
-    if k < 0:
-        if v == 0.0:
-            raise DomainError("negative power of zero")
-        return 1.0 / _ipow(v, -k)
-    out = 1.0
-    base = v
-    while k:
+def ipow(v, k):
+    """v**k for an integer k >= 1 by binary powering, in any ring.
+
+    It starts from v, not from 1 * v, and stops before a squaring whose
+    result is never used: v^3 is v * v, then v^2 * v.
+    """
+    out = None
+    while True:
         if k & 1:
-            out = out * base
-        base = base * base
+            out = v if out is None else out * v
         k >>= 1
-    return out
+        if not k:
+            return out
+        v = v * v
 
 
 def ring_det(a):

@@ -148,6 +148,7 @@ import numbers
 import numpy as np
 
 from .errors import DomainError, TowerBudgetError
+from .scalars import ipow
 
 # A product gathers only the table rows of its sparser factor's nonzero
 # coefficients when its table holds at least ROW_SKIP_MIN_TRIPLES triples
@@ -714,11 +715,6 @@ class Series:
             return float(other) * self.reciprocal()
         return NotImplemented
 
-    def __pow__(self, q):
-        if isinstance(q, numbers.Real):
-            return self.powr(float(q))
-        return NotImplemented
-
     def reciprocal(self):
         # graded (module notes), as are sqrt, exp and ln: level d of the
         # level table fills the degree-d coefficients from lower degrees
@@ -773,21 +769,10 @@ class Series:
         q = float(q)
         if q == int(q):
             k = int(q)
-            if k < 0:
-                return self.powr(-q).reciprocal()
             if k == 0:
                 return self.ring.constant(1.0)
-            # binary powering that starts from the base, not from 1 * base,
-            # and stops before a squaring whose result is never used
-            out = None
-            base = self
-            while True:
-                if k & 1:
-                    out = base if out is None else out * base
-                k >>= 1
-                if not k:
-                    return out
-                base = base * base
+            out = ipow(self, abs(k))
+            return out.reciprocal() if k < 0 else out
         _positive(self.c[..., 0], "fractional power")
         return (self.ln() * q).exp()
 

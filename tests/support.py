@@ -9,7 +9,11 @@ extrapolation: truncation O(h^6) with two extrapolation levels while the
 smallest step stays large enough to keep rounding in check.
 
 The product table of a SeriesRing has its own oracle here: the direct
-build that tests every pair of monomials.
+build that tests every pair of monomials.  Three curvature quantities
+have second routes here, beside the Frame's own arrays: the Douglas
+tensor assembled from the mean Berwald curvature, S as the distortion's
+flow derivative tau_{|0}, and the Ricci identity for the horizontal
+derivatives of B.  homogeneity_defect checks F itself.
 """
 
 import itertools
@@ -20,6 +24,7 @@ import types
 import numpy as np
 
 from finslerlab import cli, volume
+from finslerlab.engine import RICCI_LM_SIGN, VARIANCE, horizontal
 from finslerlab.errors import FinslerError
 from finslerlab.scalars import value_of
 
@@ -163,3 +168,48 @@ def all_pairs_triples(ring):
         np.concatenate(ia_parts).astype(np.int64),
         np.concatenate(ib_parts).astype(np.int64),
     )
+
+
+def homogeneity_defect(metric, x, y):
+    """max over L in (0.5, 2, 3) of |F(x, L y) - L F(x, y)| / (L F), floats."""
+    xs = [float(v) for v in x]
+    ys = [float(v) for v in y]
+    base = value_of(metric.F(xs, ys))
+    worst = 0.0
+    for lam in (0.5, 2.0, 3.0):
+        scaled = value_of(metric.F(xs, [lam * v for v in ys]))
+        worst = max(worst, abs(scaled - lam * base) / abs(lam * base))
+    return worst
+
+
+def douglas_from_mean_berwald(frame):
+    """The Douglas tensor [j,i,k,l] assembled from E and its fiber
+    derivative E_jk.l = S_.j.k.l / 2:
+
+    D_j^i_kl = B_j^i_kl - (2/(n+1)) { E_jk d^i_l + E_jl d^i_k
+               + E_kl d^i_j + E_jk.l y^i }
+    """
+    n = frame.n
+    eye = np.eye(n)
+    E, E_y = frame.E_from_trace, 0.5 * frame.S_yyy
+    corr = (
+        np.einsum("jk,il->jikl", E, eye)
+        + np.einsum("jl,ik->jikl", E, eye)
+        + np.einsum("kl,ij->jikl", E, eye)
+        + np.einsum("jkl,i->jikl", E_y, np.array(frame.y))
+    )
+    return frame.B - (2.0 / (n + 1.0)) * corr
+
+
+def distortion_flow_derivative(frame):
+    """tau_{|m} y^m, the distortion's derivative along the geodesic flow:
+    the S-curvature by a second route."""
+    yv = np.array(frame.y)
+    return float(yv @ frame.tau_x - 2.0 * frame.G @ frame.tau_y)
+
+
+def ricci_identity_sides(frame):
+    """The two sides of the Ricci identity for the Berwald curvature:
+    B_j^i_{kl|m} - B_j^i_{km|l}, and RICCI_LM_SIGN d_k R_j^i_{lm}."""
+    B_h = horizontal(frame.B, frame.B_x, frame.B_y, frame.N, frame.Gamma, VARIANCE["B"])
+    return B_h - np.transpose(B_h, (0, 1, 2, 4, 3)), RICCI_LM_SIGN * frame.R_full_dot

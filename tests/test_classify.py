@@ -42,7 +42,9 @@ def test_plan_defaults():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"count": 0}, {"x_radius": -0.1}],
+    [{"count": 0}, {"x_radius": -0.1}, {"count": 2.5}, {"count": True},
+     {"seed": -1}, {"seed": 1.0}, {"seed": False}, {"x_radius": float("inf")},
+     {"x_radius": float("nan")}],
 )
 def test_plan_validation(kwargs):
     with pytest.raises(ConfigError):

@@ -204,6 +204,20 @@ def test_bad_tolerance_fails_before_sampling(capsys, monkeypatch, flag, value,
         assert named in err
 
 
+@pytest.mark.parametrize(
+    "flag, value, named",
+    [("--seed", "-1", "sample seed"), ("--samples", "0", "sample count"),
+     ("--x-radius", "inf", "x_radius"), ("--x-radius", "nan", "x_radius")],
+)
+def test_bad_plan_fails_before_sampling(capsys, monkeypatch, flag, value, named):
+    refuse_sampling(monkeypatch)
+    for argv in (("classify", "--metric", "euclidean"),
+                 ("verify", "--identity", "master", "--metric", "euclidean")):
+        code, out, err = run(capsys, *argv, flag, value)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and named in err
+
+
 def test_report_is_reproducible_except_timestamp(capsys):
     argv = (
         "classify", "--metric", "riemannian_sphere", "--samples", "4",

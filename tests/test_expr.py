@@ -14,7 +14,6 @@ from finslerlab.expr import (
     Variable,
     evaluate,
     parse,
-    pretty,
 )
 
 from jet_oracle import mixed_partial
@@ -150,23 +149,6 @@ def test_fractional_power():
 def test_function_requires_parentheses():
     with pytest.raises(ParseError):
         parse("sqrt y1", 1)
-
-
-@pytest.mark.parametrize(
-    "src",
-    [
-        "y1^2 + y2^2",
-        "sqrt(y1^2 + y2^2) + 0.3*y1",
-        "-(x1*y1 - x2/y2)^3",
-        "exp(x1)*ln(2.0 + y1^2) - y2^(-(1/2))",
-        "1.5e-2 * y1 + .5*y2",
-        "x1 - x2 - y1 - -y2",
-    ],
-)
-def test_pretty_round_trip(src):
-    tree = parse(src, 2)
-    printed = pretty(tree)
-    assert parse(printed, 2) == tree
 
 
 @given(

@@ -1,0 +1,49 @@
+"""Every function and class in the package serves a reader outside tests.
+
+A def or class name of src/finslerlab must occur as a whole word in the
+package beyond the lines that define it (a call, an import, a table
+entry, the package exports), in a benchmark script (perfbench/*.py,
+which hooks library names) or in a demo.  A name that only tests read
+is a second route or a helper kept for them: it belongs in tests/,
+where the test suite's own oracles live.  The sources are read as text;
+nothing is imported from them.
+"""
+
+import pathlib
+import re
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "finslerlab"
+DEFINITION = re.compile(r"^\s*(?:async\s+)?(?:def|class)\s+(\w+)", re.MULTILINE)
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def test_every_definition_has_a_reader_outside_tests():
+    sources = {path: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    defined = {}
+    for path, text in sources.items():
+        for match in DEFINITION.finditer(text):
+            if not _is_dunder(match.group(1)):
+                defined.setdefault(match.group(1), []).append(path.name)
+    # every line that defines a name is left out, so that a name defined
+    # twice (a function and a method) does not read itself
+    readers = "\n".join(
+        line
+        for text in sources.values()
+        for line in text.splitlines()
+        if not DEFINITION.match(line)
+    )
+    readers += "\n" + "\n".join(
+        path.read_text()
+        for folder in ("perfbench", "demos")
+        for path in sorted((ROOT / folder).glob("*.py"))
+    )
+    unread = sorted(
+        "%s (%s)" % (name, ", ".join(files))
+        for name, files in defined.items()
+        if not re.search(r"\b%s\b" % re.escape(name), readers)
+    )
+    assert not unread, "no reader outside tests: " + "; ".join(unread)
