@@ -31,13 +31,14 @@ bit-identical:
 - g in the (1, 6) ring for the spray and tau, which read it only
   through one x-derivative of F^2;
 - the spray's y-derivatives in the (1, 7) ring, and its braces A and
-  the spray itself in the (1, 6) ring: one symmetric elimination over
-  the upper triangle of g (scalars.ring_solve) solves g G = A/4, with no
-  inverse of g in the ring, after the check that g is positive definite;
-- det g, the product of the elimination's pivots, and ln det in the
-  (1, 1) ring: tau is read at its value and first partials.  The
-  Frame's g^-1 is a float matrix, the sweep (scalars.ring_inv) on the
-  value of g;
+  the spray itself in the (1, 6) ring, after the check that g is
+  positive definite: the Frame's g^-1 is a float matrix, the sweep
+  (scalars.ring_inv) on the value of g, and the graded solve
+  (series.graded_solve) preconditions g G = A/4 by it and fills G level
+  by level, with no ring product, reciprocal or inverse of g in the ring;
+- ln det g in the (1, 1) ring, where tau is read at its value and first
+  partials: ln det g0 + tr M - tr(M M)/2 with M = g0^-1 g - I, one
+  product of n^2 lanes;
 - the divergence, S, the projective spray and the Douglas core in the
   (1, 5) ring: the cubes read their (0, 3), (1, 3) and (0, 4) partials.
   Douglas is a projective invariant, so the projective spray's Douglas
@@ -59,9 +60,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, EvalError, RegularityError
-from .scalars import ln, ring_inv, ring_solve, value_of
+from .scalars import ln, ring_inv, value_of
 from .scalars import ring_det  # noqa: F401  (perfbench/spans.py wraps this name)
-from .series import Series, SeriesRing, restrict, x_only
+from .series import Series, SeriesRing, graded_solve, restrict, x_only
 
 # Orientation of the Ricci identity for the Berwald-curvature
 # commutator: B_j^i_{kl|m} - B_j^i_{km|l} = RICCI_LM_SIGN * d_k R_j^i_{lm}
@@ -123,10 +124,11 @@ def metric_series(fsq):
     """g_ij from the F^2 series, and g in the stage ring the spray reads.
 
     g keeps the budget (bx, by - 2) of two y-derivatives of F^2.  Its
-    value must be positive definite (a DomainError otherwise), which
-    gives the spray's elimination the nonzero pivots it needs.  The
-    spray and tau read g only through one x-derivative of F^2, so the
-    second matrix is g restricted to the (bx - 1, by - 2) stage ring.
+    value must be positive definite (a DomainError otherwise), so that
+    the sweep that inverts the value for the spray's graded solve meets
+    no zero pivot.  The spray and tau read g only through one
+    x-derivative of F^2, so the second matrix is g restricted to the
+    (bx - 1, by - 2) stage ring.
     """
     n = fsq.ring.n
     g = [[None] * n for _ in range(n)]
@@ -143,14 +145,15 @@ def metric_series(fsq):
     return g, [[restrict(gij, stage) for gij in row] for row in g]
 
 
-def spray_series(fsq, g, xs, ys):
-    """det g and the spray, from g in its stage ring (metric_series).
+def spray_series(fsq, g, g0, xs, ys):
+    """ln det g and the spray, from g in its stage ring (metric_series)
+    and g0 = (det, inverse) of its value (scalars.ring_inv on floats).
 
     G^i solves g_il G^l = 1/4 { d2 F^2/dx^k dy^l y^k - dF^2/dx^l }: the
-    braces run over the lanes l in the stage ring of g, and one
-    elimination (scalars.ring_solve) solves for G there.  det g, the
-    product of its pivots, runs in the (1, 1) stage ring: tau reads only
-    its value and first partials.
+    braces run over the lanes l in the stage ring of g, and the graded
+    solve, preconditioned by g0's inverse, fills G there.  ln det g is
+    ln det g0 + tr M - tr(M M)/2 with M = g0^-1 g - I, exact in the
+    (1, 1) ring that tau reads (M^3 has degree >= 3).
     """
     n = fsq.ring.n
     stage = g[0][0].ring
@@ -163,9 +166,16 @@ def spray_series(fsq, g, xs, ys):
     for k in range(1, n):
         A = A + D.part(np.s_[:, k]) * y.part(k)
     A = (A - restrict(dxP, stage)) * 0.25
-    pivots, G = ring_solve(g, [A.part(l) for l in range(n)])
+    det0, inverse = g0[0], np.asarray(g0[1])
+    g = restrict(g, stage)  # lanes [i, l]
+    G = graded_solve(g, A, inverse)
     low = stage.stage(1, 1)
-    return math.prod(restrict(p, low) for p in pivots), G
+    M = (inverse[:, :, None, None] * restrict(g, low).c).sum(axis=1)
+    M[..., 0] = 0.0  # the solve's preconditioned g, restricted, less I
+    MM = Series(low, M) * Series(low, M.swapaxes(0, 1))  # lanes [i, l]: M_il M_li
+    ln_det = np.trace(M) - MM.c.sum(axis=(0, 1)) * 0.5
+    ln_det[0] = ln(det0)
+    return Series(low, ln_det), [G.part(i) for i in range(n)]
 
 
 def riemann_series(G, xs, ys, by):
@@ -346,13 +356,14 @@ class Frame(Spray):
 
         g_ring, g_low = _at_state(self.x, self.y, metric_series, fsq)
         self.g = np.array([[g_ring[i][j].c[0] for j in range(n)] for i in range(n)])
-        self.ginv = np.array(ring_inv(self.g.tolist())[1])
+        det0, ginv = ring_inv(self.g.tolist())
+        self.ginv = np.array(ginv)
         self.y_low = self.g @ np.array(self.y)
         self.C = 0.5 * np.array(
             [[g_ring[i][j].partials(0, 1) for j in range(n)] for i in range(n)]
         )
 
-        det, G = spray_series(fsq, g_low, xs, ys)
+        ln_det, G = spray_series(fsq, g_low, (det0, self.ginv), xs, ys)
         super().__init__(G, xs, ys)
         lnsig = _at_state(self.x, self.y, log_sigma_series, volume, xs)
         S = self.div
@@ -361,7 +372,7 @@ class Frame(Spray):
             for m in range(1, n):
                 acc = acc + lnsig.dx(m) * ys[m]
             S = S - acc
-        tau = det.ln() * 0.5 - lnsig
+        tau = ln_det * 0.5 - lnsig
         self.S = S.c[0]
         self.S_x = S.partials(1, 0)
         self.S_y = S.partials(0, 1)

@@ -64,6 +64,8 @@ def powr(v, q):
         if k < 0 and v == 0.0:
             raise DomainError("negative power of zero")
         out = ipow(v, abs(k))
+        if k < 0 and out == 0.0:
+            raise DomainError("power %d of value %r underflows to zero" % (k, v))
         return 1.0 / out if k < 0 else out
     if v <= 0.0:
         raise DomainError("fractional power of non-positive value %r" % v)
@@ -95,47 +97,6 @@ def ring_det(a):
     return ring_inv(a)[0]
 
 
-def ring_solve(a, b):
-    """Pivots of a symmetric matrix a of ring scalars (a list of rows),
-    and the solution x of a x = b (a list).
-
-    Gaussian elimination without pivoting on the upper triangle of a copy
-    of the rows, in ring_inv's association: eliminating pivot p_k scales
-    the rest of its row, s_kj = m_kj (1/p_k), updates m_ij - m_ki s_kj
-    for k < i <= j and b_i - m_ki (b_k/p_k), and back substitution reads
-    x_k = b_k/p_k - sum_{j>k} s_kj x_j.  The pivots are therefore
-    ring_inv's, bit for bit, and det a is their product (math.prod
-    gives ring_inv's det), taken by the caller in the ring its readers
-    need.  Solving costs n(n-1)(n+1)/6 + 3n(n-1)/2 + n products (16 at
-    n=3, 32 at n=4), where forming the inverse and contracting it with b
-    costs n(n-1)(n+2)/2 + n^2 (24 and 52), and it is no less accurate
-    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 14).
-    Precondition as ring_inv's.
-    """
-    n = len(a)
-    m = [list(row) for row in a]  # m[i][j] with i <= j is the entry
-    rhs = list(b)
-    pivots, scaled = [], []
-    for k in range(n):
-        pivot = m[k][k]
-        pivots.append(pivot)
-        inv = 1.0 / pivot
-        line = m[k]
-        scaled.append({j: line[j] * inv for j in range(k + 1, n)})
-        rhs[k] = rhs[k] * inv
-        for i in range(k + 1, n):
-            row = m[i]
-            for j in range(i, n):
-                row[j] = row[j] - line[i] * scaled[k][j]
-            rhs[i] = rhs[i] - line[i] * rhs[k]
-    x = [None] * n
-    for k in reversed(range(n)):
-        x[k] = rhs[k]
-        for j in range(k + 1, n):
-            x[k] = x[k] - scaled[k][j] * x[j]
-    return pivots, x
-
-
 def ring_inv(a):
     """Determinant and inverse of a symmetric matrix of ring scalars.
 
@@ -152,8 +113,9 @@ def ring_inv(a):
     principal minor is nonzero (the pivots are their ratios), as in any
     positive-definite matrix; a zero pivot fails in the ring's
     reciprocal.  The closed-form Randers volume inverts a(x) with it, and
-    the Frame the float value of g; the spray solves with g instead
-    (ring_solve).
+    the Frame the float value of g, whose inverse preconditions the
+    spray's graded solve (series.graded_solve) and whose det gives tau's
+    ln det g its value.
     """
     n = len(a)
     m = [list(row) for row in a]  # m[i][j] with i <= j is the entry

@@ -33,15 +33,16 @@ monomial's mixed-radix exponent key (digit sums never carry) finds each
 output by searchsorted.  At n=4 that examines the 579 150 kept pairs,
 not all 55 million, and peaks at under twice the table's bytes.
 
-Each ring owns one product workspace: two float64 buffers as long as
-its table, grown when a batch needs more.  Every product and every
-graded level in the ring gathers its factors into them and multiplies in
-place; bincount allocates the result, so no result aliases a buffer.
-Without them a (2, 8) product at n=4 allocates three 4.6 MB
-temporaries, past glibc's mmap threshold, so each would go back to the
-OS and be faulted in again (about 7000 minor faults per frame-n4 state,
-against none with the workspace).  So one ring's products are not re-entrant; the library
-runs no threads.
+Each root ring owns one product workspace, which its stage rings
+(below) share: two float64 buffers as long as its table, grown when a
+batch needs more.  Every product and every graded level under the root
+gathers its factors into them and multiplies in place; bincount
+allocates the result, so no result aliases a buffer.  Without them a
+(2, 8) product at n=4 allocates three 4.6 MB temporaries, past glibc's
+mmap threshold, so each would go back to the OS and be faulted in again
+(about 7000 minor faults per frame-n4 state, against none with the
+workspace).  So products under one root are not re-entrant; the
+library runs no threads.
 
 Three shortcuts skip work that cannot reach a kept coefficient, and
 leave every result bit-identical to the plain product.  Sparse-factor
@@ -80,8 +81,8 @@ A non-finite coefficient in either factor falls back to the table.
 1-D products are left to the table: checking every one of them would
 cost a pass over the coefficients on hundreds of products per state.
 
-sqrt, reciprocal, ln and exp run no ring product.  Each is a graded
-recurrence over total degree (Griewank & Walther, Evaluating
+sqrt, reciprocal, ln, exp and the solve run no ring product.  Each is
+a graded recurrence over total degree (Griewank & Walther, Evaluating
 Derivatives, ch. 13): the value part first, then for d = 1..cap_x +
 cap_y the degree-d coefficients from lower degrees, through one pair
 sum P(p, q)_d = sum_(a<b) (p_a q_b + p_b q_a) + sum p_a q_a over the
@@ -93,7 +94,10 @@ product has degree d.  With E the degree operator ((E u)_m = deg(m) u_m):
 - ln: l_0 = ln u_0, (E l)_d = (d u_d - P(E l, u)_d) / u_0 and
   l_d = (E l)_d / d, from u E l = E u;
 - exp: e_0 = exp(u_0), e_d = ((E u)_d e_0 + P(E u, e)_d) / d, from
-  E e = e E u.
+  E e = e E u;
+- solve a x = b (graded_solve): h = a0^-1 a and c = a0^-1 b, a0^-1 the
+  float inverse of a's value part, x_0 = c_0 and x_d = c_d - sum_l
+  (h_il,d x_l,0 + P(h_il, x_l)_d), x broadcast along the lanes i.
 
 P(w, w) gathers once and doubles, which is exact, and a level without
 pairs (degree 1 has none) gathers nothing.  The ring's level table
@@ -136,10 +140,11 @@ and exp use the math module lane by lane (numpy's vectorised exp and
 log differ from it in the last bit on some inputs), and those of sqrt
 np.sqrt, which rounds correctly, as math.sqrt does.  An exp whose value
 part overflows raises DomainError naming it and its lane.  In a small
-ring the lanes share one pass over the table (a (1, 6) product at n=4:
-107 us per lane in a batch of 4, 167 us alone); a ring of its own with
-y-variables, such as the (2, 8) ring, is never batched (n=3: 0.93 ms
-per lane, against 0.27 ms unbatched).
+ring the lanes share one pass over the table's indices, which saves
+calls, not work (a (1, 6) product of dense factors at n=4: 99 us CPU
+per lane in a batch of 4 and alone, on a 2-core x86-64 VM); a ring of
+its own with y-variables, such as the (2, 8) ring, is never batched
+(n=3: 0.93 ms per lane, against 0.27 ms unbatched).
 """
 
 import itertools
@@ -192,7 +197,6 @@ class SeriesRing:
         self._derivative_cache = {}
         self._partial_cache = {}
         self._embed_cache = {}
-        self._work = (np.empty(0), np.empty(0))
         self._lane_bins = {}
         self._levels = None
         if root is None:
@@ -223,6 +227,7 @@ class SeriesRing:
         self.ydeg = powers[:, n:].sum(axis=1)
         if root is None:
             self._triples = self._build_triples()
+            self._work = (np.empty(0), np.empty(0))
 
     @property
     def triples(self):
@@ -253,12 +258,13 @@ class SeriesRing:
 
     def workspace(self, length):
         """Two float64 buffers of the given length, for a product's gathers
-        (module notes): views of the ring's own, which every product in
-        the ring reuses and a batch grows."""
-        if len(self._work[0]) < length:
-            grown = max(length, len(self.triples[0]))
-            self._work = (np.empty(grown), np.empty(grown))
-        return self._work[0][:length], self._work[1][:length]
+        (module notes): views of the root ring's own, which every product
+        under the root reuses and a batch grows."""
+        root = self.root
+        if len(root._work[0]) < length:
+            grown = max(length, len(root.triples[0]))
+            root._work = (np.empty(grown), np.empty(grown))
+        return root._work[0][:length], root._work[1][:length]
 
     def lane_bins(self, count):
         """Bincount bins of a full-table product over count lanes: lane k
@@ -569,7 +575,7 @@ def _gather(c, idx, buffer):
 def _pair_sum(ring, level, p, q):
     """Per monomial of one level of ring.levels(), in the order of its
     rows: the sum over the level's pairs a < b of p_a q_b + p_b q_a, plus
-    p_a q_a over its squares.  p and q have the same lane axes."""
+    p_a q_a over its squares.  q's lane axes broadcast to p's."""
     rows, iout, ia, ib, sq_out, sq_src = level
     m = p[..., 0].size * len(ia)
     if not m:
@@ -813,6 +819,26 @@ class Series:
             self.bx,
             self.by,
         )
+
+
+def graded_solve(a, b, inverse):
+    """x with a x = b for a Series a with lanes [i, l] and b with lanes
+    [i] in one ring, given the float inverse of a's value part (module
+    notes: h, the preconditioned a, is the identity at degree 0 up to
+    rounding)."""
+    ring = a.ring
+    # sums over j in order, coefficient by coefficient (einsum's order
+    # depends on the length), so that the solve is budget-invariant
+    h = (inverse[:, :, None, None] * a.c).sum(axis=1)
+    c = (inverse[:, :, None] * b.c).sum(axis=1)
+    x = np.zeros_like(c)
+    x[:, 0] = c[:, 0]
+    for level in ring.levels():
+        rows = level[0]
+        s = _pair_sum(ring, level, h, x[None])
+        s += h[..., rows] * x[None, :, :1]
+        x[:, rows] = c[:, rows] - s.sum(axis=1)
+    return Series(ring, x)
 
 
 def restrict(parts, ring):

@@ -10,7 +10,6 @@ from finslerlab import errors
 from finslerlab.catalog import get_example, list_examples
 from finslerlab.classify import (
     PREDICATES,
-    ClassificationReport,
     SamplePlan,
     Tolerances,
     _frame_residuals,

@@ -6,7 +6,6 @@ residual on each is a strong whole-pipeline check.
 """
 
 import ast
-import math
 import os
 import pathlib
 import subprocess
@@ -28,7 +27,6 @@ from finslerlab.metrics import alpha_beta_metric, construct_metric
 from finslerlab.series import Series, SeriesRing, restrict
 from finslerlab.volume import (
     bh_quadrature_volume,
-    bh_randers_volume,
     bh_sigma_quadrature,
     constant_volume,
     dsl_volume,
@@ -416,7 +414,7 @@ def _frame_products(monkeypatch, entry):
     The Frame runs at the first state of SamplePlan(count=1, seed=1), and
     its lazy stages run by reading R, the projective spray's R and the
     Berwald and Douglas cubes; stages are the enclosing metric_series,
-    spray_series, ring_solve and riemann_series calls.  lanes is the
+    spray_series, graded_solve and riemann_series calls.  lanes is the
     number of products a batched product stands for (1 when unbatched).
     """
     from finslerlab import engine
@@ -443,7 +441,7 @@ def _frame_products(monkeypatch, entry):
         return run
 
     x, y = sample_states(entry.metric, SamplePlan(count=1, seed=1)).states[0]
-    for name in ("metric_series", "spray_series", "ring_solve", "riemann_series"):
+    for name in ("metric_series", "spray_series", "graded_solve", "riemann_series"):
         monkeypatch.setattr(engine, name, staged(name, getattr(engine, name)))
     monkeypatch.setattr(Series, "__mul__", mul)
     monkeypatch.setattr(Series, "__rmul__", mul)
@@ -452,21 +450,15 @@ def _frame_products(monkeypatch, entry):
     return counted
 
 
-@pytest.mark.parametrize(
-    "name, solve_products", [("randers_osaka", 16), ("randers_n4", 32)]
-)
-def test_stage_budgets(monkeypatch, name, solve_products):
+@pytest.mark.parametrize("name", ["randers_osaka", "randers_n4"])
+def test_stage_budgets(monkeypatch, name):
     # g feeds only the spray and tau, through one x-derivative of F^2,
     # and every reader of R takes it at x-degree 0 and y-order <= 3, so
     # each stage runs its products at that budget, in the stage ring of
-    # that budget.  metric_series runs no product.  The spray contracts
-    # its braces over n batched products of n lanes, and ring_solve's
-    # elimination runs n - 1 - k products to scale pivot k's row, one
-    # for b_k / p_k, and (n - k - 1)(n - k)/2 to update the rest of the
-    # upper triangle and n - k - 1 for the right-hand side after it;
-    # back substitution runs n(n-1)/2 (n(n-1)(n+1)/6 + 3n(n-1)/2 + n:
-    # 16 at n=3, 32 at n=4).  det, the product of its pivots, runs its
-    # n - 1 products in the (1, 1) ring, all that tau reads
+    # that budget.  metric_series runs no product, nor does the graded
+    # solve.  The spray's (1, 6) products are its braces alone, n batched
+    # products of n lanes, and tau's ln det runs one product of n^2
+    # lanes (M_il M_li) in the (1, 1) ring, all that tau reads
     entry = randers_n4() if name == "randers_n4" else get_example(name)
     n = entry.metric.dimension
     counted = _frame_products(monkeypatch, entry)
@@ -478,15 +470,14 @@ def test_stage_budgets(monkeypatch, name, solve_products):
         return {caps for stages, _, caps, _ in counted if stage in stages}
 
     def lanes(stage, caps):
-        return sum(k for stages, _, c, k in counted if stage in stages and c == caps)
+        return [k for stages, _, c, k in counted if stage in stages and c == caps]
 
     assert budgets("metric_series") == set()
+    assert budgets("graded_solve") == set()
     assert budgets("spray_series") == rings("spray_series") == {(1, 6), (1, 1)}
-    assert budgets("ring_solve") == rings("ring_solve") == {(1, 6)}
     assert budgets("riemann_series") == rings("riemann_series") == {(0, 3)}
-    assert lanes("ring_solve", (1, 6)) == solve_products
-    assert lanes("spray_series", (1, 6)) == solve_products + n * n
-    assert lanes("spray_series", (1, 1)) == n - 1
+    assert lanes("spray_series", (1, 6)) == [n] * n
+    assert lanes("spray_series", (1, 1)) == [n * n]
     # two calls, 3 n^3 products each, as 3 n batched products of n^2 lanes
     in_riemann = [k for stages, _, _, k in counted if "riemann_series" in stages]
     assert in_riemann == [n * n] * (6 * n)
@@ -524,10 +515,20 @@ def test_graded_sqrt_runs_no_full_budget_products(monkeypatch, name, most):
     assert 0 < _full_budget_products(monkeypatch, name) <= most
 
 
-@pytest.mark.parametrize("name", ["mkropina_yang", "minkowski_quartic"])
+# the graded operations a Frame of each entry runs: the spray's solve
+# runs none, and mkropina's and osaka's coefficient fields take
+# reciprocals in the x-only ring
+GRADED_RUN = {
+    "mkropina_yang": {"reciprocal", "ln", "exp"},
+    "minkowski_quartic": {"ln", "exp"},
+    "randers_osaka": {"reciprocal", "sqrt", "ln"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRADED_RUN))
 def test_graded_operations_run_no_products(monkeypatch, name):
-    # reciprocal, ln and exp read the level table, as sqrt does, where
-    # Newton and the Horner loops ran ring products
+    # reciprocal, sqrt, ln and exp read the level table, where Newton
+    # and the Horner loops ran ring products
     entry = get_example(name)
     x, y = sample_states(entry.metric, SamplePlan(count=1, seed=1)).states[0]
     inside, calls, products = [], [], []
@@ -550,13 +551,13 @@ def test_graded_operations_run_no_products(monkeypatch, name):
             products.append(tuple(inside))
         return plain(a, b)
 
-    for op in ("reciprocal", "ln", "exp"):
+    for op in ("reciprocal", "sqrt", "ln", "exp"):
         monkeypatch.setattr(Series, op, graded(op, Series.__dict__[op]))
     monkeypatch.setattr(Series, "__mul__", mul)
     monkeypatch.setattr(Series, "__rmul__", mul)
     frame = Frame(entry.metric, entry.volume, x, y)
     frame.R, frame.projective.R, frame.B, frame.D
-    assert {"reciprocal", "ln", "exp"} <= set(calls)
+    assert set(calls) == GRADED_RUN[name]
     assert products == []
 
 

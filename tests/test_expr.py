@@ -7,14 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finslerlab.errors import EvalError, ParseError
-from finslerlab.expr import (
-    Binary,
-    Literal,
-    Unary,
-    Variable,
-    evaluate,
-    parse,
-)
+from finslerlab.expr import Literal, Unary, evaluate, parse
 
 from jet_oracle import mixed_partial
 

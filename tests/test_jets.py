@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finslerlab.errors import DomainError, TowerBudgetError
-from finslerlab.scalars import ring_det, ring_inv, ring_solve
+from finslerlab.scalars import ring_det, ring_inv
+from finslerlab.series import SeriesRing, graded_solve, restrict
 
 from jet_oracle import (
     MAX_LEVELS,
@@ -256,7 +257,7 @@ def test_mixed_level_arithmetic_rejected():
         a + b
 
 
-# -- ring_det / ring_inv / ring_solve -------------------------------------
+# -- ring_det / ring_inv / the graded solve --------------------------------
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -273,15 +274,30 @@ def test_ring_det_and_inv_match_numpy(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_ring_solve_matches_numpy(n):
-    # the elimination's precondition is the sweep's
+    # the spray's graded solve, in the (1, 2) ring at n: a(x + xi, y +
+    # eta) = a0 + the shifts times random symmetric matrices, for which
+    # a x = b holds coefficient for coefficient, and x's value part is
+    # numpy's solve of the values (measured: at most 8.9e-16 off, n = 3)
     rng = np.random.default_rng(n)
-    b = rng.normal(size=(n, n))
-    a = b @ b.T + n * np.eye(n)
-    rhs = rng.normal(size=n)
-    pivots, x = ring_solve(a.tolist(), rhs.tolist())
-    assert math.prod(pivots) == pytest.approx(np.linalg.det(a), rel=1e-12)
-    assert np.abs(np.array(x) - np.linalg.solve(a, rhs)).max() <= 1e-12
-    assert math.prod(pivots) == ring_det(a.tolist())
+    c = rng.normal(size=(n, n))
+    a0 = c @ c.T + n * np.eye(n)
+    b0 = rng.normal(size=n)
+    ring = SeriesRing.get(n, 1, 2)
+    xs, ys = ring.state(rng.normal(size=n), rng.normal(size=n))
+    a = [[ring.constant(a0[i, j]) for j in range(n)] for i in range(n)]
+    for shift in xs + ys:
+        s = rng.normal(size=(n, n)) * 0.3
+        s = s + s.T
+        for i in range(n):
+            for j in range(n):
+                a[i][j] = a[i][j] + (shift - shift.value()) * s[i, j]
+    eta = [v - v.value() for v in ys]
+    b = [ring.constant(b0[i]) + eta[i] * eta[i] * 0.5 for i in range(n)]
+    x = graded_solve(restrict(a, ring), restrict(b, ring), np.linalg.inv(a0))
+    assert np.abs(x.value() - np.linalg.solve(a0, b0)).max() <= 1e-14
+    for i in range(n):
+        ax = sum((a[i][l] * x.part(l) for l in range(1, n)), a[i][0] * x.part(0))
+        assert np.abs((ax - b[i]).c).max() <= 1e-14
 
 
 def test_ring_inv_tangent_matches_fd():

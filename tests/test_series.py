@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finslerlab import catalog, classify, engine, scalars, series as series_module
-from finslerlab.errors import DomainError, TowerBudgetError
+from finslerlab.errors import DomainError, EvalError, TowerBudgetError
+from finslerlab.expr import evaluate, parse
 from finslerlab.series import Series, SeriesRing, embed, restrict
 
 from jet_oracle import mixed_partial
@@ -287,7 +288,7 @@ def test_batched_value_parts_match_float_ring():
         assert got.tolist() == [f(float(v)) for v in values]
 
 
-@pytest.mark.parametrize("k", [-3, -1, 0, 1, 2, 3, 4, 6])
+@pytest.mark.parametrize("k", [-3, -2, -1, 0, 1, 2, 3, 4, 6])
 def test_integer_powers_match_the_float_ring(k):
     # both rings power by one routine (scalars.ipow), so value parts are
     # the float results bit for bit, for either sign of the base
@@ -301,6 +302,16 @@ def test_integer_powers_match_the_float_ring(k):
             scalars.powr(0.0, k)
         with pytest.raises(DomainError, match="reciprocal of zero value part"):
             ring.constant([1.0, 0.0]).powr(k)
+    if k < -1:
+        # 1e-200 ** |k| underflows to 0.0: a DomainError naming the base
+        # in the float ring, as the series ring's reciprocal raises one
+        with pytest.raises(DomainError, match="1e-200 underflows"):
+            scalars.powr(1e-200, k)
+        with pytest.raises(EvalError, match="1e-200 underflows") as caught:
+            evaluate(parse("x1^(%d)" % k, 2), [1e-200, 0.0], [1.0, 0.0])
+        assert isinstance(caught.value.__cause__, DomainError)
+        with pytest.raises(DomainError, match="reciprocal of zero value part"):
+            ring.constant([1.0, 1e-200]).powr(k)
 
 
 def test_batched_domain_error_names_first_bad_lane():
@@ -886,22 +897,29 @@ def test_ring_inv_det_equals_ring_det_on_series():
     assert np.array_equal(det.c, want.c)
 
 
-def test_ring_solve_det_equals_ring_inv_det_on_series():
-    # the elimination's pivots are the sweep's, product for product, and
-    # their product in a smaller ring is det restricted to it
-    ring = SeriesRing.get(3)
-    xs, ys = ring.state(X3, Y3)
-    f = smooth3(xs, ys)
-    g = [[f.dy(i).dy(j) * 0.5 for j in range(3)] for i in range(3)]
-    pivots, _ = scalars.ring_solve(g, [ys[0], ys[1], f])
-    det = math.prod(pivots)
-    want = scalars.ring_inv(g)[0]
-    assert det.ring is want.ring is ring.stage(2, 6)
-    assert np.array_equal(det.c, want.c)
-    low = ring.stage(1, 1)
-    det = math.prod(restrict(p, low) for p in pivots)
-    assert det.ring is low
-    assert np.array_equal(det.c, restrict(want, low).c)
+@pytest.mark.parametrize("name", catalog.list_examples() + ["randers_n4"])
+def test_trace_series_ln_det_matches_ring_inv(name):
+    # tau's ln det g, ln det g0 + tr M - tr(M M)/2 in the (1, 1) ring
+    # (engine.spray_series), against a second route: the ln of the
+    # sweep's det of the (1, 6)-ring g, restricted to the (1, 1) ring, at
+    # 5 states of plan seed 3.  Value parts agree bit for bit (both are
+    # ln of the float sweep's det); measured max|diff| / max(1, max|ref|)
+    # at most 5.8e-16 (mkropina_yang), so the bound leaves 2x headroom
+    entry = randers_n4() if name == "randers_n4" else catalog.get_example(name)
+    n = entry.metric.dimension
+    ring = SeriesRing.get(n, 2, 8)
+    plan = classify.SamplePlan(count=5, seed=3)
+    for x, y in classify.sample_states(entry.metric, plan).states:
+        xs, ys = ring.state(x, y)
+        fsq = engine.fsq_series(entry.metric, xs, ys)
+        g = engine.metric_series(fsq)[1]
+        g0 = scalars.ring_inv([[v.value() for v in row] for row in g])
+        got = engine.spray_series(fsq, g, g0, xs, ys)[0]
+        want = restrict(scalars.ring_inv(g)[0].ln(), ring.stage(1, 1))
+        assert got.ring is want.ring
+        assert got.c[0] == want.c[0], (name, x, y)
+        err = np.abs(got.c - want.c).max() / max(1.0, np.abs(want.c).max())
+        assert err <= 1.2e-15, (name, x, y, err)
 
 
 def _long_double_inverse(b):
@@ -976,44 +994,45 @@ def _long_double_contract(ring, q, b):
 @pytest.mark.parametrize("name", catalog.list_examples() + ["randers_n4"])
 def test_ring_solve_error_against_long_double(monkeypatch, name):
     # The spray G in the (1, 6) stage ring, solved from g G = A/4 as the
-    # Frame does, and by the route it replaced (ring_inv's g^-1
-    # contracted with A/4), against the long-double g^-1 contracted with
-    # the same A/4, at 5 states of plan seed 3.  Measured worst
-    # max|G - ref| / max|ref| over the states, solve (inverse):
-    # mkropina_yang 1.5e-10 (4.0e-10, the ill-conditioned g of its last
-    # two states), randers_osaka 1.9e-14 (1.8e-14), randers_baoshen
-    # 1.2e-14 (1.3e-14), randers_n4 2.1e-15 (1.7e-15), randers_humo
-    # 1.6e-15 (1.2e-15), at most 1.3e-16 elsewhere.  The bounds are twice
-    # the worst, mkropina's and the others', and the solve stays within
-    # twice the inverse's error
+    # Frame does (series.graded_solve, preconditioned by the float g0^-1),
+    # and by the route the solves replaced (ring_inv's g^-1 contracted
+    # with A/4), against the long-double g^-1 contracted with the same
+    # A/4, at 5 states of plan seed 3.  Measured worst max|G - ref| /
+    # max|ref| over the states, solve (inverse): mkropina_yang 8.8e-11
+    # (4.0e-10, the ill-conditioned g of its last two states),
+    # randers_baoshen 1.6e-14 (1.3e-14), randers_osaka 7.1e-15 (1.8e-14),
+    # randers_humo 1.7e-15 (1.2e-15), randers_n4 1.6e-15 (1.7e-15), at
+    # most 1.3e-16 elsewhere.  The bounds, set for the symmetric
+    # elimination the graded solve replaced (mkropina 1.5e-10, osaka
+    # 1.9e-14), stay: 3.0e-10 for mkropina_yang, 3.8e-14 for the others,
+    # and the solve within twice the inverse's error
     entry = randers_n4() if name == "randers_n4" else catalog.get_example(name)
     n = entry.metric.dimension
     ring = SeriesRing.get(n, 2, 8)
-    solve, calls = scalars.ring_solve, []
+    solve, calls = series_module.graded_solve, []
 
-    def spy(a, b):
+    def spy(a, b, inverse):
         calls.append((a, b))
-        return solve(a, b)
+        return solve(a, b, inverse)
 
-    monkeypatch.setattr(engine, "ring_solve", spy)
+    monkeypatch.setattr(engine, "graded_solve", spy)
     worst = {"solve": 0.0, "inverse": 0.0}
     plan = classify.SamplePlan(count=5, seed=3)
     for x, y in classify.sample_states(entry.metric, plan).states:
         xs, ys = ring.state(x, y)
         fsq = engine.fsq_series(entry.metric, xs, ys)
-        _, G = engine.spray_series(fsq, engine.metric_series(fsq)[1], xs, ys)
-        ((g, b),) = calls
+        g = engine.metric_series(fsq)[1]
+        g0 = scalars.ring_inv([[v.value() for v in row] for row in g])
+        _, G = engine.spray_series(fsq, g, g0, xs, ys)
+        ((a, rhs),) = calls
         calls.clear()
-        stage = b[0].ring
-        rhs = restrict(b, stage)
+        stage = rhs.ring
         ginv = restrict(scalars.ring_inv(g)[1], stage)
         inverse = ginv.part(np.s_[:, 0]) * rhs.part(0)
         for l in range(1, n):
             inverse = inverse + ginv.part(np.s_[:, l]) * rhs.part(l)
         want = _long_double_contract(
-            stage,
-            _long_double_inverse(restrict(g, stage)),
-            rhs.c.astype(np.longdouble),
+            stage, _long_double_inverse(a), rhs.c.astype(np.longdouble)
         )
         scale = max(float(np.abs(want).max()), np.finfo(float).tiny)
         for route, got in (("solve", restrict(G, stage)), ("inverse", inverse)):
@@ -1037,6 +1056,28 @@ INVARIANCE_OPS = {
     "powr 1.5": lambda a, b: a.powr(1.5),
     "powr 3": lambda a, b: a.powr(3),
 }
+
+
+def test_graded_solve_is_budget_invariant():
+    # run in a stage ring, the solve gives the root's solution restricted
+    # to it, bit for bit, as the graded recurrences do (in rings of its
+    # own, whose workspaces its n^2 lanes grow)
+    for n in (3, 4):
+        ring = SeriesRing(n, 2, 5)
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, n, ring.size)) * 0.5 ** (ring.xdeg + ring.ydeg)
+        a = a + a.swapaxes(0, 1)
+        a[..., 0] += 4.0 * np.eye(n)
+        b = rng.normal(size=(n, ring.size))
+        inverse = np.linalg.inv(a[..., 0])
+        x = series_module.graded_solve(Series(ring, a), Series(ring, b), inverse)
+        for bx, by in [(1, 4), (2, 3), (0, 3), (1, 1)]:
+            stage = ring.stage(bx, by)
+            pos = ring.positions_of(stage)
+            got = series_module.graded_solve(
+                Series(stage, a[..., pos]), Series(stage, b[..., pos]), inverse
+            )
+            assert np.array_equal(got.c, x.c[..., pos]), (n, bx, by)
 
 
 def _random_series(ring, rng, density):
@@ -1114,7 +1155,7 @@ def test_products_never_alias_the_workspace():
     stage = ring.stage(1, 6)
     batch = restrict([f, f.dy(0)], stage)
     for got in (f * f, ys[1] * f, batch * restrict(f, stage), batch * batch):
-        for buffer in got.ring._work:
+        for buffer in got.ring.root._work:
             assert not np.shares_memory(got.c, buffer)
 
 
@@ -1142,16 +1183,20 @@ def test_product_over_an_empty_selection_is_float_zeros(lanes):
 
 
 def test_batched_product_grows_the_workspace():
-    stage = SeriesRing(3, 2, 8).stage(1, 5)  # a fresh workspace
+    # a stage ring gathers into its root's workspace, as long as the
+    # root's table (84 084 triples), which 30 lanes of the stage's 3234
+    # outgrow
+    root = SeriesRing(3, 2, 8)  # a fresh workspace
+    stage = root.stage(1, 5)
     rng = np.random.default_rng(9)
     u = _stage_factors(stage, rng, ())
     u * u
     table = len(stage.triples[0])
-    assert len(stage._work[0]) == table
-    for count in (2, 5, 3):
+    assert len(root._work[0]) == len(root.triples[0])
+    for count in (2, 30, 3):
         batch = _stage_factors(stage, rng, (count,))
         got = batch * u
-        assert len(stage._work[0]) >= count * table
+        assert len(root._work[0]) >= max(count * table, len(root.triples[0]))
         for k in range(count):
             lane = batch.part(k)
             assert np.array_equal(got.c[k], (lane * u).c)
