@@ -273,16 +273,20 @@ def _emit_text(payload, stream):
         write("expectation mismatches: %s\n" % "; ".join(mismatches))
 
 
-def _base_payload(args, params, metric_name, volume_label):
-    return {
+def _base_payload(args, params, metric_name, volume):
+    payload = {
         "config": _config_echo(args, params),
         "metric": metric_name,
-        "volume": volume_label,
+        "volume": volume.label,
         "predicates": [],
         "identities": [],
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "version": __version__,
     }
+    if volume.rule is not None:
+        # the quadrature's chosen rule: grid, directions, error estimate
+        payload["volume_rule"] = volume.rule.as_dict()
+    return payload
 
 
 def run_list(args, stream=None):
@@ -315,7 +319,7 @@ def run_classify(args, stream=None):
     volume = _resolve_volume(args, metric, default_volume, params)
     report = classify_metric(metric, volume, _plan(args), _tolerances(args))
 
-    payload = _base_payload(args, params, metric.name, volume.label)
+    payload = _base_payload(args, params, metric.name, volume)
     summary = report.as_dict()
     for key in ("predicates", "rejections", "rejection_reasons",
                 "hierarchy_violations", "errored_states", "errors"):
@@ -379,7 +383,7 @@ def run_verify(args, stream=None):
             worst_state=[list(worst[0]), list(worst[1])],
         )
 
-    payload = _base_payload(args, echo, metric.name, volume.label)
+    payload = _base_payload(args, echo, metric.name, volume)
     payload["identities"] = [row]
     payload.update(
         rejections=batch.rejections,

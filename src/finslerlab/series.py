@@ -135,16 +135,18 @@ quadrature volume runs all its sphere directions through the x-only
 ring in one pass, and Riemann its 3 n^3 products per call as 3 n
 products over the n^2 lanes (i, k).  Every lane is bit-identical to the
 unbatched evaluation: products and graded levels offset the bincount
-bins per lane, so each lane sums in the 1-D order; value parts of ln
-and exp use the math module lane by lane (numpy's vectorised exp and
-log differ from it in the last bit on some inputs), and those of sqrt
-np.sqrt, which rounds correctly, as math.sqrt does.  An exp whose value
-part overflows raises DomainError naming it and its lane.  In a small
-ring the lanes share one pass over the table's indices, which saves
-calls, not work (a (1, 6) product of dense factors at n=4: 99 us CPU
-per lane in a batch of 4 and alone, on a 2-core x86-64 VM); a ring of
-its own with y-variables, such as the (2, 8) ring, is never batched
-(n=3: 0.93 ms per lane, against 0.27 ms unbatched).
+bins per lane, so each lane sums in the 1-D order (the ring caches the
+offset bins by lane count, of the product table and of each level);
+value parts of ln and exp use the math module lane by lane (numpy's
+vectorised exp and log differ from it in the last bit on some inputs),
+and those of sqrt np.sqrt, which rounds correctly, as math.sqrt does.
+An exp whose value part overflows raises DomainError naming it and its
+lane.  In a small ring the lanes share one pass over the table's
+indices, which saves calls, not work (a (1, 6) product of dense factors
+at n=4: 99 us CPU per lane in a batch of 4 and alone, on a 2-core
+x86-64 VM); a ring of its own with y-variables, such as the (2, 8)
+ring, is never batched (n=3: 0.93 ms per lane, against 0.27 ms
+unbatched).
 """
 
 import itertools
@@ -269,10 +271,20 @@ class SeriesRing:
     def lane_bins(self, count):
         """Bincount bins of a full-table product over count lanes: lane k
         sums into bins size*k.., in table order."""
-        bins = self._lane_bins.get(count)
+        bins = self._lane_bins.get((None, count))
         if bins is None:
             bins = _lane_bins(self.triples[0], self.size, count)
-            self._lane_bins[count] = bins
+            self._lane_bins[(None, count)] = bins
+        return bins
+
+    def level_bins(self, d, count):
+        """Bincount bins of level d of the level table over count lanes:
+        lane k sums into bins len(rows)*k.., in the level's pair order."""
+        bins = self._lane_bins.get((d, count))
+        if bins is None:
+            rows, iout = self.levels()[d - 1][:2]
+            bins = _lane_bins(iout, len(rows), count)
+            self._lane_bins[(d, count)] = bins
         return bins
 
     def levels(self):
@@ -572,12 +584,13 @@ def _gather(c, idx, buffer):
     return c.take(idx, axis=-1, out=out, mode="clip")
 
 
-def _pair_sum(ring, level, p, q):
-    """Per monomial of one level of ring.levels(), in the order of its
+def _pair_sum(ring, d, p, q):
+    """Per monomial of level d of ring.levels(), in the order of its
     rows: the sum over the level's pairs a < b of p_a q_b + p_b q_a, plus
     p_a q_a over its squares.  q's lane axes broadcast to p's."""
-    rows, iout, ia, ib, sq_out, sq_src = level
-    m = p[..., 0].size * len(ia)
+    rows, iout, ia, ib, sq_out, sq_src = ring.levels()[d - 1]
+    count = p[..., 0].size
+    m = count * len(ia)
     if not m:
         s = np.zeros(p.shape[:-1] + (len(rows),))
     else:
@@ -588,7 +601,8 @@ def _pair_sum(ring, level, p, q):
             t2 = _gather(p, ib, wa[m:])
             t2 *= _gather(q, ia, wb[m:])
             t += t2
-        s = _bincount(iout, t, len(rows))
+        bins = ring.level_bins(d, count) if count > 1 else iout
+        s = _bincount(bins, t, len(rows))
         if p is q:
             s *= 2.0  # p_a p_b + p_b p_a = 2 p_a p_b exactly
     if len(sq_out):
@@ -730,9 +744,9 @@ class Series:
             raise DomainError("reciprocal of zero value part")
         q = np.zeros_like(u)
         q[..., :1] = 1.0 / u0
-        for level in self.ring.levels():
+        for d, level in enumerate(self.ring.levels(), 1):
             rows = level[0]
-            s = _pair_sum(self.ring, level, u, q)
+            s = _pair_sum(self.ring, d, u, q)
             q[..., rows] = -(u[..., rows] * q[..., :1] + s) / u0
         return Series(self.ring, q)
 
@@ -742,9 +756,9 @@ class Series:
         w = np.zeros_like(u)
         w[..., 0] = np.sqrt(u[..., 0])  # correctly rounded, as math.sqrt
         twice = 2.0 * w[..., :1]
-        for level in self.ring.levels():
+        for d, level in enumerate(self.ring.levels(), 1):
             rows = level[0]
-            w[..., rows] = (u[..., rows] - _pair_sum(self.ring, level, w, w)) / twice
+            w[..., rows] = (u[..., rows] - _pair_sum(self.ring, d, w, w)) / twice
         return Series(self.ring, w)
 
     def exp(self):
@@ -754,7 +768,7 @@ class Series:
         e[..., 0] = _lanes(math.exp, u[..., 0], "exp")
         for d, level in enumerate(self.ring.levels(), 1):
             rows = level[0]
-            s = _pair_sum(self.ring, level, eu, e)
+            s = _pair_sum(self.ring, d, eu, e)
             e[..., rows] = (eu[..., rows] * e[..., :1] + s) / d
         return Series(self.ring, e)
 
@@ -767,7 +781,7 @@ class Series:
         out[..., 0] = _lanes(math.log, u[..., 0], "ln")
         for d, level in enumerate(self.ring.levels(), 1):
             rows = level[0]
-            el[..., rows] = (d * u[..., rows] - _pair_sum(self.ring, level, el, u)) / u0
+            el[..., rows] = (d * u[..., rows] - _pair_sum(self.ring, d, el, u)) / u0
             out[..., rows] = el[..., rows] / d
         return Series(self.ring, out)
 
@@ -833,9 +847,9 @@ def graded_solve(a, b, inverse):
     c = (inverse[:, :, None] * b.c).sum(axis=1)
     x = np.zeros_like(c)
     x[:, 0] = c[:, 0]
-    for level in ring.levels():
+    for d, level in enumerate(ring.levels(), 1):
         rows = level[0]
-        s = _pair_sum(ring, level, h, x[None])
+        s = _pair_sum(ring, d, h, x[None])
         s += h[..., rows] * x[None, :, :1]
         x[:, rows] = c[:, rows] - s.sum(axis=1)
     return Series(ring, x)

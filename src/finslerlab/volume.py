@@ -14,20 +14,28 @@ other factor rather than gathering the product table, so of the 22
 batched products in a Randers F^-3 at n=3 only F * F and F^2 * F
 gather it.
 
-Quadrature grid: the azimuthal directions are periodic and get uniform
-trapezoid nodes (spectrally accurate there); the polar direction is not
-periodic, where a trapezoid would be stuck at O(h^2), so it uses
-Gauss-Legendre in cos(theta) instead.  After averaging over the
-azimuth the integrand is analytic in cos(theta), which makes that
-factor spectral as well; the node count (48 x 96 for n=3, 256 for
-n=2) then lands the closed-form comparison well inside 1e-6.
+Quadrature rules: a rung m of a fixed ladder (LADDER) is a product
+rule on S^{n-1} (sphere_nodes, n = 2, 3, 4).  Periodic angles get 2m
+uniform trapezoid nodes each (spectrally accurate there); the polar
+coordinate u is not periodic, where a trapezoid would be stuck at
+O(h^2), so it gets m Gauss-Legendre nodes.  After averaging over the
+angles the integrand is analytic in u, which makes that factor
+spectral as well.  At n = 3, u = cos(theta); at n = 4, Hopf coordinates
+leave two periodic angles.  One size does not fit every metric (a
+coarse rung can be exact at x = 0 and off by 1e-11 at sampled x), so
+bh_quadrature_volume chooses the rung once per metric (choose_rule):
+it walks up the ladder, evaluating ln sigma on floats at the origin and
+at +-PROBE_RADIUS e_i, and stops at the first two consecutive rungs
+that agree at every probe to AGREE_EPS machine epsilons of
+max(1, |ln sigma|).  The finer of the two is the rule; their largest
+difference is its reported error estimate, floored at that tolerance.
 """
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -38,58 +46,97 @@ from .scalars import ring_det  # noqa: F401  (perfbench/spans.py wraps this name
 from .series import Series, SeriesRing
 
 
+# the rungs m of the quadrature ladder (module notes)
+LADDER = (8, 12, 16, 24, 32, 48, 64)
+# two rungs agree when ln sigma differs by at most this many machine
+# epsilons of max(1, |ln sigma|) at every probe
+AGREE_EPS = 64
+# the probes are the origin and +-PROBE_RADIUS e_i: the sampler's default
+# x radius (classify.SamplePlan), so that they span the sampled states
+PROBE_RADIUS = 0.4
+
+
+@dataclass(frozen=True)
+class QuadratureRule:
+    """The rung of the ladder that choose_rule picked for a metric."""
+
+    shape: tuple  # nodes per sphere coordinate, polar first
+    # the largest ln sigma gap to the rung below, of max(1, |ln sigma|),
+    # or the agreement tolerance when that is larger: the ladder does not
+    # tell a gap below it from rounding
+    estimate: float
+    nodes: tuple = field(repr=False, compare=False)  # sphere_nodes' (dirs, weights)
+
+    @property
+    def directions(self):
+        return len(self.nodes[1])
+
+    def as_dict(self):
+        return {
+            "grid": list(self.shape),
+            "directions": self.directions,
+            "estimate": self.estimate,
+        }
+
+
 @dataclass(frozen=True)
 class VolumeForm:
     kind: str  # constant | bh_quadrature | bh_randers_closed | dsl
     label: str
     sigma: Callable  # x_vec (any ring) -> positive scalar
+    rule: Optional[QuadratureRule] = None  # the quadrature's chosen rule
+
+
+def grid_shape(n, m):
+    """Nodes per coordinate of rung m on S^{n-1}, polar first."""
+    return (2 * m,) if n == 2 else (m,) + (2 * m,) * (n - 2)
 
 
 @lru_cache(maxsize=None)
-def sphere_nodes(n):
-    """Fixed direction/weight set on the unit sphere S^{n-1}."""
+def sphere_nodes(n, m):
+    """Rung m of the ladder on the unit sphere S^{n-1}: (dirs, weights).
+
+    n = 2: 2m trapezoids in the angle.  n = 3: m Gauss-Legendre nodes in
+    u = cos(theta) times 2m trapezoids in the azimuth.  n = 4, in Hopf
+    coordinates y = (r1 cos a, r1 sin a, r2 cos b, r2 sin b) with
+    r1^2 = (1 + u)/2, r2^2 = (1 - u)/2 and area element du da db / 4:
+    m Gauss-Legendre nodes in u times 2m trapezoids in each of a and b.
+    Directions run over the last coordinate fastest.
+    """
+    if not 2 <= n <= 4:
+        raise ConfigError(
+            "quadrature volume is implemented for n in {2, 3, 4}, got %d" % n
+        )
+    k = 2 * m
+    phi = 2.0 * math.pi * np.arange(k) / k
+    h = 2.0 * math.pi / k
+    circle = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    u, wu = np.polynomial.legendre.leggauss(m)
     if n == 2:
-        k = 256
-        phi = 2.0 * math.pi * np.arange(k) / k
-        dirs = np.stack([np.cos(phi), np.sin(phi)], axis=1)
-        weights = np.full(k, 2.0 * math.pi / k)
-        return dirs, weights
-    if n == 3:
-        nu, nphi = 48, 96
-        u, wu = np.polynomial.legendre.leggauss(nu)  # u = cos(theta)
-        phi = 2.0 * math.pi * np.arange(nphi) / nphi
-        wphi = 2.0 * math.pi / nphi
-        su = np.sqrt(1.0 - u**2)
-        dirs = np.empty((nu * nphi, 3))
-        weights = np.empty(nu * nphi)
-        for i in range(nu):
-            rows = slice(i * nphi, (i + 1) * nphi)
-            dirs[rows, 0] = su[i] * np.cos(phi)
-            dirs[rows, 1] = su[i] * np.sin(phi)
-            dirs[rows, 2] = u[i]
-            weights[rows] = wu[i] * wphi
-        return dirs, weights
-    raise ConfigError("quadrature volume is implemented for n in {2, 3}")
+        dirs, weights = circle, np.full(k, h)
+    elif n == 3:
+        dirs = np.empty((m, k, 3))
+        dirs[..., :2] = np.sqrt(1.0 - u**2)[:, None, None] * circle
+        dirs[..., 2] = u[:, None]
+        weights = np.repeat(wu * h, k)
+    else:
+        dirs = np.empty((m, k, k, 4))
+        dirs[..., :2] = np.sqrt((1.0 + u) / 2.0)[:, None, None, None] * circle[:, None]
+        dirs[..., 2:] = np.sqrt((1.0 - u) / 2.0)[:, None, None, None] * circle
+        weights = np.repeat(wu * (h * h / 4.0), k * k)
+    dirs = dirs.reshape(-1, n)
+    # every caller shares the cached arrays
+    dirs.flags.writeable = weights.flags.writeable = False
+    return dirs, weights
 
 
 def unit_ball_volume(n):
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
-def bh_sigma_quadrature(metric, x):
-    """Busemann-Hausdorff density at x by spherical quadrature.
-
-    sigma(x) = Vol(B^n) / ((1/n) * integral over S^{n-1} of F(x, d)^-n).
-    x is a list of floats (returns a float) or of x-only Series (returns
-    a Series of that ring).  Errors on conic metrics, whose F is
-    undefined on part of the sphere.
-    """
+def _sigma(metric, x, nodes):
+    """The quadrature density at x (floats or x-only Series) by one rule."""
     n = metric.dimension
-    if metric.family == "alpha_beta_power":
-        raise DomainError(
-            "Busemann-Hausdorff quadrature needs F on the whole sphere; "
-            "%r is conic - supply a density instead" % metric.name
-        )
     lifted = all(isinstance(v, numbers.Real) for v in x)
     if lifted:
         ring = SeriesRing.get(n, 0, 0)
@@ -101,7 +148,7 @@ def bh_sigma_quadrature(metric, x):
             "quadrature density takes x as floats or as x-only Series "
             "(cap_y=0), got %s" % sorted({type(v).__name__ for v in x})
         )
-    dirs, weights = sphere_nodes(n)
+    dirs, weights = nodes
     F = metric.F(x, [ring.constant(dirs[:, i]) for i in range(n)])
     bad = np.flatnonzero(value_of(F) <= 0.0)
     if bad.size:
@@ -112,6 +159,60 @@ def bh_sigma_quadrature(metric, x):
     total = Series(terms.ring, weights @ terms.c)
     sigma = (float(n) * unit_ball_volume(n)) / total
     return sigma.value() if lifted else sigma
+
+
+def _require_whole_sphere(metric, error):
+    if metric.family == "alpha_beta_power":
+        raise error(
+            "Busemann-Hausdorff quadrature needs F on the whole sphere; "
+            "%r is conic - supply a constant or dsl density instead" % metric.name
+        )
+
+
+def choose_rule(metric):
+    """The QuadratureRule of a metric: the finer of the first two
+    consecutive rungs of LADDER whose ln sigma agree at every probe
+    (module notes), or the last rung if none do.  The probes outside the
+    metric's chart are left out; a DomainError at a probe propagates."""
+    n = metric.dimension
+    _require_whole_sphere(metric, ConfigError)
+    probes = [[0.0] * n] + [
+        [sign * PROBE_RADIUS if j == i else 0.0 for j in range(n)]
+        for i in range(n)
+        for sign in (1.0, -1.0)
+    ]
+    probes = [x for x in probes if metric.chart_domain(x)]
+    if not probes:
+        raise ConfigError(
+            "no quadrature probe lies in the chart of %r" % metric.name
+        )
+    tolerance = AGREE_EPS * np.finfo(float).eps
+    below, gap = None, math.inf
+    for m in LADDER:
+        nodes = sphere_nodes(n, m)  # a dimension with no rule fails here
+        logs = np.log([_sigma(metric, x, nodes) for x in probes])
+        if below is not None:
+            gap = float(np.max(np.abs(logs - below) / np.maximum(1.0, np.abs(logs))))
+            if gap <= tolerance:
+                break
+        below = logs
+    return QuadratureRule(grid_shape(n, m), max(gap, tolerance), nodes)
+
+
+def bh_sigma_quadrature(metric, x, nodes=None):
+    """Busemann-Hausdorff density at x by spherical quadrature.
+
+    sigma(x) = Vol(B^n) / ((1/n) * integral over S^{n-1} of F(x, d)^-n).
+    x is a list of floats (returns a float) or of x-only Series (returns
+    a Series of that ring).  nodes is a rule's (dirs, weights), as
+    sphere_nodes gives them; None chooses the metric's rule first
+    (choose_rule), which bh_quadrature_volume does once per metric.
+    Errors on conic metrics, whose F is undefined on part of the sphere.
+    """
+    _require_whole_sphere(metric, DomainError)
+    if nodes is None:
+        nodes = choose_rule(metric).nodes
+    return _sigma(metric, x, nodes)
 
 
 def bh_randers_closed(metric, x):
@@ -175,15 +276,14 @@ def bh_randers_volume(metric):
 
 
 def bh_quadrature_volume(metric):
-    n = metric.dimension
-    if metric.family == "alpha_beta_power":
-        raise ConfigError(
-            "conic metric %r has no all-directions BH density; "
-            "use a constant or dsl volume form" % metric.name
-        )
-    sphere_nodes(n)  # a dimension with no grid fails here, before any state
+    """The quadrature BH volume form with its rule, chosen here
+    (choose_rule); a ConfigError up front on a conic metric or a
+    dimension with no rule."""
+    rule = choose_rule(metric)
 
     def sigma(x):
-        return bh_sigma_quadrature(metric, x)
+        return bh_sigma_quadrature(metric, x, nodes=rule.nodes)
 
-    return VolumeForm(kind="bh_quadrature", label="bh-quadrature", sigma=sigma)
+    return VolumeForm(
+        kind="bh_quadrature", label="bh-quadrature", sigma=sigma, rule=rule
+    )

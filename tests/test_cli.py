@@ -427,3 +427,26 @@ def test_verify_reports_errored_states_as_classify_does(capsys):
     code, out, _ = run(capsys, "verify", "--identity", "thm33", *args,
                        "--output", "text")
     assert "thm33: indeterminate" in out and out.count("errored state:") == 5
+
+
+def test_quadrature_volume_reports_its_rule(capsys):
+    # the chosen rule goes next to "volume", for classify and verify
+    blobs = []
+    for argv in (("classify",), ("verify", "--identity", "master")):
+        code, out, _ = run(
+            capsys, *argv, "--metric", "randers_osaka", "--samples", "2",
+            "--volume-form", "bh-quadrature",
+        )
+        assert code == 0
+        blobs.append(json.loads(out))
+    for blob in blobs:
+        assert blob["volume"] == "bh-quadrature"
+        rule = blob["volume_rule"]
+        assert rule["grid"] == [16, 32] and rule["directions"] == 512
+        assert 0.0 < rule["estimate"] < 1e-13
+    # other volume kinds report nothing new
+    code, out, _ = run(
+        capsys, "classify", "--metric", "randers_osaka", "--samples", "2",
+        "--volume-form", "bh-randers",
+    )
+    assert "volume_rule" not in json.loads(out)

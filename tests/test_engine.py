@@ -28,9 +28,9 @@ from finslerlab.series import Series, SeriesRing, restrict
 from finslerlab.volume import (
     bh_quadrature_volume,
     bh_sigma_quadrature,
+    choose_rule,
     constant_volume,
     dsl_volume,
-    sphere_nodes,
 )
 
 from support import (
@@ -564,8 +564,9 @@ def test_graded_operations_run_no_products(monkeypatch, name):
 def test_quadrature_gathers_the_table_in_two_products(monkeypatch):
     # the directions enter F as batches of constants, so a_ij(x) y_i y_j
     # and b_i y_i scale instead of gathering the table; only F * F and
-    # F^2 * F in powr(F, -3) gather it, over every lane
+    # F^2 * F in powr(F, -3) gather it, over every lane of the rule
     metric = get_example("randers_osaka").metric
+    rule = choose_rule(metric)
     ring = SeriesRing.get(3, 2, 0)
     xs = [ring.variable_x(i, v) for i, v in enumerate([0.1, -0.2, 0.15])]
     batched, gathered = [], []
@@ -583,9 +584,9 @@ def test_quadrature_gathers_the_table_in_two_products(monkeypatch):
     monkeypatch.setattr(Series, "__mul__", mul)
     monkeypatch.setattr(Series, "__rmul__", mul)
     monkeypatch.setattr(SeriesRing, "lane_bins", lane_bins)
-    bh_sigma_quadrature(metric, xs)
+    bh_sigma_quadrature(metric, xs, nodes=rule.nodes)
     assert len(batched) == 22
-    assert gathered == [len(sphere_nodes(3)[1])] * 2
+    assert gathered == [rule.directions] * 2
 
 
 def _full_ring_riemann(G, ys, by):

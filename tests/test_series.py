@@ -334,10 +334,11 @@ def test_batched_quadrature_names_first_bad_direction():
         lambda x: [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
         lambda x: [1.2, 0.0, 0.0],
     )
-    dirs, _ = sphere_nodes(3)
+    nodes = sphere_nodes(3, 16)
+    dirs = nodes[0]
     first = int(np.flatnonzero(np.linalg.norm(dirs, axis=1) + 1.2 * dirs[:, 0] <= 0.0)[0])
     with pytest.raises(DomainError) as err:
-        bh_sigma_quadrature(metric, [0.0, 0.0, 0.0])
+        bh_sigma_quadrature(metric, [0.0, 0.0, 0.0], nodes=nodes)
     assert str(tuple(dirs[first])) in str(err.value)
 
 
