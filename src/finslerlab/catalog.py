@@ -13,7 +13,12 @@ import math
 
 from .classify import PREDICATES
 from .errors import CatalogError, ConfigError
-from .metrics import alpha_beta_metric, check_dimension, construct_metric
+from .metrics import (
+    alpha_beta_metric,
+    check_dimension,
+    construct_metric,
+    finite_number,
+)
 from .volume import (
     bh_randers_volume,
     constant_volume,
@@ -59,6 +64,11 @@ def _resolve(name, defaults, overrides):
 
 def _dim(params):
     return check_dimension(params["n"])
+
+
+def _number(params, key):
+    """A numeric parameter as a finite float, checked before any work."""
+    return finite_number(params[key], "parameter %r" % key)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +136,7 @@ def _conformal(overrides):
 
 def _quartic(overrides):
     params = _resolve("minkowski_quartic", {"eps": 0.5}, overrides)
-    eps = float(params["eps"])
+    eps = _number(params, "eps")
     if eps <= 0.0:
         raise ConfigError("quartic regularizer eps must be positive")
     metric = construct_metric(
@@ -208,7 +218,7 @@ def _osaka(overrides):
 
 def _humo(overrides):
     params = _resolve("randers_humo", {"q": 0.3}, overrides)
-    q = float(params["q"])
+    q = _number(params, "q")
     if abs(q) >= 10.0:
         raise ConfigError("rotation rate q out of range")
 
@@ -276,15 +286,17 @@ def _humo(overrides):
 def _baoshen(overrides):
     defaults = {"lam": 1.44, "c": 1.0, "beta_sign": 1.0, "normalized": True}
     params = _resolve("randers_baoshen", defaults, overrides)
-    lam = float(params["lam"])
+    lam = _number(params, "lam")
     if lam < 1.0:
         raise ConfigError(
             "Bao-Shen parameter lam must be >= 1 (one-form length sqrt(1-1/lam))"
         )
-    sign = float(params["beta_sign"])
+    sign = _number(params, "beta_sign")
     if sign not in (1.0, -1.0):
         raise ConfigError("beta_sign must be +1 or -1")
     c_param = params["c"]
+    if c_param != "quarter":
+        c_param = _number(params, "c")
     # The flag curvature of the raw chart formula is lam itself; scaling
     # F by sqrt(lam) is the unique similarity normalization with
     # curvature 1, which is how the family is usually quoted.
@@ -294,7 +306,7 @@ def _baoshen(overrides):
     def c_of(x):
         if c_param == "quarter":
             return 0.25 * (1.0 + x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
-        return float(c_param)
+        return c_param
 
     def rows(x):
         c = c_of(x)
@@ -367,10 +379,8 @@ def _mkropina(overrides):
         "beta_form": "parallel",
     }
     params = _resolve("mkropina_yang", defaults, overrides)
-    m = float(params["m"])
-    t = float(params["t"])
-    lam = float(params["lam"])
-    f = (float(params["f1"]), float(params["f2"]), float(params["f3"]))
+    m, t, lam = (_number(params, key) for key in ("m", "t", "lam"))
+    f = tuple(_number(params, key) for key in ("f1", "f2", "f3"))
     beta_form = params["beta_form"]
     if beta_form not in ("parallel", "displayed"):
         raise ConfigError("beta_form must be 'parallel' or 'displayed'")

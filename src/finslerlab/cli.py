@@ -28,7 +28,7 @@ from .classify import (
 )
 from .curvature import residual_scale
 from .errors import ConfigError, FinslerError
-from .metrics import construct_metric
+from .metrics import construct_metric, finite_number
 from .projective import IDENTITY_KINDS, identity_residual, projective_factor
 from .volume import (
     bh_quadrature_volume,
@@ -356,9 +356,7 @@ def run_verify(args, stream=None):
 
     kwargs, echo = {}, dict(params)
     if args.identity == "constflag" and lam is not None:
-        if isinstance(lam, str) or not math.isfinite(lam):
-            raise ConfigError("lambda must be a finite number, got %r" % lam)
-        kwargs["lam"] = echo["lam"] = float(lam)
+        kwargs["lam"] = echo["lam"] = finite_number(lam, "lambda")
     if args.identity == "lemma21":
         echo["p"] = str(p_source) if p_source is not None else None
         echo["parameters"] = leftover or None

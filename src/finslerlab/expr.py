@@ -20,6 +20,7 @@ Evaluation is scalar-ring-generic: the same tree runs over floats or
 truncated series, with identical control flow.
 """
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -208,12 +209,17 @@ def _parse_prefix(tokens, dim, params):
 
 
 def _parse_exponent(tokens, dim, params):
-    """Exponent of "^": a literal rational, folded to a single Literal."""
+    """Exponent of "^": a finite literal rational, folded to a single
+    Literal (1e400 reads as inf, which no power takes)."""
     node = _parse_expr(tokens, _POW_BP, dim, params)
     folded = _fold_rational(node)
     if folded is None:
         raise ParseError(
             "exponent must be a literal rational", _position_of(node)
+        )
+    if not math.isfinite(folded):
+        raise ParseError(
+            "exponent %r is not finite" % folded, _position_of(node)
         )
     return Literal(folded, position=_position_of(node))
 

@@ -29,6 +29,7 @@ not positive), which a curvature Frame reports as a RegularityError at
 the state.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -61,6 +62,18 @@ def check_dimension(n):
             % (MAX_DIMENSION, n)
         )
     return whole
+
+
+def finite_number(value, what):
+    """value as a finite float, or ConfigError "<what> must be a finite
+    number, got ..." (a string that is no number, an infinity or NaN)."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError("%s must be a finite number, got %r" % (what, value))
+    return number
 
 
 @dataclass(frozen=True)
@@ -342,7 +355,7 @@ def construct_metric(
         if family == "alpha_beta_power":
             if m is None:
                 raise ConfigError("alpha_beta_power needs the exponent m")
-            power_m = float(m)
+            power_m = finite_number(m, "alpha_beta_power exponent m")
         metric = alpha_beta_metric(
             label, n, a_fn, b_fn, power_m=power_m, chart_domain=chart,
             parameters=parameters,

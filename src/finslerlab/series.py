@@ -44,31 +44,28 @@ mmap threshold, so each would go back to the OS and be faulted in again
 workspace).  So products under one root are not re-entrant; the
 library runs no threads.
 
-Three shortcuts skip work that cannot reach a kept coefficient, and
-leave every result bit-identical to the plain product.  Sparse-factor
-rows: when a factor has few nonzeros (a y variable has 2 of the 1650
+Two shortcuts skip work that cannot reach a kept coefficient, and
+leave every result bit-identical to the plain product.  Sparse factors:
+in a table of at least ROW_SKIP_MIN_TRIPLES triples, one dispatch
+(_sparse_triples) takes each 1-D factor's nonzero mask once and picks
+the triples a product gathers.  When both factors are 1-D and have at
+most size // ROW_SKIP_DENSITY pairs of nonzeros (an embedded a_ij(x)
+times a y variable: 6 pairs, where its rows hold over 7000 triples at
+n=4), they are the pairs of nonzeros: the pairs whose x- and y-degrees
+add up within the caps, in table order (first factor, then second),
+each output found by searchsorted of the summed keys as the table build
+does, so an all-zero factor costs no gather at all.  Else, when a 1-D
+factor has at most that many nonzeros (a y variable has 2 of the 1650
 coefficients of the (2, 8) ring at n=3, an embedded a(x) or b(x) at
-most 10), the product gathers only the table rows of those nonzeros, in
+most 10), they are the table rows of the sparser factor's nonzeros, in
 table order (rows of the second factor come through a cached
 permutation and are sorted back), for every lane of the other factor.
 The skipped terms are products with an exact zero, so each one is +-0;
 bincount starts every sum at +0, adding a +-0 term never changes it,
 and the kept terms are added in the same order.  A non-finite
-coefficient in the other factor would turn a skipped term into NaN, so
-such a product gathers the whole table.
-
-Sparse pairs: when both factors are 1-D and have at most size //
-ROW_SKIP_DENSITY pairs of nonzeros (an embedded a_ij(x) times a y
-variable: 6 pairs, where its rows hold over 7000 triples at n=4), the
-product skips the table and pairs the nonzeros directly.  It drops the
-pairs whose x- or y-degrees add up past the caps, keeps the rest in
-table order (first factor, then second), finds each output by
-searchsorted of the summed keys, as the table build does, and sums
-with one bincount.  The skipped terms are again +-0, so the result is
-bit-identical, and an all-zero factor costs no gather at all.  A
-non-finite coefficient in either factor falls back to the rows or the
-whole table.  These two run only in tables of at least
-ROW_SKIP_MIN_TRIPLES triples.
+coefficient would turn a skipped term into NaN: in either factor it
+rules the pairs out, in the other factor the rows, and the product
+gathers the whole table.
 
 Lane constants: when one factor of a batched product is a batch of
 constants (no nonzero past the value part in any lane, as the
@@ -101,12 +98,13 @@ product has degree d.  With E the degree operator ((E u)_m = deg(m) u_m):
 
 P(w, w) gathers once and doubles, which is exact, and a level without
 pairs (degree 1 has none) gathers nothing.  The ring's level table
-(levels) lists the pairs per level, built on first use by degree class
-as the product table is, in table order, with indices of the smallest
-unsigned type that holds the ring's (uint16 through the (2, 8) ring at
-n=5).  At n=4 it holds 282 325 pairs in 1.7 MB, an eighth of the
-product table's bytes, and one sqrt gathers them once where Newton ran
-13 products over the whole table.
+(levels) is a view of the product table, taken on first use: its
+triples with a <= b and both factors past the constant, already in
+table order, cast to the smallest unsigned index type that holds the
+ring's (uint16 through the (2, 8) ring at n=5) and split by the
+output's degree.  At n=4 it holds 282 325 pairs in 1.7 MB, an eighth
+of the product table's bytes, and one sqrt gathers them once where
+Newton ran 13 products over the whole table.
 
 Every operation is budget-invariant: run in a stage ring, it gives
 exactly (bit for bit) the root's result restricted to that ring,
@@ -119,14 +117,14 @@ So each stage runs in the ring of the budget its readers need:
 ring.stage(bx, by) is the (bx, by) ring under ring's root (the root
 itself at the root's caps).  Its monomials are the root's within its
 caps, in the root's order, and its keys are the root's, so the product
-table it builds on its first product is the root's within its caps,
-mapped entry for entry (2 ms for the (1, 6) ring at n=4 and 0.2 ms for
-the (1, 1) ring, where mapping the root's table took 4 and 3 ms); its
-derivative tables are built per slot on first use.  restrict copies
-series into a smaller ring, and embed zero-fills them into a larger
-one.  x_only runs
-work of x alone (coefficient fields, volume densities) in the x-only
-ring SeriesRing.get(n, cap_x, 0), a ring of its own.
+table it builds on its first product or graded recurrence is the root's
+within its caps, mapped entry for entry (2 ms for the (1, 6) ring at
+n=4 and 0.2 ms for the (1, 1) ring, where mapping the root's table took
+4 and 3 ms); its derivative tables are built per slot on first use.
+restrict copies series into a smaller ring, and embed zero-fills them
+into a larger one.  x_only runs work of x alone (coefficient fields,
+volume densities) in the x-only ring SeriesRing.get(n, cap_x, 0), a
+ring of its own.
 
 A Series in an x-only or a stage ring may carry leading component axes:
 c of shape (K1, .., size) holds one series per lane, stacked by
@@ -234,8 +232,9 @@ class SeriesRing:
     @property
     def triples(self):
         """The product table (iout, ia, ib), sorted by first factor, then
-        by second.  A stage ring builds its own on its first product: the
-        root's triples within its caps, entry for entry."""
+        by second, and the ring's one pair table: the level table is a
+        view of it.  A stage ring builds its own on first use: the root's
+        triples within its caps, entry for entry."""
         if self._triples is None:
             self._triples = self._build_triples()
         return self._triples
@@ -268,23 +267,18 @@ class SeriesRing:
             root._work = (np.empty(grown), np.empty(grown))
         return root._work[0][:length], root._work[1][:length]
 
-    def lane_bins(self, count):
-        """Bincount bins of a full-table product over count lanes: lane k
-        sums into bins size*k.., in table order."""
-        bins = self._lane_bins.get((None, count))
-        if bins is None:
-            bins = _lane_bins(self.triples[0], self.size, count)
-            self._lane_bins[(None, count)] = bins
-        return bins
-
-    def level_bins(self, d, count):
-        """Bincount bins of level d of the level table over count lanes:
-        lane k sums into bins len(rows)*k.., in the level's pair order."""
+    def lane_bins(self, count, d=None):
+        """Bincount bins over count lanes of the product table, or of level
+        d of the level table: lane k sums into bins width*k.., in table
+        order, width being the table's outputs (size, or the level's rows)."""
         bins = self._lane_bins.get((d, count))
         if bins is None:
-            rows, iout = self.levels()[d - 1][:2]
-            bins = _lane_bins(iout, len(rows), count)
-            self._lane_bins[(d, count)] = bins
+            if d is None:
+                iout, width = self.triples[0], self.size
+            else:
+                rows, iout = self.levels()[d - 1][:2]
+                width = len(rows)
+            bins = self._lane_bins[(d, count)] = _lane_bins(iout, width, count)
         return bins
 
     def levels(self):
@@ -296,43 +290,28 @@ class SeriesRing:
         rows[sq_out].  Every array has the smallest unsigned type that
         holds the ring's indices."""
         if self._levels is None:
-            self._levels = [
-                self._build_level(d) for d in range(1, self.cap_x + self.cap_y + 1)
-            ]
-        return self._levels
-
-    def _build_level(self, d):
-        # as _build_triples: each (xdeg, ydeg) class of the factor of lower
-        # degree, with every factor of the remaining degree that fits beside
-        # it; a pair of equal degrees comes once each way, so keep a <= b.
-        # The pairs take the small index type from the start, which keeps
-        # the build's peak within a few times the level's bytes
-        small = np.min_scalar_type(self.size)
-        deg = self.xdeg + self.ydeg
-        ia, ib = [np.empty(0, dtype=small)], [np.empty(0, dtype=small)]
-        for dx in range(self.cap_x + 1):
-            for dy in range(max(1 - dx, 0), min(self.cap_y, d // 2 - dx) + 1):
-                a = np.flatnonzero((self.xdeg == dx) & (self.ydeg == dy))
-                b = np.flatnonzero(
-                    (self.xdeg <= self.cap_x - dx)
-                    & (self.ydeg <= self.cap_y - dy)
-                    & (deg == d - dx - dy)
+            # the product table's pairs a <= b past the constant (monomial
+            # 0, the only one of degree 0), already in table order; cast
+            # to the small type before the split by degree, which keeps
+            # the build's peak under half the product table's bytes
+            small = np.min_scalar_type(self.size)
+            iout, ia, ib = self.triples
+            keep = (ia <= ib) & (ia > 0)
+            iout, ia, ib = (t[keep].astype(small) for t in (iout, ia, ib))
+            deg = (self.xdeg + self.ydeg).astype(small)
+            out_deg = deg[iout]
+            rank = np.empty(self.size, dtype=small)  # place among its degree
+            self._levels = []
+            for d in range(1, self.cap_x + self.cap_y + 1):
+                rows = np.flatnonzero(deg == d).astype(small)
+                rank[rows] = np.arange(len(rows))
+                at = out_deg == d
+                out, a, b = rank[iout[at]], ia[at], ib[at]
+                sq = a == b
+                self._levels.append(
+                    (rows, out[~sq], a[~sq], b[~sq], out[sq], a[sq])
                 )
-                a, b = a.astype(small), b.astype(small)
-                a, b = np.repeat(a, len(b)), np.tile(b, len(a))
-                if 2 * (dx + dy) == d:
-                    a, b = a[a <= b], b[a <= b]
-                ia.append(np.minimum(a, b))
-                ib.append(np.maximum(a, b))
-        ia, ib = np.concatenate(ia), np.concatenate(ib)
-        order = np.lexsort((ib, ia))
-        ia, ib = ia[order], ib[order]
-        rows = np.flatnonzero(deg == d)
-        key = self.keys[ia]
-        key += self.keys[ib]
-        out = np.searchsorted(self.keys[rows], key).astype(small)
-        sq = ia == ib
-        return rows.astype(small), out[~sq], ia[~sq], ib[~sq], out[sq], ia[sq]
+        return self._levels
 
     def mul_table(self, bx, by):
         """The triples whose output lies within (bx, by), in table order."""
@@ -500,21 +479,40 @@ def _rows(starts, rows):
     )
 
 
-def _skipped_rows(ring, a, b):
-    """Table positions of the triples whose sparser factor is nonzero.
+def _sparse_triples(ring, a, b):
+    """The triples (iout, ia, ib) of the product table that a product of
+    the coefficient arrays a and b in ring gathers when a factor is sparse
+    (module notes), in table order; None when it gathers the whole table.
 
-    a and b are the factors' coefficient arrays in ring.  None when the
-    product should gather the whole table: two dense factors, a batched
-    sparse factor, or a non-finite coefficient in the other factor
-    (whose products with the skipped zeros would be NaN).  The other
-    factor may carry a batch: every lane skips the same zeros.  Only
-    tables of at least ROW_SKIP_MIN_TRIPLES triples are worth the check.
+    Two 1-D factors with at most size // ROW_SKIP_DENSITY pairs of
+    nonzeros give the pairs of nonzeros; else a 1-D factor with at most
+    that many nonzeros gives the table rows of the sparser factor, for
+    every lane of the other.  A non-finite coefficient, whose products
+    with the skipped zeros would be NaN, rules the pairs out when it is
+    in either factor and the rows when it is in the other.  Only tables
+    of at least ROW_SKIP_MIN_TRIPLES triples are worth the check, which
+    the caller makes.
     """
-    # counted and listed on a boolean mask, as in _sparse_pairs
-    nza, nzb = (c != 0.0 if c.ndim == 1 else None for c in (a, b))
-    na, nb = (math.inf if nz is None else np.count_nonzero(nz) for nz in (nza, nzb))
-    if min(na, nb) > ring.size // ROW_SKIP_DENSITY:
+    # a boolean mask counts and lists nonzeros several times faster than
+    # the float array itself; NaN and inf count as nonzero, and a batched
+    # factor as dense
+    nza = a != 0.0 if a.ndim == 1 else None
+    nzb = b != 0.0 if b.ndim == 1 else None
+    na = math.inf if nza is None else np.count_nonzero(nza)
+    nb = math.inf if nzb is None else np.count_nonzero(nzb)
+    limit = ring.size // ROW_SKIP_DENSITY
+    if min(na, nb) > limit:
         return None
+    if a.ndim == b.ndim == 1 and na * nb <= limit:
+        ra, rb = nza.nonzero()[0], nzb.nonzero()[0]
+        if np.isfinite(a[ra]).all() and np.isfinite(b[rb]).all():
+            # first factor, then second: the table's order
+            ia, ib = np.repeat(ra, nb), np.tile(rb, na)
+            fits = (ring.xdeg[ia] + ring.xdeg[ib] <= ring.cap_x) & (
+                ring.ydeg[ia] + ring.ydeg[ib] <= ring.cap_y
+            )
+            ia, ib = ia[fits], ib[fits]
+            return np.searchsorted(ring.keys, ring.keys[ia] + ring.keys[ib]), ia, ib
     first = na <= nb
     dense, nonzero = (b, nza) if first else (a, nzb)
     if not np.isfinite(dense).all():
@@ -522,37 +520,10 @@ def _skipped_rows(ring, a, b):
     starts_a, perm_b, starts_b = ring.row_index()
     rows = nonzero.nonzero()[0]
     if first:
-        return _rows(starts_a, rows)
-    return np.sort(perm_b[_rows(starts_b, rows)])
-
-
-def _sparse_pairs(ring, a, b):
-    """The triples (iout, ia, ib) of the product table whose factors are
-    both nonzero, in table order, found from the pairs of nonzeros.
-
-    a and b are the factors' coefficient arrays in ring.  None when the
-    product should gather rows or the whole table: a batched factor, more
-    than size // ROW_SKIP_DENSITY pairs of nonzeros, or a non-finite
-    coefficient (whose products with the skipped zeros would be NaN).
-    """
-    if a.ndim != 1 or b.ndim != 1:
-        return None
-    # a boolean mask counts and lists nonzeros several times faster than
-    # the float array itself; NaN and inf count as nonzero
-    nza, nzb = a != 0.0, b != 0.0
-    na, nb = np.count_nonzero(nza), np.count_nonzero(nzb)
-    if na * nb > ring.size // ROW_SKIP_DENSITY:
-        return None
-    ra, rb = nza.nonzero()[0], nzb.nonzero()[0]
-    if not (np.isfinite(a[ra]).all() and np.isfinite(b[rb]).all()):
-        return None
-    # first factor, then second: the table's order
-    ia, ib = np.repeat(ra, nb), np.tile(rb, na)
-    fits = (ring.xdeg[ia] + ring.xdeg[ib] <= ring.cap_x) & (
-        ring.ydeg[ia] + ring.ydeg[ib] <= ring.cap_y
-    )
-    ia, ib = ia[fits], ib[fits]
-    return np.searchsorted(ring.keys, ring.keys[ia] + ring.keys[ib]), ia, ib
+        pos = _rows(starts_a, rows)
+    else:
+        pos = np.sort(perm_b[_rows(starts_b, rows)])
+    return tuple(t[pos] for t in ring.triples)
 
 
 def _lane_bins(iout, size, count):
@@ -601,7 +572,7 @@ def _pair_sum(ring, d, p, q):
             t2 = _gather(p, ib, wa[m:])
             t2 *= _gather(q, ia, wb[m:])
             t += t2
-        bins = ring.level_bins(d, count) if count > 1 else iout
+        bins = ring.lane_bins(count, d) if count > 1 else iout
         s = _bincount(bins, t, len(rows))
         if p is q:
             s *= 2.0  # p_a p_b + p_b p_a = 2 p_a p_b exactly
@@ -682,15 +653,11 @@ class Series:
                 if c is not None:
                     return Series(ring, c)
             iout, ia, ib = ring.triples
-            size = ring.size
             if len(iout) >= ROW_SKIP_MIN_TRIPLES:
-                pairs = _sparse_pairs(ring, a.c, b.c)
-                if pairs is not None:
-                    iout, ia, ib = pairs
-                else:
-                    pos = _skipped_rows(ring, a.c, b.c)
-                    if pos is not None:
-                        iout, ia, ib = iout[pos], ia[pos], ib[pos]
+                sparse = _sparse_triples(ring, a.c, b.c)
+                if sparse is not None:
+                    iout, ia, ib = sparse
+            size = ring.size
             m = len(iout)
             if a.c.ndim == 1 and b.c.ndim == 1:
                 wa, wb = ring.workspace(m)

@@ -27,8 +27,11 @@ bh_quadrature_volume chooses the rung once per metric (choose_rule):
 it walks up the ladder, evaluating ln sigma on floats at the origin and
 at +-PROBE_RADIUS e_i, and stops at the first two consecutive rungs
 that agree at every probe to AGREE_EPS machine epsilons of
-max(1, |ln sigma|).  The finer of the two is the rule; their largest
-difference is its reported error estimate, floored at that tolerance.
+max(1, |ln sigma|).  The finer of the two is the rule, and its reported
+error estimate is that tolerance: the two rungs agree within it, and
+the ladder does not tell a smaller gap from rounding.  Only a ladder
+that ends with no two rungs agreeing reports a larger estimate, the
+last rung's gap.
 """
 
 import math
@@ -61,9 +64,9 @@ class QuadratureRule:
     """The rung of the ladder that choose_rule picked for a metric."""
 
     shape: tuple  # nodes per sphere coordinate, polar first
-    # the largest ln sigma gap to the rung below, of max(1, |ln sigma|),
-    # or the agreement tolerance when that is larger: the ladder does not
-    # tell a gap below it from rounding
+    # AGREE_EPS machine epsilons (1.4e-14) whenever two rungs agreed, as
+    # the ladder does not tell a smaller gap from rounding; else the last
+    # rung's largest ln sigma gap to the rung below, of max(1, |ln sigma|)
     estimate: float
     nodes: tuple = field(repr=False, compare=False)  # sphere_nodes' (dirs, weights)
 
@@ -199,19 +202,17 @@ def choose_rule(metric):
     return QuadratureRule(grid_shape(n, m), max(gap, tolerance), nodes)
 
 
-def bh_sigma_quadrature(metric, x, nodes=None):
+def bh_sigma_quadrature(metric, x, nodes):
     """Busemann-Hausdorff density at x by spherical quadrature.
 
     sigma(x) = Vol(B^n) / ((1/n) * integral over S^{n-1} of F(x, d)^-n).
     x is a list of floats (returns a float) or of x-only Series (returns
     a Series of that ring).  nodes is a rule's (dirs, weights), as
-    sphere_nodes gives them; None chooses the metric's rule first
-    (choose_rule), which bh_quadrature_volume does once per metric.
+    sphere_nodes gives them: the metric's QuadratureRule.nodes, which
+    bh_quadrature_volume chooses once per metric (choose_rule).
     Errors on conic metrics, whose F is undefined on part of the sphere.
     """
     _require_whole_sphere(metric, DomainError)
-    if nodes is None:
-        nodes = choose_rule(metric).nodes
     return _sigma(metric, x, nodes)
 
 

@@ -242,6 +242,23 @@ def test_verify_constflag_rejects_a_bad_lambda(capsys, monkeypatch, value):
     assert "lambda must be a finite number" in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "metric, param",
+    [("randers_humo", "q=abc"), ("randers_baoshen", "c=abc"),
+     ("mkropina_yang", "m=inf"), ("randers_baoshen", "lam=nan"),
+     ("randers_humo", "q=nan"), ("minkowski_quartic", "eps=inf")],
+)
+def test_bad_catalog_parameter_fails_before_sampling(capsys, monkeypatch,
+                                                     metric, param):
+    refuse_sampling(monkeypatch)
+    code, out, err = run(
+        capsys, "classify", "--metric", metric, "--param", param, "--samples", "3"
+    )
+    key = param.split("=")[0]
+    assert code == 2 and out == ""
+    assert "parameter %r must be a finite number" % key in err
+
+
 def test_catalog_dimension_that_is_not_a_number_is_a_config_error(capsys):
     code, out, err = run(
         capsys, "classify", "--metric", "euclidean", "--param", "n=abc",
@@ -257,8 +274,15 @@ def test_catalog_dimension_that_is_not_a_number_is_a_config_error(capsys):
         ('[{"dimension": 2, "family": "euclidean"}]', "a JSON object, got list"),
         ('{"dimension": "abc", "family": "euclidean"}', "got 'abc'"),
         ('{"dimension": 2.5, "family": "euclidean"}', "got 2.5"),
+        ('{"dimension": 2, "family": "dsl", '
+         '"expressions": {"F": "(y1^2 + y2^2)^(1e400)"}}',
+         "exponent inf is not finite at offset 15"),
+        ('{"dimension": 2, "family": "alpha_beta_power", "expressions": '
+         '{"a": [["1", "0"], ["0", "1"]], "b": ["1", "0"], "m": 1e400}}',
+         "exponent m must be a finite number, got inf"),
     ],
-    ids=["invalid-json", "not-an-object", "dimension-abc", "dimension-2.5"],
+    ids=["invalid-json", "not-an-object", "dimension-abc", "dimension-2.5",
+         "exponent-1e400", "m-1e400"],
 )
 def test_bad_definition_file_is_a_config_error(
     tmp_path, capsys, monkeypatch, text, message

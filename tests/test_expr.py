@@ -84,6 +84,19 @@ def test_exponent_must_be_literal_rational():
     assert "literal rational" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "src, position",
+    [("y1^1e400", 3), ("(y1^2 + y2^2)^(1e400)", 15), ("y1^(-1e400)", 4),
+     ("y1^(1e300/1e-300)", 9)],
+)
+def test_exponent_must_be_finite(src, position):
+    # 1e400 reads as inf: a ParseError at the exponent (its folded node),
+    # not an OverflowError when the power is evaluated
+    with pytest.raises(ParseError, match="not finite") as err:
+        parse(src, 2)
+    assert err.value.position == position
+
+
 def test_exponent_forms():
     assert parse("y1^2", 1).right == Literal(2.0)
     assert parse("y1^-2", 1).right == Literal(-2.0)

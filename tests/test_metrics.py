@@ -1,5 +1,7 @@
 """Metric families, fundamental tensor, Cartan torsion."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,12 @@ def test_large_one_form_rejected_at_center():
 def test_power_exponent_must_avoid_degenerate_values():
     with pytest.raises(ConfigError):
         construct_metric("alpha_beta_power", 2, a=IDENTITY2, b=["1", "0"], m=1.0)
+
+
+@pytest.mark.parametrize("m", [math.inf, -math.inf, math.nan, "abc"])
+def test_power_exponent_must_be_a_finite_number(m):
+    with pytest.raises(ConfigError, match="exponent m must be a finite number"):
+        construct_metric("alpha_beta_power", 2, a=IDENTITY2, b=["1", "0"], m=m)
 
 
 def test_unknown_family():

@@ -554,15 +554,17 @@ def test_batched_stage_product_equals_each_lane():
 def test_batched_dense_times_sparse_skips_rows_in_every_lane():
     # a y variable against a batch: the rows of its two nonzeros are
     # gathered once for all lanes, and every lane equals its own product
+    # (the (2, 6) ring: products in the (1, 6) ring gather its whole table)
     ring = SeriesRing.get(3)
-    stage = ring.stage(1, 6)
+    stage = ring.stage(2, 6)
+    assert len(stage.triples[0]) >= series_module.ROW_SKIP_MIN_TRIPLES
     xs, ys = ring.state(X3, Y3)
     f = smooth3(xs, ys)
-    batch = restrict([f, f.dy(0), f.dx(1) * 3.0], stage)
+    batch = restrict([f, f.dy(0), f.dy(2) * 3.0], stage)
     y = restrict(ys[1], stage)
     assert batch.ring is y.ring is stage
-    assert series_module._skipped_rows(stage, batch.c, y.c) is not None
-    assert series_module._skipped_rows(stage, y.c, batch.c) is not None
+    assert series_module._sparse_triples(stage, batch.c, y.c) is not None
+    assert series_module._sparse_triples(stage, y.c, batch.c) is not None
     for got in (batch * y, y * batch):
         for k in range(3):
             assert np.array_equal(got.c[k], _dense_product(batch.part(k), y).c)
@@ -639,7 +641,7 @@ def test_skipped_rows_equal_dense_product(case):
     ring, ys, f, w = _full_ring_fields()
     a, b, skips = SKIP_CASES[case](ring, ys, f, w)
     ma, mb = series_module._meet(a, b)
-    assert (series_module._skipped_rows(ma.ring, ma.c, mb.c) is not None) == skips
+    assert (series_module._sparse_triples(ma.ring, ma.c, mb.c) is not None) == skips
     with np.errstate(invalid="ignore"):  # inf * 0 in the last case
         got, want = a * b, _dense_product(a, b)
     assert got.c.dtype == np.float64
@@ -653,6 +655,16 @@ def _sparse_factor(ring, rng, count):
     c = np.zeros(ring.size)
     c[rng.choice(ring.size, count, replace=False)] = rng.uniform(-1.0, 1.0, count)
     return Series(ring, c)
+
+
+def _pairs_nonzeros(ring, a, b):
+    """Whether the sparse dispatch gathers exactly the triples of the
+    table whose factors are both nonzero: the pairs of nonzeros."""
+    sparse = series_module._sparse_triples(ring, a.c, b.c)
+    if sparse is None:
+        return False
+    both = (a.c[ring.triples[1]] != 0.0) & (b.c[ring.triples[2]] != 0.0)
+    return all(np.array_equal(t[both], s) for t, s in zip(ring.triples, sparse))
 
 
 def _same_bits(got, want):
@@ -671,7 +683,7 @@ def test_sparse_pairs_equal_dense_product(n, budget):
     rng = np.random.default_rng(n + budget[1])
     for _ in range(25):
         a, b = (_sparse_factor(ring, rng, rng.integers(0, 9)) for _ in "ab")
-        assert series_module._sparse_pairs(ring, a.c, b.c) is not None
+        assert _pairs_nonzeros(ring, a, b)
         assert _same_bits((a * b).c, _dense_product(a, b).c)
 
 
@@ -693,7 +705,7 @@ def test_sparse_pairs_with_zero_signed_and_non_finite_factors():
         broken.c[np.flatnonzero(sparse.c)[2]] = bad
         cases += [(broken, sparse, False), (ys[0], broken, False)]
     for a, b, paired in cases:
-        assert (series_module._sparse_pairs(ring, a.c, b.c) is not None) == paired
+        assert _pairs_nonzeros(ring, a, b) == paired
         with np.errstate(invalid="ignore"):  # inf * 0 in the non-finite cases
             got, want = a * b, _dense_product(a, b)
         assert _same_bits(got.c, want.c)
@@ -1256,6 +1268,20 @@ def test_level_tables_are_small_beside_the_product_table():
     ring = SeriesRing.get(4)
     level_bytes = sum(t.nbytes for level in ring.levels() for t in level)
     assert level_bytes <= 0.15 * sum(t.nbytes for t in ring.triples)
+
+
+def test_level_build_peaks_under_half_the_product_table():
+    # the level table is the product table's pairs past the constant,
+    # cast to the small index type before they are split by degree
+    ring = SeriesRing(4, 2, 8)
+    tracemalloc.start()
+    try:
+        ring.levels()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table_bytes = sum(t.nbytes for t in ring.triples)
+    assert peak <= 0.5 * table_bytes, peak / table_bytes
 
 
 def test_batched_stage_sqrt_lanes_equal_unbatched():

@@ -16,6 +16,7 @@ from finslerlab.volume import (
     bh_randers_closed,
     bh_randers_volume,
     bh_sigma_quadrature,
+    choose_rule,
     constant_volume,
     dsl_volume,
     grid_shape,
@@ -72,7 +73,7 @@ def test_sphere_nodes_unsupported_dimension():
 def test_euclidean_quadrature_density_is_one():
     for n in (2, 3):
         metric = construct_metric(family="euclidean", dimension=n)
-        sigma = bh_sigma_quadrature(metric, [0.0] * n)
+        sigma = bh_sigma_quadrature(metric, [0.0] * n, nodes=choose_rule(metric).nodes)
         assert sigma == pytest.approx(1.0, abs=1e-12)
 
 
@@ -80,7 +81,7 @@ def test_riemannian_density_matches_sqrt_det():
     metric = riemannian_metric(
         "diag49", 2, lambda x: [[4.0, 0.0], [0.0, 9.0]]
     )
-    sigma = bh_sigma_quadrature(metric, [0.2, -0.1])
+    sigma = bh_sigma_quadrature(metric, [0.2, -0.1], nodes=choose_rule(metric).nodes)
     assert abs(sigma - 6.0) <= 1e-8
 
 
@@ -104,15 +105,16 @@ def test_randers_closed_vs_quadrature_2d():
     )
     x = [0.0, 0.0]
     closed = bh_randers_closed(metric, x)
-    quad = bh_sigma_quadrature(metric, x)
+    quad = bh_sigma_quadrature(metric, x, nodes=choose_rule(metric).nodes)
     assert abs(closed - quad) / closed <= 1e-6
 
 
 def test_randers_closed_vs_quadrature_curved_3d():
     metric = osaka_like()
+    nodes = choose_rule(metric).nodes
     for x in ([0.1, 0.2, 0.0], [0.3, -0.1, 0.25], [-0.2, -0.2, 0.1]):
         closed = bh_randers_closed(metric, x)
-        quad = bh_sigma_quadrature(metric, x)
+        quad = bh_sigma_quadrature(metric, x, nodes=nodes)
         assert abs(closed - quad) / closed <= 1e-6
 
 
@@ -125,7 +127,7 @@ def test_quadrature_rejects_conic_metric():
         power_m=0.5,
     )
     with pytest.raises(DomainError):
-        bh_sigma_quadrature(metric, [0.0, 0.0])
+        bh_sigma_quadrature(metric, [0.0, 0.0], nodes=sphere_nodes(2, LADDER[0]))
     with pytest.raises(ConfigError):
         bh_quadrature_volume(metric)
 
@@ -138,7 +140,7 @@ def test_quadrature_rejects_nonpositive_f():
         lambda x: [1.2, 0.0],
     )
     with pytest.raises(DomainError):
-        bh_sigma_quadrature(metric, [0.0, 0.0])
+        bh_sigma_quadrature(metric, [0.0, 0.0], nodes=sphere_nodes(2, LADDER[0]))
 
 
 def test_closed_form_requires_randers():
@@ -193,10 +195,11 @@ def _xonly_state(x):
 
 def test_quadrature_sigma_x_partial_matches_fd():
     for metric in (osaka_like(), varying_randers()):
-        sigma = bh_sigma_quadrature(metric, _xonly_state(QUAD_BASE))
+        nodes = choose_rule(metric).nodes
+        sigma = bh_sigma_quadrature(metric, _xonly_state(QUAD_BASE), nodes=nodes)
         got = sigma.partials(1, 0)[0]
         want = fd_partial(
-            lambda x, y: bh_sigma_quadrature(metric, x),
+            lambda x, y: bh_sigma_quadrature(metric, x, nodes=nodes),
             QUAD_BASE, [0.0] * 3, [("x", 0)],
         )
         assert got == pytest.approx(want, rel=1e-7), metric.name
@@ -206,7 +209,7 @@ def test_quadrature_sigma_series_matches_randers_closed_form():
     # every coefficient: value, all first and second x-partials
     for metric in (osaka_like(), varying_randers()):
         x = _xonly_state(QUAD_BASE)
-        quad = bh_sigma_quadrature(metric, x)
+        quad = bh_sigma_quadrature(metric, x, nodes=choose_rule(metric).nodes)
         closed = bh_randers_closed(metric, x)
         assert (quad.bx, quad.by) == (closed.bx, closed.by) == (2, 0)
         scale = np.abs(closed.c).max()
@@ -216,7 +219,7 @@ def test_quadrature_sigma_series_matches_randers_closed_form():
 def test_quadrature_rejects_jet_x():
     x = seed_direction(QUAD_BASE, 0, 0)
     with pytest.raises(TypeError, match="x-only Series"):
-        bh_sigma_quadrature(osaka_like(), x)
+        bh_sigma_quadrature(osaka_like(), x, nodes=sphere_nodes(3, LADDER[0]))
 
 
 def test_randers_closed_density_is_ring_generic():
