@@ -71,6 +71,22 @@ def _number(params, key):
     return finite_number(params[key], "parameter %r" % key)
 
 
+def _flag(params, key):
+    """A yes/no parameter: a bool, 0 or 1, or true or false in any case
+    (the command line passes "false" as a string and 0 as an int);
+    anything else is a ConfigError naming it."""
+    value = params[key]
+    if isinstance(value, str):
+        value = {"true": True, "false": False, "1": True, "0": False}.get(
+            value.strip().lower(), value
+        )
+    if isinstance(value, (bool, int, float)) and value in (0, 1):
+        return bool(value)
+    raise ConfigError(
+        "parameter %r must be true or false (or 1 or 0), got %r" % (key, params[key])
+    )
+
+
 # ---------------------------------------------------------------------------
 # controls
 
@@ -300,7 +316,8 @@ def _baoshen(overrides):
     # The flag curvature of the raw chart formula is lam itself; scaling
     # F by sqrt(lam) is the unique similarity normalization with
     # curvature 1, which is how the family is usually quoted.
-    scale = math.sqrt(lam) if params["normalized"] else 1.0
+    normalized = params["normalized"] = _flag(params, "normalized")
+    scale = math.sqrt(lam) if normalized else 1.0
     root = math.sqrt(lam - 1.0)
 
     def c_of(x):
@@ -363,7 +380,7 @@ def _baoshen(overrides):
         "s_flat": "invariant construction: S = 0 for every lam",
         "constant_flag": "constant flag curvature by construction",
     }
-    lam_hat = 1.0 if params["normalized"] else lam
+    lam_hat = 1.0 if normalized else lam
     return CatalogEntry(
         "randers_baoshen", metric, bh_randers_volume(metric), verdicts, notes,
         lam_hat, params,

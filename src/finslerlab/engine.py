@@ -26,8 +26,9 @@ bit-identical:
 
 - F^2 in the (2, 8) ring, from the metric's one F^2 evaluator
   (MetricSpec.F2: alpha^2 + beta (2 alpha + beta) for Randers, alpha^2
-  for Riemannian metrics, F * F for a metric given by F alone), and g in
-  the (2, 6) ring for g and C;
+  for Riemannian metrics, the tree of F^2 compiled from a DSL metric's,
+  F * F for a metric given by F alone), and g in the (2, 6) ring for g
+  and C;
 - g in the (1, 6) ring for the spray and tau, which read it only
   through one x-derivative of F^2;
 - the spray's y-derivatives in the (1, 7) ring, and its braces A and

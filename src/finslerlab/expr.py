@@ -17,18 +17,26 @@ branch cuts and is rejected.  Unary minus binds tighter than "*" but
 looser than "^", so -x1^2 means -(x1^2).
 
 Evaluation is scalar-ring-generic: the same tree runs over floats or
-truncated series, with identical control flow.
+truncated series, with identical control flow.  A tree passed through
+hoist() marks each maximal subtree that reads variables of one kind
+alone (a Hoisted node), and evaluate runs such a subtree in the smaller
+ring of that kind: one of x alone through series.x_only, one of y alone
+in the (0, cap_y) stage ring through series.y_only.  Both pass floats
+and other rings' scalars through, so a hoisted tree still evaluates in
+every ring, to the same value part.  squared() gives the tree of F^2
+for an F whose root is a square root or a power.
 """
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError, DomainError, EvalError, ParseError
 from .scalars import exp as _exp
 from .scalars import ln as _ln
 from .scalars import powr as _powr
 from .scalars import sqrt as _sqrt
+from .series import x_only, y_only
 
 FUNCTIONS = ("sqrt", "exp", "ln")
 
@@ -73,6 +81,12 @@ class Binary:
     left: object
     right: object
     position: int = field(default=0, compare=False)
+
+
+@dataclass(frozen=True)
+class Hoisted:
+    kind: str  # "x" or "y": the only kind of variable child reads
+    child: object
 
 
 _BINARY_OPS = {"+": ("add", 10), "-": ("sub", 10), "*": ("mul", 20), "/": ("div", 20)}
@@ -256,6 +270,10 @@ def evaluate(expr, x, y, parameters=None):
 
 
 def _eval(node, x, y, params):
+    if isinstance(node, Hoisted):
+        if node.kind == "x":
+            return x_only(lambda xs: _eval(node.child, xs, y, params), x)
+        return y_only(lambda ys: _eval(node.child, x, ys, params), y)
     if isinstance(node, Literal):
         return node.value
     if isinstance(node, Variable):
@@ -297,6 +315,91 @@ def _eval(node, x, y, params):
         return left / right
     except (DomainError, ZeroDivisionError) as err:
         raise EvalError(str(err), node.position) from err
+
+
+def squared(node):
+    """The tree of F^2 for the tree F: E for sqrt(E); E^(2 p/q) for
+    E^(p/q), which is sqrt(E) at p/q = 1/4 (and E at p/q = 1/2, where
+    the power returns its base).  None for any other root, whose square
+    is F * F."""
+    if isinstance(node, Unary) and node.op == "sqrt":
+        return node.child
+    if not (isinstance(node, Binary) and node.op == "pow"):
+        return None
+    q = 2.0 * node.right.value  # doubling is exact, short of overflow
+    if not math.isfinite(q):
+        return None
+    if q == 0.5:
+        return Unary("sqrt", node.left, position=node.position)
+    return Binary(
+        "pow", node.left, Literal(q, position=node.right.position),
+        position=node.position,
+    )
+
+
+def hoist(node):
+    """The tree with each maximal subtree that reads variables of one kind
+    alone, x or y, under a Hoisted node of that kind (module notes).  A
+    subtree that runs no ring product or graded operation (a variable, or
+    sums and constant multiples of variables) stays as it is: it costs less
+    in the ring than moving it to the smaller ring and back."""
+    node, kinds = _hoist(node)
+    return _mark(node, kinds)
+
+
+def _hoist(node):
+    """(node with its maximal one-kind proper subtrees marked, the kinds of
+    variable node reads)."""
+    if isinstance(node, Variable):
+        return node, {node.kind}
+    if isinstance(node, Unary):
+        child, kinds = _hoist(node.child)
+        return replace(node, child=child), kinds
+    if isinstance(node, Binary):
+        left, left_kinds = _hoist(node.left)
+        right, right_kinds = _hoist(node.right)
+        kinds = left_kinds | right_kinds
+        if len(kinds) < 2:
+            return replace(node, left=left, right=right), kinds
+        # each one-kind side is maximal; a quotient by one is a product by
+        # its reciprocal, which runs in the smaller ring too (the ring's
+        # quotient a / b is a * (1 / b) itself)
+        if node.op == "div" and len(right_kinds) == 1:
+            inverse = Binary(
+                "div", Literal(1.0, position=node.position), right,
+                position=node.position,
+            )
+            return Binary(
+                "mul", _mark(left, left_kinds), _mark(inverse, right_kinds),
+                position=node.position,
+            ), kinds
+        return replace(
+            node, left=_mark(left, left_kinds), right=_mark(right, right_kinds)
+        ), kinds
+    return node, set()
+
+
+def _mark(node, kinds):
+    if len(kinds) != 1 or not _costly(node):
+        return node
+    (kind,) = kinds
+    return Hoisted(kind, node)
+
+
+def _costly(node):
+    """Whether evaluating node in a ring runs a ring product or a graded
+    operation: a function, a power, or a product or quotient of two sides
+    that read variables."""
+    if isinstance(node, Unary):
+        return node.op != "neg" or _costly(node.child)
+    if not isinstance(node, Binary):
+        return False
+    if node.op == "pow" or (
+        node.op in ("mul", "div")
+        and variables_used(node.left) and variables_used(node.right)
+    ):
+        return True
+    return _costly(node.left) or _costly(node.right)
 
 
 def variables_used(node):

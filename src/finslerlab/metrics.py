@@ -14,22 +14,46 @@ in the engine module reads the same partials from its (2, 8) ring.
 
 Both read F^2 from one evaluator, MetricSpec.F2.
 Each family assembles F^2 from its own parts, so the square of a sqrt
-and the dense product F * F are never formed:
+and the dense product F * F are formed only where F has no parts:
 
-- Randers: alpha^2 + beta (2 alpha + beta), where alpha^2 is already a
-  sum and beta has few nonzero coefficients (series module notes);
-- Riemannian: alpha^2 itself, with no sqrt;
+- Randers: alpha^2 + beta (2 alpha + beta), one ring product;
+- Riemannian: alpha^2 itself, with no sqrt and no ring product;
 - alpha_beta_power: (alpha^2)^m beta^(2 - 2m), one fractional power
   fewer than F itself at m = 1/2;
-- a metric given by F alone (every DSL F metric): F * F.
+- a DSL F metric: its tree, compiled once by construct_metric.  The
+  tree of F^2 is E when F's root is sqrt(E) and E^(2p/q) when it is
+  E^(p/q), which is E at p/q = 1/2 and sqrt(E) at p/q = 1/4 (the
+  quartic norm's F^2 runs no ln and no exp); any other root gives F * F.
+  Each maximal subtree that reads x alone runs in the x-only ring
+  (series.x_only), each that reads y alone in the (0, cap_y) stage
+  ring (series.y_only), and a quotient by one of them is a product by
+  its reciprocal there (expr.hoist);
+- a metric given by F alone: F * F.
+
+alpha^2 and beta are placed from their coefficients when y are the
+y-variables of a series ring (every Frame and every point tensor).  At
+y-variables with values u, term (i, j) of the loop sum_ij a_ij y_i y_j,
+(a_ij * y_i) * y_j, has only four coefficients per x-monomial alpha of
+a_ij: a u_i u_j at (alpha, 0), a u_j at (alpha, e_i), a u_i at (alpha,
+e_j) (2 a u_i at (alpha, e_i) when i == j) and a at (alpha, e_i + e_j),
+each the one product (or two equal ones) the loop's bincount adds to
++0.  So the terms are a few array operations on the coefficient array
+[term, y-part, alpha] (SeriesRing.form_table places them), summed in
+the loop's term order by np.add.accumulate (np.add.reduce may pair the
+sums differently) with -0 turned to +0: the loop's coefficients, bit
+for bit.  beta's terms b u_i and b likewise.  Floats, jets, batched y
+(the quadrature's lane constants), a coefficient that reads y and a
+non-finite coefficient or term keep the loop.
 
 Every evaluator raises DomainError("F <= 0") before its products when F
 is not positive at the state (for a power metric: alpha^2 or beta is
-not positive), which a curvature Frame reports as a RegularityError at
-the state.
+not positive; for a compiled DSL F^2: the float value of F, from the
+value parts of x and y), which a curvature Frame reports as a
+RegularityError at the state.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -128,6 +152,24 @@ def _squared(F):
     return F2
 
 
+def _dsl_F2(tree, parameters):
+    """The F^2 evaluator of a DSL metric, compiled once from its tree
+    (module notes): the tree of F^2 when F's root is a square root or a
+    power, else F * F, each with its one-kind subtrees hoisted."""
+    square = dsl.squared(tree)
+    if square is None:
+        hoisted_F = dsl.hoist(tree)
+        return _squared(lambda x, y: dsl.evaluate(hoisted_F, x, y, parameters))
+    hoisted = dsl.hoist(square)
+
+    def F2(x, y):
+        values = [value_of(v) for v in x], [value_of(v) for v in y]
+        _positive_F(dsl.evaluate(tree, *values, parameters))
+        return dsl.evaluate(hoisted, x, y, parameters)
+
+    return F2
+
+
 def _ball_predicate(radius):
     if radius is None:
         return lambda x: True
@@ -194,9 +236,80 @@ def _check_symmetric(a_fn, n, where):
                     )
 
 
-def _alpha_sq(a, y):
-    total = None
+def _form_parts(coefficients, y):
+    """(ring, positions, pairs, u, X) for placing a form in y (module
+    notes): y's ring and its form table, the values u of y, and X[k] the
+    coefficients of coefficient k at the x-monomials (a float at the
+    constant).  None, for the loop, unless every y is a y-variable of one
+    ring with y-degrees up to 2 and every coefficient a float or a 1-D
+    series of that ring free of y, all finite."""
+    ring = getattr(y[0], "ring", None)
+
+    def plain(v):  # a 1-D series of y's ring
+        return isinstance(v, Series) and v.ring is ring and v.c.ndim == 1
+
+    table = ring.form_table() if all(plain(v) for v in y) else None
+    if table is None:
+        return None
+    positions, pairs = table
     n = len(y)
+    ys = np.array([v.c for v in y])
+    u = ys[:, 0]
+    if not (ys[np.arange(n), positions[1 : n + 1, 0]] == 1.0).all():
+        return None
+    # a mask counts nonzeros several times faster than the floats
+    if np.count_nonzero(ys != 0.0) != n + np.count_nonzero(u):
+        return None  # y_i has nonzeros besides its value and its 1
+    X = np.zeros((len(coefficients), positions.shape[1]))
+    series = []
+    for k, v in enumerate(coefficients):
+        if plain(v):
+            series.append(k)
+        elif isinstance(v, numbers.Real):
+            X[k, 0] = v
+        else:
+            return None
+    if series:
+        cs = np.array([coefficients[k].c for k in series])
+        X[series] = cs[:, positions[0]]
+        if np.count_nonzero(cs != 0.0) != np.count_nonzero(X[series]):
+            return None  # a coefficient reads y
+    if not (np.isfinite(X).all() and np.isfinite(u).all()):
+        return None
+    return ring, positions, pairs, u, X
+
+
+def _placed(ring, positions, terms):
+    """The sum of the terms [k, e, alpha], at positions[e, alpha], as the
+    loop adds its series: in term order, -0 turned to +0; None when a term
+    is not finite (a loop product would then gather NaN)."""
+    if not np.isfinite(terms).all():
+        return None
+    c = np.zeros(ring.size)
+    c[positions] = np.add.accumulate(terms, axis=0)[-1] + 0.0
+    return Series(ring, c)
+
+
+def _alpha_sq(a, y):
+    n = len(y)
+    parts = _form_parts([v for row in a for v in row], y)
+    if parts is not None:
+        ring, positions, pairs, u, X = parts
+        k = np.arange(n * n)
+        i, j = k // n, k % n
+        # a_ij y_i has a_ij u_i at (alpha, 0) and a_ij at (alpha, e_i);
+        # times y_j, each output is one product, or two equal ones at
+        # (alpha, e_i) when i == j (module notes)
+        r = X * u[i, None]
+        terms = np.zeros((len(X),) + positions.shape)
+        terms[:, 0] = r * u[j, None]
+        terms[k, 1 + i] = X * u[j, None]
+        terms[k, 1 + j] += r
+        terms[k, pairs[i, j]] = X
+        total = _placed(ring, positions, terms)
+        if total is not None:
+            return total
+    total = None
     for i in range(n):
         row = a[i]
         for j in range(n):
@@ -206,8 +319,19 @@ def _alpha_sq(a, y):
 
 
 def _beta(b, y):
+    n = len(y)
+    parts = _form_parts(b, y)
+    if parts is not None:
+        ring, positions, _, u, X = parts
+        i = np.arange(n)
+        terms = np.zeros((n,) + positions.shape)
+        terms[:, 0] = X * u[:, None]
+        terms[i, 1 + i] = X
+        total = _placed(ring, positions, terms)
+        if total is not None:
+            return total
     total = None
-    for i in range(len(y)):
+    for i in range(n):
         term = b[i] * y[i]
         total = term if total is None else total + term
     return total
@@ -380,6 +504,7 @@ def construct_metric(
             cone_domain=_everywhere,
             parameters=parameters,
             family="dsl",
+            F2=_dsl_F2(tree, parameters),
         )
 
     raise ConfigError("unknown metric family %r" % (family,))

@@ -124,7 +124,8 @@ n=4 and 0.2 ms for the (1, 1) ring, where mapping the root's table took
 restrict copies series into a smaller ring, and embed zero-fills them
 into a larger one.  x_only runs work of x alone (coefficient fields,
 volume densities) in the x-only ring SeriesRing.get(n, cap_x, 0), a
-ring of its own.
+ring of its own; y_only runs work of y alone (a DSL metric's norms of
+y) in the stage ring ring.stage(0, cap_y).
 
 A Series in an x-only or a stage ring may carry leading component axes:
 c of shape (K1, .., size) holds one series per lane, stacked by
@@ -199,6 +200,7 @@ class SeriesRing:
         self._embed_cache = {}
         self._lane_bins = {}
         self._levels = None
+        self._form_table = None
         if root is None:
             xes, yes = (
                 [e for e in itertools.product(range(cap + 1), repeat=n) if sum(e) <= cap]
@@ -312,6 +314,27 @@ class SeriesRing:
                     (rows, out[~sq], a[~sq], b[~sq], out[sq], a[sq])
                 )
         return self._levels
+
+    def form_table(self):
+        """Where a quadratic or linear form in y with coefficients of x
+        alone keeps its coefficients (metrics module notes), built on first
+        use: (positions, pairs).  positions[e, alpha] is the monomial
+        (alpha, e), over the y-parts e = 0, e_1..e_n, then e_k + e_l for
+        k <= l, and the x-monomials alpha (those of y-degree 0, in the
+        ring's order, the constant first); pairs[k, l] is the row of
+        e_k + e_l.  None when the ring keeps y-degrees below 2."""
+        if self._form_table is None and self.cap_y >= 2:
+            n, place = self.n, self.root._place[self.n:]
+            pairs = np.zeros((n, n), dtype=np.int64)
+            ykeys = [0] + place.tolist()
+            for k in range(n):
+                for l in range(k, n):
+                    pairs[k, l] = pairs[l, k] = len(ykeys)
+                    ykeys.append(place[k] + place[l])
+            xkeys = self.keys[self.ydeg == 0]
+            positions = np.searchsorted(self.keys, np.add.outer(ykeys, xkeys))
+            self._form_table = positions, pairs
+        return self._form_table
 
     def mul_table(self, bx, by):
         """The triples whose output lies within (bx, by), in table order."""
@@ -853,6 +876,15 @@ def embed(src, ring):
     return Series(ring, c)
 
 
+def _within(v, sub):
+    """Whether the series v has no nonzero coefficient outside the
+    monomials of the smaller ring sub (a mask counts nonzeros several
+    times faster than a boolean index copies)."""
+    return np.count_nonzero(v.c != 0.0) == np.count_nonzero(
+        v.c[..., v.ring.positions_of(sub)] != 0.0
+    )
+
+
 def x_only(fn, x):
     """fn(x) for a function fn of x alone, evaluated in the x-only ring.
 
@@ -868,9 +900,9 @@ def x_only(fn, x):
     if not all(isinstance(v, Series) and v.ring.cap_y for v in x):
         return fn(x)
     ring = x[0].ring
-    if any(v.c[ring.ydeg > 0].any() for v in x):
-        return fn(x)
     reduced = SeriesRing.get(ring.n, ring.cap_x, 0)
+    if not all(_within(v, reduced) for v in x):
+        return fn(x)
     out = fn([restrict(v, reduced) for v in x])
 
     def lift(leaf):
@@ -881,3 +913,25 @@ def x_only(fn, x):
         return leaf
 
     return lift(out)
+
+
+def y_only(fn, y):
+    """fn(y) for a function fn of y alone, evaluated in the stage ring
+    ring.stage(0, cap_y): x_only's mirror, for one scalar result.
+
+    When y is a vector of Series of a ring with x-budget (cap_x > 0) that
+    carry no x-dependence, each coordinate is restricted to that stage
+    ring, fn runs there, and a Series result is embedded back into the
+    stage ring at the full x-cap and the result's y-budget.  Floats, any
+    other ring's scalars and a y that depends on x go to fn unchanged.
+    """
+    if not all(isinstance(v, Series) and v.ring.cap_x for v in y):
+        return fn(y)
+    ring = y[0].ring
+    low = ring.stage(0, ring.cap_y)
+    if not all(_within(v, low) for v in y):
+        return fn(y)
+    out = fn([restrict(v, low) for v in y])
+    if isinstance(out, Series):
+        return embed(out, ring.stage(ring.cap_x, out.by))
+    return out

@@ -393,6 +393,33 @@ def test_param_overrides_reach_catalog(capsys):
     assert cf["lambda_hat"] == pytest.approx(1.0, abs=1e-3)
 
 
+@pytest.mark.parametrize(
+    "value, lam", [("false", 1.44), ("FALSE", 1.44), ("0", 1.44), ("True", 1.0)]
+)
+def test_baoshen_normalized_reads_true_or_false(capsys, value, lam):
+    # the command line passes "false" as a string, which is truthy
+    code, out, _ = run(
+        capsys, "classify", "--metric", "randers_baoshen",
+        "--param", "normalized=" + value, "--samples", "4",
+    )
+    assert code == 0
+    blob = json.loads(out)
+    cf = [p for p in blob["predicates"] if p["name"] == "constant_flag"][0]
+    assert cf["verdict"] == "holds"
+    assert cf["lambda_hat"] == pytest.approx(lam, abs=1e-3)
+
+
+@pytest.mark.parametrize("value", ["abc", "2", "yes"])
+def test_baoshen_normalized_rejects_other_values(capsys, monkeypatch, value):
+    refuse_sampling(monkeypatch)
+    code, out, err = run(
+        capsys, "classify", "--metric", "randers_baoshen",
+        "--param", "normalized=" + value, "--samples", "3",
+    )
+    assert code == 2 and out == ""
+    assert "parameter 'normalized' must be true or false" in err
+
+
 def test_bad_param_syntax(capsys):
     code, _, err = run(
         capsys, "classify", "--metric", "euclidean", "--param", "oops",

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finslerlab.errors import EvalError, ParseError
-from finslerlab.expr import Literal, Unary, evaluate, parse
+from finslerlab.expr import Binary, Hoisted, Literal, Unary, evaluate, hoist, parse
 
 from jet_oracle import mixed_partial
 
@@ -186,3 +186,59 @@ def test_evaluate_matches_math_by_hand():
 def test_structural_equality_ignores_positions():
     assert parse("y1  +  y2", 2) == parse("y1+y2", 2)
     assert parse("y1*y2", 2) != parse("y2*y1", 2)
+
+
+def test_hoist_marks_maximal_one_kind_subtrees():
+    # the sqrt reads y alone and the exp x alone; the quotient by a field
+    # of x becomes a product by its reciprocal, hoisted with it; a
+    # constant multiple of a variable (2*x1) runs no ring product and
+    # stays where it is
+    tree = hoist(parse("sqrt(y1^2 + y2^2) * exp(x1) / (1 + x2^2) + 2*x1*y2", 2))
+    assert tree == Binary(
+        "add",
+        Binary(
+            "mul",
+            Binary(
+                "mul",
+                Hoisted("y", parse("sqrt(y1^2 + y2^2)", 2)),
+                Hoisted("x", parse("exp(x1)", 2)),
+            ),
+            Hoisted("x", parse("1 / (1 + x2^2)", 2)),
+        ),
+        parse("2*x1*y2", 2),
+    )
+    one_kind = parse("(y1^4 + y2^4)^(1/2)", 2)
+    assert hoist(one_kind) == Hoisted("y", one_kind)
+    assert hoist(parse("y1", 2)) == parse("y1", 2)
+
+
+def test_hoisted_subtrees_run_in_the_smaller_rings(monkeypatch):
+    # in the (2, 8) ring the exp and the reciprocal of a field of x run in
+    # the x-only ring, the sqrt of a form in y in the (0, 8) stage ring,
+    # and the result lands in the (2, 8) ring, as the plain tree's does
+    from finslerlab.series import Series, SeriesRing
+
+    ring = SeriesRing.get(3)
+    xs, ys = ring.state((0.1, -0.2, 0.15), (0.7, -0.4, 0.5))
+    source = "sqrt(y1^2 + y2^2 + y3^2) * exp(x1) / (1 + x2^2) + 0.1*x3*y1"
+    tree = parse(source, 3)
+    ran = []
+    for op in ("sqrt", "exp", "reciprocal"):
+        def record(self, op=op, plain=getattr(Series, op)):
+            ran.append((op, self.ring))
+            return plain(self)
+
+        monkeypatch.setattr(Series, op, record)
+    got = evaluate(hoist(tree), xs, ys)
+    assert ran == [
+        ("sqrt", ring.stage(0, 8)),
+        ("exp", SeriesRing.get(3, 2, 0)),
+        ("reciprocal", SeriesRing.get(3, 2, 0)),
+    ]
+    want = evaluate(tree, xs, ys)
+    assert got.ring is want.ring is ring
+    assert abs(got.c - want.c).max() <= 1e-14 * abs(want.c).max()
+    floats = ([0.1, -0.2, 0.15], [0.7, -0.4, 0.5])
+    assert evaluate(hoist(tree), *floats) == pytest.approx(
+        evaluate(tree, *floats), rel=1e-15
+    )

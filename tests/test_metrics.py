@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from finslerlab import metrics
 from finslerlab.errors import ConfigError, RegularityError
 from finslerlab.metrics import (
     TensorValue,
@@ -13,6 +16,7 @@ from finslerlab.metrics import (
     fundamental_tensor,
     randers_b_norm_sq,
 )
+from finslerlab.series import Series, SeriesRing
 from support import fd_partial, homogeneity_defect, is_admissible, record_rings
 
 IDENTITY2 = [["1", "0"], ["0", "1"]]
@@ -204,3 +208,101 @@ def test_dimension_above_five_rejected_before_any_ring(monkeypatch):
         )
     assert 6 not in built
     assert construct_metric("euclidean", 5).dimension == 5
+
+
+# -- alpha^2 and beta placed from their coefficients --------------------------
+
+
+def _loop_alpha_sq(a, y):
+    """sum a_ij y_i y_j in (i, j) order, one ring product per factor."""
+    total = None
+    for i in range(len(y)):
+        for j in range(len(y)):
+            term = a[i][j] * y[i] * y[j]
+            total = term if total is None else total + term
+    return total
+
+
+def _loop_beta(b, y):
+    total = None
+    for i in range(len(y)):
+        term = b[i] * y[i]
+        total = term if total is None else total + term
+    return total
+
+
+COEFFICIENT_KINDS = ("float", "zero", "negative", "series")
+
+
+def _coefficient(ring, rng, kind):
+    if kind == "float":
+        return float(rng.uniform(-2.0, 2.0))
+    if kind == "zero":
+        return float(rng.choice([0.0, -0.0]))
+    if kind == "negative":
+        return -float(rng.uniform(0.5, 2.0))
+    # a series of x alone, with exact zeros and a -0
+    c = np.zeros(ring.size)
+    xs = np.flatnonzero(ring.ydeg == 0)
+    c[xs] = rng.uniform(-1.0, 1.0, len(xs)) * (rng.uniform(size=len(xs)) < 0.7)
+    c[xs[-1]] = -0.0
+    return Series(ring, c)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 4),
+    caps=st.sampled_from([(2, 2), (1, 3), (0, 2)]),
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(COEFFICIENT_KINDS), min_size=20, max_size=20),
+    zero=st.booleans(),
+)
+def test_placed_forms_equal_the_loop(n, caps, seed, kinds, zero):
+    # alpha^2 and beta from their coefficients, at y-variables with
+    # negative values and maybe a zero among them: every coefficient of
+    # the loop's sum of ring products, in its order (metrics module notes)
+    ring = SeriesRing.get(n, *caps)
+    rng = np.random.default_rng(seed)
+    kind = iter(kinds)
+    a = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = _coefficient(ring, rng, next(kind))
+    b = [_coefficient(ring, rng, next(kind)) for _ in range(n)]
+    values = rng.uniform(-1.5, 1.5, n)
+    if zero:
+        values[rng.integers(n)] = 0.0
+    ys = [ring.variable_y(i, v) for i, v in enumerate(values)]
+    assert metrics._form_parts(b, ys) is not None
+    assert metrics._form_parts([v for row in a for v in row], ys) is not None
+    for got, want in (
+        (metrics._alpha_sq(a, ys), _loop_alpha_sq(a, ys)),
+        (metrics._beta(b, ys), _loop_beta(b, ys)),
+    ):
+        assert got.ring is want.ring
+        assert np.array_equal(got.c, want.c)
+
+
+def test_forms_fall_back_to_the_loop():
+    # a non-finite coefficient, a sum whose terms overflow, a coefficient
+    # that reads y and a y that is no y-variable each run the loop itself
+    ring = SeriesRing.get(3, 2, 2)
+    xs, ys = ring.state((0.1, -0.2, 0.3), (0.5, -1.0, 2.0))
+    _, huge = ring.state((0.1, -0.2, 0.3), (1e300, -1.0, 2.0))
+    moving = [xs[0] * 0.5 + 1.0, xs[1] * ys[0], -0.25]
+    cases = (  # b, y, and whether the coefficients and y qualify
+        ([math.inf, 1.0, 0.5], ys, False),
+        ([math.nan, 1.0, 0.5], ys, False),
+        ([1e300, -1.0, 2.0], huge, True),  # b_1 y_1 overflows
+        (moving, ys, False),
+        ([1.0, 0.5, 0.25], [ys[0] + ys[1], ys[1], ys[2]], False),
+    )
+    for b, y, qualify in cases:
+        a = [[bi * bj for bj in b] for bi in b]
+        assert (metrics._form_parts(b, y) is not None) == qualify
+        with np.errstate(all="ignore"):
+            for got, want in (
+                (metrics._beta(b, y), _loop_beta(b, y)),
+                (metrics._alpha_sq(a, y), _loop_alpha_sq(a, y)),
+            ):
+                assert np.array_equal(got.c, want.c, equal_nan=True)

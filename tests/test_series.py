@@ -420,6 +420,46 @@ def test_x_only_passes_other_inputs_through():
         assert len(seen) == 1 and seen[0] is x
 
 
+def test_y_only_matches_full_ring():
+    # a function of y alone in the (0, 8) stage ring gives the (2, 8)
+    # ring's coefficients, embedded back with zeros for the x-monomials
+    from finslerlab.series import y_only
+
+    def fn(y):
+        q = y[0] * y[0] + y[1] * y[1] * 0.5 + y[2] * y[2]
+        return scalars.sqrt(q) + scalars.powr(q, -1.5) * y[0]
+
+    ring = SeriesRing.get(3)
+    _, ys = ring.state((0.12, -0.2, 0.07), (0.3, 0.5, -0.8))
+    got, want = y_only(fn, ys), fn(ys)
+    assert got.ring is ring
+    assert np.array_equal(got.c, want.c)
+
+
+def test_y_only_passes_other_inputs_through():
+    from jet_oracle import seed_direction
+    from finslerlab.series import y_only
+
+    seen = []
+
+    def fn(y):
+        seen.append(y)
+        return "out"
+
+    direction = (1.0, 0.5, -0.2)
+    xs, ys = SeriesRing.get(3).state((0.1, 0.2, 0.3), direction)
+    inputs = (
+        list(direction),
+        seed_direction(list(direction), 0, 0),
+        [SeriesRing.get(3, 0, 2).variable_y(i, v) for i, v in enumerate(direction)],
+        [ys[0] + xs[0], ys[1], ys[2]],  # moves with x
+    )
+    for y in inputs:
+        seen.clear()
+        assert y_only(fn, y) == "out"
+        assert len(seen) == 1 and seen[0] is y
+
+
 def test_x_only_keeps_affine_coordinates(monkeypatch):
     # a restriction, not fresh variables at c[0]: F at x = A xs + c.
     # F's order-8 y-coefficients amplify last-bit differences in a(x) to
