@@ -12,11 +12,12 @@ arithmetic that runs on its first read, so S and tau cost no Riemann and
 no cube.  The Frame is the Spray of G, frame.projective that of the
 projective spray Gt = G - S y/(n+1), and the projective-change routes
 (lemma21_residual, projective.douglas_invariance_gap) build G + P y with
-modified_spray.  Work that depends on x alone (the coefficient fields of
-F, the volume density and ln sigma) runs in the x-only ring and enters
-the (2, 8) ring by one embedding.  The point tensors of the metrics
-module read g and C from small rings of the same series module; the test
-suite holds both against an independent jet-tower oracle.
+modified_spray.  Work of x alone (the coefficient fields of F, the
+volume density, ln sigma) runs in the x-only stage of the (2, 8) root
+(series.one_kind), and each sum over y^m (S's drift, the spray's braces,
+lemma21's P_{|0}) is series.linear_form.  The point tensors of the
+metrics module read g and C from small rings of the same series module;
+the test suite holds both against an independent jet-tower oracle.
 
 Each stage runs in the stage ring of the budget its readers need (bx
 x-orders, by y-orders), with its vectors and matrices as component axes
@@ -63,7 +64,7 @@ import numpy as np
 from .errors import DomainError, EvalError, RegularityError
 from .scalars import ln, ring_inv, value_of
 from .scalars import ring_det  # noqa: F401  (perfbench/spans.py wraps this name)
-from .series import Series, SeriesRing, graded_solve, restrict, x_only
+from .series import Series, SeriesRing, graded_solve, linear_form, one_kind, restrict
 
 # Orientation of the Ricci identity for the Berwald-curvature
 # commutator: B_j^i_{kl|m} - B_j^i_{km|l} = RICCI_LM_SIGN * d_k R_j^i_{lm}
@@ -162,10 +163,9 @@ def spray_series(fsq, g, g0, xs, ys):
         [fsq.dx(k) for k in range(n)], fsq.ring.stage(stage.cap_x, stage.cap_y + 1)
     )  # [k]
     D = restrict([dxP.dy(l) for l in range(n)], stage)  # [l, k]
-    y = restrict(ys, stage)  # [k]
-    A = D.part(np.s_[:, 0]) * y.part(0)  # lanes l
-    for k in range(1, n):
-        A = A + D.part(np.s_[:, k]) * y.part(k)
+    A = linear_form(  # lanes l
+        [D.part(np.s_[:, k]) for k in range(n)], [restrict(v, stage) for v in ys]
+    )
     A = (A - restrict(dxP, stage)) * 0.25
     det0, inverse = g0[0], np.asarray(g0[1])
     g = restrict(g, stage)  # lanes [i, l]
@@ -229,11 +229,12 @@ def log_sigma_series(volume, xs):
     """ln sigma as a ring element, or a float when sigma does not vary.
 
     sigma depends on x alone, so it and its logarithm run in the x-only
-    ring (series.x_only), and the result is embedded into the ring of xs.
+    stage ring (series.one_kind), and the result is embedded into the
+    ring of xs.
     """
     if volume is None:
         return 0.0
-    return x_only(lambda x: ln(volume.sigma(x)), xs)
+    return one_kind(lambda x: ln(volume.sigma(x)), xs, "x")
 
 
 def horizontal(T, Tx, Ty, N, Gamma, variance):
@@ -369,10 +370,9 @@ class Frame(Spray):
         lnsig = _at_state(self.x, self.y, log_sigma_series, volume, xs)
         S = self.div
         if not isinstance(lnsig, float):
-            acc = lnsig.dx(0) * ys[0]
-            for m in range(1, n):
-                acc = acc + lnsig.dx(m) * ys[m]
-            S = S - acc
+            # the drift sum_m d_m ln sigma y^m, in the (1, 8) stage ring
+            dx = [lnsig.dx(m) for m in range(n)]
+            S = S - linear_form(dx, [restrict(v, dx[0].ring) for v in ys])
         tau = ln_det * 0.5 - lnsig
         self.S = S.c[0]
         self.S_x = S.partials(1, 0)
@@ -524,9 +524,8 @@ def lemma21_residual(frame, p_func):
     P_x = P.partials(1, 0)
     P_y = P.partials(0, 1)
 
-    hor0 = P.dx(0) * ys[0]
-    for m in range(1, n):
-        hor0 = hor0 + P.dx(m) * ys[m]
+    dx = [P.dx(m) for m in range(n)]
+    hor0 = linear_form(dx, [restrict(v, dx[0].ring) for v in ys])
     for r in range(n):
         hor0 = hor0 - P.dy(r) * (G[r] * 2.0)
     Xi = P * P - hor0

@@ -19,11 +19,11 @@ looser than "^", so -x1^2 means -(x1^2).
 Evaluation is scalar-ring-generic: the same tree runs over floats or
 truncated series, with identical control flow.  A tree passed through
 hoist() marks each maximal subtree that reads variables of one kind
-alone (a Hoisted node), and evaluate runs such a subtree in the smaller
-ring of that kind: one of x alone through series.x_only, one of y alone
-in the (0, cap_y) stage ring through series.y_only.  Both pass floats
-and other rings' scalars through, so a hoisted tree still evaluates in
-every ring, to the same value part.  squared() gives the tree of F^2
+alone (a Hoisted node), and evaluate runs such a subtree in the stage
+ring of that kind through series.one_kind: one of x alone in the
+(cap_x, 0) stage ring, one of y alone in the (0, cap_y) one.  one_kind
+passes floats and other rings' scalars through, so a hoisted tree still
+evaluates in every ring, to the same value part.  squared() gives the tree of F^2
 for an F whose root is a square root or a power.
 """
 
@@ -36,7 +36,7 @@ from .scalars import exp as _exp
 from .scalars import ln as _ln
 from .scalars import powr as _powr
 from .scalars import sqrt as _sqrt
-from .series import x_only, y_only
+from .series import one_kind
 
 FUNCTIONS = ("sqrt", "exp", "ln")
 
@@ -132,7 +132,7 @@ def parse(source, dimension, parameter_names=()):
     parameter_names = frozenset(parameter_names)
     for name in parameter_names:
         if _VARIABLE.match(name) or name in FUNCTIONS:
-            raise ValueError(
+            raise ConfigError(
                 "parameter name %r collides with a variable or function" % name
             )
     if not source.strip():
@@ -272,8 +272,8 @@ def evaluate(expr, x, y, parameters=None):
 def _eval(node, x, y, params):
     if isinstance(node, Hoisted):
         if node.kind == "x":
-            return x_only(lambda xs: _eval(node.child, xs, y, params), x)
-        return y_only(lambda ys: _eval(node.child, x, ys, params), y)
+            return one_kind(lambda xs: _eval(node.child, xs, y, params), x, "x")
+        return one_kind(lambda ys: _eval(node.child, x, ys, params), y, "y")
     if isinstance(node, Literal):
         return node.value
     if isinstance(node, Variable):

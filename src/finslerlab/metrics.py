@@ -4,10 +4,12 @@ A MetricSpec wraps a scalar-ring-generic evaluator for F(x, y) together
 with its chart and cone domains.  The (alpha, beta) and Riemannian
 families, which every catalog metric with x-dependent coefficients and
 every DSL (a, b) metric is built through, take their coefficient fields
-a(x), b(x) through
-series.x_only: they depend on x alone, so in a curvature Frame they run
-in the x-only ring and enter the full ring by one embedding.  The
-pointwise operations here (fundamental tensor, Cartan torsion) read the
+a(x), b(x) through series.one_kind: they depend on x alone, so in a
+curvature Frame they run in the x-only stage ring of the Frame's root.
+alpha^2 and beta are series.quadratic_form and series.linear_form of
+those fields, placed from their coefficients at the y-variables of a
+series ring (every Frame and every point tensor).  The pointwise
+operations here (fundamental tensor, Cartan torsion) read the
 y-partials of F^2 from one evaluation in a small series ring,
 SeriesRing.get(n, 0, k) with x kept as floats; the curvature pipeline
 in the engine module reads the same partials from its (2, 8) ring.
@@ -24,26 +26,15 @@ and the dense product F * F are formed only where F has no parts:
   tree of F^2 is E when F's root is sqrt(E) and E^(2p/q) when it is
   E^(p/q), which is E at p/q = 1/2 and sqrt(E) at p/q = 1/4 (the
   quartic norm's F^2 runs no ln and no exp); any other root gives F * F.
-  Each maximal subtree that reads x alone runs in the x-only ring
-  (series.x_only), each that reads y alone in the (0, cap_y) stage
-  ring (series.y_only), and a quotient by one of them is a product by
-  its reciprocal there (expr.hoist);
+  Each maximal subtree that reads x alone runs in the x-only stage ring,
+  each that reads y alone in the (0, cap_y) stage ring (both through
+  series.one_kind), and a quotient by one of them is a product by its
+  reciprocal there (expr.hoist);
 - a metric given by F alone: F * F.
 
-alpha^2 and beta are placed from their coefficients when y are the
-y-variables of a series ring (every Frame and every point tensor).  At
-y-variables with values u, term (i, j) of the loop sum_ij a_ij y_i y_j,
-(a_ij * y_i) * y_j, has only four coefficients per x-monomial alpha of
-a_ij: a u_i u_j at (alpha, 0), a u_j at (alpha, e_i), a u_i at (alpha,
-e_j) (2 a u_i at (alpha, e_i) when i == j) and a at (alpha, e_i + e_j),
-each the one product (or two equal ones) the loop's bincount adds to
-+0.  So the terms are a few array operations on the coefficient array
-[term, y-part, alpha] (SeriesRing.form_table places them), summed in
-the loop's term order by np.add.accumulate (np.add.reduce may pair the
-sums differently) with -0 turned to +0: the loop's coefficients, bit
-for bit.  beta's terms b u_i and b likewise.  Floats, jets, batched y
-(the quadrature's lane constants), a coefficient that reads y and a
-non-finite coefficient or term keep the loop.
+A Randers metric's chart holds |b|_alpha < 1 as well as the chart it is
+given: the sampler rejects a draw past it as outside the chart, and the
+quadrature leaves such probes out.
 
 Every evaluator raises DomainError("F <= 0") before its products when F
 is not positive at the state (for a power metric: alpha^2 or beta is
@@ -53,16 +44,15 @@ RegularityError at the state.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import expr as dsl
-from .errors import ConfigError, DomainError, RegularityError
+from .errors import ConfigError, DomainError, FinslerError, RegularityError
 from .scalars import powr, sqrt, value_of
-from .series import Series, SeriesRing, x_only
+from .series import Series, SeriesRing, linear_form, one_kind, quadratic_form
 
 
 # The curvature Frame's (2, 8) series ring bounds the dimension: at n=5
@@ -236,107 +226,6 @@ def _check_symmetric(a_fn, n, where):
                     )
 
 
-def _form_parts(coefficients, y):
-    """(ring, positions, pairs, u, X) for placing a form in y (module
-    notes): y's ring and its form table, the values u of y, and X[k] the
-    coefficients of coefficient k at the x-monomials (a float at the
-    constant).  None, for the loop, unless every y is a y-variable of one
-    ring with y-degrees up to 2 and every coefficient a float or a 1-D
-    series of that ring free of y, all finite."""
-    ring = getattr(y[0], "ring", None)
-
-    def plain(v):  # a 1-D series of y's ring
-        return isinstance(v, Series) and v.ring is ring and v.c.ndim == 1
-
-    table = ring.form_table() if all(plain(v) for v in y) else None
-    if table is None:
-        return None
-    positions, pairs = table
-    n = len(y)
-    ys = np.array([v.c for v in y])
-    u = ys[:, 0]
-    if not (ys[np.arange(n), positions[1 : n + 1, 0]] == 1.0).all():
-        return None
-    # a mask counts nonzeros several times faster than the floats
-    if np.count_nonzero(ys != 0.0) != n + np.count_nonzero(u):
-        return None  # y_i has nonzeros besides its value and its 1
-    X = np.zeros((len(coefficients), positions.shape[1]))
-    series = []
-    for k, v in enumerate(coefficients):
-        if plain(v):
-            series.append(k)
-        elif isinstance(v, numbers.Real):
-            X[k, 0] = v
-        else:
-            return None
-    if series:
-        cs = np.array([coefficients[k].c for k in series])
-        X[series] = cs[:, positions[0]]
-        if np.count_nonzero(cs != 0.0) != np.count_nonzero(X[series]):
-            return None  # a coefficient reads y
-    if not (np.isfinite(X).all() and np.isfinite(u).all()):
-        return None
-    return ring, positions, pairs, u, X
-
-
-def _placed(ring, positions, terms):
-    """The sum of the terms [k, e, alpha], at positions[e, alpha], as the
-    loop adds its series: in term order, -0 turned to +0; None when a term
-    is not finite (a loop product would then gather NaN)."""
-    if not np.isfinite(terms).all():
-        return None
-    c = np.zeros(ring.size)
-    c[positions] = np.add.accumulate(terms, axis=0)[-1] + 0.0
-    return Series(ring, c)
-
-
-def _alpha_sq(a, y):
-    n = len(y)
-    parts = _form_parts([v for row in a for v in row], y)
-    if parts is not None:
-        ring, positions, pairs, u, X = parts
-        k = np.arange(n * n)
-        i, j = k // n, k % n
-        # a_ij y_i has a_ij u_i at (alpha, 0) and a_ij at (alpha, e_i);
-        # times y_j, each output is one product, or two equal ones at
-        # (alpha, e_i) when i == j (module notes)
-        r = X * u[i, None]
-        terms = np.zeros((len(X),) + positions.shape)
-        terms[:, 0] = r * u[j, None]
-        terms[k, 1 + i] = X * u[j, None]
-        terms[k, 1 + j] += r
-        terms[k, pairs[i, j]] = X
-        total = _placed(ring, positions, terms)
-        if total is not None:
-            return total
-    total = None
-    for i in range(n):
-        row = a[i]
-        for j in range(n):
-            term = row[j] * y[i] * y[j]
-            total = term if total is None else total + term
-    return total
-
-
-def _beta(b, y):
-    n = len(y)
-    parts = _form_parts(b, y)
-    if parts is not None:
-        ring, positions, _, u, X = parts
-        i = np.arange(n)
-        terms = np.zeros((n,) + positions.shape)
-        terms[:, 0] = X * u[:, None]
-        terms[i, 1 + i] = X
-        total = _placed(ring, positions, terms)
-        if total is not None:
-            return total
-    total = None
-    for i in range(n):
-        term = b[i] * y[i]
-        total = term if total is None else total + term
-    return total
-
-
 def alpha_beta_metric(
     name,
     dimension,
@@ -348,15 +237,16 @@ def alpha_beta_metric(
 ):
     """MetricSpec from Riemannian-part and one-form evaluators.
 
-    power_m=None gives Randers F = alpha + beta; otherwise the conic
-    power metric F = alpha^m beta^(1-m) on the half-cone beta > 0.
+    power_m=None gives Randers F = alpha + beta, on the part of the chart
+    where |b|_alpha < 1; otherwise the conic power metric F = alpha^m
+    beta^(1-m) on the half-cone beta > 0.
     """
     parameters = dict(parameters or {})
-    chart = chart_domain or (lambda x: True)
+    given = chart_domain or (lambda x: True)
 
     def parts(x, y):
-        a, b = x_only(lambda x: (a_fn(x), b_fn(x)), x)
-        return _alpha_sq(a, y), _beta(b, y)
+        a, b = one_kind(lambda x: (a_fn(x), b_fn(x)), x, "x")
+        return quadratic_form(a, y), linear_form(b, y)
 
     if power_m is None:
 
@@ -369,6 +259,14 @@ def alpha_beta_metric(
             alpha = sqrt(alpha_sq)
             _positive_F(value_of(alpha) + value_of(beta))
             return alpha_sq + beta * (2.0 * alpha + beta)
+
+        def chart(x):  # the given chart, where also |b|_alpha < 1
+            if not given(x):
+                return False
+            try:
+                return _b_norm_sq(a_fn, b_fn, x) < 1.0
+            except (np.linalg.LinAlgError, FinslerError):
+                return False  # a(x) singular, or a field undefined at x
 
         cone = _everywhere
         family = "randers"
@@ -388,8 +286,9 @@ def alpha_beta_metric(
             return powr(alpha_sq, m) * powr(beta, 2.0 - 2.0 * m)
 
         def cone(x, y):  # the half-cone beta > 0
-            return value_of(_beta(b_fn(x), y)) > 0.0
+            return value_of(linear_form(b_fn(x), y)) > 0.0
 
+        chart = given
         family = "alpha_beta_power"
 
     return MetricSpec(
@@ -410,10 +309,10 @@ def riemannian_metric(name, dimension, a_fn, chart_domain=None, parameters=None)
     parameters = dict(parameters or {})
 
     def F(x, y):
-        return sqrt(_alpha_sq(x_only(a_fn, x), y))
+        return sqrt(quadratic_form(one_kind(a_fn, x, "x"), y))
 
     def F2(x, y):
-        alpha_sq = _alpha_sq(x_only(a_fn, x), y)
+        alpha_sq = quadratic_form(one_kind(a_fn, x, "x"), y)
         _positive_F(value_of(alpha_sq))  # F = sqrt(alpha^2)
         return alpha_sq
 
@@ -446,7 +345,9 @@ def construct_metric(
     Matrix/vector coefficients and F are DSL source strings; identifiers
     listed in ``parameters`` (a name -> value map) are usable inside
     them.  The Randers regularity condition |b|_alpha < 1 is checked at
-    the chart center and again, per state, during sampling.
+    the chart center (a RegularityError) and is part of the metric's
+    chart (alpha_beta_metric), so the sampler rejects a draw that fails
+    it as outside the chart.
     """
     parameters = dict(parameters or {})
     names = frozenset(parameters)
@@ -532,11 +433,13 @@ def randers_b_norm_sq(metric, x):
     """|b|^2 in the alpha inner product at a point (floats)."""
     if metric.a_fn is None or metric.b_fn is None:
         raise ConfigError("metric %r has no (alpha, beta) data" % metric.name)
+    return _b_norm_sq(metric.a_fn, metric.b_fn, x)
+
+
+def _b_norm_sq(a_fn, b_fn, x):
     xs = [float(v) for v in x]
-    a = np.array(
-        [[value_of(v) for v in row] for row in metric.a_fn(xs)], dtype=float
-    )
-    b = np.array([value_of(v) for v in metric.b_fn(xs)], dtype=float)
+    a = np.array([[value_of(v) for v in row] for row in a_fn(xs)], dtype=float)
+    b = np.array([value_of(v) for v in b_fn(xs)], dtype=float)
     return float(b @ np.linalg.solve(a, b))
 
 

@@ -122,10 +122,24 @@ within its caps, mapped entry for entry (2 ms for the (1, 6) ring at
 n=4 and 0.2 ms for the (1, 1) ring, where mapping the root's table took
 4 and 3 ms); its derivative tables are built per slot on first use.
 restrict copies series into a smaller ring, and embed zero-fills them
-into a larger one.  x_only runs work of x alone (coefficient fields,
-volume densities) in the x-only ring SeriesRing.get(n, cap_x, 0), a
-ring of its own; y_only runs work of y alone (a DSL metric's norms of
-y) in the stage ring ring.stage(0, cap_y).
+into a larger one.  one_kind runs work of one kind of variable in a
+stage ring of the root: work of x alone (coefficient fields, volume
+densities) in the x-only stage ring.stage(cap_x, 0), work of y alone (a
+DSL metric's norms of y) in ring.stage(0, cap_y).
+
+A form in y with coefficients of x alone, sum_ij a_ij y_i y_j
+(quadratic_form) or sum_i b_i y_i (linear_form), is placed from its
+coefficients at the y-variables of a ring, with values u.  The loop's
+term (a_ij * y_i) * y_j has four coefficients per x-monomial alpha of
+a_ij: a u_i u_j at (alpha, 0), a u_j at (alpha, e_i), a u_i at (alpha,
+e_j) (2 a u_i at (alpha, e_i) when i == j) and a at (alpha, e_i + e_j),
+each the one product (or two equal ones) its bincount adds to +0; b_i
+y_i has b u_i and b.  So the terms are a few array operations on an
+array [term, y-part, alpha] (SeriesRing.form_table places them), summed
+in the loop's order by np.add.accumulate (np.add.reduce may pair the
+sums differently) with -0 turned to +0: the loop's coefficients, bit
+for bit.  Floats, jets, lanes, a coefficient that reads y and a
+non-finite coefficient or term keep the loop.
 
 A Series in an x-only or a stage ring may carry leading component axes:
 c of shape (K1, .., size) holds one series per lane, stacked by
@@ -151,6 +165,9 @@ unbatched).
 import itertools
 import math
 import numbers
+from functools import reduce
+from operator import add
+
 import numpy as np
 
 from .errors import DomainError, TowerBudgetError
@@ -317,7 +334,7 @@ class SeriesRing:
 
     def form_table(self):
         """Where a quadratic or linear form in y with coefficients of x
-        alone keeps its coefficients (metrics module notes), built on first
+        alone keeps its coefficients (module notes), built on first
         use: (positions, pairs).  positions[e, alpha] is the monomial
         (alpha, e), over the y-parts e = 0, e_1..e_n, then e_k + e_l for
         k <= l, and the x-monomials alpha (those of y-degree 0, in the
@@ -885,53 +902,131 @@ def _within(v, sub):
     )
 
 
-def x_only(fn, x):
-    """fn(x) for a function fn of x alone, evaluated in the x-only ring.
+def one_kind(fn, coords, kind):
+    """fn(coords) for a function fn of coordinates of one kind, "x" or
+    "y", alone, run in the stage ring ring.stage(cap_x, 0) or
+    ring.stage(0, cap_y) of their ring (module notes).
 
-    When x is a vector of full-ring Series (cap_y > 0) that carry no
-    y-dependence, each coordinate is restricted to the x-only ring
-    SeriesRing.get(n, cap_x, 0) (so an affine x = A xs + c keeps its
-    shape), fn runs there, and every Series leaf of its result, nested
-    lists allowed, is embedded back into the stage ring of the full
-    ring at the leaf's x-budget and the full y-cap; float leaves pass
-    through.  Floats, x-only Series, any other ring's scalars and an x
-    that depends on y go to fn unchanged.
+    Series coordinates of a ring that keeps the other kind's orders, free
+    of the other kind, are restricted there (so an affine x = A xs + c
+    keeps its shape), and every Series leaf of fn's result, nested lists
+    allowed, is embedded back at the leaf's own budget of that kind and
+    the ring's cap of the other.  Floats, one-kind Series, other rings'
+    scalars and coordinates that move with the other kind go to fn as
+    they are.
     """
-    if not all(isinstance(v, Series) and v.ring.cap_y for v in x):
-        return fn(x)
-    ring = x[0].ring
-    reduced = SeriesRing.get(ring.n, ring.cap_x, 0)
-    if not all(_within(v, reduced) for v in x):
-        return fn(x)
-    out = fn([restrict(v, reduced) for v in x])
+    of_x = kind == "x"
+    if not all(
+        isinstance(v, Series) and (v.ring.cap_y if of_x else v.ring.cap_x)
+        for v in coords
+    ):
+        return fn(coords)
+    ring = coords[0].ring
+    low = ring.stage(ring.cap_x, 0) if of_x else ring.stage(0, ring.cap_y)
+    if not all(_within(v, low) for v in coords):
+        return fn(coords)
+    out = fn([restrict(v, low) for v in coords])
 
     def lift(leaf):
         if isinstance(leaf, (list, tuple)):
             return type(leaf)(lift(v) for v in leaf)
         if isinstance(leaf, Series):
-            return embed(leaf, ring.stage(leaf.bx, ring.cap_y))
+            caps = (leaf.bx, ring.cap_y) if of_x else (ring.cap_x, leaf.by)
+            return embed(leaf, ring.stage(*caps))
         return leaf
 
     return lift(out)
 
 
-def y_only(fn, y):
-    """fn(y) for a function fn of y alone, evaluated in the stage ring
-    ring.stage(0, cap_y): x_only's mirror, for one scalar result.
+def _form_parts(coefficients, y):
+    """(ring, positions, pairs, u, X) for placing a form in y (module
+    notes): y's ring and its form table, the values u of y, and X[k] the
+    coefficients of coefficient k at the x-monomials (a float at the
+    constant).  None, for the loop, unless every y is a y-variable of one
+    ring with y-degrees up to 2 and every coefficient a float or a 1-D
+    series of that ring free of y, all finite."""
+    ring = getattr(y[0], "ring", None)
 
-    When y is a vector of Series of a ring with x-budget (cap_x > 0) that
-    carry no x-dependence, each coordinate is restricted to that stage
-    ring, fn runs there, and a Series result is embedded back into the
-    stage ring at the full x-cap and the result's y-budget.  Floats, any
-    other ring's scalars and a y that depends on x go to fn unchanged.
-    """
-    if not all(isinstance(v, Series) and v.ring.cap_x for v in y):
-        return fn(y)
-    ring = y[0].ring
-    low = ring.stage(0, ring.cap_y)
-    if not all(_within(v, low) for v in y):
-        return fn(y)
-    out = fn([restrict(v, low) for v in y])
-    if isinstance(out, Series):
-        return embed(out, ring.stage(ring.cap_x, out.by))
-    return out
+    def plain(v):  # a 1-D series of y's ring
+        return isinstance(v, Series) and v.ring is ring and v.c.ndim == 1
+
+    table = ring.form_table() if all(plain(v) for v in y) else None
+    if table is None:
+        return None
+    positions, pairs = table
+    n = len(y)
+    ys = np.array([v.c for v in y])
+    u = ys[:, 0]
+    if not (ys[np.arange(n), positions[1 : n + 1, 0]] == 1.0).all():
+        return None
+    # a mask counts nonzeros several times faster than the floats
+    if np.count_nonzero(ys != 0.0) != n + np.count_nonzero(u):
+        return None  # y_i has nonzeros besides its value and its 1
+    X = np.zeros((len(coefficients), positions.shape[1]))
+    series = []
+    for k, v in enumerate(coefficients):
+        if plain(v):
+            series.append(k)
+        elif isinstance(v, numbers.Real):
+            X[k, 0] = v
+        else:
+            return None
+    if series:
+        cs = np.array([coefficients[k].c for k in series])
+        X[series] = cs[:, positions[0]]
+        if np.count_nonzero(cs != 0.0) != np.count_nonzero(X[series]):
+            return None  # a coefficient reads y
+    if not (np.isfinite(X).all() and np.isfinite(u).all()):
+        return None
+    return ring, positions, pairs, u, X
+
+
+def _placed(coefficients, y, degree):
+    """The form of the given degree in y placed from its coefficients
+    (module notes): sum_i b_i y_i at degree 1, sum_ij a_ij y_i y_j at
+    degree 2 with a_ij in row order.  Its terms are summed as the loop adds
+    its series: in term order, -0 turned to +0.  None, for the loop, when
+    _form_parts rejects the input or a term is not finite (a loop product
+    would then gather NaN)."""
+    parts = _form_parts(coefficients, y)
+    if parts is None:
+        return None
+    ring, positions, pairs, u, X = parts
+    k = np.arange(len(X))
+    i, j = np.divmod(k, len(y)) if degree == 2 else (k, None)
+    terms = np.zeros((len(X),) + positions.shape)
+    if degree == 1:  # b_i y_i: b u_i at (alpha, 0) and b at (alpha, e_i)
+        terms[:, 0] = X * u[i, None]
+        terms[k, 1 + i] = X
+    else:
+        # a_ij y_i has a_ij u_i at (alpha, 0) and a_ij at (alpha, e_i);
+        # times y_j, each output is one product, or two equal ones at
+        # (alpha, e_i) when i == j (module notes)
+        r = X * u[i, None]
+        terms[:, 0] = r * u[j, None]
+        terms[k, 1 + i] = X * u[j, None]
+        terms[k, 1 + j] += r
+        terms[k, pairs[i, j]] = X
+    if not np.isfinite(terms).all():
+        return None
+    c = np.zeros(ring.size)
+    c[positions] = np.add.accumulate(terms, axis=0)[-1] + 0.0
+    return Series(ring, c)
+
+
+def quadratic_form(a, y):
+    """sum_ij a_ij y_i y_j, added in (i, j) order as (a_ij * y_i) * y_j:
+    placed from the coefficients a (an n x n nested list) when y are the
+    y-variables of a ring (module notes), else that loop itself."""
+    n = len(y)
+    total = _placed([v for row in a for v in row], y, 2)
+    terms = (a[i][j] * y[i] * y[j] for i in range(n) for j in range(n))
+    return reduce(add, terms) if total is None else total
+
+
+def linear_form(b, y):
+    """sum_i b_i y_i, added in order: placed from the coefficients b when y
+    are the y-variables of a ring (module notes), else that loop itself."""
+    total = _placed(b, y, 1)
+    terms = (b[i] * y[i] for i in range(len(y)))
+    return reduce(add, terms) if total is None else total

@@ -5,14 +5,14 @@ quadrature, the Randers closed form, and a user DSL density.  The
 closed-form and DSL sigmas are scalar-ring-generic in x so the
 S-curvature pipeline can differentiate through them.  A density
 depends on x alone, so the engine evaluates every kind, and its
-logarithm, in the x-only ring and embeds the result into the full ring
-once (engine.log_sigma_series).  The quadrature takes x as floats or
-as series of an x-only ring: all its directions enter F as one batch of
-constants (see the series module), so F is evaluated once per x, not
-once per direction.  A product with a batch of constants scales the
-other factor rather than gathering the product table, so of the 22
-batched products in a Randers F^-3 at n=3 only F * F and F^2 * F
-gather it.
+logarithm, in the x-only stage ring of the Frame's root (series.one_kind
+in engine.log_sigma_series).  The quadrature takes x as floats or as
+series of an x-only ring (cap_y = 0): all its directions enter F as one
+batch of constants (see the series module), so F is evaluated once per
+x, not once per direction.  A product with a batch of constants scales
+the other factor rather than gathering the product table, so of the 22
+batched products in a Randers F^-3 at n=3 only F * F and F^2 * F gather
+it.
 
 Quadrature rules: a rung m of a fixed ladder (LADDER) is a product
 rule on S^{n-1} (sphere_nodes, n = 2, 3, 4).  Periodic angles get 2m

@@ -280,9 +280,15 @@ def test_catalog_dimension_that_is_not_a_number_is_a_config_error(capsys):
         ('{"dimension": 2, "family": "alpha_beta_power", "expressions": '
          '{"a": [["1", "0"], ["0", "1"]], "b": ["1", "0"], "m": 1e400}}',
          "exponent m must be a finite number, got inf"),
+        ('{"dimension": 2, "family": "dsl", "parameters": {"x1": 2.0}, '
+         '"expressions": {"F": "sqrt(y1^2 + y2^2)"}}',
+         "parameter name 'x1' collides with a variable or function"),
+        ('{"dimension": 2, "family": "randers", "parameters": {"sqrt": 0.1}, '
+         '"expressions": {"a": [["1", "0"], ["0", "1"]], "b": ["0", "0"]}}',
+         "parameter name 'sqrt' collides with a variable or function"),
     ],
     ids=["invalid-json", "not-an-object", "dimension-abc", "dimension-2.5",
-         "exponent-1e400", "m-1e400"],
+         "exponent-1e400", "m-1e400", "parameter-x1", "parameter-sqrt"],
 )
 def test_bad_definition_file_is_a_config_error(
     tmp_path, capsys, monkeypatch, text, message

@@ -626,7 +626,7 @@ def test_graded_sqrt_runs_no_full_budget_products(monkeypatch, name, most):
 
 # the graded operations a Frame of each entry runs: the spray's solve
 # runs none, mkropina's and osaka's coefficient fields take reciprocals
-# in the x-only ring, and the quartic norm's F^2 is sqrt(E) for F =
+# in the x-only stage ring, and the quartic norm's F^2 is sqrt(E) for F =
 # E^(1/4), in the (0, 8) stage ring
 GRADED_RUN = {
     "mkropina_yang": {"reciprocal", "ln", "exp"},
@@ -669,6 +669,33 @@ def test_graded_operations_run_no_products(monkeypatch, name):
     frame.R, frame.projective.R, frame.B, frame.D
     assert set(calls) == GRADED_RUN[name]
     assert products == []
+
+
+def test_one_kind_work_runs_in_stage_rings_of_the_root(monkeypatch):
+    # every x-only ring (cap_y = 0) that a Frame's products and graded
+    # operations run in is a stage ring of the Frame's (2, 8) root: a
+    # Randers entry's coefficient fields and closed-form density, and a DSL
+    # metric's hoisted subtrees of x; the DSL's subtree of y runs in the
+    # (0, 8) stage.  SeriesRing.get caches rings, so the rings themselves
+    # are recorded, not their constructions
+    ran = []
+    for op in ("__mul__", "reciprocal", "sqrt", "ln", "exp"):
+        def record(self, *args, plain=Series.__dict__[op]):
+            ran.append(self.ring)
+            return plain(self, *args)
+
+        monkeypatch.setattr(Series, op, record)
+    root = SeriesRing.get(3)
+    osaka = get_example("randers_osaka")
+    dsl = construct_metric(
+        "dsl", 3, F="sqrt(y1^2 + y2^2 + y3^2) * exp(x1) / (1 + x2^2) + 0.1*x3*y1"
+    )
+    for metric, volume in ((osaka.metric, osaka.volume), (dsl, None)):
+        ran.clear()
+        Frame(metric, volume, *STATE)
+        x_only = {ring for ring in ran if ring.cap_y == 0}
+        assert x_only and all(ring.root is root for ring in x_only)
+    assert root.stage(0, 8) in ran
 
 
 def test_quadrature_gathers_the_table_in_two_products(monkeypatch):

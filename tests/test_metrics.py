@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finslerlab import metrics
+from finslerlab import series
 from finslerlab.errors import ConfigError, RegularityError
 from finslerlab.metrics import (
     TensorValue,
@@ -178,6 +178,35 @@ def test_b_norm_uses_alpha_inner_product():
     assert randers_b_norm_sq(m, [0.0, 0.0]) == pytest.approx(0.25, rel=1e-12)
 
 
+def test_randers_chart_holds_the_regularity_condition():
+    # |b|_alpha < 1 is part of a Randers metric's chart: the sampler keeps
+    # no state past it and tallies such draws as outside the chart, and an
+    # a(x) that numpy cannot solve is outside the chart too
+    from finslerlab.classify import SamplePlan, sample_states
+    from finslerlab.metrics import alpha_beta_metric
+
+    m = construct_metric("randers", 2, a=IDENTITY2, b=["2*x1", "0"])
+    batch = sample_states(m, SamplePlan(count=40, seed=0, x_radius=0.9))
+    assert all(randers_b_norm_sq(m, x) < 1.0 for x, _ in batch.states)
+    assert batch.rejection_reasons["chart_domain"] > 0
+    assert not m.chart_domain([0.6, 0.0]) and m.chart_domain([0.4, 0.0])
+
+    singular = alpha_beta_metric(
+        "singular", 2, lambda x: [[x[0], 0.0], [0.0, 1.0]], lambda x: [0.1, 0.0]
+    )
+    assert not singular.chart_domain([0.0, 0.3])
+    assert singular.chart_domain([0.5, 0.3])
+    # so is an x where a coefficient field is undefined (sqrt of 1 + x1 < 0)
+    rooted = construct_metric(
+        "randers", 2, a=[["1 + sqrt(1 + x1)", "0"], ["0", "1"]], b=["0.1", "0"]
+    )
+    assert not rooted.chart_domain([-1.5, 0.0])
+    assert rooted.chart_domain([0.2, 0.0])
+    # the power family keeps the chart it is given
+    power = construct_metric("alpha_beta_power", 2, a=IDENTITY2, b=["2*x1", "1"], m=0.5)
+    assert power.chart_domain([0.6, 0.0])
+
+
 def test_tensor_value_variance_checked():
     with pytest.raises(ValueError):
         TensorValue(np.zeros((2, 2)), ("lower",), ((0.0,), (1.0,)))
@@ -252,7 +281,9 @@ def _coefficient(ring, rng, kind):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     n=st.integers(2, 4),
-    caps=st.sampled_from([(2, 2), (1, 3), (0, 2)]),
+    # a ring of its own, or a stage ring of the (2, 8) root that S's drift
+    # or the spray's braces run in
+    caps=st.sampled_from([(2, 2), (1, 3), (0, 2), ("stage", 1, 8), ("stage", 1, 6)]),
     seed=st.integers(0, 2**32 - 1),
     kinds=st.lists(st.sampled_from(COEFFICIENT_KINDS), min_size=20, max_size=20),
     zero=st.booleans(),
@@ -260,8 +291,11 @@ def _coefficient(ring, rng, kind):
 def test_placed_forms_equal_the_loop(n, caps, seed, kinds, zero):
     # alpha^2 and beta from their coefficients, at y-variables with
     # negative values and maybe a zero among them: every coefficient of
-    # the loop's sum of ring products, in its order (metrics module notes)
-    ring = SeriesRing.get(n, *caps)
+    # the loop's sum of ring products, in its order (series module notes)
+    if caps[0] == "stage":
+        ring = SeriesRing.get(n).stage(*caps[1:])
+    else:
+        ring = SeriesRing.get(n, *caps)
     rng = np.random.default_rng(seed)
     kind = iter(kinds)
     a = [[None] * n for _ in range(n)]
@@ -273,11 +307,11 @@ def test_placed_forms_equal_the_loop(n, caps, seed, kinds, zero):
     if zero:
         values[rng.integers(n)] = 0.0
     ys = [ring.variable_y(i, v) for i, v in enumerate(values)]
-    assert metrics._form_parts(b, ys) is not None
-    assert metrics._form_parts([v for row in a for v in row], ys) is not None
+    assert series._form_parts(b, ys) is not None
+    assert series._form_parts([v for row in a for v in row], ys) is not None
     for got, want in (
-        (metrics._alpha_sq(a, ys), _loop_alpha_sq(a, ys)),
-        (metrics._beta(b, ys), _loop_beta(b, ys)),
+        (series.quadratic_form(a, ys), _loop_alpha_sq(a, ys)),
+        (series.linear_form(b, ys), _loop_beta(b, ys)),
     ):
         assert got.ring is want.ring
         assert np.array_equal(got.c, want.c)
@@ -299,10 +333,10 @@ def test_forms_fall_back_to_the_loop():
     )
     for b, y, qualify in cases:
         a = [[bi * bj for bj in b] for bi in b]
-        assert (metrics._form_parts(b, y) is not None) == qualify
+        assert (series._form_parts(b, y) is not None) == qualify
         with np.errstate(all="ignore"):
             for got, want in (
-                (metrics._beta(b, y), _loop_beta(b, y)),
-                (metrics._alpha_sq(a, y), _loop_alpha_sq(a, y)),
+                (series.linear_form(b, y), _loop_beta(b, y)),
+                (series.quadratic_form(a, y), _loop_alpha_sq(a, y)),
             ):
                 assert np.array_equal(got.c, want.c, equal_nan=True)

@@ -347,7 +347,7 @@ def test_full_ring_takes_no_batch_axis():
         SeriesRing.get(2).constant([1.0, 2.0])
 
 
-# -- x_only: work of x alone in the x-only ring -----------------------------
+# -- one_kind: work of one kind of variable in its stage ring ---------------
 
 
 def _x_fields():
@@ -380,12 +380,12 @@ def _close(got, want):
 
 @pytest.mark.parametrize("name", sorted(_x_fields()))
 def test_x_only_matches_full_ring(name):
-    from finslerlab.series import x_only
+    from finslerlab.series import one_kind
 
     fn = _x_fields()[name]
     ring = SeriesRing.get(3)
     xs, _ = ring.state((0.12, -0.2, 0.07), (0.3, 0.5, -0.8))
-    hoisted, full = _leaves(x_only(fn, xs)), _leaves(fn(xs))
+    hoisted, full = _leaves(one_kind(fn, xs, "x")), _leaves(fn(xs))
     assert len(hoisted) == len(full)
     assert any(isinstance(f, Series) for f in full)
     for h, f in zip(hoisted, full):
@@ -397,7 +397,7 @@ def test_x_only_matches_full_ring(name):
 
 def test_x_only_passes_other_inputs_through():
     from jet_oracle import seed_direction
-    from finslerlab.series import x_only
+    from finslerlab.series import one_kind
 
     seen = []
 
@@ -416,14 +416,14 @@ def test_x_only_passes_other_inputs_through():
     )
     for x in inputs:
         seen.clear()
-        assert x_only(fn, x) == "out"
+        assert one_kind(fn, x, "x") == "out"
         assert len(seen) == 1 and seen[0] is x
 
 
 def test_y_only_matches_full_ring():
     # a function of y alone in the (0, 8) stage ring gives the (2, 8)
     # ring's coefficients, embedded back with zeros for the x-monomials
-    from finslerlab.series import y_only
+    from finslerlab.series import one_kind
 
     def fn(y):
         q = y[0] * y[0] + y[1] * y[1] * 0.5 + y[2] * y[2]
@@ -431,14 +431,14 @@ def test_y_only_matches_full_ring():
 
     ring = SeriesRing.get(3)
     _, ys = ring.state((0.12, -0.2, 0.07), (0.3, 0.5, -0.8))
-    got, want = y_only(fn, ys), fn(ys)
+    got, want = one_kind(fn, ys, "y"), fn(ys)
     assert got.ring is ring
     assert np.array_equal(got.c, want.c)
 
 
 def test_y_only_passes_other_inputs_through():
     from jet_oracle import seed_direction
-    from finslerlab.series import y_only
+    from finslerlab.series import one_kind
 
     seen = []
 
@@ -456,7 +456,7 @@ def test_y_only_passes_other_inputs_through():
     )
     for y in inputs:
         seen.clear()
-        assert y_only(fn, y) == "out"
+        assert one_kind(fn, y, "y") == "out"
         assert len(seen) == 1 and seen[0] is y
 
 
@@ -476,7 +476,7 @@ def test_x_only_keeps_affine_coordinates(monkeypatch):
     ]
     names = ("randers_osaka", "mkropina_yang", "riemannian_sphere")
     hoisted = [get_example(n).metric.F(x, ys) for n in names]
-    monkeypatch.setattr(metrics, "x_only", lambda fn, x: fn(x))
+    monkeypatch.setattr(metrics, "one_kind", lambda fn, x, kind: fn(x))
     for name, got in zip(names, hoisted):
         want = get_example(name).metric.F(x, ys)
         scale = max(1.0, float(np.abs(want.c).max()))
@@ -648,8 +648,8 @@ def _dense_product(a, b):
     return Series(a.ring, np.bincount(iout, weights=w, minlength=a.ring.size))
 
 
-def _full_ring_fields():
-    ring = SeriesRing.get(3)
+def _full_ring_fields(ring=None):
+    ring = ring or SeriesRing.get(3)
     xs, ys = ring.state(X3, Y3)
     f = smooth3(xs, ys)
     small = SeriesRing.get(3, cap_x=2, cap_y=0)
@@ -1214,8 +1214,10 @@ def test_products_never_alias_the_workspace():
 
 def test_workspace_reuse_keeps_products_exact():
     # a row-skip product uses a prefix of the buffers, a full product all
-    # of them, and a shorter one after it leaves stale values past its end
-    ring, ys, f, w = _full_ring_fields()
+    # of them, and a shorter one after it leaves stale values past its end;
+    # a fresh root, as a batch in a stage ring of the shared one (the
+    # quadrature's x-only ring) grows its workspace past its table
+    ring, ys, f, w = _full_ring_fields(SeriesRing(3, 2, 8))
     for a, b in ((ys[1], f), (f, f), (w, f), (f, ys[2])):
         got = a * b
         assert got.ring is ring
