@@ -8,10 +8,10 @@ tensor(state, name): a copy of the Frame's array, so a caller that
 changes it changes nothing the Frame serves next, with the variance
 that engine.VARIANCE records for that output.  The module also has a
 generic horizontal covariant derivative of any ring-generic field.
-That one takes the field's partials independently of the Frame, from
-one evaluation in the (1, 1) series ring, and shares with the Frame
-only the connection N, Gamma and the routine that adds its terms
-(engine.horizontal).
+That one takes the field's partials from one evaluation in the (1, 1)
+stage ring of the dimension's root, where the Frame reads tau, and
+shares with the Frame only the connection N, Gamma and the routine that
+adds its terms (engine.horizontal).
 """
 
 from functools import cached_property
@@ -139,13 +139,13 @@ def horizontal_derivative(field, state, variance=()):
     field(x, y) must accept coordinates from the series ring and return
     components shaped like its variance signature (a bare scalar for
     variance=()).  Its value and partials come from one evaluation in
-    SeriesRing.get(n, 1, 1), independent of the Frame; the connection
-    terms (formula at engine.horizontal) are shared with the Frame's own
+    SeriesRing.get(n).stage(1, 1), the ring of the Frame's tau; the
+    connection terms (formula at engine.horizontal) are shared with its own
     horizontal derivatives.  The result appends one lower slot.
     """
     f = state.frame
     n = f.n
-    xs, ys = SeriesRing.get(n, 1, 1).state(state.x, state.y)
+    xs, ys = SeriesRing.get(n).stage(1, 1).state(state.x, state.y)
     comps = np.asarray(field(xs, ys), dtype=object)
     shape = comps.shape
     if len(shape) != len(variance):

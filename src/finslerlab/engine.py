@@ -347,7 +347,7 @@ class Frame(Spray):
         n = metric.dimension
         self.x = tuple(float(v) for v in x)
         self.y = tuple(float(v) for v in y)
-        ring = SeriesRing.get(n, cap_x=2, cap_y=8)
+        ring = SeriesRing.get(n)
         xs, ys = ring.state(self.x, self.y)
 
         fsq = _at_state(self.x, self.y, fsq_series, metric, xs, ys)

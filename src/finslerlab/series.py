@@ -6,12 +6,13 @@ cap_y).  Retained coefficients are exact up to rounding; truncation
 only removes orders nobody asked for.  One evaluation of a metric
 through this ring therefore yields every mixed partial up to the caps,
 where nested forward mode would need one re-evaluation per seeding.
-It is the package's only differentiation engine: the curvature Frame
-uses the (2, 8) ring and its stage rings, the point tensors the (0, 2)
-and (0, 3) rings, and the generic horizontal derivative the (1, 1)
-ring.  Series.partials(nx, ny) reads all of them of one order at once:
-each is a single coefficient times its factorial weight, gathered
-through a table the ring caches per order.
+It is the package's only differentiation engine, with one ring per
+dimension, the (n, 2, 8) root SeriesRing.get(n), and its stage rings
+(below): the Frame uses the root and its stages, the point tensors the
+(0, 2) and (0, 3) stages, the horizontal derivative and tau the (1, 1)
+stage, the quadrature's float x the (0, 0) stage.  Series.partials(nx,
+ny) reads all of one order at once: each is a single coefficient times
+its factorial weight, gathered through a table the ring caches.
 
 A Series's budget (bx, by), how many x- and y-derivatives of it are
 still trustworthy, is the caps of its ring.  Combining series takes the
@@ -20,9 +21,9 @@ slot-wise minimum: both operands are restricted to the stage ring
 in the stage ring one order below.  A coefficient past a budget is
 never stored, so no stale high-order term can leak into trusted slots.
 
-Coefficient layout and multiplication tables live in a SeriesRing,
-cached per (dimension, caps); products are a gather-multiply plus a
-bincount over the ring's one index table of triples.  The table is
+Coefficient layout and multiplication tables live in a SeriesRing;
+products are a gather-multiply plus a bincount over the ring's one
+index table of triples.  The table is
 sorted by first factor, then by second factor, and bincount adds each
 output coefficient's terms in table order.  A pair of monomials has a
 product within the caps exactly when their x-degrees and their
@@ -31,17 +32,18 @@ ydeg) class of first factors, with every second factor that fits
 beside the class; one sort puts the pairs in table order, and a
 monomial's mixed-radix exponent key (digit sums never carry) finds each
 output by searchsorted.  At n=4 that examines the 579 150 kept pairs,
-not all 55 million, and peaks at under twice the table's bytes.
+not all 55 million, and peaks at under twice the table's bytes.  Every
+ring under a root finds any monomial by the root's keys alone.
 
 Each root ring owns one product workspace, which its stage rings
-(below) share: two float64 buffers as long as its table, grown when a
-batch needs more.  Every product and every graded level under the root
-gathers its factors into them and multiplies in place; bincount
-allocates the result, so no result aliases a buffer.  Without them a
-(2, 8) product at n=4 allocates three 4.6 MB temporaries, past glibc's
-mmap threshold, so each would go back to the OS and be faulted in again
-(about 7000 minor faults per frame-n4 state, against none with the
-workspace).  So products under one root are not re-entrant; the
+(below) share: two float64 buffers, sized from the root's table and
+grown when a batch needs more.  Every product and every graded level
+under the root gathers its factors into them and multiplies in place;
+bincount allocates the result, so no result aliases a buffer.  Without
+them a (2, 8) product at n=4 allocates three 4.6 MB temporaries, past
+glibc's mmap threshold, so each would go back to the OS and be faulted
+in again (about 7000 minor faults per frame-n4 state, against none with
+the workspace).  So products under one root are not re-entrant; the
 library runs no threads.
 
 Two shortcuts skip work that cannot reach a kept coefficient, and
@@ -121,6 +123,8 @@ table it builds on its first product or graded recurrence is the root's
 within its caps, mapped entry for entry (2 ms for the (1, 6) ring at
 n=4 and 0.2 ms for the (1, 1) ring, where mapping the root's table took
 4 and 3 ms); its derivative tables are built per slot on first use.
+SeriesRing(n, cap_x, cap_y) builds a root of its own caps and keys, the
+tests' reference for budget invariance.
 restrict copies series into a smaller ring, and embed zero-fills them
 into a larger one.  one_kind runs work of one kind of variable in a
 stage ring of the root: work of x alone (coefficient fields, volume
@@ -188,12 +192,12 @@ class SeriesRing:
     _instances = {}
 
     @classmethod
-    def get(cls, n, cap_x=2, cap_y=8):
-        key = (n, cap_x, cap_y)
-        ring = cls._instances.get(key)
+    def get(cls, n):
+        """The one (n, 2, 8) root of dimension n; every other ring of the
+        dimension is a stage of it."""
+        ring = cls._instances.get(n)
         if ring is None:
-            ring = cls(n, cap_x, cap_y)
-            cls._instances[key] = ring
+            ring = cls._instances[n] = cls(n, 2, 8)
         return ring
 
     def stage(self, bx, by):
@@ -223,8 +227,7 @@ class SeriesRing:
                 [e for e in itertools.product(range(cap + 1), repeat=n) if sum(e) <= cap]
                 for cap in (cap_x, cap_y)
             )
-            exps = [(xe, ye) for xe in xes for ye in yes]
-            powers = np.array([xe + ye for xe, ye in exps], dtype=np.int64)
+            powers = np.array([xe + ye for xe in xes for ye in yes], dtype=np.int64)
             # mixed-radix keys: digit-wise exponent sums never carry, so the
             # key of a product monomial is the sum of the factor keys; the
             # exponents are listed in lexicographic order, so keys ascend
@@ -234,13 +237,9 @@ class SeriesRing:
         else:
             # the root's monomials within the caps, in the root's order
             keep = (root.xdeg <= cap_x) & (root.ydeg <= cap_y)
-            pos = root._embed_cache[self] = np.flatnonzero(keep)
-            exps = [root.exponents[p] for p in pos.tolist()]
-            powers, keys = root._powers[pos], root.keys[pos]
-        self.exponents = exps
-        self.size = len(exps)
-        self._index = {e: i for i, e in enumerate(exps)}
-        self._powers = powers
+            powers, keys = root._powers[keep], root.keys[keep]
+        self._powers = powers  # exponent rows: x-exponents, then y-exponents
+        self.size = len(powers)
         self.keys = keys
         self.xdeg = powers[:, :n].sum(axis=1)
         self.ydeg = powers[:, n:].sum(axis=1)
@@ -405,30 +404,26 @@ class SeriesRing:
         table = self._partial_cache.get(key)
         if table is None:
             shape = (self.n,) * (nx + ny)
-            idx = np.empty(shape, dtype=np.int64)
-            fac = np.empty(shape)
-            for slots in itertools.product(range(self.n), repeat=nx + ny):
-                xe, ye = [0] * self.n, [0] * self.n
-                for s in slots[:nx]:
-                    xe[s] += 1
-                for s in slots[nx:]:
-                    ye[s] += 1
-                idx[slots] = self.index_of(xe, ye)
-                fac[slots] = math.prod(math.factorial(d) for d in xe + ye)
+            # the monomial at the slots has the key sum of their place values
+            place = self.root._place
+            at = np.indices(shape).reshape(nx + ny, math.prod(shape))
+            at[nx:] += self.n
+            idx = np.searchsorted(self.keys, place[at].sum(axis=0)).reshape(shape)
+            # its weight is the product of its exponents' factorials
+            factorial = np.cumprod([1.0] + list(range(1, nx + ny + 1)))
+            fac = factorial[self._powers[idx]].prod(axis=-1)
             table = self._partial_cache[key] = (idx, fac)
         return table
 
-    def index_of(self, xe, ye):
-        return self._index[(tuple(xe), tuple(ye))]
-
     def positions_of(self, sub):
-        """Positions in this ring of the monomials of a smaller ring."""
+        """Positions in this ring of the monomials of a ring within its
+        caps under the same root, found by their keys."""
         pos = self._embed_cache.get(sub)
         if pos is None:
-            pos = np.array(
-                [self.index_of(xe, ye) for xe, ye in sub.exponents], dtype=np.int64
-            )
-            self._embed_cache[sub] = pos
+            fits = sub.cap_x <= self.cap_x and sub.cap_y <= self.cap_y
+            if sub.root is not self.root or not fits:
+                raise ValueError("positions_of takes a smaller ring of the same root")
+            pos = self._embed_cache[sub] = np.searchsorted(self.keys, sub.keys)
         return pos
 
     # -- constructors ---------------------------------------------------
@@ -443,17 +438,20 @@ class SeriesRing:
         return Series(self, c)
 
     def variable_x(self, slot, value):
-        c = np.zeros(self.size)
-        c[0] = float(value)
-        e = tuple(1 if j == slot else 0 for j in range(self.n))
-        c[self._index[(e, (0,) * self.n)]] = 1.0
-        return Series(self, c)
+        return self._variable(slot, value)
 
     def variable_y(self, slot, value):
+        return self._variable(self.n + slot, value)
+
+    def _variable(self, digit, value):
+        """The coordinate of exponent digit (x^slot at slot, y^slot at n +
+        slot) at the value; ValueError when the ring keeps none of its kind."""
+        caps, kind = (self.cap_x, self.cap_y), int(digit >= self.n)
+        if not caps[kind]:
+            raise ValueError("a %s ring keeps no %s-variable" % (caps, "xy"[kind]))
         c = np.zeros(self.size)
         c[0] = float(value)
-        e = tuple(1 if j == slot else 0 for j in range(self.n))
-        c[self._index[((0,) * self.n, e)]] = 1.0
+        c[np.searchsorted(self.keys, self.root._place[digit])] = 1.0
         return Series(self, c)
 
     def state(self, x, y):
@@ -942,14 +940,19 @@ def _form_parts(coefficients, y):
     """(ring, positions, pairs, u, X) for placing a form in y (module
     notes): y's ring and its form table, the values u of y, and X[k] the
     coefficients of coefficient k at the x-monomials (a float at the
-    constant).  None, for the loop, unless every y is a y-variable of one
-    ring with y-degrees up to 2 and every coefficient a float or a 1-D
-    series of that ring free of y, all finite."""
+    constant).  None, for the loop, unless every coefficient is a float
+    or a 1-D series of y's ring free of y (checked first: the spray's
+    batched coefficients never reach y), every y is a y-variable of that
+    ring with y-degrees up to 2, and all are finite."""
     ring = getattr(y[0], "ring", None)
 
     def plain(v):  # a 1-D series of y's ring
         return isinstance(v, Series) and v.ring is ring and v.c.ndim == 1
 
+    series = [k for k, v in enumerate(coefficients) if plain(v)]
+    floats = [k for k, v in enumerate(coefficients) if isinstance(v, numbers.Real)]
+    if len(series) + len(floats) < len(coefficients):
+        return None
     table = ring.form_table() if all(plain(v) for v in y) else None
     if table is None:
         return None
@@ -963,14 +966,7 @@ def _form_parts(coefficients, y):
     if np.count_nonzero(ys != 0.0) != n + np.count_nonzero(u):
         return None  # y_i has nonzeros besides its value and its 1
     X = np.zeros((len(coefficients), positions.shape[1]))
-    series = []
-    for k, v in enumerate(coefficients):
-        if plain(v):
-            series.append(k)
-        elif isinstance(v, numbers.Real):
-            X[k, 0] = v
-        else:
-            return None
+    X[floats, 0] = [coefficients[k] for k in floats]
     if series:
         cs = np.array([coefficients[k].c for k in series])
         X[series] = cs[:, positions[0]]

@@ -6,13 +6,13 @@ closed-form and DSL sigmas are scalar-ring-generic in x so the
 S-curvature pipeline can differentiate through them.  A density
 depends on x alone, so the engine evaluates every kind, and its
 logarithm, in the x-only stage ring of the Frame's root (series.one_kind
-in engine.log_sigma_series).  The quadrature takes x as floats or as
-series of an x-only ring (cap_y = 0): all its directions enter F as one
-batch of constants (see the series module), so F is evaluated once per
-x, not once per direction.  A product with a batch of constants scales
-the other factor rather than gathering the product table, so of the 22
-batched products in a Randers F^-3 at n=3 only F * F and F^2 * F gather
-it.
+in engine.log_sigma_series).  The quadrature takes x as series of an
+x-only ring (cap_y = 0), or floats lifted into the root's (0, 0) stage:
+all its directions enter F as one batch of constants (see the series
+module), so F is evaluated once per x, not once per direction.  A
+product with a batch of constants scales the other factor rather than
+gathering the product table, so of the 22 batched products in a Randers
+F^-3 at n=3 only F * F and F^2 * F gather it.
 
 Quadrature rules: a rung m of a fixed ladder (LADDER) is a product
 rule on S^{n-1} (sphere_nodes, n = 2, 3, 4).  Periodic angles get 2m
@@ -142,7 +142,7 @@ def _sigma(metric, x, nodes):
     n = metric.dimension
     lifted = all(isinstance(v, numbers.Real) for v in x)
     if lifted:
-        ring = SeriesRing.get(n, 0, 0)
+        ring = SeriesRing.get(n).stage(0, 0)
         x = [ring.constant(v) for v in x]
     elif all(isinstance(v, Series) and v.ring.cap_y == 0 for v in x):
         ring = x[0].ring

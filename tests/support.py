@@ -141,11 +141,11 @@ def all_pairs_triples(ring):
     exponent keys is the key of a monomial of the ring."""
     rx, ry = 2 * ring.cap_x + 1, 2 * ring.cap_y + 1
     keys = np.zeros(ring.size, dtype=np.int64)
-    for i, (xe, ye) in enumerate(ring.exponents):
+    for i, row in enumerate(ring._powers.tolist()):
         k = 0
-        for d in xe:
+        for d in row[: ring.n]:
             k = k * rx + d
-        for d in ye:
+        for d in row[ring.n :]:
             k = k * ry + d
         keys[i] = k
     key_order = np.argsort(keys)

@@ -109,7 +109,7 @@ def test_coefficient_fields_take_one_reciprocal_each(monkeypatch, name):
     # every entry of a(x) shares one denominator and so does every entry
     # of b(x): each field takes its reciprocal once and multiplies by it
     metric = get_example(name).metric
-    ring = SeriesRing.get(3, 2, 0)
+    ring = SeriesRing.get(3).stage(2, 0)
     x = [ring.variable_x(i, v) for i, v in enumerate((0.1, -0.2, 0.15))]
     calls = []
     plain = Series.reciprocal

@@ -286,9 +286,13 @@ def test_catalog_dimension_that_is_not_a_number_is_a_config_error(capsys):
         ('{"dimension": 2, "family": "randers", "parameters": {"sqrt": 0.1}, '
          '"expressions": {"a": [["1", "0"], ["0", "1"]], "b": ["0", "0"]}}',
          "parameter name 'sqrt' collides with a variable or function"),
+        ('{"dimension": 2, "family": "randers", "expressions": '
+         '{"a": [["x1^2 + x2^2", "0"], ["0", "1"]], "b": ["0.1", "0"]}}',
+         "Randers a(x) is singular at x=(0.0, 0.0)"),
     ],
     ids=["invalid-json", "not-an-object", "dimension-abc", "dimension-2.5",
-         "exponent-1e400", "m-1e400", "parameter-x1", "parameter-sqrt"],
+         "exponent-1e400", "m-1e400", "parameter-x1", "parameter-sqrt",
+         "singular-a-at-center"],
 )
 def test_bad_definition_file_is_a_config_error(
     tmp_path, capsys, monkeypatch, text, message

@@ -698,13 +698,64 @@ def test_one_kind_work_runs_in_stage_rings_of_the_root(monkeypatch):
     assert root.stage(0, 8) in ran
 
 
+def test_one_ring_per_dimension(monkeypatch):
+    # every ring that classify, the quadrature volume, the point tensors,
+    # the generic horizontal derivative and an n=4 Frame build is the one
+    # (n, 2, 8) root of its dimension or a stage of it
+    from finslerlab.classify import classify_metric
+    from finslerlab.curvature import GeometryState, horizontal_derivative
+    from finslerlab.metrics import cartan_torsion, fundamental_tensor
+
+    built = []
+    plain = SeriesRing.__init__
+
+    def init(ring, *args):
+        built.append(ring)
+        plain(ring, *args)
+
+    monkeypatch.setattr(SeriesRing, "__init__", init)
+    monkeypatch.setattr(SeriesRing, "_instances", {})
+    for name in list_examples():
+        entry = get_example(name)
+        classify_metric(entry.metric, entry.volume, SamplePlan(count=2))
+    osaka = get_example("randers_osaka").metric
+    state = GeometryState(osaka, bh_quadrature_volume(osaka), *STATE)
+    state.frame
+    fundamental_tensor(osaka, STATE)
+    cartan_torsion(osaka, STATE)
+    horizontal_derivative(lambda x, y: x[0] * y[1], state)
+    n4 = randers_n4()
+    Frame(n4.metric, n4.volume, (0.1, -0.05, 0.08, 0.02), (0.6, -0.3, 0.5, 0.2))
+    assert set(SeriesRing._instances) == {3, 4}
+    for ring in built:
+        assert ring.root is SeriesRing.get(ring.n), (ring.n, ring.cap_x, ring.cap_y)
+
+
+def test_only_the_series_module_makes_rings():
+    # every other module takes its rings as SeriesRing.get(n) and its
+    # stages, never a ring of its own caps
+    package = pathlib.Path(finslerlab.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "series.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = ast.unparse(node.func)
+            assert func != "SeriesRing", "%s builds a ring" % path.name
+            if func == "SeriesRing.get":
+                assert len(node.args) == 1 and not node.keywords, (
+                    "%s passes caps to SeriesRing.get" % path.name
+                )
+
+
 def test_quadrature_gathers_the_table_in_two_products(monkeypatch):
     # the directions enter F as batches of constants, so a_ij(x) y_i y_j
     # and b_i y_i scale instead of gathering the table; only F * F and
     # F^2 * F in powr(F, -3) gather it, over every lane of the rule
     metric = get_example("randers_osaka").metric
     rule = choose_rule(metric)
-    ring = SeriesRing.get(3, 2, 0)
+    ring = SeriesRing.get(3).stage(2, 0)
     xs = [ring.variable_x(i, v) for i, v in enumerate([0.1, -0.2, 0.15])]
     batched, gathered = [], []
     plain, bins = Series.__mul__, SeriesRing.lane_bins

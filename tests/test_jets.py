@@ -282,7 +282,7 @@ def test_ring_solve_matches_numpy(n):
     c = rng.normal(size=(n, n))
     a0 = c @ c.T + n * np.eye(n)
     b0 = rng.normal(size=n)
-    ring = SeriesRing.get(n, 1, 2)
+    ring = SeriesRing.get(n).stage(1, 2)
     xs, ys = ring.state(rng.normal(size=n), rng.normal(size=n))
     a = [[ring.constant(a0[i, j]) for j in range(n)] for i in range(n)]
     for shift in xs + ys:

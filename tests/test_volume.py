@@ -189,7 +189,7 @@ QUAD_BASE = [0.1, 0.15, 0.05]
 
 
 def _xonly_state(x):
-    ring = SeriesRing.get(3, cap_x=2, cap_y=0)
+    ring = SeriesRing.get(3).stage(2, 0)
     return [ring.variable_x(i, x[i]) for i in range(3)]
 
 
@@ -225,7 +225,7 @@ def test_quadrature_rejects_jet_x():
 def test_randers_closed_density_is_ring_generic():
     metric = osaka_like()
     x_float = [0.1, 0.2, 0.0]
-    ring = SeriesRing.get(3, cap_x=2, cap_y=8)
+    ring = SeriesRing.get(3)
     x_ring = [ring.variable_x(i, x_float[i]) for i in range(3)]
     got = bh_randers_closed(metric, x_ring)
     want = bh_randers_closed(metric, x_float)
@@ -256,7 +256,7 @@ RULE_GATE_REL = 1e-14
 
 
 def _ln_sigma_gap(metric, nodes, x):
-    ring = SeriesRing.get(metric.dimension, cap_x=2, cap_y=0)
+    ring = SeriesRing.get(metric.dimension).stage(2, 0)
     xs = [ring.variable_x(i, v) for i, v in enumerate(x)]
     quad = ln(bh_sigma_quadrature(metric, xs, nodes=nodes)).c
     closed = ln(bh_randers_closed(metric, xs)).c
