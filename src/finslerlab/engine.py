@@ -3,19 +3,20 @@
 A Frame evaluates F^2 once at a state as a Series in the coordinate
 shifts, walks the derivative tree inside the ring, and is the only code
 that evaluates F^2 -> g -> G.  Its constructor runs the metric stage (F^2,
-g, C, det g, the spray G, S and tau) and every check that can
-raise: F <= 0, g not positive definite, the domain of ln sigma.  A Spray
-holds what depends on a spray alone (N, Gamma, the Riemann curvature and
-its fiber partials, the divergence, the Berwald and Douglas tensors and
-their horizontal derivatives), each stage a cached_property of pure ring
-arithmetic that runs on its first read, so S and tau cost no Riemann and
-no cube.  The Frame is the Spray of G, frame.projective that of the
-projective spray Gt = G - S y/(n+1), and the projective-change routes
-(lemma21_residual, projective.douglas_invariance_gap) build G + P y with
-modified_spray.  Work of x alone (the coefficient fields of F, the
-volume density, ln sigma) runs in the x-only stage of the (2, 8) root
-(series.one_kind), and each sum over y^m (S's drift, the spray's braces,
-lemma21's P_{|0}) is series.linear_form.  The point tensors of the
+g, C, the spray G) and its checks: F <= 0, g not positive definite.
+Every other stage is a cached_property of pure ring arithmetic that runs
+on its first read.  A Spray holds what depends on a spray alone (N,
+Gamma, the Riemann curvature and its fiber partials, the divergence, the
+Berwald and Douglas tensors and their horizontal derivatives); the Frame
+is the Spray of G plus the volume stage (ln sigma, S, tau and
+frame.projective, the Spray of Gt = G - S y/(n+1)).  So S and tau cost
+no Riemann and no cube, and Riemann and the cubes cost no volume.  The
+projective-change routes (lemma21_residual,
+projective.douglas_invariance_gap) build G + P y with modified_spray.
+Work of x alone (the coefficient fields of F, the volume density, ln
+sigma) runs in the x-only stage of the (2, 8) root (series.one_kind),
+and each sum over y^m (S's drift, the spray's braces, lemma21's P_{|0})
+is series.linear_form.  The point tensors of the
 metrics module read g and C from small rings of the same series module;
 the test suite holds both against an independent jet-tower oracle.
 
@@ -28,9 +29,9 @@ bit-identical:
 - F^2 in the (2, 8) ring, from the metric's one F^2 evaluator
   (MetricSpec.F2: alpha^2 + beta (2 alpha + beta) for Randers, alpha^2
   for Riemannian metrics, the tree of F^2 compiled from a DSL metric's,
-  F * F for a metric given by F alone), and g in the (2, 6) ring for g
-  and C;
-- g in the (1, 6) ring for the spray and tau, which read it only
+  F * F for a metric given by F alone);
+- g in the (1, 6) ring, from F^2 restricted to (1, 8): its readers take
+  its value and (0, 1) partials (C), and the spray and tau read it only
   through one x-derivative of F^2;
 - the spray's y-derivatives in the (1, 7) ring, and its braces A and
   the spray itself in the (1, 6) ring, after the check that g is
@@ -46,8 +47,11 @@ bit-identical:
   Douglas is a projective invariant, so the projective spray's Douglas
   tensor is D, and no projective Douglas core is extracted;
 - Riemann's derivatives in the (1, 5) and (0, 4) rings, its products in
-  the (0, 3) ring over the lanes (i, k): a Spray reads R^i_k and its
-  fiber partials up to order 3 (lemma21_residual: the value, (0, 0)).
+  the (0, 3) ring as one product over the 3 n^3 lanes (term, m, k, i): a
+  Spray reads R^i_k and its fiber partials up to order 3;
+- lemma21_residual's G + P y and P in the (1, 2) ring, where its reads
+  end (its Riemann at the value, (0, 0)), and douglas_invariance_gap's
+  in the (1, 5) ring of the cubes.
 
 Index layout mirrors the written order of the symbols: B[j,i,k,l] holds
 B_j^i_{kl}, horizontal derivatives append the new lower slot last
@@ -123,16 +127,18 @@ def fsq_series(metric, xs, ys):
 
 
 def metric_series(fsq):
-    """g_ij from the F^2 series, and g in the stage ring the spray reads.
+    """g_ij from the F^2 series, in the stage ring its readers need.
 
-    g keeps the budget (bx, by - 2) of two y-derivatives of F^2.  Its
-    value must be positive definite (a DomainError otherwise), so that
-    the sweep that inverts the value for the spray's graded solve meets
-    no zero pivot.  The spray and tau read g only through one
-    x-derivative of F^2, so the second matrix is g restricted to the
-    (bx - 1, by - 2) stage ring.
+    No reader takes an x-derivative of order 2 of g: the Frame reads its
+    value and its (0, 1) partials (C), and the spray and tau read g only
+    through one x-derivative of F^2.  So F^2 is restricted to (bx - 1,
+    by) before the two y-derivatives, and g keeps the budget (bx - 1, by
+    - 2).  Its value must be positive definite (a DomainError otherwise),
+    so that the sweep that inverts the value for the spray's graded solve
+    meets no zero pivot.
     """
     n = fsq.ring.n
+    fsq = restrict(fsq, fsq.ring.stage(fsq.bx - 1, fsq.by))
     g = [[None] * n for _ in range(n)]
     for i in range(n):
         di = fsq.dy(i)
@@ -143,19 +149,16 @@ def metric_series(fsq):
         raise DomainError(
             "fundamental tensor not positive definite (min eigenvalue %.3e)" % low
         )
-    stage = fsq.ring.stage(fsq.bx - 1, fsq.by - 2)
-    return g, [[restrict(gij, stage) for gij in row] for row in g]
+    return g
 
 
 def spray_series(fsq, g, g0, xs, ys):
-    """ln det g and the spray, from g in its stage ring (metric_series)
-    and g0 = (det, inverse) of its value (scalars.ring_inv on floats).
+    """The spray, from g in its stage ring (metric_series) and g0 =
+    (det, inverse) of its value (scalars.ring_inv on floats).
 
     G^i solves g_il G^l = 1/4 { d2 F^2/dx^k dy^l y^k - dF^2/dx^l }: the
     braces run over the lanes l in the stage ring of g, and the graded
-    solve, preconditioned by g0's inverse, fills G there.  ln det g is
-    ln det g0 + tr M - tr(M M)/2 with M = g0^-1 g - I, exact in the
-    (1, 1) ring that tau reads (M^3 has degree >= 3).
+    solve, preconditioned by g0's inverse, fills G there.
     """
     n = fsq.ring.n
     stage = g[0][0].ring
@@ -167,16 +170,23 @@ def spray_series(fsq, g, g0, xs, ys):
         [D.part(np.s_[:, k]) for k in range(n)], [restrict(v, stage) for v in ys]
     )
     A = (A - restrict(dxP, stage)) * 0.25
+    G = graded_solve(restrict(g, stage), A, np.asarray(g0[1]))  # g: lanes [i, l]
+    return [G.part(i) for i in range(n)]
+
+
+def ln_det_series(g, g0):
+    """ln det g in the (1, 1) ring, where tau is read at its value and
+    first partials, from g (metric_series) and g0 = (det, inverse) of its
+    value: ln det g0 + tr M - tr(M M)/2 with M = g0^-1 g - I, exact there
+    (M^3 has degree >= 3), one product of n^2 lanes."""
     det0, inverse = g0[0], np.asarray(g0[1])
-    g = restrict(g, stage)  # lanes [i, l]
-    G = graded_solve(g, A, inverse)
-    low = stage.stage(1, 1)
+    low = g[0][0].ring.stage(1, 1)
     M = (inverse[:, :, None, None] * restrict(g, low).c).sum(axis=1)
     M[..., 0] = 0.0  # the solve's preconditioned g, restricted, less I
     MM = Series(low, M) * Series(low, M.swapaxes(0, 1))  # lanes [i, l]: M_il M_li
     ln_det = np.trace(M) - MM.c.sum(axis=(0, 1)) * 0.5
     ln_det[0] = ln(det0)
-    return Series(low, ln_det), [G.part(i) for i in range(n)]
+    return Series(low, ln_det)
 
 
 def riemann_series(G, xs, ys, by):
@@ -186,9 +196,10 @@ def riemann_series(G, xs, ys, by):
             - dG^i/dy^m dG^m/dy^k.
 
     by is the highest y-order any reader takes; none takes an
-    x-derivative.  Every product runs in the (0, by) stage ring over the
-    n^2 lanes (i, k), and each lane adds its terms for m = 0..n-1 in the
-    order of the written sum.
+    x-derivative.  The three products of each m are one product in the
+    (0, by) stage ring over the 3 n^3 lanes (term, m, k, i), and each
+    lane (k, i) adds its terms for m = 0..n-1 in the order of the
+    written sum.
     """
     n = len(G)
     ring = ys[0].ring
@@ -196,18 +207,30 @@ def riemann_series(G, xs, ys, by):
     G1 = restrict(G, top)  # [i]
     Gdx = restrict([G1.dx(m) for m in range(n)], mid)  # [m, i]
     Gdy = restrict([G1.dy(m) for m in range(n)], mid)  # [m, i]
-    Gdxy = restrict([Gdx.dy(k) for k in range(n)], low)  # [k, m, i]
-    Gdyy = restrict([Gdy.dy(k) for k in range(n)], low)  # [k, m, i]
-    Gdy_low = restrict(Gdy, low)  # [m, i]
-    y_low = restrict(ys, low)  # [m]
-    G2_low = restrict(G1, low) * 2.0  # [m]
-    acc = restrict(Gdx, low) * 2.0  # lanes [k, i]
+    Gdxy = restrict([Gdx.dy(k) for k in range(n)], low).c  # [k, m, i]
+    Gdyy = restrict([Gdy.dy(k) for k in range(n)], low).c  # [k, m, i]
+    Gdy_low = restrict(Gdy, low).c  # [m, i]
+    y_low = restrict(ys, low).c  # [m]
+    G2_low = restrict(G1, low).c * 2.0  # [m]
+    shape = (n, n, n, low.size)  # lanes [m, k, i]
+    first = np.stack([  # d2G^i/dx^m dy^k, d2G^i/dy^m dy^k, dG^i/dy^m
+        Gdxy.swapaxes(0, 1),
+        Gdyy.swapaxes(0, 1),
+        np.broadcast_to(Gdy_low[:, None], shape),
+    ])
+    shape = (n, n, 1, low.size)  # lanes [m, k], broadcast along i
+    second = np.stack([  # y^m, 2 G^m, dG^m/dy^k
+        np.broadcast_to(y_low[:, None, None], shape),
+        np.broadcast_to(G2_low[:, None, None], shape),
+        Gdy_low.swapaxes(0, 1)[:, :, None],
+    ])
+    terms = (Series(low, first) * Series(low, second)).c  # [term, m, k, i]
+    acc = restrict(Gdx, low).c * 2.0  # [k, i]
     for m in range(n):
-        acc = acc - Gdxy.part(np.s_[:, m]) * y_low.part(m)
-        acc = acc + Gdyy.part(np.s_[:, m]) * G2_low.part(m)
-        # dG^i/dy^m along i times dG^m/dy^k along k
-        acc = acc - Gdy_low.part(np.s_[m, None]) * Gdy_low.part(np.s_[:, m, None])
-    return Series(acc.ring, acc.c.swapaxes(0, 1))
+        acc = acc - terms[0, m]
+        acc = acc + terms[1, m]
+        acc = acc - terms[2, m]
+    return Series(low, acc.swapaxes(0, 1))
 
 
 def _cube_extract(W):
@@ -339,14 +362,19 @@ class Spray:
 
 
 class Frame(Spray):
-    """Every curvature quantity of one (metric, volume, x, y), as arrays:
-    the metric stage, and the Spray of G; projective is the Spray of the
-    projective spray Gt = G - S y/(n+1)."""
+    """Every curvature quantity of one (metric, volume, x, y), as arrays.
+
+    The constructor runs F^2 -> g -> G and its checks; the Frame is the
+    Spray of G.  The volume stage runs on its first read: ln sigma (a
+    domain failure names the state), S with its drift and partials, tau
+    with ln det g, and projective, the Spray of the projective spray.
+    """
 
     def __init__(self, metric, volume, x, y):
         n = metric.dimension
         self.x = tuple(float(v) for v in x)
         self.y = tuple(float(v) for v in y)
+        self._volume = volume
         ring = SeriesRing.get(n)
         xs, ys = ring.state(self.x, self.y)
 
@@ -356,37 +384,58 @@ class Frame(Spray):
             raise RegularityError("F^2 <= 0", x=self.x, y=self.y)
         self.F = math.sqrt(self.F2)
 
-        g_ring, g_low = _at_state(self.x, self.y, metric_series, fsq)
-        self.g = np.array([[g_ring[i][j].c[0] for j in range(n)] for i in range(n)])
+        self._g = _at_state(self.x, self.y, metric_series, fsq)
+        self.g = np.array([[self._g[i][j].c[0] for j in range(n)] for i in range(n)])
         det0, ginv = ring_inv(self.g.tolist())
         self.ginv = np.array(ginv)
+        self._g0 = det0, self.ginv
         self.y_low = self.g @ np.array(self.y)
         self.C = 0.5 * np.array(
-            [[g_ring[i][j].partials(0, 1) for j in range(n)] for i in range(n)]
+            [[self._g[i][j].partials(0, 1) for j in range(n)] for i in range(n)]
         )
+        super().__init__(spray_series(fsq, self._g, self._g0, xs, ys), xs, ys)
 
-        ln_det, G = spray_series(fsq, g_low, (det0, self.ginv), xs, ys)
-        super().__init__(G, xs, ys)
-        lnsig = _at_state(self.x, self.y, log_sigma_series, volume, xs)
+    # -- the volume stage -------------------------------------------------
+
+    @cached_property
+    def _log_sigma(self):
+        return _at_state(self.x, self.y, log_sigma_series, self._volume, self.xs)
+
+    @cached_property
+    def _S(self):
         S = self.div
-        if not isinstance(lnsig, float):
+        if not isinstance(self._log_sigma, float):
             # the drift sum_m d_m ln sigma y^m, in the (1, 8) stage ring
-            dx = [lnsig.dx(m) for m in range(n)]
-            S = S - linear_form(dx, [restrict(v, dx[0].ring) for v in ys])
-        tau = ln_det * 0.5 - lnsig
-        self.S = S.c[0]
-        self.S_x = S.partials(1, 0)
-        self.S_y = S.partials(0, 1)
-        self.S_yy = S.partials(0, 2)
-        self.S_yyy = S.partials(0, 3)
-        self.S_xyy = np.transpose(S.partials(1, 2), (1, 2, 0))
-        self.tau = tau.c[0]
-        self.tau_x = tau.partials(1, 0)
-        self.tau_y = tau.partials(0, 1)
+            dx = [self._log_sigma.dx(m) for m in range(self.n)]
+            S = S - linear_form(dx, [restrict(v, dx[0].ring) for v in self.ys])
+        return S
 
-        self.projective = Spray(
-            [g - S * y * (1.0 / (n + 1)) for g, y in zip(self.series, ys)], xs, ys
+    @cached_property
+    def _s_jet(self):
+        S = self._S
+        return (
+            S.c[0],
+            S.partials(1, 0),
+            S.partials(0, 1),
+            S.partials(0, 2),
+            S.partials(0, 3),
+            np.transpose(S.partials(1, 2), (1, 2, 0)),
         )
+
+    S, S_x, S_y, S_yy, S_yyy, S_xyy = (_item("_s_jet", k) for k in range(6))
+
+    @cached_property
+    def _tau(self):
+        tau = ln_det_series(self._g, self._g0) * 0.5 - self._log_sigma
+        return tau.c[0], tau.partials(1, 0), tau.partials(0, 1)
+
+    tau, tau_x, tau_y = (_item("_tau", k) for k in range(3))
+
+    @cached_property
+    def projective(self):
+        S, c = self._S, 1.0 / (self.n + 1)
+        Gt = [g - S * y * c for g, y in zip(self.series, self.ys)]
+        return Spray(Gt, self.xs, self.ys)
 
     # -- assembled quantities -------------------------------------------
 
@@ -494,16 +543,18 @@ class Frame(Spray):
         return ric + (n - 1) * (self.s_hor0 / (n + 1) + s_norm * s_norm)
 
 
-def modified_spray(frame, p_func):
-    """The spray G + P y of a projective factor P, and P, as Series.
+def modified_spray(frame, p_func, budget):
+    """The spray G + P y of a projective factor P, and P, as Series in
+    the stage ring of budget (bx, by), all that the caller reads.
 
-    G is the Frame's spray; P = p_func(xs, ys) on its ring state.
+    G is the Frame's spray; P = p_func(xs, ys) on the Frame's state in
+    that ring, which gives the root's P restricted (budget invariance).
     """
-    xs, ys, G = frame.xs, frame.ys, frame.series
+    xs, ys = SeriesRing.get(frame.n).stage(*budget).state(frame.x, frame.y)
     P = p_func(xs, ys)
     if not hasattr(P, "ring"):
         P = ys[0].ring.constant(value_of(P))
-    return [G[i] + P * ys[i] for i in range(frame.n)], P
+    return [g + P * y for g, y in zip(frame.series, ys)], P
 
 
 def lemma21_residual(frame, p_func):
@@ -513,10 +564,12 @@ def lemma21_residual(frame, p_func):
     Rhat^i_k = R^i_k + Xi delta^i_k + tau_k y^i where Xi = P^2 - P_{|0}
     and tau_k = 3(P_{|k} - P P_{.k}) + Xi_{.k}; P-derivatives use the
     base connection.  R, N and G come from the Frame; only Rhat is new.
+    Every read ends at (1, 2): Rhat reads Ghat there, P_{|k} and P_{.k}
+    are (1, 1), Xi_{.k} is (0, 1), so Ghat and P run in that ring.
     """
     n = frame.n
     xs, ys, G = frame.xs, frame.ys, frame.series
-    Ghat, P = modified_spray(frame, p_func)
+    Ghat, P = modified_spray(frame, p_func, (1, 2))
 
     Rhat_val = riemann_series(Ghat, xs, ys, 0).c[..., 0]
 

@@ -180,6 +180,6 @@ def douglas_invariance_gap(
     """Max deviation of the Douglas tensor under the change G -> G + P y."""
     func = _homogeneous_factor(p, state, parameters)
     frame = state.frame
-    Ghat, _ = engine.modified_spray(frame, func)
+    Ghat, _ = engine.modified_spray(frame, func, (1, 5))  # the cubes' reads
     modified = engine.Spray(Ghat, frame.xs, frame.ys).D
     return float(np.abs(modified - frame.D).max())

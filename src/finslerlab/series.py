@@ -117,12 +117,13 @@ pairs in the same order.
 
 So each stage runs in the ring of the budget its readers need:
 ring.stage(bx, by) is the (bx, by) ring under ring's root (the root
-itself at the root's caps).  Its monomials are the root's within its
-caps, in the root's order, and its keys are the root's, so the product
-table it builds on its first product or graded recurrence is the root's
-within its caps, mapped entry for entry (2 ms for the (1, 6) ring at
-n=4 and 0.2 ms for the (1, 1) ring, where mapping the root's table took
-4 and 3 ms); its derivative tables are built per slot on first use.
+itself at the root's caps; ValueError past them).  Its monomials are
+the root's within its caps, in the root's order, and its keys are the
+root's, so the product table it builds on its first product or graded
+recurrence is the root's within its caps, mapped entry for entry (2 ms
+for the (1, 6) ring at n=4 and 0.2 ms for the (1, 1) ring, where
+mapping the root's table took 4 and 3 ms); its derivative tables are
+built per slot on first use.
 SeriesRing(n, cap_x, cap_y) builds a root of its own caps and keys, the
 tests' reference for budget invariance.
 restrict copies series into a smaller ring, and embed zero-fills them
@@ -149,20 +150,20 @@ A Series in an x-only or a stage ring may carry leading component axes:
 c of shape (K1, .., size) holds one series per lane, stacked by
 restrict or entered through SeriesRing.constant with an array.  The
 quadrature volume runs all its sphere directions through the x-only
-ring in one pass, and Riemann its 3 n^3 products per call as 3 n
-products over the n^2 lanes (i, k).  Every lane is bit-identical to the
-unbatched evaluation: products and graded levels offset the bincount
-bins per lane, so each lane sums in the 1-D order (the ring caches the
-offset bins by lane count, of the product table and of each level);
-value parts of ln and exp use the math module lane by lane (numpy's
-vectorised exp and log differ from it in the last bit on some inputs),
-and those of sqrt np.sqrt, which rounds correctly, as math.sqrt does.
-An exp whose value part overflows raises DomainError naming it and its
-lane.  In a small ring the lanes share one pass over the table's
-indices, which saves calls, not work (a (1, 6) product of dense factors
-at n=4: 99 us CPU per lane in a batch of 4 and alone, on a 2-core
-x86-64 VM); a ring of its own with y-variables, such as the (2, 8)
-ring, is never batched (n=3: 0.93 ms per lane, against 0.27 ms
+ring in one pass, and Riemann its 3 n^3 products per call as one
+product over the 3 n^3 lanes (term, m, k, i).  Every lane is
+bit-identical to the unbatched evaluation: products and graded levels
+offset the bincount bins per lane, so each lane sums in the 1-D order
+(the ring caches the offset bins by lane count, of the product table
+and of each level); value parts of ln and exp use the math module lane
+by lane (numpy's vectorised exp and log differ from it in the last bit
+on some inputs), and those of sqrt np.sqrt, which rounds correctly, as
+math.sqrt does.  An exp whose value part overflows raises DomainError
+naming it and its lane.  In a small ring the lanes share one pass over
+the table's indices, which saves calls, not work (a (1, 6) product of
+dense factors at n=4: 99 us CPU per lane in a batch of 4 and alone, on
+a 2-core x86-64 VM); a ring of its own with y-variables, such as the
+(2, 8) ring, is never batched (n=3: 0.93 ms per lane, against 0.27 ms
 unbatched).
 """
 
@@ -202,11 +203,18 @@ class SeriesRing:
 
     def stage(self, bx, by):
         """The (bx, by) stage ring under this ring's root (module notes);
-        the root itself at its own caps."""
-        stages = self.root._stages
-        if (bx, by) not in stages:
-            stages[(bx, by)] = SeriesRing(self.n, bx, by, self.root)
-        return stages[(bx, by)]
+        the root itself at its own caps.  ValueError for caps past the
+        root's, whose monomials the root does not hold."""
+        root = self.root
+        ring = root._stages.get((bx, by))
+        if ring is None:
+            if not (0 <= bx <= root.cap_x and 0 <= by <= root.cap_y):
+                raise ValueError(
+                    "stage (%d, %d) is past the root's caps (%d, %d)"
+                    % (bx, by, root.cap_x, root.cap_y)
+                )
+            ring = root._stages[(bx, by)] = SeriesRing(self.n, bx, by, root)
+        return ring
 
     def __init__(self, n, cap_x, cap_y, root=None):
         self.n = n

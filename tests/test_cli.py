@@ -490,6 +490,23 @@ def test_verify_reports_errored_states_as_classify_does(capsys):
     assert "thm33: indeterminate" in out and out.count("errored state:") == 5
 
 
+@pytest.mark.parametrize("identity", ["lemma21", "constflag"])
+def test_identities_that_read_no_volume_pass_with_a_failing_density(
+    capsys, identity
+):
+    # lemma21 and constflag read R, N, Gamma, G and g, never S or tau, so
+    # the volume stage that fails at every state above never runs
+    code, out, _ = run(
+        capsys, "verify", "--identity", identity, "--metric", "euclidean",
+        "--volume-form", "dsl", "--param", "sigma=ln(x1)", "--param", "P=0.3*y1",
+        "--samples", "5", "--seed", "2",
+    )
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["identities"][0]["verdict"] == "pass"
+    assert blob["errored_states"] == 0 and blob["errors"] == []
+
+
 def test_quadrature_volume_reports_its_rule(capsys):
     # the chosen rule goes next to "volume", for classify and verify
     blobs = []

@@ -225,6 +225,47 @@ def test_spray_stages_run_on_first_read(monkeypatch):
         assert calls == [(id(st.frame.projective.series), 3)], kind
 
 
+def test_volume_stage_runs_only_when_read():
+    # ln sigma, S, tau and the projective spray run on their first read:
+    # Riemann, the cubes, the scale, lemma21 and constflag evaluate no
+    # density, and a reader of S or tau evaluates it once
+    from dataclasses import replace
+
+    from finslerlab import curvature, projective
+
+    entry = get_example("randers_osaka")
+    calls = []
+
+    def sigma(x):
+        calls.append(x)
+        return entry.volume.sigma(x)
+
+    volume = replace(entry.volume, sigma=sigma)
+
+    def identity(kind, **kwargs):
+        return lambda st: projective.identity_residual(kind, st, **kwargs)
+
+    readers = {
+        "riemann": (curvature.riemann, 0),
+        "berwald_curvature": (curvature.berwald_curvature, 0),
+        "douglas_tensor": (curvature.douglas_tensor, 0),
+        "residual_scale": (curvature.residual_scale, 0),
+        "lemma21": (identity("lemma21", p="0.3*y1"), 0),
+        "constflag": (identity("constflag"), 0),
+        "s_curvature": (curvature.s_curvature, 1),
+        "distortion": (curvature.distortion, 1),
+        "thm33": (identity("thm33"), 1),
+    }
+    for name, (read, count) in readers.items():
+        calls.clear()
+        st = curvature.GeometryState(entry.metric, volume, *STATE)
+        read(st)
+        assert len(calls) == count, name
+    curvature.s_curvature(st)
+    curvature.distortion(st)
+    assert len(calls) == 1
+
+
 def test_homogeneity_degrees_under_y_scaling():
     m = generic_randers()
     x, y = STATE
@@ -329,7 +370,8 @@ def test_constant_dsl_density_matches_constant_volume():
 def test_dsl_domain_failure_is_regularity_error():
     # a DSL F whose own ln fails names the state, as every other domain
     # failure does (test_classify covers a DSL density); an unbound
-    # parameter stays an EvalError
+    # parameter stays an EvalError, raised where S is first read, as the
+    # volume stage runs on its first read
     from finslerlab import expr
     from finslerlab.errors import EvalError
     from finslerlab.metrics import construct_metric
@@ -346,7 +388,7 @@ def test_dsl_domain_failure_is_regularity_error():
         sigma=lambda x: expr.evaluate(tree, x, [0.0] * 3, {}),
     )
     with pytest.raises(EvalError, match="unbound parameter"):
-        Frame(euclid, unbound, (0.1, 0.0, 0.0), (1.0, 0.0, 0.0))
+        Frame(euclid, unbound, (0.1, 0.0, 0.0), (1.0, 0.0, 0.0)).S
 
 
 def test_nonpositive_f_names_the_state():
@@ -513,10 +555,11 @@ def _frame_products(monkeypatch, entry):
     """(stages, budget, ring caps, lanes) of every ring product of one Frame.
 
     The Frame runs at the first state of SamplePlan(count=1, seed=1), and
-    its lazy stages run by reading R, the projective spray's R and the
-    Berwald and Douglas cubes; stages are the enclosing metric_series,
-    spray_series, graded_solve and riemann_series calls.  lanes is the
-    number of products a batched product stands for (1 when unbatched).
+    its lazy stages run by reading R, tau, the projective spray's R and
+    the Berwald and Douglas cubes; stages are the enclosing metric_series,
+    spray_series, graded_solve, ln_det_series and riemann_series calls.
+    lanes is the number of products a batched product stands for (1 when
+    unbatched).
     """
     from finslerlab import engine
 
@@ -542,12 +585,15 @@ def _frame_products(monkeypatch, entry):
         return run
 
     x, y = sample_states(entry.metric, SamplePlan(count=1, seed=1)).states[0]
-    for name in ("metric_series", "spray_series", "graded_solve", "riemann_series"):
+    for name in (
+        "metric_series", "spray_series", "graded_solve", "ln_det_series",
+        "riemann_series",
+    ):
         monkeypatch.setattr(engine, name, staged(name, getattr(engine, name)))
     monkeypatch.setattr(Series, "__mul__", mul)
     monkeypatch.setattr(Series, "__rmul__", mul)
     frame = Frame(entry.metric, entry.volume, x, y)
-    frame.R, frame.projective.R, frame.B, frame.D
+    frame.R, frame.tau, frame.projective.R, frame.B, frame.D
     return counted
 
 
@@ -575,13 +621,15 @@ def test_stage_budgets(monkeypatch, name):
 
     assert budgets("metric_series") == set()
     assert budgets("graded_solve") == set()
-    assert budgets("spray_series") == rings("spray_series") == {(1, 6), (1, 1)}
+    assert budgets("spray_series") == rings("spray_series") == {(1, 6)}
+    assert budgets("ln_det_series") == rings("ln_det_series") == {(1, 1)}
     assert budgets("riemann_series") == rings("riemann_series") == {(0, 3)}
     assert lanes("spray_series", (1, 6)) == [n] * n
-    assert lanes("spray_series", (1, 1)) == [n * n]
-    # two calls, 3 n^3 products each, as 3 n batched products of n^2 lanes
+    assert lanes("ln_det_series", (1, 1)) == [n * n]
+    # two calls, 3 n^3 products each, as one product of 3 n^3 lanes (it
+    # ran 3 n batched products of n^2 lanes)
     in_riemann = [k for stages, _, _, k in counted if "riemann_series" in stages]
-    assert in_riemann == [n * n] * (6 * n)
+    assert in_riemann == [3 * n**3] * 2
 
 
 def _full_budget_products(monkeypatch, name):

@@ -532,6 +532,19 @@ def test_stage_rings_are_shared_under_the_root():
         root.stage(0, 3).variable_x(1, 1.0)
 
 
+@pytest.mark.parametrize("caps", [(8, 0), (3, 0), (0, 9), (-1, 2)])
+def test_stage_past_the_roots_caps_raises(caps):
+    # the root holds no monomial past its own caps, so such a stage would
+    # hold fewer than its caps name (a (8, 0) stage held the 10 monomials
+    # of the (2, 0) stage, and its first levels() raised IndexError)
+    root = SeriesRing.get(3)
+    with pytest.raises(ValueError, match="past the root's caps"):
+        root.stage(*caps)
+    with pytest.raises(ValueError, match="past the root's caps"):
+        root.stage(1, 6).stage(*caps)
+    assert caps not in root._stages
+
+
 def test_budget_is_the_ring():
     # a Series stores its ring and coefficients; a derivative writes into
     # the stage ring one order below; a stage ring maps its product table
@@ -960,7 +973,7 @@ def test_ring_inv_det_equals_ring_det_on_series():
 @pytest.mark.parametrize("name", catalog.list_examples() + ["randers_n4"])
 def test_trace_series_ln_det_matches_ring_inv(name):
     # tau's ln det g, ln det g0 + tr M - tr(M M)/2 in the (1, 1) ring
-    # (engine.spray_series), against a second route: the ln of the
+    # (engine.ln_det_series), against a second route: the ln of the
     # sweep's det of the (1, 6)-ring g, restricted to the (1, 1) ring, at
     # 5 states of plan seed 3.  Value parts agree bit for bit (both are
     # ln of the float sweep's det); measured max|diff| / max(1, max|ref|)
@@ -972,9 +985,10 @@ def test_trace_series_ln_det_matches_ring_inv(name):
     for x, y in classify.sample_states(entry.metric, plan).states:
         xs, ys = ring.state(x, y)
         fsq = engine.fsq_series(entry.metric, xs, ys)
-        g = engine.metric_series(fsq)[1]
+        g = engine.metric_series(fsq)
+        assert g[0][0].ring is ring.stage(1, 6)  # no reader takes g_xx
         g0 = scalars.ring_inv([[v.value() for v in row] for row in g])
-        got = engine.spray_series(fsq, g, g0, xs, ys)[0]
+        got = engine.ln_det_series(g, g0)
         want = restrict(scalars.ring_inv(g)[0].ln(), ring.stage(1, 1))
         assert got.ring is want.ring
         assert got.c[0] == want.c[0], (name, x, y)
@@ -1081,9 +1095,9 @@ def test_ring_solve_error_against_long_double(monkeypatch, name):
     for x, y in classify.sample_states(entry.metric, plan).states:
         xs, ys = ring.state(x, y)
         fsq = engine.fsq_series(entry.metric, xs, ys)
-        g = engine.metric_series(fsq)[1]
+        g = engine.metric_series(fsq)
         g0 = scalars.ring_inv([[v.value() for v in row] for row in g])
-        _, G = engine.spray_series(fsq, g, g0, xs, ys)
+        G = engine.spray_series(fsq, g, g0, xs, ys)
         ((a, rhs),) = calls
         calls.clear()
         stage = rhs.ring
