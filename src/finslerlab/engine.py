@@ -14,7 +14,7 @@ no Riemann and no cube, and Riemann and the cubes cost no volume.  The
 projective-change routes (lemma21_residual,
 projective.douglas_invariance_gap) build G + P y with modified_spray.
 Work of x alone (the coefficient fields of F, the volume density, ln
-sigma) runs in the x-only stage of the (2, 8) root (series.one_kind),
+sigma) runs in the x-only stage of the root (series.one_kind),
 and each sum over y^m (S's drift, the spray's braces, lemma21's P_{|0})
 is series.linear_form.  The point tensors of the
 metrics module read g and C from small rings of the same series module;
@@ -26,7 +26,10 @@ of one Series.  A Series's budget is its ring, and Series operations are
 budget-invariant (series module notes), so every array stays
 bit-identical:
 
-- F^2 in the (2, 8) ring, from the metric's one F^2 evaluator
+- F^2 in the root, of caps (2, 8, 9) (series.ROOT_CAPS): x-order 2,
+  y-order 8, total degree 9, where its readers end (g's (1, 8) stage
+  and the spray's x-derivative in (1, 7)), from the metric's one F^2
+  evaluator
   (MetricSpec.F2: alpha^2 + beta (2 alpha + beta) for Randers, alpha^2
   for Riemannian metrics, the tree of F^2 compiled from a DSL metric's,
   F * F for a metric given by F alone);
@@ -42,8 +45,9 @@ bit-identical:
 - ln det g in the (1, 1) ring, where tau is read at its value and first
   partials: ln det g0 + tr M - tr(M M)/2 with M = g0^-1 g - I, one
   product of n^2 lanes;
-- the divergence, S, the projective spray and the Douglas core in the
-  (1, 5) ring: the cubes read their (0, 3), (1, 3) and (0, 4) partials.
+- the divergence, S (its drift placed there too), the projective spray
+  and the Douglas core in the (1, 5) ring: the cubes read their (0, 3),
+  (1, 3) and (0, 4) partials.
   Douglas is a projective invariant, so the projective spray's Douglas
   tensor is D, and no projective Douglas core is extracted;
 - Riemann's derivatives in the (1, 5) and (0, 4) rings, its products in
@@ -405,9 +409,9 @@ class Frame(Spray):
     def _S(self):
         S = self.div
         if not isinstance(self._log_sigma, float):
-            # the drift sum_m d_m ln sigma y^m, in the (1, 8) stage ring
-            dx = [self._log_sigma.dx(m) for m in range(self.n)]
-            S = S - linear_form(dx, [restrict(v, dx[0].ring) for v in self.ys])
+            # the drift sum_m d_m ln sigma y^m, in the ring of the divergence
+            dx = [restrict(self._log_sigma.dx(m), S.ring) for m in range(self.n)]
+            S = S - linear_form(dx, [restrict(v, S.ring) for v in self.ys])
         return S
 
     @cached_property

@@ -2,48 +2,56 @@
 
 A Series represents f(x + xi, y + eta) expanded in the shift variables
 xi_1..xi_n (total degree <= cap_x) and eta_1..eta_n (total degree <=
-cap_y).  Retained coefficients are exact up to rounding; truncation
-only removes orders nobody asked for.  One evaluation of a metric
-through this ring therefore yields every mixed partial up to the caps,
-where nested forward mode would need one re-evaluation per seeding.
-It is the package's only differentiation engine, with one ring per
-dimension, the (n, 2, 8) root SeriesRing.get(n), and its stage rings
-(below): the Frame uses the root and its stages, the point tensors the
+cap_y), in monomials of total degree <= cap_d in both (Griewank &
+Walther, Evaluating Derivatives, ch. 13, truncate by total degree;
+cap_d = cap_x + cap_y keeps the whole box).  Retained coefficients are
+exact up to rounding; truncation only removes orders nobody asked for.
+One evaluation of a metric through this ring therefore yields every
+mixed partial up to the caps, where nested forward mode would need one
+re-evaluation per seeding.  It is the package's only differentiation
+engine, with one ring per dimension, the root SeriesRing.get(n) of caps
+ROOT_CAPS = (2, 8, 9), and its stage rings (below): the Frame uses the
+root and its stages, the point tensors the
 (0, 2) and (0, 3) stages, the horizontal derivative and tau the (1, 1)
 stage, the quadrature's float x the (0, 0) stage.  Series.partials(nx,
 ny) reads all of one order at once: each is a single coefficient times
 its factorial weight, gathered through a table the ring caches.
 
-A Series's budget (bx, by), how many x- and y-derivatives of it are
-still trustworthy, is the caps of its ring.  Combining series takes the
-slot-wise minimum: both operands are restricted to the stage ring
-(below) of the smaller caps, where the result lives; a derivative lands
-in the stage ring one order below.  A coefficient past a budget is
-never stored, so no stale high-order term can leak into trusted slots.
+A Series's budget (bx, by, bd), how many x-, y- and all derivatives of
+it are still trustworthy, is the caps of its ring.  Combining series
+takes the slot-wise minimum: both operands are restricted to the stage
+ring (below) of the smaller caps, where the result lives; a derivative
+lands in the stage ring one order below, in its kind and in bd: d/dx in
+(bx - 1, by, bd - 1), d/dy in (bx, by - 1, bd - 1).  partials(nx, ny)
+needs nx + ny <= bd besides nx <= bx and ny <= by.  A coefficient past
+a budget is never stored, so no stale high-order term can leak into
+trusted slots.
 
 Coefficient layout and multiplication tables live in a SeriesRing;
 products are a gather-multiply plus a bincount over the ring's one
 index table of triples.  The table is
 sorted by first factor, then by second factor, and bincount adds each
 output coefficient's terms in table order.  A pair of monomials has a
-product within the caps exactly when their x-degrees and their
-y-degrees add up within the caps, so the table is built per (xdeg,
-ydeg) class of first factors, with every second factor that fits
-beside the class; one sort puts the pairs in table order, and a
+product within the caps exactly when their x-degrees, their y-degrees
+and their total degrees add up within the caps, so the table is built
+per (xdeg, ydeg) class of first factors, with every second factor that
+fits beside the class; one sort puts the pairs in table order, and a
 monomial's mixed-radix exponent key (digit sums never carry) finds each
-output by searchsorted.  At n=4 that examines the 579 150 kept pairs,
-not all 55 million, and peaks at under twice the table's bytes.  Every
-ring under a root finds any monomial by the root's keys alone.
+output by searchsorted.  At n=4 that examines the 347 490 kept pairs,
+not all 33 million, and peaks at under twice the table's bytes.  (The
+box (2, 8) root kept 579 150 pairs of its 7425 coefficients; the total
+cap drops the 1650 of x-degree 2 and y-degree 8, which no reader reads.)
+Every ring under a root finds any monomial by the root's keys alone.
 
 Each root ring owns one product workspace, which its stage rings
 (below) share: two float64 buffers, sized from the root's table and
 grown when a batch needs more.  Every product and every graded level
 under the root gathers its factors into them and multiplies in place;
 bincount allocates the result, so no result aliases a buffer.  Without
-them a (2, 8) product at n=4 allocates three 4.6 MB temporaries, past
+them a root product at n=4 allocates three 2.8 MB temporaries, past
 glibc's mmap threshold, so each would go back to the OS and be faulted
-in again (about 7000 minor faults per frame-n4 state, against none with
-the workspace).  So products under one root are not re-entrant; the
+in again (about 7000 minor faults per frame-n4 state with the box
+root's 4.6 MB, against none with the workspace).  So products under one root are not re-entrant; the
 library runs no threads.
 
 Two shortcuts skip work that cannot reach a kept coefficient, and
@@ -53,13 +61,13 @@ in a table of at least ROW_SKIP_MIN_TRIPLES triples, one dispatch
 the triples a product gathers.  When both factors are 1-D and have at
 most size // ROW_SKIP_DENSITY pairs of nonzeros (an embedded a_ij(x)
 times a y variable: 6 pairs, where its rows hold over 7000 triples at
-n=4), they are the pairs of nonzeros: the pairs whose x- and y-degrees
-add up within the caps, in table order (first factor, then second),
+n=4), they are the pairs of nonzeros: the pairs whose x-, y- and total
+degrees add up within the caps, in table order (first factor, then second),
 each output found by searchsorted of the summed keys as the table build
 does, so an all-zero factor costs no gather at all.  Else, when a 1-D
-factor has at most that many nonzeros (a y variable has 2 of the 1650
-coefficients of the (2, 8) ring at n=3, an embedded a(x) or b(x) at
-most 10), they are the table rows of the sparser factor's nonzeros, in
+factor has at most that many nonzeros (a y variable has 2 of the 1380
+coefficients of the root at n=3, an embedded x-only series at most
+10), they are the table rows of the sparser factor's nonzeros, in
 table order (rows of the second factor come through a cached
 permutation and are sorted back), for every lane of the other factor.
 The skipped terms are products with an exact zero, so each one is +-0;
@@ -82,8 +90,8 @@ cost a pass over the coefficients on hundreds of products per state.
 
 sqrt, reciprocal, ln, exp and the solve run no ring product.  Each is
 a graded recurrence over total degree (Griewank & Walther, Evaluating
-Derivatives, ch. 13): the value part first, then for d = 1..cap_x +
-cap_y the degree-d coefficients from lower degrees, through one pair
+Derivatives, ch. 13): the value part first, then for d = 1..cap_d the
+degree-d coefficients from lower degrees, through one pair
 sum P(p, q)_d = sum_(a<b) (p_a q_b + p_b q_a) + sum p_a q_a over the
 pairs a < b, and the squares, of monomials of positive degree whose
 product has degree d.  With E the degree operator ((E u)_m = deg(m) u_m):
@@ -103,10 +111,10 @@ pairs (degree 1 has none) gathers nothing.  The ring's level table
 (levels) is a view of the product table, taken on first use: its
 triples with a <= b and both factors past the constant, already in
 table order, cast to the smallest unsigned index type that holds the
-ring's (uint16 through the (2, 8) ring at n=5) and split by the
-output's degree.  At n=4 it holds 282 325 pairs in 1.7 MB, an eighth
-of the product table's bytes, and one sqrt gathers them once where
-Newton ran 13 products over the whole table.
+ring's (uint16 through the root at n=5) and split by the output's
+degree.  At n=4 it holds 168 075 pairs in 1.0 MB, an eighth of the
+product table's bytes, and one sqrt gathers them once where Newton ran
+13 products over the whole table.
 
 Every operation is budget-invariant: run in a stage ring, it gives
 exactly (bit for bit) the root's result restricted to that ring,
@@ -116,21 +124,26 @@ level of a graded recurrence reads only lower degrees, through the same
 pairs in the same order.
 
 So each stage runs in the ring of the budget its readers need:
-ring.stage(bx, by) is the (bx, by) ring under ring's root (the root
-itself at the root's caps; ValueError past them).  Its monomials are
-the root's within its caps, in the root's order, and its keys are the
+ring.stage(bx, by, bd) is the (bx, by, bd) ring under ring's root, bd
+min(bx + by, the root's cap_d) unless given (the root itself at the
+root's caps; ValueError past them), so a stage within the root's total
+cap is a box and no caller outside this module names bd.  Its monomials
+are the root's within its caps, in the root's order, and its keys are the
 root's, so the product table it builds on its first product or graded
 recurrence is the root's within its caps, mapped entry for entry (2 ms
 for the (1, 6) ring at n=4 and 0.2 ms for the (1, 1) ring, where
 mapping the root's table took 4 and 3 ms); its derivative tables are
 built per slot on first use.
-SeriesRing(n, cap_x, cap_y) builds a root of its own caps and keys, the
-tests' reference for budget invariance.
+SeriesRing(n, cap_x, cap_y) builds a box root of its own caps and keys
+(cap_d given, one capped by it), the tests' reference for budget
+invariance.
 restrict copies series into a smaller ring, and embed zero-fills them
 into a larger one.  one_kind runs work of one kind of variable in a
 stage ring of the root: work of x alone (coefficient fields, volume
 densities) in the x-only stage ring.stage(cap_x, 0), work of y alone (a
-DSL metric's norms of y) in ring.stage(0, cap_y).
+DSL metric's norms of y) in ring.stage(0, cap_y); it embeds the results
+back, except for coefficient fields, which stay in the x-only stage
+(lift=False) for the forms below.
 
 A form in y with coefficients of x alone, sum_ij a_ij y_i y_j
 (quadratic_form) or sum_i b_i y_i (linear_form), is placed from its
@@ -143,8 +156,11 @@ y_i has b u_i and b.  So the terms are a few array operations on an
 array [term, y-part, alpha] (SeriesRing.form_table places them), summed
 in the loop's order by np.add.accumulate (np.add.reduce may pair the
 sums differently) with -0 turned to +0: the loop's coefficients, bit
-for bit.  Floats, jets, lanes, a coefficient that reads y and a
-non-finite coefficient or term keep the loop.
+for bit.  A coefficient of the x-only stage of y's ring holds exactly
+the x-monomials, in the ring's order, so it is placed with no embedding
+and no check that it reads no y.  Floats, jets, lanes, a coefficient
+that reads y and a non-finite coefficient or term keep the loop, which
+first embeds a coefficient of an x-only ring, as one of x alone.
 
 A Series in an x-only or a stage ring may carry leading component axes:
 c of shape (K1, .., size) holds one series per lane, stacked by
@@ -163,7 +179,7 @@ naming it and its lane.  In a small ring the lanes share one pass over
 the table's indices, which saves calls, not work (a (1, 6) product of
 dense factors at n=4: 99 us CPU per lane in a batch of 4 and alone, on
 a 2-core x86-64 VM); a ring of its own with y-variables, such as the
-(2, 8) ring, is never batched (n=3: 0.93 ms per lane, against 0.27 ms
+root, is never batched (n=3: 0.93 ms per lane, against 0.27 ms
 unbatched).
 """
 
@@ -186,42 +202,55 @@ from .scalars import ipow
 ROW_SKIP_MIN_TRIPLES = 16384
 ROW_SKIP_DENSITY = 16
 
+# The root's caps (cap_x, cap_y, cap_d).  The GDW test reads one
+# x-derivative of the spray's third y-derivative, so F^2 needs x-order 2
+# and y-order 8; but its readers stop at total degree 9: g reads F^2 at
+# (1, 8) and the spray's x-derivative at (2, 7) (engine.metric_series,
+# engine.spray_series), so no reader reads the corner (2, 8).
+ROOT_CAPS = (2, 8, 9)
+
 
 class SeriesRing:
-    """Shared tables for one (dimension, cap_x, cap_y) truncation."""
+    """Shared tables for one (dimension, cap_x, cap_y, cap_d) truncation."""
 
     _instances = {}
 
     @classmethod
     def get(cls, n):
-        """The one (n, 2, 8) root of dimension n; every other ring of the
+        """The one ROOT_CAPS root of dimension n; every other ring of the
         dimension is a stage of it."""
         ring = cls._instances.get(n)
         if ring is None:
-            ring = cls._instances[n] = cls(n, 2, 8)
+            ring = cls._instances[n] = cls(n, *ROOT_CAPS)
         return ring
 
-    def stage(self, bx, by):
-        """The (bx, by) stage ring under this ring's root (module notes);
-        the root itself at its own caps.  ValueError for caps past the
-        root's, whose monomials the root does not hold."""
+    def stage(self, bx, by, bd=None):
+        """The (bx, by, bd) stage ring under this ring's root (module
+        notes), bd min(bx + by, the root's cap_d) unless given; the root
+        itself at its own caps.  ValueError for caps past the root's,
+        whose monomials the root does not hold."""
         root = self.root
-        ring = root._stages.get((bx, by))
+        caps = (bx, by, min(bx + by, root.cap_d if bd is None else bd))
+        ring = root._stages.get(caps)
         if ring is None:
-            if not (0 <= bx <= root.cap_x and 0 <= by <= root.cap_y):
+            if not (
+                0 <= bx <= root.cap_x
+                and 0 <= by <= root.cap_y
+                and 0 <= caps[2] <= root.cap_d
+            ):
                 raise ValueError(
-                    "stage (%d, %d) is past the root's caps (%d, %d)"
-                    % (bx, by, root.cap_x, root.cap_y)
+                    "stage %s is past the root's caps %s"
+                    % (caps, (root.cap_x, root.cap_y, root.cap_d))
                 )
-            ring = root._stages[(bx, by)] = SeriesRing(self.n, bx, by, root)
+            ring = root._stages[caps] = SeriesRing(self.n, *caps, root)
         return ring
 
-    def __init__(self, n, cap_x, cap_y, root=None):
+    def __init__(self, n, cap_x, cap_y, cap_d=None, root=None):
         self.n = n
-        self.cap_x = cap_x
-        self.cap_y = cap_y
+        cap_d = cap_x + cap_y if cap_d is None else min(cap_d, cap_x + cap_y)
+        self.cap_x, self.cap_y, self.cap_d = cap_x, cap_y, cap_d
         self.root = root or self
-        self._stages = {(cap_x, cap_y): self}
+        self._stages = {(cap_x, cap_y, cap_d): self}
         self._triples = None
         self._row_index = None
         self._derivative_cache = {}
@@ -235,7 +264,10 @@ class SeriesRing:
                 [e for e in itertools.product(range(cap + 1), repeat=n) if sum(e) <= cap]
                 for cap in (cap_x, cap_y)
             )
-            powers = np.array([xe + ye for xe in xes for ye in yes], dtype=np.int64)
+            powers = np.array(
+                [xe + ye for xe in xes for ye in yes if sum(xe) + sum(ye) <= cap_d],
+                dtype=np.int64,
+            )
             # mixed-radix keys: digit-wise exponent sums never carry, so the
             # key of a product monomial is the sum of the factor keys; the
             # exponents are listed in lexicographic order, so keys ascend
@@ -244,13 +276,14 @@ class SeriesRing:
             keys = powers @ self._place
         else:
             # the root's monomials within the caps, in the root's order
-            keep = (root.xdeg <= cap_x) & (root.ydeg <= cap_y)
+            keep = (root.xdeg <= cap_x) & (root.ydeg <= cap_y) & (root.deg <= cap_d)
             powers, keys = root._powers[keep], root.keys[keep]
         self._powers = powers  # exponent rows: x-exponents, then y-exponents
         self.size = len(powers)
         self.keys = keys
         self.xdeg = powers[:, :n].sum(axis=1)
         self.ydeg = powers[:, n:].sum(axis=1)
+        self.deg = self.xdeg + self.ydeg
         if root is None:
             self._triples = self._build_triples()
             self._work = (np.empty(0), np.empty(0))
@@ -271,10 +304,12 @@ class SeriesRing:
         # with every second factor that fits beside the class
         ia, ib = [], []
         for dx in range(self.cap_x + 1):
-            for dy in range(self.cap_y + 1):
+            for dy in range(min(self.cap_y, self.cap_d - dx) + 1):
                 rows = np.flatnonzero((self.xdeg == dx) & (self.ydeg == dy))
                 cols = np.flatnonzero(
-                    (self.xdeg <= self.cap_x - dx) & (self.ydeg <= self.cap_y - dy)
+                    (self.xdeg <= self.cap_x - dx)
+                    & (self.ydeg <= self.cap_y - dy)
+                    & (self.deg <= self.cap_d - dx - dy)
                 )
                 ia.append(np.repeat(rows, len(cols)))
                 ib.append(np.tile(cols, len(rows)))
@@ -309,7 +344,7 @@ class SeriesRing:
 
     def levels(self):
         """The level table of the graded recurrences (module notes), built
-        on first use: per total degree d = 1..cap_x + cap_y, a tuple (rows,
+        on first use: per total degree d = 1..cap_d, a tuple (rows,
         iout, ia, ib, sq_out, sq_src).  rows are the monomials of degree d;
         the pairs a < b of positive degrees whose product is the monomial
         rows[iout] are (ia, ib), in table order; the square of sq_src is
@@ -324,11 +359,11 @@ class SeriesRing:
             iout, ia, ib = self.triples
             keep = (ia <= ib) & (ia > 0)
             iout, ia, ib = (t[keep].astype(small) for t in (iout, ia, ib))
-            deg = (self.xdeg + self.ydeg).astype(small)
+            deg = self.deg.astype(small)
             out_deg = deg[iout]
             rank = np.empty(self.size, dtype=small)  # place among its degree
             self._levels = []
-            for d in range(1, self.cap_x + self.cap_y + 1):
+            for d in range(1, self.cap_d + 1):
                 rows = np.flatnonzero(deg == d).astype(small)
                 rank[rows] = np.arange(len(rows))
                 at = out_deg == d
@@ -346,8 +381,9 @@ class SeriesRing:
         (alpha, e), over the y-parts e = 0, e_1..e_n, then e_k + e_l for
         k <= l, and the x-monomials alpha (those of y-degree 0, in the
         ring's order, the constant first); pairs[k, l] is the row of
-        e_k + e_l.  None when the ring keeps y-degrees below 2."""
-        if self._form_table is None and self.cap_y >= 2:
+        e_k + e_l.  None when the ring keeps y-degrees below 2, or not
+        beside every x-monomial."""
+        if self._form_table is None and min(self.cap_y, self.cap_d - self.cap_x) >= 2:
             n, place = self.n, self.root._place[self.n:]
             pairs = np.zeros((n, n), dtype=np.int64)
             ykeys = [0] + place.tolist()
@@ -388,12 +424,13 @@ class SeriesRing:
 
     def derivative_table(self, kind, slot):
         """(ring, src, fac) of d/dx^slot (kind "x") or d/dy^slot: the stage
-        ring one order below, and per monomial there its source here."""
+        ring one order below, in its kind and in total degree, and per
+        monomial there its source here."""
         key = (kind, slot)
         table = self._derivative_cache.get(key)
         if table is None:
             x = kind == "x"
-            ring = self.stage(self.cap_x - x, self.cap_y - (not x))
+            ring = self.stage(self.cap_x - x, self.cap_y - (not x), self.cap_d - 1)
             # each monomial there comes from the one here with the slot's
             # exponent one higher: its key plus the slot's place value
             digit = slot if x else self.n + slot
@@ -428,7 +465,11 @@ class SeriesRing:
         caps under the same root, found by their keys."""
         pos = self._embed_cache.get(sub)
         if pos is None:
-            fits = sub.cap_x <= self.cap_x and sub.cap_y <= self.cap_y
+            fits = (
+                sub.cap_x <= self.cap_x
+                and sub.cap_y <= self.cap_y
+                and sub.cap_d <= self.cap_d
+            )
             if sub.root is not self.root or not fits:
                 raise ValueError("positions_of takes a smaller ring of the same root")
             pos = self._embed_cache[sub] = np.searchsorted(self.keys, sub.keys)
@@ -554,8 +595,10 @@ def _sparse_triples(ring, a, b):
         if np.isfinite(a[ra]).all() and np.isfinite(b[rb]).all():
             # first factor, then second: the table's order
             ia, ib = np.repeat(ra, nb), np.tile(rb, na)
-            fits = (ring.xdeg[ia] + ring.xdeg[ib] <= ring.cap_x) & (
-                ring.ydeg[ia] + ring.ydeg[ib] <= ring.cap_y
+            fits = (
+                (ring.xdeg[ia] + ring.xdeg[ib] <= ring.cap_x)
+                & (ring.ydeg[ia] + ring.ydeg[ib] <= ring.cap_y)
+                & (ring.deg[ia] + ring.deg[ib] <= ring.cap_d)
             )
             ia, ib = ia[fits], ib[fits]
             return np.searchsorted(ring.keys, ring.keys[ia] + ring.keys[ib]), ia, ib
@@ -632,7 +675,7 @@ def _meet(a, b):
     slot-wise smaller caps, under their root."""
     if a.ring is b.ring:
         return a, b
-    ring = a.ring.stage(min(a.bx, b.bx), min(a.by, b.by))
+    ring = a.ring.stage(min(a.bx, b.bx), min(a.by, b.by), min(a.bd, b.bd))
     return restrict(a, ring), restrict(b, ring)
 
 
@@ -643,9 +686,11 @@ class Series:
         self.ring = ring
         self.c = c
 
-    # the budget, trusted x- and y-derivative orders, is the ring's caps
+    # the budget, trusted x-, y- and total derivative orders, is the
+    # ring's caps
     bx = property(lambda self: self.ring.cap_x)
     by = property(lambda self: self.ring.cap_y)
+    bd = property(lambda self: self.ring.cap_d)
 
     def value(self):
         """Value part: a float, or one float per lane of a batch."""
@@ -776,7 +821,7 @@ class Series:
 
     def exp(self):
         u = self.c
-        eu = u * (self.ring.xdeg + self.ring.ydeg)
+        eu = u * self.ring.deg
         e = np.zeros_like(u)
         e[..., 0] = _lanes(math.exp, u[..., 0], "exp")
         for d, level in enumerate(self.ring.levels(), 1):
@@ -812,13 +857,17 @@ class Series:
     # -- derivatives and extraction -------------------------------------
 
     def dx(self, slot):
-        if self.bx < 1:
-            raise TowerBudgetError("x-derivative budget exhausted (bx=0)")
+        if min(self.bx, self.bd) < 1:
+            raise TowerBudgetError(
+                "x-derivative budget exhausted (bx=%d, bd=%d)" % (self.bx, self.bd)
+            )
         return self._derivative("x", slot)
 
     def dy(self, slot):
-        if self.by < 1:
-            raise TowerBudgetError("y-derivative budget exhausted (by=0)")
+        if min(self.by, self.bd) < 1:
+            raise TowerBudgetError(
+                "y-derivative budget exhausted (by=%d, bd=%d)" % (self.by, self.bd)
+            )
         return self._derivative("y", slot)
 
     def _derivative(self, kind, slot):
@@ -831,20 +880,21 @@ class Series:
         Indexed [m_1..m_nx, r_1..r_ny] (after any batch axis):
         d^(nx+ny) f / dx^m_1..dx^m_nx dy^r_1..dy^r_ny.
         """
-        if nx > self.bx or ny > self.by:
+        if nx > self.bx or ny > self.by or nx + ny > self.bd:
             raise TowerBudgetError(
-                "(%d, %d) partials beyond budget (%d, %d)"
-                % (nx, ny, self.bx, self.by)
+                "(%d, %d) partials beyond budget (%d, %d, %d)"
+                % (nx, ny, self.bx, self.by, self.bd)
             )
         idx, fac = self.ring.partial_table(nx, ny)
         return self.c.take(idx, axis=-1) * fac
 
     def __repr__(self):
-        return "Series(n=%d, value=%r, budget=(%d, %d))" % (
+        return "Series(n=%d, value=%r, budget=(%d, %d, %d))" % (
             self.ring.n,
             self.value(),
             self.bx,
             self.by,
+            self.bd,
         )
 
 
@@ -877,12 +927,16 @@ def restrict(parts, ring):
     matrix a[i][j] is read as c[i, j, :].
     """
     if isinstance(parts, Series):
-        ring = ring.stage(min(parts.bx, ring.cap_x), min(parts.by, ring.cap_y))
+        ring = ring.stage(
+            min(parts.bx, ring.cap_x), min(parts.by, ring.cap_y), min(parts.bd, ring.cap_d)
+        )
         if parts.ring is ring:
             return parts
         return Series(ring, parts.c[..., parts.ring.positions_of(ring)])
     parts = [restrict(p, ring) for p in parts]
-    ring = ring.stage(min(p.bx for p in parts), min(p.by for p in parts))
+    ring = ring.stage(
+        min(p.bx for p in parts), min(p.by for p in parts), min(p.bd for p in parts)
+    )
     return Series(ring, np.stack([restrict(p, ring).c for p in parts]))
 
 
@@ -908,7 +962,7 @@ def _within(v, sub):
     )
 
 
-def one_kind(fn, coords, kind):
+def one_kind(fn, coords, kind, lift=True):
     """fn(coords) for a function fn of coordinates of one kind, "x" or
     "y", alone, run in the stage ring ring.stage(cap_x, 0) or
     ring.stage(0, cap_y) of their ring (module notes).
@@ -917,9 +971,11 @@ def one_kind(fn, coords, kind):
     of the other kind, are restricted there (so an affine x = A xs + c
     keeps its shape), and every Series leaf of fn's result, nested lists
     allowed, is embedded back at the leaf's own budget of that kind and
-    the ring's cap of the other.  Floats, one-kind Series, other rings'
-    scalars and coordinates that move with the other kind go to fn as
-    they are.
+    the ring's caps of the other and of the total degree; with lift
+    False the leaves stay in the stage ring, for the coefficients of
+    quadratic_form and linear_form.  Floats, one-kind Series, other
+    rings' scalars and coordinates that move with the other kind go to fn
+    as they are.
     """
     of_x = kind == "x"
     if not all(
@@ -932,30 +988,34 @@ def one_kind(fn, coords, kind):
     if not all(_within(v, low) for v in coords):
         return fn(coords)
     out = fn([restrict(v, low) for v in coords])
+    return _lifted(out, ring, of_x) if lift else out
 
-    def lift(leaf):
-        if isinstance(leaf, (list, tuple)):
-            return type(leaf)(lift(v) for v in leaf)
-        if isinstance(leaf, Series):
-            caps = (leaf.bx, ring.cap_y) if of_x else (ring.cap_x, leaf.by)
-            return embed(leaf, ring.stage(*caps))
-        return leaf
 
-    return lift(out)
+def _lifted(out, ring, of_x):
+    """Every Series leaf of out, nested lists allowed, of x alone (of_x)
+    or of y alone, embedded into ring's stage of the leaf's own budget of
+    that kind and ring's caps of the other and of the total degree."""
+    if isinstance(out, (list, tuple)):
+        return type(out)(_lifted(v, ring, of_x) for v in out)
+    if isinstance(out, Series):
+        caps = (out.bx, ring.cap_y) if of_x else (ring.cap_x, out.by)
+        return embed(out, ring.stage(*caps, ring.cap_d))
+    return out
 
 
 def _form_parts(coefficients, y):
     """(ring, positions, pairs, u, X) for placing a form in y (module
     notes): y's ring and its form table, the values u of y, and X[k] the
     coefficients of coefficient k at the x-monomials (a float at the
-    constant).  None, for the loop, unless every coefficient is a float
-    or a 1-D series of y's ring free of y (checked first: the spray's
-    batched coefficients never reach y), every y is a y-variable of that
-    ring with y-degrees up to 2, and all are finite."""
+    constant).  None, for the loop, unless every coefficient is a float,
+    a 1-D series of y's ring free of y or one of its x-only stage (checked
+    first: the spray's batched coefficients never reach y), every y is a
+    y-variable of that ring with y-degrees up to 2, and all are finite."""
     ring = getattr(y[0], "ring", None)
+    low = ring.stage(ring.cap_x, 0) if isinstance(ring, SeriesRing) else None
 
-    def plain(v):  # a 1-D series of y's ring
-        return isinstance(v, Series) and v.ring is ring and v.c.ndim == 1
+    def plain(v):  # a 1-D series of y's ring or of its x-only stage
+        return isinstance(v, Series) and v.ring in (ring, low) and v.c.ndim == 1
 
     series = [k for k, v in enumerate(coefficients) if plain(v)]
     floats = [k for k, v in enumerate(coefficients) if isinstance(v, numbers.Real)]
@@ -975,10 +1035,15 @@ def _form_parts(coefficients, y):
         return None  # y_i has nonzeros besides its value and its 1
     X = np.zeros((len(coefficients), positions.shape[1]))
     X[floats, 0] = [coefficients[k] for k in floats]
-    if series:
-        cs = np.array([coefficients[k].c for k in series])
-        X[series] = cs[:, positions[0]]
-        if np.count_nonzero(cs != 0.0) != np.count_nonzero(X[series]):
+    # the x-only stage holds the x-monomials, in the ring's order
+    placed = [k for k in series if coefficients[k].ring is low]
+    embedded = [k for k in series if coefficients[k].ring is ring]
+    if placed:
+        X[placed] = [coefficients[k].c for k in placed]
+    if embedded:
+        cs = np.array([coefficients[k].c for k in embedded])
+        X[embedded] = cs[:, positions[0]]
+        if np.count_nonzero(cs != 0.0) != np.count_nonzero(X[embedded]):
             return None  # a coefficient reads y
     if not (np.isfinite(X).all() and np.isfinite(u).all()):
         return None
@@ -1018,19 +1083,39 @@ def _placed(coefficients, y, degree):
     return Series(ring, c)
 
 
+def _of_x(b, y):
+    """The coefficients b, with those of an x-only ring under y's root
+    (one_kind's leaves, unlifted) embedded into y's ring for the loop."""
+    ring = getattr(y[0], "ring", None)
+    if not isinstance(ring, SeriesRing):
+        return b
+    return [
+        _lifted(v, ring, True)
+        if isinstance(v, Series) and v.ring.root is ring.root and not v.by
+        else v
+        for v in b
+    ]
+
+
 def quadratic_form(a, y):
     """sum_ij a_ij y_i y_j, added in (i, j) order as (a_ij * y_i) * y_j:
     placed from the coefficients a (an n x n nested list) when y are the
-    y-variables of a ring (module notes), else that loop itself."""
+    y-variables of a ring (module notes), else that loop itself.  A
+    coefficient of an x-only ring under y's root is one of x alone."""
     n = len(y)
     total = _placed([v for row in a for v in row], y, 2)
-    terms = (a[i][j] * y[i] * y[j] for i in range(n) for j in range(n))
-    return reduce(add, terms) if total is None else total
+    if total is not None:
+        return total
+    a = [_of_x(row, y) for row in a]
+    return reduce(add, (a[i][j] * y[i] * y[j] for i in range(n) for j in range(n)))
 
 
 def linear_form(b, y):
     """sum_i b_i y_i, added in order: placed from the coefficients b when y
-    are the y-variables of a ring (module notes), else that loop itself."""
+    are the y-variables of a ring (module notes), else that loop itself.
+    A coefficient of an x-only ring under y's root is one of x alone."""
     total = _placed(b, y, 1)
-    terms = (b[i] * y[i] for i in range(len(y)))
-    return reduce(add, terms) if total is None else total
+    if total is not None:
+        return total
+    b = _of_x(b, y)
+    return reduce(add, (b[i] * y[i] for i in range(len(y))))

@@ -26,7 +26,7 @@ from finslerlab.engine import (
 )
 from finslerlab.errors import RegularityError
 from finslerlab.metrics import alpha_beta_metric, construct_metric
-from finslerlab.series import Series, SeriesRing, restrict
+from finslerlab.series import ROOT_CAPS, Series, SeriesRing, restrict
 from finslerlab.volume import (
     bh_quadrature_volume,
     bh_sigma_quadrature,
@@ -749,7 +749,7 @@ def test_one_kind_work_runs_in_stage_rings_of_the_root(monkeypatch):
 def test_one_ring_per_dimension(monkeypatch):
     # every ring that classify, the quadrature volume, the point tensors,
     # the generic horizontal derivative and an n=4 Frame build is the one
-    # (n, 2, 8) root of its dimension or a stage of it
+    # root of its dimension, of caps ROOT_CAPS, or a stage of it
     from finslerlab.classify import classify_metric
     from finslerlab.curvature import GeometryState, horizontal_derivative
     from finslerlab.metrics import cartan_torsion, fundamental_tensor
@@ -775,6 +775,8 @@ def test_one_ring_per_dimension(monkeypatch):
     n4 = randers_n4()
     Frame(n4.metric, n4.volume, (0.1, -0.05, 0.08, 0.02), (0.6, -0.3, 0.5, 0.2))
     assert set(SeriesRing._instances) == {3, 4}
+    for root in SeriesRing._instances.values():
+        assert (root.cap_x, root.cap_y, root.cap_d) == ROOT_CAPS
     for ring in built:
         assert ring.root is SeriesRing.get(ring.n), (ring.n, ring.cap_x, ring.cap_y)
 

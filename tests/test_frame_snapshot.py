@@ -33,8 +33,10 @@ import sys
 import types
 
 import numpy as np
+import pytest
 
-from finslerlab import catalog, classify, curvature, projective, volume
+from finslerlab import catalog, classify, curvature, metrics, projective, volume
+from finslerlab.series import SeriesRing
 
 from support import randers_n4
 
@@ -203,6 +205,49 @@ def test_frame_matches_snapshot(key, ref):
         if not gap <= bound:
             bad.append("%s: %.3e > %.3e" % (field, gap, bound))
     assert not bad, "; ".join(bad)
+
+
+def _randers_n2():
+    metric = metrics.construct_metric(
+        "randers", 2, a=[["1 + x1^2/4", "0"], ["0", "1 + x2^2"]],
+        b=["0.3*x2", "0.2 - 0.1*x1"], chart_radius=1.0, name="randers_n2",
+    )
+    return types.SimpleNamespace(metric=metric, volume=volume.bh_randers_volume(metric))
+
+
+BOX_ENTRIES = [
+    ("randers_n2", 2), ("riemannian_conformal", 2), *((name, 3) for name in (
+        "euclidean", "minkowski_quartic", "mkropina_yang", "randers_baoshen",
+        "randers_humo", "randers_osaka", "riemannian_sphere", QUADRATURE_NAME)),
+    (N4_NAME, 4),
+]
+
+
+@pytest.mark.parametrize("name, n", BOX_ENTRIES, ids=str)
+def test_no_reader_reads_past_the_roots_total_degree(monkeypatch, name, n):
+    # every output, lemma21 among them, at a sampled state is bit for bit
+    # the one a box root gives, which also keeps the monomials of x-degree
+    # 2 and y-degree 8 that the root's total cap drops; this holds without
+    # the committed snapshot
+    def entry():
+        if name == "randers_n2":
+            return _randers_n2()
+        if name == "riemannian_conformal":
+            return catalog.get_example(name, n=n)
+        return entry_of(name)
+
+    first = entry()
+    x, y = classify.sample_states(first.metric, classify.SamplePlan(count=1)).states[0]
+    want = state_outputs(first, x, y)
+    root = SeriesRing.get(n)
+    box = SeriesRing(n, root.cap_x, root.cap_y)
+    assert box.size > root.size
+    monkeypatch.setitem(SeriesRing._instances, n, box)
+    got = state_outputs(entry(), x, y)
+    assert len(box._stages) > 1  # the Frame ran under the box root
+    assert set(got) == set(want)
+    bad = [key for key in sorted(want) if not np.array_equal(got[key], want[key])]
+    assert not bad, bad
 
 
 def main(argv=None):

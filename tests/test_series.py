@@ -123,13 +123,18 @@ def test_budgets_decrease_and_exhaust():
 def test_partials_respect_budget():
     ring = SeriesRing.get(2)
     xs, ys = ring.state([0.1, 0.2], [1.0, 2.0])
-    p = (xs[0] * ys[0] * ys[1]).dx(0).dx(1)  # bx exhausted
-    assert p.partials(0, ring.cap_y).shape == (2,) * ring.cap_y
+    p = (xs[0] * ys[0] * ys[1]).dx(0).dx(1)  # bx exhausted, bd = cap_d - 2
+    assert (p.bx, p.by, p.bd) == (0, ring.cap_y, ring.cap_d - 2)
+    assert p.partials(0, p.bd).shape == (2,) * p.bd
     with pytest.raises(TowerBudgetError):
         p.partials(1, 0)
-    q = p.dy(0)  # by = cap_y - 1
+    with pytest.raises(TowerBudgetError):
+        p.partials(0, ring.cap_y)  # within by, past the total cap
+    q = p.dy(0)  # by = cap_y - 1, bd = cap_d - 3
     with pytest.raises(TowerBudgetError):
         q.partials(0, ring.cap_y)
+    with pytest.raises(TowerBudgetError):
+        q.partials(0, q.bd + 1)
 
 
 @pytest.mark.parametrize("nx, ny", [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4),
@@ -152,13 +157,15 @@ def test_hard_truncation_beyond_budget():
     ring = SeriesRing.get(2)
     xs, ys = ring.state([0.3, 0.1], [1.0, 0.5])
     a = (1.0 + xs[0] + ys[0]).powr(5)  # full budget
-    b = a.dy(0).dy(0)  # by = cap_y - 2
-    common = ring.stage(2, ring.cap_y - 2)
+    b = a.dy(0).dy(0)  # by = cap_y - 2, bd = cap_d - 2
+    common = ring.stage(2, ring.cap_y - 2, ring.cap_d - 2)
     assert a.ring is ring and b.ring is common
     for mixed in (a + b, b - a, a * b, b / a):
-        assert mixed.ring is common and (mixed.bx, mixed.by) == (2, ring.cap_y - 2)
+        assert mixed.ring is common
+        assert (mixed.bx, mixed.by, mixed.bd) == (2, ring.cap_y - 2, ring.cap_d - 2)
         assert mixed.c.shape == (common.size,)
-    c = a.dx(1) * b  # (1, cap_y) against (2, cap_y - 2)
+    assert not (common.deg > ring.cap_d - 2).any()
+    c = a.dx(1) * b  # (1, cap_y, cap_d - 1) against (2, cap_y - 2, cap_d - 2)
     assert c.ring is ring.stage(1, ring.cap_y - 2)
     assert not ((c.ring.xdeg > 1) | (c.ring.ydeg > ring.cap_y - 2)).any()
 
@@ -476,11 +483,41 @@ def test_x_only_keeps_affine_coordinates(monkeypatch):
     ]
     names = ("randers_osaka", "mkropina_yang", "riemannian_sphere")
     hoisted = [get_example(n).metric.F(x, ys) for n in names]
-    monkeypatch.setattr(metrics, "one_kind", lambda fn, x, kind: fn(x))
+    monkeypatch.setattr(metrics, "one_kind", lambda fn, x, kind, lift=True: fn(x))
     for name, got in zip(names, hoisted):
         want = get_example(name).metric.F(x, ys)
         scale = max(1.0, float(np.abs(want.c).max()))
         assert np.abs(got.c - want.c).max() <= 1e-12 * scale, name
+
+
+def test_unlifted_coefficients_give_the_lifted_forms(monkeypatch):
+    # a metric's coefficient fields stay in the x-only stage (one_kind
+    # with lift=False): at y-variables the forms are placed from them as
+    # they are, and at a y that is no set of y-variables the forms' loop
+    # embeds them first as fields of x alone (their products with y in
+    # the x-only ring would drop every y-term).  Both bit for bit the
+    # route of lifted fields
+    from finslerlab import metrics
+    from finslerlab.catalog import get_example
+    from finslerlab.series import one_kind
+
+    ring = SeriesRing.get(3)
+    xs, ys = ring.state((0.05, -0.1, 0.08), (0.6, 0.3, -0.5))
+    moved = [ys[0] + ys[1] * 0.5, ys[1], ys[2]]
+    osaka = get_example("randers_osaka").metric
+    a = one_kind(osaka.a_fn, xs, "x", lift=False)
+    assert a[0][0].ring is ring.stage(ring.cap_x, 0)
+    assert series_module._form_parts([v for row in a for v in row], ys) is not None
+    assert series_module._form_parts([v for row in a for v in row], moved) is None
+    names = ("randers_osaka", "mkropina_yang", "riemannian_sphere")
+    unlifted = [get_example(n).metric.F2(xs, y) for n in names for y in (ys, moved)]
+    monkeypatch.setattr(
+        metrics, "one_kind", lambda fn, x, kind, lift=True: one_kind(fn, x, kind)
+    )
+    lifted = [get_example(n).metric.F2(xs, y) for n in names for y in (ys, moved)]
+    for got, want in zip(unlifted, lifted):
+        assert got.ring is want.ring is ring
+        assert np.array_equal(got.c, want.c)
 
 
 # -- stage rings: a stage runs in the ring of the budget its readers need -----
@@ -966,7 +1003,7 @@ def test_ring_inv_det_equals_ring_det_on_series():
     g = [[f.dy(i).dy(j) * 0.5 for j in range(3)] for i in range(3)]
     det, _ = scalars.ring_inv(g)
     want = scalars.ring_det(g)
-    assert det.ring is want.ring is ring.stage(2, 6)
+    assert det.ring is want.ring is ring.stage(2, 6, ring.cap_d - 2)
     assert np.array_equal(det.c, want.c)
 
 
@@ -1154,6 +1191,81 @@ def test_graded_solve_is_budget_invariant():
             assert np.array_equal(got.c, x.c[..., pos]), (n, bx, by)
 
 
+# -- the total cap: the root drops the monomials past total degree cap_d --
+
+
+def _capped_and_box(n):
+    """A ring of the root's caps, the box ring of its cap_x and cap_y, and
+    the positions of the former's monomials in the latter (the two share
+    their keys)."""
+    ring = SeriesRing(n, *series_module.ROOT_CAPS)
+    box = SeriesRing(n, ring.cap_x, ring.cap_y)
+    pos = np.searchsorted(box.keys, ring.keys)
+    assert ring.cap_d < box.cap_d and np.array_equal(box.keys[pos], ring.keys)
+    return ring, box, pos
+
+
+def _monomials(ring, terms):
+    """The 1-D series sum of value * x^xe y^ye over terms (value, xe, ye)."""
+    c = np.zeros(ring.size)
+    for value, xe, ye in terms:
+        c[np.flatnonzero((ring._powers == xe + ye).all(axis=1))] = value
+    return Series(ring, c)
+
+
+def test_sparse_products_respect_the_total_cap():
+    # x1^2 times y-monomials of degree 8: every product of the two
+    # nonzeros of degree 2 and 8 has degree 10, past the cap, so the pair
+    # path must drop it rather than place it by a key the ring lacks; a
+    # dense third factor takes the row path
+    ring, box, pos = _capped_and_box(3)
+    assert len(ring.triples[0]) >= series_module.ROW_SKIP_MIN_TRIPLES
+    x2 = [(1.5, (2, 0, 0), (0, 0, 0)), (0.5, (0, 0, 0), (0, 0, 0))]
+    y8 = [(2.0, (0, 0, 0), (8, 0, 0)), (-1.0, (0, 0, 0), (3, 4, 1)),
+          (0.25, (0, 0, 0), (0, 1, 0))]
+    dense, other = np.random.default_rng(4).uniform(-1.0, 1.0, (2, box.size))
+    for terms in (x2, y8):
+        assert np.count_nonzero(_monomials(box, terms).c) == len(terms)
+    pairs = [(_monomials(r, x2), _monomials(r, y8)) for r in (ring, box)]
+    rows = [(_monomials(r, x2), Series(r, dense[p])) for r, p in
+            ((ring, pos), (box, slice(None)))]
+    full = [(Series(r, dense[p]), Series(r, other[p])) for r, p in
+            ((ring, pos), (box, slice(None)))]
+    for (a, b), (wa, wb) in (pairs, rows, full):
+        got, want = a * b, wa * wb
+        assert got.ring is ring
+        assert np.array_equal(got.c, want.c[pos])
+    # the pair path ran, and kept no pair past the cap
+    iout, ia, ib = series_module._sparse_triples(ring, *(f.c for f in pairs[0]))
+    assert len(ia) < 2 * 3 and (ring.deg[ia] + ring.deg[ib] <= ring.cap_d).all()
+    assert np.array_equal(ring.deg[iout], ring.deg[ia] + ring.deg[ib])
+
+
+@pytest.mark.parametrize("op", ["sqrt", "reciprocal", "ln", "exp", "solve"])
+def test_graded_operations_respect_the_total_cap(op):
+    # in a ring of the root's caps every graded level reads lower degrees
+    # only, so each operation is the box ring's restricted, bit for bit
+    ring, box, pos = _capped_and_box(3)
+    rng = np.random.default_rng(7)
+    c = rng.uniform(-1.0, 1.0, box.size) * 0.6 ** (box.xdeg + box.ydeg)
+    c[0] = 1.5
+    if op == "solve":
+        a = rng.normal(size=(3, 3, box.size)) * 0.5 ** (box.xdeg + box.ydeg)
+        a = a + a.swapaxes(0, 1)
+        a[..., 0] += 4.0 * np.eye(3)
+        b = rng.normal(size=(3, box.size))
+        inverse = np.linalg.inv(a[..., 0])
+        got = series_module.graded_solve(
+            Series(ring, a[..., pos]), Series(ring, b[..., pos]), inverse
+        )
+        want = series_module.graded_solve(Series(box, a), Series(box, b), inverse)
+    else:
+        got = getattr(Series(ring, c[pos]), op)()
+        want = getattr(Series(box, c), op)()
+    assert got.ring is ring and len(ring.levels()) == ring.cap_d
+    assert np.array_equal(got.c, want.c[..., pos])
+
+
 def _random_series(ring, rng, density):
     """Coefficients shrinking with total degree, value part in [1, 2]."""
     degree = ring.xdeg + ring.ydeg
@@ -1212,15 +1324,16 @@ def test_table_equals_the_all_pairs_build(n, cap_x, cap_y):
 
 
 def test_table_build_peak_memory_is_a_few_tables():
-    # the all-pairs build peaked at 11.7 times the table's bytes at n=4
+    # the all-pairs build peaked at 11.7 times the table's bytes at n=4;
+    # the root's total cap keeps 347 490 of the box's 579 150 triples
     tracemalloc.start()
     try:
-        ring = SeriesRing(4, 2, 8)
+        ring = SeriesRing(4, *series_module.ROOT_CAPS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     table_bytes = sum(t.nbytes for t in ring.triples)
-    assert len(ring.triples[0]) == 579150
+    assert len(ring.triples[0]) == 347490
     assert peak <= 4 * table_bytes, peak / table_bytes
 
 
@@ -1314,7 +1427,9 @@ def test_levels_are_the_tables_positive_degree_pairs(n, cap_x, cap_y, stage):
     iout, ia, ib = ring.triples
     deg = ring.xdeg + ring.ydeg
     levels = ring.levels()
-    assert len(levels) == cap_x + cap_y
+    # a stage's total cap is the root's where the box's is past it
+    cap_d = min(cap_x + cap_y, series_module.ROOT_CAPS[2]) if stage else cap_x + cap_y
+    assert ring.cap_d == cap_d and len(levels) == cap_d
     for d, (rows, out, a, b, sq_out, sq_src) in enumerate(levels, 1):
         for t in (rows, out, a, b, sq_out, sq_src):
             assert t.dtype == np.min_scalar_type(ring.size)
