@@ -26,18 +26,18 @@ of one Series.  A Series's budget is its ring, and Series operations are
 budget-invariant (series module notes), so every array stays
 bit-identical:
 
-- F^2 in the root, of caps (2, 8, 9) (series.ROOT_CAPS): x-order 2,
-  y-order 8, total degree 9, where its readers end (g's (1, 8) stage
-  and the spray's x-derivative in (1, 7)), from the metric's one F^2
+- F^2 in the root, of caps (2, 8, 8) (series.ROOT_CAPS): x-order 2,
+  y-order 8, total degree 8, where its readers end (g's (1, 8, 8) stage
+  and the spray's x-derivative in (1, 7, 7)), from the metric's one F^2
   evaluator
   (MetricSpec.F2: alpha^2 + beta (2 alpha + beta) for Randers, alpha^2
   for Riemannian metrics, the tree of F^2 compiled from a DSL metric's,
   F * F for a metric given by F alone);
-- g in the (1, 6) ring, from F^2 restricted to (1, 8): its readers take
-  its value and (0, 1) partials (C), and the spray and tau read it only
-  through one x-derivative of F^2;
-- the spray's y-derivatives in the (1, 7) ring, and its braces A and
-  the spray itself in the (1, 6) ring, after the check that g is
+- g in the (1, 6, 6) ring, from F^2 restricted to (1, 8, 8): its readers
+  take its value and (0, 1) partials (C), and the spray and tau read it
+  only through one x-derivative of F^2;
+- the spray's y-derivatives in the (1, 7, 7) ring, and its braces A and
+  the spray itself in the (1, 6, 6) ring, after the check that g is
   positive definite: the Frame's g^-1 is a float matrix, the sweep
   (scalars.ring_inv) on the value of g, and the graded solve
   (series.graded_solve) preconditions g G = A/4 by it and fills G level
@@ -69,7 +69,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, EvalError, RegularityError
+from .errors import DomainError, EvalError, RegularityError, TowerBudgetError
 from .scalars import ln, ring_inv, value_of
 from .scalars import ring_det  # noqa: F401  (perfbench/spans.py wraps this name)
 from .series import Series, SeriesRing, graded_solve, linear_form, one_kind, restrict
@@ -137,9 +137,9 @@ def metric_series(fsq):
     value and its (0, 1) partials (C), and the spray and tau read g only
     through one x-derivative of F^2.  So F^2 is restricted to (bx - 1,
     by) before the two y-derivatives, and g keeps the budget (bx - 1, by
-    - 2).  Its value must be positive definite (a DomainError otherwise),
-    so that the sweep that inverts the value for the spray's graded solve
-    meets no zero pivot.
+    - 2, bd - 2).  Its value must be positive definite (a DomainError
+    otherwise), so that the sweep that inverts the value for the spray's
+    graded solve meets no zero pivot.
     """
     n = fsq.ring.n
     fsq = restrict(fsq, fsq.ring.stage(fsq.bx - 1, fsq.by))
@@ -200,15 +200,22 @@ def riemann_series(G, xs, ys, by):
             - dG^i/dy^m dG^m/dy^k.
 
     by is the highest y-order any reader takes; none takes an
-    x-derivative.  The three products of each m are one product in the
-    (0, by) stage ring over the 3 n^3 lanes (term, m, k, i), and each
-    lane (k, i) adds its terms for m = 0..n-1 in the order of the
-    written sum.
+    x-derivative.  So G must keep x-order 1 and y-order and total degree
+    by + 2 (TowerBudgetError otherwise, before any product).  The three
+    products of each m are one product in the (0, by) stage ring over
+    the 3 n^3 lanes (term, m, k, i), and each lane (k, i) adds its
+    terms for m = 0..n-1 in the order of the written sum.
     """
     n = len(G)
     ring = ys[0].ring
     top, mid, low = ring.stage(1, by + 2), ring.stage(0, by + 1), ring.stage(0, by)
     G1 = restrict(G, top)  # [i]
+    # a shorter G would land its derivatives in rings below mid and low
+    if min(G1.by, G1.bd) < by + 2:
+        raise TowerBudgetError(
+            "Riemann curvature to y-order %d needs the spray's budget (1, %d, %d), "
+            "past its (%d, %d, %d)" % (by, by + 2, by + 2, G1.bx, G1.by, G1.bd)
+        )
     Gdx = restrict([G1.dx(m) for m in range(n)], mid)  # [m, i]
     Gdy = restrict([G1.dy(m) for m in range(n)], mid)  # [m, i]
     Gdxy = restrict([Gdx.dy(k) for k in range(n)], low).c  # [k, m, i]

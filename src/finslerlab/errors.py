@@ -17,7 +17,8 @@ class DomainError(FinslerError, ValueError):
 
 class TowerBudgetError(FinslerError):
     """A computation asked for more derivatives than a series carries:
-    Series.partials, dx or dy beyond the series' (bx, by) budget."""
+    Series.partials, dx or dy beyond the series' (bx, by, bd) budget, or
+    a Riemann curvature beyond its spray's."""
 
 
 class RegularityError(FinslerError):

@@ -10,7 +10,7 @@ One evaluation of a metric through this ring therefore yields every
 mixed partial up to the caps, where nested forward mode would need one
 re-evaluation per seeding.  It is the package's only differentiation
 engine, with one ring per dimension, the root SeriesRing.get(n) of caps
-ROOT_CAPS = (2, 8, 9), and its stage rings (below): the Frame uses the
+ROOT_CAPS = (2, 8, 8), and its stage rings (below): the Frame uses the
 root and its stages, the point tensors the
 (0, 2) and (0, 3) stages, the horizontal derivative and tau the (1, 1)
 stage, the quadrature's float x the (0, 0) stage.  Series.partials(nx,
@@ -37,10 +37,10 @@ and their total degrees add up within the caps, so the table is built
 per (xdeg, ydeg) class of first factors, with every second factor that
 fits beside the class; one sort puts the pairs in table order, and a
 monomial's mixed-radix exponent key (digit sums never carry) finds each
-output by searchsorted.  At n=4 that examines the 347 490 kept pairs,
-not all 33 million, and peaks at under twice the table's bytes.  (The
-box (2, 8) root kept 579 150 pairs of its 7425 coefficients; the total
-cap drops the 1650 of x-degree 2 and y-degree 8, which no reader reads.)
+output by searchsorted.  At n=4 that examines the 172 458 kept pairs,
+not all 15 million, and peaks at under twice the table's bytes.
+(The box (2, 8) root kept 579 150 pairs of its 7425 coefficients; the
+total cap drops the 3510 past total degree 8, which no reader reads.)
 Every ring under a root finds any monomial by the root's keys alone.
 
 Each root ring owns one product workspace, which its stage rings
@@ -48,11 +48,11 @@ Each root ring owns one product workspace, which its stage rings
 grown when a batch needs more.  Every product and every graded level
 under the root gathers its factors into them and multiplies in place;
 bincount allocates the result, so no result aliases a buffer.  Without
-them a root product at n=4 allocates three 2.8 MB temporaries, past
+them a root product at n=4 allocates three 1.4 MB temporaries, past
 glibc's mmap threshold, so each would go back to the OS and be faulted
 in again (about 7000 minor faults per frame-n4 state with the box
-root's 4.6 MB, against none with the workspace).  So products under one root are not re-entrant; the
-library runs no threads.
+root's 4.6 MB, against none with the workspace).  So products under
+one root are not re-entrant; the library runs no threads.
 
 Two shortcuts skip work that cannot reach a kept coefficient, and
 leave every result bit-identical to the plain product.  Sparse factors:
@@ -65,7 +65,7 @@ n=4), they are the pairs of nonzeros: the pairs whose x-, y- and total
 degrees add up within the caps, in table order (first factor, then second),
 each output found by searchsorted of the summed keys as the table build
 does, so an all-zero factor costs no gather at all.  Else, when a 1-D
-factor has at most that many nonzeros (a y variable has 2 of the 1380
+factor has at most that many nonzeros (a y variable has 2 of the 1029
 coefficients of the root at n=3, an embedded x-only series at most
 10), they are the table rows of the sparser factor's nonzeros, in
 table order (rows of the second factor come through a cached
@@ -112,7 +112,7 @@ pairs (degree 1 has none) gathers nothing.  The ring's level table
 triples with a <= b and both factors past the constant, already in
 table order, cast to the smallest unsigned index type that holds the
 ring's (uint16 through the root at n=5) and split by the output's
-degree.  At n=4 it holds 168 075 pairs in 1.0 MB, an eighth of the
+degree.  At n=4 it holds 82 419 pairs in 0.5 MB, an eighth of the
 product table's bytes, and one sqrt gathers them once where Newton ran
 13 products over the whole table.
 
@@ -126,14 +126,17 @@ pairs in the same order.
 So each stage runs in the ring of the budget its readers need:
 ring.stage(bx, by, bd) is the (bx, by, bd) ring under ring's root, bd
 min(bx + by, the root's cap_d) unless given (the root itself at the
-root's caps; ValueError past them), so a stage within the root's total
-cap is a box and no caller outside this module names bd.  Its monomials
+root's caps; ValueError past them), so a stage whose bx + by is within
+the root's total cap is a box and no caller outside this module names
+bd.  A derivative or a meet may land in a stage that is no box: F^2's
+(1, 8, 8) stage, two y-derivatives above g's (1, 6, 6).  Its monomials
 are the root's within its caps, in the root's order, and its keys are the
 root's, so the product table it builds on its first product or graded
-recurrence is the root's within its caps, mapped entry for entry (2 ms
-for the (1, 6) ring at n=4 and 0.2 ms for the (1, 1) ring, where
-mapping the root's table took 4 and 3 ms); its derivative tables are
-built per slot on first use.
+recurrence is the root's within its caps, mapped entry for entry (1.4
+ms for the (1, 6) ring at n=4, 0.9 ms for g's (1, 6, 6) and 0.1 ms for
+the (1, 1) ring, where mapping the root's table took 4 ms for the first
+and 3 ms for the last); its derivative tables are built per slot on
+first use.
 SeriesRing(n, cap_x, cap_y) builds a box root of its own caps and keys
 (cap_d given, one capped by it), the tests' reference for budget
 invariance.
@@ -204,10 +207,14 @@ ROW_SKIP_DENSITY = 16
 
 # The root's caps (cap_x, cap_y, cap_d).  The GDW test reads one
 # x-derivative of the spray's third y-derivative, so F^2 needs x-order 2
-# and y-order 8; but its readers stop at total degree 9: g reads F^2 at
-# (1, 8) and the spray's x-derivative at (2, 7) (engine.metric_series,
-# engine.spray_series), so no reader reads the corner (2, 8).
-ROOT_CAPS = (2, 8, 9)
+# and y-order 8; but no reader reads F^2 past total degree 8
+# (engine.metric_series, engine.spray_series): g reads it in the (1, 8,
+# 8) stage, and its two y-derivatives put g in (1, 6, 6); the spray's
+# x-derivative reads its (2, 7, 8) part; G, and so the graded solve,
+# lives in g's (1, 6, 6) stage.  The projective spray's Riemann reads G
+# to its full total degree 6, through S = div G: with the root at (2, 8,
+# 7) it raises TowerBudgetError (engine.riemann_series).
+ROOT_CAPS = (2, 8, 8)
 
 
 class SeriesRing:

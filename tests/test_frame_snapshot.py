@@ -36,6 +36,7 @@ import numpy as np
 import pytest
 
 from finslerlab import catalog, classify, curvature, metrics, projective, volume
+from finslerlab.errors import TowerBudgetError
 from finslerlab.series import SeriesRing
 
 from support import randers_n4
@@ -226,9 +227,9 @@ BOX_ENTRIES = [
 @pytest.mark.parametrize("name, n", BOX_ENTRIES, ids=str)
 def test_no_reader_reads_past_the_roots_total_degree(monkeypatch, name, n):
     # every output, lemma21 among them, at a sampled state is bit for bit
-    # the one a box root gives, which also keeps the monomials of x-degree
-    # 2 and y-degree 8 that the root's total cap drops; this holds without
-    # the committed snapshot
+    # the one a box root gives, which also keeps the monomials past total
+    # degree 8 that the root's total cap drops; this holds without the
+    # committed snapshot
     def entry():
         if name == "randers_n2":
             return _randers_n2()
@@ -248,6 +249,23 @@ def test_no_reader_reads_past_the_roots_total_degree(monkeypatch, name, n):
     assert set(got) == set(want)
     bad = [key for key in sorted(want) if not np.array_equal(got[key], want[key])]
     assert not bad, bad
+
+
+def test_a_root_one_total_degree_short_fails_with_a_named_error(monkeypatch):
+    # the projective spray's Riemann reads G to its full total degree 6, so
+    # under a root of total degree 7 it raises TowerBudgetError, not a
+    # shape error from numpy: with the box root above, the root's total cap
+    # is both enough and needed
+    entry = entry_of("randers_osaka")
+    n = entry.metric.dimension
+    x, y = classify.sample_states(entry.metric, classify.SamplePlan(count=1)).states[0]
+    root = SeriesRing.get(n)
+    short = SeriesRing(n, root.cap_x, root.cap_y, root.cap_d - 1)
+    monkeypatch.setitem(SeriesRing._instances, n, short)
+    frame = curvature.GeometryState(entry.metric, entry.volume, x, y).frame
+    with pytest.raises(TowerBudgetError, match="Riemann"):
+        frame.projective.R
+    assert len(short._stages) > 1  # the Frame ran under the short root
 
 
 def main(argv=None):

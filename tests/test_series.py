@@ -166,8 +166,9 @@ def test_hard_truncation_beyond_budget():
         assert mixed.c.shape == (common.size,)
     assert not (common.deg > ring.cap_d - 2).any()
     c = a.dx(1) * b  # (1, cap_y, cap_d - 1) against (2, cap_y - 2, cap_d - 2)
-    assert c.ring is ring.stage(1, ring.cap_y - 2)
+    assert c.ring is ring.stage(1, ring.cap_y - 2, ring.cap_d - 2)
     assert not ((c.ring.xdeg > 1) | (c.ring.ydeg > ring.cap_y - 2)).any()
+    assert not (c.ring.deg > ring.cap_d - 2).any()
 
 
 def test_division_matches_jets():
@@ -615,15 +616,15 @@ def test_restrict_then_embed_keeps_every_in_budget_coefficient(budget):
     assert np.array_equal(restrict(back, stage).c, small.c)
     # a nested list becomes leading component axes, in the ring of the
     # smallest budget among its parts and the target's caps
-    g = f.dy(0).dy(1) * 0.5  # (2, 6)
+    g = f.dy(0).dy(1) * 0.5  # (2, 6, cap_d - 2)
     wide = ring.stage(1, 7)
     both = restrict([[f, g], [g, ys[2]]], wide)
-    common = ring.stage(1, 6)
+    common = ring.stage(1, 6, ring.cap_d - 2)
     assert both.ring is common and both.c.shape == (2, 2, common.size)
     assert np.array_equal(both.part((0, 1)).c, restrict(g, wide).c)
     assert np.array_equal(both.part((0, 0)).c, restrict(f, common).c)
     y2 = embed(both.part((1, 1)), ring)
-    assert np.array_equal(y2.c, embed(restrict(ys[2], ring.stage(1, 6)), ring).c)
+    assert np.array_equal(y2.c, embed(restrict(ys[2], common), ring).c)
 
 
 def _stage_factors(stage, rng, lanes):
@@ -651,9 +652,10 @@ def test_batched_stage_product_equals_each_lane():
 def test_batched_dense_times_sparse_skips_rows_in_every_lane():
     # a y variable against a batch: the rows of its two nonzeros are
     # gathered once for all lanes, and every lane equals its own product
-    # (the (2, 6) ring: products in the (1, 6) ring gather its whole table)
+    # (the (2, 7, cap_d - 1) ring of f.dy(0): products in the (1, 6) ring
+    # gather its whole table)
     ring = SeriesRing.get(3)
-    stage = ring.stage(2, 6)
+    stage = ring.stage(2, 7, ring.cap_d - 1)
     assert len(stage.triples[0]) >= series_module.ROW_SKIP_MIN_TRIPLES
     xs, ys = ring.state(X3, Y3)
     f = smooth3(xs, ys)
@@ -678,14 +680,15 @@ GRADED = {
 
 def test_graded_operations_are_budget_invariant_by_construction():
     # each level of a graded recurrence reads only lower degrees, so a
-    # (1, 6) ring of its own and the root's (1, 6) stage ring give the
-    # same bits (Newton's reciprocal ran 3 steps in the first and the
-    # root's 4 in the second, and the two differed in the last bits)
+    # (1, 6, 6) ring of its own and the root's (1, 6, 6) stage ring, where
+    # g lives, give the same bits (Newton's reciprocal ran 3 steps in the
+    # first and the root's 4 in the second, and the two differed in the
+    # last bits)
     ring = SeriesRing.get(3)
     xs, ys = ring.state(X3, Y3)
-    g = smooth3(xs, ys).dy(0).dy(0) * 0.5  # (2, 6)
-    stage = ring.stage(1, 6)
-    own = SeriesRing(3, 1, 6)
+    g = smooth3(xs, ys).dy(0).dy(0) * 0.5  # (2, 6, 6)
+    stage = ring.stage(1, 6, 6)
+    own = SeriesRing(3, 1, 6, 6)
     assert np.array_equal(own._powers, stage._powers)
     for name, op in GRADED.items():
         got = op(restrict(g, stage))
@@ -1011,7 +1014,7 @@ def test_ring_inv_det_equals_ring_det_on_series():
 def test_trace_series_ln_det_matches_ring_inv(name):
     # tau's ln det g, ln det g0 + tr M - tr(M M)/2 in the (1, 1) ring
     # (engine.ln_det_series), against a second route: the ln of the
-    # sweep's det of the (1, 6)-ring g, restricted to the (1, 1) ring, at
+    # sweep's det of the (1, 6, 6)-ring g, restricted to the (1, 1) ring, at
     # 5 states of plan seed 3.  Value parts agree bit for bit (both are
     # ln of the float sweep's det); measured max|diff| / max(1, max|ref|)
     # at most 5.8e-16 (mkropina_yang), so the bound leaves 2x headroom
@@ -1023,7 +1026,7 @@ def test_trace_series_ln_det_matches_ring_inv(name):
         xs, ys = ring.state(x, y)
         fsq = engine.fsq_series(entry.metric, xs, ys)
         g = engine.metric_series(fsq)
-        assert g[0][0].ring is ring.stage(1, 6)  # no reader takes g_xx
+        assert g[0][0].ring is ring.stage(1, 6, 6)  # no reader takes g_xx
         g0 = scalars.ring_inv([[v.value() for v in row] for row in g])
         got = engine.ln_det_series(g, g0)
         want = restrict(scalars.ring_inv(g)[0].ln(), ring.stage(1, 1))
@@ -1303,9 +1306,9 @@ def test_restrict_and_embed_at_the_ring_edges():
     wide = ring.stage(1, 8)
     mixed = embed(restrict(f.dy(0), wide), wide)
     assert mixed.ring is wide
-    common = ring.stage(1, 7)
+    common = ring.stage(1, 7, ring.cap_d - 1)
     assert np.array_equal(restrict(mixed, common).c, restrict(f.dy(0), common).c)
-    assert not mixed.c[wide.ydeg == 8].any()
+    assert not mixed.c[(wide.ydeg == 8) | (wide.deg == ring.cap_d)].any()
 
 
 # -- the product table and the product workspace -----------------------------
@@ -1325,7 +1328,7 @@ def test_table_equals_the_all_pairs_build(n, cap_x, cap_y):
 
 def test_table_build_peak_memory_is_a_few_tables():
     # the all-pairs build peaked at 11.7 times the table's bytes at n=4;
-    # the root's total cap keeps 347 490 of the box's 579 150 triples
+    # the root's total cap keeps 172 458 of the box's 579 150 triples
     tracemalloc.start()
     try:
         ring = SeriesRing(4, *series_module.ROOT_CAPS)
@@ -1333,7 +1336,7 @@ def test_table_build_peak_memory_is_a_few_tables():
     finally:
         tracemalloc.stop()
     table_bytes = sum(t.nbytes for t in ring.triples)
-    assert len(ring.triples[0]) == 347490
+    assert len(ring.triples[0]) == 172458
     assert peak <= 4 * table_bytes, peak / table_bytes
 
 
