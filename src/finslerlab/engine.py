@@ -16,9 +16,12 @@ projective.douglas_invariance_gap) build G + P y with modified_spray.
 Work of x alone (the coefficient fields of F, the volume density, ln
 sigma) runs in the x-only stage of the root (series.one_kind),
 and each sum over y^m (S's drift, the spray's braces, lemma21's P_{|0})
-is series.linear_form.  The point tensors of the
-metrics module read g and C from small rings of the same series module;
-the test suite holds both against an independent jet-tower oracle.
+is series.linear_form.  First derivatives are gathered for all n slots
+at once (Series.grad), and products by y^m (the braces, G - S y/(n+1),
+G + P y) are shifts (Series.times_y), not ring products.  The point
+tensors of the metrics module read g and C from small rings of the same
+series module; the test suite holds both against an independent
+jet-tower oracle.
 
 Each stage runs in the stage ring of the budget its readers need (bx
 x-orders, by y-orders), with its vectors and matrices as component axes
@@ -33,10 +36,10 @@ bit-identical:
   (MetricSpec.F2: alpha^2 + beta (2 alpha + beta) for Randers, alpha^2
   for Riemannian metrics, the tree of F^2 compiled from a DSL metric's,
   F * F for a metric given by F alone);
-- g in the (1, 6, 6) ring, from F^2 restricted to (1, 8, 8): its readers
-  take its value and (0, 1) partials (C), and the spray and tau read it
-  only through one x-derivative of F^2;
-- the spray's y-derivatives in the (1, 7, 7) ring, and its braces A and
+- g in the (1, 6, 6) ring, two y-gradients of F^2's (1, 8, 8) part: its
+  readers take its value and (0, 1) partials (C), and the spray and tau
+  read it only through one x-derivative of F^2;
+- the spray's x-derivatives in the (1, 7, 7) ring, and its braces A and
   the spray itself in the (1, 6, 6) ring, after the check that g is
   positive definite: the Frame's g^-1 is a float matrix, the sweep
   (scalars.ring_inv) on the value of g, and the graded solve
@@ -50,9 +53,9 @@ bit-identical:
   (1, 3) and (0, 4) partials.
   Douglas is a projective invariant, so the projective spray's Douglas
   tensor is D, and no projective Douglas core is extracted;
-- Riemann's derivatives in the (1, 5) and (0, 4) rings, its products in
-  the (0, 3) ring as one product over the 3 n^3 lanes (term, m, k, i): a
-  Spray reads R^i_k and its fiber partials up to order 3;
+- Riemann's derivatives of G in the (0, 4) and (0, 3) rings, its
+  products in the latter as one product over the 3 n^3 lanes (term, m,
+  k, i): a Spray reads R^i_k and its fiber partials up to order 3;
 - lemma21_residual's G + P y and P in the (1, 2) ring, where its reads
   end (its Riemann at the value, (0, 0)), and douglas_invariance_gap's
   in the (1, 5) ring of the cubes.
@@ -135,25 +138,24 @@ def metric_series(fsq):
 
     No reader takes an x-derivative of order 2 of g: the Frame reads its
     value and its (0, 1) partials (C), and the spray and tau read g only
-    through one x-derivative of F^2.  So F^2 is restricted to (bx - 1,
-    by) before the two y-derivatives, and g keeps the budget (bx - 1, by
-    - 2, bd - 2).  Its value must be positive definite (a DomainError
+    through one x-derivative of F^2.  So the first y-gradient lands in
+    (bx - 1, by - 1, bd - 1), and g keeps the budget (bx - 1, by - 2,
+    bd - 2); g_ij for i <= j is differentiated in y^i first, and g_ji is
+    g_ij.  Its value must be positive definite (a DomainError
     otherwise), so that the sweep that inverts the value for the spray's
     graded solve meets no zero pivot.
     """
     n = fsq.ring.n
-    fsq = restrict(fsq, fsq.ring.stage(fsq.bx - 1, fsq.by))
-    g = [[None] * n for _ in range(n)]
-    for i in range(n):
-        di = fsq.dy(i)
-        for j in range(i, n):
-            g[i][j] = g[j][i] = di.dy(j) * 0.5
-    low = np.linalg.eigvalsh([[gij.c[0] for gij in row] for row in g])[0]
+    first = fsq.grad("y", fsq.ring.stage(fsq.bx - 1, fsq.by))  # [i]
+    second = first.grad("y", first.ring)  # [j, i]: y^i first
+    i, j = np.indices((n, n))
+    g = second.c[np.maximum(i, j), np.minimum(i, j)] * 0.5  # [i, j]
+    low = np.linalg.eigvalsh(g[..., 0])[0]
     if low <= 0.0:
         raise DomainError(
             "fundamental tensor not positive definite (min eigenvalue %.3e)" % low
         )
-    return g
+    return [[Series(second.ring, g[i, j]) for j in range(n)] for i in range(n)]
 
 
 def spray_series(fsq, g, g0, xs, ys):
@@ -161,20 +163,18 @@ def spray_series(fsq, g, g0, xs, ys):
     (det, inverse) of its value (scalars.ring_inv on floats).
 
     G^i solves g_il G^l = 1/4 { d2 F^2/dx^k dy^l y^k - dF^2/dx^l }: the
-    braces run over the lanes l in the stage ring of g, and the graded
-    solve, preconditioned by g0's inverse, fills G there.
+    braces run over the lanes l in the stage ring of g (g_ij from
+    metric_series, or one Series of lanes [i, j]), and the graded solve,
+    preconditioned by g0's inverse, fills G there: no ring product.
     """
     n = fsq.ring.n
-    stage = g[0][0].ring
-    dxP = restrict(
-        [fsq.dx(k) for k in range(n)], fsq.ring.stage(stage.cap_x, stage.cap_y + 1)
-    )  # [k]
-    D = restrict([dxP.dy(l) for l in range(n)], stage)  # [l, k]
-    A = linear_form(  # lanes l
-        [D.part(np.s_[:, k]) for k in range(n)], [restrict(v, stage) for v in ys]
-    )
+    g = restrict(g, fsq.ring)  # lanes [i, l]
+    stage = g.ring
+    dxP = fsq.grad("x", fsq.ring.stage(stage.cap_x, stage.cap_y + 1))  # [k]
+    D = dxP.grad("y", stage)  # [l, k]
+    A = linear_form([D.part(np.s_[:, k]) for k in range(n)], ys)  # lanes l
     A = (A - restrict(dxP, stage)) * 0.25
-    G = graded_solve(restrict(g, stage), A, np.asarray(g0[1]))  # g: lanes [i, l]
+    G = graded_solve(g, A, np.asarray(g0[1]))
     return [G.part(i) for i in range(n)]
 
 
@@ -201,28 +201,29 @@ def riemann_series(G, xs, ys, by):
 
     by is the highest y-order any reader takes; none takes an
     x-derivative.  So G must keep x-order 1 and y-order and total degree
-    by + 2 (TowerBudgetError otherwise, before any product).  The three
-    products of each m are one product in the (0, by) stage ring over
+    by + 2 (TowerBudgetError otherwise, before any product).  Its
+    derivatives go straight into the (0, by + 1) and (0, by) stages; the
+    three products of each m are one product in the (0, by) stage over
     the 3 n^3 lanes (term, m, k, i), and each lane (k, i) adds its
     terms for m = 0..n-1 in the order of the written sum.
     """
     n = len(G)
     ring = ys[0].ring
-    top, mid, low = ring.stage(1, by + 2), ring.stage(0, by + 1), ring.stage(0, by)
-    G1 = restrict(G, top)  # [i]
+    mid, low = ring.stage(0, by + 1), ring.stage(0, by)
+    G = restrict(G, ring)  # [i]
     # a shorter G would land its derivatives in rings below mid and low
-    if min(G1.by, G1.bd) < by + 2:
+    if min(G.by, G.bd) < by + 2:
         raise TowerBudgetError(
             "Riemann curvature to y-order %d needs the spray's budget (1, %d, %d), "
-            "past its (%d, %d, %d)" % (by, by + 2, by + 2, G1.bx, G1.by, G1.bd)
+            "past its (%d, %d, %d)" % (by, by + 2, by + 2, G.bx, G.by, G.bd)
         )
-    Gdx = restrict([G1.dx(m) for m in range(n)], mid)  # [m, i]
-    Gdy = restrict([G1.dy(m) for m in range(n)], mid)  # [m, i]
-    Gdxy = restrict([Gdx.dy(k) for k in range(n)], low).c  # [k, m, i]
-    Gdyy = restrict([Gdy.dy(k) for k in range(n)], low).c  # [k, m, i]
+    Gdx = G.grad("x", mid)  # [m, i]
+    Gdy = G.grad("y", mid)  # [m, i]
+    Gdxy = Gdx.grad("y", low).c  # [k, m, i]
+    Gdyy = Gdy.grad("y", low).c  # [k, m, i]
     Gdy_low = restrict(Gdy, low).c  # [m, i]
     y_low = restrict(ys, low).c  # [m]
-    G2_low = restrict(G1, low).c * 2.0  # [m]
+    G2_low = restrict(G, low).c * 2.0  # [m]
     shape = (n, n, n, low.size)  # lanes [m, k, i]
     first = np.stack([  # d2G^i/dx^m dy^k, d2G^i/dy^m dy^k, dG^i/dy^m
         Gdxy.swapaxes(0, 1),
@@ -350,8 +351,9 @@ class Spray:
 
     @cached_property
     def div(self):
-        G = self.series
-        return sum((G[m].dy(m) for m in range(1, self.n)), G[0].dy(0))
+        G = restrict(self.series, self.ys[0].ring)
+        d = G.grad("y", G.ring)  # [m, i]
+        return Series(d.ring, sum((d.c[m, m] for m in range(1, self.n)), d.c[0, 0]))
 
     @cached_property
     def _berwald(self):
@@ -361,9 +363,14 @@ class Spray:
 
     @cached_property
     def _douglas(self):
-        c = 1.0 / (self.n + 1)
-        core = [g - self.div * y * c for g, y in zip(self.series, self.ys)]
-        return _cube_extract(core)
+        return _cube_extract(self.plus_y(self.div, -1.0 / (self.n + 1)))
+
+    def plus_y(self, P, scale):
+        """G^i + P y^i scale as n Series, with no ring product (times_y):
+        G - S y/(n+1) (the Douglas core, the projective spray), G + P y."""
+        Py = restrict([P] * self.n, P.ring).times_y([y.value() for y in self.ys])
+        G = restrict(self.series, Py.ring) + Py * scale
+        return [G.part(i) for i in range(self.n)]
 
     D, D_x, D_y = (_item("_douglas", k) for k in range(3))
 
@@ -396,15 +403,14 @@ class Frame(Spray):
         self.F = math.sqrt(self.F2)
 
         self._g = _at_state(self.x, self.y, metric_series, fsq)
-        self.g = np.array([[self._g[i][j].c[0] for j in range(n)] for i in range(n)])
+        g = restrict(self._g, ring)  # lanes [i, j]
+        self.g = g.c[..., 0].copy()
         det0, ginv = ring_inv(self.g.tolist())
         self.ginv = np.array(ginv)
         self._g0 = det0, self.ginv
         self.y_low = self.g @ np.array(self.y)
-        self.C = 0.5 * np.array(
-            [[self._g[i][j].partials(0, 1) for j in range(n)] for i in range(n)]
-        )
-        super().__init__(spray_series(fsq, self._g, self._g0, xs, ys), xs, ys)
+        self.C = 0.5 * g.partials(0, 1)
+        super().__init__(spray_series(fsq, g, self._g0, xs, ys), xs, ys)
 
     # -- the volume stage -------------------------------------------------
 
@@ -417,8 +423,8 @@ class Frame(Spray):
         S = self.div
         if not isinstance(self._log_sigma, float):
             # the drift sum_m d_m ln sigma y^m, in the ring of the divergence
-            dx = [restrict(self._log_sigma.dx(m), S.ring) for m in range(self.n)]
-            S = S - linear_form(dx, [restrict(v, S.ring) for v in self.ys])
+            dx = self._log_sigma.grad("x", S.ring)
+            S = S - linear_form([dx.part(m) for m in range(self.n)], self.ys)
         return S
 
     @cached_property
@@ -444,9 +450,7 @@ class Frame(Spray):
 
     @cached_property
     def projective(self):
-        S, c = self._S, 1.0 / (self.n + 1)
-        Gt = [g - S * y * c for g, y in zip(self.series, self.ys)]
-        return Spray(Gt, self.xs, self.ys)
+        return Spray(self.plus_y(self._S, -1.0 / (self.n + 1)), self.xs, self.ys)
 
     # -- assembled quantities -------------------------------------------
 
@@ -561,11 +565,10 @@ def modified_spray(frame, p_func, budget):
     G is the Frame's spray; P = p_func(xs, ys) on the Frame's state in
     that ring, which gives the root's P restricted (budget invariance).
     """
-    xs, ys = SeriesRing.get(frame.n).stage(*budget).state(frame.x, frame.y)
-    P = p_func(xs, ys)
-    if not hasattr(P, "ring"):
-        P = ys[0].ring.constant(value_of(P))
-    return [g + P * y for g, y in zip(frame.series, ys)], P
+    ring = SeriesRing.get(frame.n).stage(*budget)
+    P = p_func(*ring.state(frame.x, frame.y))
+    P = restrict(P, ring) if hasattr(P, "ring") else ring.constant(value_of(P))
+    return frame.plus_y(P, 1.0), P
 
 
 def lemma21_residual(frame, p_func):
@@ -588,10 +591,10 @@ def lemma21_residual(frame, p_func):
     P_x = P.partials(1, 0)
     P_y = P.partials(0, 1)
 
-    dx = [P.dx(m) for m in range(n)]
-    hor0 = linear_form(dx, [restrict(v, dx[0].ring) for v in ys])
+    dx, dy = P.grad("x", P.ring), P.grad("y", P.ring)
+    hor0 = linear_form([dx.part(m) for m in range(n)], ys)
     for r in range(n):
-        hor0 = hor0 - P.dy(r) * (G[r] * 2.0)
+        hor0 = hor0 - dy.part(r) * (G[r] * 2.0)
     Xi = P * P - hor0
     Xi_val = Xi.c[0]
     Xi_y = Xi.partials(0, 1)

@@ -135,7 +135,7 @@ root's, so the product table it builds on its first product or graded
 recurrence is the root's within its caps, mapped entry for entry (1.4
 ms for the (1, 6) ring at n=4, 0.9 ms for g's (1, 6, 6) and 0.1 ms for
 the (1, 1) ring, where mapping the root's table took 4 ms for the first
-and 3 ms for the last); its derivative tables are built per slot on
+and 3 ms for the last); its derivative tables are built per kind on
 first use.
 SeriesRing(n, cap_x, cap_y) builds a box root of its own caps and keys
 (cap_d given, one capped by it), the tests' reference for budget
@@ -164,6 +164,18 @@ the x-monomials, in the ring's order, so it is placed with no embedding
 and no check that it reads no y.  Floats, jets, lanes, a coefficient
 that reads y and a non-finite coefficient or term keep the loop, which
 first embeds a coefficient of an x-only ring, as one of x alone.
+
+Derivatives, restrictions and products by a y-variable are linear index
+maps, each one gather through a cached table: Series.grad takes all n
+first derivatives of a kind into a ring (grad_table), restrict stacks a
+list of parts of one ring and gathers once, and Series.times_y takes lane
+k times y^k = u_k + eta_k as shift_k(s) + u_k s + 0.0, shift_k(s)_m =
+s_(m/y^k) (shift_table; 0 where m has no y^k).  That is the table
+product bit for bit: of output m's terms all but s_(m/y^k) * 1 and s_m
+u_k are products with an exact zero, +-0, which leave bincount's sum,
+started at +0, as it is, so it never ends at -0; a sum of two terms
+commutes, and + 0.0 turns its -0 to +0.  A non-finite coefficient or
+value takes the table (a skipped term would be NaN).
 
 A Series in an x-only or a stage ring may carry leading component axes:
 c of shape (K1, .., size) holds one series per lane, stacked by
@@ -260,7 +272,8 @@ class SeriesRing:
         self._stages = {(cap_x, cap_y, cap_d): self}
         self._triples = None
         self._row_index = None
-        self._derivative_cache = {}
+        self._grad_cache = {}
+        self._shift = None
         self._partial_cache = {}
         self._embed_cache = {}
         self._lane_bins = {}
@@ -430,21 +443,36 @@ class SeriesRing:
         return self._row_index
 
     def derivative_table(self, kind, slot):
-        """(ring, src, fac) of d/dx^slot (kind "x") or d/dy^slot: the stage
-        ring one order below, in its kind and in total degree, and per
-        monomial there its source here."""
-        key = (kind, slot)
-        table = self._derivative_cache.get(key)
+        """(ring, src, fac) of d/dx^slot (kind "x") or d/dy^slot: the
+        slot's row of grad_table into this ring."""
+        ring, src, fac = self.grad_table(kind, self)
+        return ring, src[slot], fac[slot]
+
+    def grad_table(self, kind, ring):
+        """(ring, src, fac) of Series.grad into ring: the stage of the smallest
+        caps of ring and the derivatives' (one order below here in the kind
+        and in total degree); per slot (row) and monomial there its source."""
+        table = self._grad_cache.get((kind, ring))
         if table is None:
             x = kind == "x"
-            ring = self.stage(self.cap_x - x, self.cap_y - (not x), self.cap_d - 1)
+            low = self.stage(self.cap_x - x, self.cap_y - (not x), self.cap_d - 1)
+            out = _smallest(ring, low)
             # each monomial there comes from the one here with the slot's
             # exponent one higher: its key plus the slot's place value
-            digit = slot if x else self.n + slot
-            src = np.searchsorted(self.keys, ring.keys + self.root._place[digit])
-            fac = (ring._powers[:, digit] + 1).astype(np.float64)
-            table = self._derivative_cache[key] = (ring, src, fac)
+            digits = np.arange(self.n) + (0 if x else self.n)
+            src = np.searchsorted(self.keys, out.keys + self.root._place[digits, None])
+            fac = (out._powers[:, digits].T + 1).astype(np.float64)
+            table = self._grad_cache[(kind, ring)] = (out, src, fac)
         return table
+
+    def shift_table(self):
+        """Per slot k (row) and monomial m, the position of m / y^k, or size
+        (a zero pad) when m has no y^k: derivative_table's map inverted."""
+        if self._shift is None:
+            digits = self.n + np.arange(self.n)
+            down = np.searchsorted(self.keys, self.keys - self.root._place[digits, None])
+            self._shift = np.where(self._powers[:, digits].T > 0, down, self.size)
+        return self._shift
 
     def partial_table(self, nx, ny):
         """Index and factorial-weight arrays of the (nx, ny)-th partials.
@@ -677,12 +705,18 @@ def _pair_sum(ring, d, p, q):
     return s
 
 
+def _smallest(ring, *others):
+    """The stage, under ring's root, of the slot-wise smallest caps."""
+    caps = [(r.cap_x, r.cap_y, r.cap_d) for r in (ring,) + others]
+    return ring.stage(*map(min, zip(*caps)))
+
+
 def _meet(a, b):
     """a and b in the ring of their common budget: the stage ring of the
     slot-wise smaller caps, under their root."""
     if a.ring is b.ring:
         return a, b
-    ring = a.ring.stage(min(a.bx, b.bx), min(a.by, b.by), min(a.bd, b.bd))
+    ring = _smallest(a.ring, b.ring)
     return restrict(a, ring), restrict(b, ring)
 
 
@@ -881,6 +915,35 @@ class Series:
         ring, src, fac = self.ring.derivative_table(kind, slot)
         return Series(ring, self.c.take(src, axis=-1) * fac)
 
+    def grad(self, kind, ring):
+        """The n first derivatives of the kind ("x" or "y") into ring, with
+        a leading slot axis: restrict([self.dx(k) for k in range(n)], ring)
+        bit for bit, in one gather through SeriesRing.grad_table."""
+        if min(self.bx if kind == "x" else self.by, self.bd) < 1:
+            getattr(self, "d" + kind)(0)  # raises dx's or dy's TowerBudgetError
+        ring, idx, fac = self.ring.grad_table(kind, ring)
+        c = self.c.take(idx, axis=-1) * fac
+        d = c.ndim - 2  # the slot axis, moved to the front
+        return Series(ring, c.transpose(d, *range(d), d + 1))
+
+    def times_y(self, u):
+        """s_k y^k per lane k of the leading axis, y^k the slot's y-variable
+        at value u[k] in this ring: the table product bit for bit, as a
+        shift plus a multiple (module notes)."""
+        ring, c, n = self.ring, self.c, len(u)
+        u = np.array(u, dtype=np.float64).reshape((n,) + (1,) * (c.ndim - 1))
+        shift = ring.shift_table()
+        if not (np.isfinite(c).all() and np.isfinite(u).all()):  # NaN terms
+            y = np.zeros((n, ring.size))  # u_k at the constant, 1 at eta_k
+            y[:, 0], y[shift == 0] = u.flat, 1.0
+            return Series(ring, c) * Series(ring, y.reshape(u.shape[:-1] + (-1,)))
+        pad = np.concatenate([c, np.zeros(c.shape[:-1] + (1,))], axis=-1)
+        out = c * u
+        for k in range(n):
+            out[k] += pad[k].take(shift[k], axis=-1)
+        out += 0.0  # the table's sums start at +0, so -0 comes out +0
+        return Series(ring, out)
+
     def partials(self, nx, ny):
         """Every partial with nx x- and ny y-derivatives, at the base point.
 
@@ -934,16 +997,14 @@ def restrict(parts, ring):
     matrix a[i][j] is read as c[i, j, :].
     """
     if isinstance(parts, Series):
-        ring = ring.stage(
-            min(parts.bx, ring.cap_x), min(parts.by, ring.cap_y), min(parts.bd, ring.cap_d)
-        )
+        ring = _smallest(ring, parts.ring)
         if parts.ring is ring:
             return parts
         return Series(ring, parts.c[..., parts.ring.positions_of(ring)])
-    parts = [restrict(p, ring) for p in parts]
-    ring = ring.stage(
-        min(p.bx for p in parts), min(p.by for p in parts), min(p.bd for p in parts)
-    )
+    parts = [p if isinstance(p, Series) else restrict(p, ring) for p in parts]
+    if all(p.ring is parts[0].ring for p in parts):  # stack, gather once
+        return restrict(Series(parts[0].ring, np.stack([p.c for p in parts])), ring)
+    ring = _smallest(ring, *(p.ring for p in parts))
     return Series(ring, np.stack([restrict(p, ring).c for p in parts]))
 
 
@@ -1028,18 +1089,11 @@ def _form_parts(coefficients, y):
     floats = [k for k, v in enumerate(coefficients) if isinstance(v, numbers.Real)]
     if len(series) + len(floats) < len(coefficients):
         return None
-    table = ring.form_table() if all(plain(v) for v in y) else None
+    u = _y_values(y)
+    table = None if u is None else ring.form_table()
     if table is None:
         return None
     positions, pairs = table
-    n = len(y)
-    ys = np.array([v.c for v in y])
-    u = ys[:, 0]
-    if not (ys[np.arange(n), positions[1 : n + 1, 0]] == 1.0).all():
-        return None
-    # a mask counts nonzeros several times faster than the floats
-    if np.count_nonzero(ys != 0.0) != n + np.count_nonzero(u):
-        return None  # y_i has nonzeros besides its value and its 1
     X = np.zeros((len(coefficients), positions.shape[1]))
     X[floats, 0] = [coefficients[k] for k in floats]
     # the x-only stage holds the x-monomials, in the ring's order
@@ -1055,6 +1109,22 @@ def _form_parts(coefficients, y):
     if not (np.isfinite(X).all() and np.isfinite(u).all()):
         return None
     return ring, positions, pairs, u, X
+
+
+def _y_values(y):
+    """u when y_i = u_i + eta_i are the (1-D) y-variables of a ring."""
+    ring, n = getattr(y[0], "ring", None), len(y)
+    if not all(isinstance(v, Series) and v.ring is ring and v.c.ndim == 1 for v in y):
+        return None
+    ys = np.array([v.c for v in y])
+    u = ys[:, 0]
+    at = np.searchsorted(ring.keys, ring.root._place[ring.n :][:n])  # eta_i
+    if min(ring.cap_y, ring.cap_d) < 1 or not (ys[np.arange(n), at] == 1.0).all():
+        return None
+    # a mask counts nonzeros several times faster than the floats
+    if np.count_nonzero(ys != 0.0) != n + np.count_nonzero(u):
+        return None  # y_i has nonzeros besides its value and its 1
+    return u
 
 
 def _placed(coefficients, y, degree):
@@ -1119,10 +1189,17 @@ def quadratic_form(a, y):
 
 def linear_form(b, y):
     """sum_i b_i y_i, added in order: placed from the coefficients b when y
-    are the y-variables of a ring (module notes), else that loop itself.
-    A coefficient of an x-only ring under y's root is one of x alone."""
+    are the y-variables of a ring (module notes), else that loop itself,
+    by Series.times_y when the b_i are series of one lane shape and y the
+    y-variables of a ring.  A coefficient of an x-only ring under y's root
+    is one of x alone."""
     total = _placed(b, y, 1)
     if total is not None:
         return total
     b = _of_x(b, y)
-    return reduce(add, (b[i] * y[i] for i in range(len(y))))
+    lanes = {v.c.shape[:-1] if isinstance(v, Series) else None for v in b}
+    u = _y_values(y) if None not in lanes and len(lanes) == 1 else None
+    if u is None:
+        return reduce(add, (b[i] * y[i] for i in range(len(y))))
+    terms = restrict(b, y[0].ring).times_y(u)
+    return reduce(add, (terms.part(i) for i in range(len(y))))

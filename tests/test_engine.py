@@ -557,7 +557,8 @@ def _frame_products(monkeypatch, entry):
     The Frame runs at the first state of SamplePlan(count=1, seed=1), and
     its lazy stages run by reading R, tau, the projective spray's R and
     the Berwald and Douglas cubes; stages are the enclosing metric_series,
-    spray_series, graded_solve, ln_det_series and riemann_series calls.
+    spray_series, graded_solve, ln_det_series and riemann_series calls,
+    and Spray.plus_y (the Douglas core and the projective spray).
     lanes is the number of products a batched product stands for (1 when
     unbatched).
     """
@@ -590,6 +591,8 @@ def _frame_products(monkeypatch, entry):
         "riemann_series",
     ):
         monkeypatch.setattr(engine, name, staged(name, getattr(engine, name)))
+    core = engine.Spray.plus_y
+    monkeypatch.setattr(engine.Spray, "plus_y", staged("plus_y", core))
     monkeypatch.setattr(Series, "__mul__", mul)
     monkeypatch.setattr(Series, "__rmul__", mul)
     frame = Frame(entry.metric, entry.volume, x, y)
@@ -603,11 +606,20 @@ def test_stage_budgets(monkeypatch, name):
     # and every reader of R takes it at x-degree 0 and y-order <= 3, so
     # each stage runs its products at that budget, in the stage ring of
     # that budget.  metric_series runs no product, nor does the graded
-    # solve.  The spray's (1, 6) products are its braces alone, n batched
-    # products of n lanes, and tau's ln det runs one product of n^2
-    # lanes (M_il M_li) in the (1, 1) ring, all that tau reads
+    # solve.  The spray's braces and the cores G - S y/(n+1) multiply by
+    # y-variables, which are shifts (Series.times_y), so they run no ring
+    # product either (the braces ran n batched (1, 6) products of n
+    # lanes), and tau's ln det runs one product of n^2 lanes (M_il M_li)
+    # in the (1, 1) ring, all that tau reads
+    from finslerlab import engine
+
     entry = randers_n4() if name == "randers_n4" else get_example(name)
     n = entry.metric.dimension
+    cores = []
+    core = engine.Spray.plus_y
+    monkeypatch.setattr(
+        engine.Spray, "plus_y", lambda self, *args: cores.append(args) or core(self, *args)
+    )
     counted = _frame_products(monkeypatch, entry)
 
     def budgets(stage):
@@ -621,10 +633,11 @@ def test_stage_budgets(monkeypatch, name):
 
     assert budgets("metric_series") == set()
     assert budgets("graded_solve") == set()
-    assert budgets("spray_series") == rings("spray_series") == {(1, 6)}
+    assert budgets("spray_series") == set()
+    assert budgets("plus_y") == set()
+    assert len(cores) == 2  # the Douglas core and the projective spray ran
     assert budgets("ln_det_series") == rings("ln_det_series") == {(1, 1)}
     assert budgets("riemann_series") == rings("riemann_series") == {(0, 3)}
-    assert lanes("spray_series", (1, 6)) == [n] * n
     assert lanes("ln_det_series", (1, 1)) == [n * n]
     # two calls, 3 n^3 products each, as one product of 3 n^3 lanes (it
     # ran 3 n batched products of n^2 lanes)

@@ -1476,3 +1476,199 @@ def test_batched_stage_sqrt_lanes_equal_unbatched():
     assert got.ring is batch.ring
     for k in range(len(batch.c)):
         assert np.array_equal(got.c[k], batch.part(k).sqrt().c), k
+
+
+# -- index maps: fused derivatives, products by a y-variable, list restricts --
+
+# (kind, caps of the differentiated ring, caps of the target ring) of every
+# Series.grad call of a Frame's stages, the projective spray's, lemma21 and
+# the Douglas invariance gap (test_engine_grads_are_the_listed_pairs)
+ENGINE_GRADS = [
+    ("x", (1, 2, 3), (0, 1, 1)),
+    ("x", (1, 2, 3), (1, 2, 3)),
+    ("x", (1, 5, 5), (0, 4, 4)),
+    ("x", (1, 6, 6), (0, 4, 4)),
+    ("x", (2, 8, 8), (1, 5, 5)),
+    ("x", (2, 8, 8), (1, 7, 8)),
+    ("y", (0, 1, 1), (0, 0, 0)),
+    ("y", (0, 4, 4), (0, 3, 3)),
+    ("y", (1, 2, 3), (0, 1, 1)),
+    ("y", (1, 2, 3), (1, 2, 3)),
+    ("y", (1, 5, 5), (0, 4, 4)),
+    ("y", (1, 5, 5), (1, 5, 5)),
+    ("y", (1, 5, 6), (1, 5, 6)),
+    ("y", (1, 6, 6), (0, 4, 4)),
+    ("y", (1, 6, 6), (1, 6, 6)),
+    ("y", (1, 7, 7), (1, 6, 6)),
+    ("y", (1, 7, 7), (1, 7, 7)),
+    ("y", (2, 8, 8), (1, 8, 8)),
+]
+# the rings of the engine's products by a y-variable (the spray's braces,
+# S and the divergence, G + P y at lemma21's and the cubes' budgets,
+# lemma21's P_{|0}), and an x-only ring, where y is the constant u
+TIMES_Y_RINGS = [(1, 6, 6), (1, 5, 5), (1, 5, 6), (1, 2, 3), (0, 2, 2), (2, 0, 2)]
+LANE_SHAPES = [(), (2,), (2, 3)]
+
+
+def _caps(ring):
+    return ring.cap_x, ring.cap_y, ring.cap_d
+
+
+def _bits(a):
+    """The float64 array's bit patterns: -0.0 and NaN payloads count."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _coefficients(rng, shape):
+    """Floats of which half are small dyadic numbers, zeros of both signs
+    among them, so that terms cancel exactly and products give -0."""
+    dyadic = rng.choice([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0], size=shape)
+    return np.where(rng.uniform(size=shape) < 0.5, dyadic, rng.uniform(-1.0, 1.0, shape))
+
+
+def _table_products(s, u):
+    """s.part(k) times y^k at value u[k], lane by lane over the whole
+    product table of s's ring, with a leading slot axis."""
+    ring, out = s.ring, np.empty_like(s.c)
+    for k in range(len(u)):
+        y = ring.root.variable_y(k, u[k])
+        for lane in np.ndindex(s.c.shape[1:-1]):
+            out[(k,) + lane] = _dense_product(Series(ring, s.c[(k,) + lane]), y).c
+    return out
+
+
+def test_engine_grads_are_the_listed_pairs(monkeypatch):
+    from finslerlab import curvature, projective
+
+    seen, plain = set(), Series.grad
+
+    def spy(self, kind, ring):
+        seen.add((kind, _caps(self.ring), _caps(ring)))
+        return plain(self, kind, ring)
+
+    monkeypatch.setattr(Series, "grad", spy)
+    entry = catalog.get_example("randers_osaka")
+    x, y = classify.sample_states(entry.metric, classify.SamplePlan(count=1)).states[0]
+    state = curvature.GeometryState(entry.metric, entry.volume, x, y)
+    frame = state.frame
+    frame.R, frame.S, frame.D, frame.projective.R, frame.projective.D
+    projective.identity_residual("lemma21", state, p="0.3*y1")
+    projective.douglas_invariance_gap(state, "0.3*y1")
+    assert sorted(seen) == ENGINE_GRADS
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 5),
+    grad=st.sampled_from(ENGINE_GRADS),
+    lanes=st.sampled_from(LANE_SHAPES),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grad_is_the_restricted_derivatives(n, grad, lanes, seed):
+    # one gather through the composed table gives the derivative chain's
+    # arrays bit for bit, for every pair of rings the engine uses
+    kind, source, target = grad
+    root = SeriesRing.get(n)
+    ring, target = root.stage(*source), root.stage(*target)
+    s = Series(ring, _coefficients(np.random.default_rng(seed), lanes + (ring.size,)))
+    parts = [restrict(s.dx(k) if kind == "x" else s.dy(k), target) for k in range(n)]
+    got = s.grad(kind, target)
+    assert got.ring is parts[0].ring
+    assert np.array_equal(_bits(got.c), _bits(np.stack([p.c for p in parts])))
+
+
+@pytest.mark.parametrize("caps", [(0, 3, 3), (1, 0, 1), (1, 1, 0), (0, 0, 0), (2, 1, 3)])
+def test_grad_raises_where_a_derivative_would(caps):
+    for n in range(2, 6):
+        ring = SeriesRing.get(n).stage(*caps)
+        s = ring.constant(1.0)
+        for kind, derivative in (("x", s.dx), ("y", s.dy)):
+            try:
+                derivative(0)
+            except TowerBudgetError as exc:
+                with pytest.raises(TowerBudgetError) as raised:
+                    s.grad(kind, ring)
+                assert str(raised.value) == str(exc)
+            else:
+                assert s.grad(kind, ring).c.shape[0] == n
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 5),
+    caps=st.sampled_from(TIMES_Y_RINGS),
+    lanes=st.sampled_from(LANE_SHAPES),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_times_y_is_the_table_product(n, caps, lanes, seed):
+    # a shift plus a multiple, bit for bit: signed zeros and exactly
+    # cancelling terms (the dyadic coefficients) included
+    ring = SeriesRing.get(n).stage(*caps)
+    rng = np.random.default_rng(seed)
+    s = Series(ring, _coefficients(rng, (n,) + lanes + (ring.size,)))
+    u = _coefficients(rng, n)
+    got = s.times_y(u)
+    assert got.ring is ring
+    assert np.array_equal(_bits(got.c), _bits(_table_products(s, u)))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 5),
+    caps=st.sampled_from(TIMES_Y_RINGS),
+    lanes=st.sampled_from(LANE_SHAPES),
+    bad=st.sampled_from([math.inf, -math.inf, math.nan]),
+    in_u=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_times_y_with_a_non_finite_number_takes_the_table(n, caps, lanes, bad, in_u, seed):
+    # the skipped zero terms would be NaN: the table's products, NaNs
+    # included, bit for bit
+    ring = SeriesRing.get(n).stage(*caps)
+    rng = np.random.default_rng(seed)
+    s = Series(ring, _coefficients(rng, (n,) + lanes + (ring.size,)))
+    u = _coefficients(rng, n)
+    if in_u:
+        u[rng.integers(n)] = bad
+    else:
+        s.c.reshape(-1)[rng.integers(s.c.size)] = bad
+    with np.errstate(invalid="ignore"):  # inf * 0 in the table
+        got, want = s.times_y(u), _table_products(s, u)
+    assert not np.isfinite(got.c).all()
+    assert np.array_equal(_bits(got.c), _bits(want))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 5),
+    target=st.sampled_from([(2, 8, 8), (1, 6, 6), (1, 7, 8), (0, 4, 4), (1, 2, 3)]),
+    lanes=st.sampled_from(LANE_SHAPES),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_restrict_of_a_list_is_the_restricted_parts(n, target, lanes, seed):
+    # a list in one ring stacks once and gathers once; a mixed-ring or
+    # nested list lands in the smallest caps of the target and its parts
+    root = SeriesRing.get(n)
+    rng = np.random.default_rng(seed)
+    target = root.stage(*target)
+
+    def part(caps):
+        ring = root.stage(*caps)
+        return Series(ring, _coefficients(rng, lanes + (ring.size,)))
+
+    same = [part((1, 6, 6)) for _ in range(3)]
+    mixed = [part((1, 6, 6)), part((2, 5, 7)), part((1, 7, 7))]
+    nested = [mixed[:2], [part((0, 6, 6)), same[0]]]
+    for parts in (same, mixed, nested):
+        leaves = list(itertools.chain.from_iterable(
+            p if isinstance(p, list) else [p] for p in parts
+        ))
+        caps = [min(c) for c in zip(_caps(target), *(_caps(p.ring) for p in leaves))]
+        got = restrict(parts, target)
+        assert got.ring is root.stage(*caps)
+        want = [
+            np.stack([restrict(q, got.ring).c for q in p]) if isinstance(p, list)
+            else restrict(p, got.ring).c
+            for p in parts
+        ]
+        assert np.array_equal(_bits(got.c), _bits(np.stack(want)))
