@@ -6,12 +6,7 @@ The heavy lifting (deep mixed partials of the spray) happens in the
 series engine.  Each accessor returns one Frame output through
 tensor(state, name): a copy of the Frame's array, so a caller that
 changes it changes nothing the Frame serves next, with the variance
-that engine.VARIANCE records for that output.  The module also has a
-generic horizontal covariant derivative of any ring-generic field.
-That one takes the field's partials from one evaluation in the (1, 1)
-stage ring of the dimension's root, where the Frame reads tau, and
-shares with the Frame only the connection N, Gamma and the routine that
-adds its terms (engine.horizontal).
+that engine.VARIANCE records for that output.
 """
 
 from functools import cached_property
@@ -19,10 +14,9 @@ from operator import attrgetter
 
 import numpy as np
 
-from .engine import VARIANCE, Frame, horizontal
+from .engine import VARIANCE, Frame
 from .errors import RegularityError
 from .metrics import TensorValue
-from .series import Series, SeriesRing
 
 _ROUTE_TOL = 1e-6
 
@@ -128,44 +122,3 @@ def residual_scale(state):
     """max(1, max|B|, max|D|): the reference magnitude for verdicts."""
     return float(state.frame.scale)
 
-
-# ---------------------------------------------------------------------------
-# generic horizontal covariant derivative
-
-
-def horizontal_derivative(field, state, variance=()):
-    """Horizontal covariant derivative of a ring-generic field.
-
-    field(x, y) must accept coordinates from the series ring and return
-    components shaped like its variance signature (a bare scalar for
-    variance=()).  Its value and partials come from one evaluation in
-    SeriesRing.get(n).stage(1, 1), the ring of the Frame's tau; the
-    connection terms (formula at engine.horizontal) are shared with its own
-    horizontal derivatives.  The result appends one lower slot.
-    """
-    f = state.frame
-    n = f.n
-    xs, ys = SeriesRing.get(n).stage(1, 1).state(state.x, state.y)
-    comps = np.asarray(field(xs, ys), dtype=object)
-    shape = comps.shape
-    if len(shape) != len(variance):
-        raise ValueError(
-            "variance %r does not match field rank %d" % (variance, len(shape))
-        )
-    base = np.empty(shape)
-    dx = np.zeros(shape + (n,))
-    dy = np.zeros(shape + (n,))
-    for idx in np.ndindex(*shape):
-        v = comps[idx]
-        if isinstance(v, Series):
-            base[idx] = v.value()
-            dx[idx] = v.partials(1, 0)
-            dy[idx] = v.partials(0, 1)
-        else:  # a component that is constant on the state's neighbourhood
-            base[idx] = float(v)
-
-    return TensorValue(
-        components=horizontal(base, dx, dy, f.N, f.Gamma, variance),
-        variance=tuple(variance) + ("lower",),
-        state=state.state_tuple,
-    )

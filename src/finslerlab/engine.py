@@ -17,11 +17,11 @@ Work of x alone (the coefficient fields of F, the volume density, ln
 sigma) runs in the x-only stage of the root (series.one_kind),
 and each sum over y^m (S's drift, the spray's braces, lemma21's P_{|0})
 is series.linear_form.  First derivatives are gathered for all n slots
-at once (Series.grad), and products by y^m (the braces, G - S y/(n+1),
-G + P y) are shifts (Series.times_y), not ring products.  The point
-tensors of the metrics module read g and C from small rings of the same
-series module; the test suite holds both against an independent
-jet-tower oracle.
+at once (Series.grad), and products by y^m (the braces, Riemann's y^m
+term, G - S y/(n+1), G + P y) are shifts (Series.times_y), not ring
+products.  The point tensors of the metrics module read g and C from
+small rings of the same series module; the test suite holds both
+against an independent jet-tower oracle.
 
 Each stage runs in the stage ring of the budget its readers need (bx
 x-orders, by y-orders), with its vectors and matrices as component axes
@@ -53,9 +53,10 @@ bit-identical:
   (1, 3) and (0, 4) partials.
   Douglas is a projective invariant, so the projective spray's Douglas
   tensor is D, and no projective Douglas core is extracted;
-- Riemann's derivatives of G in the (0, 4) and (0, 3) rings, its
-  products in the latter as one product over the 3 n^3 lanes (term, m,
-  k, i): a Spray reads R^i_k and its fiber partials up to order 3;
+- Riemann's derivatives of G in the (0, 4) and (0, 3) rings, its y^m
+  term a shift in the latter and its other products there one product
+  over the 2 n^3 lanes (term, m, k, i): a Spray reads R^i_k and its
+  fiber partials up to order 3;
 - lemma21_residual's G + P y and P in the (1, 2) ring, where its reads
   end (its Riemann at the value, (0, 0)), and douglas_invariance_gap's
   in the (1, 5) ring of the cubes.
@@ -64,7 +65,7 @@ Index layout mirrors the written order of the symbols: B[j,i,k,l] holds
 B_j^i_{kl}, horizontal derivatives append the new lower slot last
 (D_h[j,i,k,l,m] is D_j^i_{kl|m}), curvature pairs are R[i,k].  One
 routine, horizontal, adds the connection terms of every horizontal
-derivative: the Spray's, lemma21_residual's and horizontal_derivative's.
+derivative: the Spray's and lemma21_residual's.
 """
 
 import math
@@ -141,9 +142,9 @@ def metric_series(fsq):
     through one x-derivative of F^2.  So the first y-gradient lands in
     (bx - 1, by - 1, bd - 1), and g keeps the budget (bx - 1, by - 2,
     bd - 2); g_ij for i <= j is differentiated in y^i first, and g_ji is
-    g_ij.  Its value must be positive definite (a DomainError
-    otherwise), so that the sweep that inverts the value for the spray's
-    graded solve meets no zero pivot.
+    g_ij; g is one Series with lanes [i, j].  Its value must be positive
+    definite (a DomainError otherwise), so that the sweep that inverts
+    the value for the spray's graded solve meets no zero pivot.
     """
     n = fsq.ring.n
     first = fsq.grad("y", fsq.ring.stage(fsq.bx - 1, fsq.by))  # [i]
@@ -155,27 +156,26 @@ def metric_series(fsq):
         raise DomainError(
             "fundamental tensor not positive definite (min eigenvalue %.3e)" % low
         )
-    return [[Series(second.ring, g[i, j]) for j in range(n)] for i in range(n)]
+    return Series(second.ring, g)
 
 
 def spray_series(fsq, g, g0, xs, ys):
-    """The spray, from g in its stage ring (metric_series) and g0 =
-    (det, inverse) of its value (scalars.ring_inv on floats).
+    """The spray, one Series with lanes [i], from g in its stage ring
+    (metric_series) and g0 = (det, inverse) of its value
+    (scalars.ring_inv on floats).
 
     G^i solves g_il G^l = 1/4 { d2 F^2/dx^k dy^l y^k - dF^2/dx^l }: the
-    braces run over the lanes l in the stage ring of g (g_ij from
-    metric_series, or one Series of lanes [i, j]), and the graded solve,
-    preconditioned by g0's inverse, fills G there: no ring product.
+    braces run over the lanes l in the stage ring of g (lanes [i, l]), and
+    the graded solve, preconditioned by g0's inverse, fills G there: no
+    ring product.
     """
     n = fsq.ring.n
-    g = restrict(g, fsq.ring)  # lanes [i, l]
     stage = g.ring
     dxP = fsq.grad("x", fsq.ring.stage(stage.cap_x, stage.cap_y + 1))  # [k]
     D = dxP.grad("y", stage)  # [l, k]
     A = linear_form([D.part(np.s_[:, k]) for k in range(n)], ys)  # lanes l
     A = (A - restrict(dxP, stage)) * 0.25
-    G = graded_solve(g, A, np.asarray(g0[1]))
-    return [G.part(i) for i in range(n)]
+    return graded_solve(g, A, np.asarray(g0[1]))  # lanes [i]
 
 
 def ln_det_series(g, g0):
@@ -184,7 +184,7 @@ def ln_det_series(g, g0):
     value: ln det g0 + tr M - tr(M M)/2 with M = g0^-1 g - I, exact there
     (M^3 has degree >= 3), one product of n^2 lanes."""
     det0, inverse = g0[0], np.asarray(g0[1])
-    low = g[0][0].ring.stage(1, 1)
+    low = g.ring.stage(1, 1)
     M = (inverse[:, :, None, None] * restrict(g, low).c).sum(axis=1)
     M[..., 0] = 0.0  # the solve's preconditioned g, restricted, less I
     MM = Series(low, M) * Series(low, M.swapaxes(0, 1))  # lanes [i, l]: M_il M_li
@@ -194,7 +194,8 @@ def ln_det_series(g, g0):
 
 
 def riemann_series(G, xs, ys, by):
-    """R^i_k of a spray, one Series with component axes [i, k].
+    """R^i_k of a spray G (lanes [i]), one Series with component axes
+    [i, k].
 
     R^i_k = 2 dG^i/dx^k - y^m d2G^i/dx^m dy^k + 2 G^m d2G^i/dy^m dy^k
             - dG^i/dy^m dG^m/dy^k.
@@ -202,15 +203,15 @@ def riemann_series(G, xs, ys, by):
     by is the highest y-order any reader takes; none takes an
     x-derivative.  So G must keep x-order 1 and y-order and total degree
     by + 2 (TowerBudgetError otherwise, before any product).  Its
-    derivatives go straight into the (0, by + 1) and (0, by) stages; the
-    three products of each m are one product in the (0, by) stage over
-    the 3 n^3 lanes (term, m, k, i), and each lane (k, i) adds its
-    terms for m = 0..n-1 in the order of the written sum.
+    derivatives go straight into the (0, by + 1) and (0, by) stages.
+    y^m d2G^i/dx^m dy^k is a shift over the lanes [m, k, i]
+    (Series.times_y); the other two products of each m are one product
+    in the (0, by) stage over the 2 n^3 lanes (term, m, k, i).  Each lane
+    (k, i) adds its terms for m = 0..n-1 in the order of the written sum.
     """
-    n = len(G)
+    n = len(G.c)
     ring = ys[0].ring
     mid, low = ring.stage(0, by + 1), ring.stage(0, by)
-    G = restrict(G, ring)  # [i]
     # a shorter G would land its derivatives in rings below mid and low
     if min(G.by, G.bd) < by + 2:
         raise TowerBudgetError(
@@ -219,29 +220,27 @@ def riemann_series(G, xs, ys, by):
         )
     Gdx = G.grad("x", mid)  # [m, i]
     Gdy = G.grad("y", mid)  # [m, i]
-    Gdxy = Gdx.grad("y", low).c  # [k, m, i]
+    Gdxy = Gdx.grad("y", low).c.swapaxes(0, 1)  # [m, k, i]
     Gdyy = Gdy.grad("y", low).c  # [k, m, i]
     Gdy_low = restrict(Gdy, low).c  # [m, i]
-    y_low = restrict(ys, low).c  # [m]
     G2_low = restrict(G, low).c * 2.0  # [m]
+    ydxy = Series(low, Gdxy).times_y([y.value() for y in ys]).c  # [m, k, i]
     shape = (n, n, n, low.size)  # lanes [m, k, i]
-    first = np.stack([  # d2G^i/dx^m dy^k, d2G^i/dy^m dy^k, dG^i/dy^m
-        Gdxy.swapaxes(0, 1),
+    first = np.stack([  # d2G^i/dy^m dy^k, dG^i/dy^m
         Gdyy.swapaxes(0, 1),
         np.broadcast_to(Gdy_low[:, None], shape),
     ])
     shape = (n, n, 1, low.size)  # lanes [m, k], broadcast along i
-    second = np.stack([  # y^m, 2 G^m, dG^m/dy^k
-        np.broadcast_to(y_low[:, None, None], shape),
+    second = np.stack([  # 2 G^m, dG^m/dy^k
         np.broadcast_to(G2_low[:, None, None], shape),
         Gdy_low.swapaxes(0, 1)[:, :, None],
     ])
     terms = (Series(low, first) * Series(low, second)).c  # [term, m, k, i]
     acc = restrict(Gdx, low).c * 2.0  # [k, i]
     for m in range(n):
-        acc = acc - terms[0, m]
-        acc = acc + terms[1, m]
-        acc = acc - terms[2, m]
+        acc = acc - ydxy[m]
+        acc = acc + terms[0, m]
+        acc = acc - terms[1, m]
     return Series(low, acc.swapaxes(0, 1))
 
 
@@ -250,9 +249,9 @@ def _cube_extract(W):
 
     Returns arrays indexed [j,i,k,l], [j,i,k,l,m], [j,i,k,l,r].
     """
-    val = np.array([w.partials(0, 3) for w in W])  # [i,j,k,l]
-    xd = np.array([w.partials(1, 3) for w in W])  # [i,m,j,k,l]
-    yd = np.array([w.partials(0, 4) for w in W])  # [i,j,k,l,r]
+    val = W.partials(0, 3)  # [i,j,k,l]
+    xd = W.partials(1, 3)  # [i,m,j,k,l]
+    yd = W.partials(0, 4)  # [i,j,k,l,r]
     return (
         np.transpose(val, (1, 0, 2, 3)),
         np.transpose(xd, (2, 0, 3, 4, 1)),
@@ -314,18 +313,18 @@ def _item(stage, k):
 
 
 class Spray:
-    """Every output of the spray G^i (Series on the ring state xs, ys),
-    each stage run on its first read: B is the y-cube of G, D that of
-    the Douglas core G - div(G) y/(n+1), each with its x- and
-    y-gradients."""
+    """Every output of the spray G^i (one Series with lanes [i], on the
+    ring state xs, ys), each stage run on its first read: B is the
+    y-cube of G, D that of the Douglas core G - div(G) y/(n+1), each with
+    its x- and y-gradients."""
 
     def __init__(self, G, xs, ys):
-        self.n = len(G)
+        self.n = len(G.c)
         self.series, self.xs, self.ys = G, xs, ys
 
     @cached_property
     def _jet(self):
-        return [np.array([g.partials(0, k) for g in self.series]) for k in range(3)]
+        return [self.series.partials(0, k) for k in range(3)]
 
     G, N, Gamma = (_item("_jet", k) for k in range(3))
 
@@ -351,8 +350,7 @@ class Spray:
 
     @cached_property
     def div(self):
-        G = restrict(self.series, self.ys[0].ring)
-        d = G.grad("y", G.ring)  # [m, i]
+        d = self.series.grad("y", self.series.ring)  # [m, i]
         return Series(d.ring, sum((d.c[m, m] for m in range(1, self.n)), d.c[0, 0]))
 
     @cached_property
@@ -366,11 +364,10 @@ class Spray:
         return _cube_extract(self.plus_y(self.div, -1.0 / (self.n + 1)))
 
     def plus_y(self, P, scale):
-        """G^i + P y^i scale as n Series, with no ring product (times_y):
+        """G^i + P y^i scale, lanes [i], with no ring product (times_y):
         G - S y/(n+1) (the Douglas core, the projective spray), G + P y."""
         Py = restrict([P] * self.n, P.ring).times_y([y.value() for y in self.ys])
-        G = restrict(self.series, Py.ring) + Py * scale
-        return [G.part(i) for i in range(self.n)]
+        return restrict(self.series, Py.ring) + Py * scale
 
     D, D_x, D_y = (_item("_douglas", k) for k in range(3))
 
@@ -402,8 +399,7 @@ class Frame(Spray):
             raise RegularityError("F^2 <= 0", x=self.x, y=self.y)
         self.F = math.sqrt(self.F2)
 
-        self._g = _at_state(self.x, self.y, metric_series, fsq)
-        g = restrict(self._g, ring)  # lanes [i, j]
+        g = self._g = _at_state(self.x, self.y, metric_series, fsq)  # lanes [i, j]
         self.g = g.c[..., 0].copy()
         det0, ginv = ring_inv(self.g.tolist())
         self.ginv = np.array(ginv)
@@ -594,7 +590,7 @@ def lemma21_residual(frame, p_func):
     dx, dy = P.grad("x", P.ring), P.grad("y", P.ring)
     hor0 = linear_form([dx.part(m) for m in range(n)], ys)
     for r in range(n):
-        hor0 = hor0 - dy.part(r) * (G[r] * 2.0)
+        hor0 = hor0 - dy.part(r) * (G.part(r) * 2.0)
     Xi = P * P - hor0
     Xi_val = Xi.c[0]
     Xi_y = Xi.partials(0, 1)

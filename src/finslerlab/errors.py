@@ -17,8 +17,8 @@ class DomainError(FinslerError, ValueError):
 
 class TowerBudgetError(FinslerError):
     """A computation asked for more derivatives than a series carries:
-    Series.partials, dx or dy beyond the series' (bx, by, bd) budget, or
-    a Riemann curvature beyond its spray's."""
+    Series.partials or Series.grad beyond the series' (bx, by, bd)
+    budget, or a Riemann curvature beyond its spray's."""
 
 
 class RegularityError(FinslerError):

@@ -11,21 +11,21 @@ mixed partial up to the caps, where nested forward mode would need one
 re-evaluation per seeding.  It is the package's only differentiation
 engine, with one ring per dimension, the root SeriesRing.get(n) of caps
 ROOT_CAPS = (2, 8, 8), and its stage rings (below): the Frame uses the
-root and its stages, the point tensors the
-(0, 2) and (0, 3) stages, the horizontal derivative and tau the (1, 1)
-stage, the quadrature's float x the (0, 0) stage.  Series.partials(nx,
-ny) reads all of one order at once: each is a single coefficient times
-its factorial weight, gathered through a table the ring caches.
+root and its stages, the point tensors the (0, 2) and (0, 3) stages,
+tau the (1, 1) stage, the quadrature's float x the (0, 0) stage.
+Series.partials(nx, ny) reads all of one order at once: each is a
+single coefficient times its factorial weight, gathered through a table
+the ring caches.
 
 A Series's budget (bx, by, bd), how many x-, y- and all derivatives of
 it are still trustworthy, is the caps of its ring.  Combining series
 takes the slot-wise minimum: both operands are restricted to the stage
-ring (below) of the smaller caps, where the result lives; a derivative
-lands in the stage ring one order below, in its kind and in bd: d/dx in
-(bx - 1, by, bd - 1), d/dy in (bx, by - 1, bd - 1).  partials(nx, ny)
-needs nx + ny <= bd besides nx <= bx and ny <= by.  A coefficient past
-a budget is never stored, so no stale high-order term can leak into
-trusted slots.
+ring (below) of the smaller caps, where the result lives; a first
+derivative (Series.grad) lands in the stage ring one order below, in
+its kind and in bd, or in a smaller ring asked for: d/dx in (bx - 1, by,
+bd - 1), d/dy in (bx, by - 1, bd - 1).  partials(nx, ny) needs nx + ny
+<= bd besides nx <= bx and ny <= by.  A coefficient past a budget is
+never stored, so no stale high-order term can leak into trusted slots.
 
 Coefficient layout and multiplication tables live in a SeriesRing;
 products are a gather-multiply plus a bincount over the ring's one
@@ -135,8 +135,8 @@ root's, so the product table it builds on its first product or graded
 recurrence is the root's within its caps, mapped entry for entry (1.4
 ms for the (1, 6) ring at n=4, 0.9 ms for g's (1, 6, 6) and 0.1 ms for
 the (1, 1) ring, where mapping the root's table took 4 ms for the first
-and 3 ms for the last); its derivative tables are built per kind on
-first use.
+and 3 ms for the last); its grad tables are built per kind and target
+ring on first use.
 SeriesRing(n, cap_x, cap_y) builds a box root of its own caps and keys
 (cap_d given, one capped by it), the tests' reference for budget
 invariance.
@@ -159,11 +159,12 @@ y_i has b u_i and b.  So the terms are a few array operations on an
 array [term, y-part, alpha] (SeriesRing.form_table places them), summed
 in the loop's order by np.add.accumulate (np.add.reduce may pair the
 sums differently) with -0 turned to +0: the loop's coefficients, bit
-for bit.  A coefficient of the x-only stage of y's ring holds exactly
-the x-monomials, in the ring's order, so it is placed with no embedding
-and no check that it reads no y.  Floats, jets, lanes, a coefficient
-that reads y and a non-finite coefficient or term keep the loop, which
-first embeds a coefficient of an x-only ring, as one of x alone.
+for bit.  Placed coefficients are floats and series of the x-only stage
+of y's ring, which holds exactly the x-monomials, in the ring's order,
+so they need no embedding and no check that they read no y.  Any other
+coefficient (a series of y's ring, a jet, lanes) and a non-finite
+coefficient or term keep the loop, which first embeds a coefficient of
+an x-only ring, as one of x alone.
 
 Derivatives, restrictions and products by a y-variable are linear index
 maps, each one gather through a cached table: Series.grad takes all n
@@ -181,8 +182,8 @@ A Series in an x-only or a stage ring may carry leading component axes:
 c of shape (K1, .., size) holds one series per lane, stacked by
 restrict or entered through SeriesRing.constant with an array.  The
 quadrature volume runs all its sphere directions through the x-only
-ring in one pass, and Riemann its 3 n^3 products per call as one
-product over the 3 n^3 lanes (term, m, k, i).  Every lane is
+ring in one pass, and Riemann its 2 n^3 products per call as one
+product over the 2 n^3 lanes (term, m, k, i).  Every lane is
 bit-identical to the unbatched evaluation: products and graded levels
 offset the bincount bins per lane, so each lane sums in the 1-D order
 (the ring caches the offset bins by lane count, of the product table
@@ -442,12 +443,6 @@ class SeriesRing:
             )
         return self._row_index
 
-    def derivative_table(self, kind, slot):
-        """(ring, src, fac) of d/dx^slot (kind "x") or d/dy^slot: the
-        slot's row of grad_table into this ring."""
-        ring, src, fac = self.grad_table(kind, self)
-        return ring, src[slot], fac[slot]
-
     def grad_table(self, kind, ring):
         """(ring, src, fac) of Series.grad into ring: the stage of the smallest
         caps of ring and the derivatives' (one order below here in the kind
@@ -467,7 +462,7 @@ class SeriesRing:
 
     def shift_table(self):
         """Per slot k (row) and monomial m, the position of m / y^k, or size
-        (a zero pad) when m has no y^k: derivative_table's map inverted."""
+        (a zero pad) when m has no y^k: grad_table's map of y^k inverted."""
         if self._shift is None:
             digits = self.n + np.arange(self.n)
             down = np.searchsorted(self.keys, self.keys - self.root._place[digits, None])
@@ -897,30 +892,16 @@ class Series:
 
     # -- derivatives and extraction -------------------------------------
 
-    def dx(self, slot):
-        if min(self.bx, self.bd) < 1:
-            raise TowerBudgetError(
-                "x-derivative budget exhausted (bx=%d, bd=%d)" % (self.bx, self.bd)
-            )
-        return self._derivative("x", slot)
-
-    def dy(self, slot):
-        if min(self.by, self.bd) < 1:
-            raise TowerBudgetError(
-                "y-derivative budget exhausted (by=%d, bd=%d)" % (self.by, self.bd)
-            )
-        return self._derivative("y", slot)
-
-    def _derivative(self, kind, slot):
-        ring, src, fac = self.ring.derivative_table(kind, slot)
-        return Series(ring, self.c.take(src, axis=-1) * fac)
-
     def grad(self, kind, ring):
         """The n first derivatives of the kind ("x" or "y") into ring, with
-        a leading slot axis: restrict([self.dx(k) for k in range(n)], ring)
-        bit for bit, in one gather through SeriesRing.grad_table."""
-        if min(self.bx if kind == "x" else self.by, self.bd) < 1:
-            getattr(self, "d" + kind)(0)  # raises dx's or dy's TowerBudgetError
+        a leading slot axis, in one gather through SeriesRing.grad_table.
+        TowerBudgetError when the kind's budget or bd is exhausted."""
+        b = self.bx if kind == "x" else self.by
+        if min(b, self.bd) < 1:
+            raise TowerBudgetError(
+                "%s-derivative budget exhausted (b%s=%d, bd=%d)"
+                % (kind, kind, b, self.bd)
+            )
         ring, idx, fac = self.ring.grad_table(kind, ring)
         c = self.c.take(idx, axis=-1) * fac
         d = c.ndim - 2  # the slot axis, moved to the front
@@ -1075,17 +1056,17 @@ def _form_parts(coefficients, y):
     """(ring, positions, pairs, u, X) for placing a form in y (module
     notes): y's ring and its form table, the values u of y, and X[k] the
     coefficients of coefficient k at the x-monomials (a float at the
-    constant).  None, for the loop, unless every coefficient is a float,
-    a 1-D series of y's ring free of y or one of its x-only stage (checked
-    first: the spray's batched coefficients never reach y), every y is a
-    y-variable of that ring with y-degrees up to 2, and all are finite."""
+    constant).  None, for the loop, unless every coefficient is a float
+    or a 1-D series of the x-only stage of y's ring (checked first: the
+    spray's batched coefficients never reach y), every y is a y-variable
+    of that ring with y-degrees up to 2, and all are finite."""
     ring = getattr(y[0], "ring", None)
     low = ring.stage(ring.cap_x, 0) if isinstance(ring, SeriesRing) else None
-
-    def plain(v):  # a 1-D series of y's ring or of its x-only stage
-        return isinstance(v, Series) and v.ring in (ring, low) and v.c.ndim == 1
-
-    series = [k for k, v in enumerate(coefficients) if plain(v)]
+    series = [
+        k
+        for k, v in enumerate(coefficients)
+        if isinstance(v, Series) and v.ring is low and v.c.ndim == 1
+    ]
     floats = [k for k, v in enumerate(coefficients) if isinstance(v, numbers.Real)]
     if len(series) + len(floats) < len(coefficients):
         return None
@@ -1096,16 +1077,8 @@ def _form_parts(coefficients, y):
     positions, pairs = table
     X = np.zeros((len(coefficients), positions.shape[1]))
     X[floats, 0] = [coefficients[k] for k in floats]
-    # the x-only stage holds the x-monomials, in the ring's order
-    placed = [k for k in series if coefficients[k].ring is low]
-    embedded = [k for k in series if coefficients[k].ring is ring]
-    if placed:
-        X[placed] = [coefficients[k].c for k in placed]
-    if embedded:
-        cs = np.array([coefficients[k].c for k in embedded])
-        X[embedded] = cs[:, positions[0]]
-        if np.count_nonzero(cs != 0.0) != np.count_nonzero(X[embedded]):
-            return None  # a coefficient reads y
+    if series:  # the x-only stage holds the x-monomials, in the ring's order
+        X[series] = [coefficients[k].c for k in series]
     if not (np.isfinite(X).all() and np.isfinite(u).all()):
         return None
     return ring, positions, pairs, u, X

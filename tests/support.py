@@ -9,11 +9,14 @@ extrapolation: truncation O(h^6) with two extrapolation levels while the
 smallest step stays large enough to keep rounding in check.
 
 The product table of a SeriesRing has its own oracle here: the direct
-build that tests every pair of monomials.  Three curvature quantities
-have second routes here, beside the Frame's own arrays: the Douglas
-tensor assembled from the mean Berwald curvature, S as the distortion's
-flow derivative tau_{|0}, and the Ricci identity for the horizontal
-derivatives of B.  homogeneity_defect checks F itself.
+build that tests every pair of monomials, and Series.grad its own:
+derivative, built slot by slot from the exponent rows.  Three curvature
+quantities have second routes here, beside the Frame's own arrays: the
+Douglas tensor assembled from the mean Berwald curvature, S as the
+distortion's flow derivative tau_{|0}, and the Ricci identity for the
+horizontal derivatives of B.  horizontal_derivative differentiates any
+ring-generic field along the Frame's connection.  homogeneity_defect
+checks F itself.
 """
 
 import itertools
@@ -26,7 +29,9 @@ import numpy as np
 from finslerlab import cli, volume
 from finslerlab.engine import RICCI_LM_SIGN, VARIANCE, horizontal
 from finslerlab.errors import FinslerError
+from finslerlab.metrics import TensorValue
 from finslerlab.scalars import value_of
+from finslerlab.series import Series, SeriesRing
 
 from jet_oracle import mixed_partial
 
@@ -170,6 +175,27 @@ def all_pairs_triples(ring):
     )
 
 
+def derivative(s, kind, *slots):
+    """The first derivatives of the series s in the kind ("x" or "y") at
+    the slots, taken in order: Series.grad's reference, built from the
+    rings' exponent rows and keys.  Each lands in the stage one order
+    below in the kind and in total degree, where the coefficient of a
+    monomial with exponent e at the slot is (e + 1) times s's coefficient
+    at the monomial with e + 1 there."""
+    x = kind == "x"
+    for slot in slots:
+        ring = s.ring
+        digit = slot if x else ring.n + slot
+        low = ring.stage(ring.cap_x - x, ring.cap_y - (not x), ring.cap_d - 1)
+        powers = low._powers.copy()
+        powers[:, digit] += 1
+        keys = powers @ ring.root._place
+        src = np.searchsorted(ring.keys, keys)
+        assert np.array_equal(ring.keys[src], keys)  # each source is in s's ring
+        s = Series(low, s.c[..., src] * powers[:, digit].astype(np.float64))
+    return s
+
+
 def homogeneity_defect(metric, x, y):
     """max over L in (0.5, 2, 3) of |F(x, L y) - L F(x, y)| / (L F), floats."""
     xs = [float(v) for v in x]
@@ -213,3 +239,41 @@ def ricci_identity_sides(frame):
     B_j^i_{kl|m} - B_j^i_{km|l}, and RICCI_LM_SIGN d_k R_j^i_{lm}."""
     B_h = horizontal(frame.B, frame.B_x, frame.B_y, frame.N, frame.Gamma, VARIANCE["B"])
     return B_h - np.transpose(B_h, (0, 1, 2, 4, 3)), RICCI_LM_SIGN * frame.R_full_dot
+
+
+def horizontal_derivative(field, state, variance=()):
+    """Horizontal covariant derivative of a ring-generic field.
+
+    field(x, y) must accept coordinates from the series ring and return
+    components shaped like its variance signature (a bare scalar for
+    variance=()).  Its value and partials come from one evaluation in
+    SeriesRing.get(n).stage(1, 1), the ring of the Frame's tau; the
+    connection terms (formula at engine.horizontal) are shared with its own
+    horizontal derivatives.  The result appends one lower slot.
+    """
+    f = state.frame
+    n = f.n
+    xs, ys = SeriesRing.get(n).stage(1, 1).state(state.x, state.y)
+    comps = np.asarray(field(xs, ys), dtype=object)
+    shape = comps.shape
+    if len(shape) != len(variance):
+        raise ValueError(
+            "variance %r does not match field rank %d" % (variance, len(shape))
+        )
+    base = np.empty(shape)
+    dx = np.zeros(shape + (n,))
+    dy = np.zeros(shape + (n,))
+    for idx in np.ndindex(*shape):
+        v = comps[idx]
+        if isinstance(v, Series):
+            base[idx] = v.value()
+            dx[idx] = v.partials(1, 0)
+            dy[idx] = v.partials(0, 1)
+        else:  # a component that is constant on the state's neighbourhood
+            base[idx] = float(v)
+
+    return TensorValue(
+        components=horizontal(base, dx, dy, f.N, f.Gamma, variance),
+        variance=tuple(variance) + ("lower",),
+        state=state.state_tuple,
+    )

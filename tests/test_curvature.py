@@ -11,7 +11,6 @@ from finslerlab.curvature import (
     distortion,
     douglas_tensor,
     gdw_residual,
-    horizontal_derivative,
     mean_berwald,
     residual_scale,
     riemann,
@@ -29,6 +28,7 @@ from finslerlab.volume import bh_quadrature_volume, constant_volume
 from support import (
     distortion_flow_derivative,
     douglas_from_mean_berwald,
+    horizontal_derivative,
     ricci_identity_sides,
 )
 

@@ -36,7 +36,9 @@ from finslerlab.volume import (
 )
 
 from support import (
+    derivative,
     distortion_flow_derivative,
+    horizontal_derivative,
     oracle_fsq_partials,
     randers_n4,
     ricci_identity_sides,
@@ -606,11 +608,11 @@ def test_stage_budgets(monkeypatch, name):
     # and every reader of R takes it at x-degree 0 and y-order <= 3, so
     # each stage runs its products at that budget, in the stage ring of
     # that budget.  metric_series runs no product, nor does the graded
-    # solve.  The spray's braces and the cores G - S y/(n+1) multiply by
-    # y-variables, which are shifts (Series.times_y), so they run no ring
-    # product either (the braces ran n batched (1, 6) products of n
-    # lanes), and tau's ln det runs one product of n^2 lanes (M_il M_li)
-    # in the (1, 1) ring, all that tau reads
+    # solve.  The spray's braces, Riemann's y^m term and the cores G - S
+    # y/(n+1) multiply by y-variables, which are shifts (Series.times_y),
+    # so they run no ring product either (the braces ran n batched (1, 6)
+    # products of n lanes), and tau's ln det runs one product of n^2
+    # lanes (M_il M_li) in the (1, 1) ring, all that tau reads
     from finslerlab import engine
 
     entry = randers_n4() if name == "randers_n4" else get_example(name)
@@ -639,10 +641,10 @@ def test_stage_budgets(monkeypatch, name):
     assert budgets("ln_det_series") == rings("ln_det_series") == {(1, 1)}
     assert budgets("riemann_series") == rings("riemann_series") == {(0, 3)}
     assert lanes("ln_det_series", (1, 1)) == [n * n]
-    # two calls, 3 n^3 products each, as one product of 3 n^3 lanes (it
-    # ran 3 n batched products of n^2 lanes)
+    # two calls, 2 n^3 products each, as one product of 2 n^3 lanes (it
+    # ran 3 n batched products of n^2 lanes, then one of 3 n^3 lanes)
     in_riemann = [k for stages, _, _, k in counted if "riemann_series" in stages]
-    assert in_riemann == [3 * n**3] * 2
+    assert in_riemann == [2 * n**3] * 2
 
 
 def _full_budget_products(monkeypatch, name):
@@ -761,10 +763,10 @@ def test_one_kind_work_runs_in_stage_rings_of_the_root(monkeypatch):
 
 def test_one_ring_per_dimension(monkeypatch):
     # every ring that classify, the quadrature volume, the point tensors,
-    # the generic horizontal derivative and an n=4 Frame build is the one
-    # root of its dimension, of caps ROOT_CAPS, or a stage of it
+    # the tests' generic horizontal derivative and an n=4 Frame build is
+    # the one root of its dimension, of caps ROOT_CAPS, or a stage of it
     from finslerlab.classify import classify_metric
-    from finslerlab.curvature import GeometryState, horizontal_derivative
+    from finslerlab.curvature import GeometryState
     from finslerlab.metrics import cartan_torsion, fundamental_tensor
 
     built = []
@@ -842,11 +844,12 @@ def test_quadrature_gathers_the_table_in_two_products(monkeypatch):
 
 
 def _full_ring_riemann(G, ys, by):
-    """R^i_k of a spray as n x n Series of the ring of G: the written
-    formula component by component, each product at (0, by)."""
+    """R^i_k of a spray G (lanes [i]) as n x n Series of the ring of G:
+    the written formula component by component, each product at (0, by)."""
+    G = [G.part(i) for i in range(len(G.c))]
     n = len(G)
-    Gdx = [[G[i].dx(m) for m in range(n)] for i in range(n)]
-    Gdy = [[G[i].dy(m) for m in range(n)] for i in range(n)]
+    Gdx = [[derivative(G[i], "x", m) for m in range(n)] for i in range(n)]
+    Gdy = [[derivative(G[i], "y", m) for m in range(n)] for i in range(n)]
     low = G[0].ring.stage(0, by)
     y_low = [restrict(v, low) for v in ys]
     G2_low = [restrict(g * 2.0, low) for g in G]
@@ -856,8 +859,8 @@ def _full_ring_riemann(G, ys, by):
         for k in range(n):
             acc = Gdx[i][k] * 2.0
             for m in range(n):
-                acc = acc - Gdx[i][m].dy(k) * y_low[m]
-                acc = acc + Gdy[i][m].dy(k) * G2_low[m]
+                acc = acc - derivative(Gdx[i][m], "y", k) * y_low[m]
+                acc = acc + derivative(Gdy[i][m], "y", k) * G2_low[m]
                 acc = acc - Gdy[i][m] * Gdy_low[m][k]
             R[i][k] = acc
     return R
@@ -895,7 +898,7 @@ def test_stage_riemann_equals_full_ring_formula(monkeypatch, name):
     lemma21_residual(frame, p_func)
     assert [by for _, _, by, _ in calls] == [3, 3, 0]
     for G, ys, by, out in calls:
-        n = len(G)
+        n = len(G.c)
         assert out.c.shape[:2] == (n, n)
         want = _riemann_arrays(_full_ring_riemann(G, ys, by), by)
         got = [out.partials(0, order) for order in range(by + 1)]

@@ -271,12 +271,11 @@ def _coefficient(ring, rng, kind):
         return float(rng.choice([0.0, -0.0]))
     if kind == "negative":
         return -float(rng.uniform(0.5, 2.0))
-    # a series of x alone, with exact zeros and a -0
-    c = np.zeros(ring.size)
-    xs = np.flatnonzero(ring.ydeg == 0)
-    c[xs] = rng.uniform(-1.0, 1.0, len(xs)) * (rng.uniform(size=len(xs)) < 0.7)
-    c[xs[-1]] = -0.0
-    return Series(ring, c)
+    # a series of the x-only stage of y's ring, with exact zeros and a -0
+    low = ring.stage(ring.cap_x, 0)
+    c = rng.uniform(-1.0, 1.0, low.size) * (rng.uniform(size=low.size) < 0.7)
+    c[-1] = -0.0
+    return Series(low, c)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -305,19 +304,34 @@ def test_placed_forms_equal_the_loop(n, caps, seed, kinds, zero):
     if zero:
         values[rng.integers(n)] = 0.0
     ys = [ring.variable_y(i, v) for i, v in enumerate(values)]
+
+    def lifted(v):  # the coefficient in y's ring, as the loop multiplies it
+        return series.embed(v, ring) if isinstance(v, Series) else v
+
+    a_ring = [[lifted(v) for v in row] for row in a]
+    b_ring = [lifted(v) for v in b]
     assert series._form_parts(b, ys) is not None
     assert series._form_parts([v for row in a for v in row], ys) is not None
-    for got, want in (
-        (series.quadratic_form(a, ys), _loop_alpha_sq(a, ys)),
-        (series.linear_form(b, ys), _loop_beta(b, ys)),
+    # a series of y's own ring takes the loop, with the same bits
+    reads_ring = any(isinstance(v, Series) for v in b)
+    assert (series._form_parts(b_ring, ys) is None) == reads_ring
+    for got, want, loop in (
+        (
+            series.quadratic_form(a, ys),
+            _loop_alpha_sq(a_ring, ys),
+            series.quadratic_form(a_ring, ys),
+        ),
+        (series.linear_form(b, ys), _loop_beta(b_ring, ys), series.linear_form(b_ring, ys)),
     ):
-        assert got.ring is want.ring
+        assert got.ring is want.ring is loop.ring
         assert np.array_equal(got.c, want.c)
+        assert np.array_equal(loop.c, want.c)
 
 
 def test_forms_fall_back_to_the_loop():
     # a non-finite coefficient, a sum whose terms overflow, a coefficient
-    # that reads y and a y that is no y-variable each run the loop itself
+    # of y's own ring (free of y, or reading y) and a y that is no
+    # y-variable each run the loop itself
     ring = SeriesRing.get(3).stage(2, 2)
     xs, ys = ring.state((0.1, -0.2, 0.3), (0.5, -1.0, 2.0))
     _, huge = ring.state((0.1, -0.2, 0.3), (1e300, -1.0, 2.0))
@@ -326,6 +340,7 @@ def test_forms_fall_back_to_the_loop():
         ([math.inf, 1.0, 0.5], ys, False),
         ([math.nan, 1.0, 0.5], ys, False),
         ([1e300, -1.0, 2.0], huge, True),  # b_1 y_1 overflows
+        ([xs[0] * 0.5 + 1.0, 1.0, 0.5], ys, False),
         (moving, ys, False),
         ([1.0, 0.5, 0.25], [ys[0] + ys[1], ys[1], ys[2]], False),
     )

@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from finslerlab.classify import relative_condition
-from finslerlab.curvature import GeometryState, horizontal_derivative
+from finslerlab.curvature import GeometryState
 from finslerlab.errors import DomainError, RegularityError
 from finslerlab.metrics import (
     alpha_beta_metric,
@@ -34,6 +34,8 @@ from finslerlab.metrics import (
 )
 from finslerlab.scalars import value_of
 from finslerlab.volume import bh_quadrature_volume, constant_volume
+
+from support import horizontal_derivative
 
 N = 3
 KAPPA_MAX = 10.0

@@ -21,7 +21,7 @@ from finslerlab.expr import evaluate, parse
 from finslerlab.series import Series, SeriesRing, embed, restrict
 
 from jet_oracle import mixed_partial
-from support import all_pairs_triples, randers_n4
+from support import all_pairs_triples, derivative, randers_n4
 
 
 def partial_of(series, wrt):
@@ -109,28 +109,26 @@ def test_budgets_decrease_and_exhaust():
     ring = SeriesRing.get(2)
     xs, ys = ring.state([0.1, 0.2], [1.0, 2.0])
     p = (xs[0] + ys[0] * ys[1]) * (xs[1] + ys[0])
-    d = p.dx(0).dx(1)
+    d = derivative(p, "x", 0, 1)
     assert (d.bx, d.by) == (0, ring.cap_y)
     with pytest.raises(TowerBudgetError):
-        d.dx(0)
-    yd = p
-    for _ in range(ring.cap_y):
-        yd = yd.dy(0)
+        d.grad("x", d.ring)
+    yd = derivative(p, "y", *[0] * ring.cap_y)
     with pytest.raises(TowerBudgetError):
-        yd.dy(1)
+        yd.grad("y", yd.ring)
 
 
 def test_partials_respect_budget():
     ring = SeriesRing.get(2)
     xs, ys = ring.state([0.1, 0.2], [1.0, 2.0])
-    p = (xs[0] * ys[0] * ys[1]).dx(0).dx(1)  # bx exhausted, bd = cap_d - 2
+    p = derivative(xs[0] * ys[0] * ys[1], "x", 0, 1)  # bx exhausted, bd = cap_d - 2
     assert (p.bx, p.by, p.bd) == (0, ring.cap_y, ring.cap_d - 2)
     assert p.partials(0, p.bd).shape == (2,) * p.bd
     with pytest.raises(TowerBudgetError):
         p.partials(1, 0)
     with pytest.raises(TowerBudgetError):
         p.partials(0, ring.cap_y)  # within by, past the total cap
-    q = p.dy(0)  # by = cap_y - 1, bd = cap_d - 3
+    q = derivative(p, "y", 0)  # by = cap_y - 1, bd = cap_d - 3
     with pytest.raises(TowerBudgetError):
         q.partials(0, ring.cap_y)
     with pytest.raises(TowerBudgetError):
@@ -157,7 +155,7 @@ def test_hard_truncation_beyond_budget():
     ring = SeriesRing.get(2)
     xs, ys = ring.state([0.3, 0.1], [1.0, 0.5])
     a = (1.0 + xs[0] + ys[0]).powr(5)  # full budget
-    b = a.dy(0).dy(0)  # by = cap_y - 2, bd = cap_d - 2
+    b = derivative(a, "y", 0, 0)  # by = cap_y - 2, bd = cap_d - 2
     common = ring.stage(2, ring.cap_y - 2, ring.cap_d - 2)
     assert a.ring is ring and b.ring is common
     for mixed in (a + b, b - a, a * b, b / a):
@@ -165,7 +163,7 @@ def test_hard_truncation_beyond_budget():
         assert (mixed.bx, mixed.by, mixed.bd) == (2, ring.cap_y - 2, ring.cap_d - 2)
         assert mixed.c.shape == (common.size,)
     assert not (common.deg > ring.cap_d - 2).any()
-    c = a.dx(1) * b  # (1, cap_y, cap_d - 1) against (2, cap_y - 2, cap_d - 2)
+    c = derivative(a, "x", 1) * b  # (1, cap_y, cap_d - 1) by (2, cap_y - 2, cap_d - 2)
     assert c.ring is ring.stage(1, ring.cap_y - 2, ring.cap_d - 2)
     assert not ((c.ring.xdeg > 1) | (c.ring.ydeg > ring.cap_y - 2)).any()
     assert not (c.ring.deg > ring.cap_d - 2).any()
@@ -264,7 +262,9 @@ BATCH_OPS = {
     "powr-3": lambda xs, d: (1.5 + d * xs[2] + 0.2 * xs[0]).powr(-3.0),
     "ln": lambda xs, d: (2.0 + d * xs[0] + 0.4 * xs[1] * xs[1]).ln(),
     "exp": lambda xs, d: (d + 0.5 * xs[0] - d * xs[2] * xs[1]).exp(),
-    "dx": lambda xs, d: ((1.0 + d * xs[0]) * (xs[1] + d * xs[0] * xs[2])).dx(0),
+    "dx": lambda xs, d: (
+        (1.0 + d * xs[0]) * (xs[1] + d * xs[0] * xs[2])
+    ).grad("x", xs[0].ring).part(0),
     "lane constant": lambda xs, d: (d * d) * (xs[0] - 0.3 * xs[1] * xs[2]) * d,
 }
 
@@ -531,8 +531,7 @@ STAGE_BUDGETS = [(1, 6), (1, 5), (0, 4), (0, 3), (2, 0)]
 def test_stage_tables_are_the_roots_mapped(n, budget):
     # the stage ring's product table is the root's, restricted and mapped
     # through the inverse of positions_of, and equals the table a ring of
-    # those caps builds for itself; so do its monomials and derivative
-    # tables
+    # those caps builds for itself; so do its monomials and grad tables
     root = SeriesRing.get(n)
     stage = root.stage(*budget)
     own = SeriesRing(n, *budget)
@@ -547,10 +546,8 @@ def test_stage_tables_are_the_roots_mapped(n, budget):
     for table in (stage.triples, own.triples):
         assert all(np.array_equal(a, b) for a, b in zip(table, mapped))
     kinds = [kind for kind, cap in zip("xy", budget) if cap]
-    for kind, slot in itertools.product(kinds, range(n)):
-        (low, *got), (own_low, *want) = (
-            r.derivative_table(kind, slot) for r in (stage, own)
-        )
+    for kind in kinds:
+        (low, *got), (own_low, *want) = (r.grad_table(kind, r) for r in (stage, own))
         assert low.root is root and np.array_equal(low._powers, own_low._powers)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
@@ -591,9 +588,9 @@ def test_budget_is_the_ring():
     root = SeriesRing(2, 2, 8)
     xs, ys = root.state([0.1, 0.2], [1.0, 2.0])
     f = xs[0] * ys[1] * ys[1]
-    assert f.dx(0).ring is root.stage(1, 8)
-    assert f.dy(1).dy(0).ring is root.stage(2, 6)
-    assert f.dy(1).partials(0, 1)[1] == 2.0 * 0.1
+    assert f.grad("x", root).ring is root.stage(1, 8)
+    assert derivative(f, "y", 1, 0).ring is root.stage(2, 6)
+    assert derivative(f, "y", 1).partials(0, 1)[1] == 2.0 * 0.1
     stage = root.stage(1, 6)
     assert stage._triples is None
     restrict(f, stage) * restrict(ys[0], stage)
@@ -616,7 +613,7 @@ def test_restrict_then_embed_keeps_every_in_budget_coefficient(budget):
     assert np.array_equal(restrict(back, stage).c, small.c)
     # a nested list becomes leading component axes, in the ring of the
     # smallest budget among its parts and the target's caps
-    g = f.dy(0).dy(1) * 0.5  # (2, 6, cap_d - 2)
+    g = derivative(f, "y", 0, 1) * 0.5  # (2, 6, cap_d - 2)
     wide = ring.stage(1, 7)
     both = restrict([[f, g], [g, ys[2]]], wide)
     common = ring.stage(1, 6, ring.cap_d - 2)
@@ -652,14 +649,14 @@ def test_batched_stage_product_equals_each_lane():
 def test_batched_dense_times_sparse_skips_rows_in_every_lane():
     # a y variable against a batch: the rows of its two nonzeros are
     # gathered once for all lanes, and every lane equals its own product
-    # (the (2, 7, cap_d - 1) ring of f.dy(0): products in the (1, 6) ring
+    # (the (2, 7, cap_d - 1) ring of d f/dy^0: products in the (1, 6) ring
     # gather its whole table)
     ring = SeriesRing.get(3)
     stage = ring.stage(2, 7, ring.cap_d - 1)
     assert len(stage.triples[0]) >= series_module.ROW_SKIP_MIN_TRIPLES
     xs, ys = ring.state(X3, Y3)
     f = smooth3(xs, ys)
-    batch = restrict([f, f.dy(0), f.dy(2) * 3.0], stage)
+    batch = restrict([f, derivative(f, "y", 0), derivative(f, "y", 2) * 3.0], stage)
     y = restrict(ys[1], stage)
     assert batch.ring is y.ring is stage
     assert series_module._sparse_triples(stage, batch.c, y.c) is not None
@@ -686,7 +683,7 @@ def test_graded_operations_are_budget_invariant_by_construction():
     # last bits)
     ring = SeriesRing.get(3)
     xs, ys = ring.state(X3, Y3)
-    g = smooth3(xs, ys).dy(0).dy(0) * 0.5  # (2, 6, 6)
+    g = derivative(smooth3(xs, ys), "y", 0, 0) * 0.5  # (2, 6, 6)
     stage = ring.stage(1, 6, 6)
     own = SeriesRing(3, 1, 6, 6)
     assert np.array_equal(own._powers, stage._powers)
@@ -729,7 +726,7 @@ SKIP_CASES = {
     "y-variable x dense": lambda ring, ys, f, w: (ys[1], f, True),
     "embedded x-only x dense": lambda ring, ys, f, w: (w, f, True),
     "dense x sparse": lambda ring, ys, f, w: (f, ys[2], True),
-    "g budget, dense x sparse": lambda ring, ys, f, w: (f.dy(0).dy(1), w, True),
+    "g budget, dense x sparse": lambda ring, ys, f, w: (derivative(f, "y", 0, 1), w, True),
     "empty selection": lambda ring, ys, f, w: (
         Series(ring, np.zeros(ring.size)), f, True),
     "inf in the dense factor": lambda ring, ys, f, w: (ys[1], _with_inf(f), False),
@@ -956,7 +953,7 @@ def _elementary_input(name):
     ring = SeriesRing.get(3)
     xs, ys = ring.state(X3, Y3)
     f = smooth3(xs, ys)
-    return f if name == "(2, 8)" else f.dy(0).dy(0) * 0.5  # g_00, budget (2, 6)
+    return f if name == "(2, 8)" else derivative(f, "y", 0, 0) * 0.5  # g_00, budget (2, 6)
 
 
 ELEMENTARY = {
@@ -1003,7 +1000,7 @@ def test_ring_inv_det_equals_ring_det_on_series():
     ring = SeriesRing.get(3)
     xs, ys = ring.state(X3, Y3)
     f = smooth3(xs, ys)
-    g = [[f.dy(i).dy(j) * 0.5 for j in range(3)] for i in range(3)]
+    g = [[derivative(f, "y", i, j) * 0.5 for j in range(3)] for i in range(3)]
     det, _ = scalars.ring_inv(g)
     want = scalars.ring_det(g)
     assert det.ring is want.ring is ring.stage(2, 6, ring.cap_d - 2)
@@ -1025,11 +1022,12 @@ def test_trace_series_ln_det_matches_ring_inv(name):
     for x, y in classify.sample_states(entry.metric, plan).states:
         xs, ys = ring.state(x, y)
         fsq = engine.fsq_series(entry.metric, xs, ys)
-        g = engine.metric_series(fsq)
-        assert g[0][0].ring is ring.stage(1, 6, 6)  # no reader takes g_xx
-        g0 = scalars.ring_inv([[v.value() for v in row] for row in g])
+        g = engine.metric_series(fsq)  # lanes [i, j]
+        assert g.ring is ring.stage(1, 6, 6)  # no reader takes g_xx
+        g0 = scalars.ring_inv(g.c[..., 0].tolist())
         got = engine.ln_det_series(g, g0)
-        want = restrict(scalars.ring_inv(g)[0].ln(), ring.stage(1, 1))
+        entries = [[g.part((i, j)) for j in range(n)] for i in range(n)]
+        want = restrict(scalars.ring_inv(entries)[0].ln(), ring.stage(1, 1))
         assert got.ring is want.ring
         assert got.c[0] == want.c[0], (name, x, y)
         err = np.abs(got.c - want.c).max() / max(1.0, np.abs(want.c).max())
@@ -1081,7 +1079,7 @@ def test_ring_inv_error_against_long_double(name):
     for x, y in classify.sample_states(entry.metric, plan).states:
         fsq = engine.fsq_series(entry.metric, *ring.state(x, y))
         g = [
-            [restrict(fsq.dy(i).dy(j) * 0.5, stage) for j in range(n)]
+            [restrict(derivative(fsq, "y", i, j) * 0.5, stage) for j in range(n)]
             for i in range(n)
         ]
         got = restrict(scalars.ring_inv(g)[1], stage).c
@@ -1135,13 +1133,14 @@ def test_ring_solve_error_against_long_double(monkeypatch, name):
     for x, y in classify.sample_states(entry.metric, plan).states:
         xs, ys = ring.state(x, y)
         fsq = engine.fsq_series(entry.metric, xs, ys)
-        g = engine.metric_series(fsq)
-        g0 = scalars.ring_inv([[v.value() for v in row] for row in g])
+        g = engine.metric_series(fsq)  # lanes [i, j]
+        g0 = scalars.ring_inv(g.c[..., 0].tolist())
         G = engine.spray_series(fsq, g, g0, xs, ys)
         ((a, rhs),) = calls
         calls.clear()
         stage = rhs.ring
-        ginv = restrict(scalars.ring_inv(g)[1], stage)
+        entries = [[g.part((i, j)) for j in range(n)] for i in range(n)]
+        ginv = restrict(scalars.ring_inv(entries)[1], stage)
         inverse = ginv.part(np.s_[:, 0]) * rhs.part(0)
         for l in range(1, n):
             inverse = inverse + ginv.part(np.s_[:, l]) * rhs.part(l)
@@ -1304,10 +1303,10 @@ def test_restrict_and_embed_at_the_ring_edges():
     f = smooth3(xs, ys)
     assert restrict(f, ring) is f and embed(f, ring) is f
     wide = ring.stage(1, 8)
-    mixed = embed(restrict(f.dy(0), wide), wide)
+    mixed = embed(restrict(derivative(f, "y", 0), wide), wide)
     assert mixed.ring is wide
     common = ring.stage(1, 7, ring.cap_d - 1)
-    assert np.array_equal(restrict(mixed, common).c, restrict(f.dy(0), common).c)
+    assert np.array_equal(restrict(mixed, common).c, restrict(derivative(f, "y", 0), common).c)
     assert not mixed.c[(wide.ydeg == 8) | (wide.deg == ring.cap_d)].any()
 
 
@@ -1343,7 +1342,7 @@ def test_table_build_peak_memory_is_a_few_tables():
 def test_products_never_alias_the_workspace():
     ring, ys, f, w = _full_ring_fields()
     stage = ring.stage(1, 6)
-    batch = restrict([f, f.dy(0)], stage)
+    batch = restrict([f, derivative(f, "y", 0)], stage)
     for got in (f * f, ys[1] * f, batch * restrict(f, stage), batch * batch):
         for buffer in got.ring.root._work:
             assert not np.shares_memory(got.c, buffer)
@@ -1470,7 +1469,7 @@ def test_batched_stage_sqrt_lanes_equal_unbatched():
     ring = SeriesRing.get(3)
     xs, ys = ring.state(X3, Y3)
     f = smooth3(xs, ys)
-    g = [f.dy(i).dy(i) * 0.5 for i in range(3)]
+    g = [derivative(f, "y", i, i) * 0.5 for i in range(3)]
     batch = restrict(g + [f], ring.stage(1, 6))
     got = batch.sqrt()
     assert got.ring is batch.ring
@@ -1571,7 +1570,7 @@ def test_grad_is_the_restricted_derivatives(n, grad, lanes, seed):
     root = SeriesRing.get(n)
     ring, target = root.stage(*source), root.stage(*target)
     s = Series(ring, _coefficients(np.random.default_rng(seed), lanes + (ring.size,)))
-    parts = [restrict(s.dx(k) if kind == "x" else s.dy(k), target) for k in range(n)]
+    parts = [restrict(derivative(s, kind, k), target) for k in range(n)]
     got = s.grad(kind, target)
     assert got.ring is parts[0].ring
     assert np.array_equal(_bits(got.c), _bits(np.stack([p.c for p in parts])))
@@ -1579,18 +1578,18 @@ def test_grad_is_the_restricted_derivatives(n, grad, lanes, seed):
 
 @pytest.mark.parametrize("caps", [(0, 3, 3), (1, 0, 1), (1, 1, 0), (0, 0, 0), (2, 1, 3)])
 def test_grad_raises_where_a_derivative_would(caps):
+    # a first derivative needs one order of its kind and one of total degree
     for n in range(2, 6):
         ring = SeriesRing.get(n).stage(*caps)
         s = ring.constant(1.0)
-        for kind, derivative in (("x", s.dx), ("y", s.dy)):
-            try:
-                derivative(0)
-            except TowerBudgetError as exc:
-                with pytest.raises(TowerBudgetError) as raised:
-                    s.grad(kind, ring)
-                assert str(raised.value) == str(exc)
-            else:
+        for kind, b in (("x", ring.cap_x), ("y", ring.cap_y)):
+            if min(b, ring.cap_d) >= 1:
                 assert s.grad(kind, ring).c.shape[0] == n
+                continue
+            message = "%s-derivative budget exhausted (b%s=%d, bd=%d)"
+            with pytest.raises(TowerBudgetError) as raised:
+                s.grad(kind, ring)
+            assert str(raised.value) == message % (kind, kind, b, ring.cap_d)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
