@@ -13,8 +13,9 @@ frame.projective, the Spray of Gt = G - S y/(n+1)).  So S and tau cost
 no Riemann and no cube, and Riemann and the cubes cost no volume.  The
 projective-change routes (lemma21_residual,
 projective.douglas_invariance_gap) build G + P y with modified_spray.
-Work of x alone (the coefficient fields of F, the volume density, ln
-sigma) runs in the x-only stage of the root (series.one_kind),
+Work of x alone (the coefficient fields of F, which F^2 and the
+closed-form density share through MetricSpec.ab_fn, and the volume
+form's ln sigma) runs in the x-only stage of the root (series.one_kind),
 and each sum over y^m (S's drift, the spray's braces, lemma21's P_{|0})
 is series.linear_form.  First derivatives are gathered for all n slots
 at once (Series.grad), and products by y^m (the braces, Riemann's y^m
@@ -47,7 +48,11 @@ bit-identical:
   by level, with no ring product, reciprocal or inverse of g in the ring;
 - ln det g in the (1, 1) ring, where tau is read at its value and first
   partials: ln det g0 + tr M - tr(M M)/2 with M = g0^-1 g - I, one
-  product of n^2 lanes;
+  product of n^2 lanes (series.ln_det, which the closed-form volume's
+  ln det a also runs, in the x-only stage);
+- ln sigma in the x-only stage, the volume form's log_sigma (volume
+  module notes: the closed form's is one lane pass), embedded back into
+  the (2, 8, 8) ring;
 - the divergence, S (its drift placed there too), the projective spray
   and the Douglas core in the (1, 5) ring: the cubes read their (0, 3),
   (1, 3) and (0, 4) partials.
@@ -74,9 +79,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, EvalError, RegularityError, TowerBudgetError
-from .scalars import ln, ring_inv, value_of
+from .scalars import ring_inv, value_of
 from .scalars import ring_det  # noqa: F401  (perfbench/spans.py wraps this name)
-from .series import Series, SeriesRing, graded_solve, linear_form, one_kind, restrict
+from .series import Series, SeriesRing, graded_solve, linear_form, ln_det, one_kind
+from .series import restrict
 
 # Orientation of the Ricci identity for the Berwald-curvature
 # commutator: B_j^i_{kl|m} - B_j^i_{km|l} = RICCI_LM_SIGN * d_k R_j^i_{lm}
@@ -159,7 +165,7 @@ def metric_series(fsq):
     return Series(second.ring, g)
 
 
-def spray_series(fsq, g, g0, xs, ys):
+def spray_series(fsq, g, g0, ys):
     """The spray, one Series with lanes [i], from g in its stage ring
     (metric_series) and g0 = (det, inverse) of its value
     (scalars.ring_inv on floats).
@@ -181,21 +187,14 @@ def spray_series(fsq, g, g0, xs, ys):
 def ln_det_series(g, g0):
     """ln det g in the (1, 1) ring, where tau is read at its value and
     first partials, from g (metric_series) and g0 = (det, inverse) of its
-    value: ln det g0 + tr M - tr(M M)/2 with M = g0^-1 g - I, exact there
-    (M^3 has degree >= 3), one product of n^2 lanes."""
-    det0, inverse = g0[0], np.asarray(g0[1])
-    low = g.ring.stage(1, 1)
-    M = (inverse[:, :, None, None] * restrict(g, low).c).sum(axis=1)
-    M[..., 0] = 0.0  # the solve's preconditioned g, restricted, less I
-    MM = Series(low, M) * Series(low, M.swapaxes(0, 1))  # lanes [i, l]: M_il M_li
-    ln_det = np.trace(M) - MM.c.sum(axis=(0, 1)) * 0.5
-    ln_det[0] = ln(det0)
-    return Series(low, ln_det)
+    value: series.ln_det, exact there (M^3 has degree >= 3), one product
+    of n^2 lanes."""
+    return ln_det(restrict(g, g.ring.stage(1, 1)), g0[0], np.asarray(g0[1]))
 
 
-def riemann_series(G, xs, ys, by):
-    """R^i_k of a spray G (lanes [i]), one Series with component axes
-    [i, k].
+def riemann_series(G, ys, by):
+    """R^i_k of a spray G (lanes [i]) at the y-variables ys of its ring
+    state, one Series with component axes [i, k].
 
     R^i_k = 2 dG^i/dx^k - y^m d2G^i/dx^m dy^k + 2 G^m d2G^i/dy^m dy^k
             - dG^i/dy^m dG^m/dy^k.
@@ -262,13 +261,13 @@ def _cube_extract(W):
 def log_sigma_series(volume, xs):
     """ln sigma as a ring element, or a float when sigma does not vary.
 
-    sigma depends on x alone, so it and its logarithm run in the x-only
-    stage ring (series.one_kind), and the result is embedded into the
-    ring of xs.
+    ln sigma depends on x alone, so the volume form's log_sigma runs in
+    the x-only stage ring (series.one_kind), and the result is embedded
+    into the ring of xs.
     """
     if volume is None:
         return 0.0
-    return one_kind(lambda x: ln(volume.sigma(x)), xs, "x")
+    return one_kind(volume.log_sigma, xs, "x")
 
 
 def horizontal(T, Tx, Ty, N, Gamma, variance):
@@ -313,14 +312,14 @@ def _item(stage, k):
 
 
 class Spray:
-    """Every output of the spray G^i (one Series with lanes [i], on the
-    ring state xs, ys), each stage run on its first read: B is the
+    """Every output of the spray G^i (one Series with lanes [i]; ys are
+    the y-variables of its ring state), each stage run on its first read: B is the
     y-cube of G, D that of the Douglas core G - div(G) y/(n+1), each with
     its x- and y-gradients."""
 
-    def __init__(self, G, xs, ys):
+    def __init__(self, G, ys):
         self.n = len(G.c)
-        self.series, self.xs, self.ys = G, xs, ys
+        self.series, self.ys = G, ys
 
     @cached_property
     def _jet(self):
@@ -330,7 +329,7 @@ class Spray:
 
     @cached_property
     def _riemann(self):
-        R = riemann_series(self.series, self.xs, self.ys, 3)
+        R = riemann_series(self.series, self.ys, 3)
         return [R.partials(0, k) for k in range(4)]
 
     R, R_y, R_yy, R_y3 = (_item("_riemann", k) for k in range(4))
@@ -392,6 +391,7 @@ class Frame(Spray):
         self._volume = volume
         ring = SeriesRing.get(n)
         xs, ys = ring.state(self.x, self.y)
+        self.xs = xs  # the volume stage reads ln sigma there
 
         fsq = _at_state(self.x, self.y, fsq_series, metric, xs, ys)
         self.F2 = fsq.value()
@@ -406,7 +406,7 @@ class Frame(Spray):
         self._g0 = det0, self.ginv
         self.y_low = self.g @ np.array(self.y)
         self.C = 0.5 * g.partials(0, 1)
-        super().__init__(spray_series(fsq, g, self._g0, xs, ys), xs, ys)
+        super().__init__(spray_series(fsq, g, self._g0, ys), ys)
 
     # -- the volume stage -------------------------------------------------
 
@@ -446,7 +446,7 @@ class Frame(Spray):
 
     @cached_property
     def projective(self):
-        return Spray(self.plus_y(self._S, -1.0 / (self.n + 1)), self.xs, self.ys)
+        return Spray(self.plus_y(self._S, -1.0 / (self.n + 1)), self.ys)
 
     # -- assembled quantities -------------------------------------------
 
@@ -578,10 +578,10 @@ def lemma21_residual(frame, p_func):
     are (1, 1), Xi_{.k} is (0, 1), so Ghat and P run in that ring.
     """
     n = frame.n
-    xs, ys, G = frame.xs, frame.ys, frame.series
+    ys, G = frame.ys, frame.series
     Ghat, P = modified_spray(frame, p_func, (1, 2))
 
-    Rhat_val = riemann_series(Ghat, xs, ys, 0).c[..., 0]
+    Rhat_val = riemann_series(Ghat, ys, 0).c[..., 0]
 
     P_val = P.c[0]
     P_x = P.partials(1, 0)

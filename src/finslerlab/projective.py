@@ -181,5 +181,5 @@ def douglas_invariance_gap(
     func = _homogeneous_factor(p, state, parameters)
     frame = state.frame
     Ghat, _ = engine.modified_spray(frame, func, (1, 5))  # the cubes' reads
-    modified = engine.Spray(Ghat, frame.xs, frame.ys).D
+    modified = engine.Spray(Ghat, frame.ys).D
     return float(np.abs(modified - frame.D).max())

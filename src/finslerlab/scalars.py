@@ -112,10 +112,11 @@ def ring_inv(a):
     a is symmetric (only its upper triangle is read) and every leading
     principal minor is nonzero (the pivots are their ratios), as in any
     positive-definite matrix; a zero pivot fails in the ring's
-    reciprocal.  The closed-form Randers volume inverts a(x) with it, and
-    the Frame the float value of g, whose inverse preconditions the
-    spray's graded solve (series.graded_solve) and whose det gives tau's
-    ln det g its value.
+    reciprocal.  The library runs it on floats: on the value of g, whose
+    inverse preconditions the spray's graded solve (series.graded_solve)
+    and whose det gives tau's ln det g its value, and on the value of
+    a(x), whose inverse and det do the same for the closed-form Randers
+    volume's solve of a x = b and its ln det a (series.ln_det).
     """
     n = len(a)
     m = [list(row) for row in a]  # m[i][j] with i <= j is the entry

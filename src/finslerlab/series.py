@@ -12,7 +12,8 @@ re-evaluation per seeding.  It is the package's only differentiation
 engine, with one ring per dimension, the root SeriesRing.get(n) of caps
 ROOT_CAPS = (2, 8, 8), and its stage rings (below): the Frame uses the
 root and its stages, the point tensors the (0, 2) and (0, 3) stages,
-tau the (1, 1) stage, the quadrature's float x the (0, 0) stage.
+tau the (1, 1) stage, the float x of the quadrature and of the closed-form
+volume the (0, 0) stage.
 Series.partials(nx, ny) reads all of one order at once: each is a
 single coefficient times its factorial weight, gathered through a table
 the ring caches.
@@ -967,6 +968,22 @@ def graded_solve(a, b, inverse):
         s += h[..., rows] * x[None, :, :1]
         x[:, rows] = c[:, rows] - s.sum(axis=1)
     return Series(ring, x)
+
+
+def ln_det(a, det, inverse):
+    """ln det a for a Series a with lanes [i, j], given det and the float
+    inverse of a's value part (scalars.ring_inv on floats): ln det +
+    tr M - tr(M M)/2 with M = inverse a - I, one product of n^2 lanes.
+    Exact when M^3 keeps no coefficient in a's ring: M has no value part,
+    so in a ring of total degree at most 2 (tau's (1, 1)), and for an a
+    of x alone in a ring of x-order at most 2."""
+    ring = a.ring
+    M = (inverse[:, :, None, None] * a.c).sum(axis=1)
+    M[..., 0] = 0.0  # the preconditioned a less I
+    MM = Series(ring, M) * Series(ring, M.swapaxes(0, 1))  # lanes [i, l]: M_il M_li
+    out = np.trace(M) - MM.c.sum(axis=(0, 1)) * 0.5
+    out[0] = math.log(det)
+    return Series(ring, out)
 
 
 def restrict(parts, ring):

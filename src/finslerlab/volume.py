@@ -1,12 +1,26 @@
 """Volume forms dV = sigma(x) dx for the S-curvature.
 
 Four kinds: constant density, Busemann-Hausdorff by spherical
-quadrature, the Randers closed form, and a user DSL density.  The
-closed-form and DSL sigmas are scalar-ring-generic in x so the
-S-curvature pipeline can differentiate through them.  A density
-depends on x alone, so the engine evaluates every kind, and its
-logarithm, in the x-only stage ring of the Frame's root (series.one_kind
-in engine.log_sigma_series).  The quadrature takes x as series of an
+quadrature, the Randers closed form, and a user DSL density.  A
+VolumeForm carries ln sigma (VolumeForm.log_sigma), all that S and tau
+read: the constant, DSL and quadrature forms take ln of the sigma they
+compute, and the closed form computes ln sigma itself.  Each takes x as
+series, so the S-curvature pipeline differentiates through it, and the
+DSL density also takes jets.  ln sigma depends on x alone, so the
+engine evaluates every kind in the x-only stage ring of the Frame's
+root (series.one_kind in engine.log_sigma_series).
+
+The closed form, ln sigma = ((n+1)/2) ln(1 - b.a^-1 b) + ln(det a)/2,
+is one lane pass (bh_randers_closed): a(x) is one Series with lanes
+[i, j] and b(x) one with lanes [i]; the sweep on floats (ring_inv of
+a's value) gives det a0 and a0^-1; the graded solve (series.graded_solve)
+gives a^-1 b, and |b|^2 is one product of n lanes; ln det a is tau's
+formula (series.ln_det), exact in the x-only stage, where M = a0^-1 a -
+I has no cube: 2 ring products and 1 graded ln.  a(x) and b(x) come
+from the metric's memoized MetricSpec.ab_fn, so a state's F^2 and its
+density share one evaluation.
+
+The quadrature takes x as series of an
 x-only ring (cap_y = 0), or floats lifted into the root's (0, 0) stage:
 all its directions enter F as one batch of constants (see the series
 module), so F is evaluated once per x, not once per direction.  A
@@ -43,10 +57,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import expr as dsl
-from .errors import ConfigError, DomainError
-from .scalars import powr, ring_inv, sqrt, value_of
+from .errors import ConfigError, DomainError, TowerBudgetError
+from .scalars import ln, powr, ring_inv, value_of
 from .scalars import ring_det  # noqa: F401  (perfbench/spans.py wraps this name)
-from .series import Series, SeriesRing
+from .series import Series, SeriesRing, graded_solve, ln_det
 
 
 # the rungs m of the quadrature ladder (module notes)
@@ -84,9 +98,14 @@ class QuadratureRule:
 
 @dataclass(frozen=True)
 class VolumeForm:
+    """A density sigma(x) dx, given by its logarithm: ln sigma is all
+    that the S-curvature and the distortion read.  The constant, dsl and
+    quadrature forms take ln of the sigma they compute; the closed form
+    computes ln sigma itself (bh_randers_closed)."""
+
     kind: str  # constant | bh_quadrature | bh_randers_closed | dsl
     label: str
-    sigma: Callable  # x_vec (any ring) -> positive scalar
+    log_sigma: Callable  # x_vec (floats or Series of x) -> ln sigma
     rule: Optional[QuadratureRule] = None  # the quadrature's chosen rule
 
 
@@ -137,20 +156,25 @@ def unit_ball_volume(n):
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
+def _in_ring(n, x, what, x_only):
+    """(x, ring, lifted): floats lifted into the root's (0, 0) stage, or
+    Series of one ring (of x alone when x_only) as they are."""
+    if all(isinstance(v, numbers.Real) for v in x):
+        ring = SeriesRing.get(n).stage(0, 0)
+        return [ring.constant(v) for v in x], ring, True
+    if all(isinstance(v, Series) and not (x_only and v.ring.cap_y) for v in x):
+        return x, x[0].ring, False
+    raise TypeError(
+        "%s takes x as floats or as %s, got %s"
+        % (what, "x-only Series (cap_y=0)" if x_only else "Series",
+           sorted({type(v).__name__ for v in x}))
+    )
+
+
 def _sigma(metric, x, nodes):
     """The quadrature density at x (floats or x-only Series) by one rule."""
     n = metric.dimension
-    lifted = all(isinstance(v, numbers.Real) for v in x)
-    if lifted:
-        ring = SeriesRing.get(n).stage(0, 0)
-        x = [ring.constant(v) for v in x]
-    elif all(isinstance(v, Series) and v.ring.cap_y == 0 for v in x):
-        ring = x[0].ring
-    else:
-        raise TypeError(
-            "quadrature density takes x as floats or as x-only Series "
-            "(cap_y=0), got %s" % sorted({type(v).__name__ for v in x})
-        )
+    x, ring, lifted = _in_ring(n, x, "quadrature density", x_only=True)
     dirs, weights = nodes
     F = metric.F(x, [ring.constant(dirs[:, i]) for i in range(n)])
     bad = np.flatnonzero(value_of(F) <= 0.0)
@@ -217,32 +241,65 @@ def bh_sigma_quadrature(metric, x, nodes):
 
 
 def bh_randers_closed(metric, x):
-    """Closed-form BH density of a Randers metric.
+    """ln sigma of the closed-form BH density of a Randers metric,
+    sigma = (1 - |b|_alpha^2)^((n+1)/2) sqrt(det a), in one lane pass.
 
-    sigma = (1 - |b|_alpha^2)^((n+1)/2) * sqrt(det a); ring-generic.
+    x is a list of floats (returns a float, run in the (0, 0) stage as
+    the quadrature does) or of Series of one ring (returns a Series of
+    that ring).  a(x) is one Series with lanes [i, j], read from its
+    upper triangle as the sweep reads it, and b(x) one with lanes [i];
+    the sweep on a's value (ring_inv on floats) gives det a0 and a0^-1,
+    the graded solve a^-1 b, and |b|^2 = b . a^-1 b is one product of n
+    lanes.  ln det a is series.ln_det, exact in a ring of x-order or
+    total degree at most 2 (TowerBudgetError past both).  DomainError
+    when det a0 <= 0 (a zero pivot of the sweep included) or |b|^2 >= 1.
     """
     _require_randers(metric)
     n = metric.dimension
-    a = metric.a_fn(x)
-    b = metric.b_fn(x)
-    det, ainv = ring_inv(a)
-    bnorm2 = None
-    for i in range(n):
-        for j in range(n):
-            term = b[i] * ainv[i][j] * b[j]
-            bnorm2 = term if bnorm2 is None else bnorm2 + term
-    if value_of(bnorm2) >= 1.0:
-        raise DomainError(
-            "Randers one-form norm^2 %.6f >= 1 at x" % value_of(bnorm2)
+    x, ring, lifted = _in_ring(n, x, "closed-form density", x_only=False)
+    if min(ring.cap_x, ring.cap_d) > 2:
+        raise TowerBudgetError(
+            "ln det a is exact to x-order or total degree 2, past the "
+            "ring's (%d, %d, %d)" % (ring.cap_x, ring.cap_y, ring.cap_d)
         )
-    return powr(1.0 - bnorm2, (n + 1) / 2.0) * sqrt(det)
+    a, b = metric.ab_fn(x)
+    upper = [a[min(i, j)][max(i, j)] for i in range(n) for j in range(n)]
+    a, b = _lanes(upper, (n, n), ring), _lanes(b, (n,), ring)
+    try:
+        det, inverse = ring_inv(a.value().tolist())
+    except ZeroDivisionError:  # a zero leading minor: a0 is not definite
+        det = 0.0
+    if not det > 0.0:
+        raise DomainError("Randers a(x) has det %r <= 0 at x" % det)
+    inverse = np.array(inverse)
+    ainv_b = graded_solve(a, b, inverse)
+    b2 = Series(ring, (b * ainv_b).c.sum(axis=0))
+    if b2.value() >= 1.0:
+        raise DomainError("Randers one-form norm^2 %.6f >= 1 at x" % b2.value())
+    out = ln(1.0 - b2) * ((n + 1) / 2.0) + ln_det(a, det, inverse) * 0.5
+    return out.value() if lifted else out
+
+
+def _lanes(parts, shape, ring):
+    """Floats and Series of ring, listed in row order, as one Series of
+    ring with lanes of the given shape, floats as constants."""
+    c = np.zeros((len(parts), ring.size))
+    for k, v in enumerate(parts):
+        if not isinstance(v, Series):
+            c[k, 0] = v
+        elif v.ring is ring:
+            c[k] = v.c
+        else:
+            raise TypeError("a coefficient field left the ring of x")
+    return Series(ring, c.reshape(shape + (ring.size,)))
 
 
 def constant_volume(value=1.0):
     v = float(value)
     if v <= 0.0:
         raise ConfigError("constant density must be positive")
-    return VolumeForm(kind="constant", label="constant", sigma=lambda x: v)
+    log_v = ln(v)
+    return VolumeForm(kind="constant", label="constant", log_sigma=lambda x: log_v)
 
 
 def dsl_volume(source, dimension, parameters=None):
@@ -251,10 +308,10 @@ def dsl_volume(source, dimension, parameters=None):
         source, dimension, frozenset(parameters), "volume density"
     )
 
-    def sigma(x):
-        return dsl.evaluate(tree, x, [0.0] * dimension, parameters)
+    def log_sigma(x):
+        return ln(dsl.evaluate(tree, x, [0.0] * dimension, parameters))
 
-    return VolumeForm(kind="dsl", label="dsl:%s" % source, sigma=sigma)
+    return VolumeForm(kind="dsl", label="dsl:%s" % source, log_sigma=log_sigma)
 
 
 def _require_randers(metric):
@@ -270,10 +327,10 @@ def bh_randers_volume(metric):
     metric is Randers."""
     _require_randers(metric)
 
-    def sigma(x):
+    def log_sigma(x):
         return bh_randers_closed(metric, x)
 
-    return VolumeForm(kind="bh_randers_closed", label="bh-randers", sigma=sigma)
+    return VolumeForm(kind="bh_randers_closed", label="bh-randers", log_sigma=log_sigma)
 
 
 def bh_quadrature_volume(metric):
@@ -282,9 +339,9 @@ def bh_quadrature_volume(metric):
     dimension with no rule."""
     rule = choose_rule(metric)
 
-    def sigma(x):
-        return bh_sigma_quadrature(metric, x, nodes=rule.nodes)
+    def log_sigma(x):
+        return ln(bh_sigma_quadrature(metric, x, nodes=rule.nodes))
 
     return VolumeForm(
-        kind="bh_quadrature", label="bh-quadrature", sigma=sigma, rule=rule
+        kind="bh_quadrature", label="bh-quadrature", log_sigma=log_sigma, rule=rule
     )

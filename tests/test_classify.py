@@ -201,11 +201,11 @@ def test_overflowing_density_errors_at_the_state():
 def test_bug_in_volume_is_not_indeterminate():
     # only package errors make a state "errored"; a programming error
     # in the volume surfaces instead of becoming an indeterminate verdict
-    def sigma(x):
+    def log_sigma(x):
         raise TypeError("broken density")
 
     e = get_example("euclidean")
-    broken = VolumeForm(kind="dsl", label="broken", sigma=sigma)
+    broken = VolumeForm(kind="dsl", label="broken", log_sigma=log_sigma)
     with pytest.raises(TypeError, match="broken density"):
         classify_metric(e.metric, broken, SamplePlan(count=2, seed=2))
 
@@ -213,11 +213,11 @@ def test_bug_in_volume_is_not_indeterminate():
 def test_config_error_in_volume_is_not_an_errored_state():
     # a ConfigError is the run's configuration, not one state's: it
     # propagates from classify_metric as it does from verify
-    def sigma(x):
+    def log_sigma(x):
         raise ConfigError("unusable density")
 
     e = get_example("euclidean")
-    broken = VolumeForm(kind="dsl", label="broken", sigma=sigma)
+    broken = VolumeForm(kind="dsl", label="broken", log_sigma=log_sigma)
     with pytest.raises(ConfigError, match="unusable density"):
         classify_metric(e.metric, broken, SamplePlan(count=2, seed=2))
 

@@ -196,9 +196,9 @@ def test_spray_stages_run_on_first_read(monkeypatch):
     calls = []
     plain = engine.riemann_series
 
-    def recorded(G, xs, ys, by):
+    def recorded(G, ys, by):
         calls.append((id(G), by))
-        return plain(G, xs, ys, by)
+        return plain(G, ys, by)
 
     monkeypatch.setattr(engine, "riemann_series", recorded)
     entry = get_example("randers_osaka")
@@ -238,11 +238,11 @@ def test_volume_stage_runs_only_when_read():
     entry = get_example("randers_osaka")
     calls = []
 
-    def sigma(x):
+    def log_sigma(x):
         calls.append(x)
-        return entry.volume.sigma(x)
+        return entry.volume.log_sigma(x)
 
-    volume = replace(entry.volume, sigma=sigma)
+    volume = replace(entry.volume, log_sigma=log_sigma)
 
     def identity(kind, **kwargs):
         return lambda st: projective.identity_residual(kind, st, **kwargs)
@@ -387,7 +387,7 @@ def test_dsl_domain_failure_is_regularity_error():
     unbound = VolumeForm(
         kind="dsl",
         label="unbound",
-        sigma=lambda x: expr.evaluate(tree, x, [0.0] * 3, {}),
+        log_sigma=lambda x: expr.evaluate(tree, x, [0.0] * 3, {}),
     )
     with pytest.raises(EvalError, match="unbound parameter"):
         Frame(euclid, unbound, (0.1, 0.0, 0.0), (1.0, 0.0, 0.0)).S
@@ -886,8 +886,8 @@ def test_stage_riemann_equals_full_ring_formula(monkeypatch, name):
     calls = []
     plain = engine.riemann_series
 
-    def recorded(G, xs, ys, by):
-        out = plain(G, xs, ys, by)
+    def recorded(G, ys, by):
+        out = plain(G, ys, by)
         calls.append((G, ys, by, out))
         return out
 

@@ -17,6 +17,7 @@ picks up the factor |det A|.
 """
 
 import itertools
+import math
 import time
 
 import numpy as np
@@ -41,9 +42,9 @@ N = 3
 KAPPA_MAX = 10.0
 # the covariance gaps measured at most 3e-13 of max(1, |tensor|), on D
 COVARIANCE_REL = 1e-10
-# sigma' against |det A| sigma, and S' against S, with quadrature
-# densities: measured at most 1.7e-15 and 1.8e-15 (relative to sigma',
-# and of max(1, |S|))
+# ln sigma' against ln |det A| + ln sigma (sigma' against |det A| sigma,
+# relative to sigma'), and S' against S, with quadrature densities:
+# measured at most 1.7e-15 and 1.8e-15 (of max(1, |S|))
 QUADRATURE_REL = 1e-13
 
 coefficient = st.floats(-0.5, 0.5, allow_nan=False, allow_infinity=False)
@@ -226,9 +227,10 @@ def test_quadrature_density_transforms_as_a_density():
         if relative_condition(metric, xm, g) > KAPPA_MAX:
             continue
         checked += 1
-        sigma = volume.sigma(list(xm))
-        sigma_moved = volume_moved.sigma(list(x))
-        assert abs(sigma_moved - abs(np.linalg.det(A)) * sigma) <= QUADRATURE_REL * sigma_moved
+        log_sigma = volume.log_sigma(list(xm))
+        log_moved = volume_moved.log_sigma(list(x))
+        gap = log_moved - math.log(abs(np.linalg.det(A))) - log_sigma
+        assert abs(gap) <= QUADRATURE_REL
         old = GeometryState(metric, volume, xm, ym).frame
         new = GeometryState(moved, volume_moved, x, y).frame
         assert abs(new.S - old.S) <= QUADRATURE_REL * max(1.0, abs(old.S))

@@ -1135,7 +1135,7 @@ def test_ring_solve_error_against_long_double(monkeypatch, name):
         fsq = engine.fsq_series(entry.metric, xs, ys)
         g = engine.metric_series(fsq)  # lanes [i, j]
         g0 = scalars.ring_inv(g.c[..., 0].tolist())
-        G = engine.spray_series(fsq, g, g0, xs, ys)
+        G = engine.spray_series(fsq, g, g0, ys)
         ((a, rhs),) = calls
         calls.clear()
         stage = rhs.ring

@@ -6,9 +6,15 @@ import pytest
 from finslerlab.catalog import get_example, list_examples
 from finslerlab.classify import SamplePlan, sample_states
 from finslerlab.curvature import GeometryState, residual_scale, s_curvature
-from finslerlab.errors import ConfigError, DomainError
-from finslerlab.metrics import alpha_beta_metric, construct_metric, riemannian_metric
-from finslerlab.scalars import ln
+from finslerlab.engine import Frame
+from finslerlab.errors import ConfigError, DomainError, TowerBudgetError
+from finslerlab.metrics import (
+    alpha_beta_metric,
+    construct_metric,
+    randers_b_norm_sq,
+    riemannian_metric,
+)
+from finslerlab.scalars import ln, value_of
 from finslerlab.series import SeriesRing
 from finslerlab.volume import (
     LADDER,
@@ -25,7 +31,7 @@ from finslerlab.volume import (
 )
 
 from jet_oracle import seed_direction
-from support import fd_partial, randers_n4
+from support import closed_randers_sigma, fd_partial, long_double_log_sigma, randers_n4
 
 
 def osaka_like(n=3):
@@ -92,8 +98,8 @@ def test_randers_closed_form_flat_example():
         lambda x: [[1.0, 0.0], [0.0, 1.0]],
         lambda x: [0.5, 0.0],
     )
-    sigma = bh_randers_closed(metric, [0.0, 0.0])
-    assert sigma == pytest.approx(0.75**1.5, rel=1e-14)
+    log_sigma = bh_randers_closed(metric, [0.0, 0.0])
+    assert log_sigma == pytest.approx(1.5 * math.log(0.75), rel=1e-14)
 
 
 def test_randers_closed_vs_quadrature_2d():
@@ -104,9 +110,10 @@ def test_randers_closed_vs_quadrature_2d():
         lambda x: [0.3, 0.1],
     )
     x = [0.0, 0.0]
+    # ln sigma: its gap is the relative gap of sigma, to first order
     closed = bh_randers_closed(metric, x)
-    quad = bh_sigma_quadrature(metric, x, nodes=choose_rule(metric).nodes)
-    assert abs(closed - quad) / closed <= 1e-6
+    quad = math.log(bh_sigma_quadrature(metric, x, nodes=choose_rule(metric).nodes))
+    assert abs(closed - quad) <= 1e-6
 
 
 def test_randers_closed_vs_quadrature_curved_3d():
@@ -114,8 +121,8 @@ def test_randers_closed_vs_quadrature_curved_3d():
     nodes = choose_rule(metric).nodes
     for x in ([0.1, 0.2, 0.0], [0.3, -0.1, 0.25], [-0.2, -0.2, 0.1]):
         closed = bh_randers_closed(metric, x)
-        quad = bh_sigma_quadrature(metric, x, nodes=nodes)
-        assert abs(closed - quad) / closed <= 1e-6
+        quad = math.log(bh_sigma_quadrature(metric, x, nodes=nodes))
+        assert abs(closed - quad) <= 1e-6
 
 
 def test_quadrature_rejects_conic_metric():
@@ -152,17 +159,17 @@ def test_closed_form_requires_randers():
 def test_constant_volume():
     form = constant_volume(2.5)
     assert form.kind == "constant"
-    assert form.sigma([0.1, 0.2]) == 2.5
+    assert form.log_sigma([0.1, 0.2]) == math.log(2.5)
     with pytest.raises(ConfigError):
         constant_volume(0.0)
 
 
 def test_dsl_volume_evaluates_and_differentiates():
     form = dsl_volume("exp(3*x1)", 3)
-    assert form.sigma([0.2, 0.0, 0.0]) == pytest.approx(math.exp(0.6))
+    assert form.log_sigma([0.2, 0.0, 0.0]) == pytest.approx(0.6)
     x = seed_direction([0.2, 0.0, 0.0], 0, 0)
-    jet = form.sigma(x)
-    assert jet.tangent.value() == pytest.approx(3.0 * math.exp(0.6), rel=1e-12)
+    jet = form.log_sigma(x)
+    assert jet.tangent.value() == pytest.approx(3.0, rel=1e-12)
 
 
 def test_dsl_volume_rejects_y_dependence():
@@ -206,13 +213,14 @@ def test_quadrature_sigma_x_partial_matches_fd():
 
 
 def test_quadrature_sigma_series_matches_randers_closed_form():
-    # every coefficient: value, all first and second x-partials
+    # every coefficient of ln sigma: value, all first and second
+    # x-partials, of max(1, max |closed|)
     for metric in (osaka_like(), varying_randers()):
         x = _xonly_state(QUAD_BASE)
-        quad = bh_sigma_quadrature(metric, x, nodes=choose_rule(metric).nodes)
+        quad = ln(bh_sigma_quadrature(metric, x, nodes=choose_rule(metric).nodes))
         closed = bh_randers_closed(metric, x)
         assert (quad.bx, quad.by) == (closed.bx, closed.by) == (2, 0)
-        scale = np.abs(closed.c).max()
+        scale = max(1.0, np.abs(closed.c).max())
         assert np.abs(quad.c - closed.c).max() <= 1e-6 * scale, metric.name
 
 
@@ -223,19 +231,151 @@ def test_quadrature_rejects_jet_x():
 
 
 def test_randers_closed_density_is_ring_generic():
-    metric = osaka_like()
+    # ln sigma in the root ring against floats, and its first x-partial
+    # against the sweep's sigma (support.closed_randers_sigma) on jets;
+    # osaka's sigma is 1, varying_randers' is not
     x_float = [0.1, 0.2, 0.0]
     ring = SeriesRing.get(3)
     x_ring = [ring.variable_x(i, x_float[i]) for i in range(3)]
-    got = bh_randers_closed(metric, x_ring)
-    want = bh_randers_closed(metric, x_float)
-    assert got.value() == pytest.approx(want, rel=1e-13)
-    # first x-derivative from the series matches jets
-    jx = seed_direction(x_float, 0, 0)
-    jet = bh_randers_closed(metric, jx)
-    assert got.partials(1, 0)[0] == pytest.approx(
-        jet.tangent.value(), rel=1e-11
-    )
+    for metric in (osaka_like(), varying_randers()):
+        got = bh_randers_closed(metric, x_ring)
+        want = bh_randers_closed(metric, x_float)
+        assert got.value() == pytest.approx(want, rel=1e-13)
+        jet = ln(closed_randers_sigma(metric, seed_direction(x_float, 0, 0)))
+        assert got.partials(1, 0)[0] == pytest.approx(jet.tangent.value(), rel=1e-11)
+        # the lane route takes floats and Series, not jets
+        with pytest.raises(TypeError, match="floats or as Series"):
+            bh_randers_closed(metric, seed_direction(x_float, 0, 0))
+
+
+# every coefficient of ln sigma against ln of the sweep's sigma
+# (support.closed_randers_sigma) in the x-only stage, of max(1, max
+# |reference|), at the 20 sampled x of plan seeds 0-9: measured at most
+# 2.2e-15 (randers_osaka; baoshen 1.0e-15, n4 3.3e-16, humo 2.4e-16)
+CLOSED_COEFFICIENT_REL = 5e-15
+
+
+def _closed_entries():
+    entries = {name: get_example(name) for name in list_examples()}
+    entries = {k: e for k, e in entries.items() if e.metric.family == "randers"}
+    assert sorted(entries) == ["randers_baoshen", "randers_humo", "randers_osaka"]
+    return {**entries, "randers_n4": randers_n4()}
+
+
+def test_randers_closed_coefficients_match_the_sweep():
+    for name, entry in _closed_entries().items():
+        metric = entry.metric
+        ring = SeriesRing.get(metric.dimension).stage(2, 0)
+        worst = 0.0
+        for seed in range(10):
+            for x, _ in sample_states(metric, SamplePlan(seed=seed)).states:
+                xs = [ring.variable_x(i, v) for i, v in enumerate(x)]
+                got = bh_randers_closed(metric, xs)
+                want = ln(closed_randers_sigma(metric, xs))
+                assert got.ring is want.ring is ring
+                scale = max(1.0, float(np.abs(want.c).max()))
+                worst = max(worst, float(np.abs(got.c - want.c).max()) / scale)
+        assert worst <= CLOSED_COEFFICIENT_REL, (name, worst)
+
+
+# ln sigma on floats against long_double_log_sigma of the same float a(x)
+# and b(x) (evaluated in the (0, 0) stage, as the route evaluates them),
+# of max(1, |reference|), at the 20 sampled x of plan seeds 0-9: measured
+# at most 5.6e-16 (randers_baoshen; osaka 2.2e-16, humo 2.2e-16, n4
+# 2.6e-16), where sigma through the sweep, powr and sqrt read 7.1e-16
+# (baoshen) from float a(x) and b(x); about twice the larger
+CLOSED_LONG_DOUBLE_REL = 1.5e-15
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+    reason="np.longdouble is float64 on this platform: no wider reference",
+)
+def test_randers_closed_value_against_long_double():
+    for name, entry in _closed_entries().items():
+        metric = entry.metric
+        n = metric.dimension
+        ring = SeriesRing.get(n).stage(0, 0)
+        worst = 0.0
+        for seed in range(10):
+            for x, _ in sample_states(metric, SamplePlan(seed=seed)).states:
+                got = bh_randers_closed(metric, list(x))
+                assert isinstance(got, float)
+                lifted = [ring.constant(v) for v in x]
+                a = [[value_of(v) for v in row] for row in metric.a_fn(lifted)]
+                b = [value_of(v) for v in metric.b_fn(lifted)]
+                want = long_double_log_sigma(a, b)
+                err = abs(np.longdouble(got) - want) / max(1, abs(want))
+                worst = max(worst, float(err))
+        assert worst <= CLOSED_LONG_DOUBLE_REL, (name, worst)
+
+
+def test_randers_closed_domain_and_budget_errors():
+    metric = varying_randers()
+
+    def flat(name, a, b):
+        return alpha_beta_metric(name, 2, lambda x: a, lambda x: b)
+
+    # |b|^2 >= 1, and det a <= 0, at the value
+    far = flat("far", [[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
+    with pytest.raises(DomainError, match="norm\\^2 1.000000 >= 1"):
+        bh_randers_closed(far, [0.0, 0.0])
+    flip = flat("flip", [[1.0, 0.0], [0.0, -1.0]], [0.1, 0.0])
+    with pytest.raises(DomainError, match="det"):
+        bh_randers_closed(flip, [0.0, 0.0])
+    # a zero leading minor stops the sweep: the same DomainError
+    swap = flat("swap", [[0.0, 1.0], [1.0, 0.0]], [0.1, 0.0])
+    ring = SeriesRing.get(2).stage(2, 0)
+    for x in ([0.0, 0.0], [ring.variable_x(i, 0.0) for i in range(2)]):
+        with pytest.raises(DomainError, match="det 0.0"):
+            bh_randers_closed(swap, x)
+    # ln det a is exact only to x-order or total degree 2
+    for caps, fails in (((3, 0), True), ((2, 1), False), ((3, 2, 2), False)):
+        ring = SeriesRing(3, *caps)
+        xs = [ring.variable_x(i, v) for i, v in enumerate(QUAD_BASE)]
+        if fails:
+            with pytest.raises(TowerBudgetError, match="ln det a"):
+                bh_randers_closed(metric, xs)
+        else:
+            assert bh_randers_closed(metric, xs).ring is ring
+
+
+def _counting(metric_fn):
+    calls = []
+    base = metric_fn()
+
+    def a_fn(x):
+        calls.append(x)
+        return base.a_fn(x)
+
+    metric = alpha_beta_metric("counted", base.dimension, a_fn, base.b_fn)
+    return metric, calls
+
+
+def test_a_state_evaluates_the_fields_once():
+    # F^2 and the closed density of one state read a(x) and b(x) through
+    # one memoized evaluation (the parent evaluated them twice); states
+    # 1, 2 and 1 again give the arrays of Frames with a cold memo
+    metric, calls = _counting(varying_randers)
+    volume = bh_randers_volume(metric)
+    states = sample_states(metric, SamplePlan(count=2, seed=3)).states
+    calls.clear()  # the sampler's chart checks read a(x) on floats
+    frame = Frame(metric, volume, *states[0])
+    frame.S, frame.tau
+    assert len(calls) == 1
+    fields = ("g", "G", "S", "S_x", "S_y", "tau", "tau_x", "tau_y")
+    for x, y in (states[0], states[1], states[0]):
+        warm = Frame(metric, volume, x, y)
+        fresh_metric, _ = _counting(varying_randers)
+        cold = Frame(fresh_metric, bh_randers_volume(fresh_metric), x, y)
+        for field in fields:
+            assert np.array_equal(getattr(warm, field), getattr(cold, field)), field
+    # the chart reads a(x) on floats, past the memo
+    x = [float(v) for v in states[1][0]]
+    calls.clear()
+    inside = metric.chart_domain(x)
+    assert len(calls) == 1
+    assert inside and randers_b_norm_sq(metric, x) < 1.0
 
 
 def test_volume_form_constructors_record_kind():
@@ -245,7 +385,7 @@ def test_volume_form_constructors_record_kind():
     assert closed.kind == "bh_randers_closed"
     assert quad.kind == "bh_quadrature"
     x = [0.1, 0.2, 0.0]
-    assert closed.sigma(x) == pytest.approx(quad.sigma(x), rel=1e-6)
+    assert closed.log_sigma(x) == pytest.approx(quad.log_sigma(x), abs=1e-6)
 
 
 # the chosen rule's ln sigma series against the closed form's, every
@@ -259,7 +399,7 @@ def _ln_sigma_gap(metric, nodes, x):
     ring = SeriesRing.get(metric.dimension).stage(2, 0)
     xs = [ring.variable_x(i, v) for i, v in enumerate(x)]
     quad = ln(bh_sigma_quadrature(metric, xs, nodes=nodes)).c
-    closed = ln(bh_randers_closed(metric, xs)).c
+    closed = bh_randers_closed(metric, xs).c
     return np.abs(quad - closed).max() / max(1.0, np.abs(closed).max())
 
 
