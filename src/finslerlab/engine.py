@@ -14,15 +14,15 @@ no Riemann and no cube, and Riemann and the cubes cost no volume.  The
 projective-change routes (lemma21_residual,
 projective.douglas_invariance_gap) build G + P y with modified_spray.
 Work of x alone (the coefficient fields of F, which F^2 and the
-closed-form density share through MetricSpec.ab_fn, and the volume
-form's ln sigma) runs in the x-only stage of the root (series.one_kind),
-and each sum over y^m (S's drift, the spray's braces, lemma21's P_{|0})
-is series.linear_form.  First derivatives are gathered for all n slots
-at once (Series.grad), and products by y^m (the braces, Riemann's y^m
-term, G - S y/(n+1), G + P y) are shifts (Series.times_y), not ring
-products.  The point tensors of the metrics module read g and C from
-small rings of the same series module; the test suite holds both
-against an independent jet-tower oracle.
+closed-form density share through the memoized MetricSpec.a_fn and
+b_fn, and the volume form's ln sigma) runs in the x-only stage of the
+root (series.one_kind), and each sum over y^m (S's drift, the spray's
+braces, lemma21's P_{|0}) is series.linear_form.  First derivatives
+are gathered for all n slots at once (Series.grad), and products by y^m
+(the braces, Riemann's y^m term, G - S y/(n+1), G + P y) are shifts
+(Series.times_y), not ring products.  The point tensors of the metrics
+module read g and C from small rings of the same series module; the
+test suite holds both against an independent jet-tower oracle.
 
 Each stage runs in the stage ring of the budget its readers need (bx
 x-orders, by y-orders), with its vectors and matrices as component axes

@@ -9,11 +9,11 @@ curvature Frame they run in the x-only stage ring of the Frame's root,
 and stay there: alpha^2 and beta are series.quadratic_form and
 series.linear_form of those fields, placed from their x-only
 coefficients at the y-variables of a series ring (every Frame and every
-point tensor).  The (alpha, beta) families read both fields through one
-closure, MetricSpec.ab_fn, which keeps the last x-only state's (a(x),
-b(x)), keyed on the ring and the coordinates' coefficient bytes: a
-Frame's F^2, its closed-form density and its quadrature F evaluate them
-once.  The pointwise
+point tensor).  The (alpha, beta) families keep each field with a
+one-entry memo (_memo_last), keyed on the ring and the coefficient
+bytes of x-only coordinates, and store the memoized fields as
+MetricSpec.a_fn and b_fn: a Frame's F^2, its closed-form density and
+its quadrature F evaluate each once per state.  The pointwise
 operations here (fundamental tensor, Cartan torsion) read the
 y-partials of F^2 from one evaluation in SeriesRing.get(n).stage(0,
 k), with x kept as floats; the curvature pipeline in the engine module
@@ -107,8 +107,6 @@ class MetricSpec:
     # for (alpha, beta) families: ring-generic coefficient evaluators
     a_fn: Optional[Callable] = None  # x_vec -> n x n nested list
     b_fn: Optional[Callable] = None  # x_vec -> length-n list
-    # x_vec -> (a(x), b(x)), one evaluation per x-only state (_memo_last)
-    ab_fn: Optional[Callable] = None
     # (x_vec, y_vec) -> F^2, any ring: the one F^2 evaluator (module
     # notes); None gives F * F
     F2: Optional[Callable] = None
@@ -237,8 +235,8 @@ def _memo_last(fn):
     """fn(x) with a one-entry memo for x of 1-D Series of one x-only ring,
     keyed on that ring and the coordinates' coefficient bytes: a Frame's
     F^2, its closed-form density and its quadrature F read the x-only
-    coordinates of one state and share one evaluation.  Any other x goes
-    to fn."""
+    coordinates of one state and share one evaluation of each field.
+    Any other x goes to fn."""
     last = [(None, None)]  # (key, fn(x)) of the last x-only state
 
     def memoized(x):
@@ -274,10 +272,10 @@ def alpha_beta_metric(
     """
     parameters = dict(parameters or {})
     given = chart_domain or (lambda x: True)
-    ab_fn = _memo_last(lambda x: (a_fn(x), b_fn(x)))
+    a_fn, b_fn = _memo_last(a_fn), _memo_last(b_fn)
 
     def parts(x, y):
-        a, b = one_kind(ab_fn, x, "x", lift=False)
+        a, b = one_kind(lambda x: (a_fn(x), b_fn(x)), x, "x", lift=False)
         return quadratic_form(a, y), linear_form(b, y)
 
     if power_m is None:
@@ -333,7 +331,6 @@ def alpha_beta_metric(
         family=family,
         a_fn=a_fn,
         b_fn=b_fn,
-        ab_fn=ab_fn,
         F2=F2,
     )
 

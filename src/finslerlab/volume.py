@@ -17,8 +17,9 @@ a's value) gives det a0 and a0^-1; the graded solve (series.graded_solve)
 gives a^-1 b, and |b|^2 is one product of n lanes; ln det a is tau's
 formula (series.ln_det), exact in the x-only stage, where M = a0^-1 a -
 I has no cube: 2 ring products and 1 graded ln.  a(x) and b(x) come
-from the metric's memoized MetricSpec.ab_fn, so a state's F^2 and its
-density share one evaluation.
+from MetricSpec.a_fn and b_fn, which the (alpha, beta) families keep
+with a one-entry memo (metrics module notes), so a state's F^2 and its
+density share one evaluation of each.
 
 The quadrature takes x as series of an
 x-only ring (cap_y = 0), or floats lifted into the root's (0, 0) stage:
@@ -60,7 +61,7 @@ from . import expr as dsl
 from .errors import ConfigError, DomainError, TowerBudgetError
 from .scalars import ln, powr, ring_inv, value_of
 from .scalars import ring_det  # noqa: F401  (perfbench/spans.py wraps this name)
-from .series import Series, SeriesRing, graded_solve, ln_det
+from .series import Series, SeriesRing, graded_solve, ln_det, one_kind
 
 
 # the rungs m of the quadrature ladder (module notes)
@@ -156,25 +157,24 @@ def unit_ball_volume(n):
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
-def _in_ring(n, x, what, x_only):
+def _in_ring(n, x, what):
     """(x, ring, lifted): floats lifted into the root's (0, 0) stage, or
-    Series of one ring (of x alone when x_only) as they are."""
+    Series of an x-only ring as they are."""
     if all(isinstance(v, numbers.Real) for v in x):
         ring = SeriesRing.get(n).stage(0, 0)
         return [ring.constant(v) for v in x], ring, True
-    if all(isinstance(v, Series) and not (x_only and v.ring.cap_y) for v in x):
+    if all(isinstance(v, Series) and v.ring.cap_y == 0 for v in x):
         return x, x[0].ring, False
     raise TypeError(
-        "%s takes x as floats or as %s, got %s"
-        % (what, "x-only Series (cap_y=0)" if x_only else "Series",
-           sorted({type(v).__name__ for v in x}))
+        "%s takes x as floats or as x-only Series (cap_y=0), got %s"
+        % (what, sorted({type(v).__name__ for v in x}))
     )
 
 
 def _sigma(metric, x, nodes):
     """The quadrature density at x (floats or x-only Series) by one rule."""
     n = metric.dimension
-    x, ring, lifted = _in_ring(n, x, "quadrature density", x_only=True)
+    x, ring, lifted = _in_ring(n, x, "quadrature density")
     dirs, weights = nodes
     F = metric.F(x, [ring.constant(dirs[:, i]) for i in range(n)])
     bad = np.flatnonzero(value_of(F) <= 0.0)
@@ -245,24 +245,32 @@ def bh_randers_closed(metric, x):
     sigma = (1 - |b|_alpha^2)^((n+1)/2) sqrt(det a), in one lane pass.
 
     x is a list of floats (returns a float, run in the (0, 0) stage as
-    the quadrature does) or of Series of one ring (returns a Series of
-    that ring).  a(x) is one Series with lanes [i, j], read from its
-    upper triangle as the sweep reads it, and b(x) one with lanes [i];
-    the sweep on a's value (ring_inv on floats) gives det a0 and a0^-1,
-    the graded solve a^-1 b, and |b|^2 = b . a^-1 b is one product of n
-    lanes.  ln det a is series.ln_det, exact in a ring of x-order or
-    total degree at most 2 (TowerBudgetError past both).  DomainError
-    when det a0 <= 0 (a zero pivot of the sweep included) or |b|^2 >= 1.
+    the quadrature does) or of Series free of y (returns a Series of
+    their ring): coordinates of a ring with y-orders run in its x-only
+    stage and the result is embedded back (series.one_kind), and
+    coordinates that move with y, like jets, are a TypeError.  a(x) is
+    one Series with lanes [i, j], read from its upper triangle as the
+    sweep reads it, and b(x) one with lanes [i]; the sweep on a's value
+    (ring_inv on floats) gives det a0 and a0^-1, the graded solve a^-1 b,
+    and |b|^2 = b . a^-1 b is one product of n lanes.  ln det a is
+    series.ln_det, exact in an x-only ring of x-order or total degree at
+    most 2 (TowerBudgetError past both).  DomainError when det a0 <= 0
+    (a zero pivot of the sweep included) or |b|^2 >= 1.
     """
     _require_randers(metric)
+    return one_kind(lambda x: _closed_log_sigma(metric, x), x, "x")
+
+
+def _closed_log_sigma(metric, x):
+    """bh_randers_closed at floats or x-only Series."""
     n = metric.dimension
-    x, ring, lifted = _in_ring(n, x, "closed-form density", x_only=False)
+    x, ring, lifted = _in_ring(n, x, "closed-form density")
     if min(ring.cap_x, ring.cap_d) > 2:
         raise TowerBudgetError(
             "ln det a is exact to x-order or total degree 2, past the "
             "ring's (%d, %d, %d)" % (ring.cap_x, ring.cap_y, ring.cap_d)
         )
-    a, b = metric.ab_fn(x)
+    a, b = metric.a_fn(x), metric.b_fn(x)
     upper = [a[min(i, j)][max(i, j)] for i in range(n) for j in range(n)]
     a, b = _lanes(upper, (n, n), ring), _lanes(b, (n,), ring)
     try:

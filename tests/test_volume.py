@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from finslerlab.curvature import GeometryState, residual_scale, s_curvature
 from finslerlab.engine import Frame
 from finslerlab.errors import ConfigError, DomainError, TowerBudgetError
 from finslerlab.metrics import (
+    MetricSpec,
     alpha_beta_metric,
     construct_metric,
     randers_b_norm_sq,
@@ -243,9 +245,42 @@ def test_randers_closed_density_is_ring_generic():
         assert got.value() == pytest.approx(want, rel=1e-13)
         jet = ln(closed_randers_sigma(metric, seed_direction(x_float, 0, 0)))
         assert got.partials(1, 0)[0] == pytest.approx(jet.tangent.value(), rel=1e-11)
-        # the lane route takes floats and Series, not jets
-        with pytest.raises(TypeError, match="floats or as Series"):
-            bh_randers_closed(metric, seed_direction(x_float, 0, 0))
+        # the lane route takes floats and Series free of y, not jets,
+        # and not coordinates that move with y, where its ln det a would
+        # be truncated
+        moving = [v + 0.5 * ring.variable_y(i, 0.0) for i, v in enumerate(x_ring)]
+        for x in (seed_direction(x_float, 0, 0), moving):
+            with pytest.raises(TypeError, match="floats or as x-only Series"):
+                bh_randers_closed(metric, x)
+
+
+def test_randers_closed_reads_the_spec_fields():
+    # the density reads MetricSpec.a_fn and b_fn themselves: a Randers
+    # spec built from them directly gives the same ln sigma, and a copy
+    # with a replaced a_fn gives its own, also where the original's
+    # memo holds the state
+    metric = varying_randers()
+    direct = MetricSpec(
+        name="direct",
+        dimension=3,
+        F=metric.F,
+        chart_domain=metric.chart_domain,
+        cone_domain=metric.cone_domain,
+        family="randers",
+        a_fn=metric.a_fn,
+        b_fn=metric.b_fn,
+    )
+    scaled = replace(
+        metric, a_fn=lambda x: [[2.0 * v for v in row] for row in metric.a_fn(x)]
+    )
+    for x in (QUAD_BASE, _xonly_state(QUAD_BASE)):
+        own = bh_randers_volume(metric).log_sigma(x)
+        assert value_of(bh_randers_volume(direct).log_sigma(x)) == value_of(own)
+        got = bh_randers_volume(scaled).log_sigma(x)
+        want = ln(closed_randers_sigma(scaled, x))
+        assert value_of(got) == pytest.approx(value_of(want), rel=1e-13)
+        # a scaled by 2: ln det a gains (3/2) ln 2, and |b|^2 halves
+        assert abs(value_of(got) - value_of(own)) > 0.5
 
 
 # every coefficient of ln sigma against ln of the sweep's sigma
