@@ -55,16 +55,38 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    plan, tol = SamplePlan(), Tolerances()
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--metric", help="catalog entry name")
     common.add_argument("--file", help="metric definition file (JSON)")
     common.add_argument("--dim", type=int, help="dimension override")
-    common.add_argument("--samples", type=int, default=None)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--x-radius", type=float, default=None)
-    common.add_argument("--tol-rel", type=float, default=None)
-    common.add_argument("--tol-abs", type=float, default=None)
-    common.add_argument("--volume-form", choices=VOLUME_FORMS, default=None)
+    common.add_argument(
+        "--samples", type=int, default=None,
+        help="states to sample (default %d)" % plan.count,
+    )
+    common.add_argument(
+        "--seed", type=int, default=None,
+        help="sampling seed (default %d)" % plan.seed,
+    )
+    common.add_argument(
+        "--x-radius", type=float, default=None,
+        help="radius of the ball the base points x are drawn from "
+        "(default %r)" % plan.x_radius,
+    )
+    common.add_argument(
+        "--tol-rel", type=float, default=None,
+        help="relative tolerance: a residual holds within "
+        "tol-abs + tol-rel * scale (default %r)" % tol.rel,
+    )
+    common.add_argument(
+        "--tol-abs", type=float, default=None,
+        help="absolute tolerance (default %r)" % tol.absolute,
+    )
+    common.add_argument(
+        "--volume-form", choices=VOLUME_FORMS, default=None,
+        help="volume form for S and tau (default: the catalog entry's, "
+        "else constant)",
+    )
     common.add_argument(
         "--param",
         action="append",
@@ -74,13 +96,14 @@ def build_parser():
         "(verify reserves 'lambda' for constflag and 'P' for lemma21; "
         "volume-form dsl reads 'sigma')",
     )
+    output = "report format (default json)"
     common.add_argument(
-        "--output", choices=("json", "text"), default="json"
+        "--output", choices=("json", "text"), default="json", help=output
     )
 
     listp = sub.add_parser("list", help="list catalog entries")
     listp.add_argument(
-        "--output", choices=("json", "text"), default="json"
+        "--output", choices=("json", "text"), default="json", help=output
     )
 
     sub.add_parser(
@@ -91,7 +114,8 @@ def build_parser():
         "verify", parents=[common], help="check one identity on a metric"
     )
     verifyp.add_argument(
-        "--identity", required=True, choices=IDENTITY_KINDS
+        "--identity", required=True, choices=IDENTITY_KINDS,
+        help="the identity whose residual is checked",
     )
     return parser
 

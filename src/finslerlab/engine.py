@@ -175,11 +175,10 @@ def spray_series(fsq, g, g0, ys):
     the graded solve, preconditioned by g0's inverse, fills G there: no
     ring product.
     """
-    n = fsq.ring.n
     stage = g.ring
     dxP = fsq.grad("x", fsq.ring.stage(stage.cap_x, stage.cap_y + 1))  # [k]
     D = dxP.grad("y", stage)  # [l, k]
-    A = linear_form([D.part(np.s_[:, k]) for k in range(n)], ys)  # lanes l
+    A = linear_form(Series(stage, D.c.swapaxes(0, 1)), ys)  # over k: lanes l
     A = (A - restrict(dxP, stage)) * 0.25
     return graded_solve(g, A, np.asarray(g0[1]))  # lanes [i]
 
@@ -420,7 +419,7 @@ class Frame(Spray):
         if not isinstance(self._log_sigma, float):
             # the drift sum_m d_m ln sigma y^m, in the ring of the divergence
             dx = self._log_sigma.grad("x", S.ring)
-            S = S - linear_form([dx.part(m) for m in range(self.n)], self.ys)
+            S = S - linear_form(dx, self.ys)
         return S
 
     @cached_property
@@ -588,7 +587,7 @@ def lemma21_residual(frame, p_func):
     P_y = P.partials(0, 1)
 
     dx, dy = P.grad("x", P.ring), P.grad("y", P.ring)
-    hor0 = linear_form([dx.part(m) for m in range(n)], ys)
+    hor0 = linear_form(dx, ys)
     for r in range(n):
         hor0 = hor0 - dy.part(r) * (G.part(r) * 2.0)
     Xi = P * P - hor0

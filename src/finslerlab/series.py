@@ -105,17 +105,21 @@ product has degree d.  With E the degree operator ((E u)_m = deg(m) u_m):
   E e = e E u;
 - solve a x = b (graded_solve): h = a0^-1 a and c = a0^-1 b, a0^-1 the
   float inverse of a's value part, x_0 = c_0 and x_d = c_d - sum_l
-  (h_il,d x_l,0 + P(h_il, x_l)_d), x broadcast along the lanes i.
+  (P(h_il, x_l)_d + h_il,d x_l,0), x_l carried along the lanes (i, l).
 
-P(w, w) gathers once and doubles, which is exact, and a level without
-pairs (degree 1 has none) gathers nothing.  The ring's level table
-(levels) is a view of the product table, taken on first use: its
-triples with a <= b and both factors past the constant, already in
-table order, cast to the smallest unsigned index type that holds the
-ring's (uint16 through the root at n=5) and split by the output's
-degree.  At n=4 it holds 82 419 pairs in 0.5 MB, an eighth of the
-product table's bytes, and one sqrt gathers them once where Newton ran
-13 products over the whole table.
+A level gathers each factor once and sums once (_pair_sum): in the
+recurrences' (size, lanes) layout, p's gather holds each block of the
+level contiguous over the lanes; its pair terms, squares and value-part
+terms (u_d q_0, (E u)_d e_0, h_il,d x_l,0) are formed there in place,
+and one bincount adds each output's terms in that order, P's and then
+the value term's.  P(w, w) sums its pairs, doubles, then adds its
+squares: doubling each term first differs once a term overflows.  The
+ring's level table (levels) is a view of the product table, taken on
+first use: its triples with a <= b and both factors past the constant,
+already in table order, cast to the smallest unsigned index type that
+holds the ring's (uint16 through the root at n=5) and split by the
+output's degree.  At n=4 it holds 82 419 pairs in 0.5 MB, an eighth of
+the product table's bytes.
 
 Every operation is budget-invariant: run in a stage ring, it gives
 exactly (bit for bit) the root's result restricted to that ring,
@@ -351,17 +355,18 @@ class SeriesRing:
         return root._work[0][:length], root._work[1][:length]
 
     def lane_bins(self, count, d=None):
-        """Bincount bins over count lanes of the product table, or of level
-        d of the level table: lane k sums into bins width*k.., in table
-        order, width being the table's outputs (size, or the level's rows)."""
+        """Bincount bins over count lanes, lane k summing into bins
+        width*k.., width being the outputs: of the product table in table
+        order, or of level d's [iout | sq_out | r] (levels) for terms with
+        the lanes inner (_pair_sum)."""
         bins = self._lane_bins.get((d, count))
         if bins is None:
             if d is None:
-                iout, width = self.triples[0], self.size
+                bins = _lane_bins(self.triples[0], self.size, count)
             else:
                 rows, iout = self.levels()[d - 1][:2]
-                width = len(rows)
-            bins = self._lane_bins[(d, count)] = _lane_bins(iout, width, count)
+                bins = (iout.base[:, None] + len(rows) * np.arange(count)).ravel()
+            self._lane_bins[(d, count)] = bins
         return bins
 
     def levels(self):
@@ -371,7 +376,9 @@ class SeriesRing:
         the pairs a < b of positive degrees whose product is the monomial
         rows[iout] are (ia, ib), in table order; the square of sq_src is
         rows[sq_out].  Every array has the smallest unsigned type that
-        holds the ring's indices."""
+        holds the ring's indices, and all are views of two, their .base:
+        [ia | sq_src | rows | ib], a level's gather, and [iout | sq_out |
+        r], r the ranks of rows, its bincount's bins (_pair_sum)."""
         if self._levels is None:
             # the product table's pairs a <= b past the constant (monomial
             # 0, the only one of degree 0), already in table order; cast
@@ -391,8 +398,12 @@ class SeriesRing:
                 at = out_deg == d
                 out, a, b = rank[iout[at]], ia[at], ib[at]
                 sq = a == b
+                idx = np.concatenate([a[~sq], a[sq], rows, b[~sq]])
+                bins = np.concatenate([out[~sq], out[sq], rank[rows]])
+                # the ends of the pairs, the squares and the rows in idx
+                m, j, k = np.count_nonzero(~sq), len(a), len(a) + len(rows)
                 self._levels.append(
-                    (rows, out[~sq], a[~sq], b[~sq], out[sq], a[sq])
+                    (idx[j:k], bins[:m], idx[:m], idx[k:], bins[m:j], idx[m:j])
                 )
         return self._levels
 
@@ -668,37 +679,60 @@ def _bincount(bins, w, size):
     return c.reshape(lanes + (size,))
 
 
-def _gather(c, idx, buffer):
-    """c.take(idx, axis=-1), written into the front of buffer."""
-    shape = c.shape[:-1] + (len(idx),)
+def _gather(c, idx, buffer, axis=-1):
+    """c.take(idx, axis), written into the front of buffer."""
+    shape = list(c.shape)
+    shape[axis] = len(idx)
     out = buffer[: math.prod(shape)].reshape(shape)
-    return c.take(idx, axis=-1, out=out, mode="clip")
+    return c.take(idx, axis=axis, out=out, mode="clip")
 
 
-def _pair_sum(ring, d, p, q):
-    """Per monomial of level d of ring.levels(), in the order of its
-    rows: the sum over the level's pairs a < b of p_a q_b + p_b q_a, plus
-    p_a q_a over its squares.  q's lane axes broadcast to p's."""
-    rows, iout, ia, ib, sq_out, sq_src = ring.levels()[d - 1]
-    count = p[..., 0].size
-    m = count * len(ia)
-    if not m:
-        s = np.zeros(p.shape[:-1] + (len(rows),))
-    else:
-        wa, wb = ring.workspace(m if p is q else 2 * m)
-        t = _gather(p, ia, wa)
-        t *= _gather(q, ib, wb)
-        if p is not q:
-            t2 = _gather(p, ib, wa[m:])
-            t2 *= _gather(q, ia, wb[m:])
-            t += t2
-        bins = ring.lane_bins(count, d) if count > 1 else iout
-        s = _bincount(bins, t, len(rows))
-        if p is q:
-            s *= 2.0  # p_a p_b + p_b p_a = 2 p_a p_b exactly
-    if len(sq_out):
-        s[..., sq_out] += p[..., sq_src] * q[..., sq_src]
-    return s
+def _major(c):
+    """Coefficients c as the graded recurrences keep them, (size, lanes)."""
+    return np.ascontiguousarray(c.reshape(-1, c.shape[-1]).T)
+
+
+def _minor(c, shape):
+    """A (size, lanes) array back in the coefficient shape."""
+    return np.ascontiguousarray(c.T).reshape(shape)
+
+
+def _pair_sum(ring, d, p, q, value=False):
+    """Per monomial r of level d of ring.levels(), in the order of its
+    rows: the sum over the level's pairs a < b of p_a q_b + p_b q_a, then
+    p_s q_s over its square s, then with value p_r q_0, r's pair with the
+    constant (module notes).  p and q are (size, lanes) arrays (_major);
+    the result is (lanes, rows).  p is q (sqrt) takes no value.
+
+    p and q are gathered once each, over the level's [ia | sq_src | rows
+    | ib]; the terms are formed in p's gather, [pairs | squares | value
+    terms], contiguous over the lanes, for one bincount over [iout |
+    sq_out | r] (lane_bins)."""
+    rows, iout, ia, _, sq_out, _ = ring.levels()[d - 1]
+    m, s, w = len(iout), len(sq_out), len(rows)
+    lanes = p.shape[1]
+    if not m + s:  # degree 1: bincount would add the value part to +0
+        return (p[rows] * q[:1] + 0.0).T if value else np.zeros((lanes, w))
+    idx = ia.base
+    wa, wb = ring.workspace(len(idx) * lanes)
+    g = _gather(p, idx, wa, 0)
+    h = g if p is q else _gather(q, idx, wb, 0)
+    np.multiply(g[:m], h[-m:], out=g[:m])  # p_a q_b
+    if p is not q:
+        g[:m] += np.multiply(g[-m:], h[:m], out=g[-m:])
+        g[m : m + s] *= h[m : m + s]
+    terms = m if p is q else m + s
+    if value:
+        g[m + s : m + s + w] *= q[:1]
+        terms += w
+    bins = (ring.lane_bins(lanes, d) if lanes > 1 else iout.base)[: terms * lanes]
+    out = np.bincount(bins, weights=g[:terms].ravel(), minlength=w * lanes)
+    out = out.reshape(lanes, w)
+    if p is q:
+        out *= 2.0
+        if s:
+            out[:, sq_out] += (g[m : m + s] * g[m : m + s]).T
+    return out
 
 
 def _smallest(ring, *others):
@@ -833,52 +867,47 @@ class Series:
     def reciprocal(self):
         # graded (module notes), as are sqrt, exp and ln: level d of the
         # level table fills the degree-d coefficients from lower degrees
-        u = self.c
-        u0 = u[..., :1]
-        if np.any(u0 == 0.0):
+        u = _major(self.c)
+        if np.any(u[0] == 0.0):
             raise DomainError("reciprocal of zero value part")
         q = np.zeros_like(u)
-        q[..., :1] = 1.0 / u0
+        q[0] = 1.0 / u[0]
+        u0 = u[0][:, None]
         for d, level in enumerate(self.ring.levels(), 1):
-            rows = level[0]
-            s = _pair_sum(self.ring, d, u, q)
-            q[..., rows] = -(u[..., rows] * q[..., :1] + s) / u0
-        return Series(self.ring, q)
+            q[level[0]] = (-_pair_sum(self.ring, d, u, q, value=True) / u0).T
+        return Series(self.ring, _minor(q, self.c.shape))
 
     def sqrt(self):
-        u = self.c
-        _positive(u[..., 0], "sqrt")
+        _positive(self.c[..., 0], "sqrt")
+        u = _major(self.c)
         w = np.zeros_like(u)
-        w[..., 0] = np.sqrt(u[..., 0])  # correctly rounded, as math.sqrt
-        twice = 2.0 * w[..., :1]
+        w[0] = np.sqrt(u[0])  # correctly rounded, as math.sqrt
+        twice = 2.0 * w[0]
         for d, level in enumerate(self.ring.levels(), 1):
             rows = level[0]
-            w[..., rows] = (u[..., rows] - _pair_sum(self.ring, d, w, w)) / twice
-        return Series(self.ring, w)
+            w[rows] = (u[rows] - _pair_sum(self.ring, d, w, w).T) / twice
+        return Series(self.ring, _minor(w, self.c.shape))
 
     def exp(self):
-        u = self.c
-        eu = u * self.ring.deg
+        u = _major(self.c)
+        eu = u * self.ring.deg[:, None]
         e = np.zeros_like(u)
-        e[..., 0] = _lanes(math.exp, u[..., 0], "exp")
+        e[0] = _lanes(math.exp, self.c[..., 0], "exp").reshape(-1)
         for d, level in enumerate(self.ring.levels(), 1):
-            rows = level[0]
-            s = _pair_sum(self.ring, d, eu, e)
-            e[..., rows] = (eu[..., rows] * e[..., :1] + s) / d
-        return Series(self.ring, e)
+            e[level[0]] = _pair_sum(self.ring, d, eu, e, value=True).T / d
+        return Series(self.ring, _minor(e, self.c.shape))
 
     def ln(self):
-        u = self.c
-        u0 = u[..., :1]
-        _positive(u0[..., 0], "ln")
+        _positive(self.c[..., 0], "ln")
+        u = _major(self.c)
         el = np.zeros_like(u)  # E ln u
         out = np.zeros_like(u)
-        out[..., 0] = _lanes(math.log, u[..., 0], "ln")
+        out[0] = _lanes(math.log, self.c[..., 0], "ln").reshape(-1)
         for d, level in enumerate(self.ring.levels(), 1):
             rows = level[0]
-            el[..., rows] = (d * u[..., rows] - _pair_sum(self.ring, d, el, u)) / u0
-            out[..., rows] = el[..., rows] / d
-        return Series(self.ring, out)
+            el[rows] = (d * u[rows] - _pair_sum(self.ring, d, el, u).T) / u[0]
+            out[rows] = el[rows] / d
+        return Series(self.ring, _minor(out, self.c.shape))
 
     def powr(self, q):
         q = float(q)
@@ -955,19 +984,20 @@ def graded_solve(a, b, inverse):
     [i] in one ring, given the float inverse of a's value part (module
     notes: h, the preconditioned a, is the identity at degree 0 up to
     rounding)."""
-    ring = a.ring
+    ring, n = a.ring, len(b.c)
     # sums over j in order, coefficient by coefficient (einsum's order
     # depends on the length), so that the solve is budget-invariant
     h = (inverse[:, :, None, None] * a.c).sum(axis=1)
+    h = _major(h.swapaxes(0, 1))  # [m, (l, i)]
     c = (inverse[:, :, None] * b.c).sum(axis=1)
-    x = np.zeros_like(c)
-    x[:, 0] = c[:, 0]
+    # x_l in every lane (l, i), so that both factors gather lane for lane
+    x = np.zeros((ring.size, n * n))
+    x[0] = np.repeat(c[:, 0], n)
     for d, level in enumerate(ring.levels(), 1):
         rows = level[0]
-        s = _pair_sum(ring, d, h, x[None])
-        s += h[..., rows] * x[None, :, :1]
-        x[:, rows] = c[:, rows] - s.sum(axis=1)
-    return Series(ring, x)
+        s = _pair_sum(ring, d, h, x, value=True).reshape(n, n, -1)
+        x[rows] = np.repeat((c[:, rows] - s.sum(axis=0)).T, n, axis=1)
+    return Series(ring, _minor(x[:, ::n], b.c.shape))
 
 
 def ln_det(a, det, inverse):
@@ -1178,18 +1208,23 @@ def quadratic_form(a, y):
 
 
 def linear_form(b, y):
-    """sum_i b_i y_i, added in order: placed from the coefficients b when y
-    are the y-variables of a ring (module notes), else that loop itself,
-    by Series.times_y when the b_i are series of one lane shape and y the
-    y-variables of a ring.  A coefficient of an x-only ring under y's root
-    is one of x alone."""
-    total = _placed(b, y, 1)
-    if total is not None:
-        return total
-    b = _of_x(b, y)
-    lanes = {v.c.shape[:-1] if isinstance(v, Series) else None for v in b}
-    u = _y_values(y) if None not in lanes and len(lanes) == 1 else None
+    """sum_i b_i y_i, added in order, with coefficients b a list or one
+    Series whose leading axis holds them (a gradient's slots, lanes after
+    it allowed): placed from a list when y are the y-variables of a ring
+    (module notes), else by Series.times_y when the b_i are series of one
+    lane shape and y those variables, else that loop itself.  A coefficient
+    of an x-only ring under y's root is one of x alone."""
+    if not isinstance(b, Series):
+        total = _placed(b, y, 1)
+        if total is not None:
+            return total
+        b = _of_x(b, y)
+        lanes = {v.c.shape[:-1] if isinstance(v, Series) else None for v in b}
+        if None in lanes or len(lanes) > 1 or _y_values(y) is None:
+            return reduce(add, (b[i] * y[i] for i in range(len(y))))
+        b = restrict(b, y[0].ring)
+    u = _y_values(y)
     if u is None:
-        return reduce(add, (b[i] * y[i] for i in range(len(y))))
+        return reduce(add, (b.part(i) * y[i] for i in range(len(y))))
     terms = restrict(b, y[0].ring).times_y(u)
     return reduce(add, (terms.part(i) for i in range(len(y))))

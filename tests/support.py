@@ -33,6 +33,7 @@ from finslerlab.engine import RICCI_LM_SIGN, VARIANCE, horizontal
 from finslerlab.errors import FinslerError
 from finslerlab.metrics import TensorValue
 from finslerlab.scalars import powr, ring_inv, sqrt, value_of
+from finslerlab import series as series_module
 from finslerlab.series import Series, SeriesRing
 
 from jet_oracle import mixed_partial
@@ -175,6 +176,40 @@ def all_pairs_triples(ring):
         np.concatenate(ia_parts).astype(np.int64),
         np.concatenate(ib_parts).astype(np.int64),
     )
+
+
+def four_gather_pair_sum(ring, d, p, q, value=False):
+    """series._pair_sum's reference: the pair sum as it ran on lane-major
+    coefficients with one gather per factor and per side of the pairs
+    (four, or two when p is q), its squares added after the bincount and
+    the value-part term p_r q_0 added after them.  The graded operations
+    used to add that term first (u_r q_0 + P), which a sum of two floats
+    gives bit for bit.  Takes and returns arrays of the shape
+    series._pair_sum does."""
+    same = q is p
+    p = p.T  # (lanes, size)
+    q = p if same else q.T
+    rows, iout, ia, ib, sq_out, sq_src = ring.levels()[d - 1]
+    count = p[..., 0].size
+    m = count * len(ia)
+    if not m:
+        s = np.zeros(p.shape[:-1] + (len(rows),))
+    else:
+        wa, wb = ring.workspace(m if p is q else 2 * m)
+        t = series_module._gather(p, ia, wa)
+        t *= series_module._gather(q, ib, wb)
+        if p is not q:
+            t2 = series_module._gather(p, ib, wa[m:])
+            t2 *= series_module._gather(q, ia, wb[m:])
+            t += t2
+        s = series_module._bincount(iout, t, len(rows))
+        if p is q:
+            s *= 2.0
+    if len(sq_out):
+        s[..., sq_out] += p[..., sq_src] * q[..., sq_src]
+    if value:
+        s += p[..., rows] * q[..., :1]
+    return s
 
 
 def derivative(s, kind, *slots):

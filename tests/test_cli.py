@@ -528,3 +528,20 @@ def test_quadrature_volume_reports_its_rule(capsys):
         "--volume-form", "bh-randers",
     )
     assert "volume_rule" not in json.loads(out)
+
+
+@pytest.mark.parametrize("command", ["classify", "verify"])
+def test_every_option_has_help_stating_its_default(command):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if a.choices and command in a.choices)
+    actions = [a for a in sub.choices[command]._actions if a.option_strings]
+    assert {"--samples", "--tol-abs", "--output"} <= {
+        s for a in actions for s in a.option_strings
+    }
+    for action in actions:
+        assert action.help, action.option_strings
+    # the defaults in the help are the library's, not copies
+    text = sub.choices[command].format_help()
+    plan, tol = classify.SamplePlan(), classify.Tolerances()
+    for value in (plan.count, plan.seed, plan.x_radius, tol.rel, tol.absolute):
+        assert "(default %r)" % value in text

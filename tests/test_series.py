@@ -21,6 +21,7 @@ from finslerlab.expr import evaluate, parse
 from finslerlab.series import Series, SeriesRing, embed, restrict
 
 from jet_oracle import mixed_partial
+import support
 from support import all_pairs_triples, derivative, randers_n4
 
 
@@ -1462,6 +1463,109 @@ def test_level_build_peaks_under_half_the_product_table():
         tracemalloc.stop()
     table_bytes = sum(t.nbytes for t in ring.triples)
     assert peak <= 0.5 * table_bytes, peak / table_bytes
+
+
+# Every graded operation against the pair sum as it ran with four
+# gathers a level (support.four_gather_pair_sum), bit for bit.
+
+
+def _graded_case(name):
+    """(ring, c, a, b, inverse): coefficients c for the unary operations,
+    and a with lanes [i, l], b with lanes [i] and the float inverse of a's
+    value part for the solve."""
+    rng = np.random.default_rng(38)
+    root = SeriesRing.get(3)
+    ring = {"root": root, "x-only 512 lanes": root.stage(2, 0)}.get(
+        name, root.stage(1, 6)
+    )
+    lanes = {"solve lanes": (3, 3), "x-only 512 lanes": (512,)}.get(name, ())
+
+    def coefficients(shape):
+        c = rng.standard_normal(shape + (ring.size,)) * 0.5**ring.deg
+        c[..., 0] = 1.5 + rng.random(shape)
+        return c
+
+    c, a, b = coefficients(lanes), coefficients((3, 3)), coefficients((3,))
+    a[..., 0] = 2.0 * np.eye(3) + 0.1 * rng.standard_normal((3, 3))
+    if name == "signed zeros":
+        for v in (c, a, b):
+            v[..., 1::3] = -0.0
+    elif name == "nan and inf":
+        for v in (c, a, b):
+            v[..., 5], v[..., 40] = np.nan, np.inf
+    elif name == "near overflow":  # pair terms of about 1e308, some past it
+        for v in (c, a, b):
+            v[..., 1:] *= 1e154 * 2.0 ** ring.deg[1:]
+    return ring, c, a, b, np.linalg.inv(a[..., 0])
+
+
+GRADED_CASES = [
+    "root", "unbatched", "solve lanes", "x-only 512 lanes", "signed zeros",
+    "nan and inf", "near overflow",
+]
+GRADED_OPS = {
+    "reciprocal": lambda ring, c, *solve: Series(ring, c).reciprocal(),
+    "sqrt": lambda ring, c, *solve: Series(ring, c).sqrt(),
+    "ln": lambda ring, c, *solve: Series(ring, c).ln(),
+    "exp": lambda ring, c, *solve: Series(ring, c).exp(),
+    "graded_solve": lambda ring, c, a, b, inverse: series_module.graded_solve(
+        Series(ring, a), Series(ring, b), inverse
+    ),
+}
+
+
+@pytest.mark.parametrize("case", GRADED_CASES)
+@pytest.mark.parametrize("op", list(GRADED_OPS))
+def test_graded_operations_match_the_four_gather_pair_sum(monkeypatch, op, case):
+    inputs = _graded_case(case)
+    with np.errstate(all="ignore"):
+        got = GRADED_OPS[op](*inputs).c
+        monkeypatch.setattr(series_module, "_pair_sum", support.four_gather_pair_sum)
+        want = GRADED_OPS[op](*inputs).c
+    assert _same_bits(got, want)
+
+
+def test_self_pair_sum_doubles_after_the_sum():
+    # (1e308 - 1e308) * 2 is 0, where 2e308 - 2e308 would be NaN
+    ring = SeriesRing.get(3).stage(1, 6)
+    d = 4
+    rows, iout, ia, ib = ring.levels()[d - 1][:4]
+    r = next(r for r in range(len(rows)) if np.count_nonzero(iout == r) >= 2)
+    (a1, a2), (b1, b2) = ia[iout == r][:2], ib[iout == r][:2]
+    assert len({a1, a2, b1, b2}) == 4
+    p = np.zeros((ring.size, 1))  # one lane
+    p[[a1, b1, a2]], p[b2] = 1e154, -1e154
+    with np.errstate(all="ignore"):
+        got = series_module._pair_sum(ring, d, p, p)
+        want = support.four_gather_pair_sum(ring, d, p, p)
+    assert got[0, r] == 0.0 and _same_bits(got, want)
+
+
+def test_a_level_gathers_each_factor_once(monkeypatch):
+    gather, pair_sum = series_module._gather, series_module._pair_sum
+    seen, counts = [], []
+
+    def counting_gather(c, idx, buffer, axis=-1):
+        seen.append(c)
+        return gather(c, idx, buffer, axis)
+
+    def one_level(ring, d, p, q, value=False):
+        seen.clear()
+        out = pair_sum(ring, d, p, q, value)
+        factors = [p] if p is q else [p, q]
+        assert len(seen) <= len(factors)
+        assert all(sum(c is f for c in seen) <= 1 for f in factors)
+        assert all(any(c is f for f in factors) for c in seen)
+        counts.append(len(seen))
+        return out
+
+    monkeypatch.setattr(series_module, "_gather", counting_gather)
+    monkeypatch.setattr(series_module, "_pair_sum", one_level)
+    for case in ("unbatched", "solve lanes"):
+        inputs = _graded_case(case)
+        for op in GRADED_OPS.values():
+            op(*inputs)
+    assert max(counts) == 2 and 1 in counts
 
 
 def test_batched_stage_sqrt_lanes_equal_unbatched():
