@@ -188,6 +188,8 @@ def _resolve_metric(args, params):
     if bool(args.metric) == bool(args.file):
         raise ConfigError("give exactly one of --metric or --file")
     if args.file:
+        if args.dim is not None:
+            raise ConfigError("--dim applies to a catalog entry, not to --file")
         metric = load_metric_file(args.file)
         return metric, constant_volume(1.0), None, params
     overrides = dict(params)

@@ -16,11 +16,12 @@ projective.douglas_invariance_gap) build G + P y with modified_spray.
 Work of x alone (the coefficient fields of F, which F^2 and the
 closed-form density share through the memoized MetricSpec.a_fn and
 b_fn, and the volume form's ln sigma) runs in the x-only stage of the
-root (series.one_kind), and each sum over y^m (S's drift, the spray's
-braces, lemma21's P_{|0}) is series.linear_form.  First derivatives
-are gathered for all n slots at once (Series.grad), and products by y^m
-(the braces, Riemann's y^m term, G - S y/(n+1), G + P y) are shifts
-(Series.times_y), not ring products.  The point tensors of the metrics
+root (series.one_kind).  The Frame's y are the root's YVariables
+(SeriesRing.state), so every product by y^m is a shift (Series.times_y),
+not a ring product: alpha^2 and beta, each sum over y^m (S's drift, the
+spray's braces, lemma21's P_{|0}: series.linear_form), Riemann's y^m
+term, G - S y/(n+1) and G + P y.  First derivatives are gathered for
+all n slots at once (Series.grad).  The point tensors of the metrics
 module read g and C from small rings of the same series module; the
 test suite holds both against an independent jet-tower oracle.
 
@@ -53,7 +54,7 @@ bit-identical:
 - ln sigma in the x-only stage, the volume form's log_sigma (volume
   module notes: the closed form's is one lane pass), embedded back into
   the (2, 8, 8) ring;
-- the divergence, S (its drift placed there too), the projective spray
+- the divergence, S (its drift a shift there too), the projective spray
   and the Douglas core in the (1, 5) ring: the cubes read their (0, 3),
   (1, 3) and (0, 4) partials.
   Douglas is a projective invariant, so the projective spray's Douglas
@@ -192,7 +193,7 @@ def ln_det_series(g, g0):
 
 
 def riemann_series(G, ys, by):
-    """R^i_k of a spray G (lanes [i]) at the y-variables ys of its ring
+    """R^i_k of a spray G (lanes [i]) at the YVariables ys of its ring
     state, one Series with component axes [i, k].
 
     R^i_k = 2 dG^i/dx^k - y^m d2G^i/dx^m dy^k + 2 G^m d2G^i/dy^m dy^k
@@ -222,7 +223,7 @@ def riemann_series(G, ys, by):
     Gdyy = Gdy.grad("y", low).c  # [k, m, i]
     Gdy_low = restrict(Gdy, low).c  # [m, i]
     G2_low = restrict(G, low).c * 2.0  # [m]
-    ydxy = Series(low, Gdxy).times_y([y.value() for y in ys]).c  # [m, k, i]
+    ydxy = Series(low, Gdxy).times_y(ys.u).c  # [m, k, i]
     shape = (n, n, n, low.size)  # lanes [m, k, i]
     first = np.stack([  # d2G^i/dy^m dy^k, dG^i/dy^m
         Gdyy.swapaxes(0, 1),
@@ -312,7 +313,7 @@ def _item(stage, k):
 
 class Spray:
     """Every output of the spray G^i (one Series with lanes [i]; ys are
-    the y-variables of its ring state), each stage run on its first read: B is the
+    the YVariables of its ring state), each stage run on its first read: B is the
     y-cube of G, D that of the Douglas core G - div(G) y/(n+1), each with
     its x- and y-gradients."""
 
@@ -364,7 +365,7 @@ class Spray:
     def plus_y(self, P, scale):
         """G^i + P y^i scale, lanes [i], with no ring product (times_y):
         G - S y/(n+1) (the Douglas core, the projective spray), G + P y."""
-        Py = restrict([P] * self.n, P.ring).times_y([y.value() for y in self.ys])
+        Py = restrict([P] * self.n, P.ring).times_y(self.ys.u)
         return restrict(self.series, Py.ring) + Py * scale
 
     D, D_x, D_y = (_item("_douglas", k) for k in range(3))

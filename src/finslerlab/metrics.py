@@ -7,13 +7,13 @@ every DSL (a, b) metric is built through, take their coefficient fields
 a(x), b(x) through series.one_kind: they depend on x alone, so in a
 curvature Frame they run in the x-only stage ring of the Frame's root,
 and stay there: alpha^2 and beta are series.quadratic_form and
-series.linear_form of those fields, placed from their x-only
-coefficients at the y-variables of a series ring (every Frame and every
-point tensor).  The (alpha, beta) families keep each field with a
-one-entry memo (_memo_last), keyed on the ring and the coefficient
-bytes of x-only coordinates, and store the memoized fields as
-MetricSpec.a_fn and b_fn: a Frame's F^2, its closed-form density and
-its quadrature F evaluate each once per state.  The pointwise
+series.linear_form of those fields at the YVariables of a series ring
+(every Frame and every point tensor), products by y alone.  The (alpha,
+beta) families keep each field with a one-entry memo (_memo_last),
+keyed on the ring and the coefficient bytes of x-only coordinates, and
+store the memoized fields as MetricSpec.a_fn and b_fn: a Frame's F^2,
+its closed-form density and its quadrature F evaluate each once per
+state.  The pointwise
 operations here (fundamental tensor, Cartan torsion) read the
 y-partials of F^2 from one evaluation in SeriesRing.get(n).stage(0,
 k), with x kept as floats; the curvature pipeline in the engine module
@@ -88,11 +88,21 @@ def finite_number(value, what):
     number, got ..." (a string that is no number, an infinity or NaN)."""
     try:
         number = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         number = math.nan
     if not math.isfinite(number):
         raise ConfigError("%s must be a finite number, got %r" % (what, value))
     return number
+
+
+def finite_parameters(parameters):
+    """A DSL's parameters (a name -> value map, or None) as a dict of
+    finite floats; ConfigError (finite_number) naming the first that is
+    no finite number."""
+    return {
+        key: finite_number(value, "parameter %r" % key)
+        for key, value in dict(parameters or {}).items()
+    }
 
 
 @dataclass(frozen=True)
@@ -373,15 +383,21 @@ def construct_metric(
     """Build a MetricSpec from one of the named families.
 
     Matrix/vector coefficients and F are DSL source strings; identifiers
-    listed in ``parameters`` (a name -> value map) are usable inside
-    them.  The Randers regularity condition |b|_alpha < 1 is checked at
-    the chart center (a RegularityError) and is part of the metric's
-    chart (alpha_beta_metric), so the sampler rejects a draw that fails
-    it as outside the chart.
+    listed in ``parameters`` (a name -> value map of finite numbers) are
+    usable inside them.  chart_radius, when given, is a positive number:
+    the chart is the open ball of that radius.  The Randers regularity
+    condition |b|_alpha < 1 is checked at the chart center (a
+    RegularityError) and is part of the metric's chart
+    (alpha_beta_metric), so the sampler rejects a draw that fails it as
+    outside the chart.
     """
-    parameters = dict(parameters or {})
+    parameters = finite_parameters(parameters)
     names = frozenset(parameters)
     n = check_dimension(dimension)
+    if chart_radius is not None:
+        chart_radius = finite_number(chart_radius, "chart_radius")
+        if chart_radius <= 0.0:
+            raise ConfigError("chart_radius must be positive, got %r" % chart_radius)
     chart = _ball_predicate(chart_radius)
     label = name or family
 
@@ -480,12 +496,12 @@ def _fsq_partials(metric, state, order):
     """Every order-th y-partial of F^2 at a state, indexed [r_1..r_order].
 
     One evaluation in the stage ring SeriesRing.get(n).stage(0, order),
-    with x kept as floats.
+    with x kept as floats and y its YVariables.
     """
     x, y = state
     n = metric.dimension
     ring = SeriesRing.get(n).stage(0, order)
-    ys = [ring.variable_y(i, v) for i, v in enumerate(y)]
+    ys = ring.y_variables(y)
     fsq = metric.F2([float(v) for v in x], ys)
     if not isinstance(fsq, Series):  # F^2 does not depend on y
         return np.zeros((n,) * order)

@@ -20,7 +20,7 @@ from . import engine
 from .curvature import GeometryState, tensor
 from .errors import ConfigError
 from .expr import evaluate, parse
-from .metrics import TensorValue
+from .metrics import TensorValue, finite_parameters
 
 IDENTITY_KINDS = ("thm31", "master", "thm33", "constflag", "pricci", "lemma21")
 
@@ -96,8 +96,8 @@ def projective_factor(p: Optional[ProjectiveFactor], dimension, parameters=None)
     """The projective factor P as a callable P(x, y).
 
     p is a callable, used as it is, or a DSL expression in x1..xn,
-    y1..yn and the parameters, parsed here once.  A missing p is a
-    ConfigError.
+    y1..yn and the parameters, parsed here once.  A missing p, and a
+    parameter that is no finite number, is a ConfigError.
     """
     if p is None:
         raise ConfigError(
@@ -106,9 +106,10 @@ def projective_factor(p: Optional[ProjectiveFactor], dimension, parameters=None)
         )
     if callable(p):
         return p
-    tree = parse(str(p), dimension, parameter_names=tuple(parameters or ()))
+    parameters = finite_parameters(parameters)
+    tree = parse(str(p), dimension, parameter_names=tuple(parameters))
 
-    def func(xs, ys, _params=dict(parameters or {})):
+    def func(xs, ys, _params=parameters):
         return evaluate(tree, xs, ys, _params)
 
     return func

@@ -153,24 +153,6 @@ DSL metric's norms of y) in ring.stage(0, cap_y); it embeds the results
 back, except for coefficient fields, which stay in the x-only stage
 (lift=False) for the forms below.
 
-A form in y with coefficients of x alone, sum_ij a_ij y_i y_j
-(quadratic_form) or sum_i b_i y_i (linear_form), is placed from its
-coefficients at the y-variables of a ring, with values u.  The loop's
-term (a_ij * y_i) * y_j has four coefficients per x-monomial alpha of
-a_ij: a u_i u_j at (alpha, 0), a u_j at (alpha, e_i), a u_i at (alpha,
-e_j) (2 a u_i at (alpha, e_i) when i == j) and a at (alpha, e_i + e_j),
-each the one product (or two equal ones) its bincount adds to +0; b_i
-y_i has b u_i and b.  So the terms are a few array operations on an
-array [term, y-part, alpha] (SeriesRing.form_table places them), summed
-in the loop's order by np.add.accumulate (np.add.reduce may pair the
-sums differently) with -0 turned to +0: the loop's coefficients, bit
-for bit.  Placed coefficients are floats and series of the x-only stage
-of y's ring, which holds exactly the x-monomials, in the ring's order,
-so they need no embedding and no check that they read no y.  Any other
-coefficient (a series of y's ring, a jet, lanes) and a non-finite
-coefficient or term keep the loop, which first embeds a coefficient of
-an x-only ring, as one of x alone.
-
 Derivatives, restrictions and products by a y-variable are linear index
 maps, each one gather through a cached table: Series.grad takes all n
 first derivatives of a kind into a ring (grad_table), restrict stacks a
@@ -182,6 +164,27 @@ u_k are products with an exact zero, +-0, which leave bincount's sum,
 started at +0, as it is, so it never ends at -0; a sum of two terms
 commutes, and + 0.0 turns its -0 to +0.  A non-finite coefficient or
 value takes the table (a skipped term would be NaN).
+
+Every sum over y is a product by y-variables, Series.times_y, when y
+has the type YVariables, which SeriesRing.y_variables and ring.state
+give; y.u holds their values.  Any other y, a plain list of y-variables
+too, takes the loop of ring products, with the same bits.
+A form with coefficients of x alone, sum_ij a_ij y_i y_j
+(quadratic_form) or sum_i b_i y_i (linear_form), runs in its stage
+ring ring.stage(cap_x, min(cap_y, 2)) of y's ring, which holds every
+monomial the loop's terms keep: its coefficients, floats as constants
+and series of the x-only stage of y's ring embedded, are the lanes of
+one Series there (as_lanes), times y_i and then y_j by times_y, added
+in the loop's (i, j) order, and the sum is embedded into y's ring.  By
+budget invariance each lane is the loop's (a_ij * y_i) * y_j
+restricted, and the loop's terms keep only +0 outside the stage, so the
+sum is the loop's bit for bit while it is finite; an inf or NaN in the
+stage does not spread outside it as the loop's products spread it (inf
+times an exact zero), so a sum that is not finite takes the loop.  So
+does any other coefficient (a series of y's ring, a jet, lanes); the
+loop first embeds a coefficient of an x-only ring, as one of x alone.
+A Series of coefficients (the spray's braces, S's drift, lemma21's
+P_{|0}) is restricted into y's ring and multiplied there.
 
 A Series in an x-only or a stage ring may carry leading component axes:
 c of shape (K1, .., size) holds one series per lane, stacked by
@@ -208,7 +211,7 @@ import itertools
 import math
 import numbers
 from functools import reduce
-from operator import add
+from operator import add, mul
 
 import numpy as np
 
@@ -284,7 +287,6 @@ class SeriesRing:
         self._embed_cache = {}
         self._lane_bins = {}
         self._levels = None
-        self._form_table = None
         if root is None:
             xes, yes = (
                 [e for e in itertools.product(range(cap + 1), repeat=n) if sum(e) <= cap]
@@ -407,28 +409,6 @@ class SeriesRing:
                 )
         return self._levels
 
-    def form_table(self):
-        """Where a quadratic or linear form in y with coefficients of x
-        alone keeps its coefficients (module notes), built on first
-        use: (positions, pairs).  positions[e, alpha] is the monomial
-        (alpha, e), over the y-parts e = 0, e_1..e_n, then e_k + e_l for
-        k <= l, and the x-monomials alpha (those of y-degree 0, in the
-        ring's order, the constant first); pairs[k, l] is the row of
-        e_k + e_l.  None when the ring keeps y-degrees below 2, or not
-        beside every x-monomial."""
-        if self._form_table is None and min(self.cap_y, self.cap_d - self.cap_x) >= 2:
-            n, place = self.n, self.root._place[self.n:]
-            pairs = np.zeros((n, n), dtype=np.int64)
-            ykeys = [0] + place.tolist()
-            for k in range(n):
-                for l in range(k, n):
-                    pairs[k, l] = pairs[l, k] = len(ykeys)
-                    ykeys.append(place[k] + place[l])
-            xkeys = self.keys[self.ydeg == 0]
-            positions = np.searchsorted(self.keys, np.add.outer(ykeys, xkeys))
-            self._form_table = positions, pairs
-        return self._form_table
-
     def mul_table(self, bx, by):
         """The triples whose output lies within (bx, by), in table order."""
         iout, ia, ib = self.triples
@@ -545,11 +525,27 @@ class SeriesRing:
         c[np.searchsorted(self.keys, self.root._place[digit])] = 1.0
         return Series(self, c)
 
+    def y_variables(self, u):
+        """The y-variables y_i = u_i + eta_i at the values u, as YVariables."""
+        return YVariables(self.variable_y(i, v) for i, v in enumerate(u))
+
     def state(self, x, y):
-        """Series vectors for the coordinates of a state."""
+        """Series vectors for the coordinates of a state: a list of the
+        x-variables and the YVariables."""
         xs = [self.variable_x(i, x[i]) for i in range(self.n)]
-        ys = [self.variable_y(i, y[i]) for i in range(self.n)]
-        return xs, ys
+        return xs, self.y_variables(y[: self.n])
+
+
+class YVariables(tuple):
+    """The y-variables of a ring, from SeriesRing.y_variables: a sum over
+    y takes Series.times_y exactly when y has this type (module notes).
+    u is their values, the value parts."""
+
+    __slots__ = ()
+
+    @property
+    def u(self):
+        return np.array([v.c[0] for v in self])
 
 
 def _where(v, k):
@@ -1099,87 +1095,6 @@ def _lifted(out, ring, of_x):
     return out
 
 
-def _form_parts(coefficients, y):
-    """(ring, positions, pairs, u, X) for placing a form in y (module
-    notes): y's ring and its form table, the values u of y, and X[k] the
-    coefficients of coefficient k at the x-monomials (a float at the
-    constant).  None, for the loop, unless every coefficient is a float
-    or a 1-D series of the x-only stage of y's ring (checked first: the
-    spray's batched coefficients never reach y), every y is a y-variable
-    of that ring with y-degrees up to 2, and all are finite."""
-    ring = getattr(y[0], "ring", None)
-    low = ring.stage(ring.cap_x, 0) if isinstance(ring, SeriesRing) else None
-    series = [
-        k
-        for k, v in enumerate(coefficients)
-        if isinstance(v, Series) and v.ring is low and v.c.ndim == 1
-    ]
-    floats = [k for k, v in enumerate(coefficients) if isinstance(v, numbers.Real)]
-    if len(series) + len(floats) < len(coefficients):
-        return None
-    u = _y_values(y)
-    table = None if u is None else ring.form_table()
-    if table is None:
-        return None
-    positions, pairs = table
-    X = np.zeros((len(coefficients), positions.shape[1]))
-    X[floats, 0] = [coefficients[k] for k in floats]
-    if series:  # the x-only stage holds the x-monomials, in the ring's order
-        X[series] = [coefficients[k].c for k in series]
-    if not (np.isfinite(X).all() and np.isfinite(u).all()):
-        return None
-    return ring, positions, pairs, u, X
-
-
-def _y_values(y):
-    """u when y_i = u_i + eta_i are the (1-D) y-variables of a ring."""
-    ring, n = getattr(y[0], "ring", None), len(y)
-    if not all(isinstance(v, Series) and v.ring is ring and v.c.ndim == 1 for v in y):
-        return None
-    ys = np.array([v.c for v in y])
-    u = ys[:, 0]
-    at = np.searchsorted(ring.keys, ring.root._place[ring.n :][:n])  # eta_i
-    if min(ring.cap_y, ring.cap_d) < 1 or not (ys[np.arange(n), at] == 1.0).all():
-        return None
-    # a mask counts nonzeros several times faster than the floats
-    if np.count_nonzero(ys != 0.0) != n + np.count_nonzero(u):
-        return None  # y_i has nonzeros besides its value and its 1
-    return u
-
-
-def _placed(coefficients, y, degree):
-    """The form of the given degree in y placed from its coefficients
-    (module notes): sum_i b_i y_i at degree 1, sum_ij a_ij y_i y_j at
-    degree 2 with a_ij in row order.  Its terms are summed as the loop adds
-    its series: in term order, -0 turned to +0.  None, for the loop, when
-    _form_parts rejects the input or a term is not finite (a loop product
-    would then gather NaN)."""
-    parts = _form_parts(coefficients, y)
-    if parts is None:
-        return None
-    ring, positions, pairs, u, X = parts
-    k = np.arange(len(X))
-    i, j = np.divmod(k, len(y)) if degree == 2 else (k, None)
-    terms = np.zeros((len(X),) + positions.shape)
-    if degree == 1:  # b_i y_i: b u_i at (alpha, 0) and b at (alpha, e_i)
-        terms[:, 0] = X * u[i, None]
-        terms[k, 1 + i] = X
-    else:
-        # a_ij y_i has a_ij u_i at (alpha, 0) and a_ij at (alpha, e_i);
-        # times y_j, each output is one product, or two equal ones at
-        # (alpha, e_i) when i == j (module notes)
-        r = X * u[i, None]
-        terms[:, 0] = r * u[j, None]
-        terms[k, 1 + i] = X * u[j, None]
-        terms[k, 1 + j] += r
-        terms[k, pairs[i, j]] = X
-    if not np.isfinite(terms).all():
-        return None
-    c = np.zeros(ring.size)
-    c[positions] = np.add.accumulate(terms, axis=0)[-1] + 0.0
-    return Series(ring, c)
-
-
 def _of_x(b, y):
     """The coefficients b, with those of an x-only ring under y's root
     (one_kind's leaves, unlifted) embedded into y's ring for the loop."""
@@ -1195,36 +1110,62 @@ def _of_x(b, y):
 
 
 def quadratic_form(a, y):
-    """sum_ij a_ij y_i y_j, added in (i, j) order as (a_ij * y_i) * y_j:
-    placed from the coefficients a (an n x n nested list) when y are the
-    y-variables of a ring (module notes), else that loop itself.  A
-    coefficient of an x-only ring under y's root is one of x alone."""
-    n = len(y)
-    total = _placed([v for row in a for v in row], y, 2)
-    if total is not None:
-        return total
-    a = [_of_x(row, y) for row in a]
-    return reduce(add, (a[i][j] * y[i] * y[j] for i in range(n) for j in range(n)))
+    """sum_ij a_ij y_i y_j, a an n x n nested list, added in (i, j) order
+    as (a_ij * y_i) * y_j (_form)."""
+    return _form([v for row in a for v in row], y, 2)
 
 
 def linear_form(b, y):
-    """sum_i b_i y_i, added in order, with coefficients b a list or one
-    Series whose leading axis holds them (a gradient's slots, lanes after
-    it allowed): placed from a list when y are the y-variables of a ring
-    (module notes), else by Series.times_y when the b_i are series of one
-    lane shape and y those variables, else that loop itself.  A coefficient
-    of an x-only ring under y's root is one of x alone."""
-    if not isinstance(b, Series):
-        total = _placed(b, y, 1)
-        if total is not None:
-            return total
-        b = _of_x(b, y)
-        lanes = {v.c.shape[:-1] if isinstance(v, Series) else None for v in b}
-        if None in lanes or len(lanes) > 1 or _y_values(y) is None:
-            return reduce(add, (b[i] * y[i] for i in range(len(y))))
-        b = restrict(b, y[0].ring)
-    u = _y_values(y)
-    if u is None:
-        return reduce(add, (b.part(i) * y[i] for i in range(len(y))))
-    terms = restrict(b, y[0].ring).times_y(u)
-    return reduce(add, (terms.part(i) for i in range(len(y))))
+    """sum_i b_i y_i, added in order, with coefficients b a list (_form)
+    or one Series whose leading axis holds them (a gradient's slots,
+    lanes after it allowed): restricted into y's ring and multiplied by
+    Series.times_y when y are YVariables, else the loop."""
+    if isinstance(b, Series):
+        if isinstance(y, YVariables):
+            terms = restrict(b, y[0].ring).times_y(y.u)
+            return reduce(add, (terms.part(i) for i in range(len(y))))
+        b = [b.part(i) for i in range(len(y))]
+    return _form(b, y, 1)
+
+
+def _form(coefficients, y, degree):
+    """The form of the given degree in y, its coefficients in row order
+    (module notes).  When y are YVariables and every coefficient is a
+    float or a 1-D series of the x-only stage of y's ring: the lanes of
+    the forms' stage ring, times y_i (and then y_j) by times_y, added in
+    order and embedded into y's ring, if that sum is finite.  Else the
+    loop of ring products, where a coefficient of an x-only ring under
+    y's root is one of x alone."""
+    n = len(y)
+    if isinstance(y, YVariables):
+        ring = y[0].ring
+        form = ring.stage(ring.cap_x, min(ring.cap_y, 2), ring.cap_d)
+        s = as_lanes(coefficients, ring.stage(ring.cap_x, 0), form)
+        if s is not None:
+            c, u = s.c.reshape((n,) * degree + (-1,)), y.u
+            for _ in range(degree):  # over the lanes [i, j]: times y_i, then y_j
+                c = Series(form, c).times_y(u).c.swapaxes(0, degree - 1)
+            total = reduce(add, c.reshape(-1, form.size))
+            if np.isfinite(total).all():
+                return embed(Series(form, total), ring)
+    b = _of_x(coefficients, y)
+    slots = itertools.product(range(n), repeat=degree)  # (i, j) in row order
+    terms = (reduce(mul, (y[i] for i in t), b[k]) for k, t in enumerate(slots))
+    return reduce(add, terms)
+
+
+def as_lanes(parts, low, ring):
+    """Floats and 1-D series of the ring low, listed in order, as one
+    Series of ring, a stage within whose caps low lies, with a lane per
+    part: floats as constants, series embedded.  None when a part is
+    anything else."""
+    pos = ring.positions_of(low)
+    c = np.zeros((len(parts), ring.size))
+    for k, v in enumerate(parts):
+        if isinstance(v, Series) and v.ring is low and v.c.ndim == 1:
+            c[k, pos] = v.c
+        elif isinstance(v, numbers.Real):
+            c[k, 0] = v
+        else:
+            return None
+    return Series(ring, c)

@@ -59,9 +59,10 @@ import numpy as np
 
 from . import expr as dsl
 from .errors import ConfigError, DomainError, TowerBudgetError
+from .metrics import finite_parameters
 from .scalars import ln, powr, ring_inv, value_of
 from .scalars import ring_det  # noqa: F401  (perfbench/spans.py wraps this name)
-from .series import Series, SeriesRing, graded_solve, ln_det, one_kind
+from .series import Series, SeriesRing, as_lanes, graded_solve, ln_det, one_kind
 
 
 # the rungs m of the quadrature ladder (module notes)
@@ -272,7 +273,10 @@ def _closed_log_sigma(metric, x):
         )
     a, b = metric.a_fn(x), metric.b_fn(x)
     upper = [a[min(i, j)][max(i, j)] for i in range(n) for j in range(n)]
-    a, b = _lanes(upper, (n, n), ring), _lanes(b, (n,), ring)
+    a, b = as_lanes(upper, ring, ring), as_lanes(b, ring, ring)
+    if a is None or b is None:
+        raise TypeError("a coefficient field left the ring of x")
+    a = Series(ring, a.c.reshape(n, n, ring.size))
     try:
         det, inverse = ring_inv(a.value().tolist())
     except ZeroDivisionError:  # a zero leading minor: a0 is not definite
@@ -288,20 +292,6 @@ def _closed_log_sigma(metric, x):
     return out.value() if lifted else out
 
 
-def _lanes(parts, shape, ring):
-    """Floats and Series of ring, listed in row order, as one Series of
-    ring with lanes of the given shape, floats as constants."""
-    c = np.zeros((len(parts), ring.size))
-    for k, v in enumerate(parts):
-        if not isinstance(v, Series):
-            c[k, 0] = v
-        elif v.ring is ring:
-            c[k] = v.c
-        else:
-            raise TypeError("a coefficient field left the ring of x")
-    return Series(ring, c.reshape(shape + (ring.size,)))
-
-
 def constant_volume(value=1.0):
     v = float(value)
     if v <= 0.0:
@@ -311,7 +301,7 @@ def constant_volume(value=1.0):
 
 
 def dsl_volume(source, dimension, parameters=None):
-    parameters = dict(parameters or {})
+    parameters = finite_parameters(parameters)
     tree = dsl.parse_x_field(
         source, dimension, frozenset(parameters), "volume density"
     )

@@ -289,10 +289,20 @@ def test_catalog_dimension_that_is_not_a_number_is_a_config_error(capsys):
         ('{"dimension": 2, "family": "randers", "expressions": '
          '{"a": [["x1^2 + x2^2", "0"], ["0", "1"]], "b": ["0.1", "0"]}}',
          "Randers a(x) is singular at x=(0.0, 0.0)"),
+        ('{"dimension": 2, "family": "euclidean", "chart_radius": -0.5}',
+         "chart_radius must be positive, got -0.5"),
+        ('{"dimension": 2, "family": "euclidean", "chart_radius": "abc"}',
+         "chart_radius must be a finite number, got 'abc'"),
+        ('{"dimension": 2, "family": "euclidean", "chart_radius": NaN}',
+         "chart_radius must be a finite number, got nan"),
+        ('{"dimension": 2, "family": "dsl", "parameters": {"k": "abc"}, '
+         '"expressions": {"F": "k * sqrt(y1^2 + y2^2)"}}',
+         "parameter 'k' must be a finite number, got 'abc'"),
     ],
     ids=["invalid-json", "not-an-object", "dimension-abc", "dimension-2.5",
          "exponent-1e400", "m-1e400", "parameter-x1", "parameter-sqrt",
-         "singular-a-at-center"],
+         "singular-a-at-center", "chart-radius-negative", "chart-radius-abc",
+         "chart-radius-nan", "parameter-abc"],
 )
 def test_bad_definition_file_is_a_config_error(
     tmp_path, capsys, monkeypatch, text, message
@@ -303,6 +313,36 @@ def test_bad_definition_file_is_a_config_error(
     code, out, err = run(capsys, "classify", "--file", str(path), "--samples", "3")
     assert code == 2
     assert message in err and out == ""
+
+
+def test_lemma21_parameter_that_is_no_number_fails_before_sampling(
+    tmp_path, capsys, monkeypatch
+):
+    refuse_sampling(monkeypatch)
+    path = tmp_path / "ok.json"
+    path.write_text('{"dimension": 2, "family": "euclidean"}')
+    code, out, err = run(
+        capsys, "verify", "--file", str(path), "--identity", "lemma21",
+        "--param", "P=k*y1", "--param", "k=abc", "--samples", "3",
+    )
+    assert code == 2 and out == ""
+    assert "parameter 'k' must be a finite number, got 'abc'" in err
+
+
+@pytest.mark.parametrize("command", [("classify",), ("verify", "--identity", "master")])
+def test_dim_with_a_definition_file_is_a_config_error(
+    tmp_path, capsys, monkeypatch, command
+):
+    # the file gives the dimension; a --dim beside it would be echoed in
+    # the report and ignored
+    refuse_sampling(monkeypatch)
+    path = tmp_path / "ok.json"
+    path.write_text('{"dimension": 2, "family": "euclidean"}')
+    code, out, err = run(
+        capsys, *command, "--file", str(path), "--dim", "3", "--samples", "3"
+    )
+    assert code == 2 and out == ""
+    assert "--dim applies to a catalog entry" in err
 
 
 def test_definition_file_classifies(tmp_path, capsys):

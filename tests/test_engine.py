@@ -761,6 +761,27 @@ def test_one_kind_work_runs_in_stage_rings_of_the_root(monkeypatch):
     assert root.stage(0, 8) in ran
 
 
+def test_frames_sum_over_y_by_shifts_alone(monkeypatch):
+    # every sum over y of a Frame and of the point tensors (alpha^2 and
+    # beta, the spray's braces) runs through Series.times_y: the forms'
+    # loop, the only route that calls series._of_x, is never taken
+    from finslerlab import series
+    from finslerlab.metrics import cartan_torsion, fundamental_tensor
+
+    entries = [get_example(name) for name in list_examples()] + [randers_n4()]
+    states = [sample_states(e.metric, SamplePlan(count=2)).states for e in entries]
+
+    def refuse(b, y):
+        raise AssertionError("a form took the loop")
+
+    monkeypatch.setattr(series, "_of_x", refuse)
+    for entry, batch in zip(entries, states):
+        for x, y in batch:
+            Frame(entry.metric, entry.volume, x, y)
+            fundamental_tensor(entry.metric, (x, y))
+            cartan_torsion(entry.metric, (x, y))
+
+
 def test_one_ring_per_dimension(monkeypatch):
     # every ring that classify, the quadrature volume, the point tensors,
     # the tests' generic horizontal derivative and an n=4 Frame build is

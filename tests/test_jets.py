@@ -285,7 +285,7 @@ def test_ring_solve_matches_numpy(n):
     ring = SeriesRing.get(n).stage(1, 2)
     xs, ys = ring.state(rng.normal(size=n), rng.normal(size=n))
     a = [[ring.constant(a0[i, j]) for j in range(n)] for i in range(n)]
-    for shift in xs + ys:
+    for shift in [*xs, *ys]:
         s = rng.normal(size=(n, n)) * 0.3
         s = s + s.T
         for i in range(n):

@@ -1,6 +1,7 @@
 """Metric families, fundamental tensor, Cartan torsion."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -240,7 +241,7 @@ def test_dimension_above_five_rejected_before_any_ring(monkeypatch):
     assert construct_metric("euclidean", 5).dimension == 5
 
 
-# -- alpha^2 and beta placed from their coefficients --------------------------
+# -- alpha^2 and beta through Series.times_y -----------------------------------
 
 
 def _loop_alpha_sq(a, y):
@@ -259,6 +260,14 @@ def _loop_beta(b, y):
         term = b[i] * y[i]
         total = term if total is None else total + term
     return total
+
+
+def _forms(a, b, y):
+    """alpha^2 and beta by series.quadratic_form and linear_form, and
+    whether either took the loop (the only route that calls _of_x)."""
+    with mock.patch.object(series, "_of_x", wraps=series._of_x) as loop:
+        forms = series.quadratic_form(a, y), series.linear_form(b, y)
+    return forms, loop.called
 
 
 COEFFICIENT_KINDS = ("float", "zero", "negative", "series")
@@ -281,14 +290,14 @@ def _coefficient(ring, rng, kind):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     n=st.integers(2, 4),
-    # stage rings of the (2, 8) root, among them those S's drift and the
-    # spray's braces run in
-    caps=st.sampled_from([(2, 2), (1, 3), (0, 2), (1, 8), (1, 6)]),
+    # the (2, 8) root and stage rings of it, among them those S's drift
+    # and the spray's braces run in
+    caps=st.sampled_from([(2, 8), (2, 2), (1, 3), (0, 2), (1, 8), (1, 6)]),
     seed=st.integers(0, 2**32 - 1),
     kinds=st.lists(st.sampled_from(COEFFICIENT_KINDS), min_size=20, max_size=20),
     zero=st.booleans(),
 )
-def test_placed_forms_equal_the_loop(n, caps, seed, kinds, zero):
+def test_forms_equal_the_loop(n, caps, seed, kinds, zero):
     # alpha^2 and beta from their coefficients, at y-variables with
     # negative values and maybe a zero among them: every coefficient of
     # the loop's sum of ring products, in its order (series module notes)
@@ -303,69 +312,71 @@ def test_placed_forms_equal_the_loop(n, caps, seed, kinds, zero):
     values = rng.uniform(-1.5, 1.5, n)
     if zero:
         values[rng.integers(n)] = 0.0
-    ys = [ring.variable_y(i, v) for i, v in enumerate(values)]
+    ys = ring.y_variables(values)
 
     def lifted(v):  # the coefficient in y's ring, as the loop multiplies it
         return series.embed(v, ring) if isinstance(v, Series) else v
 
     a_ring = [[lifted(v) for v in row] for row in a]
     b_ring = [lifted(v) for v in b]
-    assert series._form_parts(b, ys) is not None
-    assert series._form_parts([v for row in a for v in row], ys) is not None
-    # a series of y's own ring takes the loop, with the same bits
-    reads_ring = any(isinstance(v, Series) for v in b)
-    assert (series._form_parts(b_ring, ys) is None) == reads_ring
-    for got, want, loop in (
-        (
-            series.quadratic_form(a, ys),
-            _loop_alpha_sq(a_ring, ys),
-            series.quadratic_form(a_ring, ys),
-        ),
-        (series.linear_form(b, ys), _loop_beta(b_ring, ys), series.linear_form(b_ring, ys)),
-    ):
-        assert got.ring is want.ring is loop.ring
-        assert np.array_equal(got.c, want.c)
-        assert np.array_equal(loop.c, want.c)
+    got, looped = _forms(a, b, ys)
+    assert not looped
+    # a plain list of the same y-variables takes the loop, and so does a
+    # series of y's own ring: both with the same bits
+    listed, looped = _forms(a, b, list(ys))
+    assert looped
+    in_ring, looped = _forms(a_ring, b_ring, ys)
+    assert looped == any(isinstance(v, Series) for v in b + sum(a, []))
+    want = _loop_alpha_sq(a_ring, ys), _loop_beta(b_ring, ys)
+    for forms in (got, listed, in_ring):
+        for have, loop in zip(forms, want):
+            assert have.ring is loop.ring
+            assert np.array_equal(have.c, loop.c)
 
 
 def test_forms_fall_back_to_the_loop():
-    # a non-finite coefficient, a sum whose terms overflow, a coefficient
-    # of y's own ring (free of y, or reading y) and a y that is no
-    # y-variable each run the loop itself
-    ring = SeriesRing.get(3).stage(2, 2)
+    # in the root: a non-finite coefficient, a sum whose terms overflow,
+    # a coefficient of y's own ring (free of y, or reading y) and a y that
+    # is no y-variable each run the loop itself, as a plain list of
+    # y-variables does; finite coefficients at a zero value of y do not
+    ring = SeriesRing.get(3)
     xs, ys = ring.state((0.1, -0.2, 0.3), (0.5, -1.0, 2.0))
     _, huge = ring.state((0.1, -0.2, 0.3), (1e300, -1.0, 2.0))
+    _, zero = ring.state((0.1, -0.2, 0.3), (0.5, 0.0, 2.0))
     moving = [xs[0] * 0.5 + 1.0, xs[1] * ys[0], -0.25]
-    cases = (  # b, y, and whether the coefficients and y qualify
-        ([math.inf, 1.0, 0.5], ys, False),
-        ([math.nan, 1.0, 0.5], ys, False),
+    cases = (  # b, y, and whether the forms take the loop
+        ([math.inf, 1.0, 0.5], ys, True),
+        ([math.nan, 1.0, 0.5], ys, True),
+        ([1.0, math.inf, 0.5], zero, True),  # inf times a zero value
+        ([1.0, -0.5, 0.5], zero, False),
         ([1e300, -1.0, 2.0], huge, True),  # b_1 y_1 overflows
-        ([xs[0] * 0.5 + 1.0, 1.0, 0.5], ys, False),
-        (moving, ys, False),
-        ([1.0, 0.5, 0.25], [ys[0] + ys[1], ys[1], ys[2]], False),
+        ([xs[0] * 0.5 + 1.0, 1.0, 0.5], ys, True),
+        (moving, ys, True),
+        ([1.0, 0.5, 0.25], list(ys), True),
+        ([1.0, 0.5, 0.25], [ys[0] + ys[1], ys[1], ys[2]], True),
     )
-    for b, y, qualify in cases:
+    for b, y, looped in cases:
         a = [[bi * bj for bj in b] for bi in b]
-        assert (series._form_parts(b, y) is not None) == qualify
         with np.errstate(all="ignore"):
-            for got, want in (
-                (series.linear_form(b, y), _loop_beta(b, y)),
-                (series.quadratic_form(a, y), _loop_alpha_sq(a, y)),
-            ):
-                assert np.array_equal(got.c, want.c, equal_nan=True)
+            got, took_loop = _forms(a, b, y)
+            want = _loop_alpha_sq(a, y), _loop_beta(b, y)
+        assert took_loop == looped
+        for have, loop in zip(got, want):
+            assert have.ring is loop.ring
+            assert np.array_equal(have.c, loop.c, equal_nan=True)
 
 
 def test_forms_check_the_coefficients_before_y(monkeypatch):
     # a batched coefficient, as in the spray's braces, takes the loop
-    # before the form table is read or y is checked
+    # before any product by y
     ring = SeriesRing.get(3).stage(1, 6)
     xs, ys = ring.state((0.1, -0.2, 0.3), (0.5, -1.0, 2.0))
     batched = Series(ring, np.stack([xs[0].c, (xs[1] * xs[2]).c]))
     b = [batched, 1.0, xs[2]]
+    want = _loop_beta(b, ys)
 
-    def refuse(ring):
-        raise AssertionError("the form table was read")
+    def refuse(self, u):
+        raise AssertionError("a coefficient was multiplied by y")
 
-    monkeypatch.setattr(SeriesRing, "form_table", refuse)
-    assert series._form_parts(b, ys) is None
-    assert np.array_equal(series.linear_form(b, ys).c, _loop_beta(b, ys).c)
+    monkeypatch.setattr(Series, "times_y", refuse)
+    assert np.array_equal(series.linear_form(b, ys).c, want.c)

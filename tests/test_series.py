@@ -494,11 +494,11 @@ def test_x_only_keeps_affine_coordinates(monkeypatch):
 
 def test_unlifted_coefficients_give_the_lifted_forms(monkeypatch):
     # a metric's coefficient fields stay in the x-only stage (one_kind
-    # with lift=False): at y-variables the forms are placed from them as
-    # they are, and at a y that is no set of y-variables the forms' loop
-    # embeds them first as fields of x alone (their products with y in
-    # the x-only ring would drop every y-term).  Both bit for bit the
-    # route of lifted fields
+    # with lift=False): at YVariables the forms take them into the forms'
+    # stage ring as they are, and at a y that is no set of y-variables
+    # the forms' loop embeds them first as fields of x alone (their
+    # products with y in the x-only ring would drop every y-term).  Both
+    # bit for bit the route of lifted fields
     from finslerlab import metrics
     from finslerlab.catalog import get_example
     from finslerlab.series import one_kind
@@ -509,10 +509,13 @@ def test_unlifted_coefficients_give_the_lifted_forms(monkeypatch):
     osaka = get_example("randers_osaka").metric
     a = one_kind(osaka.a_fn, xs, "x", lift=False)
     assert a[0][0].ring is ring.stage(ring.cap_x, 0)
-    assert series_module._form_parts([v for row in a for v in row], ys) is not None
-    assert series_module._form_parts([v for row in a for v in row], moved) is None
+    loops, loop = [], series_module._of_x
+    monkeypatch.setattr(
+        series_module, "_of_x", lambda b, y: loops.append(y) or loop(b, y)
+    )
     names = ("randers_osaka", "mkropina_yang", "riemannian_sphere")
     unlifted = [get_example(n).metric.F2(xs, y) for n in names for y in (ys, moved)]
+    assert loops and all(y is moved for y in loops)  # every form at moved
     monkeypatch.setattr(
         metrics, "one_kind", lambda fn, x, kind, lift=True: one_kind(fn, x, kind)
     )
@@ -566,6 +569,24 @@ def test_stage_rings_are_shared_under_the_root():
         root.stage(2, 0).variable_y(0, 1.0)
     with pytest.raises(ValueError, match="no x-variable"):
         root.stage(0, 3).variable_x(1, 1.0)
+
+
+@pytest.mark.parametrize("caps", [(2, 8), (1, 6), (0, 2)])
+def test_y_variables_carry_their_values(caps):
+    # u of YVariables is their value parts, and each is the ring's
+    # y-variable at its value; ring.state gives them too
+    ring = SeriesRing.get(3).stage(*caps)
+    ys = ring.y_variables((0.5, -0.0, -2.0))
+    assert isinstance(ys, series_module.YVariables) and len(ys) == 3
+    if caps[0]:
+        _, state = ring.state((0.1, 0.2, 0.3), (0.5, -0.0, -2.0))
+        assert isinstance(state, series_module.YVariables)
+        assert all(np.array_equal(a.c, b.c) for a, b in zip(state, ys))
+    assert np.array_equal(ys.u, [y.value() for y in ys])
+    assert np.array_equal(ys.u, [0.5, 0.0, -2.0])
+    for i, y in enumerate(ys):
+        assert y.ring is ring
+        assert np.array_equal(y.c, ring.variable_y(i, ys.u[i]).c)
 
 
 @pytest.mark.parametrize("caps", [(8, 0), (3, 0), (0, 9), (-1, 2)])

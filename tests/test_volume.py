@@ -179,6 +179,12 @@ def test_dsl_volume_rejects_y_dependence():
         dsl_volume("1 + y1^2", 3)
 
 
+@pytest.mark.parametrize("value", ["abc", math.nan, math.inf])
+def test_dsl_volume_rejects_a_parameter_that_is_no_number(value):
+    with pytest.raises(ConfigError, match="parameter 'k' must be a finite number"):
+        dsl_volume("1 + k*x1^2", 3, {"k": value})
+
+
 def varying_randers():
     # a Randers metric whose BH density varies with x (osaka's is 1)
     def a_fn(x):
