@@ -141,8 +141,10 @@ def _parse_params(pairs):
     return out
 
 
-def load_metric_definition(data):
-    """MetricSpec from a parsed definition document."""
+def load_metric_definition(data, overrides=None):
+    """MetricSpec from a parsed definition document, with the values in
+    overrides (--param) for the parameters it declares; keys it does not
+    declare are left to the caller."""
     if not isinstance(data, dict):
         raise ConfigError(
             "a definition is a JSON object, got %s" % type(data).__name__
@@ -161,6 +163,10 @@ def load_metric_definition(data):
         raise ConfigError(
             "expressions accepts only %s" % ", ".join(sorted(allowed))
         )
+    parameters = data.get("parameters")
+    if overrides and isinstance(parameters, dict):
+        parameters = dict(parameters)
+        parameters.update((k, v) for k, v in overrides.items() if k in parameters)
     return construct_metric(
         data["family"],
         data["dimension"],
@@ -168,29 +174,32 @@ def load_metric_definition(data):
         b=expressions.get("b"),
         m=expressions.get("m"),
         F=expressions.get("F"),
-        parameters=data.get("parameters"),
+        parameters=parameters,
         chart_radius=data.get("chart_radius"),
         name=data.get("name"),
     )
 
 
-def load_metric_file(path):
+def load_metric_file(path, overrides=None):
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
         except ValueError as exc:
             raise ConfigError("%s is not valid JSON: %s" % (path, exc)) from exc
-    return load_metric_definition(data)
+    return load_metric_definition(data, overrides)
 
 
 def _resolve_metric(args, params):
-    """(metric, default volume, catalog entry or None, leftover params)."""
+    """(metric, default volume, catalog entry or None, leftover params):
+    a definition file takes the values of the params it declares, and
+    all params are left over for lemma21's P; a catalog entry takes all
+    but sigma, rejects a key it lacks and leaves none."""
     if bool(args.metric) == bool(args.file):
         raise ConfigError("give exactly one of --metric or --file")
     if args.file:
         if args.dim is not None:
             raise ConfigError("--dim applies to a catalog entry, not to --file")
-        metric = load_metric_file(args.file)
+        metric = load_metric_file(args.file, params)
         return metric, constant_volume(1.0), None, params
     overrides = dict(params)
     overrides.pop("sigma", None)
@@ -342,6 +351,12 @@ def run_classify(args, stream=None):
     stream = stream or sys.stdout
     params = _parse_params(args.param)
     metric, default_volume, entry, leftover = _resolve_metric(args, params)
+    unknown = sorted(set(leftover) - set(metric.parameters) - {"sigma"})
+    if unknown:
+        raise ConfigError(
+            "unknown parameter %r for definition %r (declares: %s)"
+            % (unknown[0], args.file, ", ".join(sorted(metric.parameters)) or "none")
+        )
     volume = _resolve_volume(args, metric, default_volume, params)
     report = classify_metric(metric, volume, _plan(args), _tolerances(args))
 

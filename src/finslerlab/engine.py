@@ -589,8 +589,9 @@ def lemma21_residual(frame, p_func):
 
     dx, dy = P.grad("x", P.ring), P.grad("y", P.ring)
     hor0 = linear_form(dx, ys)
+    drift = dy * Series(G.ring, G.c * 2.0)  # lanes [r]: P_{.r} 2 G^r
     for r in range(n):
-        hor0 = hor0 - dy.part(r) * (G.part(r) * 2.0)
+        hor0 = hor0 - drift.part(r)
     Xi = P * P - hor0
     Xi_val = Xi.c[0]
     Xi_y = Xi.partials(0, 1)

@@ -40,43 +40,39 @@ fits beside the class; one sort puts the pairs in table order, and a
 monomial's mixed-radix exponent key (digit sums never carry) finds each
 output by searchsorted.  At n=4 that examines the 172 458 kept pairs,
 not all 15 million, and peaks at under twice the table's bytes.
-(The box (2, 8) root kept 579 150 pairs of its 7425 coefficients; the
-total cap drops the 3510 past total degree 8, which no reader reads.)
 Every ring under a root finds any monomial by the root's keys alone.
-
-Each root ring owns one product workspace, which its stage rings
-(below) share: two float64 buffers, sized from the root's table and
-grown when a batch needs more.  Every product and every graded level
-under the root gathers its factors into them and multiplies in place;
-bincount allocates the result, so no result aliases a buffer.  Without
-them a root product at n=4 allocates three 1.4 MB temporaries, past
-glibc's mmap threshold, so each would go back to the OS and be faulted
-in again (about 7000 minor faults per frame-n4 state with the box
-root's 4.6 MB, against none with the workspace).  So products under
-one root are not re-entrant; the library runs no threads.
+A ring holds only tables, built once and never written after: every
+product and graded level gathers its factors into fresh arrays.
 
 Two shortcuts skip work that cannot reach a kept coefficient, and
 leave every result bit-identical to the plain product.  Sparse factors:
 in a table of at least ROW_SKIP_MIN_TRIPLES triples, one dispatch
 (_sparse_triples) takes each 1-D factor's nonzero mask once and picks
 the triples a product gathers.  When both factors are 1-D and have at
-most size // ROW_SKIP_DENSITY pairs of nonzeros (an embedded a_ij(x)
-times a y variable: 6 pairs, where its rows hold over 7000 triples at
-n=4), they are the pairs of nonzeros: the pairs whose x-, y- and total
-degrees add up within the caps, in table order (first factor, then second),
-each output found by searchsorted of the summed keys as the table build
-does, so an all-zero factor costs no gather at all.  Else, when a 1-D
-factor has at most that many nonzeros (a y variable has 2 of the 1029
-coefficients of the root at n=3, an embedded x-only series at most
-10), they are the table rows of the sparser factor's nonzeros, in
-table order (rows of the second factor come through a cached
-permutation and are sorted back), for every lane of the other factor.
-The skipped terms are products with an exact zero, so each one is +-0;
-bincount starts every sum at +0, adding a +-0 term never changes it,
-and the kept terms are added in the same order.  A non-finite
-coefficient would turn a skipped term into NaN: in either factor it
-rules the pairs out, in the other factor the rows, and the product
-gathers the whole table.
+most size // ROW_SKIP_DENSITY pairs of nonzeros, they are the pairs of
+nonzeros: the pairs whose x-, y- and total degrees add up within the
+caps, in table order (first factor, then second), each output found by
+searchsorted of the summed keys as the table build does, so an all-zero
+factor costs no gather at all.  Else, when a 1-D factor has at most
+that many nonzeros, they are the table rows of the sparser factor's
+nonzeros, in table order (rows of the second factor come through a
+cached permutation and are sorted back), for every lane of the other
+factor.  The skipped terms are products with an exact zero, so each
+one is +-0; bincount starts every sum at +0, adding a +-0 term never
+changes it, and the kept terms are added in the same order.  A
+non-finite coefficient would turn a skipped term into NaN: in either
+factor it rules the pairs out, in the other factor the rows, and the
+product gathers the whole table.  Measured at plan seed 1, the rows
+serve F^2's product by beta (18 of the root's 1029 coefficients at n=3
+for randers_osaka), the one product on a table that large in each
+Frame of every benchmark workload: 20 in a 20-state classify of each
+(alpha, beta) catalog entry, none for the other entries.  The pairs
+serve only a DSL metric's products of a part of x alone by a part of y
+alone: 120 and 200 in 20 states of a 4-D DSL metric sqrt(F1^2 +
+F2^2), F1 Randers and F2 conformally flat, and of its sum with an
+exact 1-form; with the rows instead, the sum's classify took 0.26
+against 0.16 s of CPU (best of 5, 2-core x86-64 VM), the product's about
+the same.
 
 Lane constants: when one factor of a batched product is a batch of
 constants (no nonzero past the value part in any lane, as the
@@ -314,7 +310,6 @@ class SeriesRing:
         self.deg = self.xdeg + self.ydeg
         if root is None:
             self._triples = self._build_triples()
-            self._work = (np.empty(0), np.empty(0))
 
     @property
     def triples(self):
@@ -345,16 +340,6 @@ class SeriesRing:
         order = np.argsort(ia * self.size + ib)
         ia, ib = ia[order], ib[order]
         return np.searchsorted(self.keys, self.keys[ia] + self.keys[ib]), ia, ib
-
-    def workspace(self, length):
-        """Two float64 buffers of the given length, for a product's gathers
-        (module notes): views of the root ring's own, which every product
-        under the root reuses and a batch grows."""
-        root = self.root
-        if len(root._work[0]) < length:
-            grown = max(length, len(root.triples[0]))
-            root._work = (np.empty(grown), np.empty(grown))
-        return root._work[0][:length], root._work[1][:length]
 
     def lane_bins(self, count, d=None):
         """Bincount bins over count lanes, lane k summing into bins
@@ -675,12 +660,9 @@ def _bincount(bins, w, size):
     return c.reshape(lanes + (size,))
 
 
-def _gather(c, idx, buffer, axis=-1):
-    """c.take(idx, axis), written into the front of buffer."""
-    shape = list(c.shape)
-    shape[axis] = len(idx)
-    out = buffer[: math.prod(shape)].reshape(shape)
-    return c.take(idx, axis=axis, out=out, mode="clip")
+def _gather(c, idx, axis=-1):
+    """c.take(idx, axis): the gather of a factor of a product or a level."""
+    return c.take(idx, axis=axis)
 
 
 def _major(c):
@@ -709,10 +691,8 @@ def _pair_sum(ring, d, p, q, value=False):
     lanes = p.shape[1]
     if not m + s:  # degree 1: bincount would add the value part to +0
         return (p[rows] * q[:1] + 0.0).T if value else np.zeros((lanes, w))
-    idx = ia.base
-    wa, wb = ring.workspace(len(idx) * lanes)
-    g = _gather(p, idx, wa, 0)
-    h = g if p is q else _gather(q, idx, wb, 0)
+    g = _gather(p, ia.base, 0)
+    h = g if p is q else _gather(q, ia.base, 0)
     np.multiply(g[:m], h[-m:], out=g[:m])  # p_a q_b
     if p is not q:
         g[:m] += np.multiply(g[-m:], h[:m], out=g[-m:])
@@ -815,29 +795,14 @@ class Series:
                 sparse = _sparse_triples(ring, a.c, b.c)
                 if sparse is not None:
                     iout, ia, ib = sparse
-            size = ring.size
-            m = len(iout)
-            if a.c.ndim == 1 and b.c.ndim == 1:
-                wa, wb = ring.workspace(m)
-                # take with out= copies through a buffer unless mode is not
-                # "raise"; the table's indices are valid, so "clip" is exact
-                a.c.take(ia, out=wa, mode="clip")
-                b.c.take(ib, out=wb, mode="clip")
-                wa *= wb
-                # bincount of an empty selection would give int64 zeros
-                c = np.bincount(iout, weights=wa, minlength=size) if m else np.zeros(size)
-                return Series(ring, c)
-            # lane k sums into bins size*k.., in the 1-D order; the
-            # factors' component axes broadcast against each other
-            lanes = np.broadcast_shapes(a.c.shape[:-1], b.c.shape[:-1])
-            count = math.prod(lanes)
-            bins = ring.lane_bins(count) if m == len(ring.triples[0]) else iout
-            wa, wb = ring.workspace(count * m)
-            ga, gb = _gather(a.c, ia, wa), _gather(b.c, ib, wb)
-            # the product overwrites the gather that has every lane
-            full = [g for g in (ga, gb) if g.shape[:-1] == lanes]
-            w = np.multiply(ga, gb, out=full[0] if full else None)
-            return Series(ring, _bincount(bins, w, size))
+            # the factors' component axes broadcast against each other; lane
+            # k sums into bins size*k.., in the 1-D order: the ring's cached
+            # bins for a batch over the whole table, else _bincount's
+            w = _gather(a.c, ia) * _gather(b.c, ib)
+            count = math.prod(w.shape[:-1])
+            if count > 1 and len(iout) == len(ring.triples[0]):
+                iout = ring.lane_bins(count)
+            return Series(ring, _bincount(iout, w, ring.size))
         if isinstance(other, numbers.Real):
             return Series(self.ring, self.c * float(other))
         return NotImplemented

@@ -345,6 +345,50 @@ def test_dim_with_a_definition_file_is_a_config_error(
     assert "--dim applies to a catalog entry" in err
 
 
+def _scaled_norm(tmp_path, k):
+    path = tmp_path / ("k%r.json" % k)
+    path.write_text(json.dumps({
+        "dimension": 2, "family": "dsl", "parameters": {"k": k},
+        "expressions": {"F": "k*sqrt(y1^2 + y2^2)"},
+    }))
+    return str(path)
+
+
+def test_param_overrides_reach_a_definition_file(tmp_path, capsys, monkeypatch):
+    # --param k=5 on a file declaring k = 1 samples the states of a file
+    # declaring k = 5, and the report echoes the value it ran with
+    sampled, plain = [], classify.sample_states
+
+    def recording(*args, **kwargs):
+        batch = plain(*args, **kwargs)
+        sampled.append([list(y) for _, y in batch.states])
+        return batch
+
+    monkeypatch.setattr(classify, "sample_states", recording)
+    argv = ("classify", "--samples", "2", "--seed", "1")
+    code, out, _ = run(
+        capsys, *argv, "--file", _scaled_norm(tmp_path, 1.0), "--param", "k=5"
+    )
+    assert code == 0 and json.loads(out)["config"]["params"] == {"k": 5}
+    code, out, _ = run(capsys, *argv, "--file", _scaled_norm(tmp_path, 5.0))
+    assert code == 0
+    assert len(sampled) == 2 and sampled[0] == sampled[1]
+    code, out, _ = run(capsys, *argv, "--file", _scaled_norm(tmp_path, 1.0))
+    assert sampled[2] != sampled[0]
+
+
+def test_undeclared_param_with_a_definition_file_is_a_config_error(
+    tmp_path, capsys, monkeypatch
+):
+    refuse_sampling(monkeypatch)
+    code, out, err = run(
+        capsys, "classify", "--file", _scaled_norm(tmp_path, 1.0),
+        "--param", "nosuch=3", "--samples", "2",
+    )
+    assert code == 2 and out == ""
+    assert "unknown parameter 'nosuch'" in err
+
+
 def test_definition_file_classifies(tmp_path, capsys):
     definition = {
         "name": "stretched",
