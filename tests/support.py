@@ -195,9 +195,13 @@ def four_gather_pair_sum(ring, d, p, q, value=False):
     if not m:
         s = np.zeros(p.shape[:-1] + (len(rows),))
     else:
-        t = p.take(ia, axis=-1) * q.take(ib, axis=-1)
+        wa, wb = ring.workspace(m if p is q else 2 * m)
+        t = series_module._gather(p, ia, wa)
+        t *= series_module._gather(q, ib, wb)
         if p is not q:
-            t += p.take(ib, axis=-1) * q.take(ia, axis=-1)
+            t2 = series_module._gather(p, ib, wa[m:])
+            t2 *= series_module._gather(q, ia, wb[m:])
+            t += t2
         s = series_module._bincount(iout, t, len(rows))
         if p is q:
             s *= 2.0

@@ -1196,7 +1196,7 @@ INVARIANCE_OPS = {
 def test_graded_solve_is_budget_invariant():
     # run in a stage ring, the solve gives the root's solution restricted
     # to it, bit for bit, as the graded recurrences do (in rings of its
-    # own)
+    # own, whose workspaces its n^2 lanes grow)
     for n in (3, 4):
         ring = SeriesRing(n, 2, 5)
         rng = np.random.default_rng(n)
@@ -1332,7 +1332,7 @@ def test_restrict_and_embed_at_the_ring_edges():
     assert not mixed.c[(wide.ydeg == 8) | (wide.deg == ring.cap_d)].any()
 
 
-# -- the product table -------------------------------------------------------
+# -- the product table and the product workspace -----------------------------
 
 TABLE_CAPS = [(1, 2, 8), (2, 2, 8), (3, 2, 8), (3, 1, 1), (3, 0, 3), (3, 2, 0), (2, 0, 0)]
 
@@ -1361,14 +1361,26 @@ def test_table_build_peak_memory_is_a_few_tables():
     assert peak <= 4 * table_bytes, peak / table_bytes
 
 
-def test_row_skip_and_full_products_equal_the_dense_product():
-    # row-skip products (a y-variable times f, either way round) and full
-    # ones
+def test_products_never_alias_the_workspace():
+    ring, ys, f, w = _full_ring_fields()
+    stage = ring.stage(1, 6)
+    batch = restrict([f, derivative(f, "y", 0)], stage)
+    for got in (f * f, ys[1] * f, batch * restrict(f, stage), batch * batch):
+        for buffer in got.ring.root._work:
+            assert not np.shares_memory(got.c, buffer)
+
+
+def test_workspace_reuse_keeps_products_exact():
+    # a row-skip product uses a prefix of the buffers, a full product all
+    # of them, and a shorter one after it leaves stale values past its end;
+    # a fresh root, as a batch in a stage ring of the shared one (the
+    # quadrature's x-only ring) grows its workspace past its table
     ring, ys, f, w = _full_ring_fields(SeriesRing(3, 2, 8))
     for a, b in ((ys[1], f), (f, f), (w, f), (f, ys[2])):
         got = a * b
         assert got.ring is ring
         assert np.array_equal(got.c, _dense_product(a, b).c)
+    assert len(ring._work[0]) == len(ring.triples[0])
 
 
 @pytest.mark.parametrize("lanes", [(), (3,)], ids=str)
@@ -1383,15 +1395,21 @@ def test_product_over_an_empty_selection_is_float_zeros(lanes):
         assert not got.c.any()
 
 
-def test_batched_stage_product_lanes_equal_unbatched():
-    # batches of 2, 30 and 3 lanes of a stage ring's product, against
-    # each lane's product alone and the dense product
-    stage = SeriesRing(3, 2, 8).stage(1, 5)
+def test_batched_product_grows_the_workspace():
+    # a stage ring gathers into its root's workspace, as long as the
+    # root's table (84 084 triples), which 30 lanes of the stage's 3234
+    # outgrow
+    root = SeriesRing(3, 2, 8)  # a fresh workspace
+    stage = root.stage(1, 5)
     rng = np.random.default_rng(9)
     u = _stage_factors(stage, rng, ())
+    u * u
+    table = len(stage.triples[0])
+    assert len(root._work[0]) == len(root.triples[0])
     for count in (2, 30, 3):
         batch = _stage_factors(stage, rng, (count,))
         got = batch * u
+        assert len(root._work[0]) >= max(count * table, len(root.triples[0]))
         for k in range(count):
             lane = batch.part(k)
             assert np.array_equal(got.c[k], (lane * u).c)
@@ -1548,9 +1566,9 @@ def test_a_level_gathers_each_factor_once(monkeypatch):
     gather, pair_sum = series_module._gather, series_module._pair_sum
     seen, counts = [], []
 
-    def counting_gather(c, idx, axis=-1):
+    def counting_gather(c, idx, buffer, axis=-1):
         seen.append(c)
-        return gather(c, idx, axis)
+        return gather(c, idx, buffer, axis)
 
     def one_level(ring, d, p, q, value=False):
         seen.clear()
