@@ -1,10 +1,11 @@
 """Built-in example metrics with known classification behavior.
 
-Four families from the projective-curvature literature (an m-Kropina
-metric of Yang's parallel-form type, the Randers metric on the unit
-ball with K=0, the Hu-Mo family with vanishing Riemann curvature, and
-the Bao-Shen family on the 3-sphere) plus four controls (Euclidean,
-round sphere, a conformally flat metric, and a quartic Minkowski norm).
+Four entries from the projective-curvature literature (an m-Kropina
+metric of Yang's parallel-form type, two Randers metrics of navigation
+by a rigid rotation with R = 0: randers_humo at rate q and
+randers_osaka at q = -1 on the unit ball, and the Bao-Shen family on the
+3-sphere) plus four controls (Euclidean, round sphere, a conformally
+flat metric, and a quartic Minkowski norm).
 Each entry bundles the metric, a recommended volume form, and the
 expected classification verdicts with a one-line note saying where each
 expectation comes from.
@@ -15,9 +16,11 @@ from .classify import PREDICATES
 from .errors import CatalogError, ConfigError
 from .metrics import (
     alpha_beta_metric,
+    ball_predicate,
     check_dimension,
     construct_metric,
     finite_number,
+    navigation_metric,
 )
 from .volume import (
     bh_randers_volume,
@@ -179,56 +182,44 @@ def _quartic(overrides):
 # literature examples
 
 
-def _osaka(overrides):
-    params = _resolve("randers_osaka", {}, overrides)
+# Predicate -> (verdict, note) of the rigid-rotation wind at q != 0: R = 0
+# and S = 0, so R-quadratic and Weyl, but beta is not closed, so not
+# Douglas (Bao, Robles & Shen, JDG 2004; metrics.navigation_metric).
+_ROTATION = {
+    "riemannian": (False, "Randers with a rotational one-form, C != 0"),
+    "berwald": (False, "one-form not parallel: B != 0 whenever q != 0"),
+    "weakly_berwald": (True, "E = 0 follows from S = 0"),
+    "douglas": (False, "one-form is not closed, so not Douglas"),
+    "dbar": (True, "R = 0 and S = 0 force the commutator to vanish"),
+    "gdw": (True, "implied by the D-bar property"),
+    "r_quadratic": (True, "vanishing flag curvature: R = 0 identically"),
+    "pr_quadratic": (True, "R = 0 and S = 0 give a projectively flat spray"),
+    "s_flat": (True, "rigid-rotation wind, a Killing field: S = 0"),
+    "constant_flag": (True, "K = 0, fit recovers lambda = 0"),
+}
 
-    def a_fn(x):
-        w = 1.0 - x[0] * x[0] - x[1] * x[1]
-        q = [-x[1], x[0], 0.0]
-        inv = 1.0 / (w * w)
-        return [
-            [(w * (1.0 if i == j else 0.0) + q[i] * q[j]) * inv
-             for j in range(3)]
-            for i in range(3)
-        ]
 
-    def b_fn(x):
-        inv = 1.0 / (1.0 - x[0] * x[0] - x[1] * x[1])
-        return [-x[1] * inv, x[0] * inv, 0.0]
-
-    def chart(x):
-        return x[0] * x[0] + x[1] * x[1] + x[2] * x[2] < 1.0
-
-    metric = alpha_beta_metric("randers_osaka", 3, a_fn, b_fn,
-                               chart_domain=chart)
-    verdicts = {
-        "riemannian": False,
-        "berwald": False,
-        "weakly_berwald": True,
-        "douglas": False,
-        "dbar": True,
-        "gdw": True,
-        "r_quadratic": True,
-        "pr_quadratic": True,
-        "s_flat": True,
-        "constant_flag": True,
-    }
-    notes = {
-        "riemannian": "Randers with a rotational one-form, C != 0",
-        "berwald": "one-form not parallel",
-        "weakly_berwald": "E = 0 follows from S = 0",
-        "douglas": "one-form is not closed, so not Douglas",
-        "dbar": "K = 0 and S = 0 force the commutator to vanish",
-        "gdw": "implied by the D-bar property",
-        "r_quadratic": "vanishing flag curvature: R = 0",
-        "pr_quadratic": "R = 0 and S = 0 give a projectively flat spray",
-        "s_flat": "rotational Killing-type one-form: S = 0",
-        "constant_flag": "K = 0, fit recovers lambda = 0",
+def _rotation(name, params, q, chart, description):
+    """The navigation metric of the wind q(-x2, x1, 0) with its
+    closed-form BH volume; at q = 0 the Euclidean norm."""
+    metric = navigation_metric(
+        name, 3, lambda x: [-q * x[1], q * x[0], 0.0], chart_domain=chart
+    )
+    table = _ROTATION if q != 0.0 else {
+        p: (True, "zero rotation degenerates to the Euclidean norm")
+        for p in _ALL_PREDICATES
     }
     return CatalogEntry(
-        "randers_osaka", metric, bh_randers_volume(metric), verdicts, notes,
-        0.0, params,
-        "Randers metric on the unit ball with K = 0 and S = 0",
+        name, metric, bh_randers_volume(metric),
+        {p: verdict for p, (verdict, _) in table.items()},
+        {p: note for p, (_, note) in table.items()}, 0.0, params, description,
+    )
+
+
+def _osaka(overrides):
+    return _rotation(
+        "randers_osaka", _resolve("randers_osaka", {}, overrides), -1.0,
+        ball_predicate(1.0), "Randers metric on the unit ball with K = 0 and S = 0",
     )
 
 
@@ -237,66 +228,8 @@ def _humo(overrides):
     q = _number(params, "q")
     if abs(q) >= 10.0:
         raise ConfigError("rotation rate q out of range")
-
-    def v_of(x):
-        return [-q * x[1], q * x[0], 0.0]
-
-    def a_fn(x):
-        v = v_of(x)
-        s = 1.0 - (v[0] * v[0] + v[1] * v[1])
-        inv = 1.0 / (s * s)
-        return [
-            [(s * (1.0 if i == j else 0.0) + v[i] * v[j]) * inv
-             for j in range(3)]
-            for i in range(3)
-        ]
-
-    def b_fn(x):
-        v = v_of(x)
-        inv = 1.0 / (1.0 - (v[0] * v[0] + v[1] * v[1]))
-        return [-v[0] * inv, -v[1] * inv, 0.0]
-
-    def chart(x):
-        return q * q * (x[0] * x[0] + x[1] * x[1]) < 1.0
-
-    metric = alpha_beta_metric("randers_humo", 3, a_fn, b_fn,
-                               chart_domain=chart)
-    if q == 0.0:
-        verdicts = {p: True for p in _ALL_PREDICATES}
-        notes = {p: "zero rotation degenerates to the Euclidean norm"
-                 for p in _ALL_PREDICATES}
-        lam = 0.0
-    else:
-        verdicts = {
-            "riemannian": False,
-            "berwald": False,
-            "weakly_berwald": True,
-            "douglas": False,
-            "dbar": True,
-            "gdw": True,
-            "r_quadratic": True,
-            "pr_quadratic": True,
-            "s_flat": True,
-            "constant_flag": True,
-        }
-        notes = {
-            "riemannian": "Randers with a rotational one-form, C != 0",
-            "berwald": "B != 0 whenever the rotation rate is nonzero",
-            "weakly_berwald": "E = 0 follows from S = 0",
-            "douglas": "one-form not closed, so not Douglas",
-            "dbar": "R = 0 and S = 0 force the commutator to vanish",
-            "gdw": "implied by the D-bar property",
-            "r_quadratic": "R = 0 identically",
-            "pr_quadratic": "R = 0 and S = 0 give a projectively flat spray",
-            "s_flat": "rigid-rotation wind: S = 0",
-            "constant_flag": "R = 0, fit recovers lambda = 0",
-        }
-        lam = 0.0
-    return CatalogEntry(
-        "randers_humo", metric, bh_randers_volume(metric), verdicts, notes,
-        lam, params,
-        "rigid-rotation Randers metric near the origin with R = 0",
-    )
+    return _rotation("randers_humo", params, q, None,
+                     "rigid-rotation Randers metric near the origin with R = 0")
 
 
 def _baoshen(overrides):

@@ -93,6 +93,9 @@ class SamplePlan:
                 "x_radius must be positive and finite, got %r" % (self.x_radius,)
             )
 
+    def as_dict(self):
+        return {"count": self.count, "seed": self.seed, "x_radius": self.x_radius}
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -110,6 +113,9 @@ class Tolerances:
 
     def bound(self, scale):
         return self.absolute + self.rel * scale
+
+    def as_dict(self):
+        return {"rel": self.rel, "abs": self.absolute}
 
 
 @dataclass(frozen=True)
@@ -186,15 +192,8 @@ class ClassificationReport:
         return {
             "metric": self.metric_name,
             "volume": self.volume_label,
-            "plan": {
-                "count": self.plan.count,
-                "seed": self.plan.seed,
-                "x_radius": self.plan.x_radius,
-            },
-            "tolerances": {
-                "rel": self.tolerances.rel,
-                "abs": self.tolerances.absolute,
-            },
+            "plan": self.plan.as_dict(),
+            "tolerances": self.tolerances.as_dict(),
             "predicates": preds,
             "rejections": self.rejections,
             "rejection_reasons": dict(sorted(self.rejection_reasons.items())),

@@ -362,8 +362,9 @@ def run_classify(args, stream=None):
 
     payload = _base_payload(args, params, metric.name, volume)
     summary = report.as_dict()
-    for key in ("predicates", "rejections", "rejection_reasons",
-                "hierarchy_violations", "errored_states", "errors"):
+    for key in ("plan", "tolerances", "predicates", "rejections",
+                "rejection_reasons", "hierarchy_violations", "errored_states",
+                "errors"):
         payload[key] = summary[key]
 
     mismatches = []
@@ -425,6 +426,7 @@ def run_verify(args, stream=None):
     payload = _base_payload(args, echo, metric.name, volume)
     payload["identities"] = [row]
     payload.update(
+        plan=plan.as_dict(), tolerances=tol.as_dict(),
         rejections=batch.rejections,
         rejection_reasons=dict(sorted(batch.rejection_reasons.items())),
         errored_states=len(errors),

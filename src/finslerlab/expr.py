@@ -144,7 +144,20 @@ def parse(source, dimension, parameter_names=()):
         raise ParseError(
             "unexpected %r" % text, pos, expected=("operator", "end of input")
         )
+    _check_finite(tree)
     return tree
+
+
+def _check_finite(node, what="number"):
+    """ParseError at the first literal that reads as inf (1e400), a
+    number or a folded exponent, before any work."""
+    if isinstance(node, Literal) and not math.isfinite(node.value):
+        raise ParseError("%s %r is not finite" % (what, node.value), node.position)
+    if isinstance(node, Unary):
+        _check_finite(node.child)
+    if isinstance(node, Binary):
+        _check_finite(node.left)
+        _check_finite(node.right, "exponent" if node.op == "pow" else "number")
 
 
 def parse_x_field(source, dimension, parameter_names, what):
@@ -223,17 +236,13 @@ def _parse_prefix(tokens, dim, params):
 
 
 def _parse_exponent(tokens, dim, params):
-    """Exponent of "^": a finite literal rational, folded to a single
-    Literal (1e400 reads as inf, which no power takes)."""
+    """Exponent of "^": a literal rational, folded to one Literal at the
+    position of the node it folds (parse checks that it is finite)."""
     node = _parse_expr(tokens, _POW_BP, dim, params)
     folded = _fold_rational(node)
     if folded is None:
         raise ParseError(
             "exponent must be a literal rational", _position_of(node)
-        )
-    if not math.isfinite(folded):
-        raise ParseError(
-            "exponent %r is not finite" % folded, _position_of(node)
         )
     return Literal(folded, position=_position_of(node))
 

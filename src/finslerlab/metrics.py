@@ -13,7 +13,8 @@ beta) families keep each field with a one-entry memo (_memo_last),
 keyed on the ring and the coefficient bytes of x-only coordinates, and
 store the memoized fields as MetricSpec.a_fn and b_fn: a Frame's F^2,
 its closed-form density and its quadrature F evaluate each once per
-state.  The pointwise
+state.  navigation_metric builds randers_humo, the wind of a rigid
+rotation of rate q, and randers_osaka, the same wind at q = -1.  The pointwise
 operations here (fundamental tensor, Cartan torsion) read the
 y-partials of F^2 from one evaluation in SeriesRing.get(n).stage(0,
 k), with x kept as floats; the curvature pipeline in the engine module
@@ -49,6 +50,7 @@ RegularityError at the state.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -175,7 +177,7 @@ def _dsl_F2(tree, parameters):
     return F2
 
 
-def _ball_predicate(radius):
+def ball_predicate(radius):
     if radius is None:
         return lambda x: True
     r2 = float(radius) ** 2
@@ -305,7 +307,7 @@ def alpha_beta_metric(
                 return False
             try:
                 return _b_norm_sq(a_fn, b_fn, x) < 1.0
-            except FinslerError:
+            except (FinslerError, ZeroDivisionError):
                 return False  # a(x) singular, or a field undefined at x
 
         cone = _everywhere
@@ -343,6 +345,36 @@ def alpha_beta_metric(
         b_fn=b_fn,
         F2=F2,
     )
+
+
+def navigation_metric(name, dimension, W_fn, chart_domain=None, parameters=None):
+    """The Randers metric of Zermelo navigation on Euclidean space by the
+    wind W_fn(x), a length-n list (Bao, Robles & Shen, JDG 2004): with
+    lambda = 1 - |W|^2, summed in W's order, a = (lambda delta + W W^T) /
+    lambda^2 and b = -W / lambda.  |b|_alpha = |W|, so the Randers chart
+    keeps |W| < 1.  A component of W given as the number 0 stays 0.0 in b.
+    """
+
+    def wind(x):
+        W = W_fn(x)
+        return W, 1.0 - sum((w * w for w in W[1:]), W[0] * W[0])
+
+    def a_fn(x):
+        W, lam = wind(x)
+        inv = 1.0 / (lam * lam)
+        return [[(lam * (1.0 if i == j else 0.0) + W[i] * W[j]) * inv
+                 for j in range(dimension)] for i in range(dimension)]
+
+    def b_fn(x):
+        W, lam = wind(x)
+        inv = 1.0 / lam
+        return [
+            0.0 if isinstance(w, numbers.Real) and w == 0.0 else -w * inv
+            for w in W
+        ]
+
+    return alpha_beta_metric(name, dimension, a_fn, b_fn,
+                             chart_domain=chart_domain, parameters=parameters)
 
 
 def riemannian_metric(name, dimension, a_fn, chart_domain=None, parameters=None):
@@ -398,7 +430,7 @@ def construct_metric(
         chart_radius = finite_number(chart_radius, "chart_radius")
         if chart_radius <= 0.0:
             raise ConfigError("chart_radius must be positive, got %r" % chart_radius)
-    chart = _ball_predicate(chart_radius)
+    chart = ball_predicate(chart_radius)
     label = name or family
 
     if family == "euclidean":

@@ -27,11 +27,12 @@ import os
 import types
 
 import numpy as np
+from hypothesis import strategies as st
 
 from finslerlab import cli, volume
 from finslerlab.engine import RICCI_LM_SIGN, VARIANCE, horizontal
 from finslerlab.errors import FinslerError
-from finslerlab.metrics import TensorValue
+from finslerlab.metrics import TensorValue, construct_metric
 from finslerlab.scalars import powr, ring_inv, sqrt, value_of
 from finslerlab import series as series_module
 from finslerlab.series import Series, SeriesRing
@@ -355,3 +356,52 @@ def horizontal_derivative(field, state, variance=()):
         variance=tuple(variance) + ("lower",),
         state=state.state_tuple,
     )
+
+
+def _away(low, high):
+    """A float of magnitude in [low, high], of either sign."""
+    return st.one_of(st.floats(low, high), st.floats(-high, -low))
+
+
+# 2-D DSL metrics, each family with its F and its parameter draws:
+# - quartic: a quartic norm whose coefficients depend on x;
+# - randers: alpha with x-dependent coefficients plus a beta whose curl
+#   is -2s, so beta is not closed;
+# - square: (alpha + beta)^2 / alpha with the same kind of beta.
+# The bounds keep every F regular on the ball of radius 0.4: the
+# coefficients 1 + k x and 1 + m x stay at least 0.6, and |b|_alpha,
+# which must stay below 1, at most 0.7 for randers and 0.49 for square.
+SURFACE_FAMILIES = {
+    "quartic": (
+        "((1 + k1*x2)*y1^4 + (1 + k2*x1)*y2^4 + e*(y1^2 + y2^2)^2)^(1/4)",
+        {"k1": _away(0.2, 1.0), "k2": _away(0.2, 1.0), "e": st.floats(0.2, 1.0)},
+    ),
+    "randers": (
+        "sqrt((1 + m1*x1)*y1^2 + (1 + m2*x2)*y2^2)"
+        " + (u1 + s*x2)*y1 + (u2 - s*x1)*y2",
+        {"m1": st.floats(-0.5, 0.5), "m2": st.floats(-0.5, 0.5),
+         "u1": st.floats(-0.3, 0.3), "u2": st.floats(-0.3, 0.3),
+         "s": _away(0.1, 0.5)},
+    ),
+    "square": (
+        "(sqrt(y1^2 + y2^2) + (u1 + s*x2)*y1 + (u2 - s*x1)*y2)^2"
+        " / sqrt(y1^2 + y2^2)",
+        {"u1": st.floats(-0.2, 0.2), "u2": st.floats(-0.2, 0.2),
+         "s": _away(0.1, 0.5)},
+    ),
+}
+
+
+def surface_metrics():
+    """A hypothesis strategy of (family, metric): a 2-D DSL metric of one
+    of SURFACE_FAMILIES, with its parameters drawn."""
+
+    def build(family):
+        source, draws = SURFACE_FAMILIES[family]
+        return st.fixed_dictionaries(draws).map(
+            lambda params: (family, construct_metric(
+                "dsl", 2, F=source, parameters=params, name=family
+            ))
+        )
+
+    return st.sampled_from(sorted(SURFACE_FAMILIES)).flatmap(build)

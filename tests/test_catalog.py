@@ -41,6 +41,14 @@ def test_humo_zero_rotation_degenerates():
     )
 
 
+def test_humo_chart_is_the_wind_below_one():
+    # humo's chart is the Randers chart |W| < 1; where |W| = 1 exactly,
+    # lambda = 0 and a(x) is undefined, which is outside it, not an error
+    chart = get_example("randers_humo", q=2.0).metric.chart_domain
+    assert chart([0.49, 0.0, 0.3]) and chart([0.0, -0.49, 5.0])
+    assert not chart([0.5, 0.0, 0.0]) and not chart([0.0, 0.6, 0.0])
+
+
 def test_unknown_name_rejected():
     with pytest.raises(CatalogError):
         get_example("nosuch")

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from finslerlab import classify as classify_module
 from finslerlab import errors
@@ -27,9 +28,14 @@ from finslerlab.metrics import (
     fundamental_tensor,
 )
 from finslerlab.scalars import value_of
-from finslerlab.volume import VolumeForm, bh_quadrature_volume, dsl_volume
+from finslerlab.volume import (
+    VolumeForm,
+    bh_quadrature_volume,
+    constant_volume,
+    dsl_volume,
+)
 
-from support import oracle_fsq_partials
+from support import SURFACE_FAMILIES, oracle_fsq_partials, surface_metrics
 
 
 def test_plan_defaults():
@@ -384,3 +390,39 @@ def test_point_tensors_match_jet_oracle():
             for got, want in pairs:
                 scale = max(1.0, np.abs(want).max())
                 assert np.abs(got - want).max() <= 1e-13 * scale, (name, x, y)
+
+
+# Random surfaces (support.surface_metrics): every 2-D draw is GDW, and
+# none is Douglas, so gdw does not hold only because D is small.  This is
+# measured, not a theorem: W vanishes identically at n = 2, so every
+# surface is Weyl, and the paper puts Weyl inside GDW, but no source
+# here states the inclusion for n = 2.  Measured over the 30 draws below
+# (10 states each at plan seed 1, x radius 0.3, constant volume): gdw's
+# residual at most 2.7e-13 of scale, douglas's at least 0.29 of scale,
+# against the bound of about 1e-6 of scale; no draw left unfilled, 0.02 s
+# of CPU per draw.
+SURFACE_UNFILLED_SHARE = 0.1
+
+
+def test_random_surfaces_are_gdw_but_not_douglas():
+    filled, unfilled = [], []
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(drawn=surface_metrics())
+    def check(drawn):
+        family, metric = drawn
+        plan = SamplePlan(count=10, seed=1, x_radius=0.3)
+        try:
+            report = classify_metric(metric, constant_volume(1.0), plan)
+        except SamplingError:
+            unfilled.append(family)  # counted apart, bounded below
+            return
+        filled.append(family)
+        assert report.errored_states == 0, family
+        assert report.verdict("gdw") == "holds", family
+        assert report.verdict("douglas") == "fails", family
+        assert not report.hierarchy_violations, family
+
+    check()
+    assert set(filled) == set(SURFACE_FAMILIES)
+    assert len(unfilled) <= SURFACE_UNFILLED_SHARE * (len(filled) + len(unfilled))

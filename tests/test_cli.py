@@ -230,6 +230,25 @@ def test_report_is_reproducible_except_timestamp(capsys):
     assert json.dumps(b1, sort_keys=True) == json.dumps(b2, sort_keys=True)
 
 
+@pytest.mark.parametrize("command", [
+    ("classify",), ("verify", "--identity", "master"),
+])
+def test_report_echoes_the_resolved_plan_and_tolerances(capsys, command):
+    # the flags left out read null in config; plan and tolerances give
+    # the values they resolve to
+    code, out, _ = run(
+        capsys, *command, "--metric", "euclidean", "--samples", "2",
+        "--tol-abs", "1e-8",
+    )
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["config"]["seed"] is None and blob["config"]["tol_rel"] is None
+    plan, tol = classify.SamplePlan(), classify.Tolerances()
+    assert blob["plan"] == {"count": 2, "seed": plan.seed,
+                            "x_radius": plan.x_radius}
+    assert blob["tolerances"] == {"rel": tol.rel, "abs": 1e-8}
+
+
 @pytest.mark.parametrize("value", ["abc", "inf", "nan"])
 def test_verify_constflag_rejects_a_bad_lambda(capsys, monkeypatch, value):
     refuse_sampling(monkeypatch)

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finslerlab.errors import ConfigError, EvalError, ParseError
+from finslerlab.metrics import construct_metric
+from finslerlab.volume import dsl_volume
 from finslerlab.expr import Binary, Hoisted, Literal, Unary, evaluate, hoist, parse
 
 from jet_oracle import mixed_partial
@@ -94,6 +96,32 @@ def test_exponent_must_be_finite(src, position):
     # not an OverflowError when the power is evaluated
     with pytest.raises(ParseError, match="not finite") as err:
         parse(src, 2)
+    assert err.value.position == position
+
+
+@pytest.mark.parametrize(
+    "build, position",
+    [
+        # F
+        (lambda: parse("1e400*sqrt(y1^2 + y2^2)", 2), 0),
+        (lambda: construct_metric("dsl", 2, F="sqrt(y1^2 + y2^2) + 2e308*y1"),
+         20),
+        # a coefficient field
+        (lambda: construct_metric("randers", 2, a=[["1", "0"], ["0", "1e999"]],
+                                  b=["0", "0"]), 0),
+        (lambda: construct_metric("randers", 2, a=[["1", "0"], ["0", "1"]],
+                                  b=["0.1*x1", "1e400*x2"]), 0),
+        # a dsl volume
+        (lambda: dsl_volume("1e400", 2), 0),
+        (lambda: dsl_volume("1 + x1*1e309", 2), 7),
+    ],
+    ids=["F", "dsl-F", "a_ij", "b_i", "volume", "volume-term"],
+)
+def test_number_literal_must_be_finite(build, position):
+    # 1e400 reads as inf: a ParseError at the literal while parsing,
+    # not a metric whose every state fails or a density of ln sigma = inf
+    with pytest.raises(ParseError, match="is not finite") as err:
+        build()
     assert err.value.position == position
 
 

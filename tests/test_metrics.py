@@ -5,19 +5,24 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finslerlab import series
+from finslerlab.classify import SamplePlan, classify_metric, sample_states
+from finslerlab.curvature import GeometryState
 from finslerlab.errors import ConfigError, RegularityError
 from finslerlab.metrics import (
     TensorValue,
     cartan_torsion,
     construct_metric,
     fundamental_tensor,
+    navigation_metric,
     randers_b_norm_sq,
 )
+from finslerlab.scalars import value_of
 from finslerlab.series import Series, SeriesRing
+from finslerlab.volume import bh_randers_volume
 from support import fd_partial, homogeneity_defect, is_admissible, record_rings
 
 IDENTITY2 = [["1", "0"], ["0", "1"]]
@@ -380,3 +385,47 @@ def test_forms_check_the_coefficients_before_y(monkeypatch):
 
     monkeypatch.setattr(Series, "times_y", refuse)
     assert np.array_equal(series.linear_form(b, ys).c, want.c)
+
+
+# Navigation by W = q J x + c x on Euclidean R^3, J the rotation in the
+# (x1, x2) plane: W is an infinitesimal homothety, so F has constant flag
+# curvature K = -c^2/4 (Bao, Robles & Shen, "Zermelo navigation on
+# Riemannian manifolds", JDG 2004), and with the BH volume
+# S = -(n+1)(c/2) F (Xing, "The geometric meaning of Randers metrics with
+# isotropic S-curvature", 2005); beta is closed, so F is Douglas, exactly
+# when q = 0, and R is quadratic exactly when c = 0.  Measured over the
+# 13 draws below (plan seed 1, 20 states each): |lambda_hat + c^2/4| at
+# most 1.6e-16 and |S/((n+1)F) + c/2| at most 2.2e-16.
+NAVIGATION_BOUND = 1e-14
+rate = st.one_of(st.just(0.0), st.floats(0.05, 0.9), st.floats(-0.9, -0.05))
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(q=rate, c=rate)
+@example(q=0.3, c=0.0)
+@example(q=0.0, c=0.5)
+@example(q=0.3, c=0.5)
+@example(q=0.3, c=-0.8)
+@example(q=0.7, c=0.2)
+def test_navigation_by_a_homothety_matches_bao_robles_shen(q, c):
+    n = 3
+    metric = navigation_metric(
+        "homothety", n,
+        lambda x: [-q * x[1] + c * x[0], q * x[0] + c * x[1], c * x[2]],
+    )
+    volume = bh_randers_volume(metric)
+    # |W| <= 0.4 sqrt(q^2 + c^2) < 1 on the sample ball: inside the chart
+    plan = SamplePlan(seed=1)
+    report = classify_metric(metric, volume, plan)
+    assert report.errored_states == 0 and not report.hierarchy_violations
+    flag = report.predicates["constant_flag"]
+    assert flag.verdict == "holds"
+    assert abs(flag.details["lambda_hat"] + c * c / 4.0) <= NAVIGATION_BOUND
+    assert report.verdict("douglas") == ("holds" if q == 0.0 else "fails")
+    assert report.verdict("r_quadratic") == ("holds" if c == 0.0 else "fails")
+    s_gap = 0.0
+    for x, y in sample_states(metric, plan).states:
+        S = GeometryState(metric, volume, x, y).frame.S
+        F = value_of(metric.F(x, y))
+        s_gap = max(s_gap, abs(S / ((n + 1) * F) + c / 2.0))
+    assert s_gap <= NAVIGATION_BOUND

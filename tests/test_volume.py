@@ -13,6 +13,7 @@ from finslerlab.metrics import (
     MetricSpec,
     alpha_beta_metric,
     construct_metric,
+    navigation_metric,
     randers_b_norm_sq,
     riemannian_metric,
 )
@@ -37,19 +38,11 @@ from support import closed_randers_sigma, fd_partial, long_double_log_sigma, ran
 
 
 def osaka_like(n=3):
-    def a_fn(x):
-        w = 1.0 - x[0] * x[0] - x[1] * x[1]
-        q = [-x[1], x[0], 0.0]
-        return [
-            [(w * (1.0 if i == j else 0.0) + q[i] * q[j]) / (w * w) for j in range(n)]
-            for i in range(n)
-        ]
-
-    def b_fn(x):
-        w = 1.0 - x[0] * x[0] - x[1] * x[1]
-        return [-x[1] / w, x[0] / w, 0.0]
-
-    return alpha_beta_metric("osaka_like", n, a_fn, b_fn)
+    """randers_osaka's metric without its unit-ball chart: navigation by
+    the rotation W = (x2, -x1, 0, ...)."""
+    return navigation_metric(
+        "osaka_like", n, lambda x: [x[1], -x[0]] + [0.0] * (n - 2)
+    )
 
 
 def test_unit_ball_volumes():
