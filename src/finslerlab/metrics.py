@@ -347,7 +347,7 @@ def alpha_beta_metric(
     )
 
 
-def navigation_metric(name, dimension, W_fn, chart_domain=None, parameters=None):
+def navigation_metric(name, dimension, W_fn, chart_domain=None):
     """The Randers metric of Zermelo navigation on Euclidean space by the
     wind W_fn(x), a length-n list (Bao, Robles & Shen, JDG 2004): with
     lambda = 1 - |W|^2, summed in W's order, a = (lambda delta + W W^T) /
@@ -374,7 +374,7 @@ def navigation_metric(name, dimension, W_fn, chart_domain=None, parameters=None)
         ]
 
     return alpha_beta_metric(name, dimension, a_fn, b_fn,
-                             chart_domain=chart_domain, parameters=parameters)
+                             chart_domain=chart_domain)
 
 
 def riemannian_metric(name, dimension, a_fn, chart_domain=None, parameters=None):
